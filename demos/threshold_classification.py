@@ -25,7 +25,7 @@ def main():
 
     # the tuned state really is a zero-energy eigenfunction of H
     H = evolution.discretize_H(tuned, grid)
-    residual = np.abs(H.effective @ info["state"].values).max()
+    residual = np.abs(H @ info["state"].values).max()
     print(f"|H psi|_sup for the tuned state: {residual:.3e}")
 
     report = jordan.threshold_report(tuned, grid)
@@ -40,14 +40,14 @@ def main():
     ).max()
     print(f"dual-basis pairing certificate deviation: {cert:.3e}")
 
-    P0 = jordan.build_P0(basis, grid).effective
-    comm = H.effective @ P0 - P0 @ H.effective
+    P0 = jordan.build_P0(basis, grid)
+    comm = H @ P0 - P0 @ H
     print(f"idempotency |P0^2 - P0|: {np.abs(P0 @ P0 - P0).max():.3e}")
     print(f"restricted commutator |[H, P0] P0|: {np.abs(comm @ P0).max():.3e}")
 
     Ppp = jordan.build_Ppp(tuned, grid, basis=basis)
     print(f"point-spectrum projector rank (trace): "
-          f"{np.trace(Ppp.effective).real:.6f}")
+          f"{np.trace(Ppp).real:.6f}")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """The operator family I + V R0(lambda^2) and its inverses.
 
-Potentials are carried as :class:`PotentialSpec` (diagonal multiplication)
-or, for synthetic fixtures, as an arbitrary operator perturbation; every
-routine here accepts either and works with the application matrix of
-I + V R0(lambda^2).
+Potentials are carried as :class:`PotentialSpec` (multiplication by a
+vector of samples) or, for synthetic fixtures, as a dense perturbation
+matrix; `potential_operator` is the one place that tells them apart.
+Operators are application matrices (see :mod:`speclab.grids`).
 """
 
 from __future__ import annotations
@@ -13,14 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg as sla
 
-from . import grids, resolvent
-from .grids import (
-    DenseOperator,
-    GridFunction,
-    Kind,
-    lp_norm,
-    operator_l1_norm,
-)
+from . import resolvent
+from .grids import GridFunction, lp_norm, operator_l1_norm
 from .resolvent import Branch, ResolventSpec
 
 #: Condition-number cutoff defining NEAR_SINGULAR.
@@ -44,6 +38,18 @@ class NoContractionError(ArithmeticError):
     def __init__(self, factor):
         self.factor = factor
         super().__init__(f"no contraction: factor {factor:.3f} >= 1")
+
+
+class SeriesNotConvergedError(ArithmeticError):
+    """Neumann series refused: max_terms reached before the tolerance."""
+
+    def __init__(self, max_terms, last_norm, tol):
+        self.max_terms = max_terms
+        self.last_norm = last_norm
+        super().__init__(
+            f"Neumann series not converged after {max_terms} terms: "
+            f"last term norm {last_norm:.3e} >= tol {tol:.1e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -79,22 +85,25 @@ class PotentialSpec:
         """Contraction exponent min(3/p - 2, 2 - 3/q)."""
         return min(3.0 / self.p - 2.0, 2.0 - 3.0 / self.q)
 
-    def as_operator(self):
-        """Multiplication operator by V.
 
-        In radial mode the potential profile V(r) multiplies the reduced
-        wave pointwise, so the diagonal holds V at each node radius.
-        """
-        return grids.diag_operator(self.values)
+def potential_operator(V, X=None, right=False):
+    """The potential V as an application matrix, or its product with X.
 
-
-def potential_operator(V):
-    """Coerce a PotentialSpec or DenseOperator into an operator."""
+    V is a PotentialSpec, whose samples multiply the (reduced) wave
+    pointwise in both grid modes, or a dense perturbation matrix.  With X
+    (a vector or a matrix) given, returns V @ X, or X @ V when `right`;
+    samples multiply by broadcasting, never through a dense diagonal.
+    """
     if isinstance(V, PotentialSpec):
-        return V.as_operator()
-    if isinstance(V, DenseOperator):
-        return V
-    raise TypeError(f"potential must be PotentialSpec or DenseOperator, got {type(V)}")
+        v = V.values.values
+        if X is None:
+            return np.diag(v)
+        return X * v if right or X.ndim == 1 else v[:, None] * X
+    if isinstance(V, np.ndarray):
+        if X is None:
+            return V
+        return X @ V if right else V @ X
+    raise TypeError(f"potential must be PotentialSpec or ndarray, got {type(V)}")
 
 
 def sample_potential(name, grid, fn, p=1.4, q=2.0):
@@ -108,36 +117,32 @@ def sample_potential(name, grid, fn, p=1.4, q=2.0):
 
 
 def build_bs(V, grid, lam, sign=Branch.PLUS):
-    """I + V R0(lambda^2 +/- i0) as a MATRIX operator (V = None means free)."""
+    """I + V R0(lambda^2 +/- i0) (V = None means free)."""
     if V is None:
-        return grids.identity_operator(grid)
-    Vop = potential_operator(V)
+        return np.eye(grid.size, dtype=complex)
     R0 = resolvent.build_R0(grid, ResolventSpec(lam, Branch(sign)))
-    eff = np.eye(grid.size) + Vop.effective @ R0.effective
-    return DenseOperator(grid, eff, Kind.MATRIX)
+    return np.eye(grid.size) + potential_operator(V, R0)
 
 
 def direct_inverse(A, context=""):
-    """Dense LU inverse with a condition estimate.
+    """Dense LU inverse of the square matrix A with a condition estimate.
 
     Raises NearSingularError when the 1-norm condition estimate exceeds
     COND_CUTOFF; this is the numerical detector for threshold eigenvalues
-    and resonances.
+    and resonances.  zgecon reports a zero inverse norm or a NaN/Inf
+    estimate with info > 0, which counts as singular.
     """
-    M = A.effective
-    lu, piv = sla.lu_factor(M)
-    anorm = np.linalg.norm(M, 1)
+    lu, piv = sla.lu_factor(A)
+    anorm = np.linalg.norm(A, 1)
+    rcond, info = sla.lapack.zgecon(lu, anorm)
+    if info < 0:
+        raise ValueError(f"zgecon rejected argument {-info} (1-norm {anorm})")
     with np.errstate(divide="ignore", over="ignore"):
-        try:
-            rcond = sla.lapack.zgecon(lu, anorm)[0]
-        except Exception:
-            rcond = 0.0
-    cond = np.inf if rcond == 0 else 1.0 / rcond
+        cond = np.inf if info > 0 or rcond == 0 else 1.0 / rcond
     if not np.isfinite(cond) or cond > COND_CUTOFF:
         raise NearSingularError(cond, context)
-    inv = sla.lu_solve((lu, piv), np.eye(M.shape[0], dtype=complex))
-    out = DenseOperator(A.grid, inv, Kind.MATRIX)
-    return out, float(cond)
+    inv = sla.lu_solve((lu, piv), np.eye(A.shape[0], dtype=complex))
+    return inv, float(cond)
 
 
 def bs_inverse(V, grid, lam, sign=Branch.PLUS):
@@ -154,14 +159,11 @@ def high_energy_norm_scan(V, grid, lambda_list):
     """
     if len(lambda_list) == 0:
         raise ValueError("empty lambda list")
-    Vop = potential_operator(V)
     norms = []
     for lam in lambda_list:
         R0 = resolvent.build_R0(grid, ResolventSpec(lam, Branch.PLUS))
-        M = Vop.effective @ R0.effective
-        norms.append(
-            operator_l1_norm(DenseOperator(grid, M @ M, Kind.MATRIX))
-        )
+        M = potential_operator(V, R0)
+        norms.append(operator_l1_norm(M @ M, grid))
     norms = np.asarray(norms)
     safe = [l for l, n in zip(lambda_list, norms) if n < NEUMANN_SAFE]
     return {
@@ -180,7 +182,7 @@ def uniform_inverse_scan(V, grid, lambda_grid):
     norms = []
     for lam in lambda_grid:
         inv, _ = direct_inverse(build_bs(V, grid, lam), context=f"lambda={lam}")
-        norms.append(operator_l1_norm(inv))
+        norms.append(operator_l1_norm(inv, grid))
     norms = np.asarray(norms)
     imax = int(np.argmax(norms))
     return {
@@ -212,23 +214,36 @@ def local_neumann_inverse(V, grid, lambda0, r, lam, tol=1e-12, max_terms=200):
     """Local Neumann series for (I + V R0(lambda^2))^{-1} around lambda0.
 
     Sums (-S0 V B_{l0}(lambda^2))^m S0 with S0 the dense inverse at the
-    benchmark energy, stopping when the term norm falls below tol.
-    Returns (operator, contraction_factor).
+    benchmark energy, stopping when the term norm falls below tol (see
+    `_neumann_series` for the refusals).  Returns (operator,
+    contraction_factor).
     """
     if abs(lam - lambda0) > r:
         raise ValueError(f"|lambda - lambda0| = {abs(lam - lambda0)} exceeds window {r}")
     S0, _ = direct_inverse(build_bs(V, grid, lambda0), context=f"lambda0={lambda0}")
-    Vop = potential_operator(V)
     B = resolvent.build_B(grid, lambda0, lam)
-    step = -(S0.effective @ Vop.effective @ B.effective)
-    factor = operator_l1_norm(DenseOperator(grid, -step, Kind.MATRIX))
+    step = -(potential_operator(V, S0, right=True) @ B)
+    return _neumann_series(S0, step, grid, tol, max_terms)
+
+
+def _neumann_series(first, step, grid, tol, max_terms):
+    """sum_m step^m first, stopping once a term's induced L^1 norm is below tol.
+
+    The one series loop, shared with lowenergy.build_S_lambda; it is private
+    so that traced self times stay with the two public callers.
+
+    Raises NoContractionError when ||step|| >= 1 and SeriesNotConvergedError
+    when max_terms terms do not reach tol.  Returns (sum, ||step||).
+    """
+    factor = operator_l1_norm(step, grid)
     if factor >= 1.0:
         raise NoContractionError(factor)
-    total = S0.effective.copy()
-    term = S0.effective
+    total = first.copy()
+    term, norm = first, np.inf
     for _ in range(max_terms):
         term = step @ term
         total += term
-        if operator_l1_norm(DenseOperator(grid, term, Kind.MATRIX)) < tol:
-            break
-    return DenseOperator(grid, total, Kind.MATRIX), float(factor)
+        norm = operator_l1_norm(term, grid)
+        if norm < tol:
+            return total, factor
+    raise SeriesNotConvergedError(max_terms, norm, tol)

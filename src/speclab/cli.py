@@ -3,8 +3,13 @@ persist JSON reports and CSV scans.
 
 Subcommands: threshold, invert, evolve, ftscan, full, fixtures.
 Exit codes: 0 success, 2 assertion failure (a configured check did not
-hold), 3 configuration error.  Reports embed the full tolerance set and the
-grid metadata, carry no wall-clock data, and use fixed key order, so
+hold), 3 configuration error, 4 numerical refusal (the scenario is
+well-formed but a numerical routine declined it: a near-singular solve, a
+Neumann series that does not contract or converge, a non-nilpotent or
+degenerate threshold space, ambiguous eigenvalue clusters, a degenerate
+duality pairing or a near-defective eigenbasis; stderr gets one
+"numerical refusal: ..." line).  Reports embed the full tolerance set and
+the grid metadata, carry no wall-clock data, and use fixed key order, so
 identical scenario files produce byte-identical JSON.
 """
 
@@ -25,6 +30,20 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_ASSERT = 2
 EXIT_CONFIG = 3
+EXIT_NUMERIC = 4
+
+#: Exceptions by which a numerical routine refuses a scenario (exit code 4).
+_NUMERICAL_REFUSALS = (
+    birman.NearSingularError,
+    birman.NoContractionError,
+    birman.SeriesNotConvergedError,
+    jordan.NotNilpotentError,
+    jordan.DegeneratePairingError,
+    jordan.NoStabilizationError,
+    jordan.ClusterAmbiguousError,
+    lowenergy.DualityDegenerateError,
+    evolution.NearDefectiveError,
+)
 
 
 class ConfigError(ValueError):
@@ -351,7 +370,7 @@ def run_ftscan(cfg, grid, V, rng, out_dir=None):
         basis = jordan.build_threshold_basis(V, grid)
         if basis.dim > 0:
             P0 = jordan.build_P0(basis, grid)
-            f = GridFunction(grid, f.values - P0.effective @ f.values)
+            f = GridFunction(grid, f.values - P0 @ f.values)
     scan = ftdiag.t_hat_l1_scan(V, grid, f, window, params)
     out = {
         "pipeline": "ftscan",
@@ -508,6 +527,9 @@ def main(argv=None):
     except CheckFailure as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return EXIT_ASSERT
+    except _NUMERICAL_REFUSALS as exc:
+        print(f"numerical refusal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 def _json_default(obj):

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
 
 from . import birman, grids
-from .grids import DenseOperator, GridFunction, Kind, Mode
+from .grids import Grid, GridFunction, Mode
 
 
 class Method(enum.Enum):
@@ -57,9 +57,9 @@ def _free_laplacian_box(grid):
 
 
 def discretize_H(V, grid):
-    """H = -Delta_grid + V as a complex symmetric MATRIX operator.
+    """H = -Delta_grid + V as a complex symmetric matrix.
 
-    V may be a PotentialSpec, a DenseOperator perturbation (fixtures), or
+    V may be a PotentialSpec, a dense perturbation matrix (fixtures), or
     None for the free operator.
     """
     if grid.mode is Mode.RADIAL_SWAVE:
@@ -68,15 +68,16 @@ def discretize_H(V, grid):
         H = _free_laplacian_box(grid)
     H = H.astype(complex)
     if V is not None:
-        H = H + birman.potential_operator(V).effective
-    return DenseOperator(grid, H, Kind.MATRIX)
+        H = H + birman.potential_operator(V)
+    return H
 
 
 @dataclass(frozen=True)
 class PropagatorPlan:
-    """Hamiltonian, time grid, method, and the reflection horizon T_max."""
+    """Grid, Hamiltonian, time grid, method, and the reflection horizon T_max."""
 
-    H: DenseOperator
+    grid: Grid
+    H: np.ndarray
     times: np.ndarray
     method: Method = Method.EXPM_SQUARING
     T_max: float = np.inf
@@ -104,14 +105,13 @@ def reflection_horizon(grid, k_max=None):
 
 def make_plan(V, grid, times, method=Method.EXPM_SQUARING, k_max=None, T_fit_min=2.0):
     H = discretize_H(V, grid)
-    return PropagatorPlan(H, np.asarray(times, float), method,
+    return PropagatorPlan(grid, H, np.asarray(times, float), method,
                           reflection_horizon(grid, k_max), T_fit_min)
 
 
 def propagate(plan, f):
     """States e^{-i t_k H} f for every t_k in the plan's time grid."""
-    H = plan.H.effective
-    grid = plan.H.grid
+    H, grid = plan.H, plan.grid
     if plan.method is Method.EIGEN_DECOMP:
         evals, W = np.linalg.eig(H)
         cond = np.linalg.cond(W)
@@ -185,10 +185,8 @@ def dispersive_scan(plan, f, P=None):
     (the boundary layer is polluted first); the log-log fit runs over the
     window [T_fit_min, T_max] intersected with the time grid.
     """
-    grid = plan.H.grid
-    g = f if P is None else GridFunction(
-        grid, f.values - P.effective @ f.values
-    )
+    grid = plan.grid
+    g = f if P is None else GridFunction(grid, f.values - P @ f.values)
     states = propagate(plan, g)
     mask = _inner_mask(grid)
     sups, l2s = [], []
@@ -215,10 +213,8 @@ def dispersive_scan(plan, f, P=None):
 
 def l2_stability_scan(plan, f, P=None):
     """Table of 3-D L^2 norms of e^{-itH}(I - P) f and the sup ratio."""
-    grid = plan.H.grid
-    g = f if P is None else GridFunction(
-        grid, f.values - P.effective @ f.values
-    )
+    grid = plan.grid
+    g = f if P is None else GridFunction(grid, f.values - P @ f.values)
     base = grids.profile_lp_norm(f, 2)
     states = propagate(plan, g)
     norms = [grids.profile_lp_norm(st, 2) for st in states]
@@ -242,7 +238,7 @@ def stone_check(V, grid, f, t, lambda_cap, n_quad, P=None):
     from .resolvent import Branch, ResolventSpec
 
     plan = make_plan(V, grid, [t])
-    g = f if P is None else GridFunction(grid, f.values - P.effective @ f.values)
+    g = f if P is None else GridFunction(grid, f.values - P @ f.values)
     lhs = propagate(plan, g)[0]
     dE = lambda_cap / n_quad
     acc = np.zeros(grid.size, complex)
@@ -255,7 +251,7 @@ def stone_check(V, grid, f, t, lambda_cap, n_quad, P=None):
             inv, _ = birman.direct_inverse(
                 birman.build_bs(V, grid, lam, sign), context=f"E={E}"
             )
-            RV = R0.effective @ inv.effective
+            RV = R0 @ inv
             jump += int(sign) * (RV @ g.values)
         acc += np.exp(-1j * t * E) * jump * dE
     rhs = GridFunction(grid, acc / (2j * np.pi))

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import birman, grids, resolvent
-from .birman import NearSingularError, smooth_cutoff
-from .grids import DenseOperator, GridFunction, Kind, lp_norm
+from . import birman, resolvent
+from .birman import smooth_cutoff
+from .grids import lp_norm
 from .resolvent import Branch, ResolventSpec
 
 #: Reported verdict when a LOW-window total exceeds the divergence cap.
@@ -144,26 +144,13 @@ def t_hat_l1_scan(V, grid, f, window, params=None):
             birman.build_bs(V, grid, lam, sign=branch),
             context=f"t_hat scan at lambda={lam:.6g}",
         )
-        samples[i] = cut[i] * (Tinv.effective @ f.values)
+        samples[i] = cut[i] * (Tinv @ f.values)
     rho, hat = _transform(samples, lams, delta)
     drho = rho[1] - rho[0]
     profile = np.abs(hat) @ grid.weights
     total = float(np.sum(profile) * drho)
     verdict = DIVERGENT if total > cap * lp_norm(f, 1) else OK
     return TransformScan(window.upper(), lams, rho, profile, total, n, delta, verdict)
-
-
-def uncut_additivity_residual(V, grid, f, params=None):
-    """Pointwise residual of HIGH + MID + LOW integrands vs the uncut scan."""
-    params = dict(params or {})
-    n = params.get("n", 128)
-    lam_max = params.get("lam_max", 8.0)
-    lambda1 = params.get("lambda1", 1.0)
-    r = params.get("r", 0.25)
-    lams, delta = lambda_grid(n, lam_max)
-    cuts = window_cutoffs(lams, lambda1, r)
-    total = cuts["HIGH"] + cuts["MID"] + cuts["LOW"]
-    return float(np.abs(total - 1.0).max())
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +195,7 @@ def vb_hat_bound_check(V, grid, lambda0, r, halvings=4, n_rho=2048):
     r-exponent, to compare against epsilon = min(3/p - 2, 2 - 3/q).
     """
     chihat = _chi_hat()
-    Vspec = V if isinstance(V, birman.PotentialSpec) else None
-    vals = np.abs(
-        Vspec.values.values if Vspec is not None else birman.potential_operator(V).effective.diagonal()
-    )
+    vals = np.abs(np.diagonal(birman.potential_operator(V)))
     d = grid.radii
     good = d > 0
     radii = [r / 2**m for m in range(halvings)]
@@ -235,8 +219,8 @@ def vb_hat_bound_check(V, grid, lambda0, r, halvings=4, n_rho=2048):
     else:
         fit = float("nan")
     out = {"radii": radii, "values": measured, "fitted_exponent": fit}
-    if Vspec is not None:
-        out["epsilon"] = Vspec.epsilon
+    if isinstance(V, birman.PotentialSpec):
+        out["epsilon"] = V.epsilon
     return out
 
 
@@ -261,7 +245,7 @@ def k2_bound_check(grid, basis, r, params=None):
     lams, delta = lambda_grid(n, lam_max)
     cut = smooth_cutoff(2.0 * lams / r)
     chi_l1 = chi_hat_l1(r=r / 2.0, n=n, lam_max=lam_max)
-    R00 = resolvent.build_R0(grid, ResolventSpec(0.0, Branch.MINUS)).effective
+    R00 = resolvent.build_R0(grid, ResolventSpec(0.0, Branch.MINUS))
     out = []
     for lab in labels:
         psibar = np.conj(basis.vectors[lab].values)
@@ -270,7 +254,7 @@ def k2_bound_check(grid, basis, r, params=None):
         for i, lam in enumerate(lams):
             if cut[i] == 0.0:
                 continue
-            R = resolvent.build_R0(grid, ResolventSpec(lam, Branch.MINUS)).effective
+            R = resolvent.build_R0(grid, ResolventSpec(lam, Branch.MINUS))
             samples_r[i] = cut[i] * (R @ psibar)
             samples_b[i] = cut[i] * ((R - R00) @ psibar)
         rho, hat_r = _transform(samples_r, lams, delta)

@@ -1,4 +1,4 @@
-"""Discretization substrate: grids, sampled functions, quadrature, dense operators.
+"""Discretization substrate: grids, sampled functions, quadrature, operator norms.
 
 Two grid modes are supported.
 
@@ -13,17 +13,18 @@ BOX3D
     A uniform midpoint lattice of node_count^3 points filling the cube
     [-L, L]^3.  Working weights and volume weights coincide (h^3).
 
-Dense operators come in two kinds.  KERNEL entries are samples of an
-integral kernel A(x_i, y_j) and application includes the quadrature weights;
-MATRIX entries are applied directly.  All norms, pairings and induced
-operator norms use the working weights, with fixed-order summation so that
-results are reproducible bit for bit.
+Operators are plain complex ndarrays A acting by f -> A @ f.values.  An
+integral kernel sampled as K(x_i, y_j) becomes the application matrix
+K * weights[None, :] once, at assembly; both modes have uniform working
+weights, so the bilinear transpose of an operator is its plain transpose.
+All norms, pairings and induced operator norms use the working weights,
+with fixed-order summation so that results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,11 +40,6 @@ class GridMismatchError(ValueError):
 class Mode(enum.Enum):
     RADIAL_SWAVE = "radial_swave"
     BOX3D = "box3d"
-
-
-class Kind(enum.Enum):
-    KERNEL = "kernel"
-    MATRIX = "matrix"
 
 
 #: Dense-matrix cap for BOX3D grids (node_count per axis).
@@ -132,7 +128,8 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        # Copy, so that freezing the values leaves the caller's array writable.
+        vals = np.array(self.values, dtype=complex)
         if vals.shape != (self.grid.size,):
             raise GridMismatchError(
                 f"value count {vals.shape} != node count {self.grid.size}"
@@ -228,89 +225,8 @@ def inner_product(f, g, weights=None):
     return complex(np.sum(w * f.values * np.conj(g.values)))
 
 
-@dataclass(frozen=True)
-class DenseOperator:
-    """Quadrature-weighted dense operator on grid functions."""
-
-    grid: Grid
-    matrix: np.ndarray
-    kind: Kind = Kind.KERNEL
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        n = self.grid.size
-        if m.shape != (n, n):
-            raise GridMismatchError(f"matrix shape {m.shape} != ({n}, {n})")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def effective(self):
-        """Matrix representing plain application f -> M f."""
-        if self.kind is Kind.KERNEL:
-            return self.matrix * self.grid.weights[np.newaxis, :]
-        return self.matrix
-
-
-def identity_operator(grid):
-    return DenseOperator(grid, np.eye(grid.size), Kind.MATRIX)
-
-
-def zero_operator(grid):
-    return DenseOperator(grid, np.zeros((grid.size, grid.size)), Kind.MATRIX)
-
-
-def diag_operator(v):
-    """Multiplication operator by a grid function."""
-    return DenseOperator(v.grid, np.diag(v.values), Kind.MATRIX)
-
-
-def from_effective(grid, matrix):
-    """Wrap a plain application matrix as a MATRIX-kind operator."""
-    return DenseOperator(grid, matrix, Kind.MATRIX)
-
-
-def apply(A, f):
-    _check_same_grid(A.grid, f.grid)
-    return GridFunction(A.grid, A.effective @ f.values)
-
-
-def compose(A, B):
-    _check_same_grid(A.grid, B.grid)
-    return DenseOperator(A.grid, A.effective @ B.effective, Kind.MATRIX)
-
-
-def add(A, B):
-    _check_same_grid(A.grid, B.grid)
-    return DenseOperator(A.grid, A.effective + B.effective, Kind.MATRIX)
-
-
-def scale(A, alpha):
-    return DenseOperator(A.grid, alpha * A.effective, Kind.MATRIX)
-
-
-def transpose_bilinear(A):
-    """Adjoint with respect to the bilinear pairing: pair(Af, g) = pair(f, A^t g).
-
-    For KERNEL operators this is the plain transpose of the kernel samples
-    (a bitwise involution).  For MATRIX operators it is W^-1 M^T W.
-    """
-    if A.kind is Kind.KERNEL:
-        return DenseOperator(A.grid, A.matrix.T, Kind.KERNEL)
-    w = A.grid.weights
-    ratio = w[np.newaxis, :] / w[:, np.newaxis]
-    return DenseOperator(A.grid, A.matrix.T * ratio, Kind.MATRIX)
-
-
-def operator_l1_norm(A):
-    """Induced norm of A on the weighted discrete L^1 space.
-
-    KERNEL kind: max_j sum_i w_i |K_ij|.  MATRIX kind: the weighted
-    analogue max_j sum_i w_i |M_ij| / w_j.
-    """
-    w = A.grid.weights
-    if A.kind is Kind.KERNEL:
-        cols = w @ np.abs(A.matrix)
-    else:
-        cols = (w @ np.abs(A.matrix)) / w
-    return float(cols.max())
+def operator_l1_norm(A, grid):
+    """Induced norm of the application matrix A on the weighted discrete L^1
+    space of `grid`: max_j sum_i w_i |A_ij| / w_j."""
+    w = grid.weights
+    return float(((w @ np.abs(A)) / w).max())

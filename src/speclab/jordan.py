@@ -17,13 +17,13 @@ spectrum, via Schur-based Riesz projectors).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
 
 from . import birman, evolution, grids, resolvent
-from .grids import DenseOperator, GridFunction, Kind, Mode, bilinear_pair
+from .grids import GridFunction, Mode, bilinear_pair
 from .resolvent import Branch, ResolventSpec
 
 
@@ -149,7 +149,7 @@ def _complement_in(big, small, tol_rank=1e-10):
 def jordan_dual_basis(N, B=None, tol=1e-10):
     """Self-dual Jordan basis of a B-symmetric nilpotent matrix.
 
-    N may be an ndarray or a MATRIX DenseOperator acting on a space where B
+    N is a square matrix acting on a space where B
     (default: plain dot product) is a nondegenerate symmetric bilinear form
     with B(Nu, v) = B(u, Nv).  The construction is top-down in chain length:
     candidate chain tops are orthogonalized against finished chains through
@@ -158,8 +158,6 @@ def jordan_dual_basis(N, B=None, tol=1e-10):
     preferred, then corrected by psi <- psi - (m_a / 2) N^{k-1-a} psi to kill
     the remaining same-chain pairings.
     """
-    if isinstance(N, DenseOperator):
-        N = N.effective
     N = np.asarray(N, dtype=complex)
     n = N.shape[0]
     if B is None:
@@ -324,15 +322,12 @@ def _symmetric_jordan_block(k):
 
 def nullspace_X1(V, grid, tol_rank=1e-8):
     """Null vectors g of I + V R0(0) together with the states Psi = R0(0) g."""
-    A = birman.build_bs(V, grid, 0.0)
-    G = _null_basis(A.effective, tol_rank)
+    G = _null_basis(birman.build_bs(V, grid, 0.0), tol_rank)
     R0 = resolvent.build_R0(grid, ResolventSpec(0.0, Branch.PLUS))
-    out = []
-    for i in range(G.shape[1]):
-        g = GridFunction(grid, G[:, i])
-        psi = grids.apply(R0, g)
-        out.append((g, psi))
-    return out
+    return [
+        (GridFunction(grid, G[:, i]), GridFunction(grid, R0 @ G[:, i]))
+        for i in range(G.shape[1])
+    ]
 
 
 def classify_state(psi, grid=None, tol_res=1e-2):
@@ -375,9 +370,8 @@ def build_filtration(V, grid, tol_rank=1e-8, max_k=8):
     solutions of (I + R0(0)V) Psi = R0(0) Phi over the solvable part of X_k
     together with the homogeneous solutions X_1.
     """
-    Vop = birman.potential_operator(V)
-    R0 = resolvent.build_R0(grid, ResolventSpec(0.0, Branch.PLUS)).effective
-    M = np.eye(grid.size) + R0 @ Vop.effective
+    R0 = resolvent.build_R0(grid, ResolventSpec(0.0, Branch.PLUS))
+    M = np.eye(grid.size) + birman.potential_operator(V, R0, right=True)
     U, s, Vh = np.linalg.svd(M)
     cutoff = tol_rank * s[0]
     rank = int(np.sum(s > cutoff))
@@ -429,7 +423,7 @@ def build_threshold_basis(V, grid, tol_rank=1e-8, tol=1e-10):
         labels = []
         return JordanBasis(0, {}, {}, labels, np.zeros((0, 0)))
     Q = spaces[-1]
-    H = evolution.discretize_H(V, grid).effective
+    H = evolution.discretize_H(V, grid)
     N = Q.conj().T @ (H @ Q)
     Bres = Q.T @ (grid.weights[:, None] * Q)
     coeff_basis = jordan_dual_basis(N, Bres, tol=tol)
@@ -470,12 +464,12 @@ def threshold_report(V, grid, tol_rank=1e-8, tol_res=1e-2):
 
 
 def _rank_one_sum(grid, pairs):
-    """Sum of f -> pair(f, dual) * vec operators as a MATRIX DenseOperator."""
+    """Application matrix of the sum of the rank-one maps f -> pair(f, dual) vec."""
     P = np.zeros((grid.size, grid.size), complex)
     w = grid.weights
     for vec, dual in pairs:
         P += np.outer(vec.values, w * dual.values)
-    return DenseOperator(grid, P, Kind.MATRIX)
+    return P
 
 
 def build_P0(basis, grid=None):
@@ -500,8 +494,7 @@ def build_Ptilde0(basis, grid=None):
 def build_Qtilde0(basis, grid=None):
     """Complementary projection Q~0 = I - P~0."""
     grid = _basis_grid(basis, grid)
-    P = build_Ptilde0(basis, grid)
-    return DenseOperator(grid, np.eye(grid.size) - P.effective, Kind.MATRIX)
+    return np.eye(grid.size) - build_Ptilde0(basis, grid)
 
 
 def _basis_grid(basis, grid):
@@ -534,7 +527,7 @@ def build_Ppp(
     extracted from a sorted Schur form via a Sylvester solve.  A threshold
     basis (zero-energy part) may be supplied and its P0 is added.
     """
-    H = evolution.discretize_H(V, grid).effective
+    H = evolution.discretize_H(V, grid)
     if delta_edge is None:
         delta_edge = 3.0 * free_edge_scale(grid)
     evals = np.linalg.eigvals(H)
@@ -547,8 +540,8 @@ def build_Ppp(
         radius = max(abs(ev - center) for ev in members) + cluster_tol
         P += _riesz_projector(H, center, radius)
     if basis is not None and basis.dim > 0:
-        P += build_P0(basis, grid).effective
-    return DenseOperator(grid, P, Kind.MATRIX)
+        P += build_P0(basis, grid)
+    return P
 
 
 def _cluster(evals, cluster_tol):
@@ -607,7 +600,7 @@ def build_chain_fixture(grid, target, seed=0, scale=1.0):
     replaced: F = U (N_target - D) U^T with U real orthonormal eigenvectors
     and N_target a symmetric nilpotent with the target chain pattern, so
     H0 + F acts as N_target on span(U) and is untouched on its complement.
-    Returns the perturbation F as a MATRIX DenseOperator (usable wherever a
+    Returns the perturbation F as a dense matrix (usable wherever a
     potential is expected).
     """
     n = sum(k * lk for k, lk in target.items())
@@ -615,10 +608,9 @@ def build_chain_fixture(grid, target, seed=0, scale=1.0):
         raise ValueError("empty chain target")
     if n > grid.size:
         raise ValueError(f"target dimension {n} exceeds grid size {grid.size}")
-    H0 = evolution.discretize_H(None, grid).effective.real
+    H0 = evolution.discretize_H(None, grid).real
     mu, W = np.linalg.eigh(H0)
     U = W[:, :n]
     D = np.diag(mu[:n])
     N_target = scale * nilpotent_fixture(target, rng=seed)
-    F = U @ (N_target - D) @ U.T
-    return DenseOperator(grid, F, Kind.MATRIX)
+    return U @ (N_target - D) @ U.T

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import birman, evolution, grids, jordan
-from .birman import NoContractionError
-from .grids import DenseOperator, GridFunction, Kind, bilinear_pair, lp_norm, operator_l1_norm
+from . import birman, evolution, jordan
+from .grids import GridFunction, bilinear_pair, lp_norm, operator_l1_norm
 
 
 class DualityDegenerateError(ArithmeticError):
@@ -45,34 +44,33 @@ def domain_resolvent(grid, lam):
 
     Requires lambda^2 below the first eigenvalue of the discrete free
     Hamiltonian (radial: ((pi / 2L))^2 at leading order) so the inverse is
-    positive definite; the result is cached per (grid, lambda).
+    positive definite; the result is cached per (grid, lambda) and read-only.
     """
     key = (grid.mode, float(grid.extent), grid.size, float(lam))
     hit = _DOMAIN_RESOLVENT_CACHE.get(key)
     if hit is not None:
         return hit
-    H0 = evolution.discretize_H(None, grid).effective
-    R = np.linalg.inv(H0 - lam**2 * np.eye(grid.size))
-    op = DenseOperator(grid, R.astype(complex), Kind.MATRIX)
-    _DOMAIN_RESOLVENT_CACHE[key] = op
-    return op
+    H0 = evolution.discretize_H(None, grid)
+    R = np.linalg.inv(H0 - lam**2 * np.eye(grid.size)).astype(complex)
+    R.setflags(write=False)
+    _DOMAIN_RESOLVENT_CACHE[key] = R
+    return R
 
 
 def _bs_matrix(V, grid, lam):
     """I + V R0(lambda^2) with the domain resolvent family."""
-    Vop = birman.potential_operator(V)
-    return np.eye(grid.size) + Vop.effective @ domain_resolvent(grid, lam).effective
+    return np.eye(grid.size) + birman.potential_operator(V, domain_resolvent(grid, lam))
 
 
 @dataclass
 class RegularizedInverse:
     """S0 plus everything needed to continue it to small lambda."""
 
-    S0: DenseOperator
+    S0: np.ndarray
     basis: "jordan.JordanBasis"
     V: object
     grid: object
-    Qt0: DenseOperator
+    Qt0: np.ndarray
     window: float
     range_constraints: list  # GridFunctions R0(0) psi_{k,k} (range must be B-orthogonal)
 
@@ -96,16 +94,13 @@ def build_S0(V, grid, basis, window="auto"):
     normalization pair(V psi_{1,k}, R0(0) psi_{k',k'}) = -delta guarantees
     the bordered matrix is nonsingular.
     """
-    Vop = birman.potential_operator(V)
     T0 = _bs_matrix(V, grid, 0.0)
     R0 = domain_resolvent(grid, 0.0)
     chains = _diag_chains(basis)
     n = len(chains)
     if n == 0:
-        S0, _ = birman.direct_inverse(
-            DenseOperator(grid, T0, Kind.MATRIX), context="S0 (trivial)"
-        )
-        Qt0 = grids.identity_operator(grid)
+        S0, _ = birman.direct_inverse(T0, context="S0 (trivial)")
+        Qt0 = np.eye(grid.size, dtype=complex)
         reg = RegularizedInverse(S0, basis, V, grid, Qt0, np.inf, [])
         reg.window = _auto_window(reg) if window == "auto" else window
         return reg
@@ -113,14 +108,14 @@ def build_S0(V, grid, basis, window="auto"):
     M = grid.size
     w = grid.weights
     Y = np.column_stack([psikk.values for _, _, _, psikk in chains])
-    constraints = [grids.apply(R0, psikk) for _, _, _, psikk in chains]
+    constraints = [GridFunction(grid, R0 @ psikk.values) for _, _, _, psikk in chains]
     C = np.vstack([(w * c.values) for c in constraints])
     # Duality check: pairing V psi_{1,k} against R0(0) psi_{k',k'}.
     D = np.array(
         [
             [
                 bilinear_pair(
-                    GridFunction(grid, Vop.effective @ psi1.values), c
+                    GridFunction(grid, birman.potential_operator(V, psi1.values)), c
                 )
                 for c in constraints
             ]
@@ -132,45 +127,24 @@ def build_S0(V, grid, basis, window="auto"):
             f"duality Gram matrix has condition {np.linalg.cond(D):.3e}"
         )
     K = np.zeros((M + n, M + n), complex)
-    K[:M, :M] = Qt0.effective @ T0
+    K[:M, :M] = Qt0 @ T0
     K[:M, M:] = Y
     K[M:, :M] = C
-    Kinv, _ = birman.direct_inverse(_square_op(K), context="S0 bordered solve")
-    S0 = DenseOperator(grid, Kinv.matrix[:M, :M], Kind.MATRIX)
+    Kinv, _ = birman.direct_inverse(K, context="S0 bordered solve")
+    S0 = Kinv[:M, :M]
     reg = RegularizedInverse(S0, basis, V, grid, Qt0, np.inf, constraints)
     reg.window = _auto_window(reg) if window == "auto" else window
     return reg
 
 
-class _FakeGrid:
-    """Uniform-weight stand-in so direct_inverse can chew bordered matrices."""
-
-    def __init__(self, n):
-        self.weights = np.ones(n)
-        self.size = n
-
-    def __eq__(self, other):
-        return getattr(other, "size", None) == self.size
-
-    def __hash__(self):
-        return hash(("fake", self.size))
-
-
-def _square_op(K):
-    return DenseOperator(_FakeGrid(K.shape[0]), K, Kind.MATRIX)
-
-
 def _series_step(reg, lam):
     """The contraction factor operator -S0 Q~0 V B0(lambda^2)."""
-    Vop = birman.potential_operator(reg.V)
-    B = domain_resolvent(reg.grid, lam).effective - domain_resolvent(reg.grid, 0.0).effective
-    step = -(reg.S0.effective @ reg.Qt0.effective @ Vop.effective @ B)
-    return step
+    B = domain_resolvent(reg.grid, lam) - domain_resolvent(reg.grid, 0.0)
+    return -(birman.potential_operator(reg.V, reg.S0 @ reg.Qt0, right=True) @ B)
 
 
 def contraction_factor(reg, lam):
-    step = _series_step(reg, lam)
-    return operator_l1_norm(DenseOperator(reg.grid, -step, Kind.MATRIX))
+    return operator_l1_norm(_series_step(reg, lam), reg.grid)
 
 
 def _auto_window(reg, target=0.5, iters=30):
@@ -189,23 +163,18 @@ def _auto_window(reg, target=0.5, iters=30):
 
 
 def build_S_lambda(reg, lam, tol=1e-13, max_terms=200):
-    """Neumann continuation S(lambda) = sum (-S0 Q~0 V B0(l^2))^m S0."""
+    """Neumann continuation S(lambda) = sum (-S0 Q~0 V B0(l^2))^m S0.
+
+    Raises NoContractionError or SeriesNotConvergedError (see birman) rather
+    than return a partial sum.
+    """
     if lam == 0:
         return reg.S0
     if abs(lam) > reg.window:
         raise ValueError(f"lambda {lam} outside validity window {reg.window}")
     step = _series_step(reg, lam)
-    factor = operator_l1_norm(DenseOperator(reg.grid, -step, Kind.MATRIX))
-    if factor >= 1.0:
-        raise NoContractionError(factor)
-    total = reg.S0.effective.copy()
-    term = reg.S0.effective
-    for _ in range(max_terms):
-        term = step @ term
-        total = total + term
-        if operator_l1_norm(DenseOperator(reg.grid, term, Kind.MATRIX)) < tol:
-            break
-    return DenseOperator(reg.grid, total, Kind.MATRIX)
+    total, _ = birman._neumann_series(reg.S0, step, reg.grid, tol, max_terms)
+    return total
 
 
 def one_sided_residual(reg, lam=0.0):
@@ -218,8 +187,8 @@ def one_sided_residual(reg, lam=0.0):
     """
     grid = reg.grid
     T = _bs_matrix(reg.V, grid, lam)
-    S = build_S_lambda(reg, lam).effective
-    lhs = reg.Qt0.effective @ T @ S
+    S = build_S_lambda(reg, lam)
+    lhs = reg.Qt0 @ T @ S
     # Domain projector onto X-bar_1-perp = {f : pair(f, psi_{1,k}) = 0}.
     chains = _diag_chains(reg.basis)
     P = np.eye(grid.size, dtype=complex)
@@ -227,7 +196,7 @@ def one_sided_residual(reg, lam=0.0):
         R = np.vstack([grid.weights * psi1.values for _, _, psi1, _ in chains])
         P = P - np.linalg.pinv(R) @ R
     resid = (lhs - np.eye(grid.size)) @ P
-    return operator_l1_norm(DenseOperator(grid, resid, Kind.MATRIX))
+    return operator_l1_norm(resid, grid)
 
 
 def range_constraint_residual(reg, trials=8, seed=0):
@@ -239,7 +208,7 @@ def range_constraint_residual(reg, trials=8, seed=0):
         f = GridFunction(
             grid, rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
         )
-        u = grids.apply(reg.S0, f)
+        u = GridFunction(grid, reg.S0 @ f.values)
         for c in reg.range_constraints:
             val = abs(bilinear_pair(u, c))
             worst = max(worst, val / lp_norm(f, 1))
@@ -250,15 +219,6 @@ def range_constraint_residual(reg, trials=8, seed=0):
 # Chain identities
 
 
-def _all_labels(basis):
-    labels = []
-    for k in sorted(basis.multiplicities, reverse=True):
-        for ell in range(1, basis.multiplicities[k] + 1):
-            for j in range(1, k + 1):
-                labels.append((j, k, ell))
-    return labels
-
-
 def chain_identity_residual(V, grid, basis, lam):
     """Residuals of (I + R0(l^2)V) psi_{j,k} = R0(l^2)(psi_{j-1,k} - l^2 psi_{j,k}).
 
@@ -266,12 +226,11 @@ def chain_identity_residual(V, grid, basis, lam):
     the chain member's L^1 norm) residuals; the j = 1 case degenerates to
     the -l^2 R0 psi_{1,k} identity.
     """
-    Vop = birman.potential_operator(V)
-    R0 = domain_resolvent(grid, lam).effective
+    R0 = domain_resolvent(grid, lam)
     out = []
-    for (j, k, ell) in _all_labels(basis):
+    for (j, k, ell) in jordan.canonical_labels(basis.multiplicities):
         psi = basis.vectors[(j, k, ell)].values
-        lhs = psi + R0 @ (Vop.effective @ psi)
+        lhs = psi + R0 @ birman.potential_operator(V, psi)
         prev = basis.vectors[(j - 1, k, ell)].values if j > 1 else 0.0
         rhs = R0 @ (prev - lam**2 * psi)
         diff = lhs - rhs
@@ -285,15 +244,14 @@ def chain_identity_residual(V, grid, basis, lam):
 
 def telescope_residual(V, grid, basis, lam):
     """Residuals of the telescoped chain identity, per (k, ell)."""
-    Vop = birman.potential_operator(V)
-    R0 = domain_resolvent(grid, lam).effective
+    R0 = domain_resolvent(grid, lam)
     out = []
     for k in sorted(basis.multiplicities, reverse=True):
         for ell in range(1, basis.multiplicities[k] + 1):
             acc = np.zeros(grid.size, complex)
             for j in range(1, k + 1):
                 acc += lam ** (2 * (j - 1)) * basis.vectors[(j, k, ell)].values
-            lhs = acc + R0 @ (Vop.effective @ acc)
+            lhs = acc + R0 @ birman.potential_operator(V, acc)
             rhs = -(lam ** (2 * k)) * (R0 @ basis.vectors[(k, k, ell)].values)
             absres = float(np.sum(grid.weights * np.abs(lhs - rhs)))
             scale = (1.0 + lam**2) * max(
@@ -308,18 +266,17 @@ def exact_inverse_residual(V, grid, basis, lam):
     intrinsic lambda^{-2k} blowup."""
     if lam == 0:
         raise ValueError("inverse-action formula is singular at lambda = 0")
-    Vop = birman.potential_operator(V)
-    R0 = domain_resolvent(grid, lam).effective
+    R0 = domain_resolvent(grid, lam)
     out = []
     for k in sorted(basis.multiplicities, reverse=True):
         for ell in range(1, basis.multiplicities[k] + 1):
             psikk = basis.vectors[(k, k, ell)].values
             Psi = psikk.astype(complex).copy()
             for j in range(1, k + 1):
-                Psi += lam ** (-2 * (k + 1 - j)) * (
-                    Vop.effective @ basis.vectors[(j, k, ell)].values
+                Psi += lam ** (-2 * (k + 1 - j)) * birman.potential_operator(
+                    V, basis.vectors[(j, k, ell)].values
                 )
-            lhs = Psi + Vop.effective @ (R0 @ Psi)
+            lhs = Psi + birman.potential_operator(V, R0 @ Psi)
             diff = lhs - psikk
             absres = float(np.sum(grid.weights * np.abs(diff)))
             blowup = max(lam ** (-2 * k), 1.0)
@@ -345,16 +302,13 @@ def inverse_via_formula(reg, V, grid, lam, f, variant="R0"):
     """
     if lam == 0:
         raise ValueError("formula applies for lambda != 0")
-    Vop = birman.potential_operator(V)
     S = build_S_lambda(reg, lam)
-    u = S.effective @ (reg.Qt0.effective @ f.values)
+    u = S @ (reg.Qt0 @ f.values)
     ugf = GridFunction(grid, u)
     if variant == "R0":
-        Rm = domain_resolvent(grid, lam)
-        pair_against = lambda psikk: grids.apply(Rm, psikk)
+        pair_op = domain_resolvent(grid, lam)
     elif variant == "B0":
-        Bm = domain_resolvent(grid, lam).effective - domain_resolvent(grid, 0.0).effective
-        pair_against = lambda psikk: GridFunction(grid, Bm @ psikk.values)
+        pair_op = domain_resolvent(grid, lam) - domain_resolvent(grid, 0.0)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     T = None  # built lazily for the F_k diagnostics
@@ -365,10 +319,10 @@ def inverse_via_formula(reg, V, grid, lam, f, variant="R0"):
     Tu = None
     for k, ell, psi1, psikk in chains:
         Vchain = [
-            Vop.effective @ reg.basis.vectors[(j, k, ell)].values
+            birman.potential_operator(V, reg.basis.vectors[(j, k, ell)].values)
             for j in range(1, k + 1)
         ]
-        coef2 = bilinear_pair(ugf, pair_against(psikk))
+        coef2 = bilinear_pair(ugf, GridFunction(grid, pair_op @ psikk.values))
         bracket2 = sum(
             lam ** (2 * (j - 1)) * Vchain[j - 1] for j in range(1, k + 1)
         ) + lam ** (2 * k) * psikk.values

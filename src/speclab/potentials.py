@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import birman, grids, resolvent
+from . import birman, resolvent
 from .grids import GridFunction, Mode
 from .resolvent import Branch, ResolventSpec
 
@@ -78,9 +78,8 @@ def tune_coupling(V, grid, target=-1.0):
     c = target / nu makes c*nu land exactly on the target, i.e. puts -1 in
     the spectrum of c V R0(0).  Returns (tuned PotentialSpec, c, null info).
     """
-    Vop = birman.potential_operator(V)
     R0 = resolvent.build_R0(grid, ResolventSpec(0.0, Branch.PLUS))
-    K = Vop.effective @ R0.effective
+    K = birman.potential_operator(V, R0)
     evals, evecs = np.linalg.eig(K)
     idx = int(np.argmin(np.abs(evals - target)))
     nu = evals[idx]
@@ -92,11 +91,11 @@ def tune_coupling(V, grid, target=-1.0):
         V.q,
     )
     # Threshold state: u = R0(0) g where (I + cVR0(0)) g = 0.
-    g = GridFunction(grid, evecs[:, idx])
-    u = grids.apply(R0, g)
-    scale = np.max(np.abs(u.values))
-    u = GridFunction(grid, u.values / scale)
-    g = GridFunction(grid, g.values / scale)
+    g = evecs[:, idx]
+    u = R0 @ g
+    scale = np.max(np.abs(u))
+    u = GridFunction(grid, u / scale)
+    g = GridFunction(grid, g / scale)
     return tuned, complex(c), {"nu": complex(nu), "state": u, "weighted": g}
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .grids import DenseOperator, Kind, Mode, lp_norm
+from .grids import Mode
 
 #: Mean of 1/|z| over the unit cube centered at the origin; the cell-averaged
 #: diagonal of 1/(4 pi |x-y|) kernels is this value / (4 pi h).
@@ -74,11 +74,11 @@ def _distance_matrix(grid):
 
 
 def build_R0(grid, spec):
-    """Assemble the free resolvent as a KERNEL operator on the grid."""
+    """Assemble the free resolvent: kernel samples times quadrature weights."""
     if grid.mode is Mode.RADIAL_SWAVE:
         r = grid.nodes
         K = free_kernel_radial(spec, r[:, None], r[None, :])
-        return DenseOperator(grid, K, Kind.KERNEL)
+        return K * grid.weights[None, :]
     d = _distance_matrix(grid)
     np.fill_diagonal(d, 1.0)  # placeholder, overwritten below
     K = free_kernel_3d(spec, d)
@@ -86,7 +86,7 @@ def build_R0(grid, spec):
         4.0 * np.pi
     )
     np.fill_diagonal(K, diag)
-    return DenseOperator(grid, K, Kind.KERNEL)
+    return K * grid.weights[None, :]
 
 
 def _b_kernel_radial(lam0, lam, sign, r, rp):
@@ -111,14 +111,14 @@ def build_B(grid, lambda0, lam, sign=Branch.PLUS):
     if grid.mode is Mode.RADIAL_SWAVE:
         r = grid.nodes
         K = _b_kernel_radial(lambda0, lam, sign, r[:, None], r[None, :])
-        return DenseOperator(grid, K, Kind.KERNEL)
+        return K * grid.weights[None, :]
     d = _distance_matrix(grid)
     np.fill_diagonal(d, 1.0)
     K = (
         np.exp(1j * sign * lam * d) - np.exp(1j * sign * lambda0 * d)
     ) / (4.0 * np.pi * d)
     np.fill_diagonal(K, 1j * sign * (lam - lambda0) / (4.0 * np.pi))
-    return DenseOperator(grid, K, Kind.KERNEL)
+    return K * grid.weights[None, :]
 
 
 def column_lp_norm_3d(lam, mu, pprime, r_max, n=20000):
@@ -133,7 +133,7 @@ def column_lp_norm_3d(lam, mu, pprime, r_max, n=20000):
     return float(np.sum(4.0 * np.pi * r**2 * vals**pprime * h) ** (1.0 / pprime))
 
 
-def kernel_difference_check(grid, V, lambda_list, mu=0.0, p=1.4):
+def kernel_difference_check(grid, lambda_list, mu=0.0, p=1.4):
     """Measure L^{p'} norms of R0(lambda^2) - R0(mu^2) and fit the growth rate.
 
     Returns a dict with the per-lambda norms, the fitted exponent in
@@ -157,14 +157,3 @@ def kernel_difference_check(grid, V, lambda_list, mu=0.0, p=1.4):
         "ok": bool(slope >= predicted - 0.15),
     }
 
-
-def resolvent_identity_residual(grid, lam, sign=Branch.PLUS):
-    """Induced-L1 residual of R0(l^2) - (I + l^2 R0(l^2)) R0(0)."""
-    from .grids import add, compose, identity_operator, operator_l1_norm, scale
-
-    spec = ResolventSpec(lam, Branch(sign))
-    R = build_R0(grid, spec)
-    R00 = build_R0(grid, ResolventSpec(0.0, Branch(sign)))
-    rhs = compose(add(identity_operator(grid), scale(R, lam**2)), R00)
-    resid = DenseOperator(grid, R.effective - rhs.effective, Kind.MATRIX)
-    return operator_l1_norm(resid)

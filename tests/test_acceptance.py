@@ -141,20 +141,20 @@ def test_criterion_04_dual_basis_certificate():
 
 def test_criterion_05_projection_algebra(ee6):
     g, jb = ee6["grid"], ee6["basis"]
-    P0 = jordan.build_P0(jb, g).effective
-    Pt = jordan.build_Ptilde0(jb, g).effective
-    Qt = jordan.build_Qtilde0(jb, g).effective
+    P0 = jordan.build_P0(jb, g)
+    Pt = jordan.build_Ptilde0(jb, g)
+    Qt = jordan.build_Qtilde0(jb, g)
     assert np.abs(P0 @ P0 - P0).max() < 1e-10
     assert np.abs(Pt @ Pt - Pt).max() < 1e-10
     assert np.abs(Qt @ Pt).max() < 1e-10
-    H = evolution.discretize_H(ee6["V"], g).effective
+    H = evolution.discretize_H(ee6["V"], g)
     comm = H @ P0 - P0 @ H
     assert np.abs(comm @ P0).max() < 1e-6
     assert np.abs(P0 @ comm).max() < 1e-6
     # cluster projectors are mutually annihilating
     g2 = grids.make_grid(Mode.RADIAL_SWAVE, 20.0, 400)
     V2 = potentials.gaussian_well(g2, depth=12.0, width=2.0)
-    H2 = evolution.discretize_H(V2, g2).effective
+    H2 = evolution.discretize_H(V2, g2)
     ev = np.linalg.eigvals(H2)
     pts = np.sort_complex(ev[ev.real < -0.05])
     assert len(pts) == 2
@@ -206,8 +206,8 @@ def test_criterion_07_local_neumann_and_transform_bound(grid20, well20):
             continue
         assert factor < 1.0
         dense = birman.bs_inverse(V, g, lam)
-        scale = np.abs(dense.effective).max()
-        assert np.abs(op.effective - dense.effective).max() / scale <= 1e-8
+        scale = np.abs(dense).max()
+        assert np.abs(op - dense).max() / scale <= 1e-8
         checked += 1
     assert checked >= 3
     # measured transform-bound constant: r-scaling and ||V||-linearity
@@ -239,7 +239,7 @@ def test_criterion_09_transform_dichotomy(ee6):
     P0 = jordan.build_P0(jb, g)
     rng = np.random.default_rng(3)
     f = GridFunction(g, rng.standard_normal(g.size).astype(complex))
-    fperp = GridFunction(g, f.values - P0.effective @ f.values)
+    fperp = GridFunction(g, f.values - P0 @ f.values)
     perp_totals, gen_totals = [], []
     for n in (128, 256, 512):
         params = {"n": n, "lam_max": 8.0, "r": 0.25}

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from speclab import birman, grids, potentials
-from speclab.grids import DenseOperator, GridFunction, Kind, Mode, operator_l1_norm
-from speclab.resolvent import Branch
+from speclab import birman, potentials
+from speclab.grids import GridFunction, operator_l1_norm
 
 
 def test_potential_spec_validates_exponents(grid20):
@@ -20,14 +19,14 @@ def test_epsilon_at_default_exponents(well20):
 def test_zero_potential_gives_identity(grid20):
     V = potentials.gaussian_well(grid20, depth=0.0)
     A = birman.build_bs(V, grid20, 0.8)
-    assert np.abs(A.effective - np.eye(grid20.size)).max() < 1e-15
+    assert np.abs(A - np.eye(grid20.size)).max() < 1e-15
 
 
 def test_direct_inverse_roundtrip(grid20, well20):
     A = birman.build_bs(well20, grid20, 0.8)
     inv, cond = birman.direct_inverse(A)
     assert cond < 1e6
-    eye = inv.effective @ A.effective
+    eye = inv @ A
     assert np.abs(eye - np.eye(grid20.size)).max() < 1e-10
 
 
@@ -69,8 +68,8 @@ def test_local_neumann_matches_dense_inverse(grid20, well20):
     op, factor = birman.local_neumann_inverse(well20, grid20, 2.0, 0.015, 2.01)
     assert factor < 1.0
     oracle = birman.bs_inverse(well20, grid20, 2.01)
-    diff = DenseOperator(grid20, op.effective - oracle.effective, Kind.MATRIX)
-    assert operator_l1_norm(diff) / operator_l1_norm(oracle) < 1e-10
+    diff = op - oracle
+    assert operator_l1_norm(diff, grid20) / operator_l1_norm(oracle, grid20) < 1e-10
 
 
 def test_local_neumann_rejects_wide_window(grid20, well20):

@@ -154,6 +154,21 @@ def test_seed_recorded_and_changes_probe(tmp_path, capsys):
     assert report["seed"] == 5
 
 
+def test_numerical_refusal_exits_4(tmp_path, capsys):
+    # On the box grid the sampled R0(0) does not invert the discrete H0, so
+    # the tuned exact_eigen scenario has no nilpotent threshold block.
+    cfg = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "grid": {"mode": "box3d", "extent": 4.0, "nodes": 8},
+        "potential": {"builtin": "exact_eigen", "params": {"s": 2.0}},
+    }
+    rc = cli.main(["invert", "--config", write_cfg(tmp_path, cfg)])
+    assert rc == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numerical refusal: NotNilpotentError")
+    assert err.count("\n") == 1
+
+
 def test_bad_schema_version_exits_3(tmp_path):
     cfg = small_threshold_cfg()
     cfg["schema_version"] = 99

@@ -15,7 +15,7 @@ def g200():
 
 def test_free_spectrum(g200):
     # Dirichlet ghost at 0, Neumann ghost at L: eigenvalues ((n+1/2) pi / L)^2
-    H0 = evolution.discretize_H(None, g200).effective
+    H0 = evolution.discretize_H(None, g200)
     ev = np.sort(np.linalg.eigvalsh(H0.real))[:5]
     exact = ((np.arange(5) + 0.5) * np.pi / 20.0) ** 2
     assert (np.abs(ev - exact) / exact).max() < 1e-2
@@ -26,7 +26,7 @@ def test_H_complex_symmetric(g200):
         g200, base=potentials.gaussian_well(g200, depth=2.0), gamma=0.4
     )
     H = evolution.discretize_H(V, g200)
-    assert np.abs(H.effective - H.effective.T).max() == 0.0
+    assert np.abs(H - H.T).max() == 0.0
 
 
 def test_propagate_t0_is_identity(g200):
@@ -101,8 +101,8 @@ def test_commutation_with_ppp(ee6):
     import scipy.linalg as sla
 
     g = ee6["grid"]
-    P = jordan.build_Ppp(ee6["V"], g, basis=ee6["basis"]).effective
-    H = evolution.discretize_H(ee6["V"], g).effective
+    P = jordan.build_Ppp(ee6["V"], g, basis=ee6["basis"])
+    H = evolution.discretize_H(ee6["V"], g)
     U = sla.expm(-1j * H)
     assert np.abs(P @ U - U @ P).max() < 1e-8
 
@@ -111,7 +111,7 @@ def test_projected_evolution_of_range_vanishes(ee6):
     g, jb = ee6["grid"], ee6["basis"]
     P = jordan.build_P0(jb, g)
     psi = jb.vectors[(1, 1, 1)]
-    proj = GridFunction(g, psi.values - P.effective @ psi.values)
+    proj = GridFunction(g, psi.values - P @ psi.values)
     plan = evolution.make_plan(ee6["V"], g, [1.0, 2.0])
     for st in evolution.propagate(plan, proj):
         assert np.abs(st.values).max() < 1e-10

@@ -57,13 +57,6 @@ def test_free_total_is_cutoff_transform(g):
     assert got == pytest.approx(ftdiag.chi_hat_l1(0.25, n=256, lam_max=8.0), rel=1e-4)
 
 
-def test_additivity_of_windows(g):
-    f = l1_bump(g)
-    V = potentials.gaussian_well(g, depth=2.0)
-    res = ftdiag.uncut_additivity_residual(V, g, f, {"n": 128, "lam_max": 8.0})
-    assert res < 1e-10
-
-
 def test_dlambda_kernel_modulus():
     # the closed form (16 pi i t)^{-1/2} e^{i (rho - d)^2 / 4t}: transform
     # modulus is (16 pi |t|)^{-1/2} uniformly in (rho, d)

@@ -76,13 +76,13 @@ def test_chain_fixture_dimensions(chain_fixture20):
 
 def test_projection_algebra(ee6):
     g, jb = ee6["grid"], ee6["basis"]
-    P0 = jordan.build_P0(jb, g).effective
-    Pt = jordan.build_Ptilde0(jb, g).effective
-    Qt = jordan.build_Qtilde0(jb, g).effective
+    P0 = jordan.build_P0(jb, g)
+    Pt = jordan.build_Ptilde0(jb, g)
+    Qt = jordan.build_Qtilde0(jb, g)
     assert np.abs(P0 @ P0 - P0).max() < 1e-12
     assert np.abs(Pt @ Pt - Pt).max() < 1e-12
     assert np.abs(Qt @ Pt).max() < 1e-12
-    H = evolution.discretize_H(ee6["V"], g).effective
+    H = evolution.discretize_H(ee6["V"], g)
     comm = H @ P0 - P0 @ H
     assert np.abs(comm @ P0).max() < 1e-6
     assert np.abs(P0 @ comm).max() < 1e-6
@@ -91,14 +91,14 @@ def test_projection_algebra(ee6):
 def test_ppp_collects_zero_mode(ee6):
     g = ee6["grid"]
     P = jordan.build_Ppp(ee6["V"], g, basis=ee6["basis"])
-    assert np.trace(P.effective).real == pytest.approx(1.0, abs=1e-8)
-    assert np.abs(P.effective @ P.effective - P.effective).max() < 1e-10
+    assert np.trace(P).real == pytest.approx(1.0, abs=1e-8)
+    assert np.abs(P @ P - P).max() < 1e-10
 
 
 def test_riesz_projectors_orthogonal_across_clusters():
     g = grids.make_grid(Mode.RADIAL_SWAVE, 20.0, 400)
     V = potentials.gaussian_well(g, depth=12.0, width=2.0)
-    H = evolution.discretize_H(V, g).effective
+    H = evolution.discretize_H(V, g)
     ev = np.linalg.eigvals(H)
     pts = np.sort_complex(ev[ev.real < -0.05])
     assert len(pts) == 2

@@ -16,8 +16,8 @@ def test_domain_resolvent_inverts_H(ee6):
 
     g = ee6["grid"]
     lam = 0.1
-    H0 = evolution.discretize_H(None, g).effective
-    R = lowenergy.domain_resolvent(g, lam).effective
+    H0 = evolution.discretize_H(None, g)
+    R = lowenergy.domain_resolvent(g, lam)
     eye = (H0 - lam**2 * np.eye(g.size)) @ R
     assert np.abs(eye - np.eye(g.size)).max() < 1e-10
 
@@ -45,6 +45,11 @@ def test_contraction_factor_grows_with_lambda(ee_small):
 def test_series_rejected_outside_window(ee_small):
     with pytest.raises(ValueError):
         lowenergy.build_S_lambda(ee_small["reg"], 0.5)
+
+
+def test_series_refuses_to_run_out_of_terms(ee_small):
+    with pytest.raises(birman.SeriesNotConvergedError):
+        lowenergy.build_S_lambda(ee_small["reg"], 0.1, max_terms=1)
 
 
 def test_chain_identities_machine_exact(ee_small):

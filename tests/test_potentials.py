@@ -12,7 +12,7 @@ def test_exact_eigen_closed_form_null_vector():
     for M in (200, 400):
         g = grids.make_grid(Mode.RADIAL_SWAVE, 20.0, M)
         V = potentials.exact_eigen(g, s=2.0)
-        H = evolution.discretize_H(V, g).effective
+        H = evolution.discretize_H(V, g)
         u = g.nodes * potentials.exact_eigen_profile(2.0)(g.nodes)
         res.append(np.abs(H @ u).max())
     assert res[0] < 0.1
@@ -37,12 +37,12 @@ def test_tune_coupling_lands_on_singularity(grid20):
     from speclab import birman
 
     A = birman.build_bs(tuned, grid20, 0.0)
-    ev = np.linalg.eigvals(A.effective)
+    ev = np.linalg.eigvals(A)
     assert np.abs(ev).min() < 1e-10
     # the coupling renormalization is a small grid correction
     assert abs(c - 1.0) < 0.05
     # the returned state is in the kernel of the discretized H
-    H = evolution.discretize_H(tuned, grid20).effective
+    H = evolution.discretize_H(tuned, grid20)
     assert np.abs(H @ info["state"].values).max() < 1e-8
 
 
@@ -72,7 +72,7 @@ def test_complex_perturbed_moves_spectrum(grid20):
     base = potentials.gaussian_well(grid20, depth=5.0, width=1.0)
     V = potentials.complex_perturbed(grid20, base=base, gamma=1.5, width=1.0)
     assert np.isfinite(V.composite_norm)
-    H = evolution.discretize_H(V, grid20).effective
+    H = evolution.discretize_H(V, grid20)
     assert np.abs(H - H.conj().T).max() > 0.1  # non-Hermitian
     assert np.abs(H - H.T).max() < 1e-12  # still complex symmetric
     ev = np.linalg.eigvals(H)
