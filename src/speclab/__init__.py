@@ -3,7 +3,7 @@ decay of (possibly non-self-adjoint) Schrodinger operators H = -Delta + V.
 
 Modules
 -------
-grids       radial s-wave and small 3-D box grids, grid functions, operators
+grids       the radial s-wave grid, grid functions, quadrature, operator norms
 resolvent   sampled free-resolvent kernels R0(lambda^2) and difference kernels
 birman      Birman-Schwinger operators I + V R0 and their inverses
 potentials  builtin potential families (exact zero-energy eigenvalue, wells)

@@ -70,9 +70,9 @@ class PotentialSpec:
     def composite_norm(self):
         """max(||V||_p, ||V||_q) as 3-D norms.
 
-        Potential samples are plain values V(node) in both modes (they are
-        multipliers, not reduced waves), so the 3-D norm weights them with
-        the volume weights directly.
+        Potential samples are plain values V(r_i) (they are multipliers,
+        not reduced waves), so the 3-D norm weights them with the volume
+        weights directly.
         """
         vw = self.values.grid.volume_weights
         return max(
@@ -89,8 +89,8 @@ class PotentialSpec:
 def potential_operator(V, X=None, right=False):
     """The potential V as an application matrix, or its product with X.
 
-    V is a PotentialSpec, whose samples multiply the (reduced) wave
-    pointwise in both grid modes, or a dense perturbation matrix.  With X
+    V is a PotentialSpec, whose samples multiply the reduced wave
+    pointwise, or a dense perturbation matrix.  With X
     (a vector or a matrix) given, returns V @ X, or X @ V when `right`;
     samples multiply by broadcasting, never through a dense diagonal.
     """
@@ -110,7 +110,7 @@ def sample_potential(name, grid, fn, p=1.4, q=2.0):
     """Sample a radial potential profile V(|x|) as a multiplication operator spec.
 
     Unlike wave functions, potentials multiply pointwise, so the stored
-    values are plain samples V(node) in both modes.
+    values are plain samples V(r_i), not reduced waves r V.
     """
     r = grid.radii
     return PotentialSpec(name, GridFunction(grid, np.asarray(fn(r), complex)), p, q)

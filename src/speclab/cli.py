@@ -3,7 +3,9 @@ persist JSON reports and CSV scans.
 
 Subcommands: threshold, invert, evolve, ftscan, full, fixtures.
 Exit codes: 0 success, 2 assertion failure (a configured check did not
-hold), 3 configuration error, 4 numerical refusal (the scenario is
+hold), 3 configuration error (the scenario file is missing, malformed or
+inconsistent; stderr gets one "configuration error: ..." line), 4
+numerical refusal (the scenario is
 well-formed but a numerical routine declined it: a near-singular solve, a
 Neumann series that does not contract or converge, a non-nilpotent or
 degenerate threshold space, ambiguous eigenvalue clusters, a degenerate
@@ -64,11 +66,12 @@ def builtin_potential(name, params, grid):
     spec.metadata), gaussian_well(depth, width), complex_perturbed(base
     builtin, gamma, width).
     """
+    if not isinstance(params or {}, dict):
+        raise ConfigError(f"params of {name} must be a JSON object")
     params = dict(params or {})
-    p = float(params.pop("p", 1.4))
-    q = float(params.pop("q", 2.0))
+    p, q = _exponents(params.pop("p", 1.4), params.pop("q", 2.0))
     if name == "exact_eigen":
-        s = float(params.pop("s", 2.0))
+        s = _number("s", params.pop("s", 2.0))
         if s < 2.0:
             raise ConfigError(f"exact_eigen requires s >= 2, got {s}")
         _reject_extra(name, params)
@@ -79,19 +82,21 @@ def builtin_potential(name, params, grid):
         )
         return tuned
     if name == "gaussian_well":
-        depth = float(params.pop("depth", 4.0))
-        width = float(params.pop("width", 1.0))
+        depth = _number("depth", params.pop("depth", 4.0))
+        width = _number("width", params.pop("width", 1.0))
         _reject_extra(name, params)
         spec = potentials.gaussian_well(grid, depth=depth, width=width, p=p, q=q)
         spec.metadata.update(depth=depth, width=width)
         return spec
     if name == "complex_perturbed":
-        gamma = float(params.pop("gamma", 0.3))
-        width = float(params.pop("width", 1.0))
+        gamma = _number("gamma", params.pop("gamma", 0.3))
+        width = _number("width", params.pop("width", 1.0))
         base_cfg = params.pop("base", None)
         _reject_extra(name, params)
         base = None
         if base_cfg is not None:
+            if not isinstance(base_cfg, dict):
+                raise ConfigError("base of complex_perturbed must be a JSON object")
             base = builtin_potential(
                 base_cfg.get("name", "gaussian_well"),
                 base_cfg.get("params", {}),
@@ -110,10 +115,28 @@ def _reject_extra(name, params):
         raise ConfigError(f"unknown parameters for {name}: {sorted(params)}")
 
 
+def _number(key, value, kind=float):
+    """value converted by kind (float or int); ConfigError if it is not a number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key!r} must be a number, got {value!r}") from None
+
+
+def _exponents(p, q):
+    """The potential's Lebesgue exponents, which must satisfy p < 3/2 < q."""
+    p, q = _number("p", p), _number("q", q)
+    if not p < 1.5 < q:
+        raise ConfigError(f"potential exponents need p < 3/2 < q, got p={p}, q={q}")
+    return p, q
+
+
 # ---------------------------------------------------------------------------
 # Configuration
 
-_MODES = {"radial_swave": Mode.RADIAL_SWAVE, "box3d": Mode.BOX3D}
+#: Sections that, when present, must be JSON objects.
+_SECTIONS = ("grid", "potential", "tolerances", "threshold", "invert", "evolve",
+             "ftscan")
 
 _DEFAULT_TOLERANCES = {
     "identity_residual": 1e-6,
@@ -140,19 +163,25 @@ def load_config(path):
     for key in ("grid", "potential"):
         if key not in cfg:
             raise ConfigError(f"config is missing the {key!r} section")
+    for key in _SECTIONS:
+        if not isinstance(cfg.get(key, {}), dict):
+            raise ConfigError(f"the {key!r} section must be a JSON object")
     return cfg
 
 
 def make_scenario_grid(cfg, grid_scale=1):
     gspec = cfg["grid"]
-    mode = gspec.get("mode", "radial_swave")
-    if mode not in _MODES:
-        raise ConfigError(f"unknown grid mode {mode!r}")
-    extent = float(gspec.get("extent", 20.0))
-    nodes = int(gspec.get("nodes", 200))
-    if extent <= 0 or nodes <= 0:
-        raise ConfigError("grid extent and node count must be positive")
-    return grids.make_grid(_MODES[mode], extent, nodes * int(grid_scale))
+    mode = gspec.get("mode", Mode.RADIAL_SWAVE.value)
+    try:
+        mode = Mode(mode)
+    except ValueError:
+        raise ConfigError(f"unknown grid mode {mode!r}") from None
+    extent = _number("extent", gspec.get("extent", 20.0))
+    nodes = _number("nodes", gspec.get("nodes", 200), int)
+    try:
+        return grids.make_grid(mode, extent, nodes * int(grid_scale))
+    except grids.GridError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def make_scenario_potential(cfg, grid):
@@ -168,9 +197,9 @@ def make_scenario_potential(cfg, grid):
             raise ConfigError(
                 f"samples file holds {vals.shape} values, grid has {grid.size}"
             )
+        p, q = _exponents(pspec.get("p", 1.4), pspec.get("q", 2.0))
         return birman.PotentialSpec(
-            os.path.basename(path), GridFunction(grid, vals),
-            float(pspec.get("p", 1.4)), float(pspec.get("q", 2.0)),
+            os.path.basename(path), GridFunction(grid, vals), p, q
         )
     raise ConfigError("potential needs either 'builtin' or 'samples_file'")
 
@@ -185,19 +214,17 @@ def _tolerances(cfg):
 
 
 def _grid_metadata(grid):
-    side = grid.size if grid.mode is Mode.RADIAL_SWAVE else round(grid.size ** (1 / 3))
     return {
         "mode": grid.mode.value,
         "extent": float(grid.extent),
-        "nodes": int(side),
+        "nodes": grid.size,
         "spacing": float(grid.spacing),
     }
 
 
 def _default_bump(grid):
     """L1-normalized origin-centered Gaussian bump profile."""
-    prof = np.exp(-grid.radii**2)
-    vals = prof * grid.radii if grid.mode is Mode.RADIAL_SWAVE else prof
+    vals = np.exp(-grid.radii**2) * grid.radii
     f = GridFunction(grid, vals.astype(complex))
     return GridFunction(grid, f.values / grids.profile_lp_norm(f, 1))
 
@@ -233,8 +260,13 @@ def run_threshold(cfg, grid, V, rng, out_dir=None):
 def run_invert(cfg, grid, V, rng, out_dir=None):
     tol = _tolerances(cfg)
     section = cfg.get("invert", {})
-    lambdas = [float(l) for l in section.get("lambdas", [0.03, 0.1, 0.2])]
+    lambdas = section.get("lambdas", [0.03, 0.1, 0.2])
+    if not isinstance(lambdas, list):
+        raise ConfigError("invert lambdas must be a JSON list")
+    lambdas = [_number("lambdas", l) for l in lambdas]
     window = section.get("window", "auto")
+    if window != "auto":
+        window = _number("window", window)
     basis = jordan.build_threshold_basis(V, grid)
     reg = lowenergy.build_S0(V, grid, basis, window=window)
     residuals = {
@@ -312,12 +344,20 @@ def _admissible_probe(reg, grid, rng):
 def run_evolve(cfg, grid, V, rng, out_dir=None):
     tol = _tolerances(cfg)
     section = cfg.get("evolve", {})
-    t0 = float(section.get("t_start", 2.0))
-    t1 = float(section.get("t_end", 8.0))
-    n_times = int(section.get("n_times", 10))
+    t0 = _number("t_start", section.get("t_start", 2.0))
+    t1 = _number("t_end", section.get("t_end", 8.0))
+    n_times = _number("n_times", section.get("n_times", 10), int)
     k_max = section.get("k_max")
+    if k_max is not None:
+        k_max = _number("k_max", k_max)
+    if not 0 < t0 < t1 or n_times < 2:
+        raise ConfigError("evolve needs 0 < t_start < t_end and n_times >= 2")
     times = np.linspace(t0, t1, n_times)
     plan = evolution.make_plan(V, grid, times, k_max=k_max, T_fit_min=t0)
+    try:
+        evolution.fit_selection(plan)
+    except evolution.FitWindowError as exc:
+        raise ConfigError(f"evolve: {exc}") from None
     f = _default_bump(grid)
     P = None
     if section.get("project", False):
@@ -354,17 +394,22 @@ def run_evolve(cfg, grid, V, rng, out_dir=None):
 def run_ftscan(cfg, grid, V, rng, out_dir=None):
     tol = _tolerances(cfg)
     section = cfg.get("ftscan", {})
-    window = section.get("window", "HIGH").upper()
+    window = str(section.get("window", "HIGH")).upper()
     if window not in ("HIGH", "MID", "LOW"):
         raise ConfigError(f"unknown transform window {window!r}")
     params = {
-        "n": int(section.get("n", 256)),
-        "lam_max": float(section.get("lam_max", 8.0)),
-        "lambda1": float(section.get("lambda1", 1.0)),
-        "r": float(section.get("r", 0.25)),
+        "n": _number("n", section.get("n", 256), int),
+        "lam_max": _number("lam_max", section.get("lam_max", 8.0)),
+        "lambda1": _number("lambda1", section.get("lambda1", 1.0)),
+        "r": _number("r", section.get("r", 0.25)),
     }
     if "cap" in section:
-        params["cap"] = float(section["cap"])
+        params["cap"] = _number("cap", section["cap"])
+    n = params["n"]
+    if n < 2 or n & (n - 1):
+        raise ConfigError(f"ftscan n = {n} must be a power of two")
+    if not 0 < params["r"] < params["lambda1"] or params["lam_max"] <= 0:
+        raise ConfigError("ftscan needs 0 < r < lambda1 and lam_max > 0")
     f = _default_bump(grid)
     if section.get("project", False):
         basis = jordan.build_threshold_basis(V, grid)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from . import birman, grids
-from .grids import Grid, GridFunction, Mode
+from .grids import Grid, GridFunction
 
 
 class Method(enum.Enum):
@@ -30,6 +30,10 @@ class Method(enum.Enum):
 
 class NearDefectiveError(ArithmeticError):
     """Eigendecomposition rejected: eigenvector basis too ill-conditioned."""
+
+
+class FitWindowError(ValueError):
+    """The decay fit window spans less than half a decade in t."""
 
 
 def _free_laplacian_radial(grid):
@@ -43,30 +47,13 @@ def _free_laplacian_radial(grid):
     return H / h**2
 
 
-def _free_laplacian_box(grid):
-    n = round(grid.size ** (1 / 3))
-    h = grid.spacing
-    eye = np.eye(n)
-    D = 2.0 * eye - np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)
-    H = (
-        np.kron(np.kron(D, eye), eye)
-        + np.kron(np.kron(eye, D), eye)
-        + np.kron(np.kron(eye, eye), D)
-    )
-    return H / h**2
-
-
 def discretize_H(V, grid):
     """H = -Delta_grid + V as a complex symmetric matrix.
 
     V may be a PotentialSpec, a dense perturbation matrix (fixtures), or
     None for the free operator.
     """
-    if grid.mode is Mode.RADIAL_SWAVE:
-        H = _free_laplacian_radial(grid)
-    else:
-        H = _free_laplacian_box(grid)
-    H = H.astype(complex)
+    H = _free_laplacian_radial(grid).astype(complex)
     if V is not None:
         H = H + birman.potential_operator(V)
     return H
@@ -150,8 +137,6 @@ def free_evolution_radial(grid, f, t):
     complex Gaussian K(x) = (4 pi i t)^{-1/2} e^{i x^2 / 4t}; this is the
     infinite-domain radial s-wave evolution (exact until boundary effects).
     """
-    if grid.mode is not Mode.RADIAL_SWAVE:
-        raise ValueError("analytic free evolution implemented for radial grids")
     if t == 0:
         return f
     r = grid.nodes
@@ -178,6 +163,19 @@ def _fit_loglog(ts, vals):
     return float(slope), float(stderr), float(np.exp(intercept))
 
 
+def fit_selection(plan):
+    """Mask of the plan's times inside the fit window [T_fit_min, T_max].
+
+    Raises FitWindowError when the window holds fewer than two times or
+    spans less than half a decade.
+    """
+    t = plan.times
+    sel = (t >= plan.T_fit_min) & (t <= plan.T_max)
+    if np.sum(sel) < 2 or t[sel].max() / t[sel].min() < np.sqrt(10):
+        raise FitWindowError("fit window shorter than half a decade in t")
+    return sel
+
+
 def dispersive_scan(plan, f, P=None):
     """Sup-norm decay table and fitted exponent for e^{-itH}(I - P) f.
 
@@ -186,6 +184,7 @@ def dispersive_scan(plan, f, P=None):
     window [T_fit_min, T_max] intersected with the time grid.
     """
     grid = plan.grid
+    sel = fit_selection(plan)
     g = f if P is None else GridFunction(grid, f.values - P @ f.values)
     states = propagate(plan, g)
     mask = _inner_mask(grid)
@@ -195,9 +194,6 @@ def dispersive_scan(plan, f, P=None):
         sups.append(float(np.abs(prof[mask]).max()))
         l2s.append(grids.profile_lp_norm(st, 2))
     sups = np.asarray(sups)
-    sel = (plan.times >= plan.T_fit_min) & (plan.times <= plan.T_max)
-    if np.sum(sel) < 2 or plan.times[sel].max() / plan.times[sel].min() < np.sqrt(10):
-        raise ValueError("fit window shorter than half a decade in t")
     slope, stderr, const = _fit_loglog(plan.times[sel], sups[sel])
     return {
         "t": plan.times.tolist(),

@@ -189,10 +189,10 @@ def vb_hat_bound_check(V, grid, lambda0, r, halvings=4, n_rho=2048):
     The kernel transform has the closed form (modulus-wise, the lambda0
     phase drops) |V(x)| / (4 pi d) * |r chi-hat(r (rho - d)) - r chi-hat(r
     rho)| with d = |x - y|.  The spatial integral uses the grid's volume
-    weights with y at the origin in radial mode (sup over y nodes in box
-    mode); the rho integral is direct quadrature of the tabulated cutoff
-    transform.  Reports the measured value per r-halving and the fitted
-    r-exponent, to compare against epsilon = min(3/p - 2, 2 - 3/q).
+    weights with y at the origin; the rho integral is direct quadrature of
+    the tabulated cutoff transform.  Reports the measured value per
+    r-halving and the fitted r-exponent, to compare against
+    epsilon = min(3/p - 2, 2 - 3/q).
     """
     chihat = _chi_hat()
     vals = np.abs(np.diagonal(birman.potential_operator(V)))

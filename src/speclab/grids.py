@@ -1,22 +1,16 @@
 """Discretization substrate: grids, sampled functions, quadrature, operator norms.
 
-Two grid modes are supported.
-
-RADIAL_SWAVE
-    Midpoint nodes r_i = (i + 1/2) h on (0, L).  Grid functions in this mode
-    store the *reduced* wave u(r) = r * psi(r), so the working quadrature
-    weight is the flat spacing h.  Three-dimensional norms of the underlying
-    radial profile psi = u / r use the volume weights 4 pi r^2 h instead;
-    both weight sets live on the Grid and callers pick per context.
-
-BOX3D
-    A uniform midpoint lattice of node_count^3 points filling the cube
-    [-L, L]^3.  Working weights and volume weights coincide (h^3).
+The one grid is the radial s-wave line (Mode.RADIAL_SWAVE): midpoint
+nodes r_i = (i + 1/2) h on (0, L).  Grid functions store the *reduced* wave
+u(r) = r * psi(r), so the working quadrature weight is the flat spacing h.
+Three-dimensional norms of the underlying radial profile psi = u / r use the
+volume weights 4 pi r^2 h instead; both weight sets live on the Grid and
+callers pick per context.
 
 Operators are plain complex ndarrays A acting by f -> A @ f.values.  An
-integral kernel sampled as K(x_i, y_j) becomes the application matrix
-K * weights[None, :] once, at assembly; both modes have uniform working
-weights, so the bilinear transpose of an operator is its plain transpose.
+integral kernel sampled as K(r_i, r_j) becomes the application matrix
+K * weights[None, :] once, at assembly; the working weights are uniform,
+so the bilinear transpose of an operator is its plain transpose.
 All norms, pairings and induced operator norms use the working weights,
 with fixed-order summation so that results are reproducible bit for bit.
 """
@@ -39,20 +33,15 @@ class GridMismatchError(ValueError):
 
 class Mode(enum.Enum):
     RADIAL_SWAVE = "radial_swave"
-    BOX3D = "box3d"
-
-
-#: Dense-matrix cap for BOX3D grids (node_count per axis).
-BOX3D_NODE_CAP = 14
 
 
 @dataclass(frozen=True)
 class Grid:
     """Discretization descriptor.
 
-    nodes: radii (M,) in RADIAL_SWAVE, lattice points (M, 3) in BOX3D.
-    weights: working quadrature weights (flat h / cell volume h^3).
-    volume_weights: 3-D volume weights (4 pi r^2 h in radial mode).
+    nodes: radii (M,).
+    weights: working quadrature weights (the flat spacing h).
+    volume_weights: 3-D volume weights 4 pi r^2 h.
     """
 
     mode: Mode
@@ -73,9 +62,7 @@ class Grid:
     @property
     def radii(self):
         """Distance of each node from the origin."""
-        if self.mode is Mode.RADIAL_SWAVE:
-            return self.nodes
-        return np.linalg.norm(self.nodes, axis=1)
+        return self.nodes
 
     def __eq__(self, other):
         if not isinstance(other, Grid):
@@ -91,33 +78,18 @@ class Grid:
 
 
 def make_grid(mode, extent, node_count):
-    """Build a grid with midpoint nodes.
-
-    RADIAL_SWAVE: node_count radii r_i = (i + 1/2) h, h = extent / node_count.
-    BOX3D: node_count^3 lattice points with coordinates -L + (i + 1/2) h,
-    h = 2 extent / node_count.
-    """
+    """Build a radial grid of node_count midpoint radii r_i = (i + 1/2) h,
+    h = extent / node_count."""
     if node_count < 8:
         raise GridError(f"node_count={node_count} below minimum of 8")
     if extent <= 0:
         raise GridError(f"extent must be positive, got {extent}")
-    mode = Mode(mode) if not isinstance(mode, Mode) else mode
-    if mode is Mode.RADIAL_SWAVE:
-        h = extent / node_count
-        r = (np.arange(node_count) + 0.5) * h
-        flat = np.full(node_count, h)
-        vol = 4.0 * np.pi * r**2 * h
-        return Grid(mode, r, flat, vol, float(extent), h)
-    if node_count > BOX3D_NODE_CAP:
-        raise GridError(
-            f"BOX3D node_count={node_count} exceeds dense cap {BOX3D_NODE_CAP}"
-        )
-    h = 2.0 * extent / node_count
-    axis = -extent + (np.arange(node_count) + 0.5) * h
-    xx, yy, zz = np.meshgrid(axis, axis, axis, indexing="ij")
-    pts = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
-    w = np.full(pts.shape[0], h**3)
-    return Grid(mode, pts, w, w.copy(), float(extent), h)
+    mode = Mode(mode)
+    h = extent / node_count
+    r = (np.arange(node_count) + 0.5) * h
+    flat = np.full(node_count, h)
+    vol = 4.0 * np.pi * r**2 * h
+    return Grid(mode, r, flat, vol, float(extent), h)
 
 
 @dataclass(frozen=True)
@@ -151,33 +123,9 @@ class GridFunction:
     __rmul__ = __mul__
 
 
-def sample(grid, fn):
-    """Sample a callable on the grid nodes (radius in radial mode, point in box)."""
-    if grid.mode is Mode.RADIAL_SWAVE:
-        vals = np.asarray([fn(r) for r in grid.nodes], dtype=complex)
-    else:
-        vals = np.asarray([fn(x) for x in grid.nodes], dtype=complex)
-    return GridFunction(grid, vals)
-
-
-def sample_profile(grid, psi_fn):
-    """Sample a radial profile psi(|x|) in the grid's working representation.
-
-    Radial mode stores the reduced wave u = r * psi; box mode stores psi
-    directly.  psi_fn is vectorized over radii.
-    """
-    r = grid.radii
-    psi = np.asarray(psi_fn(r), dtype=complex)
-    if grid.mode is Mode.RADIAL_SWAVE:
-        return GridFunction(grid, r * psi)
-    return GridFunction(grid, psi)
-
-
 def profile_values(f):
-    """Underlying 3-D profile psi at each node (u / r in radial mode)."""
-    if f.grid.mode is Mode.RADIAL_SWAVE:
-        return f.values / f.grid.nodes
-    return f.values
+    """Underlying 3-D profile psi = u / r at each node."""
+    return f.values / f.grid.nodes
 
 
 def _check_same_grid(a, b):
@@ -201,7 +149,7 @@ def lp_norm(f, p, weights=None):
 
 
 def profile_lp_norm(f, p):
-    """3-D L^p norm of the profile psi = u/r (radial) or psi (box)."""
+    """3-D L^p norm of the profile psi = u / r."""
     psi = profile_values(f)
     if p == np.inf:
         return float(np.abs(psi).max())

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from . import birman, evolution, grids, resolvent
-from .grids import GridFunction, Mode, bilinear_pair
+from .grids import GridFunction, bilinear_pair
 from .resolvent import Branch, ResolventSpec
 
 
@@ -447,15 +447,13 @@ def threshold_report(V, grid, tol_rank=1e-8, tol_res=1e-2):
         res = classify_state(psi, grid, tol_res=tol_res)
         verdicts.append(res["verdict"])
         c0s.append(res["c0"])
-    mode = grid.mode.value
-    M = grid.size if grid.mode is Mode.RADIAL_SWAVE else round(grid.size ** (1 / 3))
     return {
         "dims": [sp.shape[1] for sp in spaces],
         "verdicts": verdicts,
         "c0": [[c.real, c.imag] for c in c0s],
         "tol_rank": tol_rank,
         "tol_res": tol_res,
-        "grid": {"mode": mode, "L": grid.extent, "M": int(M)},
+        "grid": {"mode": grid.mode.value, "L": grid.extent, "M": grid.size},
     }
 
 
@@ -507,9 +505,7 @@ def _basis_grid(basis, grid):
 
 def free_edge_scale(grid):
     """Lowest eigenvalue of the free discretized Laplacian (continuum edge)."""
-    if grid.mode is Mode.RADIAL_SWAVE:
-        return (np.pi / (2.0 * grid.extent)) ** 2
-    return 3.0 * (np.pi / (2.0 * grid.extent)) ** 2
+    return (np.pi / (2.0 * grid.extent)) ** 2
 
 
 def build_Ppp(

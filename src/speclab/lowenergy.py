@@ -24,6 +24,7 @@ pollute the pole coefficients with an O(1) defect.
 from __future__ import annotations
 
 import csv
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,10 @@ class DualityDegenerateError(ArithmeticError):
     """Pairing of V X_1 against R0(0) X_diag is singular."""
 
 
-_DOMAIN_RESOLVENT_CACHE = {}
+#: Least-recently-used cache of domain resolvents, at most
+#: _DOMAIN_RESOLVENT_CACHE_SIZE dense M x M matrices.
+_DOMAIN_RESOLVENT_CACHE = OrderedDict()
+_DOMAIN_RESOLVENT_CACHE_SIZE = 8
 
 
 def domain_resolvent(grid, lam):
@@ -44,16 +48,20 @@ def domain_resolvent(grid, lam):
 
     Requires lambda^2 below the first eigenvalue of the discrete free
     Hamiltonian (radial: ((pi / 2L))^2 at leading order) so the inverse is
-    positive definite; the result is cached per (grid, lambda) and read-only.
+    positive definite.  The result is read-only and kept in a small LRU
+    cache keyed by (grid, lambda).
     """
     key = (grid.mode, float(grid.extent), grid.size, float(lam))
     hit = _DOMAIN_RESOLVENT_CACHE.get(key)
     if hit is not None:
+        _DOMAIN_RESOLVENT_CACHE.move_to_end(key)
         return hit
     H0 = evolution.discretize_H(None, grid)
     R = np.linalg.inv(H0 - lam**2 * np.eye(grid.size)).astype(complex)
     R.setflags(write=False)
     _DOMAIN_RESOLVENT_CACHE[key] = R
+    if len(_DOMAIN_RESOLVENT_CACHE) > _DOMAIN_RESOLVENT_CACHE_SIZE:
+        _DOMAIN_RESOLVENT_CACHE.popitem(last=False)
     return R
 
 

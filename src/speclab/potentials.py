@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import birman, resolvent
-from .grids import GridFunction, Mode
+from .grids import GridFunction
 from .resolvent import Branch, ResolventSpec
 
 
@@ -102,12 +102,10 @@ def tune_coupling(V, grid, target=-1.0):
 def threshold_moment(u, V):
     """First moment of V u deciding eigenvalue vs resonance.
 
-    In radial mode this is the flat integral of r * (V u); it vanishes
-    exactly when R0(0) V u decays at infinity (eigenvalue class) and is
-    nonzero for a resonance tail.
+    This is the flat integral of r * (V u); it vanishes exactly when
+    R0(0) V u decays at infinity (eigenvalue class) and is nonzero for a
+    resonance tail.
     """
     grid = u.grid
     Vu = V.values.values * u.values
-    if grid.mode is Mode.RADIAL_SWAVE:
-        return complex(np.sum(grid.weights * grid.nodes * Vu))
-    return complex(np.sum(grid.weights * Vu))
+    return complex(np.sum(grid.weights * grid.nodes * Vu))

@@ -1,7 +1,8 @@
 """Free-resolvent kernels R0(lambda^2 +/- i0) and their differences.
 
-The 3-D kernel is e^{+/- i lambda |x-y|} / (4 pi |x-y|).  In radial s-wave
-mode the operators act on reduced waves u = r psi with the half-line kernel
+The 3-D kernel is e^{+/- i lambda |x-y|} / (4 pi |x-y|).  On the radial
+s-wave grid the operators act on reduced waves u = r psi with the half-line
+kernel
 
     G_lambda(r, r') = sin(lambda r_<) e^{+/- i lambda r_>} / lambda
 
@@ -11,7 +12,8 @@ exact two-sided inverse of the discrete radial Laplacian assembled in
 :mod:`speclab.evolution`, which keeps the threshold identities sharp.
 
 Difference kernels B_{l0}(lambda^2) = R0(lambda^2) - R0(l0^2) are evaluated
-from the subtracted closed form so the diagonal stays finite.
+from the subtracted closed form.  The L^{p'} growth of the 3-D difference
+kernel is measured by radial quadrature (`kernel_difference_check`).
 """
 
 from __future__ import annotations
@@ -20,13 +22,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
-
-from .grids import Mode
-
-#: Mean of 1/|z| over the unit cube centered at the origin; the cell-averaged
-#: diagonal of 1/(4 pi |x-y|) kernels is this value / (4 pi h).
-UNIT_CUBE_INV_DIST_MEAN = 2.380077363979553
 
 
 class Branch(enum.IntEnum):
@@ -40,14 +35,6 @@ class ResolventSpec:
 
     lam: float
     sign: Branch = Branch.PLUS
-
-
-def free_kernel_3d(spec, d):
-    """3-D free-resolvent kernel e^{i s lambda d} / (4 pi d), d = |x - y| > 0."""
-    d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("distance must be positive")
-    return np.exp(1j * spec.sign * spec.lam * d) / (4.0 * np.pi * d)
 
 
 def free_kernel_radial(spec, r, rp):
@@ -67,25 +54,10 @@ def free_kernel_radial(spec, r, rp):
     return np.sin(lam * lo) * np.exp(1j * spec.sign * lam * hi) / lam
 
 
-def _distance_matrix(grid):
-    if grid.mode is Mode.RADIAL_SWAVE:
-        raise ValueError("3-D distances undefined for radial grids")
-    return cdist(grid.nodes, grid.nodes)
-
-
 def build_R0(grid, spec):
     """Assemble the free resolvent: kernel samples times quadrature weights."""
-    if grid.mode is Mode.RADIAL_SWAVE:
-        r = grid.nodes
-        K = free_kernel_radial(spec, r[:, None], r[None, :])
-        return K * grid.weights[None, :]
-    d = _distance_matrix(grid)
-    np.fill_diagonal(d, 1.0)  # placeholder, overwritten below
-    K = free_kernel_3d(spec, d)
-    diag = (UNIT_CUBE_INV_DIST_MEAN / grid.spacing + 1j * spec.sign * spec.lam) / (
-        4.0 * np.pi
-    )
-    np.fill_diagonal(K, diag)
+    r = grid.nodes
+    K = free_kernel_radial(spec, r[:, None], r[None, :])
     return K * grid.weights[None, :]
 
 
@@ -102,22 +74,10 @@ def _b_kernel_radial(lam0, lam, sign, r, rp):
 
 
 def build_B(grid, lambda0, lam, sign=Branch.PLUS):
-    """Difference operator B_{lambda0}(lambda^2) = R0(lambda^2) - R0(lambda0^2).
-
-    In 3-D the kernel (e^{i s lam d} - e^{i s lam0 d}) / (4 pi d) has the
-    finite diagonal limit i s (lam - lam0) / (4 pi).
-    """
+    """Difference operator B_{lambda0}(lambda^2) = R0(lambda^2) - R0(lambda0^2)."""
     sign = Branch(sign)
-    if grid.mode is Mode.RADIAL_SWAVE:
-        r = grid.nodes
-        K = _b_kernel_radial(lambda0, lam, sign, r[:, None], r[None, :])
-        return K * grid.weights[None, :]
-    d = _distance_matrix(grid)
-    np.fill_diagonal(d, 1.0)
-    K = (
-        np.exp(1j * sign * lam * d) - np.exp(1j * sign * lambda0 * d)
-    ) / (4.0 * np.pi * d)
-    np.fill_diagonal(K, 1j * sign * (lam - lambda0) / (4.0 * np.pi))
+    r = grid.nodes
+    K = _b_kernel_radial(lambda0, lam, sign, r[:, None], r[None, :])
     return K * grid.weights[None, :]
 
 

@@ -13,8 +13,7 @@ from speclab.grids import GridFunction, Mode
 
 def l1_bump(grid, width=1.0):
     """L1-normalized origin-centered Gaussian bump."""
-    prof = np.exp(-((grid.radii / width) ** 2))
-    vals = prof * grid.radii if grid.mode is Mode.RADIAL_SWAVE else prof
+    vals = np.exp(-((grid.radii / width) ** 2)) * grid.radii
     f = GridFunction(grid, vals.astype(complex))
     return GridFunction(grid, f.values / grids.profile_lp_norm(f, 1))
 

@@ -155,18 +155,72 @@ def test_seed_recorded_and_changes_probe(tmp_path, capsys):
 
 
 def test_numerical_refusal_exits_4(tmp_path, capsys):
-    # On the box grid the sampled R0(0) does not invert the discrete H0, so
-    # the tuned exact_eigen scenario has no nilpotent threshold block.
+    # A LOW window of two samples at lambda = +/-5e-7 sits on the tuned
+    # zero-energy eigenvalue, where I + V R0 is numerically singular.
     cfg = {
         "schema_version": cli.SCHEMA_VERSION,
-        "grid": {"mode": "box3d", "extent": 4.0, "nodes": 8},
+        "grid": {"mode": "radial_swave", "extent": 20.0, "nodes": 200},
         "potential": {"builtin": "exact_eigen", "params": {"s": 2.0}},
+        "ftscan": {"window": "LOW", "n": 2, "lam_max": 1e-6},
     }
-    rc = cli.main(["invert", "--config", write_cfg(tmp_path, cfg)])
+    rc = cli.main(["ftscan", "--config", write_cfg(tmp_path, cfg)])
     assert rc == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert err.startswith("numerical refusal: NotNilpotentError")
+    assert err.startswith("numerical refusal: NearSingularError")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("pipeline, path, value", [
+    ("threshold", ("grid", "mode"), "box3d"),
+    ("threshold", ("grid", "nodes"), 7),
+    ("threshold", ("grid", "nodes"), "abc"),
+    ("threshold", ("grid",), [6.0, 120]),
+    ("threshold", ("potential", "params"), [["s", 2.0]]),
+    ("threshold", ("potential", "params", "p"), 1.5),
+    ("invert", ("invert", "lambdas"), 0.1),
+    ("invert", ("invert", "window"), "abc"),
+    ("ftscan", ("ftscan", "n"), 100),
+    ("ftscan", ("ftscan", "r"), 1.0),
+    ("ftscan", ("ftscan", "lam_max"), 0.0),
+    ("evolve", ("evolve", "t_end"), 3.0),
+    ("evolve", ("evolve", "t_start"), 0.0),
+])
+def test_config_errors_exit_3(tmp_path, capsys, pipeline, path, value):
+    cfg = small_threshold_cfg()
+    section = cfg
+    for key in path[:-1]:
+        section = section.setdefault(key, {})
+    section[path[-1]] = value
+    rc = cli.main([pipeline, "--config", write_cfg(tmp_path, cfg)])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
+    if value == "box3d":
+        assert err == "configuration error: unknown grid mode 'box3d'\n"
+
+
+def test_full_pipeline_gates(tmp_path, capsys):
+    cfg = dict(cli._FIXTURE_SCENARIOS["full_exact_eigen"])
+    cfg["grid"] = {**cfg["grid"], "nodes": 400}
+    rc = cli.main(["full", "--config", write_cfg(tmp_path, cfg)])
+    assert rc == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    stages = report["stages"]
+    assert sorted(stages) == ["evolve", "ftscan", "invert", "threshold"]
+    threshold = stages["threshold"]
+    assert threshold["dims"][0] == cfg["threshold"]["expect_dim_X1"]
+    assert threshold["verdicts"] == cfg["threshold"]["expect_verdicts"]
+    invert = stages["invert"]
+    tol = invert["tolerances"]
+    assert max(invert["residuals"].values()) <= tol["one_sided_residual"]
+    for row in invert["per_lambda"]:
+        for key in ("chain", "telescope", "exact_inverse"):
+            assert row[key] <= tol["identity_residual"]
+    assert stages["ftscan"]["verdict"] == cfg["ftscan"]["expect_verdict"]
+    center, width = cfg["evolve"]["expect_exponent"]
+    assert stages["evolve"]["projected"]
+    assert abs(stages["evolve"]["exponent"] - center) <= width
 
 
 def test_bad_schema_version_exits_3(tmp_path):

@@ -120,7 +120,7 @@ def test_projected_evolution_of_range_vanishes(ee6):
 def test_dispersive_scan_rejects_short_window(g200):
     f = l1_bump(g200)
     plan = evolution.make_plan(None, g200, [2.0, 2.5, 3.0], k_max=2.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(evolution.FitWindowError):
         evolution.dispersive_scan(plan, f)
 
 

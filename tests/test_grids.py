@@ -25,13 +25,6 @@ def test_volume_weights_integrate_ball():
     assert abs(vol - exact) / exact < 1e-4
 
 
-def test_box_grid_volume():
-    g = grids.make_grid(Mode.BOX3D, 2.0, 8)
-    assert g.size == 8**3
-    assert g.volume_weights.sum() == pytest.approx(4.0**3)
-    assert np.allclose(g.volume_weights, g.weights)
-
-
 def test_profile_l1_norm_is_3d_integral():
     # radial mode stores u = r psi; the L^1 profile norm must weight by
     # 4 pi r^2 dr against psi = u / r

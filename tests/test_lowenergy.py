@@ -22,6 +22,22 @@ def test_domain_resolvent_inverts_H(ee6):
     assert np.abs(eye - np.eye(g.size)).max() < 1e-10
 
 
+def test_domain_resolvent_cache_is_bounded():
+    g = grids.make_grid(grids.Mode.RADIAL_SWAVE, 2.0, 16)
+    size = lowenergy._DOMAIN_RESOLVENT_CACHE_SIZE
+    lams = [0.01 * k for k in range(1, size + 4)]
+    for lam in lams:
+        lowenergy.domain_resolvent(g, lam)
+        # the oldest entry stays cached while it keeps being used
+        lowenergy.domain_resolvent(g, lams[0])
+    cache = lowenergy._DOMAIN_RESOLVENT_CACHE
+    assert len(cache) <= size
+    assert (g.mode, g.extent, g.size, lams[0]) in cache
+    assert (g.mode, g.extent, g.size, lams[1]) not in cache
+    for R in cache.values():
+        assert isinstance(R, np.ndarray) and not R.flags.writeable
+
+
 def test_s0_one_sided_inverse(ee_small):
     assert lowenergy.one_sided_residual(ee_small["reg"], 0.0) < 1e-9
 

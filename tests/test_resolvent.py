@@ -58,15 +58,6 @@ def test_difference_kernel_matches_resolvents(g):
     assert np.abs(B - (R - R0)).max() < 1e-13
 
 
-def test_box_difference_kernel_diagonal():
-    # in 3-D coordinates the difference kernel has the finite diagonal
-    # limit i (lam - lam0) / 4 pi
-    gb = grids.make_grid(Mode.BOX3D, 2.0, 8)
-    B = resolvent.build_B(gb, 0.3, 0.45)
-    expect = 1j * 0.15 / (4.0 * np.pi)
-    assert np.abs(np.diag(B) / gb.weights - expect).max() < 1e-12
-
-
 def test_kernel_difference_growth_rate(g):
     out = resolvent.kernel_difference_check(
         g, [0.02, 0.05, 0.1, 0.2, 0.4], mu=0.0, p=1.4
