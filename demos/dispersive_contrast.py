@@ -17,13 +17,7 @@ import sys
 import numpy as np
 
 from speclab import evolution, grids, jordan, potentials
-from speclab.grids import GridFunction, Mode
-
-
-def bump(grid):
-    prof = np.exp(-grid.radii**2) * grid.radii
-    f = GridFunction(grid, prof.astype(complex))
-    return GridFunction(grid, f.values / grids.profile_lp_norm(f, 1))
+from speclab.grids import Mode
 
 
 def main(out_dir=None):  # takes a few minutes: dense setup on 1600 nodes
@@ -39,7 +33,7 @@ def main(out_dir=None):  # takes a few minutes: dense setup on 1600 nodes
     tuned_wide, _, _ = potentials.tune_coupling(
         potentials.exact_eigen(wide, s=2.0), wide
     )
-    basis = jordan.build_threshold_basis(tuned_wide, wide)
+    basis = jordan.threshold(tuned_wide, wide).basis
     Ppp = jordan.build_Ppp(tuned_wide, wide, basis=basis)
 
     runs = [
@@ -53,7 +47,7 @@ def main(out_dir=None):  # takes a few minutes: dense setup on 1600 nodes
         plan = evolution.make_plan(
             V, g, times, k_max=k_max, T_fit_min=times[0]
         )
-        report = evolution.dispersive_scan(plan, bump(g), P)
+        report = evolution.dispersive_scan(plan, grids.gaussian_bump(g), P)
         print(f"{name:28s} exponent {report['exponent']:+.4f} "
               f"+/- {report['stderr']:.4f}")
         for t, s in zip(report["t"], report["sup_norm"]):

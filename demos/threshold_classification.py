@@ -28,13 +28,14 @@ def main():
     residual = np.abs(H @ info["state"].values).max()
     print(f"|H psi|_sup for the tuned state: {residual:.3e}")
 
-    report = jordan.threshold_report(tuned, grid)
-    print(f"threshold space dims by order: {report['dims']}")
-    for verdict, c0 in zip(report["verdicts"], report["c0"]):
-        print(f"  verdict {verdict}  "
-              f"(fitted 1/r coefficient {complex(c0[0], c0[1]):.3e})")
+    threshold = jordan.threshold(tuned, grid)
+    print(f"threshold space dims by order: {list(threshold.dims)}")
+    for psi in threshold.states:
+        fit = jordan.classify_state(psi)
+        print(f"  verdict {fit['verdict']}  "
+              f"(fitted 1/r coefficient {fit['c0']:.3e})")
 
-    basis = jordan.build_threshold_basis(tuned, grid)
+    basis = threshold.basis
     cert = np.abs(
         basis.pairing_certificate - jordan.expected_gram(basis.labels)
     ).max()

@@ -20,7 +20,7 @@ def main():
     tuned, _, _ = potentials.tune_coupling(
         potentials.exact_eigen(grid, s=4.0), grid
     )
-    basis = jordan.build_threshold_basis(tuned, grid)
+    basis = jordan.threshold(tuned, grid).basis
     P0 = jordan.build_P0(basis, grid)
 
     rng = np.random.default_rng(3)
@@ -41,7 +41,7 @@ def main():
     tuned2, _, _ = potentials.tune_coupling(
         potentials.exact_eigen(g6, s=2.0), g6
     )
-    basis2 = jordan.build_threshold_basis(tuned2, g6)
+    basis2 = jordan.threshold(tuned2, g6).basis
     print(f"{'r':>10s} {'R0 variant':>12s} {'quad bound':>12s} {'B0 variant':>12s}")
     for r in (0.25, 0.125, 0.0625):
         row = ftdiag.k2_bound_check(g6, basis2, r)[0]

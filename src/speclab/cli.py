@@ -222,42 +222,41 @@ def _grid_metadata(grid):
     }
 
 
-def _default_bump(grid):
-    """L1-normalized origin-centered Gaussian bump profile."""
-    vals = np.exp(-grid.radii**2) * grid.radii
-    f = GridFunction(grid, vals.astype(complex))
-    return GridFunction(grid, f.values / grids.profile_lp_norm(f, 1))
-
-
 # ---------------------------------------------------------------------------
-# Pipelines (each returns a report dict; CheckFailure on violated gates)
+# Pipelines (each returns a report dict; CheckFailure on violated gates).
+# A stage given no `threshold` (a jordan.Threshold) computes it when it needs
+# one; `run_full` computes it once and hands it to every stage.
 
-def run_threshold(cfg, grid, V, rng, out_dir=None):
+def run_threshold(cfg, grid, V, rng, out_dir=None, *, threshold=None):
     tol = _tolerances(cfg)
-    report = jordan.threshold_report(V, grid, tol_res=tol["verdict_tol_res"])
+    if threshold is None:
+        threshold = jordan.threshold(V, grid)
+    fits = [
+        jordan.classify_state(psi, grid, tol_res=tol["verdict_tol_res"])
+        for psi in threshold.states
+    ]
+    verdicts = [fit["verdict"] for fit in fits]
     out = {
         "pipeline": "threshold",
         "potential": V.name,
         "grid": _grid_metadata(grid),
         "tolerances": tol,
-        "dims": report["dims"],
-        "verdicts": report["verdicts"],
-        "c0": report["c0"],
+        "dims": list(threshold.dims),
+        "verdicts": verdicts,
+        "c0": [[fit["c0"].real, fit["c0"].imag] for fit in fits],
     }
     expected = cfg.get("threshold", {}).get("expect_verdicts")
-    if expected is not None and report["verdicts"] != expected:
-        raise CheckFailure(
-            f"verdicts {report['verdicts']} != expected {expected}"
-        )
+    if expected is not None and verdicts != expected:
+        raise CheckFailure(f"verdicts {verdicts} != expected {expected}")
     expected_dim = cfg.get("threshold", {}).get("expect_dim_X1")
     if expected_dim is not None:
-        got = report["dims"][0] if report["dims"] else 0
+        got = threshold.dims[0] if threshold.dims else 0
         if got != expected_dim:
             raise CheckFailure(f"dim X1 = {got} != expected {expected_dim}")
     return out
 
 
-def run_invert(cfg, grid, V, rng, out_dir=None):
+def run_invert(cfg, grid, V, rng, out_dir=None, *, threshold=None):
     tol = _tolerances(cfg)
     section = cfg.get("invert", {})
     lambdas = section.get("lambdas", [0.03, 0.1, 0.2])
@@ -267,7 +266,9 @@ def run_invert(cfg, grid, V, rng, out_dir=None):
     window = section.get("window", "auto")
     if window != "auto":
         window = _number("window", window)
-    basis = jordan.build_threshold_basis(V, grid)
+    if threshold is None:
+        threshold = jordan.threshold(V, grid)
+    basis = threshold.basis
     reg = lowenergy.build_S0(V, grid, basis, window=window)
     residuals = {
         "one_sided_S0": lowenergy.one_sided_residual(reg, 0.0),
@@ -304,11 +305,10 @@ def run_invert(cfg, grid, V, rng, out_dir=None):
         "per_lambda": per_lambda,
     }
     if out_dir is not None and basis.dim > 0:
-        f_adm = _admissible_probe(reg, grid, rng)
-        f_gen = _default_bump(grid)
-        scan_lams = np.array(lambdas)
+        probe = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+        f_adm = lowenergy.admissible_part(GridFunction(grid, probe), basis)
         lowenergy.low_energy_scan(
-            reg, V, grid, scan_lams, f_adm, f_gen,
+            reg, np.array(lambdas), f_adm, grids.gaussian_bump(grid),
             path=os.path.join(out_dir, "low_energy_scan.csv"),
         )
     for key in ("one_sided_S0", "range_constraint"):
@@ -323,25 +323,7 @@ def run_invert(cfg, grid, V, rng, out_dir=None):
     return out
 
 
-def _admissible_probe(reg, grid, rng):
-    """Random probe with all bilinear pairings against the chain basis removed.
-
-    The self-dual antidiagonal Gram pattern makes psi_{k+1-j,k} the dual
-    partner of psi_{j,k}, so subtracting pair(f, psi_{j,k}) psi_{k+1-j,k}
-    leaves f orthogonal to the whole generalized eigenspace.
-    """
-    basis = reg.basis
-    vals = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-    f = GridFunction(grid, vals)
-    for (j, k, ell) in basis.labels:
-        coef = grids.bilinear_pair(f, basis.vectors[(j, k, ell)])
-        f = GridFunction(
-            grid, f.values - coef * basis.vectors[(k + 1 - j, k, ell)].values
-        )
-    return f
-
-
-def run_evolve(cfg, grid, V, rng, out_dir=None):
+def run_evolve(cfg, grid, V, rng, out_dir=None, *, threshold=None):
     tol = _tolerances(cfg)
     section = cfg.get("evolve", {})
     t0 = _number("t_start", section.get("t_start", 2.0))
@@ -358,12 +340,13 @@ def run_evolve(cfg, grid, V, rng, out_dir=None):
         evolution.fit_selection(plan)
     except evolution.FitWindowError as exc:
         raise ConfigError(f"evolve: {exc}") from None
-    f = _default_bump(grid)
+    f = grids.gaussian_bump(grid)
     P = None
     if section.get("project", False):
-        basis = jordan.build_threshold_basis(V, grid)
+        if threshold is None:
+            threshold = jordan.threshold(V, grid)
         P = jordan.build_Ppp(
-            V, grid, basis=basis,
+            V, grid, basis=threshold.basis,
             delta_im=float(section.get("delta_im", 1e-3)),
         )
     report = evolution.dispersive_scan(plan, f, P)
@@ -391,7 +374,7 @@ def run_evolve(cfg, grid, V, rng, out_dir=None):
     return out
 
 
-def run_ftscan(cfg, grid, V, rng, out_dir=None):
+def run_ftscan(cfg, grid, V, rng, out_dir=None, *, threshold=None):
     tol = _tolerances(cfg)
     section = cfg.get("ftscan", {})
     window = str(section.get("window", "HIGH")).upper()
@@ -410,9 +393,11 @@ def run_ftscan(cfg, grid, V, rng, out_dir=None):
         raise ConfigError(f"ftscan n = {n} must be a power of two")
     if not 0 < params["r"] < params["lambda1"] or params["lam_max"] <= 0:
         raise ConfigError("ftscan needs 0 < r < lambda1 and lam_max > 0")
-    f = _default_bump(grid)
+    f = grids.gaussian_bump(grid)
     if section.get("project", False):
-        basis = jordan.build_threshold_basis(V, grid)
+        if threshold is None:
+            threshold = jordan.threshold(V, grid)
+        basis = threshold.basis
         if basis.dim > 0:
             P0 = jordan.build_P0(basis, grid)
             f = GridFunction(grid, f.values - P0 @ f.values)
@@ -439,7 +424,8 @@ def run_ftscan(cfg, grid, V, rng, out_dir=None):
 
 def run_full(cfg, grid, V, rng, out_dir=None):
     """Threshold classification, inversion residuals, transform scan, and the
-    dispersive-decay measurement, in order, on one scenario."""
+    dispersive-decay measurement, in order, on one scenario whose threshold
+    is computed once."""
     report = {
         "pipeline": "full",
         "potential": V.name,
@@ -447,10 +433,12 @@ def run_full(cfg, grid, V, rng, out_dir=None):
         "tolerances": _tolerances(cfg),
         "stages": {},
     }
-    report["stages"]["threshold"] = run_threshold(cfg, grid, V, rng)
-    report["stages"]["invert"] = run_invert(cfg, grid, V, rng, out_dir)
-    report["stages"]["ftscan"] = run_ftscan(cfg, grid, V, rng, out_dir)
-    report["stages"]["evolve"] = run_evolve(cfg, grid, V, rng, out_dir)
+    threshold = jordan.threshold(V, grid)
+    stages = report["stages"]
+    stages["threshold"] = run_threshold(cfg, grid, V, rng, threshold=threshold)
+    stages["invert"] = run_invert(cfg, grid, V, rng, out_dir, threshold=threshold)
+    stages["ftscan"] = run_ftscan(cfg, grid, V, rng, out_dir, threshold=threshold)
+    stages["evolve"] = run_evolve(cfg, grid, V, rng, out_dir, threshold=threshold)
     return report
 
 

@@ -195,9 +195,8 @@ def vb_hat_bound_check(V, grid, lambda0, r, halvings=4, n_rho=2048):
     epsilon = min(3/p - 2, 2 - 3/q).
     """
     chihat = _chi_hat()
-    vals = np.abs(np.diagonal(birman.potential_operator(V)))
+    vals = np.abs(V.values.values)
     d = grid.radii
-    good = d > 0
     radii = [r / 2**m for m in range(halvings)]
     measured = []
     for rm in radii:
@@ -206,22 +205,24 @@ def vb_hat_bound_check(V, grid, lambda0, r, halvings=4, n_rho=2048):
         rho = np.linspace(-rho_max, rho_max, n_rho)
         drho = rho[1] - rho[0]
         diff = np.abs(
-            rm * chihat(rm * (rho[None, :] - d[good, None]))
+            rm * chihat(rm * (rho[None, :] - d[:, None]))
             - rm * chihat(rm * rho[None, :])
         )
         per_x = np.sum(diff, axis=1) * drho  # int drho per node
         total = float(
-            np.sum(grid.volume_weights[good] * vals[good] / (4.0 * np.pi * d[good]) * per_x)
+            np.sum(grid.volume_weights * vals / (4.0 * np.pi * d) * per_x)
         )
         measured.append(total)
     if len(radii) > 1:
         fit = float(np.polyfit(np.log(radii), np.log(measured), 1)[0])
     else:
         fit = float("nan")
-    out = {"radii": radii, "values": measured, "fitted_exponent": fit}
-    if isinstance(V, birman.PotentialSpec):
-        out["epsilon"] = V.epsilon
-    return out
+    return {
+        "radii": radii,
+        "values": measured,
+        "fitted_exponent": fit,
+        "epsilon": V.epsilon,
+    }
 
 
 # ---------------------------------------------------------------------------

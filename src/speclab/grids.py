@@ -159,6 +159,13 @@ def profile_lp_norm(f, p):
     return float(np.sum(w * np.abs(psi) ** p) ** (1.0 / p))
 
 
+def gaussian_bump(grid, width=1.0):
+    """L1-normalized origin-centered Gaussian bump: profile exp(-(r/width)^2)."""
+    vals = np.exp(-((grid.radii / width) ** 2)) * grid.radii
+    f = GridFunction(grid, vals.astype(complex))
+    return GridFunction(grid, f.values / profile_lp_norm(f, 1))
+
+
 def bilinear_pair(f, g, weights=None):
     """Symmetric bilinear pairing sum w_i f_i g_i (no conjugation)."""
     _check_same_grid(f.grid, g.grid)

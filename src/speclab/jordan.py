@@ -10,9 +10,12 @@ pattern pair(psi_{j1,k}, psi_{j2,k}) = delta_{j1+j2 = k+1}.
 The basis construction works for any nilpotent matrix N that is symmetric
 with respect to a nondegenerate symmetric bilinear form B; that abstract
 version (`jordan_dual_basis`) is also exercised directly on synthetic
-fixtures.  From the basis come the spectral projections P0 (full), the
-limited P~0 / Q~0 pair used by the low-energy inverse, and P_pp (all point
-spectrum, via Schur-based Riesz projectors).
+fixtures.  `threshold` computes the concrete version once per scenario:
+the filtration dims, the X_1 states that `classify_state` sorts into
+eigenvalues and resonances, and the basis.  From the basis come the
+spectral projections P0 (full), the limited P~0 / Q~0 pair used by the
+low-energy inverse, and P_pp (all point spectrum, via Schur-based Riesz
+projectors).
 """
 
 from __future__ import annotations
@@ -73,17 +76,10 @@ class JordanBasis:
     vectors: dict
     labels: list
     pairing_certificate: np.ndarray
-    form: np.ndarray | None = None  # B matrix for coefficient-space bases
 
     @property
     def dim(self):
         return sum(k * lk for k, lk in self.multiplicities.items())
-
-    def pair(self, u, v):
-        if isinstance(u, GridFunction):
-            return bilinear_pair(u, v)
-        B = self.form if self.form is not None else np.eye(len(u))
-        return complex(u @ B @ v)
 
 
 def canonical_labels(multiplicities):
@@ -261,7 +257,7 @@ def jordan_dual_basis(N, B=None, tol=1e-10):
             vectors[(j, c["k"], ell)] = c["vecs"][j]
     labels = canonical_labels(multiplicities)
     cert = _gram(vectors, labels, pair)
-    return JordanBasis(K, multiplicities, vectors, labels, cert, form=B)
+    return JordanBasis(K, multiplicities, vectors, labels, cert)
 
 
 def nilpotent_fixture(chain_spec, dim=None, rng=None):
@@ -320,14 +316,47 @@ def _symmetric_jordan_block(k):
 # Concrete threshold machinery
 
 
-def nullspace_X1(V, grid, tol_rank=1e-8):
-    """Null vectors g of I + V R0(0) together with the states Psi = R0(0) g."""
-    G = _null_basis(birman.build_bs(V, grid, 0.0), tol_rank)
-    R0 = resolvent.build_R0(grid, ResolventSpec(0.0, Branch.PLUS))
-    return [
-        (GridFunction(grid, G[:, i]), GridFunction(grid, R0 @ G[:, i]))
-        for i in range(G.shape[1])
-    ]
+@dataclass(frozen=True)
+class Threshold:
+    """The zero-energy threshold of H = -Delta + V on a grid, computed once.
+
+    dims are the dimensions of the filtration X_1 subset ... subset X_K;
+    states are the X_1 states Psi = R0(0) g (GridFunctions) over a basis g
+    of the null space of I + V R0(0), ready for `classify_state`; basis is
+    the self-dual Jordan basis of H restricted to X.
+    """
+
+    dims: tuple
+    states: tuple
+    basis: JordanBasis
+
+
+def threshold(V, grid, tol_rank=1e-8, tol=1e-10):
+    """Filtration dims, X_1 states and self-dual chain basis of H = -Delta + V.
+
+    Restricts the discretized H to span(X) in an orthonormal coordinate
+    frame, runs the abstract construction there, and lifts the coefficient
+    vectors back to GridFunctions.
+    """
+    spaces, states = build_filtration(V, grid, tol_rank=tol_rank)
+    dims = tuple(sp.shape[1] for sp in spaces)
+    if not spaces:
+        return Threshold(dims, (), JordanBasis(0, {}, {}, [], np.zeros((0, 0))))
+    Q = spaces[-1]
+    H = evolution.discretize_H(V, grid)
+    N = Q.conj().T @ (H @ Q)
+    Bres = Q.T @ (grid.weights[:, None] * Q)
+    coeff_basis = jordan_dual_basis(N, Bres, tol=tol)
+    vectors = {
+        lab: GridFunction(grid, Q @ vec)
+        for lab, vec in coeff_basis.vectors.items()
+    }
+    labels = coeff_basis.labels
+    cert = _gram(vectors, labels, bilinear_pair)
+    basis = JordanBasis(
+        coeff_basis.K, coeff_basis.multiplicities, vectors, labels, cert
+    )
+    return Threshold(dims, tuple(states), basis)
 
 
 def classify_state(psi, grid=None, tol_res=1e-2):
@@ -364,20 +393,27 @@ def classify_state(psi, grid=None, tol_res=1e-2):
 
 
 def build_filtration(V, grid, tol_rank=1e-8, max_k=8):
-    """Nested bases of X_1 subset ... subset X_K, stabilized.
+    """Nested bases of X_1 subset ... subset X_K, stabilized, and the X_1 states.
 
-    Returns a list of orthonormal column matrices; X_{k+1} collects the
-    solutions of (I + R0(0)V) Psi = R0(0) Phi over the solvable part of X_k
-    together with the homogeneous solutions X_1.
+    Takes one SVD, of T = I + V R0(0); its right null vectors g give the
+    states Psi = R0(0) g.  The filtration solves (I + R0(0)V) Psi = R0(0) Phi,
+    whose matrix is T^T: R0(0) is exactly symmetric on the uniform-weight
+    grid and V must be a multiplier or a symmetric perturbation (as
+    `jordan_dual_basis` requires), so the factors of T^T are the transposed
+    factors of T.  Returns (spaces, states): a list of orthonormal column
+    matrices, where X_{k+1} collects the solutions over the solvable part of
+    X_k together with the homogeneous solutions X_1, and a list of
+    GridFunctions.
     """
     R0 = resolvent.build_R0(grid, ResolventSpec(0.0, Branch.PLUS))
-    M = np.eye(grid.size) + birman.potential_operator(V, R0, right=True)
-    U, s, Vh = np.linalg.svd(M)
-    cutoff = tol_rank * s[0]
-    rank = int(np.sum(s > cutoff))
+    Ut, s, Vht = np.linalg.svd(np.eye(grid.size) + birman.potential_operator(V, R0))
+    rank = int(np.sum(s > tol_rank * s[0]))
+    G = Vht[rank:].conj().T
+    states = [GridFunction(grid, R0 @ G[:, i]) for i in range(G.shape[1])]
+    if not states:
+        return [], []
+    U, Vh = Vht.T, Ut.T  # SVD factors of T^T = I + R0(0)V
     X1 = Vh[rank:].conj().T
-    if X1.shape[1] == 0:
-        return []
     left_null = U[:, rank:]
     # Minimal-norm solver restricted to the numerically regular part.
     Ur, sr, Vr = U[:, :rank], s[:rank], Vh[:rank]
@@ -403,58 +439,12 @@ def build_filtration(V, grid, tol_rank=1e-8, max_k=8):
         Q, sv, _ = np.linalg.svd(stacked, full_matrices=False)
         nxt = Q[:, sv > tol_rank * sv[0]]
         if nxt.shape[1] == Xk.shape[1]:
-            return spaces
+            return spaces, states
         spaces.append(nxt)
     raise NoStabilizationError(
         f"filtration still growing after {max_k} steps: dims "
         f"{[sp.shape[1] for sp in spaces]}"
     )
-
-
-def build_threshold_basis(V, grid, tol_rank=1e-8, tol=1e-10):
-    """Self-dual chain basis for the concrete operator H = -Delta + V on the grid.
-
-    Restricts the discretized H to span(X) in an orthonormal coordinate
-    frame, runs the abstract construction there, and lifts the coefficient
-    vectors back to GridFunctions.
-    """
-    spaces = build_filtration(V, grid, tol_rank=tol_rank)
-    if not spaces:
-        labels = []
-        return JordanBasis(0, {}, {}, labels, np.zeros((0, 0)))
-    Q = spaces[-1]
-    H = evolution.discretize_H(V, grid)
-    N = Q.conj().T @ (H @ Q)
-    Bres = Q.T @ (grid.weights[:, None] * Q)
-    coeff_basis = jordan_dual_basis(N, Bres, tol=tol)
-    vectors = {
-        lab: GridFunction(grid, Q @ vec)
-        for lab, vec in coeff_basis.vectors.items()
-    }
-    labels = coeff_basis.labels
-    cert = _gram(vectors, labels, bilinear_pair)
-    return JordanBasis(
-        coeff_basis.K, coeff_basis.multiplicities, vectors, labels, cert
-    )
-
-
-def threshold_report(V, grid, tol_rank=1e-8, tol_res=1e-2):
-    """ThresholdReport dict: filtration dims, per-state verdicts, tail fits."""
-    spaces = build_filtration(V, grid, tol_rank=tol_rank)
-    pairs = nullspace_X1(V, grid, tol_rank=tol_rank)
-    verdicts, c0s = [], []
-    for _, psi in pairs:
-        res = classify_state(psi, grid, tol_res=tol_res)
-        verdicts.append(res["verdict"])
-        c0s.append(res["c0"])
-    return {
-        "dims": [sp.shape[1] for sp in spaces],
-        "verdicts": verdicts,
-        "c0": [[c.real, c.imag] for c in c0s],
-        "tol_rank": tol_rank,
-        "tol_res": tol_res,
-        "grid": {"mode": grid.mode.value, "L": grid.extent, "M": grid.size},
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -470,18 +460,16 @@ def _rank_one_sum(grid, pairs):
     return P
 
 
-def build_P0(basis, grid=None):
+def build_P0(basis, grid):
     """Full zero-energy projection P0 f = sum pair(f, psi_{k+1-j,k}) psi_{j,k}."""
-    grid = _basis_grid(basis, grid)
     pairs = []
     for (j, k, ell) in basis.labels:
         pairs.append((basis.vectors[(j, k, ell)], basis.vectors[(k + 1 - j, k, ell)]))
     return _rank_one_sum(grid, pairs)
 
 
-def build_Ptilde0(basis, grid=None):
+def build_Ptilde0(basis, grid):
     """Limited projection P~0 f = sum pair(f, psi_{1,k}) psi_{k,k}."""
-    grid = _basis_grid(basis, grid)
     pairs = []
     for k, Lk in basis.multiplicities.items():
         for ell in range(1, Lk + 1):
@@ -489,18 +477,9 @@ def build_Ptilde0(basis, grid=None):
     return _rank_one_sum(grid, pairs)
 
 
-def build_Qtilde0(basis, grid=None):
+def build_Qtilde0(basis, grid):
     """Complementary projection Q~0 = I - P~0."""
-    grid = _basis_grid(basis, grid)
     return np.eye(grid.size) - build_Ptilde0(basis, grid)
-
-
-def _basis_grid(basis, grid):
-    if grid is not None:
-        return grid
-    for vec in basis.vectors.values():
-        return vec.grid
-    raise ValueError("empty basis needs an explicit grid")
 
 
 def free_edge_scale(grid):

@@ -223,6 +223,23 @@ def range_constraint_residual(reg, trials=8, seed=0):
     return worst
 
 
+def admissible_part(f, basis):
+    """f with all its bilinear pairings against the chain basis removed.
+
+    The self-dual antidiagonal Gram pattern makes psi_{k+1-j,k} the dual
+    partner of psi_{j,k}, so subtracting pair(f, psi_{j,k}) psi_{k+1-j,k}
+    for every label leaves f paired to zero with the whole generalized
+    eigenspace.
+    """
+    grid = f.grid
+    for (j, k, ell) in basis.labels:
+        coef = bilinear_pair(f, basis.vectors[(j, k, ell)])
+        f = GridFunction(
+            grid, f.values - coef * basis.vectors[(k + 1 - j, k, ell)].values
+        )
+    return f
+
+
 # ---------------------------------------------------------------------------
 # Chain identities
 
@@ -299,7 +316,7 @@ def exact_inverse_residual(V, grid, basis, lam):
 # The pole-isolating inverse formula
 
 
-def inverse_via_formula(reg, V, grid, lam, f, variant="R0"):
+def inverse_via_formula(reg, lam, f, variant="R0"):
     """(I + V R0(lambda^2))^{-1} f through the pole-isolating formula.
 
     variant "R0" pairs the S(lambda)-term against R0^-(lambda^2) psi-bar;
@@ -310,6 +327,7 @@ def inverse_via_formula(reg, V, grid, lam, f, variant="R0"):
     """
     if lam == 0:
         raise ValueError("formula applies for lambda != 0")
+    V, grid, basis = reg.V, reg.grid, reg.basis
     S = build_S_lambda(reg, lam)
     u = S @ (reg.Qt0 @ f.values)
     ugf = GridFunction(grid, u)
@@ -320,14 +338,14 @@ def inverse_via_formula(reg, V, grid, lam, f, variant="R0"):
     else:
         raise ValueError(f"unknown variant {variant!r}")
     T = None  # built lazily for the F_k diagnostics
-    chains = _diag_chains(reg.basis)
+    chains = _diag_chains(basis)
     result = u.copy()
     out1 = u.copy()
     F = {}
     Tu = None
     for k, ell, psi1, psikk in chains:
         Vchain = [
-            birman.potential_operator(V, reg.basis.vectors[(j, k, ell)].values)
+            birman.potential_operator(V, basis.vectors[(j, k, ell)].values)
             for j in range(1, k + 1)
         ]
         coef2 = bilinear_pair(ugf, GridFunction(grid, pair_op @ psikk.values))
@@ -339,7 +357,7 @@ def inverse_via_formula(reg, V, grid, lam, f, variant="R0"):
         ) + psikk.values
         coef3 = sum(
             lam ** (2 * (i - 1))
-            * bilinear_pair(f, reg.basis.vectors[(i, k, ell)])
+            * bilinear_pair(f, basis.vectors[(i, k, ell)])
             for i in range(1, k + 1)
         )
         result = result + coef2 * bracket2 + coef3 * bracket3
@@ -358,20 +376,21 @@ def inverse_via_formula(reg, V, grid, lam, f, variant="R0"):
     return GridFunction(grid, result), diagnostics
 
 
-def low_energy_scan(reg, V, grid, lambdas, f_admissible, f_generic, path=None):
+def low_energy_scan(reg, lambdas, f_admissible, f_generic, path=None):
     """lambda scan of formula outputs and identity residuals, optionally to CSV.
 
     Columns: lambda, norm_admissible_f, norm_generic_f, contraction,
     resid_chain, resid_telescope, resid_exactinv.
     """
+    V, grid, basis = reg.V, reg.grid, reg.basis
     rows = []
     for lam in lambdas:
-        ga, _ = inverse_via_formula(reg, V, grid, lam, f_admissible)
-        gg, diag = inverse_via_formula(reg, V, grid, lam, f_generic)
-        rc = max(r["rel"] for r in chain_identity_residual(V, grid, reg.basis, lam))
-        rt = max(r["rel"] for r in telescope_residual(V, grid, reg.basis, lam))
+        ga, _ = inverse_via_formula(reg, lam, f_admissible)
+        gg, diag = inverse_via_formula(reg, lam, f_generic)
+        rc = max(r["rel"] for r in chain_identity_residual(V, grid, basis, lam))
+        rt = max(r["rel"] for r in telescope_residual(V, grid, basis, lam))
         re_ = max(
-            r["scaled"] for r in exact_inverse_residual(V, grid, reg.basis, lam)
+            r["scaled"] for r in exact_inverse_residual(V, grid, basis, lam)
         )
         rows.append(
             {

@@ -61,23 +61,13 @@ def build_R0(grid, spec):
     return K * grid.weights[None, :]
 
 
-def _b_kernel_radial(lam0, lam, sign, r, rp):
-    lo = np.minimum(r, rp)
-    hi = np.maximum(r, rp)
-
-    def g(l):
-        if l == 0:
-            return lo.astype(complex)
-        return np.sin(l * lo) * np.exp(1j * sign * l * hi) / l
-
-    return g(lam) - g(lam0)
-
-
 def build_B(grid, lambda0, lam, sign=Branch.PLUS):
     """Difference operator B_{lambda0}(lambda^2) = R0(lambda^2) - R0(lambda0^2)."""
     sign = Branch(sign)
-    r = grid.nodes
-    K = _b_kernel_radial(lambda0, lam, sign, r[:, None], r[None, :])
+    r, rp = grid.nodes[:, None], grid.nodes[None, :]
+    K = free_kernel_radial(ResolventSpec(lam, sign), r, rp) - free_kernel_radial(
+        ResolventSpec(lambda0, sign), r, rp
+    )
     return K * grid.weights[None, :]
 
 

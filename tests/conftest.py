@@ -4,18 +4,10 @@ The tuned exact-eigenvalue scenarios are expensive to set up (dense
 eigensolves), so they are session-scoped and shared across test modules.
 """
 
-import numpy as np
 import pytest
 
 from speclab import grids, jordan, lowenergy, potentials
-from speclab.grids import GridFunction, Mode
-
-
-def l1_bump(grid, width=1.0):
-    """L1-normalized origin-centered Gaussian bump."""
-    vals = np.exp(-((grid.radii / width) ** 2)) * grid.radii
-    f = GridFunction(grid, vals.astype(complex))
-    return GridFunction(grid, f.values / grids.profile_lp_norm(f, 1))
+from speclab.grids import Mode
 
 
 @pytest.fixture(scope="session")
@@ -33,8 +25,9 @@ def ee6():
     """Tuned exact zero-energy eigenvalue scenario on the L=6 domain."""
     grid = grids.make_grid(Mode.RADIAL_SWAVE, 6.0, 300)
     tuned, c, info = potentials.tune_coupling(potentials.exact_eigen(grid, s=2.0), grid)
-    basis = jordan.build_threshold_basis(tuned, grid)
-    return {"grid": grid, "V": tuned, "coupling": c, "info": info, "basis": basis}
+    threshold = jordan.threshold(tuned, grid)
+    return {"grid": grid, "V": tuned, "coupling": c, "info": info,
+            "threshold": threshold, "basis": threshold.basis}
 
 
 @pytest.fixture(scope="session")
@@ -46,7 +39,7 @@ def ee_small():
     """
     grid = grids.make_grid(Mode.RADIAL_SWAVE, 2.25, 225)
     tuned, c, info = potentials.tune_coupling(potentials.exact_eigen(grid, s=2.0), grid)
-    basis = jordan.build_threshold_basis(tuned, grid)
+    basis = jordan.threshold(tuned, grid).basis
     reg = lowenergy.build_S0(tuned, grid, basis, window=0.25)
     return {"grid": grid, "V": tuned, "basis": basis, "reg": reg}
 
@@ -55,5 +48,6 @@ def ee_small():
 def chain_fixture20(grid20):
     """K=2 finite-rank chain perturbation of the free operator."""
     F = jordan.build_chain_fixture(grid20, {2: 1}, seed=3)
-    basis = jordan.build_threshold_basis(F, grid20)
-    return {"grid": grid20, "V": F, "basis": basis}
+    threshold = jordan.threshold(F, grid20)
+    return {"grid": grid20, "V": F, "threshold": threshold,
+            "basis": threshold.basis}

@@ -9,9 +9,7 @@ import numpy as np
 import pytest
 
 from speclab import birman, evolution, ftdiag, grids, jordan, lowenergy, potentials
-from speclab.grids import GridFunction, Mode, bilinear_pair
-
-from conftest import l1_bump
+from speclab.grids import GridFunction, Mode
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +24,7 @@ def ee80():
     tuned, c, info = potentials.tune_coupling(
         potentials.exact_eigen(grid, s=2.0), grid
     )
-    basis = jordan.build_threshold_basis(tuned, grid)
+    basis = jordan.threshold(tuned, grid).basis
     return {"grid": grid, "V": tuned, "basis": basis}
 
 
@@ -35,7 +33,7 @@ def ee80():
 
 def test_criterion_01_free_dispersive_law():
     g = grids.make_grid(Mode.RADIAL_SWAVE, 40.0, 800)
-    f = l1_bump(g)
+    f = grids.gaussian_bump(g)
     times = np.linspace(2.0, 6.4, 10)
     plan = evolution.make_plan(None, g, times, k_max=2.5, T_fit_min=2.0)
     report = evolution.dispersive_scan(plan, f)
@@ -54,7 +52,7 @@ def test_criterion_01_free_dispersive_law():
 
 def test_criterion_02_projected_dispersive_bound(ee80):
     g, V = ee80["grid"], ee80["V"]
-    f = l1_bump(g)
+    f = grids.gaussian_bump(g)
     # effective wavenumber content includes the barrier-enhanced modes near
     # lambda ~ 4, so the reflection horizon uses k_max = 4
     times = np.linspace(2.5, 8.0, 10)
@@ -78,34 +76,23 @@ def test_criterion_03_inverse_formula_oracle(ee_small):
             f = GridFunction(
                 g, rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
             )
-            out, _ = lowenergy.inverse_via_formula(reg, V, g, lam, f)
+            out, _ = lowenergy.inverse_via_formula(reg, lam, f)
             oracle = np.linalg.solve(T, f.values)
             rel = grids.lp_norm(GridFunction(g, out.values - oracle), 1)
             rel /= grids.lp_norm(GridFunction(g, oracle), 1)
             assert rel <= 1e-6
     # lambda-scan: bounded for admissible f, -2K slope for generic f
     lambdas = np.geomspace(0.02, 0.2, 8)
-    f_adm = _admissible(reg, g, rng)
-    f_gen = l1_bump(g, width=0.5)
-    rows = lowenergy.low_energy_scan(reg, V, g, lambdas, f_adm, f_gen)
+    f = GridFunction(g, rng.standard_normal(g.size).astype(complex))
+    f_adm = lowenergy.admissible_part(f, reg.basis)
+    f_gen = grids.gaussian_bump(g, width=0.5)
+    rows = lowenergy.low_energy_scan(reg, lambdas, f_adm, f_gen)
     adm = np.array([r["norm_admissible_f"] for r in rows])
     gen = np.array([r["norm_generic_f"] for r in rows])
     assert adm.max() / adm[-1] <= 3.0
     K = ee_small["basis"].K
     slope = np.polyfit(np.log(lambdas), np.log(gen), 1)[0]
     assert abs(slope + 2.0 * K) < 0.2
-
-
-def _admissible(reg, grid, rng):
-    """Random probe projected onto the admissible (range-constraint) set."""
-    f = GridFunction(grid, rng.standard_normal(grid.size).astype(complex))
-    vals = f.values.copy()
-    # empty the bilinear pairings <f, psi_{j,k}> using the dual family
-    for (j, k, ell), psi in reg.basis.vectors.items():
-        coef = np.sum(grid.weights * vals * psi.values)
-        dual = reg.basis.vectors[(k + 1 - j, k, ell)]
-        vals = vals - coef * dual.values
-    return GridFunction(grid, vals)
 
 
 # 4. Dual-basis certificate on random nilpotent fixtures ---------------------
@@ -235,7 +222,7 @@ def test_criterion_08_high_energy(grid20, well20):
 def test_criterion_09_transform_dichotomy(ee6):
     g = grids.make_grid(Mode.RADIAL_SWAVE, 6.0, 300)
     tuned, _, _ = potentials.tune_coupling(potentials.exact_eigen(g, s=4.0), g)
-    jb = jordan.build_threshold_basis(tuned, g)
+    jb = jordan.threshold(tuned, g).basis
     P0 = jordan.build_P0(jb, g)
     rng = np.random.default_rng(3)
     f = GridFunction(g, rng.standard_normal(g.size).astype(complex))
@@ -270,7 +257,7 @@ def test_criterion_10_complex_l2_contrast():
     base = potentials.gaussian_well(g, depth=5.0, width=1.0)
     V = potentials.complex_perturbed(g, base=base, gamma=1.5, width=1.0)
     P = jordan.build_Ppp(V, g, delta_im=0.3)
-    f = l1_bump(g)
+    f = grids.gaussian_bump(g)
     plan = evolution.make_plan(V, g, np.linspace(0.0, 6.0, 13), k_max=1.25)
     unprojected = evolution.l2_stability_scan(plan, f)
     projected = evolution.l2_stability_scan(plan, f, P)

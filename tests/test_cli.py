@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from speclab import cli
+from speclab import cli, jordan
 
 
 def write_cfg(tmp_path, cfg, name="scenario.json"):
@@ -200,11 +200,20 @@ def test_config_errors_exit_3(tmp_path, capsys, pipeline, path, value):
         assert err == "configuration error: unknown grid mode 'box3d'\n"
 
 
-def test_full_pipeline_gates(tmp_path, capsys):
+def test_full_pipeline_gates(tmp_path, capsys, monkeypatch):
+    calls = []
+    build_filtration = jordan.build_filtration
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_filtration(*args, **kwargs)
+
+    monkeypatch.setattr(jordan, "build_filtration", counted)
     cfg = dict(cli._FIXTURE_SCENARIOS["full_exact_eigen"])
     cfg["grid"] = {**cfg["grid"], "nodes": 400}
     rc = cli.main(["full", "--config", write_cfg(tmp_path, cfg)])
     assert rc == cli.EXIT_OK
+    assert len(calls) == 1  # one threshold computation for all four stages
     report = json.loads(capsys.readouterr().out)
     stages = report["stages"]
     assert sorted(stages) == ["evolve", "ftscan", "invert", "threshold"]

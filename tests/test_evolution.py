@@ -5,8 +5,6 @@ from speclab import evolution, grids, jordan, potentials
 from speclab.evolution import Method
 from speclab.grids import GridFunction, Mode
 
-from conftest import l1_bump
-
 
 @pytest.fixture(scope="module")
 def g200():
@@ -30,7 +28,7 @@ def test_H_complex_symmetric(g200):
 
 
 def test_propagate_t0_is_identity(g200):
-    f = l1_bump(g200)
+    f = grids.gaussian_bump(g200)
     plan = evolution.make_plan(None, g200, [0.0, 1.0])
     out = evolution.propagate(plan, f)
     assert np.abs(out[0].values - f.values).max() < 1e-12
@@ -38,7 +36,7 @@ def test_propagate_t0_is_identity(g200):
 
 def test_unitarity_for_hermitian(g200):
     V = potentials.gaussian_well(g200, depth=4.0)
-    f = l1_bump(g200)
+    f = grids.gaussian_bump(g200)
     plan = evolution.make_plan(V, g200, [1.0, 2.0, 3.0])
     n0 = grids.profile_lp_norm(f, 2)
     for st in evolution.propagate(plan, f):
@@ -47,7 +45,7 @@ def test_unitarity_for_hermitian(g200):
 
 def test_group_property(g200):
     V = potentials.gaussian_well(g200, depth=4.0)
-    f = l1_bump(g200)
+    f = grids.gaussian_bump(g200)
     sts = evolution.propagate(evolution.make_plan(V, g200, [1.0, 2.0, 3.0]), f)
     hop = evolution.propagate(
         evolution.make_plan(V, g200, [2.0]), GridFunction(g200, sts[0].values)
@@ -57,7 +55,7 @@ def test_group_property(g200):
 
 
 def test_free_evolution_matches_analytic_kernel(g200):
-    f = l1_bump(g200)
+    f = grids.gaussian_bump(g200)
     plan = evolution.make_plan(None, g200, [2.0], k_max=2.5)
     numeric = evolution.propagate(plan, f)[0]
     analytic = evolution.free_evolution_radial(g200, f, 2.0)
@@ -69,7 +67,7 @@ def test_free_evolution_matches_analytic_kernel(g200):
 
 def test_eigendecomp_path_agrees(g200):
     V = potentials.gaussian_well(g200, depth=4.0)
-    f = l1_bump(g200)
+    f = grids.gaussian_bump(g200)
     a = evolution.propagate(evolution.make_plan(V, g200, [1.5]), f)[0]
     b = evolution.propagate(
         evolution.make_plan(V, g200, [1.5], method=Method.EIGEN_DECOMP), f
@@ -79,7 +77,7 @@ def test_eigendecomp_path_agrees(g200):
 
 def test_eigendecomp_rejected_near_defective(chain_fixture20):
     g, F = chain_fixture20["grid"], chain_fixture20["V"]
-    f = l1_bump(g)
+    f = grids.gaussian_bump(g)
     plan = evolution.make_plan(F, g, [1.0], method=Method.EIGEN_DECOMP)
     with pytest.raises(evolution.NearDefectiveError):
         evolution.propagate(plan, f)
@@ -118,14 +116,14 @@ def test_projected_evolution_of_range_vanishes(ee6):
 
 
 def test_dispersive_scan_rejects_short_window(g200):
-    f = l1_bump(g200)
+    f = grids.gaussian_bump(g200)
     plan = evolution.make_plan(None, g200, [2.0, 2.5, 3.0], k_max=2.5)
     with pytest.raises(evolution.FitWindowError):
         evolution.dispersive_scan(plan, f)
 
 
 def test_stone_formula_cross_check(g200):
-    f = l1_bump(g200)
+    f = grids.gaussian_bump(g200)
     d = evolution.stone_check(None, g200, f, 1.0, 36.0, 200)
     assert d < 0.05
     # quadrature refinement does not make it worse
@@ -134,7 +132,7 @@ def test_stone_formula_cross_check(g200):
 
 
 def test_decay_csv_columns(tmp_path, g200):
-    f = l1_bump(g200)
+    f = grids.gaussian_bump(g200)
     plan = evolution.make_plan(None, g200, np.linspace(2.0, 6.4, 6), k_max=1.0)
     rep = evolution.dispersive_scan(plan, f)
     path = tmp_path / "decay.csv"

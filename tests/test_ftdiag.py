@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from speclab import ftdiag, grids, potentials
-from speclab.grids import GridFunction, Mode
-
-from conftest import l1_bump
+from speclab.grids import Mode
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +46,7 @@ def test_transform_concentrates_pure_phase():
 
 def test_free_total_is_cutoff_transform(g):
     # T = I for V = 0, so the scan total is ||chi_hat||_1 ||f||_1
-    f = l1_bump(g)
+    f = grids.gaussian_bump(g)
     V = potentials.gaussian_well(g, depth=0.0)
     params = {"n": 256, "lam_max": 8.0, "lambda1": 1.0}
     scan = ftdiag.t_hat_l1_scan(V, g, f, "LOW", params)
@@ -76,7 +74,7 @@ def test_vb_hat_scales_in_r_and_V(g):
 
 
 def test_scan_csv_and_json(tmp_path, g):
-    f = l1_bump(g)
+    f = grids.gaussian_bump(g)
     V = potentials.gaussian_well(g, depth=2.0)
     scan = ftdiag.t_hat_l1_scan(V, g, f, "HIGH", {"n": 128, "lam_max": 8.0})
     path = tmp_path / "scan.csv"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from speclab import evolution, grids, jordan, potentials
-from speclab.grids import Mode, bilinear_pair
+from speclab.grids import Mode
 
 
 def test_hand_2x2_block_exact():
@@ -53,10 +53,20 @@ def test_classify_eigenvalue_vs_resonance(grid20):
     assert jordan.classify_state(u_res)["verdict"] == jordan.RESONANCE
 
 
-def test_threshold_report_exact_eigen(ee6):
-    rep = jordan.threshold_report(ee6["V"], ee6["grid"])
-    assert rep["dims"][0] == 1
-    assert rep["verdicts"] == [jordan.EIGENVALUE]
+def test_threshold_exact_eigen(ee6):
+    th = ee6["threshold"]
+    assert th.dims[0] == 1
+    verdicts = [jordan.classify_state(psi)["verdict"] for psi in th.states]
+    assert verdicts == [jordan.EIGENVALUE]
+
+
+@pytest.mark.parametrize("scenario", ["ee6", "chain_fixture20"])
+def test_threshold_states_are_zero_modes(request, scenario):
+    sc = request.getfixturevalue(scenario)
+    H = evolution.discretize_H(sc["V"], sc["grid"])
+    assert sc["threshold"].states
+    for psi in sc["threshold"].states:
+        assert np.abs(H @ psi.values).max() <= 1e-9 * np.abs(psi.values).max()
 
 
 def test_threshold_basis_certificate(ee6):
@@ -67,6 +77,7 @@ def test_threshold_basis_certificate(ee6):
 
 
 def test_chain_fixture_dimensions(chain_fixture20):
+    assert chain_fixture20["threshold"].dims == (1, 2)
     jb = chain_fixture20["basis"]
     assert jb.K == 2
     assert jb.multiplicities == {2: 1}

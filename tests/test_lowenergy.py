@@ -89,7 +89,7 @@ def test_formula_matches_dense_inversion(ee_small):
     rng = np.random.default_rng(5)
     f = _rand_f(g, rng)
     lam = 0.1
-    out, _ = lowenergy.inverse_via_formula(reg, V, g, lam, f)
+    out, _ = lowenergy.inverse_via_formula(reg, lam, f)
     oracle = np.linalg.solve(lowenergy._bs_matrix(V, g, lam), f.values)
     err = np.sum(g.weights * np.abs(out.values - oracle))
     err /= np.sum(g.weights * np.abs(oracle))
@@ -97,39 +97,33 @@ def test_formula_matches_dense_inversion(ee_small):
 
 
 def test_formula_variants_agree(ee_small):
-    g, V, reg = ee_small["grid"], ee_small["V"], ee_small["reg"]
+    g, reg = ee_small["grid"], ee_small["reg"]
     rng = np.random.default_rng(6)
     f = _rand_f(g, rng)
-    a, _ = lowenergy.inverse_via_formula(reg, V, g, 0.1, f, variant="R0")
-    b, _ = lowenergy.inverse_via_formula(reg, V, g, 0.1, f, variant="B0")
+    a, _ = lowenergy.inverse_via_formula(reg, 0.1, f, variant="R0")
+    b, _ = lowenergy.inverse_via_formula(reg, 0.1, f, variant="B0")
     scale = np.abs(a.values).max()
     assert np.abs(a.values - b.values).max() / scale < 1e-9
 
 
 def test_inverse1_inverse2_equivalent(ee_small):
-    g, V, reg = ee_small["grid"], ee_small["V"], ee_small["reg"]
+    g, reg = ee_small["grid"], ee_small["reg"]
     rng = np.random.default_rng(7)
     f = _rand_f(g, rng)
-    out2, diag = lowenergy.inverse_via_formula(reg, V, g, 0.1, f)
+    out2, diag = lowenergy.inverse_via_formula(reg, 0.1, f)
     out1 = diag["inverse1"]
     scale = np.abs(out2.values).max()
     assert np.abs(out1.values - out2.values).max() / scale < 1e-9
 
 
 def test_low_energy_scan_columns(tmp_path, ee_small):
-    g, V, reg = ee_small["grid"], ee_small["V"], ee_small["reg"]
+    g, reg = ee_small["grid"], ee_small["reg"]
     rng = np.random.default_rng(8)
     f_gen = _rand_f(g, rng)
-    jb = reg.basis
-    f_adm = f_gen
-    for (j, k, ell) in jb.labels:
-        coef = grids.bilinear_pair(f_adm, jb.vectors[(j, k, ell)])
-        f_adm = GridFunction(
-            g, f_adm.values - coef * jb.vectors[(k + 1 - j, k, ell)].values
-        )
+    f_adm = lowenergy.admissible_part(f_gen, reg.basis)
     path = tmp_path / "scan.csv"
     rows = lowenergy.low_energy_scan(
-        reg, V, g, [0.03, 0.1, 0.2], f_adm, f_gen, path=str(path)
+        reg, [0.03, 0.1, 0.2], f_adm, f_gen, path=str(path)
     )
     assert len(rows) == 3
     header = path.read_text().splitlines()[0]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from speclab import evolution, grids, potentials
-from speclab.grids import GridFunction, Mode
+from speclab.grids import Mode
 
 
 def test_exact_eigen_closed_form_null_vector():
