@@ -237,3 +237,33 @@ def test_bad_schema_version_exits_3(tmp_path):
     cfg["schema_version"] = 99
     rc = cli.main(["threshold", "--config", write_cfg(tmp_path, cfg)])
     assert rc == cli.EXIT_CONFIG
+
+
+def test_evolve_complex_projected(tmp_path, capsys):
+    # the benchmark's complex non-normal evolve scenario, at 200 nodes
+    cfg = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "grid": {"mode": "radial_swave", "extent": 40.0, "nodes": 200},
+        "potential": {
+            "builtin": "complex_perturbed",
+            "params": {
+                "base": {"name": "gaussian_well",
+                         "params": {"depth": 5.0, "width": 1.0}},
+                "gamma": 1.5, "width": 1.0,
+            },
+        },
+        "evolve": {
+            "t_start": 2.0, "t_end": 6.4, "n_times": 10, "k_max": 2.5,
+            "project": True, "delta_im": 0.3,
+        },
+    }
+    cfg_path = write_cfg(tmp_path, cfg)
+    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+    assert cli.main(["evolve", "--config", cfg_path, "--out", out1]) == cli.EXIT_OK
+    assert cli.main(["evolve", "--config", cfg_path, "--out", out2]) == cli.EXIT_OK
+    a = (tmp_path / "a" / "evolve_report.json").read_bytes()
+    b = (tmp_path / "b" / "evolve_report.json").read_bytes()
+    assert a == b
+    report = json.loads(a)
+    assert report["projected"]
+    assert report["exponent"] == pytest.approx(-1.2237422353, abs=1e-8)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from speclab import evolution, grids, jordan, potentials
 from speclab.evolution import Method
@@ -54,6 +55,42 @@ def test_group_property(g200):
     assert np.abs(hop.values - sts[2].values).max() / scale < 1e-9
 
 
+def _tridiagonal_cases(g):
+    return {
+        "free": None,
+        "well": potentials.gaussian_well(g, depth=4.0),
+        "complex": potentials.complex_perturbed(
+            g, base=potentials.gaussian_well(g, depth=5.0), gamma=1.5
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", ["free", "well", "complex"])
+def test_tridiagonal_path_matches_dense_expm(g200, case):
+    # the expm_multiply path against a dense expm of the whole time
+    V = _tridiagonal_cases(g200)[case]
+    f = grids.gaussian_bump(g200)
+    times = [0.5, 1.5, 4.0]
+    plan = evolution.make_plan(V, g200, times)
+    scale = np.abs(f.values).max()
+    for st, t in zip(evolution.propagate(plan, f), times):
+        dense = sla.expm(-1j * t * plan.H) @ f.values
+        assert np.abs(st.values - dense).max() <= 1e-9 * scale
+
+
+def test_tridiagonal_path_ignores_global_rng(g200):
+    # expm_multiply's norm estimator draws from numpy's global RNG; the
+    # states, and so the reports, must not depend on it
+    V = _tridiagonal_cases(g200)["complex"]
+    plan = evolution.make_plan(V, g200, [0.5, 1.5, 4.0])
+    f = grids.gaussian_bump(g200)
+    runs = []
+    for seed in (0, 1):
+        np.random.seed(seed)
+        runs.append(np.array([st.values for st in evolution.propagate(plan, f)]))
+    assert np.array_equal(runs[0], runs[1])
+
+
 def test_free_evolution_matches_analytic_kernel(g200):
     f = grids.gaussian_bump(g200)
     plan = evolution.make_plan(None, g200, [2.0], k_max=2.5)
@@ -96,8 +133,6 @@ def test_jordan_polynomial_growth(chain_fixture20):
 
 
 def test_commutation_with_ppp(ee6):
-    import scipy.linalg as sla
-
     g = ee6["grid"]
     P = jordan.build_Ppp(ee6["V"], g, basis=ee6["basis"])
     H = evolution.discretize_H(ee6["V"], g)
