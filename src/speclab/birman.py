@@ -2,8 +2,23 @@
 
 Potentials are carried as :class:`PotentialSpec` (multiplication by a
 vector of samples) or, for synthetic fixtures, as a dense perturbation
-matrix; `potential_operator` is the one place that tells them apart.
-Operators are application matrices (see :mod:`speclab.grids`).
+matrix; `potential_operator`, through its helper `_samples`, is the one
+place that tells them apart.  Operators are application matrices (see
+:mod:`speclab.grids`).
+
+The sampled R0(lambda^2) is the inverse of a tridiagonal T_lambda
+(`tridiagonal_bs`, see :mod:`speclab.resolvent`), so for a sampled
+potential I + V R0 = (T_lambda + V) R0 and
+
+    R_V(lambda^2) f = (T_lambda + V)^{-1} f,
+    (I + V R0)^{-1} f = T_lambda (T_lambda + V)^{-1} f.
+
+`bs_solve` takes both from one tridiagonal factorization in O(M) per
+vector, with the same near-singular refusal as the dense path; it serves
+the transform scan, the Stone check and `uniform_inverse_scan`.  The dense
+LU (`build_bs`, `direct_inverse`, `bs_inverse`) stays for dense
+perturbations, for lambda h near a nonzero multiple of pi, for the
+bordered S0 solve and as the oracle of the banded path.
 """
 
 from __future__ import annotations
@@ -22,6 +37,11 @@ COND_CUTOFF = 1e12
 
 #: Neumann-safe threshold for ||(V R0)^2||.
 NEUMANN_SAFE = 0.25
+
+#: Smallest |sin(lambda h)| at which `bs_solve` uses the tridiagonal
+#: T_lambda; the banded path loses about M eps / |sin(lambda h)| in relative
+#: accuracy (4e-14 / |sin(lambda h)| measured at M = 400).
+SIN_MIN = 1e-3
 
 
 class NearSingularError(ArithmeticError):
@@ -94,15 +114,26 @@ def potential_operator(V, X=None, right=False):
     (a vector or a matrix) given, returns V @ X, or X @ V when `right`;
     samples multiply by broadcasting, never through a dense diagonal.
     """
-    if isinstance(V, PotentialSpec):
-        v = V.values.values
-        if X is None:
-            return np.diag(v)
-        return X * v if right or X.ndim == 1 else v[:, None] * X
-    if isinstance(V, np.ndarray):
+    v = _samples(V)
+    if v is None:
         if X is None:
             return V
         return X @ V if right else V @ X
+    if X is None:
+        return np.diag(v)
+    return X * v if right or X.ndim == 1 else v[:, None] * X
+
+
+def _samples(V):
+    """The samples of a PotentialSpec, or None for a dense perturbation matrix.
+
+    The one test of the potential's format, behind `potential_operator` and
+    the banded path of `bs_solve`.
+    """
+    if isinstance(V, PotentialSpec):
+        return V.values.values
+    if isinstance(V, np.ndarray):
+        return None
     raise TypeError(f"potential must be PotentialSpec or ndarray, got {type(V)}")
 
 
@@ -151,6 +182,121 @@ def bs_inverse(V, grid, lam, sign=Branch.PLUS):
     return op
 
 
+def tridiagonal_bs(grid, lam, sign=Branch.PLUS):
+    """The bands (dl, d, du) of T_lambda, the tridiagonal inverse of R0(lambda^2).
+
+    With h the spacing, s = sin(lambda h) and kappa = lambda / (h s), the
+    off-diagonal entries are -kappa, the interior diagonal ones
+    2 cos(lambda h) kappa, the first kappa sin(3 lambda h / 2) / sin(lambda h / 2)
+    and the last kappa e^{-i sign lambda h}; lambda = 0 gives the H0 stencil
+    (3, 2, ..., 2, 1) / h^2 with off-diagonal -1 / h^2.  Raises ValueError
+    where lambda h is near a nonzero multiple of pi (see `banded_energy`).
+    """
+    M, h = grid.size, grid.spacing
+    if not banded_energy(grid, lam):
+        raise ValueError(f"lambda h = {lam * h} is too close to a multiple of pi")
+    if lam == 0:
+        kappa = 1.0 / h**2
+        d = np.full(M, 2.0 * kappa, complex)
+        d[0], d[-1] = 3.0 * kappa, kappa
+    else:
+        kappa = lam / (h * np.sin(lam * h))
+        d = np.full(M, 2.0 * np.cos(lam * h) * kappa, complex)
+        d[0] = kappa * np.sin(1.5 * lam * h) / np.sin(0.5 * lam * h)
+        d[-1] = kappa * np.exp(-1j * int(sign) * lam * h)
+    off = np.full(M - 1, -kappa, complex)
+    return off, d, off
+
+
+def banded_energy(grid, lam):
+    """Whether `tridiagonal_bs` applies: lambda h is not within SIN_MIN (in
+    |sin(lambda h)|) of a nonzero multiple of pi, where R0 is singular."""
+    x = lam * grid.spacing
+    return round(x / np.pi) == 0 or abs(np.sin(x)) >= SIN_MIN
+
+
+def _tridiagonal_apply(dl, d, du, x):
+    """tridiag(dl, d, du) @ x for a vector or a matrix of columns."""
+    shape = (-1,) + (1,) * (x.ndim - 1)
+    out = d.reshape(shape) * x
+    out[:-1] += du.reshape(shape) * x[1:]
+    out[1:] += dl.reshape(shape) * x[:-1]
+    return out
+
+
+def bs_norm(v, grid, lam, sign=Branch.PLUS):
+    """||I + V R0(lambda^2)||_1 for the samples v of a multiplier, in O(M).
+
+    Column j sums |b_j| sum_{i<j} |v_i a_i| h, |a_j| sum_{i>j} |v_i b_i| h
+    and |1 + v_j a_j b_j h|, with (a, b) the kernel generators.
+    """
+    h = grid.spacing
+    a, b = resolvent.kernel_generators(ResolventSpec(lam, Branch(sign)), grid.nodes)
+    below = np.concatenate(([0.0], np.cumsum(np.abs(v * a)[:-1]))) * h
+    above = np.concatenate((np.cumsum(np.abs(v * b)[:0:-1])[::-1], [0.0])) * h
+    diag = np.abs(1.0 + v * a * b * h)
+    return float((np.abs(b) * below + np.abs(a) * above + diag).max())
+
+
+def bs_solve(V, grid, lam, f, sign=Branch.PLUS, context=""):
+    """R_V(lambda^2) f and T(lambda)^{-1} f, T(lambda) = I + V R0(lambda^2).
+
+    f is a vector or a matrix of columns; V = None means free.  For a
+    multiplier V, I + V R0 = (T_lambda + V) R0, so one tridiagonal
+    factorization (LAPACK zgttrf) of T_lambda + V gives
+    R_V f = (T_lambda + V)^{-1} f and T^{-1} f = T_lambda R_V f in O(M) per
+    column.  The refusal is the dense one: NearSingularError when the
+    condition estimate, ||I + V R0||_1 (exact, `bs_norm`) times a
+    Hager-Higham estimate of ||T^{-1}||_1 made of banded solves, exceeds
+    COND_CUTOFF.  A dense perturbation matrix, or lambda h near a nonzero
+    multiple of pi (`banded_energy`), takes the dense LU of `direct_inverse`.
+    Returns (R_V f, T^{-1} f, condition estimate).
+    """
+    M = grid.size
+    v = np.zeros(M) if V is None else _samples(V)
+    if v is None or not banded_energy(grid, lam):
+        tinv, cond = direct_inverse(build_bs(V, grid, lam, sign), context)
+        tinv_f = tinv @ f
+        R0 = resolvent.build_R0(grid, ResolventSpec(lam, Branch(sign)))
+        return R0 @ tinv_f, tinv_f, cond
+    dl, d, du = tridiagonal_bs(grid, lam, sign)
+    *factors, info = sla.lapack.zgttrf(dl, d + v, du)
+    if info > 0:
+        raise NearSingularError(np.inf, context)
+
+    def solve(x, trans="N"):
+        y, _ = sla.lapack.zgttrs(*factors, x.reshape(M, -1), trans=trans)
+        return y.reshape(x.shape)
+
+    # T^{-1} = T_lambda (T_lambda + V)^{-1}; its adjoint solves with the
+    # conjugate transpose after applying T_lambda^H.
+    cond = bs_norm(v, grid, lam, sign) * _inverse_norm_estimate(
+        M,
+        lambda x: _tridiagonal_apply(dl, d, du, solve(x)),
+        lambda x: solve(_tridiagonal_apply(du.conj(), d.conj(), dl.conj(), x), "C"),
+    )
+    if not np.isfinite(cond) or cond > COND_CUTOFF:
+        raise NearSingularError(cond, context)
+    rv_f = solve(np.asarray(f, complex))
+    return rv_f, _tridiagonal_apply(dl, d, du, rv_f), cond
+
+
+def _inverse_norm_estimate(M, matmat, rmatmat):
+    """Hager-Higham estimate of the 1-norm of the M x M operator matmat.
+
+    One probe column (t = 1): wider probes draw random signs from numpy's
+    global generator.
+    """
+    # Imported here: scipy.sparse at module level costs every pipeline RSS.
+    from scipy.sparse.linalg import LinearOperator, onenormest
+
+    op = LinearOperator(
+        (M, M), matvec=matmat, rmatvec=rmatmat, matmat=matmat, rmatmat=rmatmat,
+        dtype=complex,
+    )
+    return float(onenormest(op, t=1))
+
+
 def high_energy_norm_scan(V, grid, lambda_list):
     """Scan ||(V R0(lambda^2))^2|| over lambda; flag the Neumann-safe point.
 
@@ -176,12 +322,15 @@ def high_energy_norm_scan(V, grid, lambda_list):
 def uniform_inverse_scan(V, grid, lambda_grid):
     """Induced-L1 norms of (I + V R0(lambda^2))^{-1} over a lambda grid.
 
-    Propagates NearSingularError (annotated with the offending lambda);
-    a hit signals an embedded eigenvalue or resonance in the scenario.
+    Each inverse is `bs_solve` applied to the identity: M tridiagonal
+    solves, O(M^2), for a sampled potential.  Propagates NearSingularError
+    (annotated with the offending lambda); a hit signals an embedded
+    eigenvalue or resonance in the scenario.
     """
+    eye = np.eye(grid.size, dtype=complex)
     norms = []
     for lam in lambda_grid:
-        inv, _ = direct_inverse(build_bs(V, grid, lam), context=f"lambda={lam}")
+        _, inv, _ = bs_solve(V, grid, lam, eye, context=f"lambda={lam}")
         norms.append(operator_l1_norm(inv, grid))
     norms = np.asarray(norms)
     imax = int(np.argmax(norms))

@@ -258,11 +258,11 @@ def stone_check(V, grid, f, t, lambda_cap, n_quad, P=None):
     Compares e^{-itH}(I - P) f against the spectral integral
     (1 / 2 pi i) int_0^Lambda e^{-i t E} [R_V^+(E) - R_V^-(E)] f dE
     with midpoint quadrature (offset from 0 by half a step, which also
-    avoids a nontrivial threshold space).  Returns the relative sup-norm
+    avoids a nontrivial threshold space); R_V^{+/-}(E) g is one
+    `birman.bs_solve` per energy and branch.  Returns the relative sup-norm
     discrepancy of the profiles.
     """
-    from . import resolvent
-    from .resolvent import Branch, ResolventSpec
+    from .resolvent import Branch
 
     plan = make_plan(V, grid, [t])
     g = f if P is None else GridFunction(grid, f.values - P @ f.values)
@@ -274,12 +274,10 @@ def stone_check(V, grid, f, t, lambda_cap, n_quad, P=None):
         lam = np.sqrt(E)
         jump = np.zeros(grid.size, complex)
         for sign in (Branch.PLUS, Branch.MINUS):
-            R0 = resolvent.build_R0(grid, ResolventSpec(lam, sign))
-            inv, _ = birman.direct_inverse(
-                birman.build_bs(V, grid, lam, sign), context=f"E={E}"
+            rv_g, _, _ = birman.bs_solve(
+                V, grid, lam, g.values, sign, context=f"E={E}"
             )
-            RV = R0 @ inv
-            jump += int(sign) * (RV @ g.values)
+            jump += int(sign) * rv_g
         acc += np.exp(-1j * t * E) * jump * dE
     rhs = GridFunction(grid, acc / (2j * np.pi))
     lp, rp = grids.profile_values(lhs), grids.profile_values(rhs)

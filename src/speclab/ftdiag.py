@@ -122,7 +122,10 @@ def t_hat_l1_scan(V, grid, f, window, params=None):
     Samples T^+(lambda) f = (I + V R0^+(lambda^2))^{-1} f on the symmetric
     lambda grid (negative lambda rides the same kernel formula, which there
     realizes the conjugate branch), multiplies by the window cutoff,
-    transforms per spatial node and integrates |.| in rho and x.  A LOW
+    transforms per spatial node and integrates |.| in rho and x.  Each
+    sample is one `birman.bs_solve`: a tridiagonal solve for a sampled
+    potential, O(M) per lambda, with the dense path's NearSingularError
+    refusal; samples outside the window's support are skipped.  A LOW
     window total beyond cap * ||f||_1 is reported as DIVERGENT -- for
     generic f against a nontrivial threshold space that is the expected
     verdict, not a failure.
@@ -140,11 +143,10 @@ def t_hat_l1_scan(V, grid, f, window, params=None):
     for i, lam in enumerate(lams):
         if cut[i] == 0.0:
             continue
-        Tinv, _ = birman.direct_inverse(
-            birman.build_bs(V, grid, lam, sign=branch),
-            context=f"t_hat scan at lambda={lam:.6g}",
+        _, tinv_f, _ = birman.bs_solve(
+            V, grid, lam, f.values, branch, context=f"t_hat scan at lambda={lam:.6g}"
         )
-        samples[i] = cut[i] * (Tinv @ f.values)
+        samples[i] = cut[i] * tinv_f
     rho, hat = _transform(samples, lams, delta)
     drho = rho[1] - rho[0]
     profile = np.abs(hat) @ grid.weights

@@ -325,10 +325,23 @@ def inverse_via_formula(reg, lam, f, variant="R0"):
     and a diagnostics dict exposing the alternative-form coefficients F_k
     and its evaluation for the algebraic-equivalence check.
     """
+    result, F, out1 = _formula(reg, lam, build_S_lambda(reg, lam), f, variant)
+    diagnostics = {
+        "F": F,
+        "inverse1": out1,
+        "contraction": contraction_factor(reg, lam),
+    }
+    return result, diagnostics
+
+
+def _formula(reg, lam, S, f, variant="R0"):
+    """The formula of `inverse_via_formula` with S(lambda) given.
+
+    Returns the result, the F_k and the alternative form.
+    """
     if lam == 0:
         raise ValueError("formula applies for lambda != 0")
     V, grid, basis = reg.V, reg.grid, reg.basis
-    S = build_S_lambda(reg, lam)
     u = S @ (reg.Qt0 @ f.values)
     ugf = GridFunction(grid, u)
     if variant == "R0":
@@ -337,7 +350,6 @@ def inverse_via_formula(reg, lam, f, variant="R0"):
         pair_op = domain_resolvent(grid, lam) - domain_resolvent(grid, 0.0)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    T = None  # built lazily for the F_k diagnostics
     chains = _diag_chains(basis)
     result = u.copy()
     out1 = u.copy()
@@ -363,30 +375,26 @@ def inverse_via_formula(reg, lam, f, variant="R0"):
         result = result + coef2 * bracket2 + coef3 * bracket3
         # alternative-form diagnostics
         if Tu is None:
-            T = _bs_matrix(V, grid, lam)
-            Tu = GridFunction(grid, T @ u)
+            Tu = GridFunction(grid, _bs_matrix(V, grid, lam) @ u)
         Fk = bilinear_pair(Tu, psi1)
         F[(k, ell)] = Fk
         out1 = out1 + (bilinear_pair(f, psi1) - Fk) * bracket3
-    diagnostics = {
-        "F": F,
-        "inverse1": GridFunction(grid, out1),
-        "contraction": contraction_factor(reg, lam),
-    }
-    return GridFunction(grid, result), diagnostics
+    return GridFunction(grid, result), F, GridFunction(grid, out1)
 
 
 def low_energy_scan(reg, lambdas, f_admissible, f_generic, path=None):
     """lambda scan of formula outputs and identity residuals, optionally to CSV.
 
     Columns: lambda, norm_admissible_f, norm_generic_f, contraction,
-    resid_chain, resid_telescope, resid_exactinv.
+    resid_chain, resid_telescope, resid_exactinv.  S(lambda) and its
+    contraction factor are built once per lambda and serve both data.
     """
     V, grid, basis = reg.V, reg.grid, reg.basis
     rows = []
     for lam in lambdas:
-        ga, _ = inverse_via_formula(reg, lam, f_admissible)
-        gg, diag = inverse_via_formula(reg, lam, f_generic)
+        S = build_S_lambda(reg, lam)
+        ga = _formula(reg, lam, S, f_admissible)[0]
+        gg = _formula(reg, lam, S, f_generic)[0]
         rc = max(r["rel"] for r in chain_identity_residual(V, grid, basis, lam))
         rt = max(r["rel"] for r in telescope_residual(V, grid, basis, lam))
         re_ = max(
@@ -397,7 +405,7 @@ def low_energy_scan(reg, lambdas, f_admissible, f_generic, path=None):
                 "lambda": lam,
                 "norm_admissible_f": lp_norm(ga, 1),
                 "norm_generic_f": lp_norm(gg, 1),
-                "contraction": diag["contraction"],
+                "contraction": contraction_factor(reg, lam),
                 "resid_chain": rc,
                 "resid_telescope": rt,
                 "resid_exactinv": re_,

@@ -11,6 +11,16 @@ Dirichlet condition at r = 0.  At lambda = 0 the sampled kernel matrix is the
 exact two-sided inverse of the discrete radial Laplacian assembled in
 :mod:`speclab.evolution`, which keeps the threshold identities sharp.
 
+The kernel is semiseparable, G(r, r') = a(r_<) b(r_>) with the generators
+a = sin(lambda r) / lambda and b = e^{+/- i lambda r} (`kernel_generators`),
+so its sampled application matrix has a tridiagonal inverse T_lambda for
+every lambda and both branches (Meurant, SIAM J. Matrix Anal. Appl. 13,
+1992); `birman.tridiagonal_bs` gives its bands in closed form, and at
+lambda = 0 it is the discrete H0 above.  It breaks down where lambda h is a
+nonzero multiple of pi (h the spacing): on the midpoint nodes the sampled
+kernel then has rank one (odd multiples) or vanishes (even multiples), and
+T_lambda does not exist.
+
 Difference kernels B_{l0}(lambda^2) = R0(lambda^2) - R0(l0^2) are evaluated
 from the subtracted closed form.  The L^{p'} growth of the 3-D difference
 kernel is measured by radial quadrature (`kernel_difference_check`).
@@ -52,6 +62,19 @@ def free_kernel_radial(spec, r, rp):
         return lo.astype(complex)
     lam = spec.lam
     return np.sin(lam * lo) * np.exp(1j * spec.sign * lam * hi) / lam
+
+
+def kernel_generators(spec, r):
+    """Generators (a, b) of the radial kernel: G(r, r') = a(r_<) b(r_>).
+
+    a = sin(lambda r) / lambda and b = e^{i s lambda r}, or a = r and b = 1
+    at lambda = 0.
+    """
+    r = np.asarray(r, dtype=float)
+    if spec.lam == 0:
+        return r, np.ones_like(r)
+    lam = spec.lam
+    return np.sin(lam * r) / lam, np.exp(1j * spec.sign * lam * r)
 
 
 def build_R0(grid, spec):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from speclab import birman, potentials
-from speclab.grids import GridFunction, operator_l1_norm
+from speclab import birman, potentials, resolvent
+from speclab.grids import GridFunction, Mode, make_grid, operator_l1_norm
+from speclab.resolvent import Branch, ResolventSpec
 
 
 def test_potential_spec_validates_exponents(grid20):
@@ -37,6 +40,8 @@ def test_near_singular_raised_at_threshold(grid20):
     )
     with pytest.raises(birman.NearSingularError):
         birman.bs_inverse(tuned, grid20, 0.0)
+    with pytest.raises(birman.NearSingularError):
+        birman.bs_solve(tuned, grid20, 0.0, grid20.nodes.astype(complex))
 
 
 def test_high_energy_norms_decay(grid20, well20):
@@ -75,3 +80,101 @@ def test_local_neumann_matches_dense_inverse(grid20, well20):
 def test_local_neumann_rejects_wide_window(grid20, well20):
     with pytest.raises(birman.NoContractionError):
         birman.local_neumann_inverse(well20, grid20, 1.0, 0.2, 1.15)
+
+
+# Banded Birman-Schwinger solves, with the dense path as the oracle ----------
+
+
+def _tridiagonal(dl, d, du):
+    return np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
+
+
+def _dense_solve(V, grid, lam, f, sign):
+    """(R_V f, T^{-1} f, zgecon's condition estimate) from dense LU."""
+    A = birman.build_bs(V, grid, lam, sign)
+    tinv, cond = birman.direct_inverse(A)
+    R0 = resolvent.build_R0(grid, ResolventSpec(lam, Branch(sign)))
+    return R0 @ (tinv @ f), tinv @ f, cond
+
+
+@pytest.mark.parametrize("sign", [Branch.PLUS, Branch.MINUS])
+@pytest.mark.parametrize("lam", [0.0, 0.3, -1.7, 5.0])
+def test_tridiagonal_bs_inverts_R0(lam, sign):
+    grid = make_grid(Mode.RADIAL_SWAVE, 80.0, 400)
+    R0 = resolvent.build_R0(grid, ResolventSpec(lam, sign))
+    T = _tridiagonal(*birman.tridiagonal_bs(grid, lam, sign))
+    assert np.abs(T @ R0 - np.eye(grid.size)).max() < 1e-12
+    inv = np.linalg.inv(R0)
+    assert np.abs(T - inv).max() < 1e-10 * np.abs(inv).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nodes=st.integers(8, 120),
+    extent=st.floats(1.0, 20.0),
+    # |lambda h| >= 1e-6 or 0: a subnormal lambda makes the dense oracle NaN
+    lam_h=st.one_of(st.just(0.0), st.floats(1e-6, 6.2), st.floats(-6.2, -1e-6)),
+    sign=st.sampled_from([Branch.PLUS, Branch.MINUS]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_banded_solve_matches_dense(nodes, extent, lam_h, sign, seed):
+    grid = make_grid(Mode.RADIAL_SWAVE, extent, nodes)
+    lam = lam_h / grid.spacing
+    rng = np.random.default_rng(seed)
+    samples = rng.standard_normal(nodes) + 1j * rng.standard_normal(nodes)
+    V = birman.PotentialSpec("random", GridFunction(grid, samples))
+    f = rng.standard_normal(nodes) + 1j * rng.standard_normal(nodes)
+    try:
+        rv, tinv_f, cond = _dense_solve(V, grid, lam, f, sign)
+    except birman.NearSingularError:
+        assume(False)
+    rv_b, tinv_b, cond_b = birman.bs_solve(V, grid, lam, f, sign)
+    assert np.abs(tinv_b - tinv_f).max() <= 1e-10 * np.abs(tinv_f).max()
+    assert np.abs(rv_b - rv).max() <= 1e-10 * np.abs(rv).max()
+    norm = birman.bs_norm(samples, grid, lam, sign)
+    dense_norm = np.linalg.norm(birman.build_bs(V, grid, lam, sign), 1)
+    assert norm == pytest.approx(dense_norm, rel=1e-12)
+    assert cond / 3.0 <= cond_b <= 3.0 * cond
+
+
+def test_dense_path_at_lambda_h_pi(grid20, well20, monkeypatch):
+    lam = np.pi / grid20.spacing
+    assert not birman.banded_energy(grid20, lam)
+    with pytest.raises(ValueError):
+        birman.tridiagonal_bs(grid20, lam)
+    calls = []
+    dense = birman.direct_inverse
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return dense(*args, **kwargs)
+
+    monkeypatch.setattr(birman, "direct_inverse", counted)
+    f = grid20.nodes.astype(complex)
+    rv, tinv_f, _ = birman.bs_solve(well20, grid20, lam, f)
+    assert len(calls) == 1
+    rv_d, tinv_d, _ = _dense_solve(well20, grid20, lam, f, Branch.PLUS)
+    assert np.abs(tinv_f - tinv_d).max() <= 1e-12 * np.abs(tinv_d).max()
+    assert np.abs(rv - rv_d).max() <= 1e-12 * np.abs(rv_d).max()
+
+
+def test_condition_estimate_leaves_global_rng_alone(grid20, well20):
+    f = grid20.nodes.astype(complex)
+    out = []
+    for seed in (0, 1):
+        np.random.seed(seed)
+        state = np.random.get_state()
+        out.append(birman.bs_solve(well20, grid20, 0.7, f))
+        after = np.random.get_state()
+        assert all(np.array_equal(a, b) for a, b in zip(state[1:3], after[1:3]))
+    assert all(np.array_equal(a, b) for a, b in zip(out[0], out[1]))
+
+
+def test_uniform_inverse_scan_matches_dense(grid20, well20):
+    lams = [0.5, 2.0, 9.0]
+    out = birman.uniform_inverse_scan(well20, grid20, lams)
+    dense = [
+        operator_l1_norm(birman.bs_inverse(well20, grid20, lam), grid20)
+        for lam in lams
+    ]
+    assert np.allclose(out["norms"], dense, rtol=1e-10, atol=0.0)
