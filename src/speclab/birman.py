@@ -15,10 +15,12 @@ potential I + V R0 = (T_lambda + V) R0 and
 
 `bs_solve` takes both from one tridiagonal factorization in O(M) per
 vector, with the same near-singular refusal as the dense path; it serves
-the transform scan, the Stone check and `uniform_inverse_scan`.  The dense
-LU (`build_bs`, `direct_inverse`, `bs_inverse`) stays for dense
-perturbations, for lambda h near a nonzero multiple of pi, for the
-bordered S0 solve and as the oracle of the banded path.
+the transform scan, the Stone check and `uniform_inverse_scan`.  Its
+factorization, `_tridiagonal_solver`, also applies the domain resolvent of
+:mod:`speclab.lowenergy`.  The dense LU (`build_bs`, `direct_inverse`,
+`bs_inverse`) stays for dense perturbations, for lambda h near a nonzero
+multiple of pi, for the bordered S0 solve and as the oracle of the banded
+path.
 """
 
 from __future__ import annotations
@@ -189,21 +191,24 @@ def tridiagonal_bs(grid, lam, sign=Branch.PLUS):
     off-diagonal entries are -kappa, the interior diagonal ones
     2 cos(lambda h) kappa, the first kappa sin(3 lambda h / 2) / sin(lambda h / 2)
     and the last kappa e^{-i sign lambda h}; lambda = 0 gives the H0 stencil
-    (3, 2, ..., 2, 1) / h^2 with off-diagonal -1 / h^2.  Raises ValueError
-    where lambda h is near a nonzero multiple of pi (see `banded_energy`).
+    (3, 2, ..., 2, 1) / h^2 with off-diagonal -1 / h^2, the one definition
+    of the discrete free Laplacian (Dirichlet ghost u_{-1} = -u_0 at the
+    origin, Neumann ghost u_M = u_{M-1} at L; see :mod:`speclab.evolution`).
+    Raises ValueError where lambda h is near a nonzero multiple of pi (see
+    `banded_energy`).
     """
     M, h = grid.size, grid.spacing
     if not banded_energy(grid, lam):
         raise ValueError(f"lambda h = {lam * h} is too close to a multiple of pi")
     if lam == 0:
-        kappa = 1.0 / h**2
-        d = np.full(M, 2.0 * kappa, complex)
-        d[0], d[-1] = 3.0 * kappa, kappa
-    else:
-        kappa = lam / (h * np.sin(lam * h))
-        d = np.full(M, 2.0 * np.cos(lam * h) * kappa, complex)
-        d[0] = kappa * np.sin(1.5 * lam * h) / np.sin(0.5 * lam * h)
-        d[-1] = kappa * np.exp(-1j * int(sign) * lam * h)
+        main = np.full(M, 2.0)
+        main[0], main[-1] = 3.0, 1.0
+        off = np.full(M - 1, -1.0 / h**2)
+        return off, main / h**2, off
+    kappa = lam / (h * np.sin(lam * h))
+    d = np.full(M, 2.0 * np.cos(lam * h) * kappa, complex)
+    d[0] = kappa * np.sin(1.5 * lam * h) / np.sin(0.5 * lam * h)
+    d[-1] = kappa * np.exp(-1j * int(sign) * lam * h)
     off = np.full(M - 1, -kappa, complex)
     return off, d, off
 
@@ -260,14 +265,7 @@ def bs_solve(V, grid, lam, f, sign=Branch.PLUS, context=""):
         R0 = resolvent.build_R0(grid, ResolventSpec(lam, Branch(sign)))
         return R0 @ tinv_f, tinv_f, cond
     dl, d, du = tridiagonal_bs(grid, lam, sign)
-    *factors, info = sla.lapack.zgttrf(dl, d + v, du)
-    if info > 0:
-        raise NearSingularError(np.inf, context)
-
-    def solve(x, trans="N"):
-        y, _ = sla.lapack.zgttrs(*factors, x.reshape(M, -1), trans=trans)
-        return y.reshape(x.shape)
-
+    solve = _tridiagonal_solver(dl, d + v, du, context)
     # T^{-1} = T_lambda (T_lambda + V)^{-1}; its adjoint solves with the
     # conjugate transpose after applying T_lambda^H.
     cond = bs_norm(v, grid, lam, sign) * _inverse_norm_estimate(
@@ -279,6 +277,26 @@ def bs_solve(V, grid, lam, f, sign=Branch.PLUS, context=""):
         raise NearSingularError(cond, context)
     rv_f = solve(np.asarray(f, complex))
     return rv_f, _tridiagonal_apply(dl, d, du, rv_f), cond
+
+
+def _tridiagonal_solver(dl, d, du, context=""):
+    """Factor tridiag(dl, d, du) once (LAPACK zgttrf) and return its solver.
+
+    The solver maps x, a vector or a matrix of columns, to
+    tridiag(dl, d, du)^{-1} x in O(M) per column (zgttrs); trans="C" solves
+    with the conjugate transpose.  An exactly singular matrix raises
+    NearSingularError.
+    """
+    M = d.size
+    *factors, info = sla.lapack.zgttrf(dl, d, du)
+    if info > 0:
+        raise NearSingularError(np.inf, context)
+
+    def solve(x, trans="N"):
+        y, _ = sla.lapack.zgttrs(*factors, x.reshape(M, -1), trans=trans)
+        return y.reshape(x.shape)
+
+    return solve
 
 
 def _inverse_norm_estimate(M, matmat, rmatmat):

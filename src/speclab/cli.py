@@ -8,8 +8,8 @@ inconsistent; stderr gets one "configuration error: ..." line), 4
 numerical refusal (the scenario is
 well-formed but a numerical routine declined it: a near-singular solve, a
 Neumann series that does not contract or converge, a non-nilpotent or
-degenerate threshold space, ambiguous eigenvalue clusters, a degenerate
-duality pairing or a near-defective eigenbasis; stderr gets one
+degenerate threshold space, ambiguous eigenvalue clusters or a degenerate
+duality pairing; stderr gets one
 "numerical refusal: ..." line).  Reports embed the full tolerance set and
 the grid metadata, carry no wall-clock data, and use fixed key order, so
 identical scenario files produce byte-identical JSON.
@@ -44,7 +44,6 @@ _NUMERICAL_REFUSALS = (
     jordan.NoStabilizationError,
     jordan.ClusterAmbiguousError,
     lowenergy.DualityDegenerateError,
-    evolution.NearDefectiveError,
 )
 
 

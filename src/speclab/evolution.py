@@ -19,7 +19,6 @@ because the action's cost grows with the number of nonzeros times t ||H||_1.
 from __future__ import annotations
 
 import csv
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,37 +28,23 @@ from . import birman, grids
 from .grids import Grid, GridFunction
 
 
-class Method(enum.Enum):
-    EXPM_SQUARING = "expm_squaring"
-    EIGEN_DECOMP = "eigen_decomp"
-
-
-class NearDefectiveError(ArithmeticError):
-    """Eigendecomposition rejected: eigenvector basis too ill-conditioned."""
-
-
 class FitWindowError(ValueError):
     """The decay fit window spans less than half a decade in t."""
-
-
-def _free_laplacian_radial(grid):
-    M, h = grid.size, grid.spacing
-    main = np.full(M, 2.0)
-    main[0] = 3.0  # Dirichlet ghost u_{-1} = -u_0
-    main[-1] = 1.0  # Neumann ghost u_M = u_{M-1}
-    H = np.diag(main) + np.diag(np.full(M - 1, -1.0), 1) + np.diag(
-        np.full(M - 1, -1.0), -1
-    )
-    return H / h**2
 
 
 def discretize_H(V, grid):
     """H = -Delta_grid + V as a complex symmetric matrix.
 
     V may be a PotentialSpec, a dense perturbation matrix (fixtures), or
-    None for the free operator.
+    None for the free operator.  The free part is the stencil of
+    `birman.tridiagonal_bs` at lambda = 0.
     """
-    H = _free_laplacian_radial(grid).astype(complex)
+    off, main, _ = birman.tridiagonal_bs(grid, 0.0)
+    # Filled in place: summing three dense diagonals, with their real
+    # temporaries, raised the evolve pipeline's peak RSS by 3.4 MB at M = 700.
+    H = np.diag(main.astype(complex))
+    i = np.arange(grid.size - 1)
+    H[i, i + 1] = H[i + 1, i] = off
     if V is not None:
         H = H + birman.potential_operator(V)
     return H
@@ -67,12 +52,11 @@ def discretize_H(V, grid):
 
 @dataclass(frozen=True)
 class PropagatorPlan:
-    """Grid, Hamiltonian, time grid, method, and the reflection horizon T_max."""
+    """Grid, Hamiltonian, time grid, and the reflection horizon T_max."""
 
     grid: Grid
     H: np.ndarray
     times: np.ndarray
-    method: Method = Method.EXPM_SQUARING
     T_max: float = np.inf
     T_fit_min: float = 2.0
 
@@ -96,17 +80,17 @@ def reflection_horizon(grid, k_max=None):
     return 0.8 * grid.extent / (2.0 * k_max)
 
 
-def make_plan(V, grid, times, method=Method.EXPM_SQUARING, k_max=None, T_fit_min=2.0):
+def make_plan(V, grid, times, k_max=None, T_fit_min=2.0):
     H = discretize_H(V, grid)
-    return PropagatorPlan(grid, H, np.asarray(times, float), method,
+    return PropagatorPlan(grid, H, np.asarray(times, float),
                           reflection_horizon(grid, k_max), T_fit_min)
 
 
 def propagate(plan, f):
     """States e^{-i t_k H} f for every t_k in the plan's time grid.
 
-    EXPM_SQUARING steps the state from each time to the next, choosing the
-    algorithm from the structure of H:
+    Steps the state from each time to the next, choosing the algorithm from
+    the structure of H:
 
     - tridiagonal H (the free operator and every PotentialSpec): the action
       of the exponential, expm_multiply (Al-Mohy & Higham, SIAM J. Sci.
@@ -116,20 +100,8 @@ def propagate(plan, f):
     - any other H (the dense perturbations of build_chain_fixture): one
       dense expm per distinct step length.  expm_multiply's cost grows with
       t ||H||_1 nnz(H), which makes it far slower than expm on a dense H.
-
-    EIGEN_DECOMP diagonalizes H once and refuses a near-defective basis.
     """
     H, grid = plan.H, plan.grid
-    if plan.method is Method.EIGEN_DECOMP:
-        evals, W = np.linalg.eig(H)
-        cond = np.linalg.cond(W)
-        if cond > 1e6:
-            raise NearDefectiveError(f"eigenvector condition {cond:.3e} > 1e6")
-        coef = np.linalg.solve(W, f.values)
-        return [
-            GridFunction(grid, W @ (np.exp(-1j * t * evals) * coef))
-            for t in plan.times
-        ]
     if max(sla.bandwidth(H)) <= 1:
         # Imported here, not at module level: scipy.sparse costs a run that
         # never propagates (speclab invert) about 3.4 MB of peak RSS.

@@ -12,24 +12,27 @@ Pairing convention: the abstract <f, conj(g)> pairings are realized through
 the unconjugated bilinear pair against the stored basis members; in
 particular <u, R0^-(l^2) conj(psi)> becomes pair(u, R0^+(l^2) psi).
 
-Resolvent realization: within this module R0(lambda^2) is the exact matrix
+Resolvent realization: within this module R0(lambda^2) is the exact
 inverse of (H0 - lambda^2) for the same discrete H0 that defined the Jordan
 basis.  The chain/telescope/exact-inverse identities are then pure linear
 algebra and hold to round-off at every lambda below the first free domain
 eigenvalue; the sampled free-space kernels of the resolvent module differ
 from this family by a domain-truncation boundary term that would otherwise
-pollute the pole coefficients with an O(1) defect.
+pollute the pole coefficients with an O(1) defect.  H0 is tridiagonal, so
+`domain_resolvent` applies this inverse by tridiagonal solves, O(M) per
+vector; no M x M resolvent is formed except `_bs_matrix`, the dense
+I + V R0(lambda^2) of the bordered S0 system.  H0 is real symmetric, so
+products X R0(lambda^2) are formed as (R0(lambda^2) X^T)^T.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import birman, evolution, jordan
+from . import birman, jordan
 from .grids import GridFunction, bilinear_pair, lp_norm, operator_l1_norm
 
 
@@ -37,37 +40,24 @@ class DualityDegenerateError(ArithmeticError):
     """Pairing of V X_1 against R0(0) X_diag is singular."""
 
 
-#: Least-recently-used cache of domain resolvents, at most
-#: _DOMAIN_RESOLVENT_CACHE_SIZE dense M x M matrices.
-_DOMAIN_RESOLVENT_CACHE = OrderedDict()
-_DOMAIN_RESOLVENT_CACHE_SIZE = 8
-
-
 def domain_resolvent(grid, lam):
-    """R0(lambda^2) as the exact inverse of (H0 - lambda^2) on the domain.
+    """R0(lambda^2), the exact inverse of (H0 - lambda^2) on the domain.
 
-    Requires lambda^2 below the first eigenvalue of the discrete free
-    Hamiltonian (radial: ((pi / 2L))^2 at leading order) so the inverse is
-    positive definite.  The result is read-only and kept in a small LRU
-    cache keyed by (grid, lambda).
+    Factors the tridiagonal H0 - lambda^2 once (H0's bands are
+    `birman.tridiagonal_bs(grid, 0.0)`) and returns the function that maps
+    x, a vector or a matrix of columns, to (H0 - lambda^2)^{-1} x in O(M)
+    per column.  Requires lambda^2 below the first eigenvalue of the
+    discrete free Hamiltonian (`jordan.free_edge_scale` at leading order) so
+    the inverse is positive definite.
     """
-    key = (grid.mode, float(grid.extent), grid.size, float(lam))
-    hit = _DOMAIN_RESOLVENT_CACHE.get(key)
-    if hit is not None:
-        _DOMAIN_RESOLVENT_CACHE.move_to_end(key)
-        return hit
-    H0 = evolution.discretize_H(None, grid)
-    R = np.linalg.inv(H0 - lam**2 * np.eye(grid.size)).astype(complex)
-    R.setflags(write=False)
-    _DOMAIN_RESOLVENT_CACHE[key] = R
-    if len(_DOMAIN_RESOLVENT_CACHE) > _DOMAIN_RESOLVENT_CACHE_SIZE:
-        _DOMAIN_RESOLVENT_CACHE.popitem(last=False)
-    return R
+    dl, d, du = birman.tridiagonal_bs(grid, 0.0)
+    return birman._tridiagonal_solver(dl, d - lam**2, du, f"lambda={lam}")
 
 
 def _bs_matrix(V, grid, lam):
-    """I + V R0(lambda^2) with the domain resolvent family."""
-    return np.eye(grid.size) + birman.potential_operator(V, domain_resolvent(grid, lam))
+    """The dense I + V R0(lambda^2) with the domain resolvent family."""
+    R = domain_resolvent(grid, lam)(np.eye(grid.size, dtype=complex))
+    return np.eye(grid.size) + birman.potential_operator(V, R)
 
 
 @dataclass
@@ -116,7 +106,7 @@ def build_S0(V, grid, basis, window="auto"):
     M = grid.size
     w = grid.weights
     Y = np.column_stack([psikk.values for _, _, _, psikk in chains])
-    constraints = [GridFunction(grid, R0 @ psikk.values) for _, _, _, psikk in chains]
+    constraints = [GridFunction(grid, R0(psikk.values)) for _, _, _, psikk in chains]
     C = np.vstack([(w * c.values) for c in constraints])
     # Duality check: pairing V psi_{1,k} against R0(0) psi_{k',k'}.
     D = np.array(
@@ -146,9 +136,14 @@ def build_S0(V, grid, basis, window="auto"):
 
 
 def _series_step(reg, lam):
-    """The contraction factor operator -S0 Q~0 V B0(lambda^2)."""
-    B = domain_resolvent(reg.grid, lam) - domain_resolvent(reg.grid, 0.0)
-    return -(birman.potential_operator(reg.V, reg.S0 @ reg.Qt0, right=True) @ B)
+    """The contraction factor operator -S0 Q~0 V B0(lambda^2).
+
+    With X = S0 Q~0 V, X B0 = (R0(lambda^2) X^T - R0(0) X^T)^T: 2M
+    tridiagonal solves in place of the M x M difference kernel.
+    """
+    grid = reg.grid
+    Xt = birman.potential_operator(reg.V, reg.S0 @ reg.Qt0, right=True).T
+    return -(domain_resolvent(grid, lam)(Xt) - domain_resolvent(grid, 0.0)(Xt)).T
 
 
 def contraction_factor(reg, lam):
@@ -194,9 +189,9 @@ def one_sided_residual(reg, lam=0.0):
     input projection built from the dual chains).
     """
     grid = reg.grid
-    T = _bs_matrix(reg.V, grid, lam)
     S = build_S_lambda(reg, lam)
-    lhs = reg.Qt0 @ T @ S
+    RS = domain_resolvent(grid, lam)(S)
+    lhs = reg.Qt0 @ (S + birman.potential_operator(reg.V, RS))
     # Domain projector onto X-bar_1-perp = {f : pair(f, psi_{1,k}) = 0}.
     chains = _diag_chains(reg.basis)
     P = np.eye(grid.size, dtype=complex)
@@ -255,9 +250,9 @@ def chain_identity_residual(V, grid, basis, lam):
     out = []
     for (j, k, ell) in jordan.canonical_labels(basis.multiplicities):
         psi = basis.vectors[(j, k, ell)].values
-        lhs = psi + R0 @ birman.potential_operator(V, psi)
+        lhs = psi + R0(birman.potential_operator(V, psi))
         prev = basis.vectors[(j - 1, k, ell)].values if j > 1 else 0.0
-        rhs = R0 @ (prev - lam**2 * psi)
+        rhs = R0(prev - lam**2 * psi)
         diff = lhs - rhs
         absres = float(np.sum(grid.weights * np.abs(diff)))
         scale = (1.0 + lam**2) * max(np.sum(grid.weights * np.abs(psi)), 1e-300)
@@ -276,8 +271,8 @@ def telescope_residual(V, grid, basis, lam):
             acc = np.zeros(grid.size, complex)
             for j in range(1, k + 1):
                 acc += lam ** (2 * (j - 1)) * basis.vectors[(j, k, ell)].values
-            lhs = acc + R0 @ birman.potential_operator(V, acc)
-            rhs = -(lam ** (2 * k)) * (R0 @ basis.vectors[(k, k, ell)].values)
+            lhs = acc + R0(birman.potential_operator(V, acc))
+            rhs = -(lam ** (2 * k)) * R0(basis.vectors[(k, k, ell)].values)
             absres = float(np.sum(grid.weights * np.abs(lhs - rhs)))
             scale = (1.0 + lam**2) * max(
                 np.sum(grid.weights * np.abs(acc)), 1e-300
@@ -301,7 +296,7 @@ def exact_inverse_residual(V, grid, basis, lam):
                 Psi += lam ** (-2 * (k + 1 - j)) * birman.potential_operator(
                     V, basis.vectors[(j, k, ell)].values
                 )
-            lhs = Psi + birman.potential_operator(V, R0 @ Psi)
+            lhs = Psi + birman.potential_operator(V, R0(Psi))
             diff = lhs - psikk
             absres = float(np.sum(grid.weights * np.abs(diff)))
             blowup = max(lam ** (-2 * k), 1.0)
@@ -344,10 +339,14 @@ def _formula(reg, lam, S, f, variant="R0"):
     V, grid, basis = reg.V, reg.grid, reg.basis
     u = S @ (reg.Qt0 @ f.values)
     ugf = GridFunction(grid, u)
+    R = domain_resolvent(grid, lam)
     if variant == "R0":
-        pair_op = domain_resolvent(grid, lam)
+        pair_op = R
     elif variant == "B0":
-        pair_op = domain_resolvent(grid, lam) - domain_resolvent(grid, 0.0)
+        R_0 = domain_resolvent(grid, 0.0)
+
+        def pair_op(x):
+            return R(x) - R_0(x)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     chains = _diag_chains(basis)
@@ -360,7 +359,7 @@ def _formula(reg, lam, S, f, variant="R0"):
             birman.potential_operator(V, basis.vectors[(j, k, ell)].values)
             for j in range(1, k + 1)
         ]
-        coef2 = bilinear_pair(ugf, GridFunction(grid, pair_op @ psikk.values))
+        coef2 = bilinear_pair(ugf, GridFunction(grid, pair_op(psikk.values)))
         bracket2 = sum(
             lam ** (2 * (j - 1)) * Vchain[j - 1] for j in range(1, k + 1)
         ) + lam ** (2 * k) * psikk.values
@@ -375,7 +374,7 @@ def _formula(reg, lam, S, f, variant="R0"):
         result = result + coef2 * bracket2 + coef3 * bracket3
         # alternative-form diagnostics
         if Tu is None:
-            Tu = GridFunction(grid, _bs_matrix(V, grid, lam) @ u)
+            Tu = GridFunction(grid, u + birman.potential_operator(V, R(u)))
         Fk = bilinear_pair(Tu, psi1)
         F[(k, ell)] = Fk
         out1 = out1 + (bilinear_pair(f, psi1) - Fk) * bracket3

@@ -50,7 +50,10 @@ class ResolventSpec:
 def free_kernel_radial(spec, r, rp):
     """Reduced s-wave kernel sin(lambda r_<) e^{i s lambda r_>} / lambda.
 
-    Limits to r_< as lambda -> 0.  Symmetric in (r, r').
+    Limits to r_< as lambda -> 0.  Symmetric in (r, r').  The real quotient
+    sin(lambda r_<) / lambda is formed before the phase multiplies it, as in
+    `kernel_generators`: dividing the complex product by a subnormal lambda
+    overflows to inf + nan j.
     """
     r = np.asarray(r, dtype=float)
     rp = np.asarray(rp, dtype=float)
@@ -61,7 +64,7 @@ def free_kernel_radial(spec, r, rp):
     if spec.lam == 0:
         return lo.astype(complex)
     lam = spec.lam
-    return np.sin(lam * lo) * np.exp(1j * spec.sign * lam * hi) / lam
+    return np.sin(lam * lo) / lam * np.exp(1j * spec.sign * lam * hi)
 
 
 def kernel_generators(spec, r):

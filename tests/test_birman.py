@@ -112,7 +112,8 @@ def test_tridiagonal_bs_inverts_R0(lam, sign):
 @given(
     nodes=st.integers(8, 120),
     extent=st.floats(1.0, 20.0),
-    # |lambda h| >= 1e-6 or 0: a subnormal lambda makes the dense oracle NaN
+    # |lambda h| >= 1e-6 or 0: at a deeply subnormal lambda h the closed-form
+    # bands lose all precision (h sin(lambda h) underflows to 0 at 5e-324)
     lam_h=st.one_of(st.just(0.0), st.floats(1e-6, 6.2), st.floats(-6.2, -1e-6)),
     sign=st.sampled_from([Branch.PLUS, Branch.MINUS]),
     seed=st.integers(0, 2**32 - 1),

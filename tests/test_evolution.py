@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg as sla
 
 from speclab import evolution, grids, jordan, potentials
-from speclab.evolution import Method
 from speclab.grids import GridFunction, Mode
 
 
@@ -100,24 +99,6 @@ def test_free_evolution_matches_analytic_kernel(g200):
     pn = grids.profile_values(numeric)[mask]
     pa = grids.profile_values(analytic)[mask]
     assert np.abs(pn - pa).max() / np.abs(pa).max() < 0.02
-
-
-def test_eigendecomp_path_agrees(g200):
-    V = potentials.gaussian_well(g200, depth=4.0)
-    f = grids.gaussian_bump(g200)
-    a = evolution.propagate(evolution.make_plan(V, g200, [1.5]), f)[0]
-    b = evolution.propagate(
-        evolution.make_plan(V, g200, [1.5], method=Method.EIGEN_DECOMP), f
-    )[0]
-    assert np.abs(a.values - b.values).max() < 1e-8
-
-
-def test_eigendecomp_rejected_near_defective(chain_fixture20):
-    g, F = chain_fixture20["grid"], chain_fixture20["V"]
-    f = grids.gaussian_bump(g)
-    plan = evolution.make_plan(F, g, [1.0], method=Method.EIGEN_DECOMP)
-    with pytest.raises(evolution.NearDefectiveError):
-        evolution.propagate(plan, f)
 
 
 def test_jordan_polynomial_growth(chain_fixture20):

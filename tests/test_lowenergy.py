@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from speclab import birman, grids, lowenergy
+from speclab import birman, evolution, grids, jordan, lowenergy
 from speclab.grids import GridFunction
 
 
@@ -12,30 +14,38 @@ def _rand_f(grid, rng):
 
 
 def test_domain_resolvent_inverts_H(ee6):
-    from speclab import evolution
-
     g = ee6["grid"]
     lam = 0.1
     H0 = evolution.discretize_H(None, g)
-    R = lowenergy.domain_resolvent(g, lam)
+    R = lowenergy.domain_resolvent(g, lam)(np.eye(g.size, dtype=complex))
     eye = (H0 - lam**2 * np.eye(g.size)) @ R
     assert np.abs(eye - np.eye(g.size)).max() < 1e-10
 
 
-def test_domain_resolvent_cache_is_bounded():
-    g = grids.make_grid(grids.Mode.RADIAL_SWAVE, 2.0, 16)
-    size = lowenergy._DOMAIN_RESOLVENT_CACHE_SIZE
-    lams = [0.01 * k for k in range(1, size + 4)]
-    for lam in lams:
-        lowenergy.domain_resolvent(g, lam)
-        # the oldest entry stays cached while it keeps being used
-        lowenergy.domain_resolvent(g, lams[0])
-    cache = lowenergy._DOMAIN_RESOLVENT_CACHE
-    assert len(cache) <= size
-    assert (g.mode, g.extent, g.size, lams[0]) in cache
-    assert (g.mode, g.extent, g.size, lams[1]) not in cache
-    for R in cache.values():
-        assert isinstance(R, np.ndarray) and not R.flags.writeable
+@settings(max_examples=60, deadline=None)
+@given(
+    nodes=st.integers(8, 120),
+    extent=st.floats(1.0, 20.0),
+    # lambda^2 as a fraction of the free edge, below the first discrete
+    # eigenvalue (at least 0.996 of the edge at 8 nodes)
+    edge_fraction=st.floats(0.0, 0.99),
+    columns=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_domain_resolvent_matches_dense_solve(
+    nodes, extent, edge_fraction, columns, seed
+):
+    grid = grids.make_grid(grids.Mode.RADIAL_SWAVE, extent, nodes)
+    lam = np.sqrt(edge_fraction * jordan.free_edge_scale(grid))
+    A = evolution.discretize_H(None, grid) - lam**2 * np.eye(nodes)
+    apply = lowenergy.domain_resolvent(grid, lam)
+    rng = np.random.default_rng(seed)
+    for shape in ((nodes,), (nodes, columns)):
+        X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expect = np.linalg.solve(A, X)
+        got = apply(X)
+        assert got.shape == X.shape
+        assert np.abs(got - expect).max() <= 1e-10 * np.abs(expect).max()
 
 
 def test_s0_one_sided_inverse(ee_small):

@@ -24,6 +24,14 @@ def test_kernel_small_lambda_limit():
     assert abs(lo - 2.0) < 1e-6
 
 
+def test_build_R0_at_subnormal_lambda(g):
+    # a subnormal lambda takes the lambda = 0 limit instead of inf + nan j
+    R = resolvent.build_R0(g, ResolventSpec(1e-310, Branch.PLUS))
+    R0 = resolvent.build_R0(g, ResolventSpec(0.0, Branch.PLUS))
+    assert np.isfinite(R).all()
+    assert np.abs(R - R0).max() <= 1e-9 * np.abs(R0).max()
+
+
 def test_kernel_symmetric(g):
     R0 = resolvent.build_R0(g, ResolventSpec(0.7, Branch.PLUS))
     assert np.abs(R0 - R0.T).max() == 0.0
