@@ -273,26 +273,21 @@ def run_invert(cfg, grid, V, rng, out_dir=None, *, threshold=None):
         "one_sided_S0": lowenergy.one_sided_residual(reg, 0.0),
         "range_constraint": lowenergy.range_constraint_residual(reg),
     }
-    per_lambda = []
-    for lam in lambdas:
-        per_lambda.append({
-            "lambda": lam,
-            "chain": max(
-                (r["rel"] for r in
-                 lowenergy.chain_identity_residual(V, grid, basis, lam)),
-                default=0.0,
-            ),
-            "telescope": max(
-                (r["rel"] for r in
-                 lowenergy.telescope_residual(V, grid, basis, lam)),
-                default=0.0,
-            ),
-            "exact_inverse": max(
-                (r["scaled"] for r in
-                 lowenergy.exact_inverse_residual(V, grid, basis, lam)),
-                default=0.0,
-            ),
-        })
+    if out_dir is not None and basis.dim > 0:
+        # The scan's rows carry the identity residuals of every lambda.
+        probe = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+        f_adm = lowenergy.admissible_part(GridFunction(grid, probe), basis)
+        rows = lowenergy.low_energy_scan(
+            reg, np.array(lambdas), f_adm, grids.gaussian_bump(grid),
+            path=os.path.join(out_dir, "low_energy_scan.csv"),
+        )
+    else:
+        rows = [lowenergy.identity_residuals(V, grid, basis, lam) for lam in lambdas]
+    per_lambda = [
+        {"lambda": lam, "chain": row["resid_chain"],
+         "telescope": row["resid_telescope"], "exact_inverse": row["resid_exactinv"]}
+        for lam, row in zip(lambdas, rows)
+    ]
     out = {
         "pipeline": "invert",
         "potential": V.name,
@@ -303,13 +298,6 @@ def run_invert(cfg, grid, V, rng, out_dir=None, *, threshold=None):
         "residuals": residuals,
         "per_lambda": per_lambda,
     }
-    if out_dir is not None and basis.dim > 0:
-        probe = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-        f_adm = lowenergy.admissible_part(GridFunction(grid, probe), basis)
-        lowenergy.low_energy_scan(
-            reg, np.array(lambdas), f_adm, grids.gaussian_bump(grid),
-            path=os.path.join(out_dir, "low_energy_scan.csv"),
-        )
     for key in ("one_sided_S0", "range_constraint"):
         if residuals[key] > tol["one_sided_residual"]:
             raise CheckFailure(f"{key} residual {residuals[key]:.3e}")

@@ -14,8 +14,9 @@ fixtures.  `threshold` computes the concrete version once per scenario:
 the filtration dims, the X_1 states that `classify_state` sorts into
 eigenvalues and resonances, and the basis.  From the basis come the
 spectral projections P0 (full), the limited P~0 / Q~0 pair used by the
-low-energy inverse, and P_pp (all point spectrum, via Schur-based Riesz
-projectors).
+low-energy inverse, and P_pp (all point spectrum: bilinear rank-one
+projectors of simple eigenvalues by tridiagonal inverse iteration, Schur-based
+Riesz projectors elsewhere).
 """
 
 from __future__ import annotations
@@ -497,10 +498,23 @@ def build_Ppp(
 ):
     """Projection onto all point spectrum away from the continuum edge.
 
-    Discrete eigenvalues with Re < -delta_edge or |Im| > delta_im are point
-    spectrum; they are clustered and each cluster's Riesz projector is
-    extracted from a sorted Schur form via a Sylvester solve.  A threshold
-    basis (zero-energy part) may be supplied and its P0 is added.
+    Discrete eigenvalues (one dense `eigvals` of H) with Re < -delta_edge or
+    |Im| > delta_im are point spectrum; they are clustered, and the Riesz
+    projectors of the clusters are summed.  A threshold basis (zero-energy
+    part) may be supplied and its P0 is added.
+
+    The path per cluster is read off the input.  H is complex symmetric, so
+    the left eigenvector of a simple eigenvalue z is the transposed right
+    one psi, and its Riesz projector is the bilinear rank-one
+    psi psi^T / (psi^T psi), in the pairing of the self-dual Jordan basis.
+    For a sampled potential (tridiagonal H) a single-member cluster takes
+    that formula, with psi from inverse iteration on the tridiagonal H - z
+    (`_rank_one_projector`, O(M) per step).  `_riesz_projector`, a sorted
+    Schur form and a Sylvester solve, serves the rest: a dense perturbation
+    matrix, a cluster of more than one eigenvalue, a near-defective
+    eigenvalue (condition kappa = ||psi||^2 / |psi^T psi| above KAPPA_MAX)
+    and an eigenpair whose residual ||H psi - z psi|| exceeds
+    RESIDUAL_TOL ||H||_1 ||psi||.
     """
     H = evolution.discretize_H(V, grid)
     if delta_edge is None:
@@ -510,13 +524,74 @@ def build_Ppp(
         ev for ev in evals if ev.real < -delta_edge or abs(ev.imag) > delta_im
     ]
     clusters = _cluster(selected, cluster_tol)
+    v = np.zeros(grid.size) if V is None else birman._samples(V)
+    bands = None
+    if v is not None:
+        dl, d, du = birman.tridiagonal_bs(grid, 0.0)
+        bands = (dl, d + v, du)
     P = np.zeros((grid.size, grid.size), complex)
     for center, members in clusters:
-        radius = max(abs(ev - center) for ev in members) + cluster_tol
-        P += _riesz_projector(H, center, radius)
+        proj = None
+        if bands is not None and len(members) == 1:
+            proj = _rank_one_projector(*bands, center)
+        if proj is None:
+            radius = max(abs(ev - center) for ev in members) + cluster_tol
+            proj = _riesz_projector(H, center, radius)
+        P += proj
     if basis is not None and basis.dim > 0:
         P += build_P0(basis, grid)
     return P
+
+
+#: Largest eigenvalue condition kappa = ||psi||^2 / |psi^T psi| at which
+#: `build_Ppp` uses the rank-one projector; beyond it the eigenvalue counts
+#: as near-defective and takes the Schur path.
+KAPPA_MAX = 1e3
+
+#: Largest residual ||H psi - z psi|| / (||H||_1 ||psi||) of an accepted
+#: inverse-iteration eigenpair.
+RESIDUAL_TOL = 1e-12
+
+#: Inverse-iteration steps.  z is a backward-stable eigenvalue, so each
+#: solve amplifies psi over the other eigenvectors by about
+#: gap / (eps ||H|| kappa); the second step reaches round-off.
+INVERSE_ITERATIONS = 3
+
+
+def _rank_one_projector(dl, d, du, z):
+    """psi psi^T / (psi^T psi) for the simple eigenvalue z of tridiag(dl, d, du).
+
+    psi comes from INVERSE_ITERATIONS steps of inverse iteration on
+    tridiag(dl, d - z, du), factored once (`birman._tridiagonal_solver`);
+    an exactly zero pivot at the computed z moves z by a few ulps of
+    ||H||_1.  Returns None, for the Schur path, when the factorization
+    still fails, the eigenvalue is near-defective (kappa > KAPPA_MAX) or the
+    residual check fails.
+    """
+    col = np.abs(d)
+    col[1:] += np.abs(du)
+    col[:-1] += np.abs(dl)
+    hnorm = float(col.max())
+    for shift in (0.0, 4.0 * np.finfo(float).eps * hnorm):
+        try:
+            solve = birman._tridiagonal_solver(dl, d - (z + shift), du)
+            break
+        except birman.NearSingularError:
+            continue
+    else:
+        return None
+    # A fixed random start vector: deterministic, and without the structure
+    # that can leave a constant vector nearly free of an oscillating psi.
+    rng = np.random.default_rng(0)
+    psi = rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size)
+    for _ in range(INVERSE_ITERATIONS):
+        psi = solve(psi)
+        psi /= np.linalg.norm(psi)
+    resid = np.linalg.norm(birman._tridiagonal_apply(dl, d, du, psi) - z * psi)
+    bilinear = psi @ psi
+    if resid > RESIDUAL_TOL * hnorm or abs(bilinear) * KAPPA_MAX < 1.0:
+        return None
+    return np.outer(psi, psi / bilinear)
 
 
 def _cluster(evals, cluster_tol):
@@ -547,6 +622,10 @@ def _riesz_projector(H, center, radius):
 
     Sorted complex Schur form [[T11, T12], [0, T22]] with the cluster in
     T11; the projector is Z [[I, X], [0, 0]] Z* with T11 X - X T22 = T12.
+    O(M^3); `build_Ppp` uses it for clusters of more than one eigenvalue,
+    near-defective eigenvalues and dense perturbation matrices, where the
+    rank-one formula is not safe, and the tests use it as the oracle of
+    `_rank_one_projector`.
     """
     T, Z, sdim = sla.schur(
         H, output="complex", sort=lambda z: abs(z - center) <= radius

@@ -28,7 +28,7 @@ products X R0(lambda^2) are formed as (R0(lambda^2) X^T)^T.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,6 +71,12 @@ class RegularizedInverse:
     Qt0: np.ndarray
     window: float
     range_constraints: list  # GridFunctions R0(0) psi_{k,k} (range must be B-orthogonal)
+    # (S0 Q~0 V)^T, the lambda-independent factor of `_series_step`: an M^3
+    # product, formed once here rather than on every call.
+    Xt: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.Xt = birman.potential_operator(self.V, self.S0 @ self.Qt0, right=True).T
 
 
 def _diag_chains(basis):
@@ -138,11 +144,11 @@ def build_S0(V, grid, basis, window="auto"):
 def _series_step(reg, lam):
     """The contraction factor operator -S0 Q~0 V B0(lambda^2).
 
-    With X = S0 Q~0 V, X B0 = (R0(lambda^2) X^T - R0(0) X^T)^T: 2M
-    tridiagonal solves in place of the M x M difference kernel.
+    With X = S0 Q~0 V (stored transposed as reg.Xt),
+    X B0 = (R0(lambda^2) X^T - R0(0) X^T)^T: 2M tridiagonal solves in place
+    of the M x M difference kernel.
     """
-    grid = reg.grid
-    Xt = birman.potential_operator(reg.V, reg.S0 @ reg.Qt0, right=True).T
+    grid, Xt = reg.grid, reg.Xt
     return -(domain_resolvent(grid, lam)(Xt) - domain_resolvent(grid, 0.0)(Xt)).T
 
 
@@ -171,13 +177,18 @@ def build_S_lambda(reg, lam, tol=1e-13, max_terms=200):
     Raises NoContractionError or SeriesNotConvergedError (see birman) rather
     than return a partial sum.
     """
+    return _S_lambda(reg, lam, tol, max_terms)[0]
+
+
+def _S_lambda(reg, lam, tol=1e-13, max_terms=200):
+    """S(lambda) and its contraction factor (0 at lambda = 0), as
+    `build_S_lambda` builds them, from one series step."""
     if lam == 0:
-        return reg.S0
+        return reg.S0, 0.0
     if abs(lam) > reg.window:
         raise ValueError(f"lambda {lam} outside validity window {reg.window}")
     step = _series_step(reg, lam)
-    total, _ = birman._neumann_series(reg.S0, step, reg.grid, tol, max_terms)
-    return total
+    return birman._neumann_series(reg.S0, step, reg.grid, tol, max_terms)
 
 
 def one_sided_residual(reg, lam=0.0):
@@ -320,13 +331,9 @@ def inverse_via_formula(reg, lam, f, variant="R0"):
     and a diagnostics dict exposing the alternative-form coefficients F_k
     and its evaluation for the algebraic-equivalence check.
     """
-    result, F, out1 = _formula(reg, lam, build_S_lambda(reg, lam), f, variant)
-    diagnostics = {
-        "F": F,
-        "inverse1": out1,
-        "contraction": contraction_factor(reg, lam),
-    }
-    return result, diagnostics
+    S, contraction = _S_lambda(reg, lam)
+    result, F, out1 = _formula(reg, lam, S, f, variant)
+    return result, {"F": F, "inverse1": out1, "contraction": contraction}
 
 
 def _formula(reg, lam, S, f, variant="R0"):
@@ -381,33 +388,50 @@ def _formula(reg, lam, S, f, variant="R0"):
     return GridFunction(grid, result), F, GridFunction(grid, out1)
 
 
+def identity_residuals(V, grid, basis, lam):
+    """The largest chain, telescope and exact-inverse residuals at lambda.
+
+    The keys are the `low_energy_scan` columns resid_chain, resid_telescope
+    and resid_exactinv; an empty basis gives 0 for each.
+    """
+    return {
+        "resid_chain": max(
+            (r["rel"] for r in chain_identity_residual(V, grid, basis, lam)),
+            default=0.0,
+        ),
+        "resid_telescope": max(
+            (r["rel"] for r in telescope_residual(V, grid, basis, lam)),
+            default=0.0,
+        ),
+        "resid_exactinv": max(
+            (r["scaled"] for r in exact_inverse_residual(V, grid, basis, lam)),
+            default=0.0,
+        ),
+    }
+
+
 def low_energy_scan(reg, lambdas, f_admissible, f_generic, path=None):
     """lambda scan of formula outputs and identity residuals, optionally to CSV.
 
     Columns: lambda, norm_admissible_f, norm_generic_f, contraction,
     resid_chain, resid_telescope, resid_exactinv.  S(lambda) and its
-    contraction factor are built once per lambda and serve both data.
+    contraction factor come from one Neumann series per lambda and serve
+    both data.
     """
     V, grid, basis = reg.V, reg.grid, reg.basis
     rows = []
     for lam in lambdas:
-        S = build_S_lambda(reg, lam)
+        resid = identity_residuals(V, grid, basis, lam)
+        S, contraction = _S_lambda(reg, lam)
         ga = _formula(reg, lam, S, f_admissible)[0]
         gg = _formula(reg, lam, S, f_generic)[0]
-        rc = max(r["rel"] for r in chain_identity_residual(V, grid, basis, lam))
-        rt = max(r["rel"] for r in telescope_residual(V, grid, basis, lam))
-        re_ = max(
-            r["scaled"] for r in exact_inverse_residual(V, grid, basis, lam)
-        )
         rows.append(
             {
                 "lambda": lam,
                 "norm_admissible_f": lp_norm(ga, 1),
                 "norm_generic_f": lp_norm(gg, 1),
-                "contraction": contraction_factor(reg, lam),
-                "resid_chain": rc,
-                "resid_telescope": rt,
-                "resid_exactinv": re_,
+                "contraction": contraction,
+                **resid,
             }
         )
     if path is not None:

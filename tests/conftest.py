@@ -5,9 +5,15 @@ eigensolves), so they are session-scoped and shared across test modules.
 """
 
 import pytest
+from hypothesis import settings
 
 from speclab import grids, jordan, lowenergy, potentials
 from speclab.grids import Mode
+
+# One profile for every property test.  No deadline: example times vary
+# with the grid size drawn and with the machine's load.
+settings.register_profile("speclab", max_examples=60, deadline=None)
+settings.load_profile("speclab")
 
 
 @pytest.fixture(scope="session")

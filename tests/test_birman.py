@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from speclab import birman, potentials, resolvent
@@ -108,7 +108,6 @@ def test_tridiagonal_bs_inverts_R0(lam, sign):
     assert np.abs(T - inv).max() < 1e-10 * np.abs(inv).max()
 
 
-@settings(max_examples=60, deadline=None)
 @given(
     nodes=st.integers(8, 120),
     extent=st.floats(1.0, 20.0),

@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from speclab import evolution, grids, jordan, potentials
-from speclab.grids import Mode
+from speclab import birman, evolution, grids, jordan, potentials
+from speclab.grids import GridFunction, Mode
 
 
 def test_hand_2x2_block_exact():
@@ -118,3 +122,91 @@ def test_riesz_projectors_orthogonal_across_clusters():
         assert np.abs(P @ P - P).max() < 1e-10
     assert np.abs(Ps[0] @ Ps[1]).max() < 1e-10
     assert np.abs(Ps[1] @ Ps[0]).max() < 1e-10
+
+
+def _counted(monkeypatch, name):
+    """Wrap jordan.<name> so that its calls and results are recorded."""
+    calls = []
+    original = getattr(jordan, name)
+
+    def counted(*args):
+        out = original(*args)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(jordan, name, counted)
+    return calls
+
+
+def test_rank_one_projectors_match_schur(monkeypatch):
+    g = grids.make_grid(Mode.RADIAL_SWAVE, 20.0, 400)
+    V = potentials.gaussian_well(g, depth=12.0, width=2.0)
+    H = evolution.discretize_H(V, g)
+    ev = np.linalg.eigvals(H)
+    pts = np.sort_complex(ev[ev.real < -0.05])
+    assert len(pts) == 2
+    dl, d, du = birman.tridiagonal_bs(g, 0.0)
+    for z in pts:
+        P1 = jordan._rank_one_projector(dl, d + V.values.values, du, z)
+        P2 = jordan._riesz_projector(H, z, 1e-6)
+        assert np.abs(P1 - P2).max() < 1e-10
+    schur = _counted(monkeypatch, "_riesz_projector")
+    P = jordan.build_Ppp(V, g, delta_edge=0.05)
+    assert not schur
+    # Widened clusters merge the two eigenvalues: one Schur projector, the
+    # same total.
+    merged = jordan.build_Ppp(V, g, delta_edge=0.05, cluster_tol=0.5)
+    assert len(schur) == 1
+    assert np.abs(merged - P).max() < 1e-10
+
+
+def test_dense_perturbation_takes_schur_path(monkeypatch):
+    g = grids.make_grid(Mode.RADIAL_SWAVE, 20.0, 150)
+    F = jordan.build_chain_fixture(g, {2: 1}, seed=3)
+    dense = F + np.diag(potentials.gaussian_well(g, depth=4.0, width=1.0).values.values)
+    schur = _counted(monkeypatch, "_riesz_projector")
+    rank_one = _counted(monkeypatch, "_rank_one_projector")
+    P = jordan.build_Ppp(dense, g)
+    assert schur and not rank_one
+    assert np.abs(P @ P - P).max() < 1e-10
+
+
+def test_zero_pivot_shifts_the_eigenvalue(monkeypatch, grid20, well20):
+    H = evolution.discretize_H(well20, grid20)
+    z = np.sort_complex(np.linalg.eigvals(H))[0]
+    factor = birman._tridiagonal_solver
+    shifts = []
+
+    def singular_once(dl, d, du, context=""):
+        shifts.append(d)
+        if len(shifts) == 1:
+            raise birman.NearSingularError(np.inf, context)
+        return factor(dl, d, du, context)
+
+    monkeypatch.setattr(birman, "_tridiagonal_solver", singular_once)
+    dl, d, du = birman.tridiagonal_bs(grid20, 0.0)
+    P = jordan._rank_one_projector(dl, d + well20.values.values, du, z)
+    assert len(shifts) == 2 and 0 < np.abs(shifts[1] - shifts[0]).max() < 1e-10
+    assert np.abs(P - jordan._riesz_projector(H, z, 1e-6)).max() < 1e-10
+
+
+@given(
+    nodes=st.integers(8, 120),
+    extent=st.floats(1.0, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_build_Ppp_matches_schur_projectors(nodes, extent, seed):
+    grid = grids.make_grid(Mode.RADIAL_SWAVE, extent, nodes)
+    rng = np.random.default_rng(seed)
+    samples = rng.uniform(-10.0, 10.0, nodes) + 1j * rng.uniform(-2.0, 2.0, nodes)
+    V = birman.PotentialSpec("random", GridFunction(grid, samples))
+    try:
+        P = jordan.build_Ppp(V, grid, delta_im=0.5)
+    except jordan.ClusterAmbiguousError:
+        assume(False)
+    # The oracle: every cluster through its sorted-Schur Riesz projector.
+    with mock.patch.object(jordan, "_rank_one_projector", lambda *args: None):
+        oracle = jordan.build_Ppp(V, grid, delta_im=0.5)
+    # The norm of a rank-one projector is its eigenvalue's condition kappa.
+    kappa = max(np.linalg.norm(oracle, 2), 1.0)
+    assert np.abs(P - oracle).max() <= 1e-10 * kappa

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from speclab import birman, evolution, grids, jordan, lowenergy
@@ -22,7 +22,6 @@ def test_domain_resolvent_inverts_H(ee6):
     assert np.abs(eye - np.eye(g.size)).max() < 1e-10
 
 
-@settings(max_examples=60, deadline=None)
 @given(
     nodes=st.integers(8, 120),
     extent=st.floats(1.0, 20.0),
