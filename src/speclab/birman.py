@@ -32,7 +32,7 @@ from scipy import linalg as sla
 
 from . import resolvent
 from .grids import GridFunction, lp_norm, operator_l1_norm
-from .resolvent import Branch, ResolventSpec
+from .resolvent import Branch
 
 #: Condition-number cutoff defining NEAR_SINGULAR.
 COND_CUTOFF = 1e12
@@ -145,7 +145,7 @@ def sample_potential(name, grid, fn, p=1.4, q=2.0):
     Unlike wave functions, potentials multiply pointwise, so the stored
     values are plain samples V(r_i), not reduced waves r V.
     """
-    r = grid.radii
+    r = grid.nodes
     return PotentialSpec(name, GridFunction(grid, np.asarray(fn(r), complex)), p, q)
 
 
@@ -153,7 +153,7 @@ def build_bs(V, grid, lam, sign=Branch.PLUS):
     """I + V R0(lambda^2 +/- i0) (V = None means free)."""
     if V is None:
         return np.eye(grid.size, dtype=complex)
-    R0 = resolvent.build_R0(grid, ResolventSpec(lam, Branch(sign)))
+    R0 = resolvent.build_R0(grid, lam, sign)
     return np.eye(grid.size) + potential_operator(V, R0)
 
 
@@ -236,7 +236,7 @@ def bs_norm(v, grid, lam, sign=Branch.PLUS):
     and |1 + v_j a_j b_j h|, with (a, b) the kernel generators.
     """
     h = grid.spacing
-    a, b = resolvent.kernel_generators(ResolventSpec(lam, Branch(sign)), grid.nodes)
+    a, b = resolvent.kernel_generators(grid.nodes, lam, sign)
     below = np.concatenate(([0.0], np.cumsum(np.abs(v * a)[:-1]))) * h
     above = np.concatenate((np.cumsum(np.abs(v * b)[:0:-1])[::-1], [0.0])) * h
     diag = np.abs(1.0 + v * a * b * h)
@@ -262,7 +262,7 @@ def bs_solve(V, grid, lam, f, sign=Branch.PLUS, context=""):
     if v is None or not banded_energy(grid, lam):
         tinv, cond = direct_inverse(build_bs(V, grid, lam, sign), context)
         tinv_f = tinv @ f
-        R0 = resolvent.build_R0(grid, ResolventSpec(lam, Branch(sign)))
+        R0 = resolvent.build_R0(grid, lam, sign)
         return R0 @ tinv_f, tinv_f, cond
     dl, d, du = tridiagonal_bs(grid, lam, sign)
     solve = _tridiagonal_solver(dl, d + v, du, context)
@@ -325,7 +325,7 @@ def high_energy_norm_scan(V, grid, lambda_list):
         raise ValueError("empty lambda list")
     norms = []
     for lam in lambda_list:
-        R0 = resolvent.build_R0(grid, ResolventSpec(lam, Branch.PLUS))
+        R0 = resolvent.build_R0(grid, lam)
         M = potential_operator(V, R0)
         norms.append(operator_l1_norm(M @ M, grid))
     norms = np.asarray(norms)

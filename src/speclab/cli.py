@@ -4,12 +4,13 @@ persist JSON reports and CSV scans.
 Subcommands: threshold, invert, evolve, ftscan, full, fixtures.
 Exit codes: 0 success, 2 assertion failure (a configured check did not
 hold), 3 configuration error (the scenario file is missing, malformed or
-inconsistent; stderr gets one "configuration error: ..." line), 4
-numerical refusal (the scenario is
-well-formed but a numerical routine declined it: a near-singular solve, a
-Neumann series that does not contract or converge, a non-nilpotent or
-degenerate threshold space, ambiguous eigenvalue clusters or a degenerate
-duality pairing; stderr gets one
+inconsistent, its samples file is unreadable or holds non-finite values,
+or an invert lambda is 0 or beyond the validity window of S(lambda);
+stderr gets one "configuration error: ..." line), 4 numerical refusal
+(the scenario is well-formed but a numerical routine declined it: a
+near-singular solve, a Neumann series that does not contract or converge,
+a non-nilpotent or degenerate threshold space, ambiguous eigenvalue
+clusters or a degenerate duality pairing; stderr gets one
 "numerical refusal: ..." line).  Reports embed the full tolerance set and
 the grid metadata, carry no wall-clock data, and use fixed key order, so
 identical scenario files produce byte-identical JSON.
@@ -191,11 +192,16 @@ def make_scenario_potential(cfg, grid):
         path = pspec["samples_file"]
         if not os.path.exists(path):
             raise ConfigError(f"samples file not found: {path}")
-        vals = np.loadtxt(path, dtype=complex)
+        try:
+            vals = np.loadtxt(path, dtype=complex)
+        except ValueError as exc:
+            raise ConfigError(f"unreadable samples file {path}: {exc}") from None
         if vals.shape != (grid.size,):
             raise ConfigError(
                 f"samples file holds {vals.shape} values, grid has {grid.size}"
             )
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError(f"samples file {path} holds non-finite values")
         p, q = _exponents(pspec.get("p", 1.4), pspec.get("q", 2.0))
         return birman.PotentialSpec(
             os.path.basename(path), GridFunction(grid, vals), p, q
@@ -212,12 +218,18 @@ def _tolerances(cfg):
     return tol
 
 
-def _grid_metadata(grid):
+def _header(pipeline, V, grid, tol):
+    """The keys every report opens with: pipeline, potential, grid, tolerances."""
     return {
-        "mode": grid.mode.value,
-        "extent": float(grid.extent),
-        "nodes": grid.size,
-        "spacing": float(grid.spacing),
+        "pipeline": pipeline,
+        "potential": V.name,
+        "grid": {
+            "mode": grid.mode.value,
+            "extent": float(grid.extent),
+            "nodes": grid.size,
+            "spacing": float(grid.spacing),
+        },
+        "tolerances": tol,
     }
 
 
@@ -236,10 +248,7 @@ def run_threshold(cfg, grid, V, rng, out_dir=None, *, threshold=None):
     ]
     verdicts = [fit["verdict"] for fit in fits]
     out = {
-        "pipeline": "threshold",
-        "potential": V.name,
-        "grid": _grid_metadata(grid),
-        "tolerances": tol,
+        **_header("threshold", V, grid, tol),
         "dims": list(threshold.dims),
         "verdicts": verdicts,
         "c0": [[fit["c0"].real, fit["c0"].imag] for fit in fits],
@@ -269,30 +278,33 @@ def run_invert(cfg, grid, V, rng, out_dir=None, *, threshold=None):
         threshold = jordan.threshold(V, grid)
     basis = threshold.basis
     reg = lowenergy.build_S0(V, grid, basis, window=window)
+    for lam in lambdas:
+        if not 0 < abs(lam) <= reg.window:
+            raise ConfigError(
+                f"invert lambda {lam} outside the validity window "
+                f"0 < |lambda| <= {reg.window}"
+            )
     residuals = {
         "one_sided_S0": lowenergy.one_sided_residual(reg, 0.0),
         "range_constraint": lowenergy.range_constraint_residual(reg),
     }
     if out_dir is not None and basis.dim > 0:
-        # The scan's rows carry the identity residuals of every lambda.
         probe = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
         f_adm = lowenergy.admissible_part(GridFunction(grid, probe), basis)
-        rows = lowenergy.low_energy_scan(
+        lowenergy.low_energy_scan(
             reg, np.array(lambdas), f_adm, grids.gaussian_bump(grid),
             path=os.path.join(out_dir, "low_energy_scan.csv"),
         )
-    else:
-        rows = [lowenergy.identity_residuals(V, grid, basis, lam) for lam in lambdas]
-    per_lambda = [
-        {"lambda": lam, "chain": row["resid_chain"],
-         "telescope": row["resid_telescope"], "exact_inverse": row["resid_exactinv"]}
-        for lam, row in zip(lambdas, rows)
-    ]
+    per_lambda = []
+    for lam in lambdas:
+        row = lowenergy.identity_residuals(V, grid, basis, lam)
+        per_lambda.append(
+            {"lambda": lam, "chain": row["resid_chain"],
+             "telescope": row["resid_telescope"],
+             "exact_inverse": row["resid_exactinv"]}
+        )
     out = {
-        "pipeline": "invert",
-        "potential": V.name,
-        "grid": _grid_metadata(grid),
-        "tolerances": tol,
+        **_header("invert", V, grid, tol),
         "window": reg.window,
         "dims": {str(k): v for k, v in basis.multiplicities.items()},
         "residuals": residuals,
@@ -338,10 +350,7 @@ def run_evolve(cfg, grid, V, rng, out_dir=None, *, threshold=None):
         )
     report = evolution.dispersive_scan(plan, f, P)
     out = {
-        "pipeline": "evolve",
-        "potential": V.name,
-        "grid": _grid_metadata(grid),
-        "tolerances": tol,
+        **_header("evolve", V, grid, tol),
         "projected": P is not None,
         "exponent": report["exponent"],
         "stderr": report["stderr"],
@@ -390,10 +399,7 @@ def run_ftscan(cfg, grid, V, rng, out_dir=None, *, threshold=None):
             f = GridFunction(grid, f.values - P0 @ f.values)
     scan = ftdiag.t_hat_l1_scan(V, grid, f, window, params)
     out = {
-        "pipeline": "ftscan",
-        "potential": V.name,
-        "grid": _grid_metadata(grid),
-        "tolerances": tol,
+        **_header("ftscan", V, grid, tol),
         "window": window,
         "params": params,
         "total": scan.total,
@@ -413,13 +419,7 @@ def run_full(cfg, grid, V, rng, out_dir=None):
     """Threshold classification, inversion residuals, transform scan, and the
     dispersive-decay measurement, in order, on one scenario whose threshold
     is computed once."""
-    report = {
-        "pipeline": "full",
-        "potential": V.name,
-        "grid": _grid_metadata(grid),
-        "tolerances": _tolerances(cfg),
-        "stages": {},
-    }
+    report = {**_header("full", V, grid, _tolerances(cfg)), "stages": {}}
     threshold = jordan.threshold(V, grid)
     stages = report["stages"]
     stages["threshold"] = run_threshold(cfg, grid, V, rng, threshold=threshold)

@@ -150,7 +150,7 @@ def free_evolution_radial(grid, f, t):
 
 
 def _inner_mask(grid):
-    return grid.radii <= 0.5 * grid.extent
+    return grid.nodes <= 0.5 * grid.extent
 
 
 def _fit_loglog(ts, vals):

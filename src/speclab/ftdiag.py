@@ -18,7 +18,6 @@ kernel-bound checks below.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ import numpy as np
 from . import birman, resolvent
 from .birman import smooth_cutoff
 from .grids import lp_norm
-from .resolvent import Branch, ResolventSpec
+from .resolvent import Branch
 
 #: Reported verdict when a LOW-window total exceeds the divergence cap.
 DIVERGENT = "DIVERGENT"
@@ -55,20 +54,6 @@ class TransformScan:
             writer.writerow(["rho", "l1_profile"])
             for rho, prof in zip(self.rho, self.profile):
                 writer.writerow([f"{rho:.12g}", f"{prof:.12g}"])
-
-    def summary(self):
-        return {
-            "window": self.window,
-            "total": self.total,
-            "n": self.n,
-            "delta_lambda": self.delta_lambda,
-            "verdict": self.verdict,
-        }
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def lambda_grid(n, lam_max):
@@ -185,20 +170,21 @@ def _chi_hat():
     return _CHI_HAT
 
 
-def vb_hat_bound_check(V, grid, lambda0, r, halvings=4, n_rho=2048):
+def vb_hat_bound_check(V, grid, r, halvings=4, n_rho=2048):
     """Measured constant of the transformed V*B kernel bound and its r-scaling.
 
-    The kernel transform has the closed form (modulus-wise, the lambda0
-    phase drops) |V(x)| / (4 pi d) * |r chi-hat(r (rho - d)) - r chi-hat(r
-    rho)| with d = |x - y|.  The spatial integral uses the grid's volume
-    weights with y at the origin; the rho integral is direct quadrature of
-    the tabulated cutoff transform.  Reports the measured value per
+    The kernel transform has the closed form |V(x)| / (4 pi d) * |r
+    chi-hat(r (rho - d)) - r chi-hat(r rho)| in modulus, with d = |x - y|;
+    the phase of the subtraction point lambda0 drops out of the modulus, so
+    the bound does not depend on it.  The spatial integral uses the grid's
+    volume weights with y at the origin; the rho integral is direct
+    quadrature of the tabulated cutoff transform.  Reports the measured value per
     r-halving and the fitted r-exponent, to compare against
     epsilon = min(3/p - 2, 2 - 3/q).
     """
     chihat = _chi_hat()
     vals = np.abs(V.values.values)
-    d = grid.radii
+    d = grid.nodes
     radii = [r / 2**m for m in range(halvings)]
     measured = []
     for rm in radii:
@@ -248,7 +234,7 @@ def k2_bound_check(grid, basis, r, params=None):
     lams, delta = lambda_grid(n, lam_max)
     cut = smooth_cutoff(2.0 * lams / r)
     chi_l1 = chi_hat_l1(r=r / 2.0, n=n, lam_max=lam_max)
-    R00 = resolvent.build_R0(grid, ResolventSpec(0.0, Branch.MINUS))
+    R00 = resolvent.build_R0(grid, 0.0, Branch.MINUS)
     out = []
     for lab in labels:
         psibar = np.conj(basis.vectors[lab].values)
@@ -257,7 +243,7 @@ def k2_bound_check(grid, basis, r, params=None):
         for i, lam in enumerate(lams):
             if cut[i] == 0.0:
                 continue
-            R = resolvent.build_R0(grid, ResolventSpec(lam, Branch.MINUS))
+            R = resolvent.build_R0(grid, lam, Branch.MINUS)
             samples_r[i] = cut[i] * (R @ psibar)
             samples_b[i] = cut[i] * ((R - R00) @ psibar)
         rho, hat_r = _transform(samples_r, lams, delta)
@@ -265,7 +251,7 @@ def k2_bound_check(grid, basis, r, params=None):
         drho = rho[1] - rho[0]
         val_r = float((np.sum(np.abs(hat_r), axis=0) * drho).max())
         val_b = float((np.sum(np.abs(hat_b), axis=0) * drho).max())
-        x = grid.radii
+        x = grid.nodes
         quad = float(
             (np.minimum(x[:, None], x[None, :]) @ (grid.weights * np.abs(psibar))).max()
         )

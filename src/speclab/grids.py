@@ -59,11 +59,6 @@ class Grid:
     def size(self):
         return self.weights.shape[0]
 
-    @property
-    def radii(self):
-        """Distance of each node from the origin."""
-        return self.nodes
-
     def __eq__(self, other):
         if not isinstance(other, Grid):
             return NotImplemented
@@ -109,19 +104,6 @@ class GridFunction:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def __add__(self, other):
-        _check_same_grid(self.grid, other.grid)
-        return GridFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        _check_same_grid(self.grid, other.grid)
-        return GridFunction(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar):
-        return GridFunction(self.grid, self.values * scalar)
-
-    __rmul__ = __mul__
-
 
 def profile_values(f):
     """Underlying 3-D profile psi = u / r at each node."""
@@ -161,7 +143,7 @@ def profile_lp_norm(f, p):
 
 def gaussian_bump(grid, width=1.0):
     """L1-normalized origin-centered Gaussian bump: profile exp(-(r/width)^2)."""
-    vals = np.exp(-((grid.radii / width) ** 2)) * grid.radii
+    vals = np.exp(-((grid.nodes / width) ** 2)) * grid.nodes
     f = GridFunction(grid, vals.astype(complex))
     return GridFunction(grid, f.values / profile_lp_norm(f, 1))
 

@@ -28,7 +28,6 @@ from scipy import linalg as sla
 
 from . import birman, evolution, grids, resolvent
 from .grids import GridFunction, bilinear_pair
-from .resolvent import Branch, ResolventSpec
 
 
 class NotNilpotentError(ValueError):
@@ -150,9 +149,12 @@ def jordan_dual_basis(N, B=None, tol=1e-10):
     (default: plain dot product) is a nondegenerate symmetric bilinear form
     with B(Nu, v) = B(u, Nv).  The construction is top-down in chain length:
     candidate chain tops are orthogonalized against finished chains through
-    their dual partners, normalized by the scalar (at most quadratic)
-    equation B(N^{k-1}(z psi + phi), z psi + phi) = 1 with the smaller root
-    preferred, then corrected by psi <- psi - (m_a / 2) N^{k-1-a} psi to kill
+    their dual partners and normalized to m = B(N^{k-1} psi, psi) = 1.  A
+    top with m != 0 is divided by sqrt(m); an isotropic top (m = 0) is
+    combined with the queued candidate phi of largest b = B(N^{k-1} psi,
+    phi), where B(N^{k-1}(z psi + phi), z psi + phi) = 1 is linear in z, and
+    DegeneratePairingError is raised when no candidate pairs with it.  Each
+    top is then corrected by psi <- psi - (m_a / 2) N^{k-1-a} psi to kill
     the remaining same-chain pairings.
     """
     N = np.asarray(N, dtype=complex)
@@ -227,15 +229,11 @@ def jordan_dual_basis(N, B=None, tol=1e-10):
                     )
                 phi = queue.pop(best)
                 mphi = pair(powers[k - 1] @ phi, phi)
-                # B(N^{k-1}(z psi + phi), z psi + phi) = z^2 m + 2 z b + mphi = 1
-                if abs(m) <= tol * scale * norm2:
-                    roots = [(1.0 - mphi) / (2.0 * bval)]
-                else:
-                    roots = list(np.roots([m, 2.0 * bval, mphi - 1.0]))
-                roots.sort(key=lambda z: (abs(z), -np.real(z)))
-                z0 = roots[0]
+                # B(N^{k-1}(z psi + phi), z psi + phi) = 2 z b + mphi = 1,
+                # with m taken as 0.
+                z = (1.0 - mphi) / (2.0 * bval)
                 queue.append(psi)  # psi stays an independent candidate
-                psi = z0 * psi + phi
+                psi = z * psi + phi
             else:
                 psi = psi / np.lib.scimath.sqrt(m)
             # Kill same-chain pairings below the antidiagonal.
@@ -371,7 +369,7 @@ def classify_state(psi, grid=None, tol_res=1e-2):
     sup = float(np.abs(psi.values).max())
     if sup == 0.0:
         raise ZeroVectorError("cannot classify the zero vector")
-    r = grid.radii
+    r = grid.nodes
     prof = grids.profile_values(psi)
     order = np.argsort(r)
     outer = order[2 * len(r) // 3 :]
@@ -406,7 +404,7 @@ def build_filtration(V, grid, tol_rank=1e-8, max_k=8):
     X_k together with the homogeneous solutions X_1, and a list of
     GridFunctions.
     """
-    R0 = resolvent.build_R0(grid, ResolventSpec(0.0, Branch.PLUS))
+    R0 = resolvent.build_R0(grid, 0.0)
     Ut, s, Vht = np.linalg.svd(np.eye(grid.size) + birman.potential_operator(V, R0))
     rank = int(np.sum(s > tol_rank * s[0]))
     G = Vht[rank:].conj().T

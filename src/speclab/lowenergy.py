@@ -4,9 +4,12 @@ With a zero-energy Jordan basis in hand, the inverse is rebuilt from three
 ingredients: the constrained one-sided inverse S0 of I + V R0(0) on the
 complement of X-bar_1 (a bordered solve), its Neumann continuation S(lambda),
 and a pole-isolating inversion formula whose coefficients
-come from pairings with the chain basis.  The chain and telescoping
-identities this relies on are exposed as residual tables so the whole
-construction can be audited numerically against dense inversion.
+come from pairings with the chain basis.  The identities this relies on,
+the chain identity, its telescoped form and the inverse-action formula,
+are checked in one place, `identity_residuals`, which reports the largest
+residual of each per lambda; with `one_sided_residual` for S(lambda) on its
+window, the whole construction can be audited numerically against dense
+inversion.
 
 Pairing convention: the abstract <f, conj(g)> pairings are realized through
 the unconjugated bilinear pair against the stored basis members; in
@@ -174,15 +177,11 @@ def _auto_window(reg, target=0.5, iters=30):
 def build_S_lambda(reg, lam, tol=1e-13, max_terms=200):
     """Neumann continuation S(lambda) = sum (-S0 Q~0 V B0(l^2))^m S0.
 
-    Raises NoContractionError or SeriesNotConvergedError (see birman) rather
+    Returns S(lambda) and its contraction factor (0 at lambda = 0), both
+    from one series step.  Raises ValueError outside the validity window
+    and NoContractionError or SeriesNotConvergedError (see birman) rather
     than return a partial sum.
     """
-    return _S_lambda(reg, lam, tol, max_terms)[0]
-
-
-def _S_lambda(reg, lam, tol=1e-13, max_terms=200):
-    """S(lambda) and its contraction factor (0 at lambda = 0), as
-    `build_S_lambda` builds them, from one series step."""
     if lam == 0:
         return reg.S0, 0.0
     if abs(lam) > reg.window:
@@ -200,7 +199,7 @@ def one_sided_residual(reg, lam=0.0):
     input projection built from the dual chains).
     """
     grid = reg.grid
-    S = build_S_lambda(reg, lam)
+    S, _ = build_S_lambda(reg, lam)
     RS = domain_resolvent(grid, lam)(S)
     lhs = reg.Qt0 @ (S + birman.potential_operator(reg.V, RS))
     # Domain projector onto X-bar_1-perp = {f : pair(f, psi_{1,k}) = 0}.
@@ -247,78 +246,6 @@ def admissible_part(f, basis):
 
 
 # ---------------------------------------------------------------------------
-# Chain identities
-
-
-def chain_identity_residual(V, grid, basis, lam):
-    """Residuals of (I + R0(l^2)V) psi_{j,k} = R0(l^2)(psi_{j-1,k} - l^2 psi_{j,k}).
-
-    Returns a list of dicts with absolute and relative (per (1 + l^2) times
-    the chain member's L^1 norm) residuals; the j = 1 case degenerates to
-    the -l^2 R0 psi_{1,k} identity.
-    """
-    R0 = domain_resolvent(grid, lam)
-    out = []
-    for (j, k, ell) in jordan.canonical_labels(basis.multiplicities):
-        psi = basis.vectors[(j, k, ell)].values
-        lhs = psi + R0(birman.potential_operator(V, psi))
-        prev = basis.vectors[(j - 1, k, ell)].values if j > 1 else 0.0
-        rhs = R0(prev - lam**2 * psi)
-        diff = lhs - rhs
-        absres = float(np.sum(grid.weights * np.abs(diff)))
-        scale = (1.0 + lam**2) * max(np.sum(grid.weights * np.abs(psi)), 1e-300)
-        out.append(
-            {"j": j, "k": k, "ell": ell, "abs": absres, "rel": absres / scale}
-        )
-    return out
-
-
-def telescope_residual(V, grid, basis, lam):
-    """Residuals of the telescoped chain identity, per (k, ell)."""
-    R0 = domain_resolvent(grid, lam)
-    out = []
-    for k in sorted(basis.multiplicities, reverse=True):
-        for ell in range(1, basis.multiplicities[k] + 1):
-            acc = np.zeros(grid.size, complex)
-            for j in range(1, k + 1):
-                acc += lam ** (2 * (j - 1)) * basis.vectors[(j, k, ell)].values
-            lhs = acc + R0(birman.potential_operator(V, acc))
-            rhs = -(lam ** (2 * k)) * R0(basis.vectors[(k, k, ell)].values)
-            absres = float(np.sum(grid.weights * np.abs(lhs - rhs)))
-            scale = (1.0 + lam**2) * max(
-                np.sum(grid.weights * np.abs(acc)), 1e-300
-            )
-            out.append({"k": k, "ell": ell, "abs": absres, "rel": absres / scale})
-    return out
-
-
-def exact_inverse_residual(V, grid, basis, lam):
-    """Residuals of the closed inverse-action formula, scaled by the
-    intrinsic lambda^{-2k} blowup."""
-    if lam == 0:
-        raise ValueError("inverse-action formula is singular at lambda = 0")
-    R0 = domain_resolvent(grid, lam)
-    out = []
-    for k in sorted(basis.multiplicities, reverse=True):
-        for ell in range(1, basis.multiplicities[k] + 1):
-            psikk = basis.vectors[(k, k, ell)].values
-            Psi = psikk.astype(complex).copy()
-            for j in range(1, k + 1):
-                Psi += lam ** (-2 * (k + 1 - j)) * birman.potential_operator(
-                    V, basis.vectors[(j, k, ell)].values
-                )
-            lhs = Psi + birman.potential_operator(V, R0(Psi))
-            diff = lhs - psikk
-            absres = float(np.sum(grid.weights * np.abs(diff)))
-            blowup = max(lam ** (-2 * k), 1.0)
-            scale = blowup * max(np.sum(grid.weights * np.abs(psikk)), 1e-300)
-            out.append(
-                {"k": k, "ell": ell, "abs": absres, "scaled": absres / scale}
-            )
-    return out
-
-
-# ---------------------------------------------------------------------------
 # The pole-isolating inverse formula
 
 
@@ -331,7 +258,7 @@ def inverse_via_formula(reg, lam, f, variant="R0"):
     and a diagnostics dict exposing the alternative-form coefficients F_k
     and its evaluation for the algebraic-equivalence check.
     """
-    S, contraction = _S_lambda(reg, lam)
+    S, contraction = build_S_lambda(reg, lam)
     result, F, out1 = _formula(reg, lam, S, f, variant)
     return result, {"F": F, "inverse1": out1, "contraction": contraction}
 
@@ -389,24 +316,55 @@ def _formula(reg, lam, S, f, variant="R0"):
 
 
 def identity_residuals(V, grid, basis, lam):
-    """The largest chain, telescope and exact-inverse residuals at lambda.
+    """The largest chain, telescope and exact-inverse residuals at lambda != 0.
 
-    The keys are the `low_energy_scan` columns resid_chain, resid_telescope
-    and resid_exactinv; an empty basis gives 0 for each.
+    Over the chains (k, ell), with l = lambda and psi_{0,k} = 0: the L^1
+    residuals of the chain identity (I + R0(l^2)V) psi_{j,k} =
+    R0(l^2)(psi_{j-1,k} - l^2 psi_{j,k}) relative to (1 + l^2)||psi_{j,k}||_1;
+    of its telescoped form (I + R0(l^2)V) A = -l^{2k} R0(l^2) psi_{k,k},
+    A = sum_j l^{2(j-1)} psi_{j,k}, relative to (1 + l^2)||A||_1; and of the
+    inverse-action formula (I + V R0(l^2)) Psi = psi_{k,k}, Psi = psi_{k,k} +
+    sum_j l^{-2(k+1-j)} V psi_{j,k}, relative to the intrinsic blowup
+    max(l^{-2k}, 1)||psi_{k,k}||_1.  The keys are the `low_energy_scan`
+    columns resid_chain, resid_telescope and resid_exactinv; an empty basis
+    gives 0 for each.  lambda = 0, the pole of the formula, raises ValueError.
     """
+    if lam == 0:
+        raise ValueError("inverse-action formula is singular at lambda = 0")
+    R0 = domain_resolvent(grid, lam)
+    w = grid.weights
+    chain, telescope, exactinv = [], [], []
+    for k in sorted(basis.multiplicities, reverse=True):
+        for ell in range(1, basis.multiplicities[k] + 1):
+            psis = [basis.vectors[(j, k, ell)].values for j in range(1, k + 1)]
+            Vpsis = [birman.potential_operator(V, psi) for psi in psis]
+            for j, psi in enumerate(psis, start=1):
+                lhs = psi + R0(Vpsis[j - 1])
+                rhs = R0((psis[j - 2] if j > 1 else 0.0) - lam**2 * psi)
+                absres = float(np.sum(w * np.abs(lhs - rhs)))
+                scale = (1.0 + lam**2) * max(np.sum(w * np.abs(psi)), 1e-300)
+                chain.append(absres / scale)
+            acc = np.zeros(grid.size, complex)
+            for j in range(1, k + 1):
+                acc += lam ** (2 * (j - 1)) * psis[j - 1]
+            lhs = acc + R0(birman.potential_operator(V, acc))
+            rhs = -(lam ** (2 * k)) * R0(psis[k - 1])
+            absres = float(np.sum(w * np.abs(lhs - rhs)))
+            scale = (1.0 + lam**2) * max(np.sum(w * np.abs(acc)), 1e-300)
+            telescope.append(absres / scale)
+            psikk = psis[k - 1]
+            Psi = psikk.astype(complex).copy()
+            for j in range(1, k + 1):
+                Psi += lam ** (-2 * (k + 1 - j)) * Vpsis[j - 1]
+            lhs = Psi + birman.potential_operator(V, R0(Psi))
+            absres = float(np.sum(w * np.abs(lhs - psikk)))
+            blowup = max(lam ** (-2 * k), 1.0)
+            scale = blowup * max(np.sum(w * np.abs(psikk)), 1e-300)
+            exactinv.append(absres / scale)
     return {
-        "resid_chain": max(
-            (r["rel"] for r in chain_identity_residual(V, grid, basis, lam)),
-            default=0.0,
-        ),
-        "resid_telescope": max(
-            (r["rel"] for r in telescope_residual(V, grid, basis, lam)),
-            default=0.0,
-        ),
-        "resid_exactinv": max(
-            (r["scaled"] for r in exact_inverse_residual(V, grid, basis, lam)),
-            default=0.0,
-        ),
+        "resid_chain": max(chain, default=0.0),
+        "resid_telescope": max(telescope, default=0.0),
+        "resid_exactinv": max(exactinv, default=0.0),
     }
 
 
@@ -422,7 +380,7 @@ def low_energy_scan(reg, lambdas, f_admissible, f_generic, path=None):
     rows = []
     for lam in lambdas:
         resid = identity_residuals(V, grid, basis, lam)
-        S, contraction = _S_lambda(reg, lam)
+        S, contraction = build_S_lambda(reg, lam)
         ga = _formula(reg, lam, S, f_admissible)[0]
         gg = _formula(reg, lam, S, f_generic)[0]
         rows.append(

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import birman, resolvent
 from .grids import GridFunction
-from .resolvent import Branch, ResolventSpec
 
 
 def exact_eigen_profile(s):
@@ -62,7 +61,7 @@ def complex_perturbed(grid, base=None, gamma=0.5, width=1.0, p=1.4, q=2.0):
     The bump keeps V short range while moving spectrum off the real axis;
     with gamma large enough a genuine complex bound state appears.
     """
-    r = grid.radii
+    r = grid.nodes
     base_vals = np.zeros(grid.size, complex) if base is None else base.values.values
     bump = 1j * gamma * np.exp(-((r / width) ** 2))
     name = f"complex_perturbed(gamma={gamma:g}, width={width:g})"
@@ -78,7 +77,7 @@ def tune_coupling(V, grid, target=-1.0):
     c = target / nu makes c*nu land exactly on the target, i.e. puts -1 in
     the spectrum of c V R0(0).  Returns (tuned PotentialSpec, c, null info).
     """
-    R0 = resolvent.build_R0(grid, ResolventSpec(0.0, Branch.PLUS))
+    R0 = resolvent.build_R0(grid, 0.0)
     K = birman.potential_operator(V, R0)
     evals, evecs = np.linalg.eig(K)
     idx = int(np.argmin(np.abs(evals - target)))

@@ -21,6 +21,9 @@ nonzero multiple of pi (h the spacing): on the midpoint nodes the sampled
 kernel then has rank one (odd multiples) or vanishes (even multiples), and
 T_lambda does not exist.
 
+A spectral point is passed, here as throughout the package, as the plain
+arguments lam, sign=Branch.PLUS: the limit R0(lambda^2 + i0 sign).
+
 Difference kernels B_{l0}(lambda^2) = R0(lambda^2) - R0(l0^2) are evaluated
 from the subtracted closed form.  The L^{p'} growth of the 3-D difference
 kernel is measured by radial quadrature (`kernel_difference_check`).
@@ -29,7 +32,6 @@ kernel is measured by radial quadrature (`kernel_difference_check`).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,15 +41,7 @@ class Branch(enum.IntEnum):
     MINUS = -1
 
 
-@dataclass(frozen=True)
-class ResolventSpec:
-    """Spectral point lambda (energy z = lambda^2) and branch choice."""
-
-    lam: float
-    sign: Branch = Branch.PLUS
-
-
-def free_kernel_radial(spec, r, rp):
+def free_kernel_radial(r, rp, lam, sign=Branch.PLUS):
     """Reduced s-wave kernel sin(lambda r_<) e^{i s lambda r_>} / lambda.
 
     Limits to r_< as lambda -> 0.  Symmetric in (r, r').  The real quotient
@@ -61,39 +55,34 @@ def free_kernel_radial(spec, r, rp):
         raise ValueError("radii must be positive")
     lo = np.minimum(r, rp)
     hi = np.maximum(r, rp)
-    if spec.lam == 0:
+    if lam == 0:
         return lo.astype(complex)
-    lam = spec.lam
-    return np.sin(lam * lo) / lam * np.exp(1j * spec.sign * lam * hi)
+    return np.sin(lam * lo) / lam * np.exp(1j * Branch(sign) * lam * hi)
 
 
-def kernel_generators(spec, r):
+def kernel_generators(r, lam, sign=Branch.PLUS):
     """Generators (a, b) of the radial kernel: G(r, r') = a(r_<) b(r_>).
 
     a = sin(lambda r) / lambda and b = e^{i s lambda r}, or a = r and b = 1
     at lambda = 0.
     """
     r = np.asarray(r, dtype=float)
-    if spec.lam == 0:
+    if lam == 0:
         return r, np.ones_like(r)
-    lam = spec.lam
-    return np.sin(lam * r) / lam, np.exp(1j * spec.sign * lam * r)
+    return np.sin(lam * r) / lam, np.exp(1j * Branch(sign) * lam * r)
 
 
-def build_R0(grid, spec):
+def build_R0(grid, lam, sign=Branch.PLUS):
     """Assemble the free resolvent: kernel samples times quadrature weights."""
     r = grid.nodes
-    K = free_kernel_radial(spec, r[:, None], r[None, :])
+    K = free_kernel_radial(r[:, None], r[None, :], lam, sign)
     return K * grid.weights[None, :]
 
 
 def build_B(grid, lambda0, lam, sign=Branch.PLUS):
     """Difference operator B_{lambda0}(lambda^2) = R0(lambda^2) - R0(lambda0^2)."""
-    sign = Branch(sign)
     r, rp = grid.nodes[:, None], grid.nodes[None, :]
-    K = free_kernel_radial(ResolventSpec(lam, sign), r, rp) - free_kernel_radial(
-        ResolventSpec(lambda0, sign), r, rp
-    )
+    K = free_kernel_radial(r, rp, lam, sign) - free_kernel_radial(r, rp, lambda0, sign)
     return K * grid.weights[None, :]
 
 

@@ -168,15 +168,10 @@ def test_criterion_06_identity_suite(ee_small, chain_fixture20):
         assert lowenergy.one_sided_residual(reg, 0.0) <= 1e-9
         assert lowenergy.range_constraint_residual(reg) <= 1e-9
         for lam in lambdas:
-            assert max(
-                r["rel"] for r in lowenergy.chain_identity_residual(V, g, basis, lam)
-            ) <= 1e-6
-            assert max(
-                r["rel"] for r in lowenergy.telescope_residual(V, g, basis, lam)
-            ) <= 1e-6
-            assert max(
-                r["scaled"] for r in lowenergy.exact_inverse_residual(V, g, basis, lam)
-            ) <= 1e-6
+            resid = lowenergy.identity_residuals(V, g, basis, lam)
+            assert resid["resid_chain"] <= 1e-6
+            assert resid["resid_telescope"] <= 1e-6
+            assert resid["resid_exactinv"] <= 1e-6
 
 
 # 7. Localized Neumann mechanism ----------------------------------------------
@@ -198,10 +193,10 @@ def test_criterion_07_local_neumann_and_transform_bound(grid20, well20):
         checked += 1
     assert checked >= 3
     # measured transform-bound constant: r-scaling and ||V||-linearity
-    out = ftdiag.vb_hat_bound_check(V, g, 0.0, 0.5, halvings=4)
+    out = ftdiag.vb_hat_bound_check(V, g, 0.5, halvings=4)
     assert out["fitted_exponent"] >= out["epsilon"] - 0.1
     V2 = potentials.gaussian_well(g, depth=8.0, width=1.0)
-    out2 = ftdiag.vb_hat_bound_check(V2, g, 0.0, 0.5, halvings=1)
+    out2 = ftdiag.vb_hat_bound_check(V2, g, 0.5, halvings=1)
     ratio = out2["values"][0] / out["values"][0]
     assert abs(ratio - 2.0) < 0.1
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from speclab import birman, potentials, resolvent
 from speclab.grids import GridFunction, Mode, make_grid, operator_l1_norm
-from speclab.resolvent import Branch, ResolventSpec
+from speclab.resolvent import Branch
 
 
 def test_potential_spec_validates_exponents(grid20):
@@ -93,7 +93,7 @@ def _dense_solve(V, grid, lam, f, sign):
     """(R_V f, T^{-1} f, zgecon's condition estimate) from dense LU."""
     A = birman.build_bs(V, grid, lam, sign)
     tinv, cond = birman.direct_inverse(A)
-    R0 = resolvent.build_R0(grid, ResolventSpec(lam, Branch(sign)))
+    R0 = resolvent.build_R0(grid, lam, sign)
     return R0 @ (tinv @ f), tinv @ f, cond
 
 
@@ -101,7 +101,7 @@ def _dense_solve(V, grid, lam, f, sign):
 @pytest.mark.parametrize("lam", [0.0, 0.3, -1.7, 5.0])
 def test_tridiagonal_bs_inverts_R0(lam, sign):
     grid = make_grid(Mode.RADIAL_SWAVE, 80.0, 400)
-    R0 = resolvent.build_R0(grid, ResolventSpec(lam, sign))
+    R0 = resolvent.build_R0(grid, lam, sign)
     T = _tridiagonal(*birman.tridiagonal_bs(grid, lam, sign))
     assert np.abs(T @ R0 - np.eye(grid.size)).max() < 1e-12
     inv = np.linalg.inv(R0)

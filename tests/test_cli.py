@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from speclab import cli, jordan
@@ -267,3 +268,74 @@ def test_evolve_complex_projected(tmp_path, capsys):
     report = json.loads(a)
     assert report["projected"]
     assert report["exponent"] == pytest.approx(-1.2237422353, abs=1e-8)
+
+
+@pytest.mark.parametrize("with_out", [False, True])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_invert_lambda_outside_window_exits_3(tmp_path, capsys, lam, with_out):
+    # window 0.25: lambda = 0 is the pole and 0.5 lies beyond the window
+    cfg = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "grid": {"mode": "radial_swave", "extent": 2.25, "nodes": 225},
+        "potential": {"builtin": "exact_eigen", "params": {"s": 2.0}},
+        "invert": {"lambdas": [0.05, lam], "window": 0.25},
+    }
+    argv = ["invert", "--config", write_cfg(tmp_path, cfg)]
+    out = tmp_path / "run"
+    if with_out:
+        argv += ["--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: invert lambda {lam} outside")
+    assert err.count("\n") == 1
+    assert not (out / "low_energy_scan.csv").exists()
+
+
+def _samples_cfg(path):
+    return {
+        "schema_version": cli.SCHEMA_VERSION,
+        "grid": {"mode": "radial_swave", "extent": 10.0, "nodes": 40},
+        "potential": {"samples_file": str(path)},
+    }
+
+
+def test_samples_file_round_trips_complex_values(tmp_path):
+    cfg = _samples_cfg(tmp_path / "V.txt")
+    grid = cli.make_scenario_grid(cfg)
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    np.savetxt(tmp_path / "V.txt", vals)
+    V = cli.make_scenario_potential(cfg, grid)
+    assert np.array_equal(V.values.values, vals)
+    assert V.name == "V.txt"
+
+
+@pytest.mark.parametrize("content", [
+    "abc\n",
+    "1.0\n" * 39 + "nan\n",
+    "1.0\n" * 39,  # one value short of the 40 nodes
+    None,
+], ids=["unparsable", "nan", "short", "missing"])
+def test_bad_samples_file_exits_3(tmp_path, capsys, content):
+    path = tmp_path / "V.txt"
+    if content is not None:
+        path.write_text(content)
+    cfg_path = write_cfg(tmp_path, _samples_cfg(path))
+    assert cli.main(["threshold", "--config", cfg_path]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
+
+
+def test_ftscan_projected_is_deterministic(tmp_path):
+    # project: true removes the threshold component P0 f before the scan
+    cfg = small_threshold_cfg()
+    cfg["ftscan"] = {"window": "HIGH", "n": 32, "lam_max": 8.0, "project": True}
+    cfg_path = write_cfg(tmp_path, cfg)
+    for run in ("a", "b"):
+        rc = cli.main(["ftscan", "--config", cfg_path, "--out", str(tmp_path / run)])
+        assert rc == cli.EXIT_OK
+    for name in ("ftscan_report.json", "ftscan_high.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (
+            tmp_path / "b" / name
+        ).read_bytes()

@@ -20,6 +20,23 @@ def test_hand_2x2_block_exact():
     assert np.abs(jb.pairing_certificate - jordan.expected_gram(jb.labels)).max() == 0.0
 
 
+def test_isotropic_chain_tops_pair_with_a_partner():
+    # N = 0 under the hyperbolic form: both candidate tops are isotropic, so
+    # the first is combined with its dual partner (the linear normalization)
+    N = np.zeros((2, 2))
+    B = np.array([[0.0, 1.0], [1.0, 0.0]])
+    jb = jordan.jordan_dual_basis(N, B)
+    assert jb.multiplicities == {1: 2}
+    cert = jb.pairing_certificate
+    assert np.abs(cert - jordan.expected_gram(jb.labels)).max() < 1e-14
+
+
+def test_isotropic_top_without_partner_rejected():
+    # B degenerate on the first coordinate: its top pairs with nothing
+    with pytest.raises(jordan.DegeneratePairingError):
+        jordan.jordan_dual_basis(np.zeros((2, 2)), np.diag([0.0, 1.0]))
+
+
 def test_non_symmetric_matrix_rejected():
     N = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(jordan.NotSymmetricError):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from speclab import birman, evolution, grids, jordan, lowenergy
+from speclab import birman, evolution, grids, jordan, lowenergy, potentials
 from speclab.grids import GridFunction
 
 
@@ -51,6 +51,16 @@ def test_s0_one_sided_inverse(ee_small):
     assert lowenergy.one_sided_residual(ee_small["reg"], 0.0) < 1e-9
 
 
+def test_s0_without_threshold_basis():
+    # a well with no zero-energy states: S0 is the plain inverse of I + V R0(0)
+    grid = grids.make_grid(grids.Mode.RADIAL_SWAVE, 10.0, 100)
+    V = potentials.gaussian_well(grid, depth=4.0, width=1.0)
+    basis = jordan.threshold(V, grid).basis
+    assert basis.dim == 0
+    reg = lowenergy.build_S0(V, grid, basis)
+    assert lowenergy.one_sided_residual(reg, 0.0) < 1e-9
+
+
 def test_s0_range_constraint(ee_small):
     assert lowenergy.range_constraint_residual(ee_small["reg"]) < 1e-9
 
@@ -80,15 +90,15 @@ def test_series_refuses_to_run_out_of_terms(ee_small):
 def test_chain_identities_machine_exact(ee_small):
     g, V, jb = ee_small["grid"], ee_small["V"], ee_small["basis"]
     for lam in (0.03, 0.2):
-        rc = max(r["rel"] for r in lowenergy.chain_identity_residual(V, g, jb, lam))
-        rt = max(r["rel"] for r in lowenergy.telescope_residual(V, g, jb, lam))
-        re_ = max(r["scaled"] for r in lowenergy.exact_inverse_residual(V, g, jb, lam))
-        assert rc < 1e-9 and rt < 1e-9 and re_ < 1e-9
+        resid = lowenergy.identity_residuals(V, g, jb, lam)
+        assert resid["resid_chain"] < 1e-9
+        assert resid["resid_telescope"] < 1e-9
+        assert resid["resid_exactinv"] < 1e-9
 
 
 def test_exact_inverse_rejects_lambda_zero(ee_small):
     with pytest.raises(ValueError):
-        lowenergy.exact_inverse_residual(
+        lowenergy.identity_residuals(
             ee_small["V"], ee_small["grid"], ee_small["basis"], 0.0
         )
 

@@ -3,7 +3,7 @@ import pytest
 
 from speclab import evolution, grids, resolvent
 from speclab.grids import Mode
-from speclab.resolvent import Branch, ResolventSpec
+from speclab.resolvent import Branch
 
 
 @pytest.fixture(scope="module")
@@ -13,27 +13,26 @@ def g():
 
 def test_kernel_at_zero_is_min():
     # reduced s-wave R0(0) kernel is min(r, r')
-    spec = ResolventSpec(0.0, Branch.PLUS)
-    assert resolvent.free_kernel_radial(spec, 2.0, 3.0) == pytest.approx(2.0)
-    assert resolvent.free_kernel_radial(spec, 3.0, 2.0) == pytest.approx(2.0)
+    assert resolvent.free_kernel_radial(2.0, 3.0, 0.0) == pytest.approx(2.0)
+    assert resolvent.free_kernel_radial(3.0, 2.0, 0.0) == pytest.approx(2.0)
 
 
 def test_kernel_small_lambda_limit():
     # sin(lam r<) e^{i lam r>} / lam -> r< as lam -> 0
-    lo = resolvent.free_kernel_radial(ResolventSpec(1e-8, Branch.PLUS), 2.0, 3.0)
+    lo = resolvent.free_kernel_radial(2.0, 3.0, 1e-8)
     assert abs(lo - 2.0) < 1e-6
 
 
 def test_build_R0_at_subnormal_lambda(g):
     # a subnormal lambda takes the lambda = 0 limit instead of inf + nan j
-    R = resolvent.build_R0(g, ResolventSpec(1e-310, Branch.PLUS))
-    R0 = resolvent.build_R0(g, ResolventSpec(0.0, Branch.PLUS))
+    R = resolvent.build_R0(g, 1e-310)
+    R0 = resolvent.build_R0(g, 0.0)
     assert np.isfinite(R).all()
     assert np.abs(R - R0).max() <= 1e-9 * np.abs(R0).max()
 
 
 def test_kernel_symmetric(g):
-    R0 = resolvent.build_R0(g, ResolventSpec(0.7, Branch.PLUS))
+    R0 = resolvent.build_R0(g, 0.7)
     assert np.abs(R0 - R0.T).max() == 0.0
 
 
@@ -41,28 +40,28 @@ def test_H0_inverts_R0_at_zero(g):
     # the sampled zero-energy kernel is the exact Green function of the
     # discrete Laplacian (Dirichlet ghost at 0, Neumann ghost at L)
     H0 = evolution.discretize_H(None, g)
-    R0 = resolvent.build_R0(g, ResolventSpec(0.0, Branch.PLUS))
+    R0 = resolvent.build_R0(g, 0.0)
     eye = H0 @ R0
     assert np.abs(eye - np.eye(g.size)).max() < 1e-10
 
 
 def test_minus_branch_is_conjugate(g):
-    Rp = resolvent.build_R0(g, ResolventSpec(0.9, Branch.PLUS))
-    Rm = resolvent.build_R0(g, ResolventSpec(0.9, Branch.MINUS))
+    Rp = resolvent.build_R0(g, 0.9)
+    Rm = resolvent.build_R0(g, 0.9, Branch.MINUS)
     assert np.abs(Rm - np.conj(Rp)).max() < 1e-14
 
 
 def test_negative_lambda_rides_conjugate_branch(g):
-    Rp = resolvent.build_R0(g, ResolventSpec(-0.9, Branch.PLUS))
-    Rm = resolvent.build_R0(g, ResolventSpec(0.9, Branch.MINUS))
+    Rp = resolvent.build_R0(g, -0.9)
+    Rm = resolvent.build_R0(g, 0.9, Branch.MINUS)
     assert np.abs(Rp - Rm).max() < 1e-14
 
 
 def test_difference_kernel_matches_resolvents(g):
     lam0, lam = 0.3, 0.45
     B = resolvent.build_B(g, lam0, lam)
-    R = resolvent.build_R0(g, ResolventSpec(lam, Branch.PLUS))
-    R0 = resolvent.build_R0(g, ResolventSpec(lam0, Branch.PLUS))
+    R = resolvent.build_R0(g, lam)
+    R0 = resolvent.build_R0(g, lam0)
     assert np.abs(B - (R - R0)).max() < 1e-13
 
 
