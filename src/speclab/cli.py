@@ -5,7 +5,8 @@ Subcommands: threshold, invert, evolve, ftscan, full, fixtures.
 Exit codes: 0 success, 2 assertion failure (a configured check did not
 hold), 3 configuration error (the scenario file is missing, malformed or
 inconsistent, its samples file is unreadable or holds non-finite values,
-or an invert lambda is 0 or beyond the validity window of S(lambda);
+or an invert lambda is 0 or, with a nonempty threshold basis, beyond
+the validity window of S(lambda);
 stderr gets one "configuration error: ..." line), 4 numerical refusal
 (the scenario is well-formed but a numerical routine declined it: a
 near-singular solve, a Neumann series that does not contract or converge,
@@ -194,7 +195,7 @@ def make_scenario_potential(cfg, grid):
             raise ConfigError(f"samples file not found: {path}")
         try:
             vals = np.loadtxt(path, dtype=complex)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"unreadable samples file {path}: {exc}") from None
         if vals.shape != (grid.size,):
             raise ConfigError(
@@ -278,8 +279,10 @@ def run_invert(cfg, grid, V, rng, out_dir=None, *, threshold=None):
         threshold = jordan.threshold(V, grid)
     basis = threshold.basis
     reg = lowenergy.build_S0(V, grid, basis, window=window)
+    # lambda = 0 is the pole of every identity; the window bounds S(lambda),
+    # which is built only when there is a threshold basis to invert on
     for lam in lambdas:
-        if not 0 < abs(lam) <= reg.window:
+        if lam == 0 or (basis.dim > 0 and abs(lam) > reg.window):
             raise ConfigError(
                 f"invert lambda {lam} outside the validity window "
                 f"0 < |lambda| <= {reg.window}"

@@ -291,6 +291,22 @@ def test_invert_lambda_outside_window_exits_3(tmp_path, capsys, lam, with_out):
     assert not (out / "low_energy_scan.csv").exists()
 
 
+@pytest.mark.parametrize("with_out", [False, True])
+def test_invert_without_threshold_basis_ignores_window(tmp_path, capsys, with_out):
+    # the depth-4 well has no threshold basis, so S(lambda) is never built and
+    # the default lambdas run although they lie beyond the auto window
+    cfg = cli._FIXTURE_SCENARIOS["ftscan_well_high"]
+    argv = ["invert", "--config", write_cfg(tmp_path, cfg)]
+    if with_out:
+        argv += ["--out", str(tmp_path / "run")]
+    assert cli.main(argv) == cli.EXIT_OK
+    invert = json.loads(capsys.readouterr().out)
+    assert invert["dims"] == {}
+    assert invert["window"] < 0.03
+    assert [row["lambda"] for row in invert["per_lambda"]] == [0.03, 0.1, 0.2]
+    assert not (tmp_path / "run" / "low_energy_scan.csv").exists()
+
+
 def _samples_cfg(path):
     return {
         "schema_version": cli.SCHEMA_VERSION,
@@ -315,10 +331,13 @@ def test_samples_file_round_trips_complex_values(tmp_path):
     "1.0\n" * 39 + "nan\n",
     "1.0\n" * 39,  # one value short of the 40 nodes
     None,
-], ids=["unparsable", "nan", "short", "missing"])
+    "dir",
+], ids=["unparsable", "nan", "short", "missing", "directory"])
 def test_bad_samples_file_exits_3(tmp_path, capsys, content):
     path = tmp_path / "V.txt"
-    if content is not None:
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
         path.write_text(content)
     cfg_path = write_cfg(tmp_path, _samples_cfg(path))
     assert cli.main(["threshold", "--config", cfg_path]) == cli.EXIT_CONFIG
