@@ -390,14 +390,18 @@ def local_neumann_inverse(V, grid, lambda0, r, lam, tol=1e-12, max_terms=200):
     S0, _ = direct_inverse(build_bs(V, grid, lambda0), context=f"lambda0={lambda0}")
     B = resolvent.build_B(grid, lambda0, lam)
     step = -(potential_operator(V, S0, right=True) @ B)
-    return _neumann_series(S0, step, grid, tol, max_terms)
+    return _neumann_series(S0, step, grid, tol, max_terms, grid.weights)
 
 
-def _neumann_series(first, step, grid, tol, max_terms):
-    """sum_m step^m first, stopping once a term's induced L^1 norm is below tol.
+def _neumann_series(first, step, grid, tol, max_terms, x_norms):
+    """sum_m step^m first, where first = S0 X for data X of column norms x_norms.
 
-    The one series loop, shared with lowenergy.build_S_lambda; it is private
-    so that traced self times stay with the two public callers.
+    x_norms are the L^1 norms of the columns x_j of X.  The sum stops once
+    max_j ||term_j||_1 / ||x_j||_1 < tol.  For X = I (x_norms =
+    grid.weights) that is the induced L^1 norm of the term, the rule of an
+    operator series.  The one series loop, shared with
+    lowenergy.build_S_lambda; it is private so that traced self times stay
+    with the two public callers.
 
     Raises NoContractionError when ||step|| >= 1 and SeriesNotConvergedError
     when max_terms terms do not reach tol.  Returns (sum, ||step||).
@@ -405,12 +409,14 @@ def _neumann_series(first, step, grid, tol, max_terms):
     factor = operator_l1_norm(step, grid)
     if factor >= 1.0:
         raise NoContractionError(factor)
+    w = grid.weights
+    scale = np.maximum(x_norms, 1e-300)
     total = first.copy()
     term, norm = first, np.inf
     for _ in range(max_terms):
         term = step @ term
         total += term
-        norm = operator_l1_norm(term, grid)
+        norm = float(((w @ np.abs(term)) / scale).max())
         if norm < tol:
             return total, factor
     raise SeriesNotConvergedError(max_terms, norm, tol)

@@ -5,8 +5,9 @@ Subcommands: threshold, invert, evolve, ftscan, full, fixtures.
 Exit codes: 0 success, 2 assertion failure (a configured check did not
 hold), 3 configuration error (the scenario file is missing, malformed or
 inconsistent, its samples file is unreadable or holds non-finite values,
-or an invert lambda is 0 or, with a nonempty threshold basis, beyond
-the validity window of S(lambda);
+or a configured invert lambda is 0 or, with a nonempty threshold basis,
+beyond the validity window of S(lambda); without configured lambdas a
+nonempty basis gets window / 4, window / 2 and the window itself;
 stderr gets one "configuration error: ..." line), 4 numerical refusal
 (the scenario is well-formed but a numerical routine declined it: a
 near-singular solve, a Neumann series that does not contract or converge,
@@ -268,10 +269,11 @@ def run_threshold(cfg, grid, V, rng, out_dir=None, *, threshold=None):
 def run_invert(cfg, grid, V, rng, out_dir=None, *, threshold=None):
     tol = _tolerances(cfg)
     section = cfg.get("invert", {})
-    lambdas = section.get("lambdas", [0.03, 0.1, 0.2])
-    if not isinstance(lambdas, list):
-        raise ConfigError("invert lambdas must be a JSON list")
-    lambdas = [_number("lambdas", l) for l in lambdas]
+    lambdas = section.get("lambdas")
+    if "lambdas" in section:
+        if not isinstance(lambdas, list):
+            raise ConfigError("invert lambdas must be a JSON list")
+        lambdas = [_number("lambdas", l) for l in lambdas]
     window = section.get("window", "auto")
     if window != "auto":
         window = _number("window", window)
@@ -279,6 +281,11 @@ def run_invert(cfg, grid, V, rng, out_dir=None, *, threshold=None):
         threshold = jordan.threshold(V, grid)
     basis = threshold.basis
     reg = lowenergy.build_S0(V, grid, basis, window=window)
+    if lambdas is None:
+        # S(lambda) is built only on a nonempty basis, so only there must
+        # the default lambdas lie inside its validity window
+        w = reg.window
+        lambdas = [w / 4, w / 2, w] if basis.dim > 0 else [0.03, 0.1, 0.2]
     # lambda = 0 is the pole of every identity; the window bounds S(lambda),
     # which is built only when there is a threshold basis to invert on
     for lam in lambdas:

@@ -26,6 +26,12 @@ pollute the pole coefficients with an O(1) defect.  H0 is tridiagonal, so
 vector; no M x M resolvent is formed except `_bs_matrix`, the dense
 I + V R0(lambda^2) of the bordered S0 system.  H0 is real symmetric, so
 products X R0(lambda^2) are formed as (R0(lambda^2) X^T)^T.
+
+Cost: the O(M^3) steps, the bordered S0 solve and the product S0 Q~0 V,
+run once per `build_S0`.  S(lambda) itself is never formed: the scan and
+the formula apply it to their data, one column per probe, so the work per
+lambda is the O(M^2) series step (M tridiagonal solves) and its products
+with those columns.
 """
 
 from __future__ import annotations
@@ -74,12 +80,15 @@ class RegularizedInverse:
     Qt0: np.ndarray
     window: float
     range_constraints: list  # GridFunctions R0(0) psi_{k,k} (range must be B-orthogonal)
-    # (S0 Q~0 V)^T, the lambda-independent factor of `_series_step`: an M^3
-    # product, formed once here rather than on every call.
+    # (S0 Q~0 V)^T and R0(0) (S0 Q~0 V)^T, the lambda-independent factors of
+    # `_series_step`: an M^3 product and M tridiagonal solves, formed once
+    # here rather than on every call.
     Xt: np.ndarray = field(init=False, repr=False)
+    R0Xt: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.Xt = birman.potential_operator(self.V, self.S0 @ self.Qt0, right=True).T
+        self.R0Xt = domain_resolvent(self.grid, 0.0)(self.Xt)
 
 
 def _diag_chains(basis):
@@ -147,47 +156,80 @@ def build_S0(V, grid, basis, window="auto"):
 def _series_step(reg, lam):
     """The contraction factor operator -S0 Q~0 V B0(lambda^2).
 
-    With X = S0 Q~0 V (stored transposed as reg.Xt),
-    X B0 = (R0(lambda^2) X^T - R0(0) X^T)^T: 2M tridiagonal solves in place
-    of the M x M difference kernel.
+    With X = S0 Q~0 V (stored transposed as reg.Xt, R0(0) X^T as reg.R0Xt),
+    X B0 = (R0(lambda^2) X^T - R0(0) X^T)^T: M tridiagonal solves per lambda
+    in place of the M x M difference kernel.  The difference keeps the step
+    consistent with the R0(lambda^2) that `one_sided_residual` applies; the
+    equal product lambda^2 R0(lambda^2) R0(0) X^T leaves that residual near
+    4e-11 instead of 1e-13 on the full-ee grid.
     """
-    grid, Xt = reg.grid, reg.Xt
-    return -(domain_resolvent(grid, lam)(Xt) - domain_resolvent(grid, 0.0)(Xt)).T
+    return -(domain_resolvent(reg.grid, lam)(reg.Xt) - reg.R0Xt).T
 
 
 def contraction_factor(reg, lam):
     return operator_l1_norm(_series_step(reg, lam), reg.grid)
 
 
-def _auto_window(reg, target=0.5, iters=30):
-    """Largest lambda (by bisection) with contraction factor <= target."""
-    hi = 1.0
-    if contraction_factor(reg, hi) <= target:
+def _auto_window(reg, target=0.5, xtol=2.0**-30):
+    """Largest lambda in [0, 1] with contraction factor <= target, to xtol.
+
+    Safeguarded regula falsi (Illinois) on cf(lambda) - target over a
+    bracket [lo, hi] that starts at [0, 1] (cf(0) = 0 is known, so it costs
+    no evaluation) and keeps cf(lo) <= target < cf(hi).  Each trial point
+    stays xtol / 2 inside the bracket, so a one-sided approach still closes
+    it, and an endpoint kept twice in a row has its value halved.  Returns
+    lo once hi - lo <= xtol (1 when cf(1) <= target): about ten evaluations
+    where bisection takes 31.  Past 30 falsi steps the search bisects, so it
+    ends within 61 evaluations whatever the shape of cf.
+    """
+    lo, hi = 0.0, 1.0
+    glo, ghi = -target, contraction_factor(reg, hi) - target
+    if ghi <= 0:
         return hi
-    lo = 0.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if contraction_factor(reg, mid) <= target:
-            lo = mid
+    kept, steps = 0, 0  # kept: -1 (+1) when hi (lo) survived the last step
+    while hi - lo > xtol:
+        steps += 1
+        if steps > 30:
+            x = 0.5 * (lo + hi)
         else:
-            hi = mid
+            x = hi - ghi * (hi - lo) / (ghi - glo)
+            x = min(max(x, lo + 0.5 * xtol), hi - 0.5 * xtol)
+        g = contraction_factor(reg, x) - target
+        if g <= 0:
+            lo, glo = x, g
+            if kept < 0:
+                ghi *= 0.5
+            kept = -1
+        else:
+            hi, ghi = x, g
+            if kept > 0:
+                glo *= 0.5
+            kept = 1
     return lo
 
 
-def build_S_lambda(reg, lam, tol=1e-13, max_terms=200):
-    """Neumann continuation S(lambda) = sum (-S0 Q~0 V B0(l^2))^m S0.
+def build_S_lambda(reg, lam, X, tol=1e-13, max_terms=200):
+    """S(lambda) X for the Neumann continuation S(lambda) = sum_m step^m S0.
 
-    Returns S(lambda) and its contraction factor (0 at lambda = 0), both
-    from one series step.  Raises ValueError outside the validity window
-    and NoContractionError or SeriesNotConvergedError (see birman) rather
-    than return a partial sum.
+    step = -S0 Q~0 V B0(lambda^2) (`_series_step`).  S(lambda) is not
+    formed: the series sum_m step^m (S0 X) is summed on the columns of X, a
+    matrix (the identity gives S(lambda) itself), in O(M^2) per column and
+    term.  It stops once every column's term is below tol relative to the
+    L^1 norm of its column of X; for X = I that is the induced-norm rule.
+    Returns S(lambda) X and the contraction factor ||step||_1 (0 at
+    lambda = 0).  Raises ValueError outside the validity window and
+    NoContractionError or SeriesNotConvergedError (see birman) rather than
+    return a partial sum.
     """
     if lam == 0:
-        return reg.S0, 0.0
+        return reg.S0 @ X, 0.0
     if abs(lam) > reg.window:
         raise ValueError(f"lambda {lam} outside validity window {reg.window}")
     step = _series_step(reg, lam)
-    return birman._neumann_series(reg.S0, step, reg.grid, tol, max_terms)
+    x_norms = reg.grid.weights @ np.abs(X)
+    return birman._neumann_series(
+        reg.S0 @ X, step, reg.grid, tol, max_terms, x_norms
+    )
 
 
 def one_sided_residual(reg, lam=0.0):
@@ -199,17 +241,20 @@ def one_sided_residual(reg, lam=0.0):
     input projection built from the dual chains).
     """
     grid = reg.grid
-    S, _ = build_S_lambda(reg, lam)
-    RS = domain_resolvent(grid, lam)(S)
-    lhs = reg.Qt0 @ (S + birman.potential_operator(reg.V, RS))
+    S, _ = build_S_lambda(reg, lam, np.eye(grid.size, dtype=complex))
+    # The defect Q~0 (I + V R0(l^2)) S - I, updated in place where it can
+    # be: the check then holds no more M x M arrays than the formed S needs.
+    S += birman.potential_operator(reg.V, domain_resolvent(grid, lam)(S))
+    defect = reg.Qt0 @ S
+    del S
+    defect -= np.eye(grid.size)
     # Domain projector onto X-bar_1-perp = {f : pair(f, psi_{1,k}) = 0}.
     chains = _diag_chains(reg.basis)
     P = np.eye(grid.size, dtype=complex)
     if chains:
         R = np.vstack([grid.weights * psi1.values for _, _, psi1, _ in chains])
         P = P - np.linalg.pinv(R) @ R
-    resid = (lhs - np.eye(grid.size)) @ P
-    return operator_l1_norm(resid, grid)
+    return operator_l1_norm(defect @ P, grid)
 
 
 def range_constraint_residual(reg, trials=8, seed=0):
@@ -258,20 +303,19 @@ def inverse_via_formula(reg, lam, f, variant="R0"):
     and a diagnostics dict exposing the alternative-form coefficients F_k
     and its evaluation for the algebraic-equivalence check.
     """
-    S, contraction = build_S_lambda(reg, lam)
-    result, F, out1 = _formula(reg, lam, S, f, variant)
+    Sf, contraction = build_S_lambda(reg, lam, (reg.Qt0 @ f.values)[:, None])
+    result, F, out1 = _formula(reg, lam, Sf[:, 0], f, variant)
     return result, {"F": F, "inverse1": out1, "contraction": contraction}
 
 
-def _formula(reg, lam, S, f, variant="R0"):
-    """The formula of `inverse_via_formula` with S(lambda) given.
+def _formula(reg, lam, u, f, variant="R0"):
+    """The formula of `inverse_via_formula` with u = S(lambda) Q~0 f given.
 
     Returns the result, the F_k and the alternative form.
     """
     if lam == 0:
         raise ValueError("formula applies for lambda != 0")
     V, grid, basis = reg.V, reg.grid, reg.basis
-    u = S @ (reg.Qt0 @ f.values)
     ugf = GridFunction(grid, u)
     R = domain_resolvent(grid, lam)
     if variant == "R0":
@@ -373,16 +417,17 @@ def low_energy_scan(reg, lambdas, f_admissible, f_generic, path=None):
 
     Columns: lambda, norm_admissible_f, norm_generic_f, contraction,
     resid_chain, resid_telescope, resid_exactinv.  S(lambda) and its
-    contraction factor come from one Neumann series per lambda and serve
-    both data.
+    contraction factor come from one Neumann series per lambda, summed on
+    the two columns Q~0 f_admissible and Q~0 f_generic.
     """
     V, grid, basis = reg.V, reg.grid, reg.basis
+    X = reg.Qt0 @ np.column_stack([f_admissible.values, f_generic.values])
     rows = []
     for lam in lambdas:
         resid = identity_residuals(V, grid, basis, lam)
-        S, contraction = build_S_lambda(reg, lam)
-        ga = _formula(reg, lam, S, f_admissible)[0]
-        gg = _formula(reg, lam, S, f_generic)[0]
+        SX, contraction = build_S_lambda(reg, lam, X)
+        ga = _formula(reg, lam, SX[:, 0], f_admissible)[0]
+        gg = _formula(reg, lam, SX[:, 1], f_generic)[0]
         rows.append(
             {
                 "lambda": lam,

@@ -1,7 +1,9 @@
 """Shared scenario fixtures.
 
-The tuned exact-eigenvalue scenarios are expensive to set up (dense
-eigensolves), so they are session-scoped and shared across test modules.
+The tuned exact-eigenvalue scenarios are expensive to set up (the dense
+threshold SVD and, for ee_small, the bordered S0 solve; the coupling tuning
+itself is banded), so they are session-scoped and shared across test
+modules.
 """
 
 import pytest

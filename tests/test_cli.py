@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import speclab
 from speclab import cli, jordan
 
 
@@ -305,6 +308,63 @@ def test_invert_without_threshold_basis_ignores_window(tmp_path, capsys, with_ou
     assert invert["window"] < 0.03
     assert [row["lambda"] for row in invert["per_lambda"]] == [0.03, 0.1, 0.2]
     assert not (tmp_path / "run" / "low_energy_scan.csv").exists()
+
+
+@pytest.mark.parametrize("with_out", [False, True])
+def test_invert_default_lambdas_lie_in_the_window(tmp_path, capsys, with_out):
+    # a one-dimensional threshold basis, no invert section and an auto
+    # window of about 0.014: the default lambdas are derived from the window
+    cfg = cli._FIXTURE_SCENARIOS["threshold_exact_eigen"]
+    argv = ["invert", "--config", write_cfg(tmp_path, cfg)]
+    if with_out:
+        argv += ["--out", str(tmp_path / "run")]
+    assert cli.main(argv) == cli.EXIT_OK
+    invert = json.loads(capsys.readouterr().out)
+    w = invert["window"]
+    assert invert["dims"] == {"1": 1}
+    assert w < 0.03
+    assert [row["lambda"] for row in invert["per_lambda"]] == [w / 4, w / 2, w]
+    assert (tmp_path / "run" / "low_energy_scan.csv").exists() == with_out
+
+
+#: Runs the command line in a fresh interpreter and prints its exit code and
+#: the scipy.sparse / scipy.optimize modules it loaded.
+_LOADED_MODULES = """
+import sys
+from speclab import cli
+code = cli.main(sys.argv[1:])
+heavy = ("scipy.sparse", "scipy.optimize")
+print(code, *sorted(m for m in sys.modules if m.startswith(heavy)))
+"""
+
+
+def _heavy_scipy_modules(argv):
+    src = os.path.dirname(os.path.dirname(speclab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    return int(code), modules
+
+
+def test_pipelines_leave_heavy_scipy_modules_unloaded(tmp_path):
+    # each import adds to a pass's peak RSS: invert needs only scipy.linalg,
+    # and full loads scipy.sparse (the transform scan's condition estimate)
+    # but never scipy.optimize
+    fx = cli._FIXTURE_SCENARIOS
+    invert_cfg = write_cfg(tmp_path, fx["invert_exact_eigen"], "invert.json")
+    code, modules = _heavy_scipy_modules(["invert", "--config", invert_cfg])
+    assert code == cli.EXIT_OK
+    assert modules == []
+    full = dict(fx["full_exact_eigen"])
+    full["grid"] = {**full["grid"], "nodes": 400}
+    full_cfg = write_cfg(tmp_path, full, "full.json")
+    code, modules = _heavy_scipy_modules(["full", "--config", full_cfg])
+    assert code == cli.EXIT_OK
+    assert not [m for m in modules if m.startswith("scipy.optimize")]
 
 
 def _samples_cfg(path):

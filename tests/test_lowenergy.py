@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speclab import birman, evolution, grids, jordan, lowenergy, potentials
-from speclab.grids import GridFunction
+from speclab.grids import GridFunction, operator_l1_norm
 
 
 def _rand_f(grid, rng):
@@ -78,13 +78,15 @@ def test_contraction_factor_grows_with_lambda(ee_small):
 
 
 def test_series_rejected_outside_window(ee_small):
+    eye = np.eye(ee_small["grid"].size, dtype=complex)
     with pytest.raises(ValueError):
-        lowenergy.build_S_lambda(ee_small["reg"], 0.5)
+        lowenergy.build_S_lambda(ee_small["reg"], 0.5, eye)
 
 
 def test_series_refuses_to_run_out_of_terms(ee_small):
+    eye = np.eye(ee_small["grid"].size, dtype=complex)
     with pytest.raises(birman.SeriesNotConvergedError):
-        lowenergy.build_S_lambda(ee_small["reg"], 0.1, max_terms=1)
+        lowenergy.build_S_lambda(ee_small["reg"], 0.1, eye, max_terms=1)
 
 
 def test_chain_identities_machine_exact(ee_small):
@@ -154,3 +156,82 @@ def test_low_energy_scan_columns(tmp_path, ee_small):
     assert rows[0]["norm_generic_f"] > 10.0 * rows[2]["norm_generic_f"]
     adm = [r["norm_admissible_f"] for r in rows]
     assert max(adm) / min(adm) < 3.0
+
+
+# Each example sums the operator series twice on the full identity, so
+# fewer examples than the suite's profile.
+@settings(max_examples=12)
+@given(
+    lam=st.floats(-0.25, 0.25),  # the fixture's validity window
+    columns=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_S_lambda_on_data_matches_the_operator_series(ee_small, lam, columns, seed):
+    reg, grid = ee_small["reg"], ee_small["grid"]
+    rng = np.random.default_rng(seed)
+    shape = (grid.size, columns)
+    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    S, factor = lowenergy.build_S_lambda(reg, lam, np.eye(grid.size, dtype=complex))
+    SX, factor_X = lowenergy.build_S_lambda(reg, lam, X)
+    assert factor_X == factor
+    expect = S @ X
+    assert np.abs(SX - expect).max() <= 1e-12 * np.abs(expect).max()
+    # X = I gives the plain operator series sum_m step^m S0, stopped once
+    # the induced L^1 norm of a term is below the tolerance
+    step = lowenergy._series_step(reg, lam)
+    total, term = reg.S0.copy(), reg.S0
+    for _ in range(200):
+        term = step @ term
+        total += term
+        if operator_l1_norm(term, grid) < 1e-13:
+            break
+    assert np.array_equal(S, total)
+
+
+def _bisection_window(cf, target=0.5, iters=30):
+    """The window search by bisection: 31 evaluations of cf."""
+    hi = 1.0
+    if cf(hi) <= target:
+        return hi
+    lo = 0.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if cf(mid) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("scenario", ["ee_small", "ee6", "full_ee", "well"])
+def test_auto_window_brackets_the_crossing(request, monkeypatch, scenario):
+    if scenario == "ee_small":
+        reg = request.getfixturevalue("ee_small")["reg"]
+    else:
+        if scenario == "ee6":
+            ee6 = request.getfixturevalue("ee6")
+            grid, V = ee6["grid"], ee6["V"]
+        elif scenario == "full_ee":  # the full-ee benchmark grid
+            grid = grids.make_grid(grids.Mode.RADIAL_SWAVE, 80.0, 400)
+            V, _, _ = potentials.tune_coupling(potentials.exact_eigen(grid), grid)
+        else:  # no threshold basis: S0 is the plain inverse
+            grid = grids.make_grid(grids.Mode.RADIAL_SWAVE, 20.0, 200)
+            V = potentials.gaussian_well(grid, depth=4.0, width=1.0)
+        basis = jordan.threshold(V, grid).basis
+        reg = lowenergy.build_S0(V, grid, basis, window=1.0)
+    calls = []
+    contraction_factor = lowenergy.contraction_factor
+
+    def counted(reg, lam):
+        calls.append(lam)
+        return contraction_factor(reg, lam)
+
+    monkeypatch.setattr(lowenergy, "contraction_factor", counted)
+    w = lowenergy._auto_window(reg)
+    assert len(calls) <= 15
+
+    def cf(lam):
+        return contraction_factor(reg, lam)
+
+    assert w == 1.0 or cf(w) <= 0.5 < cf(w + 2.0**-30)
+    assert abs(w - _bisection_window(cf)) <= 2.0**-30

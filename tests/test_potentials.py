@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from speclab import evolution, grids, potentials
+from speclab import birman, cli, evolution, grids, jordan, potentials, resolvent
 from speclab.grids import Mode
 
 
@@ -77,3 +77,37 @@ def test_complex_perturbed_moves_spectrum(grid20):
     assert np.abs(H - H.T).max() < 1e-12  # still complex symmetric
     ev = np.linalg.eigvals(H)
     assert np.abs(ev.imag).max() > 0.3
+
+
+def _bs_eigenvalues(V, grid):
+    """Eigenvalues of V R0(0), densely, sorted by distance from -1."""
+    K = birman.potential_operator(V, resolvent.build_R0(grid, 0.0))
+    ev = np.linalg.eig(K)[0]
+    return K, ev[np.argsort(np.abs(ev + 1.0))]
+
+
+@pytest.mark.parametrize("nodes", [120, 300])
+@pytest.mark.parametrize("s", [1.0, 2.0, 4.0])
+def test_tune_coupling_matches_dense_eig(nodes, s):
+    g = grids.make_grid(Mode.RADIAL_SWAVE, 20.0, nodes)
+    V = potentials.exact_eigen(g, s=s)
+    _, c, info = potentials.tune_coupling(V, g)
+    K, ev = _bs_eigenvalues(V, g)
+    c_dense = -1.0 / ev[0]
+    assert abs(c - c_dense) <= 1e-10 * abs(c)
+    # the weighted state g = H0 u is the eigenvector of V R0(0)
+    weighted = info["weighted"].values
+    resid = np.abs(K @ weighted - info["nu"] * weighted).max()
+    assert resid <= 1e-9 * np.abs(weighted).max()
+
+
+def test_tune_coupling_refuses_an_equidistant_target():
+    # midway between the two eigenvalues nearest -1, inverse iteration
+    # cannot separate them
+    g = grids.make_grid(Mode.RADIAL_SWAVE, 20.0, 120)
+    V = potentials.exact_eigen(g, s=2.0)
+    _, ev = _bs_eigenvalues(V, g)
+    target = 0.5 * (ev[0] + ev[1]).real
+    with pytest.raises(jordan.ClusterAmbiguousError):
+        potentials.tune_coupling(V, g, target=target)
+    assert jordan.ClusterAmbiguousError in cli._NUMERICAL_REFUSALS  # exit 4
