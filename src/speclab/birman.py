@@ -15,12 +15,12 @@ potential I + V R0 = (T_lambda + V) R0 and
 
 `bs_solve` takes both from one tridiagonal factorization in O(M) per
 vector, with the same near-singular refusal as the dense path; it serves
-the transform scan, the Stone check and `uniform_inverse_scan`.  Its
+the transform scan, the Stone check, `uniform_inverse_scan` and the S0 of
+:mod:`speclab.lowenergy` when there is no threshold basis.  Its
 factorization, `_tridiagonal_solver`, also applies the domain resolvent of
-:mod:`speclab.lowenergy`.  The dense LU (`build_bs`, `direct_inverse`,
-`bs_inverse`) stays for dense perturbations, for lambda h near a nonzero
-multiple of pi, for the bordered S0 solve and as the oracle of the banded
-path.
+:mod:`speclab.lowenergy` and its banded S0 solve.  The dense LU
+(`build_bs`, `direct_inverse`) stays for dense perturbations, for lambda h
+near a nonzero multiple of pi and as the oracle of the banded paths.
 """
 
 from __future__ import annotations
@@ -176,12 +176,6 @@ def direct_inverse(A, context=""):
         raise NearSingularError(cond, context)
     inv = sla.lu_solve((lu, piv), np.eye(A.shape[0], dtype=complex))
     return inv, float(cond)
-
-
-def bs_inverse(V, grid, lam, sign=Branch.PLUS):
-    """(I + V R0(lambda^2))^{-1} via dense LU."""
-    op, _ = direct_inverse(build_bs(V, grid, lam, sign), context=f"lambda={lam}")
-    return op
 
 
 def tridiagonal_bs(grid, lam, sign=Branch.PLUS):

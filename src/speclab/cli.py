@@ -299,20 +299,21 @@ def run_invert(cfg, grid, V, rng, out_dir=None, *, threshold=None):
         "range_constraint": lowenergy.range_constraint_residual(reg),
     }
     if out_dir is not None and basis.dim > 0:
+        # the scan's rows carry the identity residuals of each lambda
         probe = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
         f_adm = lowenergy.admissible_part(GridFunction(grid, probe), basis)
-        lowenergy.low_energy_scan(
+        rows = lowenergy.low_energy_scan(
             reg, np.array(lambdas), f_adm, grids.gaussian_bump(grid),
             path=os.path.join(out_dir, "low_energy_scan.csv"),
         )
-    per_lambda = []
-    for lam in lambdas:
-        row = lowenergy.identity_residuals(V, grid, basis, lam)
-        per_lambda.append(
-            {"lambda": lam, "chain": row["resid_chain"],
-             "telescope": row["resid_telescope"],
-             "exact_inverse": row["resid_exactinv"]}
-        )
+    else:
+        rows = [lowenergy.identity_residuals(V, grid, basis, lam) for lam in lambdas]
+    per_lambda = [
+        {"lambda": lam, "chain": row["resid_chain"],
+         "telescope": row["resid_telescope"],
+         "exact_inverse": row["resid_exactinv"]}
+        for lam, row in zip(lambdas, rows)
+    ]
     out = {
         **_header("invert", V, grid, tol),
         "window": reg.window,

@@ -155,13 +155,6 @@ def bilinear_pair(f, g, weights=None):
     return complex(np.sum(w * f.values * g.values))
 
 
-def inner_product(f, g, weights=None):
-    """Sesquilinear inner product sum w_i f_i conj(g_i)."""
-    _check_same_grid(f.grid, g.grid)
-    w = f.grid.weights if weights is None else weights
-    return complex(np.sum(w * f.values * np.conj(g.values)))
-
-
 def operator_l1_norm(A, grid):
     """Induced norm of the application matrix A on the weighted discrete L^1
     space of `grid`: max_j sum_i w_i |A_ij| / w_j."""

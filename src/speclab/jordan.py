@@ -13,10 +13,12 @@ version (`jordan_dual_basis`) is also exercised directly on synthetic
 fixtures.  `threshold` computes the concrete version once per scenario:
 the filtration dims, the X_1 states that `classify_state` sorts into
 eigenvalues and resonances, and the basis.  From the basis come the
-spectral projections P0 (full), the limited P~0 / Q~0 pair used by the
-low-energy inverse, and P_pp (all point spectrum: bilinear rank-one
-projectors of simple eigenvalues by tridiagonal inverse iteration, Schur-based
-Riesz projectors elsewhere).
+spectral projections P0 (full), the limited P~0 (the low-energy inverse
+applies Q~0 = I - P~0 through its rank-n factors), and P_pp (all point
+spectrum: eigenvalues by Sturm bisection of a real tridiagonal H, by a
+dense `eigvals` otherwise; bilinear rank-one projectors of simple
+eigenvalues by tridiagonal inverse iteration, Schur-based Riesz projectors
+elsewhere).
 """
 
 from __future__ import annotations
@@ -476,11 +478,6 @@ def build_Ptilde0(basis, grid):
     return _rank_one_sum(grid, pairs)
 
 
-def build_Qtilde0(basis, grid):
-    """Complementary projection Q~0 = I - P~0."""
-    return np.eye(grid.size) - build_Ptilde0(basis, grid)
-
-
 def free_edge_scale(grid):
     """Lowest eigenvalue of the free discretized Laplacian (continuum edge)."""
     return (np.pi / (2.0 * grid.extent)) ** 2
@@ -496,49 +493,78 @@ def build_Ppp(
 ):
     """Projection onto all point spectrum away from the continuum edge.
 
-    Discrete eigenvalues (one dense `eigvals` of H) with Re < -delta_edge or
-    |Im| > delta_im are point spectrum; they are clustered, and the Riesz
-    projectors of the clusters are summed.  A threshold basis (zero-energy
-    part) may be supplied and its P0 is added.
+    Discrete eigenvalues of H with Re < -delta_edge or |Im| > delta_im are
+    point spectrum; they are clustered, and the Riesz projectors of the
+    clusters are summed.  A threshold basis (zero-energy part) may be
+    supplied and its P0 is added.
 
-    The path per cluster is read off the input.  H is complex symmetric, so
-    the left eigenvector of a simple eigenvalue z is the transposed right
-    one psi, and its Riesz projector is the bilinear rank-one
-    psi psi^T / (psi^T psi), in the pairing of the self-dual Jordan basis.
-    For a sampled potential (tridiagonal H) a single-member cluster takes
-    that formula, with psi from inverse iteration on the tridiagonal H - z
-    (`_rank_one_projector`, O(M) per step).  `_riesz_projector`, a sorted
-    Schur form and a Sylvester solve, serves the rest: a dense perturbation
-    matrix, a cluster of more than one eigenvalue, a near-defective
-    eigenvalue (condition kappa = ||psi||^2 / |psi^T psi| above KAPPA_MAX)
-    and an eigenpair whose residual ||H psi - z psi|| exceeds
-    RESIDUAL_TOL ||H||_1 ||psi||.
+    The eigenvalue source is read off the input, as `evolution.propagate`
+    reads its algorithm off H.  Real samples make H real-symmetric
+    tridiagonal, and only its eigenvalues below -delta_edge are found, by
+    Sturm bisection (`_eigenvalues_below`, O(M) per step and eigenvalue).
+    Complex samples and dense perturbation matrices take one dense
+    `eigvals` of H, O(M^3).
+
+    The path per cluster is read off the input too.  H is complex
+    symmetric, so the left eigenvector of a simple eigenvalue z is the
+    transposed right one psi, and its Riesz projector is the bilinear
+    rank-one psi psi^T / (psi^T psi), in the pairing of the self-dual
+    Jordan basis.  For a sampled potential (tridiagonal H) a single-member
+    cluster takes that formula, with psi from inverse iteration on the
+    tridiagonal H - z (`_rank_one_projector`, O(M) per step).
+    `_riesz_projector`, a sorted Schur form and a Sylvester solve, serves
+    the rest: a dense perturbation matrix, a cluster of more than one
+    eigenvalue, a near-defective eigenvalue (condition kappa =
+    ||psi||^2 / |psi^T psi| above KAPPA_MAX) and an eigenpair whose residual
+    ||H psi - z psi|| exceeds RESIDUAL_TOL ||H||_1 ||psi||.
     """
-    H = evolution.discretize_H(V, grid)
     if delta_edge is None:
         delta_edge = 3.0 * free_edge_scale(grid)
-    evals = np.linalg.eigvals(H)
+    v = np.zeros(grid.size) if V is None else birman._samples(V)
+    H = bands = None
+    if v is not None:
+        dl, d, du = birman.tridiagonal_bs(grid, 0.0)
+        bands = (dl, d + v, du)
+    if v is not None and not np.any(np.imag(v)):
+        evals = _eigenvalues_below(d + np.real(v), dl, -delta_edge)
+    else:
+        H = evolution.discretize_H(V, grid)
+        evals = np.linalg.eigvals(H)
     selected = [
         ev for ev in evals if ev.real < -delta_edge or abs(ev.imag) > delta_im
     ]
     clusters = _cluster(selected, cluster_tol)
-    v = np.zeros(grid.size) if V is None else birman._samples(V)
-    bands = None
-    if v is not None:
-        dl, d, du = birman.tridiagonal_bs(grid, 0.0)
-        bands = (dl, d + v, du)
     P = np.zeros((grid.size, grid.size), complex)
     for center, members in clusters:
         proj = None
         if bands is not None and len(members) == 1:
             proj = _rank_one_projector(*bands, center)
         if proj is None:
+            if H is None:
+                H = evolution.discretize_H(V, grid)
             radius = max(abs(ev - center) for ev in members) + cluster_tol
             proj = _riesz_projector(H, center, radius)
         P += proj
     if basis is not None and basis.dim > 0:
         P += build_P0(basis, grid)
     return P
+
+
+def _eigenvalues_below(d, e, upper):
+    """The eigenvalues up to `upper` of the real symmetric tridiag(e, d, e).
+
+    Sturm bisection (LAPACK dstebz through `eigvalsh_tridiagonal`,
+    select="v") on an interval whose lower end lies below Gershgorin's
+    bound, so that no eigenvalue up to `upper` is missed.
+    """
+    radius = np.zeros(d.size)
+    radius[1:] += np.abs(e)
+    radius[:-1] += np.abs(e)
+    lower = float((d - radius).min())
+    if lower > upper:
+        return np.zeros(0)
+    lower -= 1.0 + abs(lower)
+    return sla.eigvalsh_tridiagonal(d, e, select="v", select_range=(lower, upper))
 
 
 #: Largest eigenvalue condition kappa = ||psi||^2 / |psi^T psi| at which

@@ -24,14 +24,18 @@ from this family by a domain-truncation boundary term that would otherwise
 pollute the pole coefficients with an O(1) defect.  H0 is tridiagonal, so
 `domain_resolvent` applies this inverse by tridiagonal solves, O(M) per
 vector; no M x M resolvent is formed except `_bs_matrix`, the dense
-I + V R0(lambda^2) of the bordered S0 system.  H0 is real symmetric, so
-products X R0(lambda^2) are formed as (R0(lambda^2) X^T)^T.
+I + V R0(lambda^2) of the dense bordered S0 system and of the tests'
+oracles.  H0 is real symmetric, so products X R0(lambda^2) are formed as
+(R0(lambda^2) X^T)^T.
 
-Cost: the O(M^3) steps, the bordered S0 solve and the product S0 Q~0 V,
-run once per `build_S0`.  S(lambda) itself is never formed: the scan and
-the formula apply it to their data, one column per probe, so the work per
-lambda is the O(M^2) series step (M tridiagonal solves) and its products
-with those columns.
+Cost: for a sampled potential nothing here is O(M^3).  `build_S0` forms
+S0 column by column from tridiagonal solves (`_banded_S0`), O(M^2) in all,
+and Q~0 = I - P~0 is applied through the rank-n factors of P~0, so S0 Q~0 V
+and the defect of `one_sided_residual` cost O(M^2 n).  S(lambda) itself is
+never formed: the scan and the formula apply it to their data, one column
+per probe, so the work per lambda is the O(M^2) series step (M tridiagonal
+solves) and its products with those columns.  Only a dense perturbation
+matrix takes the O(M^3) dense LU of the bordered system (`_bordered_S0`).
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import linalg as sla
 
 from . import birman, jordan
 from .grids import GridFunction, bilinear_pair, lp_norm, operator_l1_norm
@@ -71,24 +76,40 @@ def _bs_matrix(V, grid, lam):
 
 @dataclass
 class RegularizedInverse:
-    """S0 plus everything needed to continue it to small lambda."""
+    """S0 plus everything needed to continue it to small lambda.
+
+    Q~0 = I - P~0 is kept as the rank-n factors of P~0 = Y Z^T (`_qtilde0`):
+    the columns of Y are the chain tops psi_{k,k}, those of Z the weighted
+    chain bottoms w psi_{1,k}, n the number of chains.
+    """
 
     S0: np.ndarray
     basis: "jordan.JordanBasis"
     V: object
     grid: object
-    Qt0: np.ndarray
+    Y: np.ndarray
+    Z: np.ndarray
     window: float
     range_constraints: list  # GridFunctions R0(0) psi_{k,k} (range must be B-orthogonal)
     # (S0 Q~0 V)^T and R0(0) (S0 Q~0 V)^T, the lambda-independent factors of
-    # `_series_step`: an M^3 product and M tridiagonal solves, formed once
-    # here rather than on every call.
+    # `_series_step`: formed once here rather than on every call.
     Xt: np.ndarray = field(init=False, repr=False)
     R0Xt: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.Xt = birman.potential_operator(self.V, self.S0 @ self.Qt0, right=True).T
+        S0Qt0 = self.S0 - (self.S0 @ self.Y) @ self.Z.T
+        self.Xt = birman.potential_operator(self.V, S0Qt0, right=True).T
         self.R0Xt = domain_resolvent(self.grid, 0.0)(self.Xt)
+
+
+def _qtilde0(reg, X):
+    """Q~0 X = X - Y (Z^T X), for a vector or a matrix of columns X."""
+    return X - reg.Y @ (reg.Z.T @ X)
+
+
+def _columns(grid, vectors):
+    """The vectors as the columns of an M x n array (n = 0 allowed)."""
+    return np.array(vectors, dtype=complex).reshape(-1, grid.size).T
 
 
 def _diag_chains(basis):
@@ -103,54 +124,140 @@ def _diag_chains(basis):
 def build_S0(V, grid, basis, window="auto"):
     """Constrained one-sided inverse of I + V R0(0).
 
-    Solves the bordered system [[Q~0 (I + V R0(0)), Y], [C, 0]] [u; mu] =
-    [f; 0] where Y spans the psi_{k,k} (absorbing the cokernel) and the
-    rows of C impose the range constraint pair(u, R0(0) psi_{k,k}) = 0
-    (output orthogonal to R0(0) applied to the chain tops).  The duality
-    normalization pair(V psi_{1,k}, R0(0) psi_{k',k'}) = -delta guarantees
-    the bordered matrix is nonsingular.
+    S0 f = u solves the bordered system [[Q~0 (I + V R0(0)), Y], [C, 0]]
+    [u; mu] = [f; 0] where Y spans the psi_{k,k} (absorbing the cokernel)
+    and the rows of C impose the range constraint pair(u, R0(0) psi_{k,k})
+    = 0 (output orthogonal to R0(0) applied to the chain tops).  The
+    duality normalization pair(V psi_{1,k}, R0(0) psi_{k',k'}) = -delta
+    guarantees the bordered matrix is nonsingular.
+
+    The path is read off the input.  For the samples of a multiplier,
+    `_banded_S0` solves the system column by column in O(M) each, O(M^2)
+    in all; with no threshold basis S0 is the plain inverse of I + V R0(0),
+    M banded solves of `birman.bs_solve` with its near-singular refusal.  A
+    dense perturbation matrix takes the dense LU of the bordered matrix
+    (`_bordered_S0`, O(M^3)), which is also the oracle of the banded path.
     """
-    T0 = _bs_matrix(V, grid, 0.0)
     R0 = domain_resolvent(grid, 0.0)
     chains = _diag_chains(basis)
-    n = len(chains)
-    if n == 0:
-        S0, _ = birman.direct_inverse(T0, context="S0 (trivial)")
-        Qt0 = np.eye(grid.size, dtype=complex)
-        reg = RegularizedInverse(S0, basis, V, grid, Qt0, np.inf, [])
-        reg.window = _auto_window(reg) if window == "auto" else window
-        return reg
-    Qt0 = jordan.build_Qtilde0(basis, grid)
-    M = grid.size
     w = grid.weights
-    Y = np.column_stack([psikk.values for _, _, _, psikk in chains])
+    Y = _columns(grid, [psikk.values for _, _, _, psikk in chains])
+    Z = _columns(grid, [w * psi1.values for _, _, psi1, _ in chains])
     constraints = [GridFunction(grid, R0(psikk.values)) for _, _, _, psikk in chains]
-    C = np.vstack([(w * c.values) for c in constraints])
-    # Duality check: pairing V psi_{1,k} against R0(0) psi_{k',k'}.
-    D = np.array(
-        [
+    if chains:
+        # Duality check: pairing V psi_{1,k} against R0(0) psi_{k',k'}.
+        D = np.array(
             [
-                bilinear_pair(
-                    GridFunction(grid, birman.potential_operator(V, psi1.values)), c
-                )
-                for c in constraints
+                [
+                    bilinear_pair(
+                        GridFunction(grid, birman.potential_operator(V, psi1.values)), c
+                    )
+                    for c in constraints
+                ]
+                for _, _, psi1, _ in chains
             ]
-            for _, _, psi1, _ in chains
-        ]
-    )
-    if np.linalg.cond(D) > 1e8:
-        raise DualityDegenerateError(
-            f"duality Gram matrix has condition {np.linalg.cond(D):.3e}"
         )
-    K = np.zeros((M + n, M + n), complex)
-    K[:M, :M] = Qt0 @ T0
-    K[:M, M:] = Y
-    K[M:, :M] = C
-    Kinv, _ = birman.direct_inverse(K, context="S0 bordered solve")
-    S0 = Kinv[:M, :M]
-    reg = RegularizedInverse(S0, basis, V, grid, Qt0, np.inf, constraints)
+        if np.linalg.cond(D) > 1e8:
+            raise DualityDegenerateError(
+                f"duality Gram matrix has condition {np.linalg.cond(D):.3e}"
+            )
+    v = birman._samples(V)
+    if v is None:
+        S0 = _bordered_S0(V, grid, Y, Z, constraints)
+    elif not chains:
+        eye = np.eye(grid.size, dtype=complex)
+        S0 = birman.bs_solve(V, grid, 0.0, eye, context="S0")[1]
+    else:
+        S0 = _banded_S0(v, grid, Y, Z, constraints)
+    reg = RegularizedInverse(S0, basis, V, grid, Y, Z, np.inf, constraints)
     reg.window = _auto_window(reg) if window == "auto" else window
     return reg
+
+
+def _bordered_S0(V, grid, Y, Z, constraints):
+    """S0 from the dense LU of the bordered matrix of `build_S0`, O(M^3).
+
+    The path of a dense perturbation matrix and the oracle of `_banded_S0`;
+    with no chains (Y and Z of width 0) it is the dense inverse of
+    I + V R0(0).
+    """
+    M, n = Y.shape
+    T0 = _bs_matrix(V, grid, 0.0)
+    K = np.zeros((M + n, M + n), complex)
+    K[:M, :M] = T0 - Y @ (Z.T @ T0)
+    K[:M, M:] = Y
+    K[M:, :M] = _columns(grid, [grid.weights * c.values for c in constraints]).T
+    Kinv, _ = birman.direct_inverse(K, context="S0 bordered solve")
+    return Kinv[:M, :M]
+
+
+def _banded_S0(v, grid, Y, Z, constraints):
+    """S0 for the samples v of a multiplier, in O(M) per column.
+
+    R0(0) is exactly H0^{-1}, so I + V R0(0) = H H0^{-1} with H = H0 + V
+    tridiagonal, and the weights are uniform (w = h), so C H0 = h Y^T.  The
+    substitution u = H0 y turns the bordered system of `build_S0` into
+    [[Q~0 H, Y], [h Y^T, 0]] [y; mu] = [f; 0], which `_bordered_solver`
+    solves without forming any M x M matrix but the columns themselves.
+    Forming u = H0 y loses about eps cond(H0) ~ eps M^2 in the T0 form that
+    `one_sided_residual` checks, so one step of iterative refinement on that
+    form follows, with I + V R0(0) applied by tridiagonal solves.
+    """
+    M, n = Y.shape
+    dl, d0, du = birman.tridiagonal_bs(grid, 0.0)
+    solve = _bordered_solver(dl, d0 + v, du, Y, Z, grid.weights[:, None] * Y)
+    C = _columns(grid, [grid.weights * c.values for c in constraints])
+    F = np.eye(M, dtype=complex)
+    y, mu = solve(F, np.zeros((n, M)))
+    S0 = birman._tridiagonal_apply(dl, d0, du, y)
+    del y
+    # The residual [F; 0] - [[Q~0 T0, Y], [C, 0]] [S0; mu], formed in place
+    # so that no more M x M arrays are alive than in the dense path.
+    T = domain_resolvent(grid, 0.0)(S0)
+    T *= v[:, None]
+    T += S0
+    T -= Y @ (Z.T @ T - mu)
+    F -= T
+    del T
+    dy, _ = solve(F, -(C.T @ S0))
+    del F
+    S0 += birman._tridiagonal_apply(dl, d0, du, dy)
+    return S0
+
+
+def _bordered_solver(dl, d, du, Y, Z, B):
+    """Solver of [[Q~0 H, Y], [B^T, 0]] with H = tridiag(dl, d, du), Q~0 = I - Y Z^T.
+
+    H is singular: the psi_{1,k} of Z span its kernel.  A = H + alpha E E^T,
+    with E the unit columns at the rows r where the psi_{1,k} are largest
+    (column-pivoted QR of Z^T) and alpha the off-diagonal scale, is
+    tridiagonal and nonsingular: for one chain det A = alpha times the
+    minor of H without row and column r, which is proportional to
+    psi_{1,k}(r)^2.  Q~0 H = A + U W^T with U = [E, Y] and
+    W = [-alpha E, -H^T Z], so block elimination leaves one tridiagonal
+    solve per column and a 3n x 3n capacitance system for z = W^T y and mu.
+    Returns solve(F, G) -> (y, mu) for the right-hand side [F; G], F of M
+    rows and G of n rows.
+    """
+    M, n = Y.shape
+    rows = sla.qr(Z.T, mode="r", pivoting=True)[1][:n]
+    alpha = np.abs(dl).max()
+    E = np.zeros((M, n), complex)
+    E[rows, np.arange(n)] = 1.0
+    shifted = d.astype(complex)
+    shifted[rows] += alpha
+    solve_A = birman._tridiagonal_solver(dl, shifted, du, "S0 bordered solve")
+    W = np.hstack([-alpha * E, -birman._tridiagonal_apply(du, d, dl, Z)])
+    P, Q = solve_A(np.hstack([E, Y])), solve_A(Y)
+    cap = np.block([[np.eye(2 * n) + W.T @ P, W.T @ Q], [B.T @ P, B.T @ Q]])
+
+    def solve(F, G):
+        y = solve_A(F)
+        zmu = np.linalg.solve(cap, np.vstack([W.T @ y, B.T @ y - G]))
+        y -= P @ zmu[: 2 * n] + Q @ zmu[2 * n :]
+        return y, zmu[2 * n :]
+
+    return solve
 
 
 def _series_step(reg, lam):
@@ -236,25 +343,23 @@ def one_sided_residual(reg, lam=0.0):
     """Residual of Q~0 (I + V R0(l^2)) S(l) = identity on X-bar_1-perp.
 
     Measured in induced L^1 after composing with the projector onto
-    X-bar_1-perp (f -> f with pairings against psi_{1,k} removed is not a
-    needed restriction: the identity is checked post-composed with Q-tilde-0
-    input projection built from the dual chains).
+    X-bar_1-perp = {f : pair(f, psi_{1,k}) = 0}, I - pinv(Z^T) Z^T.  Both
+    Q~0 and that projector are applied through their rank-n factors, and
+    I + V R0(l^2) through tridiagonal solves, never through H, so the check
+    stays independent of how S0 was solved.
     """
     grid = reg.grid
-    S, _ = build_S_lambda(reg, lam, np.eye(grid.size, dtype=complex))
-    # The defect Q~0 (I + V R0(l^2)) S - I, updated in place where it can
-    # be: the check then holds no more M x M arrays than the formed S needs.
+    if lam == 0:
+        S = reg.S0.copy()
+    else:
+        S, _ = build_S_lambda(reg, lam, np.eye(grid.size, dtype=complex))
+    # The defect Q~0 (I + V R0(l^2)) S - I, updated in place: the check
+    # holds no more M x M arrays than S and one temporary.
     S += birman.potential_operator(reg.V, domain_resolvent(grid, lam)(S))
-    defect = reg.Qt0 @ S
-    del S
-    defect -= np.eye(grid.size)
-    # Domain projector onto X-bar_1-perp = {f : pair(f, psi_{1,k}) = 0}.
-    chains = _diag_chains(reg.basis)
-    P = np.eye(grid.size, dtype=complex)
-    if chains:
-        R = np.vstack([grid.weights * psi1.values for _, _, psi1, _ in chains])
-        P = P - np.linalg.pinv(R) @ R
-    return operator_l1_norm(defect @ P, grid)
+    S -= reg.Y @ (reg.Z.T @ S)
+    S[np.diag_indices(grid.size)] -= 1.0
+    S -= (S @ np.linalg.pinv(reg.Z.T)) @ reg.Z.T
+    return operator_l1_norm(S, grid)
 
 
 def range_constraint_residual(reg, trials=8, seed=0):
@@ -303,7 +408,7 @@ def inverse_via_formula(reg, lam, f, variant="R0"):
     and a diagnostics dict exposing the alternative-form coefficients F_k
     and its evaluation for the algebraic-equivalence check.
     """
-    Sf, contraction = build_S_lambda(reg, lam, (reg.Qt0 @ f.values)[:, None])
+    Sf, contraction = build_S_lambda(reg, lam, _qtilde0(reg, f.values)[:, None])
     result, F, out1 = _formula(reg, lam, Sf[:, 0], f, variant)
     return result, {"F": F, "inverse1": out1, "contraction": contraction}
 
@@ -421,7 +526,7 @@ def low_energy_scan(reg, lambdas, f_admissible, f_generic, path=None):
     the two columns Q~0 f_admissible and Q~0 f_generic.
     """
     V, grid, basis = reg.V, reg.grid, reg.basis
-    X = reg.Qt0 @ np.column_stack([f_admissible.values, f_generic.values])
+    X = _qtilde0(reg, np.column_stack([f_admissible.values, f_generic.values]))
     rows = []
     for lam in lambdas:
         resid = identity_residuals(V, grid, basis, lam)

@@ -1,9 +1,8 @@
 """Shared scenario fixtures.
 
 The tuned exact-eigenvalue scenarios are expensive to set up (the dense
-threshold SVD and, for ee_small, the bordered S0 solve; the coupling tuning
-itself is banded), so they are session-scoped and shared across test
-modules.
+threshold SVD; the coupling tuning and ee_small's S0 are banded), so they
+are session-scoped and shared across test modules.
 """
 
 import pytest
@@ -16,6 +15,25 @@ from speclab.grids import Mode
 # with the grid size drawn and with the machine's load.
 settings.register_profile("speclab", max_examples=60, deadline=None)
 settings.load_profile("speclab")
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, name) wraps module.<name> for the test and returns
+    the list to which each call appends its positional arguments."""
+
+    def wrap(module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return wrap
 
 
 @pytest.fixture(scope="session")

@@ -39,7 +39,7 @@ def test_near_singular_raised_at_threshold(grid20):
         potentials.exact_eigen(grid20, s=2.0), grid20
     )
     with pytest.raises(birman.NearSingularError):
-        birman.bs_inverse(tuned, grid20, 0.0)
+        birman.direct_inverse(birman.build_bs(tuned, grid20, 0.0))
     with pytest.raises(birman.NearSingularError):
         birman.bs_solve(tuned, grid20, 0.0, grid20.nodes.astype(complex))
 
@@ -72,7 +72,7 @@ def test_smooth_cutoff_plateau_and_support():
 def test_local_neumann_matches_dense_inverse(grid20, well20):
     op, factor = birman.local_neumann_inverse(well20, grid20, 2.0, 0.015, 2.01)
     assert factor < 1.0
-    oracle = birman.bs_inverse(well20, grid20, 2.01)
+    oracle, _ = birman.direct_inverse(birman.build_bs(well20, grid20, 2.01))
     diff = op - oracle
     assert operator_l1_norm(diff, grid20) / operator_l1_norm(oracle, grid20) < 1e-10
 
@@ -174,7 +174,9 @@ def test_uniform_inverse_scan_matches_dense(grid20, well20):
     lams = [0.5, 2.0, 9.0]
     out = birman.uniform_inverse_scan(well20, grid20, lams)
     dense = [
-        operator_l1_norm(birman.bs_inverse(well20, grid20, lam), grid20)
+        operator_l1_norm(
+            birman.direct_inverse(birman.build_bs(well20, grid20, lam))[0], grid20
+        )
         for lam in lams
     ]
     assert np.allclose(out["norms"], dense, rtol=1e-10, atol=0.0)

@@ -1,5 +1,6 @@
 """End-to-end tests for the scenario runner CLI."""
 
+import csv
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import speclab
-from speclab import cli, jordan
+from speclab import birman, cli, jordan, lowenergy
 
 
 def write_cfg(tmp_path, cfg, name="scenario.json"):
@@ -119,6 +120,33 @@ def test_invert_report(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "low_energy_scan.csv"))
 
 
+def test_invert_computes_identity_residuals_once_per_lambda(
+    tmp_path, capsys, count_calls
+):
+    fixture = cli._FIXTURE_SCENARIOS["invert_exact_eigen"]
+    cfg = write_cfg(tmp_path, fixture)
+    out = tmp_path / "run"
+    calls = count_calls(lowenergy, "identity_residuals")
+    assert cli.main(["invert", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    with_out = capsys.readouterr().out
+    assert [args[-1] for args in calls] == fixture["invert"]["lambdas"]
+    # without --out the report's residuals are computed directly; with it
+    # they come from the scan's rows, and the bytes are the same
+    assert cli.main(["invert", "--config", cfg]) == cli.EXIT_OK
+    assert capsys.readouterr().out == with_out
+    assert (out / "invert_report.json").read_text() == with_out
+    with open(out / "low_energy_scan.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    per_lambda = json.loads(with_out)["per_lambda"]
+    columns = {"chain": "resid_chain", "telescope": "resid_telescope",
+               "exact_inverse": "resid_exactinv"}
+    assert len(rows) == len(per_lambda)
+    for row, entry in zip(rows, per_lambda):
+        assert float(row["lambda"]) == entry["lambda"]
+        for key, column in columns.items():
+            assert float(row[column]) == entry[key]
+
+
 def test_evolve_free_decay(tmp_path, capsys):
     cfg = {
         "schema_version": cli.SCHEMA_VERSION,
@@ -204,20 +232,18 @@ def test_config_errors_exit_3(tmp_path, capsys, pipeline, path, value):
         assert err == "configuration error: unknown grid mode 'box3d'\n"
 
 
-def test_full_pipeline_gates(tmp_path, capsys, monkeypatch):
-    calls = []
-    build_filtration = jordan.build_filtration
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return build_filtration(*args, **kwargs)
-
-    monkeypatch.setattr(jordan, "build_filtration", counted)
+def test_full_pipeline_gates(tmp_path, capsys, count_calls):
+    calls = count_calls(jordan, "build_filtration")
+    # the sampled potential takes the Sturm point spectrum and the banded
+    # S0: no dense eigensolve and no dense LU anywhere in the pipeline
+    eigvals = count_calls(np.linalg, "eigvals")
+    dense_lu = count_calls(birman, "direct_inverse")
     cfg = dict(cli._FIXTURE_SCENARIOS["full_exact_eigen"])
-    cfg["grid"] = {**cfg["grid"], "nodes": 400}
+    cfg["grid"] = {**cfg["grid"], "nodes": 400}  # the full-ee benchmark scenario
     rc = cli.main(["full", "--config", write_cfg(tmp_path, cfg)])
     assert rc == cli.EXIT_OK
     assert len(calls) == 1  # one threshold computation for all four stages
+    assert not eigvals and not dense_lu
     report = json.loads(capsys.readouterr().out)
     stages = report["stages"]
     assert sorted(stages) == ["evolve", "ftscan", "invert", "threshold"]

@@ -39,7 +39,6 @@ def test_bilinear_pair_is_unconjugated():
     g = grids.make_grid(Mode.RADIAL_SWAVE, 5.0, 50)
     f = GridFunction(g, 1j * np.ones(g.size))
     assert grids.bilinear_pair(f, f) == pytest.approx(-5.0)
-    assert grids.inner_product(f, f) == pytest.approx(5.0)
 
 
 def test_grid_mismatch_rejected():

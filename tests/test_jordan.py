@@ -110,7 +110,7 @@ def test_projection_algebra(ee6):
     g, jb = ee6["grid"], ee6["basis"]
     P0 = jordan.build_P0(jb, g)
     Pt = jordan.build_Ptilde0(jb, g)
-    Qt = jordan.build_Qtilde0(jb, g)
+    Qt = np.eye(g.size) - Pt
     assert np.abs(P0 @ P0 - P0).max() < 1e-12
     assert np.abs(Pt @ Pt - Pt).max() < 1e-12
     assert np.abs(Qt @ Pt).max() < 1e-12
@@ -141,21 +141,7 @@ def test_riesz_projectors_orthogonal_across_clusters():
     assert np.abs(Ps[1] @ Ps[0]).max() < 1e-10
 
 
-def _counted(monkeypatch, name):
-    """Wrap jordan.<name> so that its calls and results are recorded."""
-    calls = []
-    original = getattr(jordan, name)
-
-    def counted(*args):
-        out = original(*args)
-        calls.append(out)
-        return out
-
-    monkeypatch.setattr(jordan, name, counted)
-    return calls
-
-
-def test_rank_one_projectors_match_schur(monkeypatch):
+def test_rank_one_projectors_match_schur(count_calls):
     g = grids.make_grid(Mode.RADIAL_SWAVE, 20.0, 400)
     V = potentials.gaussian_well(g, depth=12.0, width=2.0)
     H = evolution.discretize_H(V, g)
@@ -167,7 +153,7 @@ def test_rank_one_projectors_match_schur(monkeypatch):
         P1 = jordan._rank_one_projector(dl, d + V.values.values, du, z)
         P2 = jordan._riesz_projector(H, z, 1e-6)
         assert np.abs(P1 - P2).max() < 1e-10
-    schur = _counted(monkeypatch, "_riesz_projector")
+    schur = count_calls(jordan, "_riesz_projector")
     P = jordan.build_Ppp(V, g, delta_edge=0.05)
     assert not schur
     # Widened clusters merge the two eigenvalues: one Schur projector, the
@@ -177,12 +163,12 @@ def test_rank_one_projectors_match_schur(monkeypatch):
     assert np.abs(merged - P).max() < 1e-10
 
 
-def test_dense_perturbation_takes_schur_path(monkeypatch):
+def test_dense_perturbation_takes_schur_path(count_calls):
     g = grids.make_grid(Mode.RADIAL_SWAVE, 20.0, 150)
     F = jordan.build_chain_fixture(g, {2: 1}, seed=3)
     dense = F + np.diag(potentials.gaussian_well(g, depth=4.0, width=1.0).values.values)
-    schur = _counted(monkeypatch, "_riesz_projector")
-    rank_one = _counted(monkeypatch, "_rank_one_projector")
+    schur = count_calls(jordan, "_riesz_projector")
+    rank_one = count_calls(jordan, "_rank_one_projector")
     P = jordan.build_Ppp(dense, g)
     assert schur and not rank_one
     assert np.abs(P @ P - P).max() < 1e-10
@@ -211,18 +197,24 @@ def test_zero_pivot_shifts_the_eigenvalue(monkeypatch, grid20, well20):
     nodes=st.integers(8, 120),
     extent=st.floats(1.0, 20.0),
     seed=st.integers(0, 2**32 - 1),
+    real=st.booleans(),
 )
-def test_build_Ppp_matches_schur_projectors(nodes, extent, seed):
+def test_build_Ppp_matches_schur_projectors(nodes, extent, seed, real):
     grid = grids.make_grid(Mode.RADIAL_SWAVE, extent, nodes)
     rng = np.random.default_rng(seed)
     samples = rng.uniform(-10.0, 10.0, nodes) + 1j * rng.uniform(-2.0, 2.0, nodes)
+    if real:  # real-symmetric H: the Sturm-bisection eigenvalues
+        samples = samples.real
     V = birman.PotentialSpec("random", GridFunction(grid, samples))
     try:
         P = jordan.build_Ppp(V, grid, delta_im=0.5)
     except jordan.ClusterAmbiguousError:
         assume(False)
-    # The oracle: every cluster through its sorted-Schur Riesz projector.
-    with mock.patch.object(jordan, "_rank_one_projector", lambda *args: None):
+    # The oracle: the eigenvalues of a dense `eigvals`, every cluster
+    # through its sorted-Schur Riesz projector.
+    ev = np.linalg.eigvals(evolution.discretize_H(V, grid))
+    with mock.patch.object(jordan, "_rank_one_projector", lambda *args: None), \
+            mock.patch.object(jordan, "_eigenvalues_below", lambda *args: ev):
         oracle = jordan.build_Ppp(V, grid, delta_im=0.5)
     # The norm of a rank-one projector is its eigenvalue's condition kappa.
     kappa = max(np.linalg.norm(oracle, 2), 1.0)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from speclab import birman, evolution, grids, jordan, lowenergy, potentials
@@ -59,6 +59,42 @@ def test_s0_without_threshold_basis():
     assert basis.dim == 0
     reg = lowenergy.build_S0(V, grid, basis)
     assert lowenergy.one_sided_residual(reg, 0.0) < 1e-9
+
+
+# Each example runs the dense bordered LU, O(M^3), as the oracle.
+@settings(max_examples=30)
+@given(
+    nodes=st.integers(8, 200),
+    extent=st.floats(1.0, 20.0),
+    # s of a tuned exact_eigen(s) well, or None for a basis-free
+    # Gaussian well of the given depth
+    s=st.one_of(st.none(), st.floats(2.0, 4.0)),
+    depth=st.floats(0.5, 8.0),
+)
+def test_banded_S0_matches_the_dense_bordered_solve(nodes, extent, s, depth):
+    grid = grids.make_grid(grids.Mode.RADIAL_SWAVE, extent, nodes)
+    if s is None:
+        V = potentials.gaussian_well(grid, depth=depth, width=1.0)
+    else:
+        try:
+            V, _, _ = potentials.tune_coupling(potentials.exact_eigen(grid, s=s), grid)
+        except jordan.ClusterAmbiguousError:  # tuning refuses on a few tiny grids
+            assume(False)
+    basis = jordan.threshold(V, grid).basis
+    reg = lowenergy.build_S0(V, grid, basis, window=1.0)
+    dense = lowenergy._bordered_S0(V, grid, reg.Y, reg.Z, reg.range_constraints)
+    assert np.abs(reg.S0 - dense).max() <= 1e-10 * np.abs(dense).max()
+
+
+def test_dense_perturbation_keeps_the_dense_paths(chain_fixture20, count_calls):
+    # a dense perturbation matrix has no tridiagonal H: eigvals for the
+    # point spectrum and the dense bordered LU for S0
+    g, F, basis = chain_fixture20["grid"], chain_fixture20["V"], chain_fixture20["basis"]
+    eigvals = count_calls(np.linalg, "eigvals")
+    dense_lu = count_calls(birman, "direct_inverse")
+    jordan.build_Ppp(F, g, basis=basis)
+    lowenergy.build_S0(F, g, basis, window=1.0)
+    assert len(eigvals) == 1 and len(dense_lu) == 1
 
 
 def test_s0_range_constraint(ee_small):
