@@ -18,7 +18,9 @@ vector, with the same near-singular refusal as the dense path; it serves
 the transform scan, the Stone check, `uniform_inverse_scan` and the S0 of
 :mod:`speclab.lowenergy` when there is no threshold basis.  Its
 factorization, `_tridiagonal_solver`, also applies the domain resolvent of
-:mod:`speclab.lowenergy` and its banded S0 solve.  The dense LU
+:mod:`speclab.lowenergy`; `_pinned_solver` factors a singular H made
+nonsingular at its kernel for the banded S0 solve and the threshold chain
+of :mod:`speclab.jordan`.  The dense LU
 (`build_bs`, `direct_inverse`) stays for dense perturbations, for lambda h
 near a nonzero multiple of pi and as the oracle of the banded paths.
 """
@@ -291,6 +293,22 @@ def _tridiagonal_solver(dl, d, du, context=""):
         return y.reshape(x.shape)
 
     return solve
+
+
+def _pinned_solver(dl, d, du, rows, context=""):
+    """Solver of A = H + alpha E E^T for a singular tridiagonal H = tridiag(dl, d, du).
+
+    E holds the unit columns at `rows`, where the kernel vectors of H are
+    largest, and alpha = max |dl| is the off-diagonal scale.  A is
+    tridiagonal and nonsingular: for a one-dimensional kernel psi and
+    rows = [r], det A = alpha times the minor of H without row and column
+    r, which is proportional to psi_r^2.  Returns (solve_A, alpha), solve_A
+    from `_tridiagonal_solver`.
+    """
+    alpha = np.abs(dl).max()
+    shifted = d.astype(complex)
+    shifted[rows] += alpha
+    return _tridiagonal_solver(dl, shifted, du, context), alpha
 
 
 def _inverse_norm_estimate(M, matmat, rmatmat):

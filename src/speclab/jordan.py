@@ -12,13 +12,23 @@ with respect to a nondegenerate symmetric bilinear form B; that abstract
 version (`jordan_dual_basis`) is also exercised directly on synthetic
 fixtures.  `threshold` computes the concrete version once per scenario:
 the filtration dims, the X_1 states that `classify_state` sorts into
-eigenvalues and resonances, and the basis.  From the basis come the
-spectral projections P0 (full), the limited P~0 (the low-energy inverse
-applies Q~0 = I - P~0 through its rank-n factors), and P_pp (all point
-spectrum: eigenvalues by Sturm bisection of a real tridiagonal H, by a
-dense `eigvals` otherwise; bilinear rank-one projectors of simple
-eigenvalues by tridiagonal inverse iteration, Schur-based Riesz projectors
-elsewhere).
+eigenvalues and resonances (with c0 in one fixed phase), and the basis.
+
+The filtration path is read off the input.  For the samples of a
+multiplier, H = H0 + V is tridiagonal and I + V R0(0) = H H0^{-1}, so no
+M x M matrix is formed: the rank decision comes from power iterations made
+of banded solves, X_1 = ker H from inverse iteration, and, since an
+irreducible tridiagonal H has nullity at most 1, X is a single Jordan chain
+whose members are bordered tridiagonal solves, O(M) each.  A dense
+perturbation matrix takes one dense SVD of I + V R0(0), O(M^3), which is
+also the oracle of the banded path.
+
+From the basis come the spectral projections P0 (full), the limited P~0
+(the low-energy inverse applies Q~0 = I - P~0 through its rank-n factors),
+and P_pp (all point spectrum: eigenvalues by Sturm bisection of a real
+tridiagonal H, by a dense `eigvals` otherwise; bilinear rank-one
+projectors of simple eigenvalues by tridiagonal inverse iteration,
+Schur-based Riesz projectors elsewhere).
 """
 
 from __future__ import annotations
@@ -336,16 +346,17 @@ def threshold(V, grid, tol_rank=1e-8, tol=1e-10):
     """Filtration dims, X_1 states and self-dual chain basis of H = -Delta + V.
 
     Restricts the discretized H to span(X) in an orthonormal coordinate
-    frame, runs the abstract construction there, and lifts the coefficient
-    vectors back to GridFunctions.
+    frame Q, runs the abstract construction on N = Q^H H Q, and lifts the
+    coefficient vectors back to GridFunctions.  For the samples of a
+    multiplier H Q is a banded product, O(M) per column; a dense
+    perturbation matrix forms the dense H.
     """
     spaces, states = build_filtration(V, grid, tol_rank=tol_rank)
     dims = tuple(sp.shape[1] for sp in spaces)
     if not spaces:
         return Threshold(dims, (), JordanBasis(0, {}, {}, [], np.zeros((0, 0))))
     Q = spaces[-1]
-    H = evolution.discretize_H(V, grid)
-    N = Q.conj().T @ (H @ Q)
+    N = Q.conj().T @ _apply_H(V, grid, Q)
     Bres = Q.T @ (grid.weights[:, None] * Q)
     coeff_basis = jordan_dual_basis(N, Bres, tol=tol)
     vectors = {
@@ -360,12 +371,25 @@ def threshold(V, grid, tol_rank=1e-8, tol=1e-10):
     return Threshold(dims, tuple(states), basis)
 
 
+def _apply_H(V, grid, X):
+    """H X for H = -Delta + V: banded for samples, dense for a matrix V."""
+    v = birman._samples(V)
+    if v is None:
+        return evolution.discretize_H(V, grid) @ X
+    dl, d, du = birman.tridiagonal_bs(grid, 0.0)
+    return birman._tridiagonal_apply(dl, d + v, du, X)
+
+
 def classify_state(psi, grid=None, tol_res=1e-2):
     """EIGENVALUE / RESONANCE verdict by fitting the 1/r tail.
 
     Fits the 3-D profile psi(r) = c0/r + c1/r^2 over the outer third of the
     radii; a resonance is a surviving c0 tail relative to the profile's sup.
-    Returns a dict with verdict, c0, c1 and the discrete L1/L2 profile norms.
+    A threshold state is defined only up to a unit phase, so (c0, c1) are
+    reported in the phase that makes c0 real and >= 0 (left as fitted when
+    c0 = 0): the fit of psi, -psi and e^{i theta} psi is the same, and the
+    verdict reads |c0| in any phase.  Returns a dict with verdict, c0, c1
+    and the discrete L1/L2 profile norms.
     """
     grid = psi.grid if grid is None else grid
     sup = float(np.abs(psi.values).max())
@@ -381,6 +405,9 @@ def classify_state(psi, grid=None, tol_res=1e-2):
     design = np.column_stack([1.0 / ro, 1.0 / ro**2])
     coef, *_ = np.linalg.lstsq(design, po, rcond=None)
     c0, c1 = complex(coef[0]), complex(coef[1])
+    if c0 != 0:
+        phase = c0.conjugate() / abs(c0)
+        c0, c1 = complex(abs(c0)), c1 * phase
     prof_sup = float(np.abs(prof).max())
     verdict = RESONANCE if abs(c0) > tol_res * prof_sup else EIGENVALUE
     return {
@@ -396,15 +423,151 @@ def classify_state(psi, grid=None, tol_res=1e-2):
 def build_filtration(V, grid, tol_rank=1e-8, max_k=8):
     """Nested bases of X_1 subset ... subset X_K, stabilized, and the X_1 states.
 
-    Takes one SVD, of T = I + V R0(0); its right null vectors g give the
-    states Psi = R0(0) g.  The filtration solves (I + R0(0)V) Psi = R0(0) Phi,
-    whose matrix is T^T: R0(0) is exactly symmetric on the uniform-weight
-    grid and V must be a multiplier or a symmetric perturbation (as
-    `jordan_dual_basis` requires), so the factors of T^T are the transposed
-    factors of T.  Returns (spaces, states): a list of orthonormal column
-    matrices, where X_{k+1} collects the solutions over the solvable part of
-    X_k together with the homogeneous solutions X_1, and a list of
-    GridFunctions.
+    X_1 is the null space of I + R0(0) V, whose states Psi = R0(0) g come
+    from the null vectors g of T = I + V R0(0), and X_{k+1} solves
+    (I + R0(0) V) Psi = R0(0) Phi over Phi in X_k.  T has a null space when
+    s_min(T) <= tol_rank s_max(T), and X_{k+1} grows past X_k when the
+    left null vectors of I + R0(0) V annihilate R0(0) X_k up to tol_rank
+    times ||R0(0) X_k||_2.  Returns (spaces, states): a list of orthonormal
+    column matrices, where X_{k+1} collects the solutions over the solvable
+    part of X_k together with X_1, and a list of GridFunctions.  Raises
+    NoStabilizationError when the dims still grow after max_k steps.
+
+    The path is read off the input.  For the samples of a multiplier,
+    `_banded_filtration` works on the tridiagonal H in O(M) per solve; a
+    dense perturbation matrix takes one dense SVD of T (`_dense_filtration`,
+    O(M^3)), which is also the oracle of the banded path.
+    """
+    v = birman._samples(V)
+    if v is not None:
+        bands = birman.tridiagonal_bs(grid, 0.0)
+        solve_H = _shifted_solver(bands[0], bands[1] + v, bands[2], 0.0)
+        if solve_H is not None:
+            return _banded_filtration(v, grid, bands, solve_H, tol_rank, max_k)
+    return _dense_filtration(V, grid, tol_rank, max_k)
+
+
+#: Power-iteration steps of `_norm_estimate` at most, and the relative
+#: growth of the estimate below which it stops.  The rank decision needs
+#: the norms to a factor of a few; they converge in a handful of steps.
+NORM_STEPS = 30
+NORM_RTOL = 1e-3
+
+
+def _norm_estimate(apply, adjoint, x):
+    """||A||_2 from below, by power iteration on A^H A from the vector x."""
+    s = 0.0
+    for _ in range(NORM_STEPS):
+        x = x / np.linalg.norm(x)
+        y = apply(x)
+        s, prev = float(np.linalg.norm(y)), s
+        if s <= prev * (1.0 + NORM_RTOL):
+            break
+        x = adjoint(y)
+    return s
+
+
+def _banded_filtration(v, grid, bands, solve_H, tol_rank, max_k):
+    """`build_filtration` for the samples v of a multiplier, O(M) per solve.
+
+    R0(0) is exactly H0^{-1}, so T = I + V R0(0) = H H0^{-1} with the
+    tridiagonal H = H0 + V, and solve_H factors H.  The rank decision takes
+    s_max(T) and 1 / s_min(T) = ||T^{-1}||_2, T^{-1} = H0 H^{-1}, from power
+    iterations made of banded applies and solves (`_norm_estimate`).  An
+    irreducible tridiagonal H has nullity at most 1, so X_1 = ker H is one
+    vector psi, the right singular vector of H at s_min, found by inverse
+    iteration with H^H H; the null vector of T is g = H0 psi / ||H0 psi||
+    and its state R0(0) g = psi / ||H0 psi||, with no solve.  The left null
+    vector of I + R0(0) V is H0 psi-bar / ||H0 psi||, so the solvability of
+    X_{k+1} is the bilinear psi^T X_k / ||H0 psi||, and X is a single Jordan
+    chain: each member phi_{k+1}, H phi_{k+1} = phi_k, is one bordered
+    tridiagonal solve (`_chain_solver`).
+    """
+    dl, d0, du = bands
+    d = d0 + v
+    solve_H0 = birman._tridiagonal_solver(dl, d0, du)
+
+    def H(x):
+        return birman._tridiagonal_apply(dl, d, du, x)
+
+    def H0(x):
+        return birman._tridiagonal_apply(dl, d0, du, x)
+
+    def H_adjoint(x):
+        return birman._tridiagonal_apply(du.conj(), d.conj(), dl.conj(), x)
+
+    rng = np.random.default_rng(0)
+    start = rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size)
+    t_norm = _norm_estimate(
+        lambda x: H(solve_H0(x)), lambda y: solve_H0(H_adjoint(y)), start
+    )
+    t_inv_norm = _norm_estimate(
+        lambda x: H0(solve_H(x)), lambda y: solve_H(H0(y), "C"), start
+    )
+    if tol_rank * t_norm * t_inv_norm < 1.0:
+        return [], []
+    psi = start
+    for _ in range(INVERSE_ITERATIONS):
+        psi = solve_H(psi, "C")
+        psi = solve_H(psi / np.linalg.norm(psi))
+        psi /= np.linalg.norm(psi)
+    g_norm = np.linalg.norm(H0(psi))
+    states = [GridFunction(grid, psi / g_norm)]
+    chain = _chain_solver(dl, d, du, psi)
+    Q = psi[:, None]
+    spaces = [Q]
+    for _ in range(max_k):
+        R0Q = solve_H0(Q)
+        scale = np.sqrt(np.linalg.eigvalsh(R0Q.conj().T @ R0Q)[-1])
+        if np.linalg.norm(psi @ Q) / g_norm > tol_rank * scale:
+            return spaces, states
+        phi = chain(Q[:, -1])
+        for _ in range(2):  # Gram-Schmidt, repeated once for orthogonality
+            phi -= Q @ (Q.conj().T @ phi)
+        Q = np.column_stack([Q, phi / np.linalg.norm(phi)])
+        spaces.append(Q)
+    raise _still_growing(spaces, max_k)
+
+
+def _chain_solver(dl, d, du, psi):
+    """Solver of H phi = f for f in the range of H = tridiag(dl, d, du), ker H = psi.
+
+    Keller's bordered system [[H, e_r], [e_r^T, 0]] [phi; mu] = [f; 0], with
+    r the row where |psi| is largest, is nonsingular because psi_r != 0, and
+    mu = psi^T f / psi_r vanishes on the range of H.  With the tridiagonal
+    A = H + alpha e_r e_r^T, nonsingular for the same reason
+    (`birman._pinned_solver`), its solution is phi = A^{-1} f - mu A^{-1} e_r
+    with mu chosen so that phi_r = 0: one tridiagonal solve per right-hand
+    side.
+    """
+    r = int(np.argmax(np.abs(psi)))
+    solve_A, _ = birman._pinned_solver(dl, d, du, [r], "threshold chain solve")
+    e_r = np.zeros(d.size, complex)
+    e_r[r] = 1.0
+    z = solve_A(e_r)
+
+    def solve(f):
+        y = solve_A(f)
+        return y - (y[r] / z[r]) * z
+
+    return solve
+
+
+def _still_growing(spaces, max_k):
+    return NoStabilizationError(
+        f"filtration still growing after {max_k} steps: dims "
+        f"{[sp.shape[1] for sp in spaces]}"
+    )
+
+
+def _dense_filtration(V, grid, tol_rank, max_k):
+    """`build_filtration` from one dense SVD of T = I + V R0(0), O(M^3).
+
+    Its right null vectors g give the states Psi = R0(0) g.  The filtration
+    solves (I + R0(0)V) Psi = R0(0) Phi, whose matrix is T^T: R0(0) is
+    exactly symmetric on the uniform-weight grid and V must be a multiplier
+    or a symmetric perturbation (as `jordan_dual_basis` requires), so the
+    factors of T^T are the transposed factors of T.
     """
     R0 = resolvent.build_R0(grid, 0.0)
     Ut, s, Vht = np.linalg.svd(np.eye(grid.size) + birman.potential_operator(V, R0))
@@ -442,10 +605,7 @@ def build_filtration(V, grid, tol_rank=1e-8, max_k=8):
         if nxt.shape[1] == Xk.shape[1]:
             return spaces, states
         spaces.append(nxt)
-    raise NoStabilizationError(
-        f"filtration still growing after {max_k} steps: dims "
-        f"{[sp.shape[1] for sp in spaces]}"
-    )
+    raise _still_growing(spaces, max_k)
 
 
 # ---------------------------------------------------------------------------
@@ -592,17 +752,8 @@ def _rank_one_projector(dl, d, du, z):
     still fails, the eigenvalue is near-defective (kappa > KAPPA_MAX) or the
     residual check fails.
     """
-    col = np.abs(d)
-    col[1:] += np.abs(du)
-    col[:-1] += np.abs(dl)
-    hnorm = float(col.max())
-    for shift in (0.0, 4.0 * np.finfo(float).eps * hnorm):
-        try:
-            solve = birman._tridiagonal_solver(dl, d - (z + shift), du)
-            break
-        except birman.NearSingularError:
-            continue
-    else:
+    solve = _shifted_solver(dl, d, du, z)
+    if solve is None:
         return None
     # A fixed random start vector: deterministic, and without the structure
     # that can leave a constant vector nearly free of an oscillating psi.
@@ -613,9 +764,31 @@ def _rank_one_projector(dl, d, du, z):
         psi /= np.linalg.norm(psi)
     resid = np.linalg.norm(birman._tridiagonal_apply(dl, d, du, psi) - z * psi)
     bilinear = psi @ psi
-    if resid > RESIDUAL_TOL * hnorm or abs(bilinear) * KAPPA_MAX < 1.0:
+    if resid > RESIDUAL_TOL * _one_norm(dl, d, du) or abs(bilinear) * KAPPA_MAX < 1.0:
         return None
     return np.outer(psi, psi / bilinear)
+
+
+def _one_norm(dl, d, du):
+    """||tridiag(dl, d, du)||_1, the largest column sum."""
+    col = np.abs(d)
+    col[1:] += np.abs(du)
+    col[:-1] += np.abs(dl)
+    return float(col.max())
+
+
+def _shifted_solver(dl, d, du, z):
+    """The solver of tridiag(dl, d - z, du) (`birman._tridiagonal_solver`).
+
+    An exactly zero pivot at z moves z by a few ulps of ||H||_1; returns
+    None when the factorization still fails.
+    """
+    for shift in (0.0, 4.0 * np.finfo(float).eps * _one_norm(dl, d, du)):
+        try:
+            return birman._tridiagonal_solver(dl, d - (z + shift), du)
+        except birman.NearSingularError:
+            continue
+    return None
 
 
 def _cluster(evals, cluster_tol):

@@ -228,12 +228,10 @@ def _banded_S0(v, grid, Y, Z, constraints):
 def _bordered_solver(dl, d, du, Y, Z, B):
     """Solver of [[Q~0 H, Y], [B^T, 0]] with H = tridiag(dl, d, du), Q~0 = I - Y Z^T.
 
-    H is singular: the psi_{1,k} of Z span its kernel.  A = H + alpha E E^T,
-    with E the unit columns at the rows r where the psi_{1,k} are largest
-    (column-pivoted QR of Z^T) and alpha the off-diagonal scale, is
-    tridiagonal and nonsingular: for one chain det A = alpha times the
-    minor of H without row and column r, which is proportional to
-    psi_{1,k}(r)^2.  Q~0 H = A + U W^T with U = [E, Y] and
+    H is singular: the psi_{1,k} of Z span its kernel.  The tridiagonal
+    A = H + alpha E E^T (`birman._pinned_solver`), with E the unit columns
+    at the rows where the psi_{1,k} are largest (column-pivoted QR of Z^T),
+    is nonsingular.  Q~0 H = A + U W^T with U = [E, Y] and
     W = [-alpha E, -H^T Z], so block elimination leaves one tridiagonal
     solve per column and a 3n x 3n capacitance system for z = W^T y and mu.
     Returns solve(F, G) -> (y, mu) for the right-hand side [F; G], F of M
@@ -241,12 +239,9 @@ def _bordered_solver(dl, d, du, Y, Z, B):
     """
     M, n = Y.shape
     rows = sla.qr(Z.T, mode="r", pivoting=True)[1][:n]
-    alpha = np.abs(dl).max()
+    solve_A, alpha = birman._pinned_solver(dl, d, du, rows, "S0 bordered solve")
     E = np.zeros((M, n), complex)
     E[rows, np.arange(n)] = 1.0
-    shifted = d.astype(complex)
-    shifted[rows] += alpha
-    solve_A = birman._tridiagonal_solver(dl, shifted, du, "S0 bordered solve")
     W = np.hstack([-alpha * E, -birman._tridiagonal_apply(du, d, dl, Z)])
     P, Q = solve_A(np.hstack([E, Y])), solve_A(Y)
     cap = np.block([[np.eye(2 * n) + W.T @ P, W.T @ Q], [B.T @ P, B.T @ Q]])
@@ -330,13 +325,17 @@ def build_S_lambda(reg, lam, X, tol=1e-13, max_terms=200):
     """
     if lam == 0:
         return reg.S0 @ X, 0.0
+    x_norms = reg.grid.weights @ np.abs(X)
+    return _continue_S0(reg, lam, reg.S0 @ X, x_norms, tol, max_terms)
+
+
+def _continue_S0(reg, lam, S0X, x_norms, tol=1e-13, max_terms=200):
+    """The series of `build_S_lambda` from its first term S0 X, where the
+    columns of X have L^1 norms x_norms; S0X is not modified."""
     if abs(lam) > reg.window:
         raise ValueError(f"lambda {lam} outside validity window {reg.window}")
     step = _series_step(reg, lam)
-    x_norms = reg.grid.weights @ np.abs(X)
-    return birman._neumann_series(
-        reg.S0 @ X, step, reg.grid, tol, max_terms, x_norms
-    )
+    return birman._neumann_series(S0X, step, reg.grid, tol, max_terms, x_norms)
 
 
 def one_sided_residual(reg, lam=0.0):
@@ -352,7 +351,8 @@ def one_sided_residual(reg, lam=0.0):
     if lam == 0:
         S = reg.S0.copy()
     else:
-        S, _ = build_S_lambda(reg, lam, np.eye(grid.size, dtype=complex))
+        # S(l) itself: the series on X = I, whose first term is S0 (no product)
+        S, _ = _continue_S0(reg, lam, reg.S0, grid.weights)
     # The defect Q~0 (I + V R0(l^2)) S - I, updated in place: the check
     # holds no more M x M arrays than S and one temporary.
     S += birman.potential_operator(reg.V, domain_resolvent(grid, lam)(S))

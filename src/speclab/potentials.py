@@ -25,9 +25,10 @@ import numpy as np
 from . import birman, jordan
 from .grids import GridFunction
 
-#: Step cap of `tune_coupling`'s inverse iteration; it converges in 5 to 10
-#: steps on the shipped grids.
-TUNE_MAX_STEPS = 50
+#: Step cap of `tune_coupling`'s inverse iteration.  It converges in 5 to
+#: 10 steps on the shipped grids; the cap reaches round-off at per-step
+#: contraction ratios up to about 0.93 (each step is one O(M) solve).
+TUNE_MAX_STEPS = 500
 
 
 def exact_eigen_profile(s):
@@ -88,10 +89,12 @@ def tune_coupling(V, grid, target=-1.0):
     quotient u^T V u / u^T H0 u (the pencil is complex symmetric).  The
     iteration stops once nu stops moving and the pencil residual
     V u - nu H0 u is at round-off relative to (||V|| + |nu| ||H0||) ||u||
-    (max norms), and raises jordan.ClusterAmbiguousError when
-    TUNE_MAX_STEPS steps do not get there, as when two eigenvalues lie
-    about equally far from `target`.  c = target / nu puts `target` in the spectrum of
-    c V R0(0).  Returns (tuned PotentialSpec, c, null info).
+    (max norms).  Each step contracts the residual by the ratio of the
+    distances of the two eigenvalues nearest `target`; when TUNE_MAX_STEPS
+    steps do not reach round-off, as when those two lie about equally far
+    from `target`, it raises jordan.ClusterAmbiguousError.
+    c = target / nu puts `target` in the spectrum of c V R0(0).  Returns
+    (tuned PotentialSpec, c, null info).
     """
     dl, d, du = birman.tridiagonal_bs(grid, 0.0)
     v = V.values.values

@@ -1,15 +1,16 @@
 """Shared scenario fixtures.
 
-The tuned exact-eigenvalue scenarios are expensive to set up (the dense
-threshold SVD; the coupling tuning and ee_small's S0 are banded), so they
-are session-scoped and shared across test modules.
+The tuned exact-eigenvalue scenarios are session-scoped and shared across
+test modules; their set-up (the coupling tuning, the threshold and
+ee_small's S0) is banded.
 """
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from speclab import grids, jordan, lowenergy, potentials
-from speclab.grids import Mode
+from speclab import birman, grids, jordan, lowenergy, potentials, resolvent
+from speclab.grids import GridFunction, Mode
 
 # One profile for every property test.  No deadline: example times vary
 # with the grid size drawn and with the machine's load.
@@ -34,6 +35,30 @@ def count_calls(monkeypatch):
         return calls
 
     return wrap
+
+
+@pytest.fixture(scope="session")
+def tune():
+    """tune(W, grid): W tuned by `potentials.tune_coupling`.  Where that
+    refuses, the cause is checked and W is tuned by the dense eigenvalue of
+    V R0(0) nearest -1, so that property tests keep every grid drawn."""
+
+    def tune(W, grid):
+        try:
+            return potentials.tune_coupling(W, grid)[0]
+        except jordan.ClusterAmbiguousError:
+            K = birman.potential_operator(W, resolvent.build_R0(grid, 0.0))
+            ev = np.linalg.eigvals(K)
+            ev = ev[np.argsort(np.abs(ev + 1.0))]
+            # the refusal is by contract only when the two eigenvalues
+            # nearest -1 lie about equally far from it: inverse iteration
+            # then contracts by more than 0.9 per step
+            assert abs(ev[0] + 1.0) > 0.9 * abs(ev[1] + 1.0)
+            return birman.PotentialSpec(
+                W.name, GridFunction(grid, -W.values.values / ev[0]), W.p, W.q
+            )
+
+    return tune
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import speclab
-from speclab import birman, cli, jordan, lowenergy
+from speclab import birman, cli, jordan, lowenergy, resolvent
 
 
 def write_cfg(tmp_path, cfg, name="scenario.json"):
@@ -147,6 +147,18 @@ def test_invert_computes_identity_residuals_once_per_lambda(
             assert float(row[column]) == entry[key]
 
 
+def test_invert_takes_no_svd_or_dense_resolvent(tmp_path, count_calls):
+    # the banded threshold and S0: neither a dense R0(0) nor an SVD of an
+    # M-row matrix, also with the low-energy scan of --out
+    svd = count_calls(np.linalg, "svd")
+    dense_R0 = count_calls(resolvent, "build_R0")
+    cfg = write_cfg(tmp_path, cli._FIXTURE_SCENARIOS["invert_exact_eigen"])
+    out = str(tmp_path / "run")
+    assert cli.main(["invert", "--config", cfg, "--out", out]) == cli.EXIT_OK
+    assert not dense_R0
+    assert all(max(args[0].shape) == 1 for args in svd)
+
+
 def test_evolve_free_decay(tmp_path, capsys):
     cfg = {
         "schema_version": cli.SCHEMA_VERSION,
@@ -234,20 +246,25 @@ def test_config_errors_exit_3(tmp_path, capsys, pipeline, path, value):
 
 def test_full_pipeline_gates(tmp_path, capsys, count_calls):
     calls = count_calls(jordan, "build_filtration")
-    # the sampled potential takes the Sturm point spectrum and the banded
-    # S0: no dense eigensolve and no dense LU anywhere in the pipeline
+    # the sampled potential takes the banded threshold, the Sturm point
+    # spectrum and the banded S0: no dense eigensolve, no dense LU, no
+    # dense R0(0) and no SVD of an M-row matrix anywhere in the pipeline
     eigvals = count_calls(np.linalg, "eigvals")
     dense_lu = count_calls(birman, "direct_inverse")
+    svd = count_calls(np.linalg, "svd")
+    dense_R0 = count_calls(resolvent, "build_R0")
     cfg = dict(cli._FIXTURE_SCENARIOS["full_exact_eigen"])
     cfg["grid"] = {**cfg["grid"], "nodes": 400}  # the full-ee benchmark scenario
     rc = cli.main(["full", "--config", write_cfg(tmp_path, cfg)])
     assert rc == cli.EXIT_OK
     assert len(calls) == 1  # one threshold computation for all four stages
-    assert not eigvals and not dense_lu
+    assert not eigvals and not dense_lu and not dense_R0
     report = json.loads(capsys.readouterr().out)
     stages = report["stages"]
     assert sorted(stages) == ["evolve", "ftscan", "invert", "threshold"]
     threshold = stages["threshold"]
+    # the SVDs left are those of the K x K restricted problem
+    assert all(max(args[0].shape) <= max(threshold["dims"]) for args in svd)
     assert threshold["dims"][0] == cfg["threshold"]["expect_dim_X1"]
     assert threshold["verdicts"] == cfg["threshold"]["expect_verdicts"]
     invert = stages["invert"]

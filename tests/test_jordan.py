@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from speclab import birman, evolution, grids, jordan, potentials
@@ -219,3 +219,130 @@ def test_build_Ppp_matches_schur_projectors(nodes, extent, seed, real):
     # The norm of a rank-one projector is its eigenvalue's condition kappa.
     kappa = max(np.linalg.norm(oracle, 2), 1.0)
     assert np.abs(P - oracle).max() <= 1e-10 * kappa
+
+
+def test_c0_is_reported_in_one_phase(grid20):
+    # a resonance-class profile, so that c0 is far from 0
+    u = grids.GridFunction(grid20, grid20.nodes / (1.0 + grid20.nodes))
+    fit = jordan.classify_state(u)
+    assert fit["c0"].imag == 0.0 and fit["c0"].real > 0.0
+    flipped = jordan.classify_state(GridFunction(grid20, -u.values))
+    assert flipped["c0"] == fit["c0"] and flipped["c1"] == fit["c1"]
+    turned = jordan.classify_state(GridFunction(grid20, np.exp(2.1j) * u.values))
+    assert turned["c0"] == pytest.approx(fit["c0"], rel=1e-13)
+    assert turned["c1"] == pytest.approx(fit["c1"], rel=1e-13)
+    assert flipped["verdict"] == turned["verdict"] == fit["verdict"]
+
+
+def _dense_oracle(V, grid):
+    """The threshold of the same H through the dense SVD path: the samples
+    passed as a dense perturbation matrix."""
+    return jordan.threshold(np.diag(V.values.values), grid)
+
+
+def _svd_ratio(V, grid):
+    s = np.linalg.svd(birman.build_bs(V, grid, 0.0), compute_uv=False)
+    return s[-1] / s[0]
+
+
+# Each example runs the dense SVD of I + V R0(0), O(M^3), as the oracle.
+@settings(max_examples=30)
+@given(
+    # from 24 nodes, so that the tail fit of `classify_state` has 8
+    nodes=st.integers(24, 400),
+    extent=st.floats(1.0, 20.0),
+    kind=st.sampled_from(["real", "complex", "tuned", "untuned"]),
+    s=st.floats(2.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_banded_threshold_matches_the_dense_svd(tune, nodes, extent, kind, s, seed):
+    grid = grids.make_grid(Mode.RADIAL_SWAVE, extent, nodes)
+    if kind in ("real", "complex"):
+        rng = np.random.default_rng(seed)
+        samples = rng.uniform(-10.0, 10.0, nodes) + 1j * rng.uniform(-2.0, 2.0, nodes)
+        if kind == "real":
+            samples = samples.real
+        V = birman.PotentialSpec("random", GridFunction(grid, samples))
+    else:
+        V = potentials.exact_eigen(grid, s=s)
+        if kind == "tuned":
+            V = tune(V, grid)
+    # the rank decision is made on estimates: skip draws at the cutoff
+    ratio = _svd_ratio(V, grid)
+    assume(not 1e-9 < ratio < 1e-7)
+    banded, dense = jordan.threshold(V, grid), _dense_oracle(V, grid)
+    assert banded.dims == dense.dims
+    assert banded.dims == ((1,) if ratio <= 1e-9 else ())
+    for psi, oracle in zip(banded.states, dense.states):
+        sup = np.abs(grids.profile_values(oracle)).max()
+        c0 = jordan.classify_state(psi)["c0"]
+        assert abs(c0 - jordan.classify_state(oracle)["c0"]) <= 1e-10 * sup
+    for build in (jordan.build_P0, jordan.build_Ptilde0):
+        P, oracle = build(banded.basis, grid), build(dense.basis, grid)
+        assert np.abs(P - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+
+def _isotropic_chain_potential(grid):
+    """Samples v with (H0 + v) psi = 0 for a psi with sum psi^2 = 0.
+
+    psi = p + i q with p, q real, orthogonal and of equal norm is
+    isotropic under the bilinear pairing, so H psi = psi is solvable and
+    the zero-energy space is a chain of length 2.
+    """
+    r = grid.nodes
+    p = 1.0 / (1.0 + r**2)
+    q = r / (1.0 + r**2) ** 2
+    q -= (p @ q) / (p @ p) * p
+    q *= np.linalg.norm(p) / np.linalg.norm(q)
+    psi = p + 1j * q
+    dl, d, du = birman.tridiagonal_bs(grid, 0.0)
+    v = -birman._tridiagonal_apply(dl, d, du, psi) / psi
+    return birman.PotentialSpec("isotropic chain", GridFunction(grid, v))
+
+
+def test_banded_threshold_finds_a_complex_chain():
+    grid = grids.make_grid(Mode.RADIAL_SWAVE, 10.0, 200)
+    V = _isotropic_chain_potential(grid)
+    banded, dense = jordan.threshold(V, grid), _dense_oracle(V, grid)
+    assert banded.dims == dense.dims == (1, 2)
+    assert banded.basis.multiplicities == dense.basis.multiplicities == {2: 1}
+    # the self-dual chain basis is unique up to one overall sign
+    top = banded.basis.vectors[(2, 2, 1)].values
+    sign = np.sign((top @ dense.basis.vectors[(2, 2, 1)].values.conj()).real)
+    for lab in dense.basis.labels:
+        got, want = banded.basis.vectors[lab].values, dense.basis.vectors[lab].values
+        assert np.abs(got - sign * want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("failures", [1, 2])
+def test_zero_pivot_at_threshold_shifts_or_falls_back(
+    monkeypatch, count_calls, ee6, failures
+):
+    # an exactly zero pivot of H moves the factorization by a few ulps; if
+    # that fails too, the dense SVD path takes over
+    factor = birman._tridiagonal_solver
+    seen = []
+
+    def singular(dl, d, du, context=""):
+        seen.append(d)
+        if len(seen) <= failures:
+            raise birman.NearSingularError(np.inf, context)
+        return factor(dl, d, du, context)
+
+    monkeypatch.setattr(birman, "_tridiagonal_solver", singular)
+    grid = ee6["grid"]
+    svd = count_calls(np.linalg, "svd")
+    th = jordan.threshold(ee6["V"], grid)
+    assert 0 < np.abs(seen[1] - seen[0]).max() < 1e-10
+    dense_svd = [args for args in svd if args[0].shape == (grid.size, grid.size)]
+    assert len(dense_svd) == (failures == 2)
+    assert th.dims == (1,)
+    P0 = jordan.build_P0(ee6["basis"], grid)
+    assert np.abs(jordan.build_P0(th.basis, grid) - P0).max() <= 1e-10
+
+
+def test_dense_perturbation_takes_the_svd_threshold(chain_fixture20, count_calls):
+    svd = count_calls(np.linalg, "svd")
+    th = jordan.threshold(chain_fixture20["V"], chain_fixture20["grid"])
+    assert th.dims == (1, 2)
+    assert [a for a in svd if a[0].shape == (400, 400)]

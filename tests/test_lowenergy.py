@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speclab import birman, evolution, grids, jordan, lowenergy, potentials
@@ -71,15 +71,12 @@ def test_s0_without_threshold_basis():
     s=st.one_of(st.none(), st.floats(2.0, 4.0)),
     depth=st.floats(0.5, 8.0),
 )
-def test_banded_S0_matches_the_dense_bordered_solve(nodes, extent, s, depth):
+def test_banded_S0_matches_the_dense_bordered_solve(tune, nodes, extent, s, depth):
     grid = grids.make_grid(grids.Mode.RADIAL_SWAVE, extent, nodes)
     if s is None:
         V = potentials.gaussian_well(grid, depth=depth, width=1.0)
     else:
-        try:
-            V, _, _ = potentials.tune_coupling(potentials.exact_eigen(grid, s=s), grid)
-        except jordan.ClusterAmbiguousError:  # tuning refuses on a few tiny grids
-            assume(False)
+        V = tune(potentials.exact_eigen(grid, s=s), grid)
     basis = jordan.threshold(V, grid).basis
     reg = lowenergy.build_S0(V, grid, basis, window=1.0)
     dense = lowenergy._bordered_S0(V, grid, reg.Y, reg.Z, reg.range_constraints)
@@ -104,6 +101,20 @@ def test_s0_range_constraint(ee_small):
 def test_series_continuation_one_sided(ee_small):
     for lam in (0.03, 0.1, 0.2):
         assert lowenergy.one_sided_residual(ee_small["reg"], lam) < 1e-9
+
+
+def test_one_sided_residual_seeds_the_series_with_S0(ee_small):
+    # S(lambda) is summed from S0 itself rather than from the product
+    # S0 @ I; the residual keeps every bit of the one built from S0 @ I
+    reg, grid = ee_small["reg"], ee_small["grid"]
+    eye = np.eye(grid.size, dtype=complex)
+    for lam in (0.03, 0.1, 0.2):
+        D, _ = lowenergy.build_S_lambda(reg, lam, eye)
+        D += birman.potential_operator(reg.V, lowenergy.domain_resolvent(grid, lam)(D))
+        D -= reg.Y @ (reg.Z.T @ D)
+        D[np.diag_indices(grid.size)] -= 1.0
+        D -= (D @ np.linalg.pinv(reg.Z.T)) @ reg.Z.T
+        assert lowenergy.one_sided_residual(reg, lam) == operator_l1_norm(D, grid)
 
 
 def test_contraction_factor_grows_with_lambda(ee_small):

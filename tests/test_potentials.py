@@ -101,6 +101,18 @@ def test_tune_coupling_matches_dense_eig(nodes, s):
     assert resid <= 1e-9 * np.abs(weighted).max()
 
 
+def test_tune_coupling_outlasts_a_slow_contraction():
+    # the eigenvalue nearest -1 (-1.535) is well separated from the next
+    # (-0.0585), but each step contracts only by 0.57: round-off takes
+    # about 60 steps
+    g = grids.make_grid(Mode.RADIAL_SWAVE, 4.0, 8)
+    V = potentials.exact_eigen(g, s=3.0)
+    _, c, info = potentials.tune_coupling(V, g)
+    _, ev = _bs_eigenvalues(V, g)
+    assert abs(info["nu"] - ev[0]) <= 1e-12 * abs(ev[0])
+    assert abs(c + 1.0 / ev[0]) <= 1e-12 * abs(c)
+
+
 def test_tune_coupling_refuses_an_equidistant_target():
     # midway between the two eigenvalues nearest -1, inverse iteration
     # cannot separate them
