@@ -47,6 +47,7 @@ _NUMERICAL_REFUSALS = (
     jordan.NoStabilizationError,
     jordan.ClusterAmbiguousError,
     lowenergy.DualityDegenerateError,
+    potentials.NoCouplingError,
 )
 
 

@@ -26,9 +26,10 @@ also the oracle of the banded path.
 From the basis come the spectral projections P0 (full), the limited P~0
 (the low-energy inverse applies Q~0 = I - P~0 through its rank-n factors),
 and P_pp (all point spectrum: eigenvalues by Sturm bisection of a real
-tridiagonal H, by a dense `eigvals` otherwise; bilinear rank-one
-projectors of simple eigenvalues by tridiagonal inverse iteration,
-Schur-based Riesz projectors elsewhere).
+tridiagonal H, by Aberth-Ehrlich sweeps of a complex tridiagonal H, O(M^2)
+per sweep, and by a dense `eigvals` for a dense perturbation or when the
+sweeps fail; bilinear rank-one projectors of simple eigenvalues by
+tridiagonal inverse iteration, Schur-based Riesz projectors elsewhere).
 """
 
 from __future__ import annotations
@@ -662,8 +663,13 @@ def build_Ppp(
     reads its algorithm off H.  Real samples make H real-symmetric
     tridiagonal, and only its eigenvalues below -delta_edge are found, by
     Sturm bisection (`_eigenvalues_below`, O(M) per step and eigenvalue).
-    Complex samples and dense perturbation matrices take one dense
-    `eigvals` of H, O(M^3).
+    Complex samples make H complex-symmetric tridiagonal, and all M of its
+    eigenvalues come from Aberth-Ehrlich sweeps (`_tridiagonal_eigenvalues`,
+    O(M^2) per sweep), since the selection rule takes complex eigenvalues
+    anywhere off the real axis.  Dense perturbation matrices, and complex
+    samples whose sweeps do not converge or fail their trace checks, take
+    one dense `eigvals` of H, O(M^3).  H is formed only for that `eigvals`
+    or for a Schur projector.
 
     The path per cluster is read off the input too.  H is complex
     symmetric, so the left eigenvector of a simple eigenvalue z is the
@@ -681,13 +687,15 @@ def build_Ppp(
     if delta_edge is None:
         delta_edge = 3.0 * free_edge_scale(grid)
     v = np.zeros(grid.size) if V is None else birman._samples(V)
-    H = bands = None
+    H = bands = evals = None
     if v is not None:
         dl, d, du = birman.tridiagonal_bs(grid, 0.0)
         bands = (dl, d + v, du)
-    if v is not None and not np.any(np.imag(v)):
-        evals = _eigenvalues_below(d + np.real(v), dl, -delta_edge)
-    else:
+        if np.any(np.imag(v)):
+            evals = _tridiagonal_eigenvalues(bands[1], dl)
+        else:
+            evals = _eigenvalues_below(d + np.real(v), dl, -delta_edge)
+    if evals is None:
         H = evolution.discretize_H(V, grid)
         evals = np.linalg.eigvals(H)
     selected = [
@@ -725,6 +733,90 @@ def _eigenvalues_below(d, e, upper):
         return np.zeros(0)
     lower -= 1.0 + abs(lower)
     return sla.eigvalsh_tridiagonal(d, e, select="v", select_range=(lower, upper))
+
+
+#: Aberth sweeps of `_tridiagonal_eigenvalues` at most.  The evolve
+#: scenario takes 5 at M = 700 and 1400; random complex samples (M <= 200,
+#: |Im v| <= 30) took up to 48.
+ABERTH_SWEEPS = 50
+
+#: Aberth step, relative to ||H||_1, at or below which an approximation is
+#: frozen; the trace checks allow M times it.
+ABERTH_TOL = 4 * np.finfo(float).eps
+
+#: Entries of one row block of the Ehrlich sums: 0.5 MB of complex values.
+EHRLICH_BLOCK = 1 << 15
+
+
+def _tridiagonal_eigenvalues(d, e):
+    """All eigenvalues of the complex symmetric tridiag(e, d, e), e real, or None.
+
+    Simultaneous Aberth-Ehrlich iteration on p(z) = det(H - z) (Aberth,
+    Math. Comp. 27, 1973; Bini, Gemignani & Tisseur, SIAM J. Matrix Anal.
+    Appl. 27, 2005), started from the eigenvalues of the real part
+    tridiag(e, Re d, e) (`eigvalsh_tridiagonal`): exact when Im d = 0, and
+    close on the quasi-continuum.  A sweep sets each active approximation
+    z_i <- z_i - 1 / (p'/p(z_i) - sum_{j != i} 1 / (z_i - z_j)), with p'/p from
+    the pivot recurrence (`_log_derivative`, O(M) per point) and the
+    Ehrlich sum taken in row blocks of EHRLICH_BLOCK entries, so no M x M
+    array is formed: O(M^2) per sweep.  An approximation whose step is at
+    most ABERTH_TOL ||H||_1 is frozen where it stands, within about that
+    step of its eigenvalue; hence the trace checks sum z = tr H and
+    sum z^2 = tr H^2 = sum d^2 + 2 sum e^2, to M ABERTH_TOL ||H||_1 and
+    2 M ABERTH_TOL ||H||_1^2 (|z| <= ||H||_1).  Returns None, for the dense
+    `eigvals`, when ABERTH_SWEEPS sweeps leave an approximation active or a
+    check fails.
+    """
+    z = sla.eigvalsh_tridiagonal(d.real, e).astype(complex)
+    norm = _one_norm(e, d, e)
+    e2 = e * e
+    rows = max(1, EHRLICH_BLOCK // d.size)
+    active = np.arange(d.size)
+    for _ in range(ABERTH_SWEEPS):
+        if not active.size:
+            break
+        # Near an eigenvalue p'/p may overflow, and coincident
+        # approximations divide by zero: a step that is not finite leaves a
+        # root missed or z not finite, and the trace checks fail.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = _log_derivative(d, e2, z[active], np.finfo(float).eps * norm)
+            for start in range(0, active.size, rows):
+                block = active[start : start + rows]
+                diff = z[block, None] - z
+                diff[np.arange(block.size), block] = np.inf
+                step[start : start + rows] -= (1.0 / diff).sum(axis=1)
+            w = 1.0 / step
+            moving = np.abs(w) > ABERTH_TOL * norm
+            z[active[moving]] -= w[moving]
+        active = active[moving]
+    if active.size:
+        return None
+    bound = d.size * ABERTH_TOL * norm
+    trace_ok = abs(z.sum() - d.sum()) <= bound  # False for a NaN
+    square_ok = abs(z @ z - d @ d - 2.0 * e2.sum()) <= 2.0 * bound * norm
+    return z if trace_ok and square_ok else None
+
+
+def _log_derivative(d, e2, z, pivmin):
+    """p'/p at the points z, for p(z) = det(tridiag(e, d, e) - z) and e2 = e^2.
+
+    The pivots of tridiag(e, d - z, e) obey q_k = (d_k - z) - e2_{k-1} /
+    q_{k-1}, and p = prod q_k, so p'/p = sum q_k'/q_k with
+    q_k' = -1 + (e2_{k-1} / q_{k-1}) q_{k-1}'/q_{k-1}; a pivot that is
+    exactly zero is replaced by pivmin, as LAPACK's dstebz does.  One pass
+    over the bands, vectorized over z: O(M) per point.
+    """
+    piv = d[0] - z
+    piv[piv == 0] = pivmin
+    ratio = -1.0 / piv
+    total = ratio.copy()
+    for k in range(1, d.size):
+        c = e2[k - 1] / piv
+        piv = (d[k] - z) - c
+        piv[piv == 0] = pivmin
+        ratio = (c * ratio - 1.0) / piv
+        total += ratio
+    return total
 
 
 #: Largest eigenvalue condition kappa = ||psi||^2 / |psi^T psi| at which

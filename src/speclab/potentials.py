@@ -31,6 +31,10 @@ from .grids import GridFunction
 TUNE_MAX_STEPS = 500
 
 
+class NoCouplingError(ArithmeticError):
+    """The eigenvalue of V R0(0) nearest the target is 0: c would be infinite."""
+
+
 def exact_eigen_profile(s):
     """The closed-form threshold profile psi_s(r) = (1 + r^2)^{-s}."""
     return lambda r: (1.0 + np.asarray(r) ** 2) ** (-s)
@@ -95,11 +99,25 @@ def tune_coupling(V, grid, target=-1.0):
     from `target`, it raises jordan.ClusterAmbiguousError.
     c = target / nu puts `target` in the spectrum of c V R0(0).  Returns
     (tuned PotentialSpec, c, null info).
+
+    A sample that is zero to round-off puts nu = 0 in the spectrum (V e_k
+    vanishes), and when that is the eigenvalue nearest `target` no finite
+    coupling exists: NoCouplingError.  Real samples none of which has the
+    sign of a real `target` give every nu the opposite sign or 0, so 0 is
+    nearest; that is refused before any step.  Otherwise an iterate nu at
+    round-off of 0 (|nu| ||H0|| <= 16 eps ||V||) is refused as it appears.
     """
     dl, d, du = birman.tridiagonal_bs(grid, 0.0)
     v = V.values.values
-    solve = birman._tridiagonal_solver(dl, d - v / target, du, "tune_coupling")
     roundoff = 16 * np.finfo(float).eps
+    v_norm = np.max(np.abs(v))
+    if (
+        np.min(np.abs(v)) <= roundoff * v_norm
+        and not np.any(np.imag(v))
+        and not np.any(np.real(v) * target > 0)
+    ):
+        raise _no_coupling(target)
+    solve = birman._tridiagonal_solver(dl, d - v / target, du, "tune_coupling")
     h0_norm = np.max(np.abs(d)) + 2 * np.max(np.abs(dl))
     u = np.random.default_rng(0).standard_normal(grid.size).astype(complex)
     g = birman._tridiagonal_apply(dl, d, du, u)
@@ -110,7 +128,9 @@ def tune_coupling(V, grid, target=-1.0):
         g = birman._tridiagonal_apply(dl, d, du, u)
         nu_prev, nu = nu, (u @ (v * u)) / (u @ g)
         resid = np.max(np.abs(v * u - nu * g))
-        scale = np.max(np.abs(v)) + abs(nu) * h0_norm
+        scale = v_norm + abs(nu) * h0_norm
+        if abs(nu) * h0_norm <= roundoff * v_norm:
+            raise _no_coupling(target)
         if abs(nu - nu_prev) <= roundoff * abs(nu) and resid <= roundoff * scale:
             break
     else:
@@ -132,6 +152,13 @@ def tune_coupling(V, grid, target=-1.0):
         "state": GridFunction(grid, u),
         "weighted": GridFunction(grid, g),
     }
+
+
+def _no_coupling(target):
+    return NoCouplingError(
+        f"the eigenvalue of V R0(0) nearest {target} is 0: no finite coupling "
+        f"puts {target} in the spectrum of c V R0(0)"
+    )
 
 
 def threshold_moment(u, V):

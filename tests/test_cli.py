@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import speclab
-from speclab import birman, cli, jordan, lowenergy, resolvent
+from speclab import birman, cli, evolution, jordan, lowenergy, resolvent
 
 
 def write_cfg(tmp_path, cfg, name="scenario.json"):
@@ -286,8 +286,10 @@ def test_bad_schema_version_exits_3(tmp_path):
     assert rc == cli.EXIT_CONFIG
 
 
-def test_evolve_complex_projected(tmp_path, capsys):
-    # the benchmark's complex non-normal evolve scenario, at 200 nodes
+def test_evolve_complex_projected(tmp_path, capsys, monkeypatch, count_calls):
+    # the benchmark's complex non-normal evolve scenario, at 200 nodes; its
+    # complex samples give build_Ppp its eigenvalues from Aberth sweeps on
+    # the tridiagonal H, with no dense H and no eigvals
     cfg = {
         "schema_version": cli.SCHEMA_VERSION,
         "grid": {"mode": "radial_swave", "extent": 40.0, "nodes": 200},
@@ -305,9 +307,21 @@ def test_evolve_complex_projected(tmp_path, capsys):
         },
     }
     cfg_path = write_cfg(tmp_path, cfg)
+    eigvals = count_calls(np.linalg, "eigvals")
+    dense_H = count_calls(evolution, "discretize_H")
+    build_Ppp, inside = jordan.build_Ppp, []
+
+    def counted_build_Ppp(*args, **kwargs):
+        before = len(eigvals), len(dense_H)
+        P = build_Ppp(*args, **kwargs)
+        inside.append((len(eigvals) - before[0], len(dense_H) - before[1]))
+        return P
+
+    monkeypatch.setattr(jordan, "build_Ppp", counted_build_Ppp)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert cli.main(["evolve", "--config", cfg_path, "--out", out1]) == cli.EXIT_OK
     assert cli.main(["evolve", "--config", cfg_path, "--out", out2]) == cli.EXIT_OK
+    assert inside == [(0, 0), (0, 0)]
     a = (tmp_path / "a" / "evolve_report.json").read_bytes()
     b = (tmp_path / "b" / "evolve_report.json").read_bytes()
     assert a == b

@@ -1,9 +1,11 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import linalg as sla
 
 from speclab import birman, evolution, grids, jordan, potentials
 from speclab.grids import GridFunction, Mode
@@ -210,15 +212,127 @@ def test_build_Ppp_matches_schur_projectors(nodes, extent, seed, real):
         P = jordan.build_Ppp(V, grid, delta_im=0.5)
     except jordan.ClusterAmbiguousError:
         assume(False)
-    # The oracle: the eigenvalues of a dense `eigvals`, every cluster
-    # through its sorted-Schur Riesz projector.
+    # The oracle: the eigenvalues of a dense `eigvals`, for real and complex
+    # draws alike, every cluster through its sorted-Schur Riesz projector.
     ev = np.linalg.eigvals(evolution.discretize_H(V, grid))
     with mock.patch.object(jordan, "_rank_one_projector", lambda *args: None), \
-            mock.patch.object(jordan, "_eigenvalues_below", lambda *args: ev):
+            mock.patch.object(jordan, "_eigenvalues_below", lambda *args: ev), \
+            mock.patch.object(jordan, "_tridiagonal_eigenvalues", lambda *args: ev):
         oracle = jordan.build_Ppp(V, grid, delta_im=0.5)
     # The norm of a rank-one projector is its eigenvalue's condition kappa.
     kappa = max(np.linalg.norm(oracle, 2), 1.0)
     assert np.abs(P - oracle).max() <= 1e-10 * kappa
+
+
+def _tridiagonal(grid, samples):
+    """(d, e) of the complex symmetric H = tridiag(e, d, e) of the samples."""
+    dl, d, _ = birman.tridiagonal_bs(grid, 0.0)
+    return d + samples, dl
+
+
+@given(
+    nodes=st.integers(8, 200),
+    extent=st.floats(1.0, 20.0),
+    re_scale=st.floats(0.0, 1e3),
+    im_scale=st.floats(0.0, 30.0),
+    # None for i.i.d. samples, else the width of a localized complex well
+    width=st.one_of(st.none(), st.floats(0.2, 3.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tridiagonal_eigenvalues_match_eigvals(
+    nodes, extent, re_scale, im_scale, width, seed
+):
+    grid = grids.make_grid(Mode.RADIAL_SWAVE, extent, nodes)
+    rng = np.random.default_rng(seed)
+    if width is None:
+        samples = (re_scale * rng.uniform(-1.0, 1.0, nodes)
+                   + 1j * im_scale * rng.uniform(-1.0, 1.0, nodes))
+    else:
+        depth = -re_scale + 1j * im_scale * rng.uniform(-1.0, 1.0)
+        samples = depth * np.exp(-((grid.nodes / width) ** 2))
+    d, e = _tridiagonal(grid, samples)
+    z = jordan._tridiagonal_eigenvalues(d, e)
+    assume(z is not None)  # the dense fallback's cases
+    ev = np.linalg.eigvals(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    dist = np.abs(z[:, None] - ev[None, :])
+    tol = 1e-11 * jordan._one_norm(e, d, e)
+    assert z.size == nodes
+    assert dist.min(axis=1).max() <= tol and dist.min(axis=0).max() <= tol
+
+
+def test_tridiagonal_eigenvalues_of_real_samples_are_the_start_values(grid20, well20):
+    # the start values are then the eigenvalues: the well's steps all fall
+    # below the freezing threshold; i.i.d. samples move a few clustered
+    # ones by round-off, along the real axis
+    d, e = _tridiagonal(grid20, well20.values.values.real)
+    start = sla.eigvalsh_tridiagonal(d, e)
+    assert np.array_equal(jordan._tridiagonal_eigenvalues(d, e), start)
+    samples = np.random.default_rng(5).uniform(-50.0, 50.0, grid20.size)
+    d, e = _tridiagonal(grid20, samples)
+    z, start = jordan._tridiagonal_eigenvalues(d, e), sla.eigvalsh_tridiagonal(d, e)
+    assert not np.any(z.imag)
+    assert np.abs(z - start).max() <= 1e-13 * jordan._one_norm(e, d, e)
+
+
+def _evolve_scenario(nodes, extent=40.0):
+    """The complex non-normal potential of the evolve benchmark scenario."""
+    grid = grids.make_grid(Mode.RADIAL_SWAVE, extent, nodes)
+    base = potentials.gaussian_well(grid, depth=5.0, width=1.0)
+    return grid, potentials.complex_perturbed(grid, base=base, gamma=1.5, width=1.0)
+
+
+@pytest.mark.parametrize(
+    "failure", ["sweep cap", "coincident starts", "trace", "trace of the square"]
+)
+def test_tridiagonal_eigenvalue_failure_falls_back_to_eigvals(
+    monkeypatch, count_calls, failure
+):
+    grid, V = _evolve_scenario(200)
+    eigvals = count_calls(np.linalg, "eigvals")
+    P = jordan.build_Ppp(V, grid, delta_im=0.3)
+    assert not eigvals
+    if failure == "sweep cap":
+        monkeypatch.setattr(jordan, "ABERTH_SWEEPS", 1)
+    elif failure == "coincident starts":  # an Ehrlich term 1 / 0
+        start = sla.eigvalsh_tridiagonal
+
+        def coincident(*args):
+            z = start(*args)
+            z[1] = z[0]
+            return z
+
+        monkeypatch.setattr(sla, "eigvalsh_tridiagonal", coincident)
+    else:
+        # sweeps that converge to the eigenvalues of H + diag(shift): the
+        # shift moves only tr H, or only tr H^2
+        d, _ = _tridiagonal(grid, V.values.values)
+        shift = np.zeros(grid.size, complex)
+        if failure == "trace":  # (d0 + 1)^2 + (d1 + s)^2 = d0^2 + d1^2
+            shift[:2] = 1.0, np.sqrt(d[1] ** 2 - 2.0 * d[0] - 1.0) - d[1]
+        else:
+            shift[:2] = 1.0, -1.0
+        log_derivative = jordan._log_derivative
+        monkeypatch.setattr(
+            jordan, "_log_derivative", lambda d, *args: log_derivative(d + shift, *args)
+        )
+    assert jordan._tridiagonal_eigenvalues(*_tridiagonal(grid, V.values.values)) is None
+    dense = jordan.build_Ppp(V, grid, delta_im=0.3)
+    assert len(eigvals) == 1
+    assert np.abs(dense - P).max() <= 1e-10 * np.abs(P).max()
+
+
+def test_tridiagonal_eigenvalues_hold_no_square_array():
+    # one 1500 x 1500 complex array is 36 MB
+    grid, V = _evolve_scenario(1500, extent=40.0 * 1500 / 700)
+    d, e = _tridiagonal(grid, V.values.values)
+    tracemalloc.start()
+    try:
+        z = jordan._tridiagonal_eigenvalues(d, e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert z is not None
+    assert peak < 8e6
 
 
 def test_c0_is_reported_in_one_phase(grid20):

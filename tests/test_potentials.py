@@ -123,3 +123,22 @@ def test_tune_coupling_refuses_an_equidistant_target():
     with pytest.raises(jordan.ClusterAmbiguousError):
         potentials.tune_coupling(V, g, target=target)
     assert jordan.ClusterAmbiguousError in cli._NUMERICAL_REFUSALS  # exit 4
+
+
+@pytest.mark.parametrize("phase", [1.0, 1.0 + 0.5j])
+def test_tune_coupling_refuses_a_zero_eigenvalue(count_calls, phase):
+    # h = 2 puts a node at r = 1, where exact_eigen(s=2) vanishes, and every
+    # other sample is positive: V R0(0) has the eigenvalue 0, and all others
+    # lie farther from -1, so no finite coupling reaches -1
+    g = grids.make_grid(Mode.RADIAL_SWAVE, 20.0, 10)
+    v = phase * potentials.exact_eigen(g, s=2.0).values.values
+    V = birman.PotentialSpec("zero sample", grids.GridFunction(g, v))
+    _, ev = _bs_eigenvalues(V, g)
+    assert abs(ev[0]) < 1e-14 and abs(ev[1] + 1.0) > 1.0
+    factor = count_calls(birman, "_tridiagonal_solver")
+    with pytest.raises(potentials.NoCouplingError, match="no finite coupling"):
+        potentials.tune_coupling(V, g)
+    # real samples are refused before any step; complex ones once an
+    # iterate nu reaches round-off of 0
+    assert len(factor) == (0 if phase == 1.0 else 1)
+    assert potentials.NoCouplingError in cli._NUMERICAL_REFUSALS  # exit 4
