@@ -41,14 +41,15 @@ def main():
     ).max()
     print(f"dual-basis pairing certificate deviation: {cert:.3e}")
 
-    P0 = jordan.build_P0(basis, grid)
+    U0, W0 = jordan.build_P0(basis, grid)
+    P0 = U0 @ W0.T  # the application matrix, for the algebra checks
     comm = H @ P0 - P0 @ H
     print(f"idempotency |P0^2 - P0|: {np.abs(P0 @ P0 - P0).max():.3e}")
     print(f"restricted commutator |[H, P0] P0|: {np.abs(comm @ P0).max():.3e}")
 
-    Ppp = jordan.build_Ppp(tuned, grid, basis=basis)
+    U, W = jordan.build_Ppp(tuned, grid, basis=basis)
     print(f"point-spectrum projector rank (trace): "
-          f"{np.trace(Ppp).real:.6f}")
+          f"{np.trace(W.T @ U).real:.6f}")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ def main():
 
     rng = np.random.default_rng(3)
     f = GridFunction(grid, rng.standard_normal(grid.size).astype(complex))
-    f_perp = GridFunction(grid, f.values - P0 @ f.values)
+    f_perp = GridFunction(grid, grids.apply_complement(P0, f.values))
 
     print("low-window totals under spectral-grid doubling")
     print(f"{'n':>6s} {'orthogonal data':>18s} {'generic data':>18s}")

@@ -131,8 +131,9 @@ def potential_operator(V, X=None, right=False):
 def _samples(V):
     """The samples of a PotentialSpec, or None for a dense perturbation matrix.
 
-    The one test of the potential's format, behind `potential_operator` and
-    the banded path of `bs_solve`.
+    The one test of the potential's format: every path choice of the
+    package (`potential_operator`, the banded paths of `bs_solve`, the
+    threshold, S0, `build_Ppp` and `evolution.propagate`) reads it here.
     """
     if isinstance(V, PotentialSpec):
         return V.values.values
@@ -289,6 +290,8 @@ def _tridiagonal_solver(dl, d, du, context=""):
         raise NearSingularError(np.inf, context)
 
     def solve(x, trans="N"):
+        if not x.size:  # zgttrs with no right-hand side corrupts memory
+            return np.zeros(x.shape, complex)
         y, _ = sla.lapack.zgttrs(*factors, x.reshape(M, -1), trans=trans)
         return y.reshape(x.shape)
 

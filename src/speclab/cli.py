@@ -345,6 +345,14 @@ def run_evolve(cfg, grid, V, rng, out_dir=None, *, threshold=None):
         k_max = _number("k_max", k_max)
     if not 0 < t0 < t1 or n_times < 2:
         raise ConfigError("evolve needs 0 < t_start < t_end and n_times >= 2")
+    delta_im = _number("delta_im", section.get("delta_im", 1e-3))
+    if not delta_im > 0:
+        raise ConfigError(f"evolve needs delta_im > 0, got {delta_im}")
+    gate = section.get("expect_exponent")
+    if gate is not None:
+        if not isinstance(gate, list) or len(gate) != 2:
+            raise ConfigError(f"expect_exponent must be [center, width], got {gate!r}")
+        gate = [_number("expect_exponent", x) for x in gate]
     times = np.linspace(t0, t1, n_times)
     plan = evolution.make_plan(V, grid, times, k_max=k_max, T_fit_min=t0)
     try:
@@ -356,10 +364,7 @@ def run_evolve(cfg, grid, V, rng, out_dir=None, *, threshold=None):
     if section.get("project", False):
         if threshold is None:
             threshold = jordan.threshold(V, grid)
-        P = jordan.build_Ppp(
-            V, grid, basis=threshold.basis,
-            delta_im=float(section.get("delta_im", 1e-3)),
-        )
+        P = jordan.build_Ppp(V, grid, basis=threshold.basis, delta_im=delta_im)
     report = evolution.dispersive_scan(plan, f, P)
     out = {
         **_header("evolve", V, grid, tol),
@@ -371,9 +376,8 @@ def run_evolve(cfg, grid, V, rng, out_dir=None, *, threshold=None):
     }
     if out_dir is not None:
         evolution.write_decay_csv(report, os.path.join(out_dir, "decay_scan.csv"))
-    gate = section.get("expect_exponent")
     if gate is not None:
-        center, width = float(gate[0]), float(gate[1])
+        center, width = gate
         if abs(report["exponent"] - center) > width:
             raise CheckFailure(
                 f"decay exponent {report['exponent']:.4f} outside "
@@ -405,10 +409,8 @@ def run_ftscan(cfg, grid, V, rng, out_dir=None, *, threshold=None):
     if section.get("project", False):
         if threshold is None:
             threshold = jordan.threshold(V, grid)
-        basis = threshold.basis
-        if basis.dim > 0:
-            P0 = jordan.build_P0(basis, grid)
-            f = GridFunction(grid, f.values - P0 @ f.values)
+        P0 = jordan.build_P0(threshold.basis, grid)
+        f = GridFunction(grid, grids.apply_complement(P0, f.values))
     scan = ftdiag.t_hat_l1_scan(V, grid, f, window, params)
     out = {
         **_header("ftscan", V, grid, tol),

@@ -9,11 +9,13 @@ the 3-point stencil differentiates exactly.  All the threshold machinery
 inherits machine-precision identities from this pairing.  (The price: free
 eigenvalues are ((n + 1/2) pi / L)^2 rather than the Dirichlet-at-L values.)
 
-The propagator reads its algorithm off H.  A sampled potential leaves H
-tridiagonal, and propagate applies e^{-i dt H} to the state by the action of
-the exponential on a sparse H, O(M) per product.  A dense perturbation
-matrix (the Jordan-chain fixtures) keeps one dense expm per distinct step,
-because the action's cost grows with the number of nonzeros times t ||H||_1.
+The propagator reads its algorithm off the potential.  Samples leave H
+tridiagonal, and propagate applies e^{-i dt H} by the action of the
+exponential on H built as a sparse matrix from its bands, O(M) per product.
+A dense perturbation matrix (the Jordan-chain fixtures) keeps one dense expm
+of the dense H per distinct step, because the action's cost grows with the
+number of nonzeros times t ||H||_1.  The scans take a projection P as its
+factors (U, W), so on samples no M x M array is formed.
 """
 
 from __future__ import annotations
@@ -40,11 +42,7 @@ def discretize_H(V, grid):
     `birman.tridiagonal_bs` at lambda = 0.
     """
     off, main, _ = birman.tridiagonal_bs(grid, 0.0)
-    # Filled in place: summing three dense diagonals, with their real
-    # temporaries, raised the evolve pipeline's peak RSS by 3.4 MB at M = 700.
-    H = np.diag(main.astype(complex))
-    i = np.arange(grid.size - 1)
-    H[i, i + 1] = H[i + 1, i] = off
+    H = np.diag(main.astype(complex)) + np.diag(off, 1) + np.diag(off, -1)
     if V is not None:
         H = H + birman.potential_operator(V)
     return H
@@ -52,10 +50,10 @@ def discretize_H(V, grid):
 
 @dataclass(frozen=True)
 class PropagatorPlan:
-    """Grid, Hamiltonian, time grid, and the reflection horizon T_max."""
+    """Grid, potential V, time grid, and the reflection horizon T_max."""
 
     grid: Grid
-    H: np.ndarray
+    V: object
     times: np.ndarray
     T_max: float = np.inf
     T_fit_min: float = 2.0
@@ -81,8 +79,7 @@ def reflection_horizon(grid, k_max=None):
 
 
 def make_plan(V, grid, times, k_max=None, T_fit_min=2.0):
-    H = discretize_H(V, grid)
-    return PropagatorPlan(grid, H, np.asarray(times, float),
+    return PropagatorPlan(grid, V, np.asarray(times, float),
                           reflection_horizon(grid, k_max), T_fit_min)
 
 
@@ -90,29 +87,32 @@ def propagate(plan, f):
     """States e^{-i t_k H} f for every t_k in the plan's time grid.
 
     Steps the state from each time to the next, choosing the algorithm from
-    the structure of H:
+    the potential (`birman._samples`):
 
-    - tridiagonal H (the free operator and every PotentialSpec): the action
-      of the exponential, expm_multiply (Al-Mohy & Higham, SIAM J. Sci.
-      Comput. 2011), on a sparse H; O(M) per product, no M x M temporary.
-      Its 1-norm estimator draws from numpy's global RNG (advancing it);
-      the states do not depend on the draws, which a test checks;
-    - any other H (the dense perturbations of build_chain_fixture): one
-      dense expm per distinct step length.  expm_multiply's cost grows with
-      t ||H||_1 nnz(H), which makes it far slower than expm on a dense H.
+    - samples (and the free operator): the action of the exponential,
+      expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 2011), on the
+      sparse tridiagonal H; O(M) per product, no M x M array.  Its 1-norm
+      estimator draws from numpy's global RNG (advancing it); the states
+      do not depend on the draws, which a test checks;
+    - a dense perturbation matrix (build_chain_fixture): one dense expm of
+      `discretize_H` per distinct step length.  expm_multiply's cost grows
+      with t ||H||_1 nnz(H), far more than expm's on a dense H.
     """
-    H, grid = plan.H, plan.grid
-    if max(sla.bandwidth(H)) <= 1:
+    grid = plan.grid
+    v = np.zeros(grid.size) if plan.V is None else birman._samples(plan.V)
+    if v is not None:
         # Imported here, not at module level: scipy.sparse costs a run that
         # never propagates (speclab invert) about 3.4 MB of peak RSS.
         from scipy import sparse
         from scipy.sparse.linalg import expm_multiply
 
-        A = sparse.csr_array(H)
+        dl, d, du = birman.tridiagonal_bs(grid, 0.0)
+        A = sparse.diags_array([dl, d + v, du], offsets=[-1, 0, 1], format="csr")
 
         def step(dt, state):
             return expm_multiply(-1j * dt * A, state)
     else:
+        H = discretize_H(plan.V, grid)
         cache = {}
 
         def step(dt, state):
@@ -179,6 +179,11 @@ def fit_selection(plan):
     return sel
 
 
+def _complement(P, f):
+    """(I - P) f for the factors P = (U, W), or f itself when P is None."""
+    return f if P is None else GridFunction(f.grid, grids.apply_complement(P, f.values))
+
+
 def dispersive_scan(plan, f, P=None):
     """Sup-norm decay table and fitted exponent for e^{-itH}(I - P) f.
 
@@ -188,8 +193,7 @@ def dispersive_scan(plan, f, P=None):
     """
     grid = plan.grid
     sel = fit_selection(plan)
-    g = f if P is None else GridFunction(grid, f.values - P @ f.values)
-    states = propagate(plan, g)
+    states = propagate(plan, _complement(P, f))
     mask = _inner_mask(grid)
     sups, l2s = [], []
     for st in states:
@@ -212,10 +216,8 @@ def dispersive_scan(plan, f, P=None):
 
 def l2_stability_scan(plan, f, P=None):
     """Table of 3-D L^2 norms of e^{-itH}(I - P) f and the sup ratio."""
-    grid = plan.grid
-    g = f if P is None else GridFunction(grid, f.values - P @ f.values)
     base = grids.profile_lp_norm(f, 2)
-    states = propagate(plan, g)
+    states = propagate(plan, _complement(P, f))
     norms = [grids.profile_lp_norm(st, 2) for st in states]
     return {
         "t": plan.times.tolist(),
@@ -237,7 +239,7 @@ def stone_check(V, grid, f, t, lambda_cap, n_quad, P=None):
     from .resolvent import Branch
 
     plan = make_plan(V, grid, [t])
-    g = f if P is None else GridFunction(grid, f.values - P @ f.values)
+    g = _complement(P, f)
     lhs = propagate(plan, g)[0]
     dE = lambda_cap / n_quad
     acc = np.zeros(grid.size, complex)

@@ -10,7 +10,9 @@ callers pick per context.
 Operators are plain complex ndarrays A acting by f -> A @ f.values.  An
 integral kernel sampled as K(r_i, r_j) becomes the application matrix
 K * weights[None, :] once, at assembly; the working weights are uniform,
-so the bilinear transpose of an operator is its plain transpose.
+so the bilinear transpose of an operator is its plain transpose.  A rank-n
+projection is the pair (U, W) of M x n factors of its application matrix
+P = U W^T, never an M x M array; `apply_complement` applies I - P.
 All norms, pairings and induced operator norms use the working weights,
 with fixed-order summation so that results are reproducible bit for bit.
 """
@@ -153,6 +155,12 @@ def bilinear_pair(f, g, weights=None):
     _check_same_grid(f.grid, g.grid)
     w = f.grid.weights if weights is None else weights
     return complex(np.sum(w * f.values * g.values))
+
+
+def apply_complement(P, x):
+    """(I - P) x for P = U W^T given as (U, W); x a vector or matrix of columns."""
+    U, W = P
+    return x - U @ (W.T @ x)
 
 
 def operator_l1_norm(A, grid):

@@ -24,12 +24,13 @@ perturbation matrix takes one dense SVD of I + V R0(0), O(M^3), which is
 also the oracle of the banded path.
 
 From the basis come the spectral projections P0 (full), the limited P~0
-(the low-energy inverse applies Q~0 = I - P~0 through its rank-n factors),
-and P_pp (all point spectrum: eigenvalues by Sturm bisection of a real
-tridiagonal H, by Aberth-Ehrlich sweeps of a complex tridiagonal H, O(M^2)
-per sweep, and by a dense `eigvals` for a dense perturbation or when the
-sweeps fail; bilinear rank-one projectors of simple eigenvalues by
-tridiagonal inverse iteration, Schur-based Riesz projectors elsewhere).
+(whose factors the low-energy inverse uses for Q~0 = I - P~0) and P_pp
+(all point spectrum: eigenvalues by Sturm bisection of a real tridiagonal
+H, by Aberth-Ehrlich sweeps of a complex tridiagonal H, O(M^2) per sweep,
+and by a dense `eigvals` for a dense perturbation or when the sweeps fail;
+bilinear rank-one projectors of simple eigenvalues by tridiagonal inverse
+iteration, Schur-based Riesz projectors elsewhere).  Each is returned as
+the M x n factors (U, W) of P = U W^T, n its rank, never as an M x M array.
 """
 
 from __future__ import annotations
@@ -306,7 +307,8 @@ def _symmetric_jordan_block(k):
     Built from a dot-self-dual chain basis: coordinates are allocated to
     dual pairs (e_j, e_{k+1-j}) through isotropic vectors (1, +/- i)/sqrt 2,
     with a real middle vector when k is odd; then N = sum over j of
-    psi_{j-1} psi_{k+1-j}^T, which is symmetric and shifts the chain.
+    psi_{j-1} psi_{k+1-j}^T, j = 2..k, which is symmetric and shifts the
+    chain.
     """
     psi = np.zeros((k, k), complex)  # column j-1 holds psi_j
     for j in range(1, k // 2 + 1):
@@ -318,10 +320,7 @@ def _symmetric_jordan_block(k):
     if k % 2 == 1:
         mid = (k + 1) // 2
         psi[k - 1, mid - 1] = 1.0
-    N = np.zeros((k, k), complex)
-    for j in range(2, k + 1):
-        N += np.outer(psi[:, j - 2], psi[:, k - j])
-    return N
+    return psi[:, : k - 1] @ np.flip(psi[:, : k - 1], axis=1).T
 
 
 # ---------------------------------------------------------------------------
@@ -614,28 +613,27 @@ def _dense_filtration(V, grid, tol_rank, max_k):
 
 
 def _rank_one_sum(grid, pairs):
-    """Application matrix of the sum of the rank-one maps f -> pair(f, dual) vec."""
-    P = np.zeros((grid.size, grid.size), complex)
-    w = grid.weights
-    for vec, dual in pairs:
-        P += np.outer(vec.values, w * dual.values)
-    return P
+    """Factors (U, W) of the sum of the maps f -> pair(f, dual) vec: the
+    vectors are the columns of U, the weighted duals w dual those of W."""
+    U = np.array([vec.values for vec, _ in pairs], complex)
+    W = np.array([grid.weights * dual.values for _, dual in pairs], complex)
+    return U.reshape(-1, grid.size).T, W.reshape(-1, grid.size).T
 
 
 def build_P0(basis, grid):
-    """Full zero-energy projection P0 f = sum pair(f, psi_{k+1-j,k}) psi_{j,k}."""
-    pairs = []
-    for (j, k, ell) in basis.labels:
-        pairs.append((basis.vectors[(j, k, ell)], basis.vectors[(k + 1 - j, k, ell)]))
+    """Factors (U, W) of P0 f = sum pair(f, psi_{k+1-j,k}) psi_{j,k}."""
+    vecs = basis.vectors
+    pairs = [(vecs[(j, k, ell)], vecs[(k + 1 - j, k, ell)])
+             for j, k, ell in basis.labels]
     return _rank_one_sum(grid, pairs)
 
 
 def build_Ptilde0(basis, grid):
-    """Limited projection P~0 f = sum pair(f, psi_{1,k}) psi_{k,k}."""
-    pairs = []
-    for k, Lk in basis.multiplicities.items():
-        for ell in range(1, Lk + 1):
-            pairs.append((basis.vectors[(k, k, ell)], basis.vectors[(1, k, ell)]))
+    """Factors (U, W) of P~0 f = sum pair(f, psi_{1,k}) psi_{k,k}, chains in
+    canonical order (k descending, then ell)."""
+    vecs = basis.vectors
+    pairs = [(vecs[(k, k, ell)], vecs[(1, k, ell)])
+             for j, k, ell in basis.labels if j == k]
     return _rank_one_sum(grid, pairs)
 
 
@@ -652,15 +650,16 @@ def build_Ppp(
     delta_im=1e-3,
     cluster_tol=1e-6,
 ):
-    """Projection onto all point spectrum away from the continuum edge.
+    """Factors (U, W) of the projection P_pp = U W^T onto all point spectrum
+    away from the continuum edge.
 
     Discrete eigenvalues of H with Re < -delta_edge or |Im| > delta_im are
-    point spectrum; they are clustered, and the Riesz projectors of the
-    clusters are summed.  A threshold basis (zero-energy part) may be
-    supplied and its P0 is added.
+    point spectrum; they are clustered, and the factors of the clusters'
+    Riesz projectors are set side by side, then those of P0 when a
+    threshold basis (zero-energy part) is supplied.  W^T U is the identity.
 
     The eigenvalue source is read off the input, as `evolution.propagate`
-    reads its algorithm off H.  Real samples make H real-symmetric
+    reads its algorithm.  Real samples make H real-symmetric
     tridiagonal, and only its eigenvalues below -delta_edge are found, by
     Sturm bisection (`_eigenvalues_below`, O(M) per step and eigenvalue).
     Complex samples make H complex-symmetric tridiagonal, and all M of its
@@ -701,9 +700,8 @@ def build_Ppp(
     selected = [
         ev for ev in evals if ev.real < -delta_edge or abs(ev.imag) > delta_im
     ]
-    clusters = _cluster(selected, cluster_tol)
-    P = np.zeros((grid.size, grid.size), complex)
-    for center, members in clusters:
+    factors = [_rank_one_sum(grid, [])]  # rank 0 when nothing is selected
+    for center, members in _cluster(selected, cluster_tol):
         proj = None
         if bands is not None and len(members) == 1:
             proj = _rank_one_projector(*bands, center)
@@ -712,10 +710,10 @@ def build_Ppp(
                 H = evolution.discretize_H(V, grid)
             radius = max(abs(ev - center) for ev in members) + cluster_tol
             proj = _riesz_projector(H, center, radius)
-        P += proj
-    if basis is not None and basis.dim > 0:
-        P += build_P0(basis, grid)
-    return P
+        factors.append(proj)
+    if basis is not None:
+        factors.append(build_P0(basis, grid))
+    return tuple(np.hstack(parts) for parts in zip(*factors))
 
 
 def _eigenvalues_below(d, e, upper):
@@ -835,7 +833,8 @@ INVERSE_ITERATIONS = 3
 
 
 def _rank_one_projector(dl, d, du, z):
-    """psi psi^T / (psi^T psi) for the simple eigenvalue z of tridiag(dl, d, du).
+    """Columns (psi, psi / psi^T psi), the factors of the projector of the
+    simple eigenvalue z of tridiag(dl, d, du).
 
     psi comes from INVERSE_ITERATIONS steps of inverse iteration on
     tridiag(dl, d - z, du), factored once (`birman._tridiagonal_solver`);
@@ -858,7 +857,7 @@ def _rank_one_projector(dl, d, du, z):
     bilinear = psi @ psi
     if resid > RESIDUAL_TOL * _one_norm(dl, d, du) or abs(bilinear) * KAPPA_MAX < 1.0:
         return None
-    return np.outer(psi, psi / bilinear)
+    return psi[:, None], (psi / bilinear)[:, None]
 
 
 def _one_norm(dl, d, du):
@@ -907,28 +906,22 @@ def _cluster(evals, cluster_tol):
 
 
 def _riesz_projector(H, center, radius):
-    """Spectral projector for eigenvalues within `radius` of `center`.
+    """Factors (U, W) of the spectral projector for eigenvalues within
+    `radius` of `center`.
 
-    Sorted complex Schur form [[T11, T12], [0, T22]] with the cluster in
-    T11; the projector is Z [[I, X], [0, 0]] Z* with T11 X - X T22 = T12.
-    O(M^3); `build_Ppp` uses it for clusters of more than one eigenvalue,
-    near-defective eigenvalues and dense perturbation matrices, where the
-    rank-one formula is not safe, and the tests use it as the oracle of
-    `_rank_one_projector`.
+    Sorted complex Schur form [[T11, T12], [0, T22]] with the s eigenvalues
+    of the cluster in T11; the projector is Z [[I, X], [0, 0]] Z* with
+    T11 X - X T22 = T12, so U = Z[:, :s] and W = conj(Z) [I, X]^T (s = 0
+    and s = M included).  O(M^3); `build_Ppp` uses it for clusters of more
+    than one eigenvalue, near-defective eigenvalues and dense perturbation
+    matrices, where the rank-one formula is not safe, and the tests use it
+    as the oracle of `_rank_one_projector`.
     """
     T, Z, sdim = sla.schur(
         H, output="complex", sort=lambda z: abs(z - center) <= radius
     )
-    if sdim == 0:
-        return np.zeros_like(H)
-    if sdim == H.shape[0]:
-        return np.eye(H.shape[0], dtype=complex)
-    T11, T12, T22 = T[:sdim, :sdim], T[:sdim, sdim:], T[sdim:, sdim:]
-    X = sla.solve_sylvester(T11, -T22, T12)
-    PT = np.zeros_like(H)
-    PT[:sdim, :sdim] = np.eye(sdim)
-    PT[:sdim, sdim:] = X
-    return Z @ PT @ Z.conj().T
+    X = sla.solve_sylvester(T[:sdim, :sdim], -T[sdim:, sdim:], T[:sdim, sdim:])
+    return Z[:, :sdim], Z.conj() @ np.vstack([np.eye(sdim), X.T])
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg as sla
 
-from . import birman, jordan
+from . import birman, grids, jordan
 from .grids import GridFunction, bilinear_pair, lp_norm, operator_l1_norm
 
 
@@ -78,8 +78,9 @@ def _bs_matrix(V, grid, lam):
 class RegularizedInverse:
     """S0 plus everything needed to continue it to small lambda.
 
-    Q~0 = I - P~0 is kept as the rank-n factors of P~0 = Y Z^T (`_qtilde0`):
-    the columns of Y are the chain tops psi_{k,k}, those of Z the weighted
+    Q~0 = I - P~0 is kept as the rank-n factors (Y, Z) of P~0 = Y Z^T from
+    `jordan.build_Ptilde0` and applied by `grids.apply_complement`: the
+    columns of Y are the chain tops psi_{k,k}, those of Z the weighted
     chain bottoms w psi_{1,k}, n the number of chains.
     """
 
@@ -100,11 +101,6 @@ class RegularizedInverse:
         S0Qt0 = self.S0 - (self.S0 @ self.Y) @ self.Z.T
         self.Xt = birman.potential_operator(self.V, S0Qt0, right=True).T
         self.R0Xt = domain_resolvent(self.grid, 0.0)(self.Xt)
-
-
-def _qtilde0(reg, X):
-    """Q~0 X = X - Y (Z^T X), for a vector or a matrix of columns X."""
-    return X - reg.Y @ (reg.Z.T @ X)
 
 
 def _columns(grid, vectors):
@@ -138,33 +134,20 @@ def build_S0(V, grid, basis, window="auto"):
     dense perturbation matrix takes the dense LU of the bordered matrix
     (`_bordered_S0`, O(M^3)), which is also the oracle of the banded path.
     """
-    R0 = domain_resolvent(grid, 0.0)
-    chains = _diag_chains(basis)
-    w = grid.weights
-    Y = _columns(grid, [psikk.values for _, _, _, psikk in chains])
-    Z = _columns(grid, [w * psi1.values for _, _, psi1, _ in chains])
-    constraints = [GridFunction(grid, R0(psikk.values)) for _, _, _, psikk in chains]
-    if chains:
-        # Duality check: pairing V psi_{1,k} against R0(0) psi_{k',k'}.
-        D = np.array(
-            [
-                [
-                    bilinear_pair(
-                        GridFunction(grid, birman.potential_operator(V, psi1.values)), c
-                    )
-                    for c in constraints
-                ]
-                for _, _, psi1, _ in chains
-            ]
+    Y, Z = jordan.build_Ptilde0(basis, grid)
+    R0Y = domain_resolvent(grid, 0.0)(Y)
+    constraints = [GridFunction(grid, c) for c in R0Y.T]
+    # Duality check: pairing V psi_{1,k} against R0(0) psi_{k',k'}, with
+    # Z = w psi_{1,k} and uniform weights w.
+    D = birman.potential_operator(V, Z).T @ R0Y
+    if constraints and np.linalg.cond(D) > 1e8:
+        raise DualityDegenerateError(
+            f"duality Gram matrix has condition {np.linalg.cond(D):.3e}"
         )
-        if np.linalg.cond(D) > 1e8:
-            raise DualityDegenerateError(
-                f"duality Gram matrix has condition {np.linalg.cond(D):.3e}"
-            )
     v = birman._samples(V)
     if v is None:
         S0 = _bordered_S0(V, grid, Y, Z, constraints)
-    elif not chains:
+    elif not constraints:
         eye = np.eye(grid.size, dtype=complex)
         S0 = birman.bs_solve(V, grid, 0.0, eye, context="S0")[1]
     else:
@@ -408,7 +391,8 @@ def inverse_via_formula(reg, lam, f, variant="R0"):
     and a diagnostics dict exposing the alternative-form coefficients F_k
     and its evaluation for the algebraic-equivalence check.
     """
-    Sf, contraction = build_S_lambda(reg, lam, _qtilde0(reg, f.values)[:, None])
+    Qf = grids.apply_complement((reg.Y, reg.Z), f.values)
+    Sf, contraction = build_S_lambda(reg, lam, Qf[:, None])
     result, F, out1 = _formula(reg, lam, Sf[:, 0], f, variant)
     return result, {"F": F, "inverse1": out1, "contraction": contraction}
 
@@ -526,7 +510,9 @@ def low_energy_scan(reg, lambdas, f_admissible, f_generic, path=None):
     the two columns Q~0 f_admissible and Q~0 f_generic.
     """
     V, grid, basis = reg.V, reg.grid, reg.basis
-    X = _qtilde0(reg, np.column_stack([f_admissible.values, f_generic.values]))
+    X = grids.apply_complement(
+        (reg.Y, reg.Z), np.column_stack([f_admissible.values, f_generic.values])
+    )
     rows = []
     for lam in lambdas:
         resid = identity_residuals(V, grid, basis, lam)

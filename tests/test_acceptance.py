@@ -129,8 +129,8 @@ def test_criterion_04_dual_basis_certificate():
 
 def test_criterion_05_projection_algebra(ee6):
     g, jb = ee6["grid"], ee6["basis"]
-    P0 = jordan.build_P0(jb, g)
-    Pt = jordan.build_Ptilde0(jb, g)
+    (U0, W0), (Ut, Wt) = jordan.build_P0(jb, g), jordan.build_Ptilde0(jb, g)
+    P0, Pt = U0 @ W0.T, Ut @ Wt.T
     Qt = np.eye(g.size) - Pt
     assert np.abs(P0 @ P0 - P0).max() < 1e-10
     assert np.abs(Pt @ Pt - Pt).max() < 1e-10
@@ -146,7 +146,7 @@ def test_criterion_05_projection_algebra(ee6):
     ev = np.linalg.eigvals(H2)
     pts = np.sort_complex(ev[ev.real < -0.05])
     assert len(pts) == 2
-    Ps = [jordan._riesz_projector(H2, z, 1e-6) for z in pts]
+    Ps = [U @ W.T for U, W in (jordan._riesz_projector(H2, z, 1e-6) for z in pts)]
     assert np.abs(Ps[0] @ Ps[1]).max() < 1e-10
     assert np.abs(Ps[1] @ Ps[0]).max() < 1e-10
 
@@ -222,7 +222,7 @@ def test_criterion_09_transform_dichotomy(ee6):
     P0 = jordan.build_P0(jb, g)
     rng = np.random.default_rng(3)
     f = GridFunction(g, rng.standard_normal(g.size).astype(complex))
-    fperp = GridFunction(g, f.values - P0 @ f.values)
+    fperp = GridFunction(g, grids.apply_complement(P0, f.values))
     perp_totals, gen_totals = [], []
     for n in (128, 256, 512):
         params = {"n": n, "lam_max": 8.0, "r": 0.25}

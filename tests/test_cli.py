@@ -228,6 +228,10 @@ def test_numerical_refusal_exits_4(tmp_path, capsys):
     ("ftscan", ("ftscan", "lam_max"), 0.0),
     ("evolve", ("evolve", "t_end"), 3.0),
     ("evolve", ("evolve", "t_start"), 0.0),
+    ("evolve", ("evolve", "delta_im"), "abc"),
+    ("evolve", ("evolve", "delta_im"), -1),
+    ("evolve", ("evolve", "expect_exponent"), "x"),
+    ("evolve", ("evolve", "expect_exponent"), [-1.5]),
 ])
 def test_config_errors_exit_3(tmp_path, capsys, pipeline, path, value):
     cfg = small_threshold_cfg()
@@ -242,6 +246,9 @@ def test_config_errors_exit_3(tmp_path, capsys, pipeline, path, value):
     assert err.count("\n") == 1
     if value == "box3d":
         assert err == "configuration error: unknown grid mode 'box3d'\n"
+    if path[-1] in ("delta_im", "expect_exponent"):
+        # read before the plan, whose fit window this small grid also fails
+        assert path[-1] in err
 
 
 def test_full_pipeline_gates(tmp_path, capsys, count_calls):
@@ -253,12 +260,13 @@ def test_full_pipeline_gates(tmp_path, capsys, count_calls):
     dense_lu = count_calls(birman, "direct_inverse")
     svd = count_calls(np.linalg, "svd")
     dense_R0 = count_calls(resolvent, "build_R0")
+    dense_H = count_calls(evolution, "discretize_H")
     cfg = dict(cli._FIXTURE_SCENARIOS["full_exact_eigen"])
     cfg["grid"] = {**cfg["grid"], "nodes": 400}  # the full-ee benchmark scenario
     rc = cli.main(["full", "--config", write_cfg(tmp_path, cfg)])
     assert rc == cli.EXIT_OK
     assert len(calls) == 1  # one threshold computation for all four stages
-    assert not eigvals and not dense_lu and not dense_R0
+    assert not eigvals and not dense_lu and not dense_R0 and not dense_H
     report = json.loads(capsys.readouterr().out)
     stages = report["stages"]
     assert sorted(stages) == ["evolve", "ftscan", "invert", "threshold"]
@@ -322,6 +330,7 @@ def test_evolve_complex_projected(tmp_path, capsys, monkeypatch, count_calls):
     assert cli.main(["evolve", "--config", cfg_path, "--out", out1]) == cli.EXIT_OK
     assert cli.main(["evolve", "--config", cfg_path, "--out", out2]) == cli.EXIT_OK
     assert inside == [(0, 0), (0, 0)]
+    assert not dense_H  # the plan holds the samples, not a dense H
     a = (tmp_path / "a" / "evolve_report.json").read_bytes()
     b = (tmp_path / "b" / "evolve_report.json").read_bytes()
     assert a == b

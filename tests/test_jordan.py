@@ -108,10 +108,16 @@ def test_chain_fixture_dimensions(chain_fixture20):
     assert res < 1e-9
 
 
+def _dense(P):
+    """The application matrix U W^T of the projection factors P = (U, W)."""
+    U, W = P
+    return U @ W.T
+
+
 def test_projection_algebra(ee6):
     g, jb = ee6["grid"], ee6["basis"]
-    P0 = jordan.build_P0(jb, g)
-    Pt = jordan.build_Ptilde0(jb, g)
+    P0 = _dense(jordan.build_P0(jb, g))
+    Pt = _dense(jordan.build_Ptilde0(jb, g))
     Qt = np.eye(g.size) - Pt
     assert np.abs(P0 @ P0 - P0).max() < 1e-12
     assert np.abs(Pt @ Pt - Pt).max() < 1e-12
@@ -124,7 +130,7 @@ def test_projection_algebra(ee6):
 
 def test_ppp_collects_zero_mode(ee6):
     g = ee6["grid"]
-    P = jordan.build_Ppp(ee6["V"], g, basis=ee6["basis"])
+    P = _dense(jordan.build_Ppp(ee6["V"], g, basis=ee6["basis"]))
     assert np.trace(P).real == pytest.approx(1.0, abs=1e-8)
     assert np.abs(P @ P - P).max() < 1e-10
 
@@ -136,7 +142,7 @@ def test_riesz_projectors_orthogonal_across_clusters():
     ev = np.linalg.eigvals(H)
     pts = np.sort_complex(ev[ev.real < -0.05])
     assert len(pts) == 2
-    Ps = [jordan._riesz_projector(H, z, 1e-6) for z in pts]
+    Ps = [_dense(jordan._riesz_projector(H, z, 1e-6)) for z in pts]
     for P in Ps:
         assert np.abs(P @ P - P).max() < 1e-10
     assert np.abs(Ps[0] @ Ps[1]).max() < 1e-10
@@ -152,15 +158,15 @@ def test_rank_one_projectors_match_schur(count_calls):
     assert len(pts) == 2
     dl, d, du = birman.tridiagonal_bs(g, 0.0)
     for z in pts:
-        P1 = jordan._rank_one_projector(dl, d + V.values.values, du, z)
-        P2 = jordan._riesz_projector(H, z, 1e-6)
+        P1 = _dense(jordan._rank_one_projector(dl, d + V.values.values, du, z))
+        P2 = _dense(jordan._riesz_projector(H, z, 1e-6))
         assert np.abs(P1 - P2).max() < 1e-10
     schur = count_calls(jordan, "_riesz_projector")
-    P = jordan.build_Ppp(V, g, delta_edge=0.05)
+    P = _dense(jordan.build_Ppp(V, g, delta_edge=0.05))
     assert not schur
     # Widened clusters merge the two eigenvalues: one Schur projector, the
     # same total.
-    merged = jordan.build_Ppp(V, g, delta_edge=0.05, cluster_tol=0.5)
+    merged = _dense(jordan.build_Ppp(V, g, delta_edge=0.05, cluster_tol=0.5))
     assert len(schur) == 1
     assert np.abs(merged - P).max() < 1e-10
 
@@ -171,7 +177,7 @@ def test_dense_perturbation_takes_schur_path(count_calls):
     dense = F + np.diag(potentials.gaussian_well(g, depth=4.0, width=1.0).values.values)
     schur = count_calls(jordan, "_riesz_projector")
     rank_one = count_calls(jordan, "_rank_one_projector")
-    P = jordan.build_Ppp(dense, g)
+    P = _dense(jordan.build_Ppp(dense, g))
     assert schur and not rank_one
     assert np.abs(P @ P - P).max() < 1e-10
 
@@ -190,9 +196,9 @@ def test_zero_pivot_shifts_the_eigenvalue(monkeypatch, grid20, well20):
 
     monkeypatch.setattr(birman, "_tridiagonal_solver", singular_once)
     dl, d, du = birman.tridiagonal_bs(grid20, 0.0)
-    P = jordan._rank_one_projector(dl, d + well20.values.values, du, z)
+    P = _dense(jordan._rank_one_projector(dl, d + well20.values.values, du, z))
     assert len(shifts) == 2 and 0 < np.abs(shifts[1] - shifts[0]).max() < 1e-10
-    assert np.abs(P - jordan._riesz_projector(H, z, 1e-6)).max() < 1e-10
+    assert np.abs(P - _dense(jordan._riesz_projector(H, z, 1e-6))).max() < 1e-10
 
 
 @given(
@@ -209,7 +215,7 @@ def test_build_Ppp_matches_schur_projectors(nodes, extent, seed, real):
         samples = samples.real
     V = birman.PotentialSpec("random", GridFunction(grid, samples))
     try:
-        P = jordan.build_Ppp(V, grid, delta_im=0.5)
+        P = _dense(jordan.build_Ppp(V, grid, delta_im=0.5))
     except jordan.ClusterAmbiguousError:
         assume(False)
     # The oracle: the eigenvalues of a dense `eigvals`, for real and complex
@@ -218,7 +224,7 @@ def test_build_Ppp_matches_schur_projectors(nodes, extent, seed, real):
     with mock.patch.object(jordan, "_rank_one_projector", lambda *args: None), \
             mock.patch.object(jordan, "_eigenvalues_below", lambda *args: ev), \
             mock.patch.object(jordan, "_tridiagonal_eigenvalues", lambda *args: ev):
-        oracle = jordan.build_Ppp(V, grid, delta_im=0.5)
+        oracle = _dense(jordan.build_Ppp(V, grid, delta_im=0.5))
     # The norm of a rank-one projector is its eigenvalue's condition kappa.
     kappa = max(np.linalg.norm(oracle, 2), 1.0)
     assert np.abs(P - oracle).max() <= 1e-10 * kappa
@@ -289,7 +295,7 @@ def test_tridiagonal_eigenvalue_failure_falls_back_to_eigvals(
 ):
     grid, V = _evolve_scenario(200)
     eigvals = count_calls(np.linalg, "eigvals")
-    P = jordan.build_Ppp(V, grid, delta_im=0.3)
+    P = _dense(jordan.build_Ppp(V, grid, delta_im=0.3))
     assert not eigvals
     if failure == "sweep cap":
         monkeypatch.setattr(jordan, "ABERTH_SWEEPS", 1)
@@ -316,7 +322,7 @@ def test_tridiagonal_eigenvalue_failure_falls_back_to_eigvals(
             jordan, "_log_derivative", lambda d, *args: log_derivative(d + shift, *args)
         )
     assert jordan._tridiagonal_eigenvalues(*_tridiagonal(grid, V.values.values)) is None
-    dense = jordan.build_Ppp(V, grid, delta_im=0.3)
+    dense = _dense(jordan.build_Ppp(V, grid, delta_im=0.3))
     assert len(eigvals) == 1
     assert np.abs(dense - P).max() <= 1e-10 * np.abs(P).max()
 
@@ -333,6 +339,29 @@ def test_tridiagonal_eigenvalues_hold_no_square_array():
         tracemalloc.stop()
     assert z is not None
     assert peak < 8e6
+
+
+def test_projected_evolution_holds_no_square_array():
+    # the evolve pipeline on samples: P_pp as factors, H as bands
+    grid, V = _evolve_scenario(1500, extent=40.0 * 1500 / 700)
+    z = jordan._tridiagonal_eigenvalues(*_tridiagonal(grid, V.values.values))
+    edge = 3.0 * jordan.free_edge_scale(grid)
+    selected = np.sum((z.real < -edge) | (np.abs(z.imag) > 0.3))
+    f = grids.gaussian_bump(grid)
+    tracemalloc.start()
+    try:
+        U, W = jordan.build_Ppp(V, grid, delta_im=0.3)
+        plan = evolution.make_plan(
+            V, grid, np.linspace(1.0, 3.2, 4), k_max=2.5, T_fit_min=1.0
+        )
+        report = evolution.dispersive_scan(plan, f, (U, W))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert selected >= 1 and U.shape == W.shape == (grid.size, selected)
+    assert np.abs(W.T @ U - np.eye(selected)).max() <= 1e-12
+    assert np.isfinite(report["exponent"])
+    assert peak < 36e6  # one 1500 x 1500 complex array
 
 
 def test_c0_is_reported_in_one_phase(grid20):
@@ -392,7 +421,7 @@ def test_banded_threshold_matches_the_dense_svd(tune, nodes, extent, kind, s, se
         c0 = jordan.classify_state(psi)["c0"]
         assert abs(c0 - jordan.classify_state(oracle)["c0"]) <= 1e-10 * sup
     for build in (jordan.build_P0, jordan.build_Ptilde0):
-        P, oracle = build(banded.basis, grid), build(dense.basis, grid)
+        P, oracle = _dense(build(banded.basis, grid)), _dense(build(dense.basis, grid))
         assert np.abs(P - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
 
@@ -451,8 +480,8 @@ def test_zero_pivot_at_threshold_shifts_or_falls_back(
     dense_svd = [args for args in svd if args[0].shape == (grid.size, grid.size)]
     assert len(dense_svd) == (failures == 2)
     assert th.dims == (1,)
-    P0 = jordan.build_P0(ee6["basis"], grid)
-    assert np.abs(jordan.build_P0(th.basis, grid) - P0).max() <= 1e-10
+    P0 = _dense(jordan.build_P0(ee6["basis"], grid))
+    assert np.abs(_dense(jordan.build_P0(th.basis, grid)) - P0).max() <= 1e-10
 
 
 def test_dense_perturbation_takes_the_svd_threshold(chain_fixture20, count_calls):

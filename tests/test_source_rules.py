@@ -46,3 +46,44 @@ def test_no_function_ignores_its_arguments():
             if not _allowed(path.stem, func, arg):
                 offenders.append(f"{path.stem}.{func}: {arg}")
     assert offenders == []
+
+
+def _name(node):
+    """The name a Name or Attribute node refers to, else None."""
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _tests_format(call):
+    """Whether the call tests a potential's format: isinstance(..., PotentialSpec)
+    or a bandwidth(...) of an operator."""
+    name = _name(call.func)
+    if name == "isinstance" and len(call.args) == 2:
+        kinds = call.args[1]
+        kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+        return any(_name(kind) == "PotentialSpec" for kind in kinds)
+    return name == "bandwidth"
+
+
+def _format_tests(tree):
+    """The innermost enclosing function of every call that tests a format."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and _tests_format(node):
+            out.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, "<module>")
+    return out
+
+
+def test_only_samples_tests_the_potential_format():
+    # every path choice reads the potential through birman._samples
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.extend(f"{path.stem}.{func}" for func in _format_tests(tree))
+    assert found == ["birman._samples"]
