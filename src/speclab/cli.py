@@ -42,6 +42,7 @@ _NUMERICAL_REFUSALS = (
     birman.NearSingularError,
     birman.NoContractionError,
     birman.SeriesNotConvergedError,
+    evolution.SubstepCapError,
     jordan.NotNilpotentError,
     jordan.DegeneratePairingError,
     jordan.NoStabilizationError,

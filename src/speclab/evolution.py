@@ -10,17 +10,29 @@ inherits machine-precision identities from this pairing.  (The price: free
 eigenvalues are ((n + 1/2) pi / L)^2 rather than the Dirichlet-at-L values.)
 
 The propagator reads its algorithm off the potential.  Samples leave H
-tridiagonal, and propagate applies e^{-i dt H} by the action of the
-exponential on H built as a sparse matrix from its bands, O(M) per product.
-A dense perturbation matrix (the Jordan-chain fixtures) keeps one dense expm
-of the dense H per distinct step, because the action's cost grows with the
-number of nonzeros times t ||H||_1.  The scans take a projection P as its
-factors (U, W), so on samples no M x M array is formed.
+tridiagonal, and propagate applies e^{-i tau H} as the (16, 16) diagonal
+Pade approximant of e^z in product form,
+
+    e^{-i tau H} ~ prod_j (H + a_j)^{-1} (H - a_j),   a_j = i z_j / tau,
+
+with z_j the roots of the Pade numerator.  The approximant is A-stable and
+unitary on the imaginary axis (Ehle, SIAM J. Math. Anal. 4, 1973), so a
+mode it does not resolve keeps its size and only its phase is wrong; the
+substeps needed follow the data's spectral content, not ||H|| (van den
+Eshof & Hochbruck, SIAM J. Sci. Comput. 27, 2006).  Each factor is applied
+in Cayley form, x - 2 a_j (H + a_j)^{-1} x: one shifted tridiagonal solve,
+O(M) per substep and factor.  The partial-fraction form of the same
+approximant has a round-off floor near 1e-6 and is not used.  A dense
+perturbation matrix (the Jordan-chain fixtures) keeps one dense expm of the
+dense H per distinct step.  The scans take a projection P as its factors
+(U, W), so on samples no M x M array is formed.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +41,30 @@ from scipy import linalg as sla
 from . import birman, grids
 from .grids import Grid, GridFunction
 
+#: Step doubling accepts the finer of two passes over an output interval
+#: once they differ by at most this, relative to the finer one's sup norm.
+SUBSTEP_TOL = 1e-10
+
+#: A pass whose substep tau has tau ||H||_1 <= RESOLVED_PHASE resolves all
+#: of H: the (16, 16) approximant matches e^{-i y} to 7e-15 for |y| <= 8.
+#: Step doubling stops there, since more substeps only add round-off.
+RESOLVED_PHASE = 8.0
+
 
 class FitWindowError(ValueError):
     """The decay fit window spans less than half a decade in t."""
+
+
+class SubstepCapError(ArithmeticError):
+    """Two passes that resolve all of H still disagree beyond SUBSTEP_TOL."""
+
+    def __init__(self, dt, substeps, gap):
+        self.dt, self.substeps, self.gap = dt, substeps, gap
+        super().__init__(
+            f"step doubling on an interval of length {dt:.6g} stopped at "
+            f"{substeps} substeps, which resolve all of H: relative gap "
+            f"{gap:.3e} > {SUBSTEP_TOL:g}"
+        )
 
 
 def discretize_H(V, grid):
@@ -83,34 +116,86 @@ def make_plan(V, grid, times, k_max=None, T_fit_min=2.0):
                           reflection_horizon(grid, k_max), T_fit_min)
 
 
+@functools.cache
+def _pade_roots():
+    """The roots z_j of the (p, p) Pade numerator of e^z, p = 16.
+
+    N(z) = sum_k (2p - k)! p! / ((2p)! k! (p - k)!) z^k, and the approximant
+    is N(z) / N(-z) = prod_j (z - z_j) / (z + z_j) for even p.  Computed on
+    the first sampled `propagate`, not at import: np.roots would cost every
+    pipeline about 1.25 MB of peak RSS.
+    """
+    p, f = 16, math.factorial
+    return np.roots([f(2 * p - k) * f(p) / (f(2 * p) * f(k) * f(p - k))
+                     for k in range(p, -1, -1)])
+
+
+def _pade_stepper(dl, d, du):
+    """step(dt, x) = e^{-i dt H} x for H = tridiag(dl, d, du); see `propagate`."""
+    levels = {}    # (dt key, n) -> [(-2 a_j, solver of H + a_j)], two at most
+    accepted = {}  # dt key -> n
+    norm = (np.abs(d) + np.pad(np.abs(du), (1, 0)) + np.pad(np.abs(dl), (0, 1))).max()
+    if not np.isfinite(norm):  # no pass would ever resolve H
+        raise ValueError("H has non-finite entries")
+
+    def run(key, dt, n, x):
+        if (key, n) not in levels:
+            shifts = 1j * _pade_roots() * (n / dt)
+            levels[key, n] = [(-2.0 * a, birman._tridiagonal_solver(dl, d + a, du))
+                              for a in shifts]
+        factors = levels[key, n]
+        for _ in range(n):
+            for c, solve in factors:
+                x = x + c * solve(x)
+        return x
+
+    def step(dt, x):
+        key = round(dt, 15)
+        n = accepted.get(key, math.ceil(2 * dt))
+        for level in set(levels) - {(key, n), (key, 2 * n)}:
+            del levels[level]
+        coarse = run(key, dt, n, x)
+        while True:
+            fine = run(key, dt, 2 * n, x)
+            diff, scale = np.abs(coarse - fine).max(), np.abs(fine).max()
+            if diff <= SUBSTEP_TOL * scale:
+                accepted[key] = n
+                return fine
+            if dt / n * norm <= RESOLVED_PHASE:
+                raise SubstepCapError(dt, n, diff / scale)
+            del levels[key, n]
+            coarse, n = fine, 2 * n
+
+    return step
+
+
 def propagate(plan, f):
     """States e^{-i t_k H} f for every t_k in the plan's time grid.
 
     Steps the state from each time to the next, choosing the algorithm from
     the potential (`birman._samples`):
 
-    - samples (and the free operator): the action of the exponential,
-      expm_multiply (Al-Mohy & Higham, SIAM J. Sci. Comput. 2011), on the
-      sparse tridiagonal H; O(M) per product, no M x M array.  Its 1-norm
-      estimator draws from numpy's global RNG (advancing it); the states
-      do not depend on the draws, which a test checks;
+    - samples (and the free operator): the (16, 16) Pade product of the
+      module docstring on the tridiagonal H, each factor in Cayley form
+      x - 2 a_j (H + a_j)^{-1} x, one zgttrs solve on a zgttrf factorization
+      (`birman._tridiagonal_solver`), O(M) per factor and substep.  Each
+      output interval of length dt is split into n substeps of length
+      tau = dt / n by step doubling: passes a (n substeps) and b (2n) are
+      compared, b is taken once max|a - b| <= SUBSTEP_TOL max|b|, else n
+      doubles.  n starts at the count accepted last for the same dt (to
+      1e-15), else at ceil(2 dt).  The doublings are capped where pass a
+      already resolves all of H, tau ||H||_1 <= RESOLVED_PHASE: passes
+      that still disagree raise SubstepCapError, never a silent result.
+      Factorizations are kept for two substep lengths at most: the pair
+      under comparison, then the pair of the step length last accepted;
     - a dense perturbation matrix (build_chain_fixture): one dense expm of
-      `discretize_H` per distinct step length.  expm_multiply's cost grows
-      with t ||H||_1 nnz(H), far more than expm's on a dense H.
+      `discretize_H` per distinct step length.
     """
     grid = plan.grid
     v = np.zeros(grid.size) if plan.V is None else birman._samples(plan.V)
     if v is not None:
-        # Imported here, not at module level: scipy.sparse costs a run that
-        # never propagates (speclab invert) about 3.4 MB of peak RSS.
-        from scipy import sparse
-        from scipy.sparse.linalg import expm_multiply
-
         dl, d, du = birman.tridiagonal_bs(grid, 0.0)
-        A = sparse.diags_array([dl, d + v, du], offsets=[-1, 0, 1], format="csr")
-
-        def step(dt, state):
-            return expm_multiply(-1j * dt * A, state)
+        step = _pade_stepper(dl, d + v, du)
     else:
         H = discretize_H(plan.V, grid)
         cache = {}

@@ -1,9 +1,9 @@
 """Acceptance suite: the ten end-to-end criteria, one test each.
 
 These run the frozen flagship scenarios at their stated tolerances.  The
-interior-eigenvalue scenario (criterion 2) is the long one (about 8 s on
-2 cores, half of it set-up: the dense threshold SVD, then two decay scans
-of ten propagator steps on the 1600-node domain).
+interior-eigenvalue scenario (criterion 2) is the largest, a 1600-node
+domain: the coupling tuning and the banded threshold, then two decay scans
+of ten propagator steps (about 1.2 s on 2 cores).
 """
 
 import numpy as np

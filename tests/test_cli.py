@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import speclab
-from speclab import birman, cli, evolution, jordan, lowenergy, resolvent
+from speclab import birman, cli, evolution, grids, jordan, lowenergy, resolvent
 
 
 def write_cfg(tmp_path, cfg, name="scenario.json"):
@@ -214,6 +214,27 @@ def test_numerical_refusal_exits_4(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_substep_cap_exits_4(tmp_path, capsys, monkeypatch):
+    # every propagator pass counts as resolved, so the first pair of passes
+    # that disagree is refused: by propagate, and by the CLI with exit 4
+    monkeypatch.setattr(evolution, "RESOLVED_PHASE", np.inf)
+    cfg = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "grid": {"mode": "radial_swave", "extent": 40.0, "nodes": 200},
+        "potential": {"builtin": "gaussian_well", "params": {"depth": 0.0}},
+        "evolve": {"t_start": 2.0, "t_end": 6.4, "n_times": 8, "k_max": 2.5},
+    }
+    grid = cli.make_scenario_grid(cfg)
+    plan = evolution.make_plan(None, grid, [2.0])
+    with pytest.raises(evolution.SubstepCapError, match="resolve all of H"):
+        evolution.propagate(plan, grids.gaussian_bump(grid))
+    rc = cli.main(["evolve", "--config", write_cfg(tmp_path, cfg)])
+    assert rc == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numerical refusal: SubstepCapError: step doubling")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("pipeline, path, value", [
     ("threshold", ("grid", "mode"), "box3d"),
     ("threshold", ("grid", "nodes"), 7),
@@ -226,7 +247,7 @@ def test_numerical_refusal_exits_4(tmp_path, capsys):
     ("ftscan", ("ftscan", "n"), 100),
     ("ftscan", ("ftscan", "r"), 1.0),
     ("ftscan", ("ftscan", "lam_max"), 0.0),
-    ("evolve", ("evolve", "t_end"), 3.0),
+    ("evolve", ("evolve", "t_end"), 2.0),
     ("evolve", ("evolve", "t_start"), 0.0),
     ("evolve", ("evolve", "delta_im"), "abc"),
     ("evolve", ("evolve", "delta_im"), -1),
@@ -246,7 +267,7 @@ def test_config_errors_exit_3(tmp_path, capsys, pipeline, path, value):
     assert err.count("\n") == 1
     if value == "box3d":
         assert err == "configuration error: unknown grid mode 'box3d'\n"
-    if path[-1] in ("delta_im", "expect_exponent"):
+    if path[-1] in ("t_start", "t_end", "delta_im", "expect_exponent"):
         # read before the plan, whose fit window this small grid also fails
         assert path[-1] in err
 

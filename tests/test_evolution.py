@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from speclab import evolution, grids, jordan, potentials
+from speclab import birman, evolution, grids, jordan, potentials
 from speclab.grids import GridFunction, Mode
 
 
@@ -66,7 +68,7 @@ def _tridiagonal_cases(g):
 
 @pytest.mark.parametrize("case", ["free", "well", "complex"])
 def test_tridiagonal_path_matches_dense_expm(g200, case):
-    # the expm_multiply path against a dense expm of the whole time
+    # the Pade path against a dense expm of the whole time
     V = _tridiagonal_cases(g200)[case]
     f = grids.gaussian_bump(g200)
     times = [0.5, 1.5, 4.0]
@@ -74,12 +76,72 @@ def test_tridiagonal_path_matches_dense_expm(g200, case):
     scale = np.abs(f.values).max()
     for st, t in zip(evolution.propagate(plan, f), times):
         dense = sla.expm(-1j * t * evolution.discretize_H(V, g200)) @ f.values
-        assert np.abs(st.values - dense).max() <= 1e-9 * scale
+        assert np.abs(st.values - dense).max() <= 1e-10 * scale
+
+
+def test_tridiagonal_path_matches_eigh_tridiagonal():
+    # real samples on the full_exact_eigen grid (L = 80, M = 1600) against
+    # the exact propagator Q e^{-itE} Q^T of eigh_tridiagonal
+    g = grids.make_grid(Mode.RADIAL_SWAVE, 80.0, 1600)
+    V = potentials.gaussian_well(g, depth=4.0)
+    f = grids.gaussian_bump(g)
+    times = np.linspace(2.5, 8.0, 10)
+    states = evolution.propagate(evolution.make_plan(V, g, times), f)
+    dl, d, _ = birman.tridiagonal_bs(g, 0.0)
+    v = birman._samples(V)
+    assert not np.any(v.imag)
+    E, Q = sla.eigh_tridiagonal(d + v.real, dl)
+    coef = Q.T @ f.values
+    scale = np.abs(f.values).max()
+    for st, t in zip(states, times):
+        exact = Q @ (np.exp(-1j * t * E) * coef)
+        assert np.abs(st.values - exact).max() <= 1e-11 * scale
+
+
+# Rough (i.i.d.) samples make the state rough: step doubling then resolves
+# all of H, about dt ||H||_1 / 8 substeps, so the draws keep ||H||_1 small.
+@settings(max_examples=30)
+@given(
+    nodes=st.integers(8, 300),
+    extent=st.floats(10.0, 40.0),
+    kind=st.sampled_from(["iid", "well"]),
+    complex_samples=st.booleans(),
+    steps=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pade_path_matches_dense_expm(nodes, extent, kind, complex_samples, steps, seed):
+    # the draws of `steps` are the (unequal) output intervals
+    g = grids.make_grid(Mode.RADIAL_SWAVE, extent, nodes)
+    rng = np.random.default_rng(seed)
+    if kind == "iid":
+        v = rng.uniform(-10.0, 10.0, nodes) + 1j * rng.uniform(-2.0, 2.0, nodes)
+    else:
+        depth, width = rng.uniform(-10.0, 10.0), rng.uniform(0.3, 3.0)
+        v = depth * np.exp(-((g.nodes / width) ** 2)) * (1 + 1j * rng.uniform(-0.5, 0.5))
+    if not complex_samples:
+        v = v.real
+    V = birman.PotentialSpec("random", GridFunction(g, v))
+    f = grids.gaussian_bump(g, width=rng.uniform(0.5, 2.0))
+    times = np.cumsum(steps)
+    H = evolution.discretize_H(V, g)
+    for state, t in zip(evolution.propagate(evolution.make_plan(V, g, times), f), times):
+        dense = sla.expm(-1j * t * H) @ f.values
+        assert np.abs(state.values - dense).max() <= 1e-10 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tridiagonal_path_rejects_non_finite_samples(g200, bad):
+    v = np.zeros(g200.size)
+    v[5] = bad
+    V = birman.PotentialSpec("bad", GridFunction(g200, v))
+    plan = evolution.make_plan(V, g200, [1.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        evolution.propagate(plan, grids.gaussian_bump(g200))
 
 
 def test_tridiagonal_path_ignores_global_rng(g200):
-    # expm_multiply's norm estimator draws from numpy's global RNG; the
-    # states, and so the reports, must not depend on it
+    # no path may draw from numpy's global RNG: the states, and so the
+    # reports, must not depend on its state
     V = _tridiagonal_cases(g200)["complex"]
     plan = evolution.make_plan(V, g200, [0.5, 1.5, 4.0])
     f = grids.gaussian_bump(g200)
