@@ -333,8 +333,8 @@ def _inverse_norm_estimate(M, matmat, rmatmat):
 def high_energy_norm_scan(V, grid, lambda_list):
     """Scan ||(V R0(lambda^2))^2|| over lambda; flag the Neumann-safe point.
 
-    Returns a dict with the norm table and lambda1, the smallest scanned
-    lambda whose squared-factor norm falls below 1/4.
+    Returns a dict with the norms, in lambda_list's order, and lambda1, the
+    smallest scanned lambda whose squared-factor norm falls below 1/4.
     """
     if len(lambda_list) == 0:
         raise ValueError("empty lambda list")
@@ -346,7 +346,6 @@ def high_energy_norm_scan(V, grid, lambda_list):
     norms = np.asarray(norms)
     safe = [l for l, n in zip(lambda_list, norms) if n < NEUMANN_SAFE]
     return {
-        "lambda": list(map(float, lambda_list)),
         "norms": norms.tolist(),
         "lambda1": float(safe[0]) if safe else None,
     }
@@ -358,7 +357,8 @@ def uniform_inverse_scan(V, grid, lambda_grid):
     Each inverse is `bs_solve` applied to the identity: M tridiagonal
     solves, O(M^2), for a sampled potential.  Propagates NearSingularError
     (annotated with the offending lambda); a hit signals an embedded
-    eigenvalue or resonance in the scenario.
+    eigenvalue or resonance in the scenario.  Returns a dict with the norms,
+    in lambda_grid's order, and their sup.
     """
     eye = np.eye(grid.size, dtype=complex)
     norms = []
@@ -366,13 +366,7 @@ def uniform_inverse_scan(V, grid, lambda_grid):
         _, inv, _ = bs_solve(V, grid, lam, eye, context=f"lambda={lam}")
         norms.append(operator_l1_norm(inv, grid))
     norms = np.asarray(norms)
-    imax = int(np.argmax(norms))
-    return {
-        "lambda": list(map(float, lambda_grid)),
-        "norms": norms.tolist(),
-        "sup": float(norms[imax]),
-        "argmax_lambda": float(lambda_grid[imax]),
-    }
+    return {"norms": norms.tolist(), "sup": float(norms.max())}
 
 
 def smooth_cutoff(t):
@@ -392,12 +386,12 @@ def smooth_cutoff(t):
     return out
 
 
-def local_neumann_inverse(V, grid, lambda0, r, lam, tol=1e-12, max_terms=200):
+def local_neumann_inverse(V, grid, lambda0, r, lam):
     """Local Neumann series for (I + V R0(lambda^2))^{-1} around lambda0.
 
     Sums (-S0 V B_{l0}(lambda^2))^m S0 with S0 the dense inverse at the
-    benchmark energy, stopping when the term norm falls below tol (see
-    `_neumann_series` for the refusals).  Returns (operator,
+    benchmark energy, stopping when the term norm falls below 1e-12 within
+    200 terms (see `_neumann_series` for the refusals).  Returns (operator,
     contraction_factor).
     """
     if abs(lam - lambda0) > r:
@@ -405,7 +399,7 @@ def local_neumann_inverse(V, grid, lambda0, r, lam, tol=1e-12, max_terms=200):
     S0, _ = direct_inverse(build_bs(V, grid, lambda0), context=f"lambda0={lambda0}")
     B = resolvent.build_B(grid, lambda0, lam)
     step = -(potential_operator(V, S0, right=True) @ B)
-    return _neumann_series(S0, step, grid, tol, max_terms, grid.weights)
+    return _neumann_series(S0, step, grid, 1e-12, 200, grid.weights)
 
 
 def _neumann_series(first, step, grid, tol, max_terms, x_norms):

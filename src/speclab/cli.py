@@ -64,11 +64,11 @@ class CheckFailure(AssertionError):
 # Potential library
 
 def builtin_potential(name, params, grid):
-    """Sampled builtin potential plus metadata on the PotentialSpec.
+    """Sampled builtin potential as a PotentialSpec.
 
-    Families: exact_eigen(s >= 2, tuned coupling, known eigenfunction in
-    spec.metadata), gaussian_well(depth, width), complex_perturbed(base
-    builtin, gamma, width).
+    Families: exact_eigen(s >= 2, tuned coupling, recorded as [re, im] in
+    spec.metadata["coupling"]), gaussian_well(depth, width),
+    complex_perturbed(base builtin, gamma, width).
     """
     if not isinstance(params or {}, dict):
         raise ConfigError(f"params of {name} must be a JSON object")
@@ -80,18 +80,14 @@ def builtin_potential(name, params, grid):
             raise ConfigError(f"exact_eigen requires s >= 2, got {s}")
         _reject_extra(name, params)
         raw = potentials.exact_eigen(grid, s=s, p=p, q=q)
-        tuned, c, info = potentials.tune_coupling(raw, grid)
-        tuned.metadata.update(
-            s=s, coupling=[c.real, c.imag], eigenfunction=info["state"]
-        )
+        tuned, c, _ = potentials.tune_coupling(raw, grid)
+        tuned.metadata["coupling"] = [c.real, c.imag]
         return tuned
     if name == "gaussian_well":
         depth = _number("depth", params.pop("depth", 4.0))
         width = _number("width", params.pop("width", 1.0))
         _reject_extra(name, params)
-        spec = potentials.gaussian_well(grid, depth=depth, width=width, p=p, q=q)
-        spec.metadata.update(depth=depth, width=width)
-        return spec
+        return potentials.gaussian_well(grid, depth=depth, width=width, p=p, q=q)
     if name == "complex_perturbed":
         gamma = _number("gamma", params.pop("gamma", 0.3))
         width = _number("width", params.pop("width", 1.0))
@@ -106,11 +102,9 @@ def builtin_potential(name, params, grid):
                 base_cfg.get("params", {}),
                 grid,
             )
-        spec = potentials.complex_perturbed(
+        return potentials.complex_perturbed(
             grid, base=base, gamma=gamma, width=width, p=p, q=q
         )
-        spec.metadata.update(gamma=gamma, width=width)
-        return spec
     raise ConfigError(f"unknown builtin potential {name!r}")
 
 

@@ -50,6 +50,11 @@ SUBSTEP_TOL = 1e-10
 #: Step doubling stops there, since more substeps only add round-off.
 RESOLVED_PHASE = 8.0
 
+#: `propagate` takes a step length within STEP_RTOL, relative, of an
+#: earlier one as that one, so np.linspace steps that differ in their last
+#: bits share their factorizations; a wider merge would move the times.
+STEP_RTOL = 1e-14
+
 
 class FitWindowError(ValueError):
     """The decay fit window spans less than half a decade in t."""
@@ -132,38 +137,37 @@ def _pade_roots():
 
 def _pade_stepper(dl, d, du):
     """step(dt, x) = e^{-i dt H} x for H = tridiag(dl, d, du); see `propagate`."""
-    levels = {}    # (dt key, n) -> [(-2 a_j, solver of H + a_j)], two at most
-    accepted = {}  # dt key -> n
+    levels = {}    # (dt, n) -> [(-2 a_j, solver of H + a_j)], two at most
+    accepted = {}  # dt -> n
     norm = (np.abs(d) + np.pad(np.abs(du), (1, 0)) + np.pad(np.abs(dl), (0, 1))).max()
     if not np.isfinite(norm):  # no pass would ever resolve H
         raise ValueError("H has non-finite entries")
 
-    def run(key, dt, n, x):
-        if (key, n) not in levels:
+    def run(dt, n, x):
+        if (dt, n) not in levels:
             shifts = 1j * _pade_roots() * (n / dt)
-            levels[key, n] = [(-2.0 * a, birman._tridiagonal_solver(dl, d + a, du))
-                              for a in shifts]
-        factors = levels[key, n]
+            levels[dt, n] = [(-2.0 * a, birman._tridiagonal_solver(dl, d + a, du))
+                             for a in shifts]
+        factors = levels[dt, n]
         for _ in range(n):
             for c, solve in factors:
                 x = x + c * solve(x)
         return x
 
     def step(dt, x):
-        key = round(dt, 15)
-        n = accepted.get(key, math.ceil(2 * dt))
-        for level in set(levels) - {(key, n), (key, 2 * n)}:
+        n = accepted.get(dt, math.ceil(2 * dt))
+        for level in set(levels) - {(dt, n), (dt, 2 * n)}:
             del levels[level]
-        coarse = run(key, dt, n, x)
+        coarse = run(dt, n, x)
         while True:
-            fine = run(key, dt, 2 * n, x)
+            fine = run(dt, 2 * n, x)
             diff, scale = np.abs(coarse - fine).max(), np.abs(fine).max()
             if diff <= SUBSTEP_TOL * scale:
-                accepted[key] = n
+                accepted[dt] = n
                 return fine
             if dt / n * norm <= RESOLVED_PHASE:
                 raise SubstepCapError(dt, n, diff / scale)
-            del levels[key, n]
+            del levels[dt, n]
             coarse, n = fine, 2 * n
 
     return step
@@ -172,8 +176,9 @@ def _pade_stepper(dl, d, du):
 def propagate(plan, f):
     """States e^{-i t_k H} f for every t_k in the plan's time grid.
 
-    Steps the state from each time to the next, choosing the algorithm from
-    the potential (`birman._samples`):
+    Steps the state from each time to the next, a step length within
+    STEP_RTOL of an earlier one taken as that one, choosing the algorithm
+    from the potential (`birman._samples`):
 
     - samples (and the free operator): the (16, 16) Pade product of the
       module docstring on the tridiagonal H, each factor in Cayley form
@@ -182,10 +187,10 @@ def propagate(plan, f):
       output interval of length dt is split into n substeps of length
       tau = dt / n by step doubling: passes a (n substeps) and b (2n) are
       compared, b is taken once max|a - b| <= SUBSTEP_TOL max|b|, else n
-      doubles.  n starts at the count accepted last for the same dt (to
-      1e-15), else at ceil(2 dt).  The doublings are capped where pass a
-      already resolves all of H, tau ||H||_1 <= RESOLVED_PHASE: passes
-      that still disagree raise SubstepCapError, never a silent result.
+      doubles.  n starts at the count accepted last for the same dt, else
+      at ceil(2 dt).  The doublings are capped where pass a already
+      resolves all of H, tau ||H||_1 <= RESOLVED_PHASE: passes that still
+      disagree raise SubstepCapError, never a silent result.
       Factorizations are kept for two substep lengths at most: the pair
       under comparison, then the pair of the step length last accepted;
     - a dense perturbation matrix (build_chain_fixture): one dense expm of
@@ -201,17 +206,19 @@ def propagate(plan, f):
         cache = {}
 
         def step(dt, state):
-            key = round(dt, 15)
-            if key not in cache:
-                cache[key] = sla.expm(-1j * dt * H)
-            return cache[key] @ state
+            if dt not in cache:
+                cache[dt] = sla.expm(-1j * dt * H)
+            return cache[dt] @ state
 
-    out = []
+    out, lengths = [], []
     state = f.values
     prev = 0.0
     for t in plan.times:
         dt = t - prev
         if dt > 0:
+            dt = next((s for s in lengths if abs(dt - s) <= STEP_RTOL * s), dt)
+            if dt not in lengths:
+                lengths.append(dt)
             state = step(dt, state)
         out.append(GridFunction(grid, state))
         prev = t
@@ -239,16 +246,16 @@ def _inner_mask(grid):
 
 
 def _fit_loglog(ts, vals):
+    """Slope of log(vals) against log(ts) and its standard error."""
     x, y = np.log(ts), np.log(vals)
     A = np.column_stack([x, np.ones_like(x)])
     coef, res, *_ = np.linalg.lstsq(A, y, rcond=None)
-    slope, intercept = coef
     dof = max(len(x) - 2, 1)
     resid = y - A @ coef
     s2 = float(resid @ resid) / dof
     xvar = float(np.sum((x - x.mean()) ** 2))
     stderr = np.sqrt(s2 / xvar) if xvar > 0 else np.inf
-    return float(slope), float(stderr), float(np.exp(intercept))
+    return float(coef[0]), float(stderr)
 
 
 def fit_selection(plan):
@@ -286,14 +293,13 @@ def dispersive_scan(plan, f, P=None):
         sups.append(float(np.abs(prof[mask]).max()))
         l2s.append(grids.profile_lp_norm(st, 2))
     sups = np.asarray(sups)
-    slope, stderr, const = _fit_loglog(plan.times[sel], sups[sel])
+    slope, stderr = _fit_loglog(plan.times[sel], sups[sel])
     return {
         "t": plan.times.tolist(),
         "sup_norm": sups.tolist(),
         "l2_norm": l2s,
         "exponent": slope,
         "stderr": stderr,
-        "constant": const,
         "fit_window": [float(plan.times[sel].min()), float(plan.times[sel].max())],
         "T_max": float(plan.T_max),
     }
@@ -311,21 +317,20 @@ def l2_stability_scan(plan, f, P=None):
     }
 
 
-def stone_check(V, grid, f, t, lambda_cap, n_quad, P=None):
+def stone_check(V, grid, f, t, lambda_cap, n_quad):
     """Stone-formula cross-check of the propagator.
 
-    Compares e^{-itH}(I - P) f against the spectral integral
+    Compares e^{-itH} f against the spectral integral
     (1 / 2 pi i) int_0^Lambda e^{-i t E} [R_V^+(E) - R_V^-(E)] f dE
     with midpoint quadrature (offset from 0 by half a step, which also
-    avoids a nontrivial threshold space); R_V^{+/-}(E) g is one
+    avoids a nontrivial threshold space); R_V^{+/-}(E) f is one
     `birman.bs_solve` per energy and branch.  Returns the relative sup-norm
     discrepancy of the profiles.
     """
     from .resolvent import Branch
 
     plan = make_plan(V, grid, [t])
-    g = _complement(P, f)
-    lhs = propagate(plan, g)[0]
+    lhs = propagate(plan, f)[0]
     dE = lambda_cap / n_quad
     acc = np.zeros(grid.size, complex)
     for j in range(n_quad):
@@ -333,10 +338,10 @@ def stone_check(V, grid, f, t, lambda_cap, n_quad, P=None):
         lam = np.sqrt(E)
         jump = np.zeros(grid.size, complex)
         for sign in (Branch.PLUS, Branch.MINUS):
-            rv_g, _, _ = birman.bs_solve(
-                V, grid, lam, g.values, sign, context=f"E={E}"
+            rv_f, _, _ = birman.bs_solve(
+                V, grid, lam, f.values, sign, context=f"E={E}"
             )
-            jump += int(sign) * rv_g
+            jump += int(sign) * rv_f
         acc += np.exp(-1j * t * E) * jump * dE
     rhs = GridFunction(grid, acc / (2j * np.pi))
     lp, rp = grids.profile_values(lhs), grids.profile_values(rhs)

@@ -18,6 +18,7 @@ kernel-bound checks below.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,7 +122,6 @@ def t_hat_l1_scan(V, grid, f, window, params=None):
     lambda1 = params.get("lambda1", 1.0)
     r = params.get("r", 0.25)
     cap = params.get("cap", DEFAULT_CAP)
-    branch = params.get("branch", Branch.PLUS)
     lams, delta = lambda_grid(n, lam_max)
     cut = window_cutoffs(lams, lambda1, r)[window.upper()]
     samples = np.zeros((n, grid.size), complex)
@@ -129,7 +129,7 @@ def t_hat_l1_scan(V, grid, f, window, params=None):
         if cut[i] == 0.0:
             continue
         _, tinv_f, _ = birman.bs_solve(
-            V, grid, lam, f.values, branch, context=f"t_hat scan at lambda={lam:.6g}"
+            V, grid, lam, f.values, context=f"t_hat scan at lambda={lam:.6g}"
         )
         samples[i] = cut[i] * tinv_f
     rho, hat = _transform(samples, lams, delta)
@@ -144,33 +144,21 @@ def t_hat_l1_scan(V, grid, f, window, params=None):
 # semi-analytic bound on the transformed V*B kernel
 
 
-class _ChiHatTable:
-    """Tabulated transform of the plateau cutoff, linearly interpolated."""
-
-    def __init__(self, n=8192, lam_max=64.0):
-        lams, delta = lambda_grid(n, lam_max)
-        rho, ch = _transform(smooth_cutoff(lams).astype(complex), lams, delta)
-        self.rho = rho
-        self.re = ch.real
-        self.im = ch.imag
-
-    def __call__(self, rho):
-        return np.interp(rho, self.rho, self.re) + 1j * np.interp(
-            rho, self.rho, self.im
-        )
-
-
-_CHI_HAT = None
-
-
+@functools.cache
 def _chi_hat():
-    global _CHI_HAT
-    if _CHI_HAT is None:
-        _CHI_HAT = _ChiHatTable()
-    return _CHI_HAT
+    """The transform of the plateau cutoff, tabulated once on 8192 lambda
+    samples over [-64, 64] and linearly interpolated in rho."""
+    lams, delta = lambda_grid(8192, 64.0)
+    table, ch = _transform(smooth_cutoff(lams).astype(complex), lams, delta)
+    re, im = ch.real, ch.imag
+
+    def chi_hat(rho):
+        return np.interp(rho, table, re) + 1j * np.interp(rho, table, im)
+
+    return chi_hat
 
 
-def vb_hat_bound_check(V, grid, r, halvings=4, n_rho=2048):
+def vb_hat_bound_check(V, grid, r, halvings=4):
     """Measured constant of the transformed V*B kernel bound and its r-scaling.
 
     The kernel transform has the closed form |V(x)| / (4 pi d) * |r
@@ -178,9 +166,9 @@ def vb_hat_bound_check(V, grid, r, halvings=4, n_rho=2048):
     the phase of the subtraction point lambda0 drops out of the modulus, so
     the bound does not depend on it.  The spatial integral uses the grid's
     volume weights with y at the origin; the rho integral is direct
-    quadrature of the tabulated cutoff transform.  Reports the measured value per
-    r-halving and the fitted r-exponent, to compare against
-    epsilon = min(3/p - 2, 2 - 3/q).
+    quadrature, on 2048 points, of the tabulated cutoff transform.
+    Reports the measured value per r-halving and the fitted r-exponent, to
+    compare against epsilon = min(3/p - 2, 2 - 3/q).
     """
     chihat = _chi_hat()
     vals = np.abs(V.values.values)
@@ -190,7 +178,7 @@ def vb_hat_bound_check(V, grid, r, halvings=4, n_rho=2048):
     for rm in radii:
         # rho support of both bumps: |rho| <= d_max + 4 / rm
         rho_max = float(d.max()) + 4.0 / rm + 4.0
-        rho = np.linspace(-rho_max, rho_max, n_rho)
+        rho = np.linspace(-rho_max, rho_max, 2048)
         drho = rho[1] - rho[0]
         diff = np.abs(
             rm * chihat(rm * (rho[None, :] - d[:, None]))
@@ -206,7 +194,6 @@ def vb_hat_bound_check(V, grid, r, halvings=4, n_rho=2048):
     else:
         fit = float("nan")
     return {
-        "radii": radii,
         "values": measured,
         "fitted_exponent": fit,
         "epsilon": V.epsilon,
@@ -217,10 +204,11 @@ def vb_hat_bound_check(V, grid, r, halvings=4, n_rho=2048):
 # Section 7 K2 bounds
 
 
-def k2_bound_check(grid, basis, r, params=None):
+def k2_bound_check(grid, basis, r):
     """sup_x L^1_rho norms of the K2 transforms (R0 and B0 variants).
 
-    K2 is the transform of chi(2 lambda / r) R0^-(lambda^2) psi-bar_{k,k};
+    K2 is the transform of chi(2 lambda / r) R0^-(lambda^2) psi-bar_{k,k},
+    sampled at 1024 lambdas on [-max(4 r, 2), max(4 r, 2)];
     the R0 variant should be r-uniform (O(1)) and the B0 variant O(r).
     Returns per-chain dicts with both values plus the quadrature bound
     ||chi-hat||_1 * sup_x sum_y w_y |psi(y)| min(x, y) for the R0 variant.
@@ -228,9 +216,7 @@ def k2_bound_check(grid, basis, r, params=None):
     labels = [lab for lab in basis.labels if lab[0] == lab[1]]
     if not labels:
         raise ValueError("empty threshold basis")
-    params = dict(params or {})
-    n = params.get("n", 1024)
-    lam_max = params.get("lam_max", max(4.0 * r, 2.0))
+    n, lam_max = 1024, max(4.0 * r, 2.0)
     lams, delta = lambda_grid(n, lam_max)
     cut = smooth_cutoff(2.0 * lams / r)
     chi_l1 = chi_hat_l1(r=r / 2.0, n=n, lam_max=lam_max)
@@ -270,9 +256,10 @@ def k2_bound_check(grid, basis, r, params=None):
 # d/dlambda free-kernel transform
 
 
-def dlambda_kernel_check(t, samples=None, n=2**14, lam_max=48.0):
+def dlambda_kernel_check(t):
     """Max relative deviation of |transform of e^{-i t lambda^2} d/dlambda
-    free kernel| from (16 pi |t|)^{-1/2}.
+    free kernel| from (16 pi |t|)^{-1/2} at four (d, rho) points, on 2^14
+    lambda samples over [-48, 48].
 
     d/dlambda [e^{i lambda d} / (4 pi d)] = i e^{i lambda d} / (4 pi): a pure
     phase family whose t-weighted transform is a complex Gaussian integral
@@ -280,12 +267,10 @@ def dlambda_kernel_check(t, samples=None, n=2**14, lam_max=48.0):
     """
     if t == 0:
         raise ValueError("t must be nonzero")
-    if samples is None:
-        samples = [(0.5, 0.0), (2.0, 1.0), (5.0, -3.0), (10.0, 8.0)]
-    lams, delta = lambda_grid(n, lam_max)
+    lams, delta = lambda_grid(2**14, 48.0)
     target = (16.0 * np.pi * abs(t)) ** -0.5
     worst = 0.0
-    for d, rho_want in samples:
+    for d, rho_want in ((0.5, 0.0), (2.0, 1.0), (5.0, -3.0), (10.0, 8.0)):
         kernel = 1j * np.exp(1j * lams * d) * np.exp(-1j * t * lams**2) / (4.0 * np.pi)
         rho, hat = _transform(kernel, lams, delta)
         idx = int(np.argmin(np.abs(rho - rho_want)))

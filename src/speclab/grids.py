@@ -150,11 +150,11 @@ def gaussian_bump(grid, width=1.0):
     return GridFunction(grid, f.values / profile_lp_norm(f, 1))
 
 
-def bilinear_pair(f, g, weights=None):
-    """Symmetric bilinear pairing sum w_i f_i g_i (no conjugation)."""
+def bilinear_pair(f, g):
+    """Symmetric bilinear pairing sum w_i f_i g_i (no conjugation), w the
+    working weights."""
     _check_same_grid(f.grid, g.grid)
-    w = f.grid.weights if weights is None else weights
-    return complex(np.sum(w * f.values * g.values))
+    return complex(np.sum(f.grid.weights * f.values * g.values))
 
 
 def apply_complement(P, x):

@@ -71,6 +71,12 @@ class ClusterAmbiguousError(ArithmeticError):
 EIGENVALUE = "EIGENVALUE"
 RESONANCE = "RESONANCE"
 
+#: Relative rank cutoff of the filtration, relative tolerance of
+#: `jordan_dual_basis`, and filtration steps before NoStabilizationError.
+RANK_TOL = 1e-8
+BASIS_TOL = 1e-10
+MAX_FILTRATION_STEPS = 8
+
 
 # ---------------------------------------------------------------------------
 # Jordan basis container
@@ -130,23 +136,21 @@ def _gram(vectors, labels, pair):
 # Abstract construction: B-symmetric nilpotent -> self-dual chains
 
 
-def _null_basis(M, tol_rank, scale=None):
+def _null_basis(M, tol_rank, scale):
     """Orthonormal basis of the (right) null space by SVD.
 
-    The rank cutoff is tol_rank times `scale` (default: the largest
-    singular value).  Powers of nilpotent matrices need an external scale:
-    a numerically-zero power has only noise singular values.
+    The rank cutoff is tol_rank times `scale`, given from outside: a
+    numerically-zero power of a nilpotent matrix has only noise singular
+    values.
     """
     if M.shape[0] == 0:
         return np.zeros((0, 0))
     U, s, Vh = np.linalg.svd(M)
-    if scale is None:
-        scale = s[0] if len(s) and s[0] > 0 else 1.0
     rank = int(np.sum(s > tol_rank * scale))
     return Vh[rank:].conj().T
 
 
-def _complement_in(big, small, tol_rank=1e-10):
+def _complement_in(big, small, tol_rank):
     """Orthonormal vectors extending span(small) to span(big)."""
     if small.shape[1] == 0:
         return big
@@ -156,20 +160,21 @@ def _complement_in(big, small, tol_rank=1e-10):
     return U[:, s > cutoff]
 
 
-def jordan_dual_basis(N, B=None, tol=1e-10):
+def jordan_dual_basis(N, B=None):
     """Self-dual Jordan basis of a B-symmetric nilpotent matrix.
 
     N is a square matrix acting on a space where B
     (default: plain dot product) is a nondegenerate symmetric bilinear form
-    with B(Nu, v) = B(u, Nv).  The construction is top-down in chain length:
-    candidate chain tops are orthogonalized against finished chains through
-    their dual partners and normalized to m = B(N^{k-1} psi, psi) = 1.  A
-    top with m != 0 is divided by sqrt(m); an isotropic top (m = 0) is
-    combined with the queued candidate phi of largest b = B(N^{k-1} psi,
-    phi), where B(N^{k-1}(z psi + phi), z psi + phi) = 1 is linear in z, and
-    DegeneratePairingError is raised when no candidate pairs with it.  Each
-    top is then corrected by psi <- psi - (m_a / 2) N^{k-1-a} psi to kill
-    the remaining same-chain pairings.
+    with B(Nu, v) = B(u, Nv), checked to BASIS_TOL.  The construction is
+    top-down in chain length: candidate chain tops are orthogonalized
+    against finished chains through their dual partners and normalized to
+    m = B(N^{k-1} psi, psi) = 1.  A top with m != 0 is divided by sqrt(m);
+    an isotropic top (m = 0) is combined with the queued candidate phi of
+    largest b = B(N^{k-1} psi, phi), where B(N^{k-1}(z psi + phi),
+    z psi + phi) = 1 is linear in z, and DegeneratePairingError is raised
+    when no candidate pairs with it.  Each top is then corrected by
+    psi <- psi - (m_a / 2) N^{k-1-a} psi to kill the remaining same-chain
+    pairings.
     """
     N = np.asarray(N, dtype=complex)
     n = N.shape[0]
@@ -178,7 +183,7 @@ def jordan_dual_basis(N, B=None, tol=1e-10):
     B = np.asarray(B, dtype=complex)
     scale = max(np.abs(N).max(), 1.0) * max(np.abs(B).max(), 1.0)
 
-    if np.abs(B @ N - N.T @ B).max() > 100 * tol * scale:
+    if np.abs(B @ N - N.T @ B).max() > 100 * BASIS_TOL * scale:
         raise NotSymmetricError("matrix is not symmetric under the bilinear form")
 
     # Filtration ker N^k and chain length K.
@@ -188,7 +193,7 @@ def jordan_dual_basis(N, B=None, tol=1e-10):
     K = None
     for k in range(1, n + 1):
         powers.append(powers[-1] @ N)
-        kernels.append(_null_basis(powers[-1], tol, scale=normN**k))
+        kernels.append(_null_basis(powers[-1], BASIS_TOL, scale=normN**k))
         if kernels[-1].shape[1] == n:
             K = k
             break
@@ -222,7 +227,7 @@ def jordan_dual_basis(N, B=None, tol=1e-10):
             Q, _ = np.linalg.qr(accounted)
         else:
             Q = accounted
-        cands = _complement_in(kernels[k], Q, tol)
+        cands = _complement_in(kernels[k], Q, BASIS_TOL)
         queue = [project_out(cands[:, i]) for i in range(cands.shape[1])]
 
         while queue:
@@ -230,14 +235,14 @@ def jordan_dual_basis(N, B=None, tol=1e-10):
             Ntop = powers[k - 1] @ psi
             m = pair(Ntop, psi)
             norm2 = max(float(np.abs(psi) @ np.abs(psi)), 1e-300)
-            if abs(m) <= tol * scale * norm2:
+            if abs(m) <= BASIS_TOL * scale * norm2:
                 # Isotropic top: combine with a dual partner from the queue.
                 best, bval = None, 0.0
                 for idx, phi in enumerate(queue):
                     b = pair(Ntop, phi)
                     if abs(b) > abs(bval):
                         best, bval = idx, b
-                if best is None or abs(bval) <= tol * scale * norm2:
+                if best is None or abs(bval) <= BASIS_TOL * scale * norm2:
                     raise DegeneratePairingError(
                         f"no dual partner for a length-{k} chain top"
                     )
@@ -273,7 +278,7 @@ def jordan_dual_basis(N, B=None, tol=1e-10):
     return JordanBasis(K, multiplicities, vectors, labels, cert)
 
 
-def nilpotent_fixture(chain_spec, dim=None, rng=None):
+def nilpotent_fixture(chain_spec, rng=None):
     """Random B-symmetric (B = dot) nilpotent with prescribed chain structure.
 
     chain_spec maps chain length k to multiplicity L_k.  Each chain block is
@@ -288,13 +293,6 @@ def nilpotent_fixture(chain_spec, dim=None, rng=None):
             blocks.append(_symmetric_jordan_block(k))
     base = sla.block_diag(*blocks) if blocks else np.zeros((0, 0))
     n = base.shape[0]
-    if dim is not None:
-        if dim < n:
-            raise ValueError(f"chain spec needs dimension {n} > {dim}")
-        pad = np.zeros((dim, dim), complex)
-        pad[:n, :n] = base
-        base = pad
-        n = dim
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     A = 0.35 * (A - A.T) / np.sqrt(max(n, 1))
     Q = sla.expm(A)  # complex orthogonal: Q^T Q = I
@@ -342,23 +340,24 @@ class Threshold:
     basis: JordanBasis
 
 
-def threshold(V, grid, tol_rank=1e-8, tol=1e-10):
+def threshold(V, grid):
     """Filtration dims, X_1 states and self-dual chain basis of H = -Delta + V.
 
     Restricts the discretized H to span(X) in an orthonormal coordinate
     frame Q, runs the abstract construction on N = Q^H H Q, and lifts the
     coefficient vectors back to GridFunctions.  For the samples of a
     multiplier H Q is a banded product, O(M) per column; a dense
-    perturbation matrix forms the dense H.
+    perturbation matrix forms the dense H.  The rank decisions take
+    RANK_TOL, the basis BASIS_TOL.
     """
-    spaces, states = build_filtration(V, grid, tol_rank=tol_rank)
+    spaces, states = build_filtration(V, grid)
     dims = tuple(sp.shape[1] for sp in spaces)
     if not spaces:
         return Threshold(dims, (), JordanBasis(0, {}, {}, [], np.zeros((0, 0))))
     Q = spaces[-1]
     N = Q.conj().T @ _apply_H(V, grid, Q)
     Bres = Q.T @ (grid.weights[:, None] * Q)
-    coeff_basis = jordan_dual_basis(N, Bres, tol=tol)
+    coeff_basis = jordan_dual_basis(N, Bres)
     vectors = {
         lab: GridFunction(grid, Q @ vec)
         for lab, vec in coeff_basis.vectors.items()
@@ -416,22 +415,22 @@ def classify_state(psi, grid=None, tol_res=1e-2):
         "c1": c1,
         "l1_norm": grids.profile_lp_norm(psi, 1),
         "l2_norm": grids.profile_lp_norm(psi, 2),
-        "tol_res": tol_res,
     }
 
 
-def build_filtration(V, grid, tol_rank=1e-8, max_k=8):
+def build_filtration(V, grid):
     """Nested bases of X_1 subset ... subset X_K, stabilized, and the X_1 states.
 
     X_1 is the null space of I + R0(0) V, whose states Psi = R0(0) g come
     from the null vectors g of T = I + V R0(0), and X_{k+1} solves
     (I + R0(0) V) Psi = R0(0) Phi over Phi in X_k.  T has a null space when
-    s_min(T) <= tol_rank s_max(T), and X_{k+1} grows past X_k when the
-    left null vectors of I + R0(0) V annihilate R0(0) X_k up to tol_rank
+    s_min(T) <= RANK_TOL s_max(T), and X_{k+1} grows past X_k when the
+    left null vectors of I + R0(0) V annihilate R0(0) X_k up to RANK_TOL
     times ||R0(0) X_k||_2.  Returns (spaces, states): a list of orthonormal
     column matrices, where X_{k+1} collects the solutions over the solvable
     part of X_k together with X_1, and a list of GridFunctions.  Raises
-    NoStabilizationError when the dims still grow after max_k steps.
+    NoStabilizationError when the dims still grow after MAX_FILTRATION_STEPS
+    steps.
 
     The path is read off the input.  For the samples of a multiplier,
     `_banded_filtration` works on the tridiagonal H in O(M) per solve; a
@@ -443,8 +442,8 @@ def build_filtration(V, grid, tol_rank=1e-8, max_k=8):
         bands = birman.tridiagonal_bs(grid, 0.0)
         solve_H = _shifted_solver(bands[0], bands[1] + v, bands[2], 0.0)
         if solve_H is not None:
-            return _banded_filtration(v, grid, bands, solve_H, tol_rank, max_k)
-    return _dense_filtration(V, grid, tol_rank, max_k)
+            return _banded_filtration(v, grid, bands, solve_H)
+    return _dense_filtration(V, grid)
 
 
 #: Power-iteration steps of `_norm_estimate` at most, and the relative
@@ -467,7 +466,7 @@ def _norm_estimate(apply, adjoint, x):
     return s
 
 
-def _banded_filtration(v, grid, bands, solve_H, tol_rank, max_k):
+def _banded_filtration(v, grid, bands, solve_H):
     """`build_filtration` for the samples v of a multiplier, O(M) per solve.
 
     R0(0) is exactly H0^{-1}, so T = I + V R0(0) = H H0^{-1} with the
@@ -504,7 +503,7 @@ def _banded_filtration(v, grid, bands, solve_H, tol_rank, max_k):
     t_inv_norm = _norm_estimate(
         lambda x: H0(solve_H(x)), lambda y: solve_H(H0(y), "C"), start
     )
-    if tol_rank * t_norm * t_inv_norm < 1.0:
+    if RANK_TOL * t_norm * t_inv_norm < 1.0:
         return [], []
     psi = start
     for _ in range(INVERSE_ITERATIONS):
@@ -516,17 +515,17 @@ def _banded_filtration(v, grid, bands, solve_H, tol_rank, max_k):
     chain = _chain_solver(dl, d, du, psi)
     Q = psi[:, None]
     spaces = [Q]
-    for _ in range(max_k):
+    for _ in range(MAX_FILTRATION_STEPS):
         R0Q = solve_H0(Q)
         scale = np.sqrt(np.linalg.eigvalsh(R0Q.conj().T @ R0Q)[-1])
-        if np.linalg.norm(psi @ Q) / g_norm > tol_rank * scale:
+        if np.linalg.norm(psi @ Q) / g_norm > RANK_TOL * scale:
             return spaces, states
         phi = chain(Q[:, -1])
         for _ in range(2):  # Gram-Schmidt, repeated once for orthogonality
             phi -= Q @ (Q.conj().T @ phi)
         Q = np.column_stack([Q, phi / np.linalg.norm(phi)])
         spaces.append(Q)
-    raise _still_growing(spaces, max_k)
+    raise _still_growing(spaces)
 
 
 def _chain_solver(dl, d, du, psi):
@@ -553,14 +552,14 @@ def _chain_solver(dl, d, du, psi):
     return solve
 
 
-def _still_growing(spaces, max_k):
+def _still_growing(spaces):
     return NoStabilizationError(
-        f"filtration still growing after {max_k} steps: dims "
+        f"filtration still growing after {MAX_FILTRATION_STEPS} steps: dims "
         f"{[sp.shape[1] for sp in spaces]}"
     )
 
 
-def _dense_filtration(V, grid, tol_rank, max_k):
+def _dense_filtration(V, grid):
     """`build_filtration` from one dense SVD of T = I + V R0(0), O(M^3).
 
     Its right null vectors g give the states Psi = R0(0) g.  The filtration
@@ -571,7 +570,7 @@ def _dense_filtration(V, grid, tol_rank, max_k):
     """
     R0 = resolvent.build_R0(grid, 0.0)
     Ut, s, Vht = np.linalg.svd(np.eye(grid.size) + birman.potential_operator(V, R0))
-    rank = int(np.sum(s > tol_rank * s[0]))
+    rank = int(np.sum(s > RANK_TOL * s[0]))
     G = Vht[rank:].conj().T
     states = [GridFunction(grid, R0 @ G[:, i]) for i in range(G.shape[1])]
     if not states:
@@ -586,13 +585,13 @@ def _dense_filtration(V, grid, tol_rank, max_k):
         return Vr.conj().T @ ((Ur.conj().T @ rhs) / sr[:, None])
 
     spaces = [X1]
-    for _ in range(max_k):
+    for _ in range(MAX_FILTRATION_STEPS):
         Xk = spaces[-1]
         rhs = R0 @ Xk
         # Solvable combinations: R0 Phi must avoid the left null space.
         C = left_null.conj().T @ rhs
         if C.shape[0]:
-            alpha = _null_basis(C, tol_rank, scale=max(np.linalg.norm(rhs, 2), 1e-300))
+            alpha = _null_basis(C, RANK_TOL, max(np.linalg.norm(rhs, 2), 1e-300))
         else:
             alpha = np.eye(Xk.shape[1])
         if alpha.shape[1] == 0:
@@ -601,11 +600,11 @@ def _dense_filtration(V, grid, tol_rank, max_k):
             particular = solve(rhs @ alpha)
         stacked = np.hstack([Xk, X1, particular])
         Q, sv, _ = np.linalg.svd(stacked, full_matrices=False)
-        nxt = Q[:, sv > tol_rank * sv[0]]
+        nxt = Q[:, sv > RANK_TOL * sv[0]]
         if nxt.shape[1] == Xk.shape[1]:
             return spaces, states
         spaces.append(nxt)
-    raise _still_growing(spaces, max_k)
+    raise _still_growing(spaces)
 
 
 # ---------------------------------------------------------------------------
@@ -928,7 +927,7 @@ def _riesz_projector(H, center, radius):
 # Fixtures on the grid
 
 
-def build_chain_fixture(grid, target, seed=0, scale=1.0):
+def build_chain_fixture(grid, target, seed=0):
     """Finite-rank symmetric perturbation giving H0 + F a prescribed
     zero-energy Jordan structure.
 
@@ -948,5 +947,5 @@ def build_chain_fixture(grid, target, seed=0, scale=1.0):
     mu, W = np.linalg.eigh(H0)
     U = W[:, :n]
     D = np.diag(mu[:n])
-    N_target = scale * nilpotent_fixture(target, rng=seed)
+    N_target = nilpotent_fixture(target, rng=seed)
     return U @ (N_target - D) @ U.T

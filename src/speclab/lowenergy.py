@@ -255,8 +255,9 @@ def contraction_factor(reg, lam):
     return operator_l1_norm(_series_step(reg, lam), reg.grid)
 
 
-def _auto_window(reg, target=0.5, xtol=2.0**-30):
-    """Largest lambda in [0, 1] with contraction factor <= target, to xtol.
+def _auto_window(reg):
+    """Largest lambda in [0, 1] with contraction factor <= target = 1/2,
+    to xtol = 2^-30.
 
     Safeguarded regula falsi (Illinois) on cf(lambda) - target over a
     bracket [lo, hi] that starts at [0, 1] (cf(0) = 0 is known, so it costs
@@ -267,6 +268,7 @@ def _auto_window(reg, target=0.5, xtol=2.0**-30):
     where bisection takes 31.  Past 30 falsi steps the search bisects, so it
     ends within 61 evaluations whatever the shape of cf.
     """
+    target, xtol = 0.5, 2.0**-30
     lo, hi = 0.0, 1.0
     glo, ghi = -target, contraction_factor(reg, hi) - target
     if ghi <= 0:
@@ -293,13 +295,13 @@ def _auto_window(reg, target=0.5, xtol=2.0**-30):
     return lo
 
 
-def build_S_lambda(reg, lam, X, tol=1e-13, max_terms=200):
+def build_S_lambda(reg, lam, X, max_terms=200):
     """S(lambda) X for the Neumann continuation S(lambda) = sum_m step^m S0.
 
     step = -S0 Q~0 V B0(lambda^2) (`_series_step`).  S(lambda) is not
     formed: the series sum_m step^m (S0 X) is summed on the columns of X, a
     matrix (the identity gives S(lambda) itself), in O(M^2) per column and
-    term.  It stops once every column's term is below tol relative to the
+    term.  It stops once every column's term is below 1e-13 relative to the
     L^1 norm of its column of X; for X = I that is the induced-norm rule.
     Returns S(lambda) X and the contraction factor ||step||_1 (0 at
     lambda = 0).  Raises ValueError outside the validity window and
@@ -309,16 +311,16 @@ def build_S_lambda(reg, lam, X, tol=1e-13, max_terms=200):
     if lam == 0:
         return reg.S0 @ X, 0.0
     x_norms = reg.grid.weights @ np.abs(X)
-    return _continue_S0(reg, lam, reg.S0 @ X, x_norms, tol, max_terms)
+    return _continue_S0(reg, lam, reg.S0 @ X, x_norms, max_terms)
 
 
-def _continue_S0(reg, lam, S0X, x_norms, tol=1e-13, max_terms=200):
+def _continue_S0(reg, lam, S0X, x_norms, max_terms=200):
     """The series of `build_S_lambda` from its first term S0 X, where the
     columns of X have L^1 norms x_norms; S0X is not modified."""
     if abs(lam) > reg.window:
         raise ValueError(f"lambda {lam} outside validity window {reg.window}")
     step = _series_step(reg, lam)
-    return birman._neumann_series(S0X, step, reg.grid, tol, max_terms, x_norms)
+    return birman._neumann_series(S0X, step, reg.grid, 1e-13, max_terms, x_norms)
 
 
 def one_sided_residual(reg, lam=0.0):
@@ -345,12 +347,12 @@ def one_sided_residual(reg, lam=0.0):
     return operator_l1_norm(S, grid)
 
 
-def range_constraint_residual(reg, trials=8, seed=0):
-    """sup over random f of |pair(S0 f, R0(0) psi_kk)| / ||f||_1."""
-    rng = np.random.default_rng(seed)
+def range_constraint_residual(reg):
+    """sup over 8 fixed-seed random f of |pair(S0 f, R0(0) psi_kk)| / ||f||_1."""
+    rng = np.random.default_rng(0)
     grid = reg.grid
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(8):
         f = GridFunction(
             grid, rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
         )
@@ -388,19 +390,20 @@ def inverse_via_formula(reg, lam, f, variant="R0"):
     variant "R0" pairs the S(lambda)-term against R0^-(lambda^2) psi-bar;
     variant "B0" uses the difference kernel B0 instead (equivalent on the
     range of S(lambda) thanks to the range constraint).  Returns the result
-    and a diagnostics dict exposing the alternative-form coefficients F_k
-    and its evaluation for the algebraic-equivalence check.
+    and a diagnostics dict whose "inverse1" is the alternative form, with
+    the coefficients F_k = pair((I + V R0(lambda^2)) u, psi_{1,k}), for the
+    algebraic-equivalence check.
     """
     Qf = grids.apply_complement((reg.Y, reg.Z), f.values)
-    Sf, contraction = build_S_lambda(reg, lam, Qf[:, None])
-    result, F, out1 = _formula(reg, lam, Sf[:, 0], f, variant)
-    return result, {"F": F, "inverse1": out1, "contraction": contraction}
+    Sf, _ = build_S_lambda(reg, lam, Qf[:, None])
+    result, out1 = _formula(reg, lam, Sf[:, 0], f, variant)
+    return result, {"inverse1": out1}
 
 
 def _formula(reg, lam, u, f, variant="R0"):
     """The formula of `inverse_via_formula` with u = S(lambda) Q~0 f given.
 
-    Returns the result, the F_k and the alternative form.
+    Returns the result and the alternative form.
     """
     if lam == 0:
         raise ValueError("formula applies for lambda != 0")
@@ -419,7 +422,6 @@ def _formula(reg, lam, u, f, variant="R0"):
     chains = _diag_chains(basis)
     result = u.copy()
     out1 = u.copy()
-    F = {}
     Tu = None
     for k, ell, psi1, psikk in chains:
         Vchain = [
@@ -443,9 +445,8 @@ def _formula(reg, lam, u, f, variant="R0"):
         if Tu is None:
             Tu = GridFunction(grid, u + birman.potential_operator(V, R(u)))
         Fk = bilinear_pair(Tu, psi1)
-        F[(k, ell)] = Fk
         out1 = out1 + (bilinear_pair(f, psi1) - Fk) * bracket3
-    return GridFunction(grid, result), F, GridFunction(grid, out1)
+    return GridFunction(grid, result), GridFunction(grid, out1)
 
 
 def identity_residuals(V, grid, basis, lam):

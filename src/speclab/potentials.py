@@ -50,12 +50,10 @@ def exact_eigen_potential(s):
     return V
 
 
-def exact_eigen(grid, s=2.0, coupling=1.0, p=1.4, q=2.0):
+def exact_eigen(grid, s=2.0, p=1.4, q=2.0):
     """Sample the exact threshold family at decay parameter s."""
-    fn = exact_eigen_potential(s)
     name = f"exact_eigen(s={s:g})"
-    spec = birman.sample_potential(name, grid, lambda r: coupling * fn(r), p, q)
-    return spec
+    return birman.sample_potential(name, grid, exact_eigen_potential(s), p, q)
 
 
 def gaussian_well(grid, depth=4.0, width=1.0, p=1.4, q=2.0):

@@ -79,19 +79,22 @@ def build_R0(grid, lam, sign=Branch.PLUS):
     return K * grid.weights[None, :]
 
 
-def build_B(grid, lambda0, lam, sign=Branch.PLUS):
-    """Difference operator B_{lambda0}(lambda^2) = R0(lambda^2) - R0(lambda0^2)."""
+def build_B(grid, lambda0, lam):
+    """Difference operator B_{lambda0}(lambda^2) = R0(lambda^2) - R0(lambda0^2)
+    on the + branch."""
     r, rp = grid.nodes[:, None], grid.nodes[None, :]
-    K = free_kernel_radial(r, rp, lam, sign) - free_kernel_radial(r, rp, lambda0, sign)
+    K = free_kernel_radial(r, rp, lam) - free_kernel_radial(r, rp, lambda0)
     return K * grid.weights[None, :]
 
 
-def column_lp_norm_3d(lam, mu, pprime, r_max, n=20000):
+def column_lp_norm_3d(lam, mu, pprime, r_max):
     """L^{p'}(R^3) norm of the 3-D difference-kernel column for shift centers.
 
     The difference kernel is translation invariant, so every column has the
-    same norm; it is computed by radial quadrature out to r_max.
+    same norm; it is computed by midpoint radial quadrature on 20000 nodes
+    out to r_max.
     """
+    n = 20000
     h = r_max / n
     r = (np.arange(n) + 0.5) * h
     vals = np.abs(np.exp(1j * lam * r) - np.exp(1j * mu * r)) / (4.0 * np.pi * r)
@@ -101,9 +104,9 @@ def column_lp_norm_3d(lam, mu, pprime, r_max, n=20000):
 def kernel_difference_check(grid, lambda_list, mu=0.0, p=1.4):
     """Measure L^{p'} norms of R0(lambda^2) - R0(mu^2) and fit the growth rate.
 
-    Returns a dict with the per-lambda norms, the fitted exponent in
-    |lambda - mu|, the predicted exponent 1 - 3/p', and a pass flag that is
-    false when the fit falls more than 0.15 below the prediction.
+    Returns a dict with the fitted exponent in |lambda - mu|, the predicted
+    exponent 1 - 3/p', and a pass flag that is false when the fit falls more
+    than 0.15 below the prediction.
     """
     lams = [l for l in lambda_list if l != mu]
     if len(lams) < 4:
@@ -115,8 +118,6 @@ def kernel_difference_check(grid, lambda_list, mu=0.0, p=1.4):
     slope, intercept = np.polyfit(np.log(gaps), np.log(norms), 1)
     predicted = 1.0 - 3.0 / pprime
     return {
-        "lambda": list(map(float, lams)),
-        "norms": norms.tolist(),
         "fitted_exponent": float(slope),
         "predicted_exponent": float(predicted),
         "ok": bool(slope >= predicted - 0.15),

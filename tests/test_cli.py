@@ -235,6 +235,14 @@ def test_substep_cap_exits_4(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_unstable_filtration_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(jordan, "MAX_FILTRATION_STEPS", 0)
+    rc = cli.main(["threshold", "--config", write_cfg(tmp_path, small_threshold_cfg())])
+    assert rc == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numerical refusal: NoStabilizationError: filtration")
+
+
 @pytest.mark.parametrize("pipeline, path, value", [
     ("threshold", ("grid", "mode"), "box3d"),
     ("threshold", ("grid", "nodes"), 7),

@@ -175,6 +175,28 @@ def test_jordan_polynomial_growth(chain_fixture20):
     assert coef[0] == pytest.approx(1.0, abs=0.1)
 
 
+def test_linspace_steps_factor_once(g200, count_calls):
+    # np.linspace steps differ in their last bits; the Pade path still
+    # factors each (step length, substep count) pair once
+    solves = count_calls(birman, "_tridiagonal_solver")
+    plan = evolution.make_plan(None, g200, np.linspace(2.5, 8.0, 10))
+    evolution.propagate(plan, grids.gaussian_bump(g200))
+    d = birman.tridiagonal_bs(g200, 0.0)[1]
+    # the shift of the first Pade root names the level: i z_1 n / dt
+    shifts = np.sort([np.abs(call[1] - d).max() for call in solves[::16]])
+    assert len(solves) == 16 * len(shifts)
+    assert np.all(np.diff(shifts) > 1e-9 * shifts[1:])
+
+
+def test_linspace_steps_exponentiate_once(chain_fixture20, count_calls):
+    # a dense perturbation takes one expm per distinct step: 5 and 45 / 7
+    g, F = chain_fixture20["grid"], chain_fixture20["V"]
+    expms = count_calls(evolution.sla, "expm")
+    plan = evolution.make_plan(F, g, np.linspace(5.0, 50.0, 8))
+    evolution.propagate(plan, grids.gaussian_bump(g))
+    assert len(expms) == 2
+
+
 def test_commutation_with_ppp(ee6):
     g = ee6["grid"]
     Pu, Pw = jordan.build_Ppp(ee6["V"], g, basis=ee6["basis"])

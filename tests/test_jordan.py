@@ -149,7 +149,7 @@ def test_riesz_projectors_orthogonal_across_clusters():
     assert np.abs(Ps[1] @ Ps[0]).max() < 1e-10
 
 
-def test_rank_one_projectors_match_schur(count_calls):
+def test_rank_one_projectors_match_schur(monkeypatch, count_calls):
     g = grids.make_grid(Mode.RADIAL_SWAVE, 20.0, 400)
     V = potentials.gaussian_well(g, depth=12.0, width=2.0)
     H = evolution.discretize_H(V, g)
@@ -169,6 +169,30 @@ def test_rank_one_projectors_match_schur(count_calls):
     merged = _dense(jordan.build_Ppp(V, g, delta_edge=0.05, cluster_tol=0.5))
     assert len(schur) == 1
     assert np.abs(merged - P).max() < 1e-10
+    # Every eigenvalue counted near-defective: each rank-one projector is
+    # refused and the Schur path gives the same total.
+    monkeypatch.setattr(jordan, "KAPPA_MAX", 0.0)
+    fallback = _dense(jordan.build_Ppp(V, g, delta_edge=0.05))
+    assert len(schur) == 3
+    assert np.abs(fallback - P).max() < 1e-10
+
+
+def test_cluster_refuses_ambiguous_centers():
+    # the greedy pass merges three of the four, and the merged center ends
+    # within 10 cluster_tol of the fourth
+    evals = np.array([1.6 + 1.0j, 1.8 + 1.6j, 1.1 + 2.2j, 1.6 + 2.0j]) * 1e-5
+    with pytest.raises(jordan.ClusterAmbiguousError, match="separated by"):
+        jordan._cluster(evals, 1e-6)
+
+
+@pytest.mark.parametrize("scenario", ["ee6", "chain_fixture20"])
+def test_filtration_refuses_to_grow_past_the_step_cap(request, monkeypatch, scenario):
+    # samples take the banded path, the dense perturbation the dense SVD;
+    # with no step allowed, neither can show that X_1 is stable
+    sc = request.getfixturevalue(scenario)
+    monkeypatch.setattr(jordan, "MAX_FILTRATION_STEPS", 0)
+    with pytest.raises(jordan.NoStabilizationError, match=r"after 0 steps: dims \[1\]"):
+        jordan.build_filtration(sc["V"], sc["grid"])
 
 
 def test_dense_perturbation_takes_schur_path(count_calls):

@@ -94,6 +94,17 @@ def test_dense_perturbation_keeps_the_dense_paths(chain_fixture20, count_calls):
     assert len(eigvals) == 1 and len(dense_lu) == 1
 
 
+def test_s0_refuses_a_degenerate_duality_pairing(ee_small):
+    # two identical length-1 chains: the duality Gram matrix is singular
+    psi = ee_small["basis"].vectors[(1, 1, 1)]
+    twins = jordan.JordanBasis(
+        1, {1: 2}, {(1, 1, 1): psi, (1, 1, 2): psi},
+        jordan.canonical_labels({1: 2}), np.eye(2),
+    )
+    with pytest.raises(lowenergy.DualityDegenerateError):
+        lowenergy.build_S0(ee_small["V"], ee_small["grid"], twins, window=0.25)
+
+
 def test_s0_range_constraint(ee_small):
     assert lowenergy.range_constraint_residual(ee_small["reg"]) < 1e-9
 
@@ -282,3 +293,23 @@ def test_auto_window_brackets_the_crossing(request, monkeypatch, scenario):
 
     assert w == 1.0 or cf(w) <= 0.5 < cf(w + 2.0**-30)
     assert abs(w - _bisection_window(cf)) <= 2.0**-30
+
+
+@pytest.mark.parametrize("cf, least, most", [
+    (lambda lam: 0.25 * lam, 1, 1),  # cf(1) <= 1/2: lo = 1 at once
+    # concave: hi moves twice in a row and cf(lo) is halved; plain regula
+    # falsi takes 58 evaluations here
+    (lambda lam: lam**0.25, 1, 15),
+    (lambda lam: float(lam > 0.9), 32, 61),  # a jump: bisection past 30 steps
+])
+def test_auto_window_on_synthetic_factors(monkeypatch, cf, least, most):
+    calls = []
+
+    def counted(reg, lam):
+        calls.append(lam)
+        return cf(lam)
+
+    monkeypatch.setattr(lowenergy, "contraction_factor", counted)
+    lo = lowenergy._auto_window(None)
+    assert least <= len(calls) <= most
+    assert lo == 1.0 or cf(lo) <= 0.5 < cf(lo + 2.0**-30)

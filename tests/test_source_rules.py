@@ -87,3 +87,63 @@ def test_only_samples_tests_the_potential_format():
         tree = ast.parse(path.read_text(), filename=str(path))
         found.extend(f"{path.stem}.{func}" for func in _format_tests(tree))
     assert found == ["birman._samples"]
+
+
+#: Where the callers of the package live.
+CALLER_DIRS = (SRC, pathlib.Path(__file__).parent, SRC.parents[1] / "demos")
+
+
+def _options(tree):
+    """(function, parameter, position) for every parameter with a default;
+    position counts the arguments a call passes before it, None for a
+    keyword-only parameter.  An __init__ goes by its class's name."""
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = [*a.posonlyargs, *a.args]
+                skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+                name = cls if child.name == "__init__" else child.name
+                defaulted = positional[len(positional) - len(a.defaults):]
+                for p in defaulted:
+                    out.append((name, p.arg, positional.index(p) - skip))
+                for p, d in zip(a.kwonlyargs, a.kw_defaults):
+                    if d is not None:
+                        out.append((name, p.arg, None))
+                visit(child, None)
+
+    visit(tree, None)
+    return out
+
+
+def _passes(call, param, position):
+    """Whether the call passes the parameter, by keyword, by position or
+    through *args / **kwargs."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+    return starred or len(call.args) > position
+
+
+def test_every_option_has_a_caller():
+    calls = {}
+    for folder in CALLER_DIRS:
+        for path in sorted(folder.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Call):
+                    calls.setdefault(_name(node.func), []).append(node)
+    unset = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func, param, position in _options(tree):
+            if path.stem == "cli" and func.startswith("run_") and param == "out_dir":
+                continue  # dispatched through cli._PIPELINES
+            if not any(_passes(c, param, position) for c in calls.get(func, [])):
+                unset.append(f"{path.stem}.{func}: {param}")
+    assert unset == []
