@@ -37,7 +37,7 @@ def main():
 
     basis = threshold.basis
     cert = np.abs(
-        basis.pairing_certificate - jordan.expected_gram(basis.labels)
+        basis.pairing_certificate - jordan.expected_gram(basis.multiplicities)
     ).max()
     print(f"dual-basis pairing certificate deviation: {cert:.3e}")
 

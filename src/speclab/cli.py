@@ -297,7 +297,8 @@ def run_invert(cfg, grid, V, rng, out_dir=None, *, threshold=None):
     if out_dir is not None and basis.dim > 0:
         # the scan's rows carry the identity residuals of each lambda
         probe = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-        f_adm = lowenergy.admissible_part(GridFunction(grid, probe), basis)
+        P0 = jordan.build_P0(basis, grid)
+        f_adm = GridFunction(grid, grids.apply_complement(P0, probe))
         rows = lowenergy.low_energy_scan(
             reg, np.array(lambdas), f_adm, grids.gaussian_bump(grid),
             path=os.path.join(out_dir, "low_energy_scan.csv"),

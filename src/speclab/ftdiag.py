@@ -213,8 +213,7 @@ def k2_bound_check(grid, basis, r):
     Returns per-chain dicts with both values plus the quadrature bound
     ||chi-hat||_1 * sup_x sum_y w_y |psi(y)| min(x, y) for the R0 variant.
     """
-    labels = [lab for lab in basis.labels if lab[0] == lab[1]]
-    if not labels:
+    if not basis.chains:
         raise ValueError("empty threshold basis")
     n, lam_max = 1024, max(4.0 * r, 2.0)
     lams, delta = lambda_grid(n, lam_max)
@@ -222,8 +221,8 @@ def k2_bound_check(grid, basis, r):
     chi_l1 = chi_hat_l1(r=r / 2.0, n=n, lam_max=lam_max)
     R00 = resolvent.build_R0(grid, 0.0, Branch.MINUS)
     out = []
-    for lab in labels:
-        psibar = np.conj(basis.vectors[lab].values)
+    for C in basis.chains:
+        psibar = np.conj(C[:, -1])
         samples_r = np.zeros((n, grid.size), complex)
         samples_b = np.zeros((n, grid.size), complex)
         for i, lam in enumerate(lams):
@@ -243,7 +242,6 @@ def k2_bound_check(grid, basis, r):
         )
         out.append(
             {
-                "label": lab,
                 "r0_variant": val_r,
                 "b0_variant": val_b,
                 "r0_quadrature_bound": chi_l1 * quad,

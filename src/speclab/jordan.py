@@ -5,7 +5,9 @@ resolvent route (Psi in X_{k+1} iff (I + R0(0) V) Psi = R0(0) Phi for some
 Phi in X_k), then H restricted to X is brought to a self-dual Jordan basis:
 chains psi_{1,k}, ..., psi_{k,k} with H psi_{j,k} = psi_{j-1,k} whose Gram
 matrix under the *bilinear* (unconjugated) pairing is the antidiagonal 0/1
-pattern pair(psi_{j1,k}, psi_{j2,k}) = delta_{j1+j2 = k+1}.
+pattern pair(psi_{j1,k}, psi_{j2,k}) = delta_{j1+j2 = k+1}.  Each chain is
+kept as one array whose columns are psi_{1,k}, ..., psi_{k,k}, so the dual
+partner of a column is its mirror image in the chain.
 
 The basis construction works for any nilpotent matrix N that is symmetric
 with respect to a nondegenerate symmetric bilinear form B; that abstract
@@ -35,6 +37,7 @@ the M x n factors (U, W) of P = U W^T, n its rank, never as an M x M array.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,50 +89,50 @@ MAX_FILTRATION_STEPS = 8
 class JordanBasis:
     """Self-dual Jordan chain basis.
 
-    vectors maps (j, k, ell) -> coefficient vector (ndarray) or GridFunction;
-    pairing_certificate is the Gram matrix of bilinear pairs in the canonical
-    label order, to be compared against `expected_gram(labels)`.
+    chains holds one array per chain, longest chain first, whose k columns
+    are psi_{1,k}, ..., psi_{k,k}; the dual partner of column j is column
+    k + 1 - j.  pairing_certificate is the Gram matrix of bilinear pairs of
+    all the columns in that order, to be compared against
+    `expected_gram(multiplicities)`.
     """
 
-    K: int
-    multiplicities: dict
-    vectors: dict
-    labels: list
+    chains: tuple
     pairing_certificate: np.ndarray
 
     @property
+    def multiplicities(self):
+        """Chain length k -> number of chains of that length, k descending."""
+        return dict(Counter(C.shape[1] for C in self.chains))
+
+    @property
+    def K(self):
+        return max((C.shape[1] for C in self.chains), default=0)
+
+    @property
     def dim(self):
-        return sum(k * lk for k, lk in self.multiplicities.items())
+        return sum(C.shape[1] for C in self.chains)
 
 
-def canonical_labels(multiplicities):
-    """Label order (k, ell, j) with k descending, matching certificate rows."""
-    labels = []
-    for k in sorted(multiplicities, reverse=True):
-        for ell in range(1, multiplicities[k] + 1):
-            for j in range(1, k + 1):
-                labels.append((j, k, ell))
-    return labels
+def expected_gram(multiplicities):
+    """The target Gram pattern: one antidiagonal 0/1 block per chain, longest
+    chain first."""
+    blocks = [np.eye(k)[::-1] for k in sorted(multiplicities, reverse=True)
+              for _ in range(multiplicities[k])]
+    return sla.block_diag(np.zeros((0, 0)), *blocks)
 
 
-def expected_gram(labels):
-    """The target antidiagonal 0/1 Gram pattern for a given label order."""
-    n = len(labels)
-    G = np.zeros((n, n))
-    for a, (j1, k1, l1) in enumerate(labels):
-        for b, (j2, k2, l2) in enumerate(labels):
-            if (k1, l1) == (k2, l2) and j2 == k1 + 1 - j1:
-                G[a, b] = 1.0
-    return G
+def _gram(chains, pair):
+    """The pairing certificate: pair(u, v) over all pairs of columns."""
+    cols = [c for C in chains for c in C.T]
+    G = [[pair(u, v) for v in cols] for u in cols]
+    return np.array(G, complex).reshape(len(cols), len(cols))
 
 
-def _gram(vectors, labels, pair):
-    n = len(labels)
-    G = np.zeros((n, n), complex)
-    for a, la in enumerate(labels):
-        for b, lb in enumerate(labels):
-            G[a, b] = pair(vectors[la], vectors[lb])
-    return G
+def _chain(vectors):
+    """The vectors as the contiguous, read-only columns of one chain array."""
+    C = np.array(vectors).T
+    C.setflags(write=False)
+    return C
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +171,14 @@ def jordan_dual_basis(N, B=None):
     with B(Nu, v) = B(u, Nv), checked to BASIS_TOL.  The construction is
     top-down in chain length: candidate chain tops are orthogonalized
     against finished chains through their dual partners and normalized to
-    m = B(N^{k-1} psi, psi) = 1.  A top with m != 0 is divided by sqrt(m);
-    an isotropic top (m = 0) is combined with the queued candidate phi of
-    largest b = B(N^{k-1} psi, phi), where B(N^{k-1}(z psi + phi),
-    z psi + phi) = 1 is linear in z, and DegeneratePairingError is raised
-    when no candidate pairs with it.  Each top is then corrected by
+    m = B(N^{k-1} psi, psi) = 1.  The next top is chosen by symmetric
+    pivoting on G_ab = B(N^{k-1} q_a, q_b) over the queued candidates q_a:
+    the candidate of largest |G_aa|, or, when an off-diagonal |G_bc| is
+    larger (an isotropic top among them), the better of (q_b +- q_c) / sqrt 2,
+    whose |m| is at least |G_bc|.  So |m| is never small next to the
+    pairings of the queue, and the top, divided by sqrt(m), stays of the
+    candidates' size; DegeneratePairingError is raised when no candidate
+    pairs with any.  Each top is then corrected by
     psi <- psi - (m_a / 2) N^{k-1-a} psi to kill the remaining same-chain
     pairings.
     """
@@ -203,25 +209,24 @@ def jordan_dual_basis(N, B=None):
     def pair(u, v):
         return complex(u @ B @ v)
 
-    chains = []  # each: dict with "k" and "vecs" mapping j -> vector
+    chains = []
 
     def project_out(v):
         """Remove all pairings of v with finished chains via dual partners."""
-        for c in chains:
-            kc = c["k"]
-            for j in range(1, kc + 1):
-                coef = pair(v, c["vecs"][j])
+        for C in chains:
+            for j in range(C.shape[1]):
+                coef = pair(v, C[:, j])
                 if coef != 0:
-                    v = v - coef * c["vecs"][kc + 1 - j]
+                    v = v - coef * C[:, -1 - j]
         return v
 
     for k in range(K, 0, -1):
         # Accounted part of ker N^k: ker N^{k-1} plus level-k members of
         # longer chains.
         accounted = [kernels[k - 1]]
-        for c in chains:
-            if c["k"] > k:
-                accounted.append(c["vecs"][k][:, None])
+        for C in chains:
+            if C.shape[1] > k:
+                accounted.append(C[:, k - 1 : k])
         accounted = np.hstack(accounted) if accounted else np.zeros((n, 0))
         if accounted.shape[1]:
             Q, _ = np.linalg.qr(accounted)
@@ -231,51 +236,37 @@ def jordan_dual_basis(N, B=None):
         queue = [project_out(cands[:, i]) for i in range(cands.shape[1])]
 
         while queue:
-            psi = queue.pop(0)
-            Ntop = powers[k - 1] @ psi
-            m = pair(Ntop, psi)
+            # Symmetric pivoting on G_ab = B(N^{k-1} q_a, q_b) over the queue.
+            G = np.array([[pair(powers[k - 1] @ u, v) for v in queue] for u in queue])
+            a = int(np.argmax(np.abs(np.diag(G))))
+            off = np.abs(G - np.diag(np.diag(G)))
+            b, c = np.unravel_index(np.argmax(off), off.shape)
+            if off[b, c] > abs(G[a, a]):
+                # (q_b +- q_c) / sqrt 2 have m = (G_bb + G_cc) / 2 +- G_bc, so
+                # the larger has |m| >= |G_bc|; the other one stays queued.
+                u, v = queue[b], queue[c]
+                queue = [w for i, w in enumerate(queue) if i not in (b, c)]
+                pm = [(u + v) / np.sqrt(2.0), (u - v) / np.sqrt(2.0)]
+                ms = [pair(powers[k - 1] @ w, w) for w in pm]
+                i = int(abs(ms[1]) > abs(ms[0]))
+                psi, m = pm[i], ms[i]
+                queue.append(pm[1 - i])
+            else:
+                psi, m = queue.pop(a), G[a, a]
             norm2 = max(float(np.abs(psi) @ np.abs(psi)), 1e-300)
             if abs(m) <= BASIS_TOL * scale * norm2:
-                # Isotropic top: combine with a dual partner from the queue.
-                best, bval = None, 0.0
-                for idx, phi in enumerate(queue):
-                    b = pair(Ntop, phi)
-                    if abs(b) > abs(bval):
-                        best, bval = idx, b
-                if best is None or abs(bval) <= BASIS_TOL * scale * norm2:
-                    raise DegeneratePairingError(
-                        f"no dual partner for a length-{k} chain top"
-                    )
-                phi = queue.pop(best)
-                mphi = pair(powers[k - 1] @ phi, phi)
-                # B(N^{k-1}(z psi + phi), z psi + phi) = 2 z b + mphi = 1,
-                # with m taken as 0.
-                z = (1.0 - mphi) / (2.0 * bval)
-                queue.append(psi)  # psi stays an independent candidate
-                psi = z * psi + phi
-            else:
-                psi = psi / np.lib.scimath.sqrt(m)
+                raise DegeneratePairingError(
+                    f"no dual partner for a length-{k} chain top"
+                )
+            psi = psi / np.lib.scimath.sqrt(m)
             # Kill same-chain pairings below the antidiagonal.
             for a in range(k - 2, -1, -1):
                 ma = pair(powers[a] @ psi, psi)
                 psi = psi - 0.5 * ma * (powers[k - 1 - a] @ psi)
-            vecs = {j: powers[k - j] @ psi for j in range(1, k + 1)}
-            chains.append({"k": k, "vecs": vecs})
+            chains.append(_chain([powers[k - j] @ psi for j in range(1, k + 1)]))
             queue = [project_out(v) for v in queue]
 
-    multiplicities = {}
-    for c in chains:
-        multiplicities[c["k"]] = multiplicities.get(c["k"], 0) + 1
-    vectors = {}
-    counters = {k: 0 for k in multiplicities}
-    for c in sorted(chains, key=lambda c: -c["k"]):
-        counters[c["k"]] += 1
-        ell = counters[c["k"]]
-        for j in range(1, c["k"] + 1):
-            vectors[(j, c["k"], ell)] = c["vecs"][j]
-    labels = canonical_labels(multiplicities)
-    cert = _gram(vectors, labels, pair)
-    return JordanBasis(K, multiplicities, vectors, labels, cert)
+    return JordanBasis(tuple(chains), _gram(chains, pair))
 
 
 def nilpotent_fixture(chain_spec, rng=None):
@@ -344,8 +335,8 @@ def threshold(V, grid):
     """Filtration dims, X_1 states and self-dual chain basis of H = -Delta + V.
 
     Restricts the discretized H to span(X) in an orthonormal coordinate
-    frame Q, runs the abstract construction on N = Q^H H Q, and lifts the
-    coefficient vectors back to GridFunctions.  For the samples of a
+    frame Q, runs the abstract construction on N = Q^H H Q, and lifts each
+    chain back to the grid column by column.  For the samples of a
     multiplier H Q is a banded product, O(M) per column; a dense
     perturbation matrix forms the dense H.  The rank decisions take
     RANK_TOL, the basis BASIS_TOL.
@@ -353,20 +344,16 @@ def threshold(V, grid):
     spaces, states = build_filtration(V, grid)
     dims = tuple(sp.shape[1] for sp in spaces)
     if not spaces:
-        return Threshold(dims, (), JordanBasis(0, {}, {}, [], np.zeros((0, 0))))
+        return Threshold(dims, (), JordanBasis((), np.zeros((0, 0))))
     Q = spaces[-1]
     N = Q.conj().T @ _apply_H(V, grid, Q)
     Bres = Q.T @ (grid.weights[:, None] * Q)
-    coeff_basis = jordan_dual_basis(N, Bres)
-    vectors = {
-        lab: GridFunction(grid, Q @ vec)
-        for lab, vec in coeff_basis.vectors.items()
-    }
-    labels = coeff_basis.labels
-    cert = _gram(vectors, labels, bilinear_pair)
-    basis = JordanBasis(
-        coeff_basis.K, coeff_basis.multiplicities, vectors, labels, cert
-    )
+    chains = [_chain([Q @ c for c in C.T]) for C in jordan_dual_basis(N, Bres).chains]
+
+    def pair(u, v):
+        return bilinear_pair(GridFunction(grid, u), GridFunction(grid, v))
+
+    basis = JordanBasis(tuple(chains), _gram(chains, pair))
     return Threshold(dims, tuple(states), basis)
 
 
@@ -611,29 +598,25 @@ def _dense_filtration(V, grid):
 # Projections
 
 
-def _rank_one_sum(grid, pairs):
-    """Factors (U, W) of the sum of the maps f -> pair(f, dual) vec: the
-    vectors are the columns of U, the weighted duals w dual those of W."""
-    U = np.array([vec.values for vec, _ in pairs], complex)
-    W = np.array([grid.weights * dual.values for _, dual in pairs], complex)
-    return U.reshape(-1, grid.size).T, W.reshape(-1, grid.size).T
+def _factors(grid, vecs, duals):
+    """Factors (U, W) of the sum of the maps f -> pair(f, dual) vec: U the
+    columns of vecs side by side, W the weighted columns w dual of duals."""
+    empty = np.zeros((grid.size, 0), complex)  # rank 0 for no columns
+    return np.hstack([empty, *vecs]), grid.weights[:, None] * np.hstack([empty, *duals])
 
 
 def build_P0(basis, grid):
-    """Factors (U, W) of P0 f = sum pair(f, psi_{k+1-j,k}) psi_{j,k}."""
-    vecs = basis.vectors
-    pairs = [(vecs[(j, k, ell)], vecs[(k + 1 - j, k, ell)])
-             for j, k, ell in basis.labels]
-    return _rank_one_sum(grid, pairs)
+    """Factors (U, W) of P0 f = sum pair(f, psi_{k+1-j,k}) psi_{j,k}: the
+    chains, and the chains with their columns reversed."""
+    return _factors(grid, basis.chains, [C[:, ::-1] for C in basis.chains])
 
 
 def build_Ptilde0(basis, grid):
-    """Factors (U, W) of P~0 f = sum pair(f, psi_{1,k}) psi_{k,k}, chains in
-    canonical order (k descending, then ell)."""
-    vecs = basis.vectors
-    pairs = [(vecs[(k, k, ell)], vecs[(1, k, ell)])
-             for j, k, ell in basis.labels if j == k]
-    return _rank_one_sum(grid, pairs)
+    """Factors (U, W) of P~0 f = sum pair(f, psi_{1,k}) psi_{k,k}: the chain
+    tops (last columns) and the chain bottoms (first columns)."""
+    return _factors(
+        grid, [C[:, -1:] for C in basis.chains], [C[:, :1] for C in basis.chains]
+    )
 
 
 def free_edge_scale(grid):
@@ -699,7 +682,7 @@ def build_Ppp(
     selected = [
         ev for ev in evals if ev.real < -delta_edge or abs(ev.imag) > delta_im
     ]
-    factors = [_rank_one_sum(grid, [])]  # rank 0 when nothing is selected
+    factors = [_factors(grid, [], [])]  # rank 0 when nothing is selected
     for center, members in _cluster(selected, cluster_tol):
         proj = None
         if bands is not None and len(members) == 1:

@@ -91,7 +91,7 @@ class RegularizedInverse:
     Y: np.ndarray
     Z: np.ndarray
     window: float
-    range_constraints: list  # GridFunctions R0(0) psi_{k,k} (range must be B-orthogonal)
+    range_constraints: np.ndarray  # R0(0) Y, whose columns the range of S0 pairs to 0
     # (S0 Q~0 V)^T and R0(0) (S0 Q~0 V)^T, the lambda-independent factors of
     # `_series_step`: formed once here rather than on every call.
     Xt: np.ndarray = field(init=False, repr=False)
@@ -101,20 +101,6 @@ class RegularizedInverse:
         S0Qt0 = self.S0 - (self.S0 @ self.Y) @ self.Z.T
         self.Xt = birman.potential_operator(self.V, S0Qt0, right=True).T
         self.R0Xt = domain_resolvent(self.grid, 0.0)(self.Xt)
-
-
-def _columns(grid, vectors):
-    """The vectors as the columns of an M x n array (n = 0 allowed)."""
-    return np.array(vectors, dtype=complex).reshape(-1, grid.size).T
-
-
-def _diag_chains(basis):
-    """(k, ell) in canonical order with the psi_{1,k} / psi_{k,k} members."""
-    out = []
-    for k in sorted(basis.multiplicities, reverse=True):
-        for ell in range(1, basis.multiplicities[k] + 1):
-            out.append((k, ell, basis.vectors[(1, k, ell)], basis.vectors[(k, k, ell)]))
-    return out
 
 
 def build_S0(V, grid, basis, window="auto"):
@@ -136,28 +122,27 @@ def build_S0(V, grid, basis, window="auto"):
     """
     Y, Z = jordan.build_Ptilde0(basis, grid)
     R0Y = domain_resolvent(grid, 0.0)(Y)
-    constraints = [GridFunction(grid, c) for c in R0Y.T]
     # Duality check: pairing V psi_{1,k} against R0(0) psi_{k',k'}, with
     # Z = w psi_{1,k} and uniform weights w.
     D = birman.potential_operator(V, Z).T @ R0Y
-    if constraints and np.linalg.cond(D) > 1e8:
+    if basis.chains and np.linalg.cond(D) > 1e8:
         raise DualityDegenerateError(
             f"duality Gram matrix has condition {np.linalg.cond(D):.3e}"
         )
     v = birman._samples(V)
     if v is None:
-        S0 = _bordered_S0(V, grid, Y, Z, constraints)
-    elif not constraints:
+        S0 = _bordered_S0(V, grid, Y, Z, R0Y)
+    elif not basis.chains:
         eye = np.eye(grid.size, dtype=complex)
         S0 = birman.bs_solve(V, grid, 0.0, eye, context="S0")[1]
     else:
-        S0 = _banded_S0(v, grid, Y, Z, constraints)
-    reg = RegularizedInverse(S0, basis, V, grid, Y, Z, np.inf, constraints)
+        S0 = _banded_S0(v, grid, Y, Z, R0Y)
+    reg = RegularizedInverse(S0, basis, V, grid, Y, Z, np.inf, R0Y)
     reg.window = _auto_window(reg) if window == "auto" else window
     return reg
 
 
-def _bordered_S0(V, grid, Y, Z, constraints):
+def _bordered_S0(V, grid, Y, Z, R0Y):
     """S0 from the dense LU of the bordered matrix of `build_S0`, O(M^3).
 
     The path of a dense perturbation matrix and the oracle of `_banded_S0`;
@@ -169,12 +154,12 @@ def _bordered_S0(V, grid, Y, Z, constraints):
     K = np.zeros((M + n, M + n), complex)
     K[:M, :M] = T0 - Y @ (Z.T @ T0)
     K[:M, M:] = Y
-    K[M:, :M] = _columns(grid, [grid.weights * c.values for c in constraints]).T
+    K[M:, :M] = (grid.weights[:, None] * R0Y).T
     Kinv, _ = birman.direct_inverse(K, context="S0 bordered solve")
     return Kinv[:M, :M]
 
 
-def _banded_S0(v, grid, Y, Z, constraints):
+def _banded_S0(v, grid, Y, Z, R0Y):
     """S0 for the samples v of a multiplier, in O(M) per column.
 
     R0(0) is exactly H0^{-1}, so I + V R0(0) = H H0^{-1} with H = H0 + V
@@ -189,7 +174,7 @@ def _banded_S0(v, grid, Y, Z, constraints):
     M, n = Y.shape
     dl, d0, du = birman.tridiagonal_bs(grid, 0.0)
     solve = _bordered_solver(dl, d0 + v, du, Y, Z, grid.weights[:, None] * Y)
-    C = _columns(grid, [grid.weights * c.values for c in constraints])
+    C = grid.weights[:, None] * R0Y
     F = np.eye(M, dtype=complex)
     y, mu = solve(F, np.zeros((n, M)))
     S0 = birman._tridiagonal_apply(dl, d0, du, y)
@@ -357,27 +342,10 @@ def range_constraint_residual(reg):
             grid, rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
         )
         u = GridFunction(grid, reg.S0 @ f.values)
-        for c in reg.range_constraints:
-            val = abs(bilinear_pair(u, c))
+        for c in reg.range_constraints.T:
+            val = abs(bilinear_pair(u, GridFunction(grid, c)))
             worst = max(worst, val / lp_norm(f, 1))
     return worst
-
-
-def admissible_part(f, basis):
-    """f with all its bilinear pairings against the chain basis removed.
-
-    The self-dual antidiagonal Gram pattern makes psi_{k+1-j,k} the dual
-    partner of psi_{j,k}, so subtracting pair(f, psi_{j,k}) psi_{k+1-j,k}
-    for every label leaves f paired to zero with the whole generalized
-    eigenspace.
-    """
-    grid = f.grid
-    for (j, k, ell) in basis.labels:
-        coef = bilinear_pair(f, basis.vectors[(j, k, ell)])
-        f = GridFunction(
-            grid, f.values - coef * basis.vectors[(k + 1 - j, k, ell)].values
-        )
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -394,20 +362,37 @@ def inverse_via_formula(reg, lam, f, variant="R0"):
     the coefficients F_k = pair((I + V R0(lambda^2)) u, psi_{1,k}), for the
     algebraic-equivalence check.
     """
+    V, grid = reg.V, reg.grid
     Qf = grids.apply_complement((reg.Y, reg.Z), f.values)
-    Sf, _ = build_S_lambda(reg, lam, Qf[:, None])
-    result, out1 = _formula(reg, lam, Sf[:, 0], f, variant)
-    return result, {"inverse1": out1}
+    u = build_S_lambda(reg, lam, Qf[:, None])[0][:, 0]
+    result = _formula(reg, lam, u, f, variant)
+    Ru = domain_resolvent(grid, lam)(u)
+    Tu = GridFunction(grid, u + birman.potential_operator(V, Ru))
+    out1 = u.copy()
+    for C in reg.basis.chains:
+        psi1 = GridFunction(grid, C[:, 0])
+        Fk = bilinear_pair(Tu, psi1)
+        out1 = out1 + (bilinear_pair(f, psi1) - Fk) * _brackets(V, C, lam)[1]
+    return result, {"inverse1": GridFunction(grid, out1)}
+
+
+def _brackets(V, C, lam):
+    """The two brackets of the formula for the chain C = [psi_{1,k} ...
+    psi_{k,k}]: sum_j l^{2(j-1)} V psi_{j,k} + l^{2k} psi_{k,k} and
+    sum_j l^{-2(k+1-j)} V psi_{j,k} + psi_{k,k}."""
+    k = C.shape[1]
+    Vchain = [birman.potential_operator(V, C[:, j]) for j in range(k)]
+    return (
+        sum(lam ** (2 * j) * Vchain[j] for j in range(k)) + lam ** (2 * k) * C[:, -1],
+        sum(lam ** (-2 * (k - j)) * Vchain[j] for j in range(k)) + C[:, -1],
+    )
 
 
 def _formula(reg, lam, u, f, variant="R0"):
-    """The formula of `inverse_via_formula` with u = S(lambda) Q~0 f given.
-
-    Returns the result and the alternative form.
-    """
+    """The formula of `inverse_via_formula` with u = S(lambda) Q~0 f given."""
     if lam == 0:
         raise ValueError("formula applies for lambda != 0")
-    V, grid, basis = reg.V, reg.grid, reg.basis
+    V, grid = reg.V, reg.grid
     ugf = GridFunction(grid, u)
     R = domain_resolvent(grid, lam)
     if variant == "R0":
@@ -419,40 +404,22 @@ def _formula(reg, lam, u, f, variant="R0"):
             return R(x) - R_0(x)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    chains = _diag_chains(basis)
     result = u.copy()
-    out1 = u.copy()
-    Tu = None
-    for k, ell, psi1, psikk in chains:
-        Vchain = [
-            birman.potential_operator(V, basis.vectors[(j, k, ell)].values)
-            for j in range(1, k + 1)
-        ]
-        coef2 = bilinear_pair(ugf, GridFunction(grid, pair_op(psikk.values)))
-        bracket2 = sum(
-            lam ** (2 * (j - 1)) * Vchain[j - 1] for j in range(1, k + 1)
-        ) + lam ** (2 * k) * psikk.values
-        bracket3 = sum(
-            lam ** (-2 * (k + 1 - j)) * Vchain[j - 1] for j in range(1, k + 1)
-        ) + psikk.values
+    for C in reg.basis.chains:
+        bracket2, bracket3 = _brackets(V, C, lam)
+        coef2 = bilinear_pair(ugf, GridFunction(grid, pair_op(C[:, -1])))
         coef3 = sum(
-            lam ** (2 * (i - 1))
-            * bilinear_pair(f, basis.vectors[(i, k, ell)])
-            for i in range(1, k + 1)
+            lam ** (2 * i) * bilinear_pair(f, GridFunction(grid, C[:, i]))
+            for i in range(C.shape[1])
         )
         result = result + coef2 * bracket2 + coef3 * bracket3
-        # alternative-form diagnostics
-        if Tu is None:
-            Tu = GridFunction(grid, u + birman.potential_operator(V, R(u)))
-        Fk = bilinear_pair(Tu, psi1)
-        out1 = out1 + (bilinear_pair(f, psi1) - Fk) * bracket3
-    return GridFunction(grid, result), GridFunction(grid, out1)
+    return GridFunction(grid, result)
 
 
 def identity_residuals(V, grid, basis, lam):
     """The largest chain, telescope and exact-inverse residuals at lambda != 0.
 
-    Over the chains (k, ell), with l = lambda and psi_{0,k} = 0: the L^1
+    Over the chains, with l = lambda and psi_{0,k} = 0: the L^1
     residuals of the chain identity (I + R0(l^2)V) psi_{j,k} =
     R0(l^2)(psi_{j-1,k} - l^2 psi_{j,k}) relative to (1 + l^2)||psi_{j,k}||_1;
     of its telescoped form (I + R0(l^2)V) A = -l^{2k} R0(l^2) psi_{k,k},
@@ -468,33 +435,33 @@ def identity_residuals(V, grid, basis, lam):
     R0 = domain_resolvent(grid, lam)
     w = grid.weights
     chain, telescope, exactinv = [], [], []
-    for k in sorted(basis.multiplicities, reverse=True):
-        for ell in range(1, basis.multiplicities[k] + 1):
-            psis = [basis.vectors[(j, k, ell)].values for j in range(1, k + 1)]
-            Vpsis = [birman.potential_operator(V, psi) for psi in psis]
-            for j, psi in enumerate(psis, start=1):
-                lhs = psi + R0(Vpsis[j - 1])
-                rhs = R0((psis[j - 2] if j > 1 else 0.0) - lam**2 * psi)
-                absres = float(np.sum(w * np.abs(lhs - rhs)))
-                scale = (1.0 + lam**2) * max(np.sum(w * np.abs(psi)), 1e-300)
-                chain.append(absres / scale)
-            acc = np.zeros(grid.size, complex)
-            for j in range(1, k + 1):
-                acc += lam ** (2 * (j - 1)) * psis[j - 1]
-            lhs = acc + R0(birman.potential_operator(V, acc))
-            rhs = -(lam ** (2 * k)) * R0(psis[k - 1])
+    for C in basis.chains:
+        k = C.shape[1]
+        psis = [C[:, j] for j in range(k)]
+        Vpsis = [birman.potential_operator(V, psi) for psi in psis]
+        for j, psi in enumerate(psis, start=1):
+            lhs = psi + R0(Vpsis[j - 1])
+            rhs = R0((psis[j - 2] if j > 1 else 0.0) - lam**2 * psi)
             absres = float(np.sum(w * np.abs(lhs - rhs)))
-            scale = (1.0 + lam**2) * max(np.sum(w * np.abs(acc)), 1e-300)
-            telescope.append(absres / scale)
-            psikk = psis[k - 1]
-            Psi = psikk.astype(complex).copy()
-            for j in range(1, k + 1):
-                Psi += lam ** (-2 * (k + 1 - j)) * Vpsis[j - 1]
-            lhs = Psi + birman.potential_operator(V, R0(Psi))
-            absres = float(np.sum(w * np.abs(lhs - psikk)))
-            blowup = max(lam ** (-2 * k), 1.0)
-            scale = blowup * max(np.sum(w * np.abs(psikk)), 1e-300)
-            exactinv.append(absres / scale)
+            scale = (1.0 + lam**2) * max(np.sum(w * np.abs(psi)), 1e-300)
+            chain.append(absres / scale)
+        acc = np.zeros(grid.size, complex)
+        for j in range(1, k + 1):
+            acc += lam ** (2 * (j - 1)) * psis[j - 1]
+        lhs = acc + R0(birman.potential_operator(V, acc))
+        rhs = -(lam ** (2 * k)) * R0(psis[k - 1])
+        absres = float(np.sum(w * np.abs(lhs - rhs)))
+        scale = (1.0 + lam**2) * max(np.sum(w * np.abs(acc)), 1e-300)
+        telescope.append(absres / scale)
+        psikk = psis[k - 1]
+        Psi = psikk.astype(complex).copy()
+        for j in range(1, k + 1):
+            Psi += lam ** (-2 * (k + 1 - j)) * Vpsis[j - 1]
+        lhs = Psi + birman.potential_operator(V, R0(Psi))
+        absres = float(np.sum(w * np.abs(lhs - psikk)))
+        blowup = max(lam ** (-2 * k), 1.0)
+        scale = blowup * max(np.sum(w * np.abs(psikk)), 1e-300)
+        exactinv.append(absres / scale)
     return {
         "resid_chain": max(chain, default=0.0),
         "resid_telescope": max(telescope, default=0.0),
@@ -518,8 +485,8 @@ def low_energy_scan(reg, lambdas, f_admissible, f_generic, path=None):
     for lam in lambdas:
         resid = identity_residuals(V, grid, basis, lam)
         SX, contraction = build_S_lambda(reg, lam, X)
-        ga = _formula(reg, lam, SX[:, 0], f_admissible)[0]
-        gg = _formula(reg, lam, SX[:, 1], f_generic)[0]
+        ga = _formula(reg, lam, SX[:, 0], f_admissible)
+        gg = _formula(reg, lam, SX[:, 1], f_generic)
         rows.append(
             {
                 "lambda": lam,

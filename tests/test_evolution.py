@@ -166,7 +166,7 @@ def test_free_evolution_matches_analytic_kernel(g200):
 def test_jordan_polynomial_growth(chain_fixture20):
     # EXPM path captures the degree-(K-1) polynomial growth of the chain top
     g, F, jb = chain_fixture20["grid"], chain_fixture20["V"], chain_fixture20["basis"]
-    Psi = jb.vectors[(2, 2, 1)]
+    Psi = GridFunction(g, jb.chains[0][:, 1])
     times = np.linspace(5.0, 50.0, 8)
     plan = evolution.make_plan(F, g, times)
     norms = [grids.profile_lp_norm(s, 2) for s in evolution.propagate(plan, Psi)]
@@ -209,8 +209,8 @@ def test_commutation_with_ppp(ee6):
 def test_projected_evolution_of_range_vanishes(ee6):
     g, jb = ee6["grid"], ee6["basis"]
     P = jordan.build_P0(jb, g)
-    psi = jb.vectors[(1, 1, 1)]
-    proj = GridFunction(g, grids.apply_complement(P, psi.values))
+    psi = jb.chains[0][:, 0]
+    proj = GridFunction(g, grids.apply_complement(P, psi))
     plan = evolution.make_plan(ee6["V"], g, [1.0, 2.0])
     for st in evolution.propagate(plan, proj):
         assert np.abs(st.values).max() < 1e-10

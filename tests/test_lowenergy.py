@@ -96,11 +96,8 @@ def test_dense_perturbation_keeps_the_dense_paths(chain_fixture20, count_calls):
 
 def test_s0_refuses_a_degenerate_duality_pairing(ee_small):
     # two identical length-1 chains: the duality Gram matrix is singular
-    psi = ee_small["basis"].vectors[(1, 1, 1)]
-    twins = jordan.JordanBasis(
-        1, {1: 2}, {(1, 1, 1): psi, (1, 1, 2): psi},
-        jordan.canonical_labels({1: 2}), np.eye(2),
-    )
+    psi = ee_small["basis"].chains[0]
+    twins = jordan.JordanBasis((psi, psi), np.eye(2))
     with pytest.raises(lowenergy.DualityDegenerateError):
         lowenergy.build_S0(ee_small["V"], ee_small["grid"], twins, window=0.25)
 
@@ -199,7 +196,8 @@ def test_low_energy_scan_columns(tmp_path, ee_small):
     g, reg = ee_small["grid"], ee_small["reg"]
     rng = np.random.default_rng(8)
     f_gen = _rand_f(g, rng)
-    f_adm = lowenergy.admissible_part(f_gen, reg.basis)
+    P0 = jordan.build_P0(reg.basis, g)
+    f_adm = GridFunction(g, grids.apply_complement(P0, f_gen.values))
     path = tmp_path / "scan.csv"
     rows = lowenergy.low_energy_scan(
         reg, [0.03, 0.1, 0.2], f_adm, f_gen, path=str(path)
@@ -214,6 +212,17 @@ def test_low_energy_scan_columns(tmp_path, ee_small):
     assert rows[0]["norm_generic_f"] > 10.0 * rows[2]["norm_generic_f"]
     adm = [r["norm_admissible_f"] for r in rows]
     assert max(adm) / min(adm) < 3.0
+
+
+def test_scan_does_not_form_the_alternative_form(ee_small, count_calls):
+    # one lambda applies V three times in identity_residuals (one chain of
+    # length 1) and once per formula; the alternative form of
+    # inverse_via_formula, with its T u, is left to that function
+    g, reg = ee_small["grid"], ee_small["reg"]
+    applies = count_calls(birman, "potential_operator")
+    f = grids.gaussian_bump(g)
+    lowenergy.low_energy_scan(reg, [0.1], f, f)
+    assert len(applies) == 5
 
 
 # Each example sums the operator series twice on the full identity, so
