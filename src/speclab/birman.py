@@ -14,9 +14,11 @@ potential I + V R0 = (T_lambda + V) R0 and
     (I + V R0)^{-1} f = T_lambda (T_lambda + V)^{-1} f.
 
 `bs_solve` takes both from one tridiagonal factorization in O(M) per
-vector, with the same near-singular refusal as the dense path; it serves
-the transform scan, the Stone check, `uniform_inverse_scan` and the S0 of
-:mod:`speclab.lowenergy` when there is no threshold basis.  Its
+vector, with the same near-singular refusal as the dense path; its
+condition estimate (`_inverse_norm_estimate`) is a Hager-Higham loop of a
+few solves with the same factors.  It serves the transform scan, the Stone
+check, `uniform_inverse_scan` and the S0 of :mod:`speclab.lowenergy` when
+there is no threshold basis.  Its
 factorization, `_tridiagonal_solver`, also applies the domain resolvent of
 :mod:`speclab.lowenergy`; `_pinned_solver` factors a singular H made
 nonsingular at its kernel for the banded S0 solve and the threshold chain
@@ -248,10 +250,12 @@ def bs_solve(V, grid, lam, f, sign=Branch.PLUS, context=""):
     factorization (LAPACK zgttrf) of T_lambda + V gives
     R_V f = (T_lambda + V)^{-1} f and T^{-1} f = T_lambda R_V f in O(M) per
     column.  The refusal is the dense one: NearSingularError when the
-    condition estimate, ||I + V R0||_1 (exact, `bs_norm`) times a
-    Hager-Higham estimate of ||T^{-1}||_1 made of banded solves, exceeds
-    COND_CUTOFF.  A dense perturbation matrix, or lambda h near a nonzero
-    multiple of pi (`banded_energy`), takes the dense LU of `direct_inverse`.
+    condition estimate, ||I + V R0||_1 (exact, `bs_norm`) times the
+    Hager-Higham lower estimate of ||T^{-1}||_1 =
+    ||I - V (T_lambda + V)^{-1}||_1 (`_inverse_norm_estimate`, at most a
+    dozen solves with the same factors), exceeds COND_CUTOFF.  A dense
+    perturbation matrix, or lambda h near a nonzero multiple of pi
+    (`banded_energy`), takes the dense LU of `direct_inverse`.
     Returns (R_V f, T^{-1} f, condition estimate).
     """
     M = grid.size
@@ -263,12 +267,13 @@ def bs_solve(V, grid, lam, f, sign=Branch.PLUS, context=""):
         return R0 @ tinv_f, tinv_f, cond
     dl, d, du = tridiagonal_bs(grid, lam, sign)
     solve = _tridiagonal_solver(dl, d + v, du, context)
-    # T^{-1} = T_lambda (T_lambda + V)^{-1}; its adjoint solves with the
-    # conjugate transpose after applying T_lambda^H.
+    # T^{-1} = T_lambda (T_lambda + V)^{-1} = I - V (T_lambda + V)^{-1}, and
+    # its adjoint I - (T_lambda + V)^{-H} conj(V): one solve each, and no
+    # product with the bands of T_lambda.
     cond = bs_norm(v, grid, lam, sign) * _inverse_norm_estimate(
         M,
-        lambda x: _tridiagonal_apply(dl, d, du, solve(x)),
-        lambda x: solve(_tridiagonal_apply(du.conj(), d.conj(), dl.conj(), x), "C"),
+        lambda x: x - v * solve(x),
+        lambda x: x - solve(v.conj() * x, "C"),
     )
     if not np.isfinite(cond) or cond > COND_CUTOFF:
         raise NearSingularError(cond, context)
@@ -314,20 +319,35 @@ def _pinned_solver(dl, d, du, rows, context=""):
     return _tridiagonal_solver(dl, shifted, du, context), alpha
 
 
-def _inverse_norm_estimate(M, matmat, rmatmat):
-    """Hager-Higham estimate of the 1-norm of the M x M operator matmat.
+def _inverse_norm_estimate(M, apply, adjoint):
+    """Hager-Higham lower estimate of ||A||_1 for the M x M operator A = apply.
 
-    One probe column (t = 1): wider probes draw random signs from numpy's
-    global generator.
+    LAPACK zlacn2's iteration (Higham, ACM TOMS 14, 1988) on vectors: from
+    x = 1/M, at most five steps of xi = y / |y| (entrywise, y = A x),
+    j = argmax |A^H xi| and x = e_j, while ||A x||_1 grows and j moves;
+    then the alternating-sign vector x_i = (-1)^i (1 + i / (M - 1)), for
+    which ||A x||_1 / ||x||_1 = 2 ||A x||_1 / (3 M).  The estimate is the
+    largest such ratio met, so it never exceeds ||A||_1.  `adjoint`
+    applies A^H.
     """
-    # Imported here: scipy.sparse at module level costs every pipeline RSS.
-    from scipy.sparse.linalg import LinearOperator, onenormest
-
-    op = LinearOperator(
-        (M, M), matvec=matmat, rmatvec=rmatmat, matmat=matmat, rmatmat=rmatmat,
-        dtype=complex,
-    )
-    return float(onenormest(op, t=1))
+    y = apply(np.full(M, 1.0 / M, complex))
+    est, j = np.abs(y).sum(), None
+    for _ in range(5):
+        mag = np.abs(y)
+        z = np.abs(adjoint(np.divide(y, mag, out=np.ones(M, complex), where=mag > 0)))
+        j_last, j = j, int(np.argmax(z))
+        if j_last is not None and z[j_last] == z[j]:
+            break
+        e = np.zeros(M, complex)
+        e[j] = 1.0
+        y = apply(e)
+        norm = np.abs(y).sum()
+        if norm <= est:
+            break
+        est = norm
+    x = np.linspace(1.0, 2.0, M, dtype=complex)
+    x[1::2] *= -1.0
+    return float(np.maximum(est, 2.0 * np.abs(apply(x)).sum() / (3 * M)))
 
 
 def high_energy_norm_scan(V, grid, lambda_list):

@@ -170,6 +170,52 @@ def test_condition_estimate_leaves_global_rng_alone(grid20, well20):
     assert all(np.array_equal(a, b) for a, b in zip(out[0], out[1]))
 
 
+def _inverse_estimate_and_exact(V, grid, lam, sign):
+    """bs_solve's estimate of ||T^{-1}||_1, its operator I - V (T_lambda + V)^{-1}
+    formed by solving on the identity, and that operator's exact 1-norm."""
+    v = V.values.values
+    eye = np.eye(grid.size, dtype=complex)
+    rv, _, cond = birman.bs_solve(V, grid, lam, eye, sign)
+    op = eye - v[:, None] * rv
+    return cond / birman.bs_norm(v, grid, lam, sign), op, np.linalg.norm(op, 1)
+
+
+@given(
+    nodes=st.integers(8, 60),
+    extent=st.floats(1.0, 20.0),
+    # the range of test_banded_solve_matches_dense, without the dense path
+    lam_h=st.one_of(st.just(0.0), st.floats(1e-6, 6.2), st.floats(-6.2, -1e-6)),
+    sign=st.sampled_from([Branch.PLUS, Branch.MINUS]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_inverse_norm_estimate_is_a_lower_bound(nodes, extent, lam_h, sign, seed):
+    grid = make_grid(Mode.RADIAL_SWAVE, extent, nodes)
+    lam = lam_h / grid.spacing
+    assume(birman.banded_energy(grid, lam))
+    rng = np.random.default_rng(seed)
+    samples = rng.standard_normal(nodes) + 1j * rng.standard_normal(nodes)
+    V = birman.PotentialSpec("random", GridFunction(grid, samples))
+    try:
+        est, _, exact = _inverse_estimate_and_exact(V, grid, lam, sign)
+    except birman.NearSingularError:
+        assume(False)
+    assert exact / 3.0 <= est <= exact * (1.0 + 1e-12)
+
+
+def test_inverse_norm_estimate_matches_onenormest():
+    # the scipy estimator the hand-written loop replaced, on the same operator;
+    # complex samples, where the estimate stops short of the exact norm
+    from scipy.sparse.linalg import onenormest
+
+    grid = make_grid(Mode.RADIAL_SWAVE, 10.0, 20)
+    rng = np.random.default_rng(1)
+    samples = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+    V = birman.PotentialSpec("random", GridFunction(grid, samples))
+    est, op, exact = _inverse_estimate_and_exact(V, grid, 0.7, Branch.PLUS)
+    assert est < 0.95 * exact
+    assert est == pytest.approx(onenormest(op, t=1), rel=1e-12)
+
+
 def test_uniform_inverse_scan_matches_dense(grid20, well20):
     lams = [0.5, 2.0, 9.0]
     out = birman.uniform_inverse_scan(well20, grid20, lams)

@@ -446,9 +446,8 @@ def _heavy_scipy_modules(argv):
 
 
 def test_pipelines_leave_heavy_scipy_modules_unloaded(tmp_path):
-    # each import adds to a pass's peak RSS: invert needs only scipy.linalg,
-    # and full loads scipy.sparse (the transform scan's condition estimate)
-    # but never scipy.optimize
+    # each import adds to a pass's peak RSS: both pipelines need only
+    # scipy.linalg (the transform scan's condition estimate is hand-written)
     fx = cli._FIXTURE_SCENARIOS
     invert_cfg = write_cfg(tmp_path, fx["invert_exact_eigen"], "invert.json")
     code, modules = _heavy_scipy_modules(["invert", "--config", invert_cfg])
@@ -459,7 +458,7 @@ def test_pipelines_leave_heavy_scipy_modules_unloaded(tmp_path):
     full_cfg = write_cfg(tmp_path, full, "full.json")
     code, modules = _heavy_scipy_modules(["full", "--config", full_cfg])
     assert code == cli.EXIT_OK
-    assert not [m for m in modules if m.startswith("scipy.optimize")]
+    assert modules == []
 
 
 def _samples_cfg(path):

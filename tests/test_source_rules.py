@@ -147,3 +147,29 @@ def test_every_option_has_a_caller():
             if not any(_passes(c, param, position) for c in calls.get(func, [])):
                 unset.append(f"{path.stem}.{func}: {param}")
     assert unset == []
+
+
+def _imported_modules(tree):
+    """The dotted name of every module an import statement loads, at any
+    level of the tree (function-local imports included)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.append(node.module)
+            out.extend(f"{node.module}.{alias.name}" for alias in node.names)
+    return out
+
+
+def test_no_module_imports_scipy_sparse():
+    # scipy.sparse costs a pass's peak RSS; no step of the package needs it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.extend(
+            f"{path.stem}: {name}"
+            for name in _imported_modules(tree)
+            if name == "scipy.sparse" or name.startswith("scipy.sparse.")
+        )
+    assert found == []
