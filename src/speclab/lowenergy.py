@@ -34,8 +34,12 @@ and Q~0 = I - P~0 is applied through the rank-n factors of P~0, so S0 Q~0 V
 and the defect of `one_sided_residual` cost O(M^2 n).  S(lambda) itself is
 never formed: the scan and the formula apply it to their data, one column
 per probe, so the work per lambda is the O(M^2) series step (M tridiagonal
-solves) and its products with those columns.  Only a dense perturbation
-matrix takes the O(M^3) dense LU of the bordered system (`_bordered_S0`).
+solves, one M x M array) and its products with those columns.  The window
+search (`_auto_window`) runs on one column of the step, one tridiagonal
+solve and one O(M^2) product per trial lambda, and takes the full step,
+M solves, only at lambda = 1 and to certify the window, about three times
+in all.  Only a dense perturbation matrix takes the O(M^3) dense LU of the
+bordered system (`_bordered_S0`).
 """
 
 from __future__ import annotations
@@ -227,57 +231,141 @@ def _series_step(reg, lam):
     """The contraction factor operator -S0 Q~0 V B0(lambda^2).
 
     With X = S0 Q~0 V (stored transposed as reg.Xt, R0(0) X^T as reg.R0Xt),
-    X B0 = (R0(lambda^2) X^T - R0(0) X^T)^T: M tridiagonal solves per lambda
-    in place of the M x M difference kernel.  The difference keeps the step
-    consistent with the R0(lambda^2) that `one_sided_residual` applies; the
-    equal product lambda^2 R0(lambda^2) R0(0) X^T leaves that residual near
-    4e-11 instead of 1e-13 on the full-ee grid.
+    X B0 = D^T for D = R0(lambda^2) X^T - R0(0) X^T (`_difference`): M
+    tridiagonal solves per lambda in place of the M x M difference kernel.
+    D is negated in place and returned as its transposed view, so the step
+    holds one M x M array.  The difference keeps the step consistent with
+    the R0(lambda^2) that `one_sided_residual` applies; the equal product
+    lambda^2 R0(lambda^2) R0(0) X^T leaves that residual near 4e-11 instead
+    of 1e-13 on the full-ee grid.
     """
-    return -(domain_resolvent(reg.grid, lam)(reg.Xt) - reg.R0Xt).T
+    D = _difference(reg, lam)
+    np.negative(D, out=D)
+    return D.T
+
+
+def _difference(reg, lam):
+    """D = R0(lambda^2) X^T - R0(0) X^T, the series step's negative transpose."""
+    D = domain_resolvent(reg.grid, lam)(reg.Xt)
+    D -= reg.R0Xt
+    return D
+
+
+def _step_column_norms(reg, lam):
+    """The weighted L^1 norms sum_i w_i |step_ij| / w_j of the step's columns.
+
+    Column j of the step is minus row j of D (`_difference`), so the norms
+    are (|D| w) / w, with no transposed copy; their max is the induced norm.
+    """
+    w = reg.grid.weights
+    return (np.abs(_difference(reg, lam)) @ w) / w
 
 
 def contraction_factor(reg, lam):
-    return operator_l1_norm(_series_step(reg, lam), reg.grid)
+    """||S0 Q~0 V B0(lambda^2)||_1, the induced L^1 norm of the series step."""
+    return float(_step_column_norms(reg, lam).max())
+
+
+def _column_factor(reg, lam, j):
+    """The weighted L^1 norm of column j of the series step, in O(M^2).
+
+    R0 is symmetric, so that column is -(X (R0(lambda^2) e_j) - (R0(0) X^T)_j):
+    one tridiagonal solve, one product with X and a stored row of reg.R0Xt.
+    The product is an einsum, not a BLAS gemv: the search makes a dozen of
+    them in a row, and a threaded gemv that waits for a busy core took
+    8 ms each at M = 400 on a 2-vCPU machine, where the einsum takes
+    0.4 ms.  In exact arithmetic the factor is a lower bound on
+    `contraction_factor`; on the full-ee grid near the window it agrees
+    with the column norm of `_step_column_norms` to about 1e-13 relative.
+    """
+    e = np.zeros(reg.grid.size, complex)
+    e[j] = 1.0
+    r = domain_resolvent(reg.grid, lam)(e)
+    column = np.einsum("ij,j->i", reg.Xt.T, r) - reg.R0Xt[j]
+    w = reg.grid.weights
+    return float(w @ np.abs(column) / w[j])
 
 
 def _auto_window(reg):
-    """Largest lambda in [0, 1] with contraction factor <= target = 1/2,
-    to xtol = 2^-30.
+    """The validity window: a multiple lo of xtol = 2^-30 in [0, 1] at which
+    the contraction factor cf crosses target = 1/2.
 
-    Safeguarded regula falsi (Illinois) on cf(lambda) - target over a
-    bracket [lo, hi] that starts at [0, 1] (cf(0) = 0 is known, so it costs
-    no evaluation) and keeps cf(lo) <= target < cf(hi).  Each trial point
-    stays xtol / 2 inside the bracket, so a one-sided approach still closes
-    it, and an endpoint kept twice in a row has its value halved.  Returns
-    lo once hi - lo <= xtol (1 when cf(1) <= target): about ten evaluations
-    where bisection takes 31.  Past 30 falsi steps the search bisects, so it
-    ends within 61 evaluations whatever the shape of cf.
+    What is certified: cf(lo) <= target by the exact induced norm
+    (`_step_column_norms`; cf(0) = 0 needs no evaluation), and, unless
+    lo = 1 (cf(1) <= target), cf(lo + xtol) > target, by the exact norm or
+    by one column's factor above target by more than 1e-12 relative.  Where
+    cf increases on [0, 1] this is the one crossing on the xtol grid, the
+    point that 30-step bisection returns; above the first eigenvalue of the
+    box H0 cf need not increase, and lo is then some crossing.
+
+    The search runs on a single column j of the step (`_column_factor`, one
+    vector solve per lambda), the argmax column of the exact norms at the
+    upper end of the bracket: `_regula_falsi` closes [L, U] over the
+    integers k of the trial points k xtol.  The exact norm then certifies
+    the returned lo; where it fails, another column has crossed first, and
+    the search repeats below lo on the argmax column there.  A column value
+    within 1e-12 relative of target at lo + xtol is checked by the exact
+    norm; should that norm still be at most target, the search goes on
+    above.  On full-ee that is 3 exact norms and 13 column evaluations.
     """
-    target, xtol = 0.5, 2.0**-30
-    lo, hi = 0.0, 1.0
-    glo, ghi = -target, contraction_factor(reg, hi) - target
-    if ghi <= 0:
-        return hi
-    kept, steps = 0, 0  # kept: -1 (+1) when hi (lo) survived the last step
-    while hi - lo > xtol:
+    target, n = 0.5, 2**30
+    upper = _step_column_norms(reg, 1.0)
+    if upper.max() <= target:
+        return 1.0
+    # certified: cf(L / n) <= target < cf(U / n), with the exact column
+    # norms lower and upper there; the step vanishes at lambda = 0
+    L, U, lower = 0, n, np.zeros_like(upper)
+    j = int(np.argmax(upper))
+    while True:
+        lo, hi, ghi = _regula_falsi(
+            lambda k: _column_factor(reg, k / n, j) - target,
+            L, U, lower[j] - target, upper[j] - target,
+        )
+        if lo > L:
+            norms = _step_column_norms(reg, lo / n)
+            if norms.max() > target:
+                U, upper, j = lo, norms, int(np.argmax(norms))
+                continue
+            L, lower = lo, norms
+        if hi == U or ghi > 1e-12 * target:
+            return L / n
+        norms = _step_column_norms(reg, hi / n)
+        if norms.max() > target:
+            return L / n
+        L, lower = hi, norms
+
+
+def _regula_falsi(g, lo, hi, glo, ghi):
+    """Close the integer bracket lo < hi of g, glo = g(lo) <= 0 < ghi = g(hi),
+    to hi = lo + 1.
+
+    Safeguarded regula falsi (Illinois): each trial point is rounded to an
+    integer strictly inside the bracket, so a one-sided approach still
+    closes it, and an endpoint kept twice in a row has its value halved.
+    About ten evaluations where bisection takes 30; past 30 falsi steps it
+    bisects, so it ends within 60 evaluations whatever the shape of g.
+    Returns (lo, hi, g(hi)), g(hi) as given when hi did not move.
+    """
+    kept, steps, g_hi = 0, 0, ghi  # kept: -1 (+1) when hi (lo) survived the last step
+    while hi - lo > 1:
         steps += 1
         if steps > 30:
-            x = 0.5 * (lo + hi)
+            k = (lo + hi) // 2
         else:
-            x = hi - ghi * (hi - lo) / (ghi - glo)
-            x = min(max(x, lo + 0.5 * xtol), hi - 0.5 * xtol)
-        g = contraction_factor(reg, x) - target
-        if g <= 0:
-            lo, glo = x, g
+            k = round(hi - ghi * (hi - lo) / (ghi - glo))
+            k = min(max(k, lo + 1), hi - 1)
+        gk = g(k)
+        if gk <= 0:
+            lo, glo = k, gk
             if kept < 0:
                 ghi *= 0.5
             kept = -1
         else:
-            hi, ghi = x, g
+            hi, ghi, g_hi = k, gk, gk
             if kept > 0:
                 glo *= 0.5
             kept = 1
-    return lo
+    return lo, hi, g_hi
 
 
 def build_S_lambda(reg, lam, X, max_terms=200):

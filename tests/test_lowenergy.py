@@ -132,6 +132,22 @@ def test_contraction_factor_grows_with_lambda(ee_small):
     assert f1 < f2 < 1.0
 
 
+def test_series_step_keeps_the_bits_of_the_out_of_place_form(ee_small):
+    # the step is negated in place and returned as a transposed view, and
+    # the factor is read off the rows of D; both keep every bit of the
+    # out-of-place -(R0(l^2) X^T - R0(0) X^T)^T and its induced norm
+    reg, grid = ee_small["reg"], ee_small["grid"]
+    X = np.random.default_rng(1).standard_normal((grid.size, 2)) + 0j
+    x_norms = grid.weights @ np.abs(X)
+    for lam in (0.03, 0.1, 0.2):
+        old = -(lowenergy.domain_resolvent(grid, lam)(reg.Xt) - reg.R0Xt).T
+        factor = operator_l1_norm(old, grid)
+        assert lowenergy.contraction_factor(reg, lam) == factor
+        expect = birman._neumann_series(reg.S0 @ X, old, grid, 1e-13, 200, x_norms)
+        SX, got_factor = lowenergy.build_S_lambda(reg, lam, X)
+        assert got_factor == factor and np.array_equal(SX, expect[0])
+
+
 def test_series_rejected_outside_window(ee_small):
     eye = np.eye(ee_small["grid"].size, dtype=complex)
     with pytest.raises(ValueError):
@@ -271,7 +287,7 @@ def _bisection_window(cf, target=0.5, iters=30):
 
 
 @pytest.mark.parametrize("scenario", ["ee_small", "ee6", "full_ee", "well"])
-def test_auto_window_brackets_the_crossing(request, monkeypatch, scenario):
+def test_auto_window_brackets_the_crossing(request, count_calls, scenario):
     if scenario == "ee_small":
         reg = request.getfixturevalue("ee_small")["reg"]
     else:
@@ -286,39 +302,61 @@ def test_auto_window_brackets_the_crossing(request, monkeypatch, scenario):
             V = potentials.gaussian_well(grid, depth=4.0, width=1.0)
         basis = jordan.threshold(V, grid).basis
         reg = lowenergy.build_S0(V, grid, basis, window=1.0)
-    calls = []
-    contraction_factor = lowenergy.contraction_factor
-
-    def counted(reg, lam):
-        calls.append(lam)
-        return contraction_factor(reg, lam)
-
-    monkeypatch.setattr(lowenergy, "contraction_factor", counted)
+    exact = count_calls(lowenergy, "_step_column_norms")
     w = lowenergy._auto_window(reg)
-    assert len(calls) <= 15
+    assert len(exact) <= 4
+    assert (w * 2**30).is_integer()
 
     def cf(lam):
-        return contraction_factor(reg, lam)
+        return lowenergy.contraction_factor(reg, lam)
 
     assert w == 1.0 or cf(w) <= 0.5 < cf(w + 2.0**-30)
-    assert abs(w - _bisection_window(cf)) <= 2.0**-30
+    assert w == _bisection_window(cf)
 
 
-@pytest.mark.parametrize("cf, least, most", [
-    (lambda lam: 0.25 * lam, 1, 1),  # cf(1) <= 1/2: lo = 1 at once
+def _patch_factors(monkeypatch, columns):
+    """Make the step's column norms the given functions of lambda, for
+    `_step_column_norms` and `_column_factor` alike, except that a pair
+    (exact, column) gives the two separately.  Returns the exact factor
+    max_j exact_j and the lists of the exact and the column evaluations."""
+    columns = [c if isinstance(c, tuple) else (c, c) for c in columns]
+    exact, column = [], []
+
+    def norms(reg, lam):
+        exact.append(lam)
+        return np.array([c[0](lam) for c in columns])
+
+    def factor(reg, lam, j):
+        column.append(lam)
+        return columns[j][1](lam)
+
+    monkeypatch.setattr(lowenergy, "_step_column_norms", norms)
+    monkeypatch.setattr(lowenergy, "_column_factor", factor)
+    return (lambda lam: max(c[0](lam) for c in columns)), exact, column
+
+
+def _k_star_exact(lam, k_star=3 * 2**28 + 12345):
+    # exactly 1/2 at lambda = k_star 2^-30, above it from the next grid point
+    return lam / (2 * (k_star / 2**30))
+
+
+@pytest.mark.parametrize("columns, exact_calls, least, most", [
+    ([lambda lam: 0.25 * lam], 1, 0, 0),  # cf(1) <= 1/2: lo = 1 at once
     # concave: hi moves twice in a row and cf(lo) is halved; plain regula
     # falsi takes 58 evaluations here
-    (lambda lam: lam**0.25, 1, 15),
-    (lambda lam: float(lam > 0.9), 32, 61),  # a jump: bisection past 30 steps
-])
-def test_auto_window_on_synthetic_factors(monkeypatch, cf, least, most):
-    calls = []
-
-    def counted(reg, lam):
-        calls.append(lam)
-        return cf(lam)
-
-    monkeypatch.setattr(lowenergy, "contraction_factor", counted)
+    ([lambda lam: lam**0.25], 2, 1, 15),
+    ([lambda lam: float(lam > 0.9)], 2, 31, 60),  # a jump: bisection past 30 steps
+    # the argmax column at lambda = 1 crosses at 0.24, the other one first,
+    # at 0.12: the certificate at the first lo fails and the search moves
+    ([lambda lam: 2.1 * lam, lambda lam: min(1.5, 4.1 * lam)], 3, 2, 30),
+    # the column is within rounding of 1/2 at the crossing, where the exact
+    # norm is 1/2 itself: that hi is checked by the exact norm, and the
+    # search goes on above it
+    ([(_k_star_exact, lambda lam: _k_star_exact(lam) + 1e-13)], 3, 2, 30),
+], ids=["below-at-1", "concave", "jump", "argmax-switch", "column-rounding"])
+def test_auto_window_on_synthetic_factors(monkeypatch, columns, exact_calls, least, most):
+    cf, exact, column = _patch_factors(monkeypatch, columns)
     lo = lowenergy._auto_window(None)
-    assert least <= len(calls) <= most
-    assert lo == 1.0 or cf(lo) <= 0.5 < cf(lo + 2.0**-30)
+    assert len(exact) == exact_calls
+    assert least <= len(column) <= most
+    assert lo == _bisection_window(cf)
