@@ -35,7 +35,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from . import resolvent
-from .grids import GridFunction, lp_norm, operator_l1_norm
+from .grids import GridFunction, apply_matrix, lp_norm, operator_l1_norm
 from .resolvent import Branch
 
 #: Condition-number cutoff defining NEAR_SINGULAR.
@@ -136,9 +136,12 @@ def _samples(V):
     The one test of the potential's format: every path choice of the
     package (`potential_operator`, the banded paths of `bs_solve`, the
     threshold, S0, `build_Ppp` and `evolution.propagate`) reads it here.
+    Samples with no nonzero imaginary part come back real, and so does
+    every operator built from them.
     """
     if isinstance(V, PotentialSpec):
-        return V.values.values
+        v = V.values.values
+        return v if np.any(v.imag) else v.real
     if isinstance(V, np.ndarray):
         return None
     raise TypeError(f"potential must be PotentialSpec or ndarray, got {type(V)}")
@@ -247,7 +250,7 @@ def bs_solve(V, grid, lam, f, sign=Branch.PLUS, context=""):
 
     f is a vector or a matrix of columns; V = None means free.  For a
     multiplier V, I + V R0 = (T_lambda + V) R0, so one tridiagonal
-    factorization (LAPACK zgttrf) of T_lambda + V gives
+    factorization (LAPACK d/zgttrf) of T_lambda + V gives
     R_V f = (T_lambda + V)^{-1} f and T^{-1} f = T_lambda R_V f in O(M) per
     column.  The refusal is the dense one: NearSingularError when the
     condition estimate, ||I + V R0||_1 (exact, `bs_norm`) times the
@@ -277,27 +280,36 @@ def bs_solve(V, grid, lam, f, sign=Branch.PLUS, context=""):
     )
     if not np.isfinite(cond) or cond > COND_CUTOFF:
         raise NearSingularError(cond, context)
-    rv_f = solve(np.asarray(f, complex))
+    rv_f = solve(np.asarray(f))
     return rv_f, _tridiagonal_apply(dl, d, du, rv_f), cond
 
 
 def _tridiagonal_solver(dl, d, du, context=""):
-    """Factor tridiag(dl, d, du) once (LAPACK zgttrf) and return its solver.
+    """Factor tridiag(dl, d, du) once (LAPACK dgttrf for real bands, zgttrf
+    for complex ones) and return its solver.
 
     The solver maps x, a vector or a matrix of columns, to
-    tridiag(dl, d, du)^{-1} x in O(M) per column (zgttrs); trans="C" solves
-    with the conjugate transpose.  An exactly singular matrix raises
+    tridiag(dl, d, du)^{-1} x in O(M) per column (d/zgttrs); trans="C" solves
+    with the conjugate transpose.  With real bands a complex x is solved as
+    its real view, two real columns per complex one: the bits of zgttrs,
+    with no complex copy of the factors.  An exactly singular matrix raises
     NearSingularError.
     """
     M = d.size
-    *factors, info = sla.lapack.zgttrf(dl, d, du)
+    gttrf, gttrs = sla.get_lapack_funcs(("gttrf", "gttrs"), (dl, d, du))
+    *factors, info = gttrf(dl, d, du)
     if info > 0:
         raise NearSingularError(np.inf, context)
+    real = gttrs.dtype == float
 
     def solve(x, trans="N"):
-        if not x.size:  # zgttrs with no right-hand side corrupts memory
-            return np.zeros(x.shape, complex)
-        y, _ = sla.lapack.zgttrs(*factors, x.reshape(M, -1), trans=trans)
+        if not x.size:  # gttrs with no right-hand side corrupts memory
+            return np.zeros(x.shape, np.result_type(x, gttrs.dtype))
+        if real and x.dtype == complex:
+            b = np.ascontiguousarray(x).reshape(M, -1).view(float)
+            y = np.ascontiguousarray(gttrs(*factors, b, trans=trans)[0])
+            return y.view(complex).reshape(x.shape)
+        y, _ = gttrs(*factors, x.reshape(M, -1), trans=trans)
         return y.reshape(x.shape)
 
     return solve
@@ -314,7 +326,7 @@ def _pinned_solver(dl, d, du, rows, context=""):
     from `_tridiagonal_solver`.
     """
     alpha = np.abs(dl).max()
-    shifted = d.astype(complex)
+    shifted = d.copy()
     shifted[rows] += alpha
     return _tridiagonal_solver(dl, shifted, du, context), alpha
 
@@ -443,7 +455,7 @@ def _neumann_series(first, step, grid, tol, max_terms, x_norms):
     total = first.copy()
     term, norm = first, np.inf
     for _ in range(max_terms):
-        term = step @ term
+        term = apply_matrix(step, term)
         total += term
         norm = float(((w @ np.abs(term)) / scale).max())
         if norm < tol:

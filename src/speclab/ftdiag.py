@@ -111,7 +111,9 @@ def t_hat_l1_scan(V, grid, f, window, params=None):
     transforms per spatial node and integrates |.| in rho and x.  Each
     sample is one `birman.bs_solve`: a tridiagonal solve for a sampled
     potential, O(M) per lambda, with the dense path's NearSingularError
-    refusal; samples outside the window's support are skipped.  A LOW
+    refusal; samples outside the window's support are skipped.  Real
+    samples and a real f give T(-lambda) f = conj T(lambda) f bit for bit,
+    so only the first member of each pair +-lambda is solved.  A LOW
     window total beyond cap * ||f||_1 is reported as DIVERGENT -- for
     generic f against a nontrivial threshold space that is the expected
     verdict, not a failure.
@@ -124,14 +126,18 @@ def t_hat_l1_scan(V, grid, f, window, params=None):
     cap = params.get("cap", DEFAULT_CAP)
     lams, delta = lambda_grid(n, lam_max)
     cut = window_cutoffs(lams, lambda1, r)[window.upper()]
+    v = np.zeros(1) if V is None else birman._samples(V)
+    mirror = v is not None and not np.iscomplexobj(v) and not np.any(f.values.imag)
     samples = np.zeros((n, grid.size), complex)
     for i, lam in enumerate(lams):
-        if cut[i] == 0.0:
+        if cut[i] == 0.0 or (mirror and i >= n // 2):
             continue
         _, tinv_f, _ = birman.bs_solve(
             V, grid, lam, f.values, context=f"t_hat scan at lambda={lam:.6g}"
         )
         samples[i] = cut[i] * tinv_f
+        if mirror:
+            samples[n - 1 - i] = np.conj(samples[i])
     rho, hat = _transform(samples, lams, delta)
     drho = rho[1] - rho[0]
     profile = np.abs(hat) @ grid.weights

@@ -7,12 +7,14 @@ Three-dimensional norms of the underlying radial profile psi = u / r use the
 volume weights 4 pi r^2 h instead; both weight sets live on the Grid and
 callers pick per context.
 
-Operators are plain complex ndarrays A acting by f -> A @ f.values.  An
-integral kernel sampled as K(r_i, r_j) becomes the application matrix
-K * weights[None, :] once, at assembly; the working weights are uniform,
-so the bilinear transpose of an operator is its plain transpose.  A rank-n
-projection is the pair (U, W) of M x n factors of its application matrix
-P = U W^T, never an M x M array; `apply_complement` applies I - P.
+Operators are plain ndarrays A acting by f -> A @ f.values: real (float64)
+for a real potential, complex otherwise; `apply_matrix` applies a real A
+to complex data without a complex copy.  An integral kernel sampled as
+K(r_i, r_j) becomes the application matrix K * weights[None, :] once, at
+assembly; the working weights are uniform, so the bilinear transpose of an
+operator is its plain transpose.  A rank-n projection is the pair (U, W)
+of M x n factors of its application matrix P = U W^T, never an M x M
+array; `apply_complement` applies I - P.
 All norms, pairings and induced operator norms use the working weights,
 with fixed-order summation so that results are reproducible bit for bit.
 """
@@ -161,6 +163,18 @@ def apply_complement(P, x):
     """(I - P) x for P = U W^T given as (U, W); x a vector or matrix of columns."""
     U, W = P
     return x - U @ (W.T @ x)
+
+
+def apply_matrix(A, X):
+    """A @ X, with a real A applied to the real view of complex columns X.
+
+    numpy would cast the real matrix to a complex copy twice its size; the
+    view holds the real and imaginary parts of each column as two columns.
+    """
+    if np.iscomplexobj(A) or not np.iscomplexobj(X):
+        return A @ X
+    x = np.ascontiguousarray(X).reshape(X.shape[0], -1).view(float)
+    return (A @ x).view(complex).reshape(A.shape[:1] + X.shape[1:])
 
 
 def operator_l1_norm(A, grid):

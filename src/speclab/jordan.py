@@ -348,7 +348,11 @@ def threshold(V, grid):
     Q = spaces[-1]
     N = Q.conj().T @ _apply_H(V, grid, Q)
     Bres = Q.T @ (grid.weights[:, None] * Q)
-    chains = [_chain([Q @ c for c in C.T]) for C in jordan_dual_basis(N, Bres).chains]
+    chains = []
+    for C in jordan_dual_basis(N, Bres).chains:
+        if not (np.iscomplexobj(Q) or np.any(C.imag)):
+            C = C.real  # real samples: a real basis
+        chains.append(_chain([Q @ c for c in C.T]))
 
     def pair(u, v):
         return bilinear_pair(GridFunction(grid, u), GridFunction(grid, v))
@@ -483,7 +487,9 @@ def _banded_filtration(v, grid, bands, solve_H):
         return birman._tridiagonal_apply(du.conj(), d.conj(), dl.conj(), x)
 
     rng = np.random.default_rng(0)
-    start = rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size)
+    start = rng.standard_normal(d.size)  # real bands: a real chain
+    if np.iscomplexobj(d):
+        start = start + 1j * rng.standard_normal(d.size)
     t_norm = _norm_estimate(
         lambda x: H(solve_H0(x)), lambda y: solve_H0(H_adjoint(y)), start
     )
@@ -528,7 +534,7 @@ def _chain_solver(dl, d, du, psi):
     """
     r = int(np.argmax(np.abs(psi)))
     solve_A, _ = birman._pinned_solver(dl, d, du, [r], "threshold chain solve")
-    e_r = np.zeros(d.size, complex)
+    e_r = np.zeros_like(d)
     e_r[r] = 1.0
     z = solve_A(e_r)
 
@@ -601,7 +607,7 @@ def _dense_filtration(V, grid):
 def _factors(grid, vecs, duals):
     """Factors (U, W) of the sum of the maps f -> pair(f, dual) vec: U the
     columns of vecs side by side, W the weighted columns w dual of duals."""
-    empty = np.zeros((grid.size, 0), complex)  # rank 0 for no columns
+    empty = np.zeros((grid.size, 0))  # rank 0 for no columns
     return np.hstack([empty, *vecs]), grid.weights[:, None] * np.hstack([empty, *duals])
 
 

@@ -39,7 +39,9 @@ search (`_auto_window`) runs on one column of the step, one tridiagonal
 solve and one O(M^2) product per trial lambda, and takes the full step,
 M solves, only at lambda = 1 and to certify the window, about three times
 in all.  Only a dense perturbation matrix takes the O(M^3) dense LU of the
-bordered system (`_bordered_S0`).
+bordered system (`_bordered_S0`).  A real potential makes the basis, S0,
+the step and every other M x M array here real (float64), half the memory
+of complex ones; complex data meets them through `grids.apply_matrix`.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ def build_S0(V, grid, basis, window="auto"):
     if v is None:
         S0 = _bordered_S0(V, grid, Y, Z, R0Y)
     elif not basis.chains:
-        eye = np.eye(grid.size, dtype=complex)
+        eye = np.eye(grid.size, dtype=v.dtype)
         S0 = birman.bs_solve(V, grid, 0.0, eye, context="S0")[1]
     else:
         S0 = _banded_S0(v, grid, Y, Z, R0Y)
@@ -179,7 +181,7 @@ def _banded_S0(v, grid, Y, Z, R0Y):
     dl, d0, du = birman.tridiagonal_bs(grid, 0.0)
     solve = _bordered_solver(dl, d0 + v, du, Y, Z, grid.weights[:, None] * Y)
     C = grid.weights[:, None] * R0Y
-    F = np.eye(M, dtype=complex)
+    F = np.eye(M, dtype=np.result_type(v, Y))
     y, mu = solve(F, np.zeros((n, M)))
     S0 = birman._tridiagonal_apply(dl, d0, du, y)
     del y
@@ -212,7 +214,7 @@ def _bordered_solver(dl, d, du, Y, Z, B):
     M, n = Y.shape
     rows = sla.qr(Z.T, mode="r", pivoting=True)[1][:n]
     solve_A, alpha = birman._pinned_solver(dl, d, du, rows, "S0 bordered solve")
-    E = np.zeros((M, n), complex)
+    E = np.zeros((M, n), np.result_type(d, Y))
     E[rows, np.arange(n)] = 1.0
     W = np.hstack([-alpha * E, -birman._tridiagonal_apply(du, d, dl, Z)])
     P, Q = solve_A(np.hstack([E, Y])), solve_A(Y)
@@ -278,12 +280,24 @@ def _column_factor(reg, lam, j):
     `contraction_factor`; on the full-ee grid near the window it agrees
     with the column norm of `_step_column_norms` to about 1e-13 relative.
     """
-    e = np.zeros(reg.grid.size, complex)
+    e = np.zeros(reg.grid.size)
     e[j] = 1.0
     r = domain_resolvent(reg.grid, lam)(e)
     column = np.einsum("ij,j->i", reg.Xt.T, r) - reg.R0Xt[j]
     w = reg.grid.weights
     return float(w @ np.abs(column) / w[j])
+
+
+def _column_rounding(reg, j):
+    """A bound on the rounding error of `_column_factor` at column j.
+
+    The column is the difference of two vectors of about the size of row j
+    of reg.R0Xt, each from length-M sums, so its weighted L^1 norm is good
+    to M eps times that row's: an error that does not shrink with lambda,
+    so relative to the factor it grows like 1 / lambda^2.
+    """
+    w = reg.grid.weights
+    return w.size * np.finfo(float).eps * float(w @ np.abs(reg.R0Xt[j]) / w[j])
 
 
 def _auto_window(reg):
@@ -293,7 +307,8 @@ def _auto_window(reg):
     What is certified: cf(lo) <= target by the exact induced norm
     (`_step_column_norms`; cf(0) = 0 needs no evaluation), and, unless
     lo = 1 (cf(1) <= target), cf(lo + xtol) > target, by the exact norm or
-    by one column's factor above target by more than 1e-12 relative.  Where
+    by one column's factor above target by more than 1e-12 relative plus
+    its rounding bound (`_column_rounding`).  Where
     cf increases on [0, 1] this is the one crossing on the xtol grid, the
     point that 30-step bisection returns; above the first eigenvalue of the
     box H0 cf need not increase, and lo is then some crossing.
@@ -304,7 +319,7 @@ def _auto_window(reg):
     integers k of the trial points k xtol.  The exact norm then certifies
     the returned lo; where it fails, another column has crossed first, and
     the search repeats below lo on the argmax column there.  A column value
-    within 1e-12 relative of target at lo + xtol is checked by the exact
+    within that margin of target at lo + xtol is checked by the exact
     norm; should that norm still be at most target, the search goes on
     above.  On full-ee that is 3 exact norms and 13 column evaluations.
     """
@@ -327,7 +342,7 @@ def _auto_window(reg):
                 U, upper, j = lo, norms, int(np.argmax(norms))
                 continue
             L, lower = lo, norms
-        if hi == U or ghi > 1e-12 * target:
+        if hi == U or ghi > 1e-12 * target + _column_rounding(reg, j):
             return L / n
         norms = _step_column_norms(reg, hi / n)
         if norms.max() > target:
@@ -381,10 +396,10 @@ def build_S_lambda(reg, lam, X, max_terms=200):
     NoContractionError or SeriesNotConvergedError (see birman) rather than
     return a partial sum.
     """
+    S0X = grids.apply_matrix(reg.S0, X)
     if lam == 0:
-        return reg.S0 @ X, 0.0
-    x_norms = reg.grid.weights @ np.abs(X)
-    return _continue_S0(reg, lam, reg.S0 @ X, x_norms, max_terms)
+        return S0X, 0.0
+    return _continue_S0(reg, lam, S0X, reg.grid.weights @ np.abs(X), max_terms)
 
 
 def _continue_S0(reg, lam, S0X, x_norms, max_terms=200):
@@ -421,19 +436,15 @@ def one_sided_residual(reg, lam=0.0):
 
 
 def range_constraint_residual(reg):
-    """sup over 8 fixed-seed random f of |pair(S0 f, R0(0) psi_kk)| / ||f||_1."""
+    """sup over 8 fixed-seed random f of |pair(S0 f, R0(0) psi_kk)| / ||f||_1,
+    with S0 applied to the 8 in one product."""
     rng = np.random.default_rng(0)
-    grid = reg.grid
-    worst = 0.0
-    for _ in range(8):
-        f = GridFunction(
-            grid, rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-        )
-        u = GridFunction(grid, reg.S0 @ f.values)
-        for c in reg.range_constraints.T:
-            val = abs(bilinear_pair(u, GridFunction(grid, c)))
-            worst = max(worst, val / lp_norm(f, 1))
-    return worst
+    w = reg.grid.weights
+    F = np.empty((w.size, 8), complex)
+    for f in F.T:
+        f.real, f.imag = rng.standard_normal(w.size), rng.standard_normal(w.size)
+    pairs = reg.range_constraints.T @ (w[:, None] * grids.apply_matrix(reg.S0, F))
+    return float((np.abs(pairs) / (w @ np.abs(F))).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

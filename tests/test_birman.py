@@ -137,6 +137,25 @@ def test_banded_solve_matches_dense(nodes, extent, lam_h, sign, seed):
     assert cond / 3.0 <= cond_b <= 3.0 * cond
 
 
+@given(
+    nodes=st.integers(3, 120),
+    columns=st.integers(0, 3),  # 0: a vector
+    trans=st.sampled_from(["N", "C"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_real_bands_solve_complex_data_with_the_bits_of_zgttrs(nodes, columns, trans, seed):
+    # real bands factor in real arithmetic and solve complex columns as
+    # their real view; complex copies of the same bands give the same bits
+    rng = np.random.default_rng(seed)
+    dl, d, du = (rng.standard_normal(n) for n in (nodes - 1, nodes, nodes - 1))
+    shape = (nodes, columns) if columns else (nodes,)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    real = birman._tridiagonal_solver(dl, d, du)(x, trans)
+    cplx = birman._tridiagonal_solver(dl + 0j, d + 0j, du + 0j)(x, trans)
+    assert real.dtype == complex and real.shape == shape
+    assert np.array_equal(real, cplx)
+
+
 def test_dense_path_at_lambda_h_pi(grid20, well20, monkeypatch):
     lam = np.pi / grid20.spacing
     assert not birman.banded_energy(grid20, lam)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from speclab import ftdiag, grids, potentials
+from speclab import birman, ftdiag, grids, potentials
 from speclab.grids import Mode
 
 
@@ -53,6 +53,23 @@ def test_free_total_is_cutoff_transform(g):
     # LOW cutoff is chi(lambda / r) with r = 0.25 by default
     got = scan.total / grids.lp_norm(f, 1)
     assert got == pytest.approx(ftdiag.chi_hat_l1(0.25, n=256, lam_max=8.0), rel=1e-4)
+
+
+def test_real_scan_mirrors_the_negative_lambdas(g, monkeypatch, count_calls):
+    # real samples and a real f: T(-lambda) f = conj T(lambda) f, so half
+    # the solves give the bits of the scan that solves every lambda, as
+    # complex samples still do
+    f = grids.gaussian_bump(g)
+    V = potentials.gaussian_well(g, depth=2.0, width=1.0)
+    params = {"n": 128, "lam_max": 8.0}
+    solves = count_calls(birman, "bs_solve")
+    mirrored = ftdiag.t_hat_l1_scan(V, g, f, "HIGH", params)
+    half = len(solves)
+    monkeypatch.setattr(birman, "_samples", lambda V: V.values.values)
+    full = ftdiag.t_hat_l1_scan(V, g, f, "HIGH", params)
+    assert 2 * half == len(solves) - half == 112
+    assert full.total == mirrored.total
+    assert np.array_equal(full.profile, mirrored.profile)
 
 
 def test_dlambda_kernel_modulus():

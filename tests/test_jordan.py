@@ -506,6 +506,7 @@ def test_banded_threshold_finds_a_complex_chain():
     banded, dense = jordan.threshold(V, grid), _dense_oracle(V, grid)
     assert banded.dims == dense.dims == (1, 2)
     assert banded.basis.multiplicities == dense.basis.multiplicities == {2: 1}
+    assert banded.basis.chains[0].dtype == complex
     # the self-dual chain basis is unique up to one overall sign
     top = banded.basis.chains[0][:, 1]
     sign = np.sign((top @ dense.basis.chains[0][:, 1].conj()).real)

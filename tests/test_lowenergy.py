@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,36 @@ def test_s0_without_threshold_basis():
     assert lowenergy.one_sided_residual(reg, 0.0) < 1e-9
 
 
+def test_real_samples_keep_the_low_energy_arrays_real(ee_small):
+    # real samples give a real basis and real M x M arrays; complex samples
+    # keep complex ones
+    reg, grid = ee_small["reg"], ee_small["grid"]
+    arrays = [*reg.basis.chains, reg.Y, reg.Z, reg.S0, reg.Xt, reg.R0Xt,
+              lowenergy._series_step(reg, 0.1)]
+    assert [a.dtype for a in arrays] == [np.float64] * len(arrays)
+    v = ee_small["V"].values.values
+    V = birman.PotentialSpec("complex", GridFunction(grid, v * (1 + 1e-3j)))
+    reg = lowenergy.build_S0(V, grid, jordan.threshold(V, grid).basis, window=0.25)
+    arrays = [reg.S0, reg.Xt, reg.R0Xt, lowenergy._series_step(reg, 0.1)]
+    assert [a.dtype for a in arrays] == [np.complex128] * len(arrays)
+
+
+def test_S0_and_its_residual_hold_seven_real_square_arrays():
+    # the invert-ee grid: six M x M arrays at the peak, 15 MB as float64
+    # where they were 29 MB as complex128
+    grid = grids.make_grid(grids.Mode.RADIAL_SWAVE, 2.25, 550)
+    V, _, _ = potentials.tune_coupling(potentials.exact_eigen(grid, s=2.0), grid)
+    basis = jordan.threshold(V, grid).basis
+    tracemalloc.start()
+    try:
+        reg = lowenergy.build_S0(V, grid, basis, window=0.25)
+        lowenergy.one_sided_residual(reg, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * grid.size**2 * 8
+
+
 # Each example runs the dense bordered LU, O(M^3), as the oracle.
 @settings(max_examples=30)
 @given(
@@ -115,7 +147,7 @@ def test_one_sided_residual_seeds_the_series_with_S0(ee_small):
     # S(lambda) is summed from S0 itself rather than from the product
     # S0 @ I; the residual keeps every bit of the one built from S0 @ I
     reg, grid = ee_small["reg"], ee_small["grid"]
-    eye = np.eye(grid.size, dtype=complex)
+    eye = np.eye(grid.size, dtype=reg.S0.dtype)
     for lam in (0.03, 0.1, 0.2):
         D, _ = lowenergy.build_S_lambda(reg, lam, eye)
         D += birman.potential_operator(reg.V, lowenergy.domain_resolvent(grid, lam)(D))
@@ -143,7 +175,8 @@ def test_series_step_keeps_the_bits_of_the_out_of_place_form(ee_small):
         old = -(lowenergy.domain_resolvent(grid, lam)(reg.Xt) - reg.R0Xt).T
         factor = operator_l1_norm(old, grid)
         assert lowenergy.contraction_factor(reg, lam) == factor
-        expect = birman._neumann_series(reg.S0 @ X, old, grid, 1e-13, 200, x_norms)
+        first = grids.apply_matrix(reg.S0, X)
+        expect = birman._neumann_series(first, old, grid, 1e-13, 200, x_norms)
         SX, got_factor = lowenergy.build_S_lambda(reg, lam, X)
         assert got_factor == factor and np.array_equal(SX, expect[0])
 
@@ -254,7 +287,7 @@ def test_S_lambda_on_data_matches_the_operator_series(ee_small, lam, columns, se
     rng = np.random.default_rng(seed)
     shape = (grid.size, columns)
     X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    S, factor = lowenergy.build_S_lambda(reg, lam, np.eye(grid.size, dtype=complex))
+    S, factor = lowenergy.build_S_lambda(reg, lam, np.eye(grid.size, dtype=reg.S0.dtype))
     SX, factor_X = lowenergy.build_S_lambda(reg, lam, X)
     assert factor_X == factor
     expect = S @ X
@@ -314,11 +347,12 @@ def test_auto_window_brackets_the_crossing(request, count_calls, scenario):
     assert w == _bisection_window(cf)
 
 
-def _patch_factors(monkeypatch, columns):
+def _patch_factors(monkeypatch, columns, rounding=0.0):
     """Make the step's column norms the given functions of lambda, for
     `_step_column_norms` and `_column_factor` alike, except that a pair
-    (exact, column) gives the two separately.  Returns the exact factor
-    max_j exact_j and the lists of the exact and the column evaluations."""
+    (exact, column) gives the two separately, and `_column_rounding` the
+    given bound.  Returns the exact factor max_j exact_j and the lists of
+    the exact and the column evaluations."""
     columns = [c if isinstance(c, tuple) else (c, c) for c in columns]
     exact, column = [], []
 
@@ -332,6 +366,7 @@ def _patch_factors(monkeypatch, columns):
 
     monkeypatch.setattr(lowenergy, "_step_column_norms", norms)
     monkeypatch.setattr(lowenergy, "_column_factor", factor)
+    monkeypatch.setattr(lowenergy, "_column_rounding", lambda reg, j: rounding)
     return (lambda lam: max(c[0](lam) for c in columns)), exact, column
 
 
@@ -340,22 +375,33 @@ def _k_star_exact(lam, k_star=3 * 2**28 + 12345):
     return lam / (2 * (k_star / 2**30))
 
 
-@pytest.mark.parametrize("columns, exact_calls, least, most", [
-    ([lambda lam: 0.25 * lam], 1, 0, 0),  # cf(1) <= 1/2: lo = 1 at once
+def _k_star_small(lam):
+    # exactly 1/2 at the grid point k_star 2^-30 near 5e-4
+    return _k_star_exact(lam, 2**19 + 12345)
+
+
+@pytest.mark.parametrize("columns, rounding, exact_calls, least, most", [
+    ([lambda lam: 0.25 * lam], 0.0, 1, 0, 0),  # cf(1) <= 1/2: lo = 1 at once
     # concave: hi moves twice in a row and cf(lo) is halved; plain regula
     # falsi takes 58 evaluations here
-    ([lambda lam: lam**0.25], 2, 1, 15),
-    ([lambda lam: float(lam > 0.9)], 2, 31, 60),  # a jump: bisection past 30 steps
+    ([lambda lam: lam**0.25], 0.0, 2, 1, 15),
+    ([lambda lam: float(lam > 0.9)], 0.0, 2, 31, 60),  # a jump: bisection past 30 steps
     # the argmax column at lambda = 1 crosses at 0.24, the other one first,
     # at 0.12: the certificate at the first lo fails and the search moves
-    ([lambda lam: 2.1 * lam, lambda lam: min(1.5, 4.1 * lam)], 3, 2, 30),
+    ([lambda lam: 2.1 * lam, lambda lam: min(1.5, 4.1 * lam)], 0.0, 3, 2, 30),
     # the column is within rounding of 1/2 at the crossing, where the exact
     # norm is 1/2 itself: that hi is checked by the exact norm, and the
     # search goes on above it
-    ([(_k_star_exact, lambda lam: _k_star_exact(lam) + 1e-13)], 3, 2, 30),
-], ids=["below-at-1", "concave", "jump", "argmax-switch", "column-rounding"])
-def test_auto_window_on_synthetic_factors(monkeypatch, columns, exact_calls, least, most):
-    cf, exact, column = _patch_factors(monkeypatch, columns)
+    ([(_k_star_exact, lambda lam: _k_star_exact(lam) + 1e-13)], 0.0, 3, 2, 30),
+    # the same below 1e-3, where the column's rounding, which does not
+    # shrink with lambda, is far above 1e-12 relative
+    ([(_k_star_small, lambda lam: _k_star_small(lam) + 2e-11)], 4e-11, 3, 2, 30),
+], ids=["below-at-1", "concave", "jump", "argmax-switch", "column-rounding",
+        "column-rounding-below-1e-3"])
+def test_auto_window_on_synthetic_factors(
+    monkeypatch, columns, rounding, exact_calls, least, most
+):
+    cf, exact, column = _patch_factors(monkeypatch, columns, rounding)
     lo = lowenergy._auto_window(None)
     assert len(exact) == exact_calls
     assert least <= len(column) <= most
