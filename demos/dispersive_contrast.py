@@ -20,7 +20,7 @@ from speclab import evolution, grids, jordan, potentials
 from speclab.grids import Mode
 
 
-def main(out_dir=None):  # about 20 s on 2 cores: dense setup on 1600 nodes
+def main(out_dir=None):
     grid = grids.make_grid(Mode.RADIAL_SWAVE, 40.0, 800)
     tuned, _, _ = potentials.tune_coupling(
         potentials.exact_eigen(grid, s=2.0), grid

@@ -1,9 +1,8 @@
 """The operator family I + V R0(lambda^2) and its inverses.
 
-Potentials are carried as :class:`PotentialSpec` (multiplication by a
-vector of samples) or, for synthetic fixtures, as a dense perturbation
-matrix; `potential_operator`, through its helper `_samples`, is the one
-place that tells them apart.  Operators are application matrices (see
+Potentials are carried as :class:`PotentialSpec`, multiplication by a
+vector of samples; `_samples` reads them, and tells real samples from
+complex ones.  Operators are application matrices (see
 :mod:`speclab.grids`).
 
 The sampled R0(lambda^2) is the inverse of a tridiagonal T_lambda
@@ -14,7 +13,7 @@ potential I + V R0 = (T_lambda + V) R0 and
     (I + V R0)^{-1} f = T_lambda (T_lambda + V)^{-1} f.
 
 `bs_solve` takes both from one tridiagonal factorization in O(M) per
-vector, with the same near-singular refusal as the dense path; its
+vector, with the same near-singular refusal as the dense LU; its
 condition estimate (`_inverse_norm_estimate`) is a Hager-Higham loop of a
 few solves with the same factors.  It serves the transform scan, the Stone
 check, `uniform_inverse_scan` and the S0 of :mod:`speclab.lowenergy` when
@@ -23,8 +22,8 @@ factorization, `_tridiagonal_solver`, also applies the domain resolvent of
 :mod:`speclab.lowenergy`; `_pinned_solver` factors a singular H made
 nonsingular at its kernel for the banded S0 solve and the threshold chain
 of :mod:`speclab.jordan`.  The dense LU
-(`build_bs`, `direct_inverse`) stays for dense perturbations, for lambda h
-near a nonzero multiple of pi and as the oracle of the banded paths.
+(`build_bs`, `direct_inverse`) stays for lambda h near a nonzero multiple
+of pi and as the oracle of the banded paths.
 """
 
 from __future__ import annotations
@@ -116,35 +115,27 @@ def potential_operator(V, X=None, right=False):
     """The potential V as an application matrix, or its product with X.
 
     V is a PotentialSpec, whose samples multiply the reduced wave
-    pointwise, or a dense perturbation matrix.  With X
-    (a vector or a matrix) given, returns V @ X, or X @ V when `right`;
-    samples multiply by broadcasting, never through a dense diagonal.
+    pointwise.  With X (a vector or a matrix) given, returns V @ X, or
+    X @ V when `right`, by broadcasting, never through a dense diagonal.
     """
     v = _samples(V)
-    if v is None:
-        if X is None:
-            return V
-        return X @ V if right else V @ X
     if X is None:
         return np.diag(v)
     return X * v if right or X.ndim == 1 else v[:, None] * X
 
 
 def _samples(V):
-    """The samples of a PotentialSpec, or None for a dense perturbation matrix.
+    """The samples of the PotentialSpec V.
 
-    The one test of the potential's format: every path choice of the
-    package (`potential_operator`, the banded paths of `bs_solve`, the
-    threshold, S0, `build_Ppp` and `evolution.propagate`) reads it here.
-    Samples with no nonzero imaginary part come back real, and so does
-    every operator built from them.
+    The one test of the potential's format: every path of the package
+    reads the potential here.  Samples with no nonzero imaginary part come
+    back real, and so does every operator built from them.  Anything but a
+    PotentialSpec raises TypeError.
     """
-    if isinstance(V, PotentialSpec):
-        v = V.values.values
-        return v if np.any(v.imag) else v.real
-    if isinstance(V, np.ndarray):
-        return None
-    raise TypeError(f"potential must be PotentialSpec or ndarray, got {type(V)}")
+    if not isinstance(V, PotentialSpec):
+        raise TypeError(f"potential must be a PotentialSpec, got {type(V)}")
+    v = V.values.values
+    return v if np.any(v.imag) else v.real
 
 
 def sample_potential(name, grid, fn, p=1.4, q=2.0):
@@ -256,14 +247,13 @@ def bs_solve(V, grid, lam, f, sign=Branch.PLUS, context=""):
     condition estimate, ||I + V R0||_1 (exact, `bs_norm`) times the
     Hager-Higham lower estimate of ||T^{-1}||_1 =
     ||I - V (T_lambda + V)^{-1}||_1 (`_inverse_norm_estimate`, at most a
-    dozen solves with the same factors), exceeds COND_CUTOFF.  A dense
-    perturbation matrix, or lambda h near a nonzero multiple of pi
-    (`banded_energy`), takes the dense LU of `direct_inverse`.
-    Returns (R_V f, T^{-1} f, condition estimate).
+    dozen solves with the same factors), exceeds COND_CUTOFF.  Where lambda h
+    is near a nonzero multiple of pi (`banded_energy`) it takes the dense LU
+    of `direct_inverse`.  Returns (R_V f, T^{-1} f, condition estimate).
     """
     M = grid.size
     v = np.zeros(M) if V is None else _samples(V)
-    if v is None or not banded_energy(grid, lam):
+    if not banded_energy(grid, lam):
         tinv, cond = direct_inverse(build_bs(V, grid, lam, sign), context)
         tinv_f = tinv @ f
         R0 = resolvent.build_R0(grid, lam, sign)

@@ -9,9 +9,9 @@ the 3-point stencil differentiates exactly.  All the threshold machinery
 inherits machine-precision identities from this pairing.  (The price: free
 eigenvalues are ((n + 1/2) pi / L)^2 rather than the Dirichlet-at-L values.)
 
-The propagator reads its algorithm off the potential.  Samples leave H
-tridiagonal, and propagate applies e^{-i tau H} as the (16, 16) diagonal
-Pade approximant of e^z in product form,
+The potential's samples leave H tridiagonal, and propagate applies
+e^{-i tau H} as the (16, 16) diagonal Pade approximant of e^z in product
+form,
 
     e^{-i tau H} ~ prod_j (H + a_j)^{-1} (H - a_j),   a_j = i z_j / tau,
 
@@ -22,10 +22,8 @@ substeps needed follow the data's spectral content, not ||H|| (van den
 Eshof & Hochbruck, SIAM J. Sci. Comput. 27, 2006).  Each factor is applied
 in Cayley form, x - 2 a_j (H + a_j)^{-1} x: one shifted tridiagonal solve,
 O(M) per substep and factor.  The partial-fraction form of the same
-approximant has a round-off floor near 1e-6 and is not used.  A dense
-perturbation matrix (the Jordan-chain fixtures) keeps one dense expm of the
-dense H per distinct step.  The scans take a projection P as its factors
-(U, W), so on samples no M x M array is formed.
+approximant has a round-off floor near 1e-6 and is not used.  The scans
+take a projection P as its factors (U, W), so no M x M array is formed.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from . import birman, grids
 from .grids import Grid, GridFunction
@@ -73,11 +70,12 @@ class SubstepCapError(ArithmeticError):
 
 
 def discretize_H(V, grid):
-    """H = -Delta_grid + V as a complex symmetric matrix.
+    """H = -Delta_grid + V as a dense complex symmetric matrix.
 
-    V may be a PotentialSpec, a dense perturbation matrix (fixtures), or
-    None for the free operator.  The free part is the stencil of
-    `birman.tridiagonal_bs` at lambda = 0.
+    V is a PotentialSpec, or None for the free operator.  The free part is
+    the stencil of `birman.tridiagonal_bs` at lambda = 0.  The pipelines
+    keep H as its bands; the dense H serves the Schur projectors and
+    fallback `eigvals` of `jordan.build_Ppp` and the tests' oracles.
     """
     off, main, _ = birman.tridiagonal_bs(grid, 0.0)
     H = np.diag(main.astype(complex)) + np.diag(off, 1) + np.diag(off, -1)
@@ -177,39 +175,25 @@ def propagate(plan, f):
     """States e^{-i t_k H} f for every t_k in the plan's time grid.
 
     Steps the state from each time to the next, a step length within
-    STEP_RTOL of an earlier one taken as that one, choosing the algorithm
-    from the potential (`birman._samples`):
-
-    - samples (and the free operator): the (16, 16) Pade product of the
-      module docstring on the tridiagonal H, each factor in Cayley form
-      x - 2 a_j (H + a_j)^{-1} x, one zgttrs solve on a zgttrf factorization
-      (`birman._tridiagonal_solver`), O(M) per factor and substep.  Each
-      output interval of length dt is split into n substeps of length
-      tau = dt / n by step doubling: passes a (n substeps) and b (2n) are
-      compared, b is taken once max|a - b| <= SUBSTEP_TOL max|b|, else n
-      doubles.  n starts at the count accepted last for the same dt, else
-      at ceil(2 dt).  The doublings are capped where pass a already
-      resolves all of H, tau ||H||_1 <= RESOLVED_PHASE: passes that still
-      disagree raise SubstepCapError, never a silent result.
-      Factorizations are kept for two substep lengths at most: the pair
-      under comparison, then the pair of the step length last accepted;
-    - a dense perturbation matrix (build_chain_fixture): one dense expm of
-      `discretize_H` per distinct step length.
+    STEP_RTOL of an earlier one taken as that one, by the (16, 16) Pade
+    product of the module docstring on the tridiagonal H (the free one when
+    the plan's V is None).  Each factor is applied in Cayley form
+    x - 2 a_j (H + a_j)^{-1} x, one zgttrs solve on a zgttrf factorization
+    (`birman._tridiagonal_solver`), O(M) per factor and substep.  Each
+    output interval of length dt is split into n substeps of length
+    tau = dt / n by step doubling: passes a (n substeps) and b (2n) are
+    compared, b is taken once max|a - b| <= SUBSTEP_TOL max|b|, else n
+    doubles.  n starts at the count accepted last for the same dt, else at
+    ceil(2 dt).  The doublings are capped where pass a already resolves all
+    of H, tau ||H||_1 <= RESOLVED_PHASE: passes that still disagree raise
+    SubstepCapError, never a silent result.  Factorizations are kept for
+    two substep lengths at most: the pair under comparison, then the pair
+    of the step length last accepted.
     """
     grid = plan.grid
     v = np.zeros(grid.size) if plan.V is None else birman._samples(plan.V)
-    if v is not None:
-        dl, d, du = birman.tridiagonal_bs(grid, 0.0)
-        step = _pade_stepper(dl, d + v, du)
-    else:
-        H = discretize_H(plan.V, grid)
-        cache = {}
-
-        def step(dt, state):
-            if dt not in cache:
-                cache[dt] = sla.expm(-1j * dt * H)
-            return cache[dt] @ state
-
+    dl, d, du = birman.tridiagonal_bs(grid, 0.0)
+    step = _pade_stepper(dl, d + v, du)
     out, lengths = [], []
     state = f.values
     prev = 0.0

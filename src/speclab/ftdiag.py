@@ -109,14 +109,14 @@ def t_hat_l1_scan(V, grid, f, window, params=None):
     lambda grid (negative lambda rides the same kernel formula, which there
     realizes the conjugate branch), multiplies by the window cutoff,
     transforms per spatial node and integrates |.| in rho and x.  Each
-    sample is one `birman.bs_solve`: a tridiagonal solve for a sampled
-    potential, O(M) per lambda, with the dense path's NearSingularError
-    refusal; samples outside the window's support are skipped.  Real
-    samples and a real f give T(-lambda) f = conj T(lambda) f bit for bit,
-    so only the first member of each pair +-lambda is solved.  A LOW
-    window total beyond cap * ||f||_1 is reported as DIVERGENT -- for
-    generic f against a nontrivial threshold space that is the expected
-    verdict, not a failure.
+    sample is one `birman.bs_solve`, a tridiagonal solve, O(M) per lambda,
+    with its NearSingularError refusal; samples outside the window's
+    support are skipped.  Real samples and a real f give
+    T(-lambda) f = conj T(lambda) f bit for bit, so only the first member
+    of each pair +-lambda is solved.  A LOW window total beyond
+    cap * ||f||_1 is reported as DIVERGENT -- for generic f against a
+    nontrivial threshold space that is the expected verdict, not a
+    failure.
     """
     params = dict(params or {})
     n = params.get("n", 256)
@@ -127,7 +127,7 @@ def t_hat_l1_scan(V, grid, f, window, params=None):
     lams, delta = lambda_grid(n, lam_max)
     cut = window_cutoffs(lams, lambda1, r)[window.upper()]
     v = np.zeros(1) if V is None else birman._samples(V)
-    mirror = v is not None and not np.iscomplexobj(v) and not np.any(f.values.imag)
+    mirror = not np.iscomplexobj(v) and not np.any(f.values.imag)
     samples = np.zeros((n, grid.size), complex)
     for i, lam in enumerate(lams):
         if cut[i] == 0.0 or (mirror and i >= n // 2):

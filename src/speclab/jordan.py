@@ -16,22 +16,20 @@ fixtures.  `threshold` computes the concrete version once per scenario:
 the filtration dims, the X_1 states that `classify_state` sorts into
 eigenvalues and resonances (with c0 in one fixed phase), and the basis.
 
-The filtration path is read off the input.  For the samples of a
-multiplier, H = H0 + V is tridiagonal and I + V R0(0) = H H0^{-1}, so no
-M x M matrix is formed: the rank decision comes from power iterations made
-of banded solves, X_1 = ker H from inverse iteration, and, since an
-irreducible tridiagonal H has nullity at most 1, X is a single Jordan chain
-whose members are bordered tridiagonal solves, O(M) each.  A dense
-perturbation matrix takes one dense SVD of I + V R0(0), O(M^3), which is
-also the oracle of the banded path.
+The potential is a vector of samples, so H = H0 + V is tridiagonal and
+I + V R0(0) = H H0^{-1}, and no M x M matrix is formed: the rank decision
+comes from power iterations made of banded solves, X_1 = ker H from
+inverse iteration, and, since an irreducible tridiagonal H has nullity at
+most 1, X is a single Jordan chain whose members are bordered tridiagonal
+solves, O(M) each.
 
 From the basis come the spectral projections P0 (full), the limited P~0
 (whose factors the low-energy inverse uses for Q~0 = I - P~0) and P_pp
 (all point spectrum: eigenvalues by Sturm bisection of a real tridiagonal
 H, by Aberth-Ehrlich sweeps of a complex tridiagonal H, O(M^2) per sweep,
-and by a dense `eigvals` for a dense perturbation or when the sweeps fail;
-bilinear rank-one projectors of simple eigenvalues by tridiagonal inverse
-iteration, Schur-based Riesz projectors elsewhere).  Each is returned as
+and by a dense `eigvals` when the sweeps fail; bilinear rank-one
+projectors of simple eigenvalues by tridiagonal inverse iteration,
+Schur-based Riesz projectors elsewhere).  Each is returned as
 the M x n factors (U, W) of P = U W^T, n its rank, never as an M x M array.
 """
 
@@ -43,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 
-from . import birman, evolution, grids, resolvent
+from . import birman, evolution, grids
 from .grids import GridFunction, bilinear_pair
 
 
@@ -275,7 +273,8 @@ def nilpotent_fixture(chain_spec, rng=None):
     chain_spec maps chain length k to multiplicity L_k.  Each chain block is
     realized on its own coordinates through a dot-isotropic dual pair basis,
     then the whole matrix is conjugated by a random complex orthogonal
-    similarity (which preserves plain symmetry).
+    similarity (which preserves plain symmetry): the Cayley transform
+    Q = (I - A)^{-1} (I + A) of a random complex skew-symmetric A.
     """
     rng = np.random.default_rng(rng)
     blocks = []
@@ -285,8 +284,8 @@ def nilpotent_fixture(chain_spec, rng=None):
     base = sla.block_diag(*blocks) if blocks else np.zeros((0, 0))
     n = base.shape[0]
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    A = 0.35 * (A - A.T) / np.sqrt(max(n, 1))
-    Q = sla.expm(A)  # complex orthogonal: Q^T Q = I
+    A = 0.175 * (A - A.T) / np.sqrt(max(n, 1))
+    Q = np.linalg.solve(np.eye(n) - A, np.eye(n) + A)  # Q^T Q = I
     return Q @ base @ Q.T
 
 
@@ -334,19 +333,26 @@ class Threshold:
 def threshold(V, grid):
     """Filtration dims, X_1 states and self-dual chain basis of H = -Delta + V.
 
-    Restricts the discretized H to span(X) in an orthonormal coordinate
-    frame Q, runs the abstract construction on N = Q^H H Q, and lifts each
-    chain back to the grid column by column.  For the samples of a
-    multiplier H Q is a banded product, O(M) per column; a dense
-    perturbation matrix forms the dense H.  The rank decisions take
-    RANK_TOL, the basis BASIS_TOL.
+    The filtration of `build_filtration`, lifted by `_lift`.  The rank
+    decisions take RANK_TOL, the basis BASIS_TOL.
     """
-    spaces, states = build_filtration(V, grid)
+    return _lift(V, grid, *build_filtration(V, grid))
+
+
+def _lift(V, grid, spaces, states):
+    """The Threshold of the filtration (spaces, states) of H = -Delta + V.
+
+    Restricts H to span(X) in the orthonormal coordinate frame Q of the
+    last space, runs the abstract construction on N = Q^H H Q, with H Q a
+    banded product, O(M) per column, and lifts each chain back to the grid
+    column by column.
+    """
     dims = tuple(sp.shape[1] for sp in spaces)
     if not spaces:
         return Threshold(dims, (), JordanBasis((), np.zeros((0, 0))))
     Q = spaces[-1]
-    N = Q.conj().T @ _apply_H(V, grid, Q)
+    dl, d, du = birman.tridiagonal_bs(grid, 0.0)
+    N = Q.conj().T @ birman._tridiagonal_apply(dl, d + birman._samples(V), du, Q)
     Bres = Q.T @ (grid.weights[:, None] * Q)
     chains = []
     for C in jordan_dual_basis(N, Bres).chains:
@@ -359,15 +365,6 @@ def threshold(V, grid):
 
     basis = JordanBasis(tuple(chains), _gram(chains, pair))
     return Threshold(dims, tuple(states), basis)
-
-
-def _apply_H(V, grid, X):
-    """H X for H = -Delta + V: banded for samples, dense for a matrix V."""
-    v = birman._samples(V)
-    if v is None:
-        return evolution.discretize_H(V, grid) @ X
-    dl, d, du = birman.tridiagonal_bs(grid, 0.0)
-    return birman._tridiagonal_apply(dl, d + v, du, X)
 
 
 def classify_state(psi, grid=None, tol_res=1e-2):
@@ -409,34 +406,6 @@ def classify_state(psi, grid=None, tol_res=1e-2):
     }
 
 
-def build_filtration(V, grid):
-    """Nested bases of X_1 subset ... subset X_K, stabilized, and the X_1 states.
-
-    X_1 is the null space of I + R0(0) V, whose states Psi = R0(0) g come
-    from the null vectors g of T = I + V R0(0), and X_{k+1} solves
-    (I + R0(0) V) Psi = R0(0) Phi over Phi in X_k.  T has a null space when
-    s_min(T) <= RANK_TOL s_max(T), and X_{k+1} grows past X_k when the
-    left null vectors of I + R0(0) V annihilate R0(0) X_k up to RANK_TOL
-    times ||R0(0) X_k||_2.  Returns (spaces, states): a list of orthonormal
-    column matrices, where X_{k+1} collects the solutions over the solvable
-    part of X_k together with X_1, and a list of GridFunctions.  Raises
-    NoStabilizationError when the dims still grow after MAX_FILTRATION_STEPS
-    steps.
-
-    The path is read off the input.  For the samples of a multiplier,
-    `_banded_filtration` works on the tridiagonal H in O(M) per solve; a
-    dense perturbation matrix takes one dense SVD of T (`_dense_filtration`,
-    O(M^3)), which is also the oracle of the banded path.
-    """
-    v = birman._samples(V)
-    if v is not None:
-        bands = birman.tridiagonal_bs(grid, 0.0)
-        solve_H = _shifted_solver(bands[0], bands[1] + v, bands[2], 0.0)
-        if solve_H is not None:
-            return _banded_filtration(v, grid, bands, solve_H)
-    return _dense_filtration(V, grid)
-
-
 #: Power-iteration steps of `_norm_estimate` at most, and the relative
 #: growth of the estimate below which it stops.  The rank decision needs
 #: the norms to a factor of a few; they converge in a handful of steps.
@@ -457,11 +426,22 @@ def _norm_estimate(apply, adjoint, x):
     return s
 
 
-def _banded_filtration(v, grid, bands, solve_H):
-    """`build_filtration` for the samples v of a multiplier, O(M) per solve.
+def build_filtration(V, grid):
+    """Nested bases of X_1 subset ... subset X_K, stabilized, and the X_1 states.
 
-    R0(0) is exactly H0^{-1}, so T = I + V R0(0) = H H0^{-1} with the
-    tridiagonal H = H0 + V, and solve_H factors H.  The rank decision takes
+    X_1 is the null space of I + R0(0) V, whose states Psi = R0(0) g come
+    from the null vectors g of T = I + V R0(0), and X_{k+1} solves
+    (I + R0(0) V) Psi = R0(0) Phi over Phi in X_k.  T has a null space when
+    s_min(T) <= RANK_TOL s_max(T), and X_{k+1} grows past X_k when the
+    left null vectors of I + R0(0) V annihilate R0(0) X_k up to RANK_TOL
+    times ||R0(0) X_k||_2.  Returns (spaces, states): a list of orthonormal
+    column matrices, where X_{k+1} collects the solutions over the solvable
+    part of X_k together with X_1, and a list of GridFunctions.  Raises
+    NoStabilizationError when the dims still grow after MAX_FILTRATION_STEPS
+    steps.
+
+    All of it is O(M) per solve.  R0(0) is exactly H0^{-1}, so
+    T = H H0^{-1} with the tridiagonal H = H0 + V.  The rank decision takes
     s_max(T) and 1 / s_min(T) = ||T^{-1}||_2, T^{-1} = H0 H^{-1}, from power
     iterations made of banded applies and solves (`_norm_estimate`).  An
     irreducible tridiagonal H has nullity at most 1, so X_1 = ker H is one
@@ -471,10 +451,15 @@ def _banded_filtration(v, grid, bands, solve_H):
     vector of I + R0(0) V is H0 psi-bar / ||H0 psi||, so the solvability of
     X_{k+1} is the bilinear psi^T X_k / ||H0 psi||, and X is a single Jordan
     chain: each member phi_{k+1}, H phi_{k+1} = phi_k, is one bordered
-    tridiagonal solve (`_chain_solver`).
+    tridiagonal solve (`_chain_solver`).  An exactly zero pivot of H moves
+    its factorization by a few ulps (`_shifted_solver`); a second one raises
+    birman.NearSingularError.
     """
-    dl, d0, du = bands
-    d = d0 + v
+    dl, d0, du = birman.tridiagonal_bs(grid, 0.0)
+    d = d0 + birman._samples(V)
+    solve_H = _shifted_solver(dl, d, du, 0.0)
+    if solve_H is None:
+        raise birman.NearSingularError(np.inf, "threshold: zero pivot of H at both shifts")
     solve_H0 = birman._tridiagonal_solver(dl, d0, du)
 
     def H(x):
@@ -552,54 +537,6 @@ def _still_growing(spaces):
     )
 
 
-def _dense_filtration(V, grid):
-    """`build_filtration` from one dense SVD of T = I + V R0(0), O(M^3).
-
-    Its right null vectors g give the states Psi = R0(0) g.  The filtration
-    solves (I + R0(0)V) Psi = R0(0) Phi, whose matrix is T^T: R0(0) is
-    exactly symmetric on the uniform-weight grid and V must be a multiplier
-    or a symmetric perturbation (as `jordan_dual_basis` requires), so the
-    factors of T^T are the transposed factors of T.
-    """
-    R0 = resolvent.build_R0(grid, 0.0)
-    Ut, s, Vht = np.linalg.svd(np.eye(grid.size) + birman.potential_operator(V, R0))
-    rank = int(np.sum(s > RANK_TOL * s[0]))
-    G = Vht[rank:].conj().T
-    states = [GridFunction(grid, R0 @ G[:, i]) for i in range(G.shape[1])]
-    if not states:
-        return [], []
-    U, Vh = Vht.T, Ut.T  # SVD factors of T^T = I + R0(0)V
-    X1 = Vh[rank:].conj().T
-    left_null = U[:, rank:]
-    # Minimal-norm solver restricted to the numerically regular part.
-    Ur, sr, Vr = U[:, :rank], s[:rank], Vh[:rank]
-
-    def solve(rhs):
-        return Vr.conj().T @ ((Ur.conj().T @ rhs) / sr[:, None])
-
-    spaces = [X1]
-    for _ in range(MAX_FILTRATION_STEPS):
-        Xk = spaces[-1]
-        rhs = R0 @ Xk
-        # Solvable combinations: R0 Phi must avoid the left null space.
-        C = left_null.conj().T @ rhs
-        if C.shape[0]:
-            alpha = _null_basis(C, RANK_TOL, max(np.linalg.norm(rhs, 2), 1e-300))
-        else:
-            alpha = np.eye(Xk.shape[1])
-        if alpha.shape[1] == 0:
-            particular = np.zeros((grid.size, 0))
-        else:
-            particular = solve(rhs @ alpha)
-        stacked = np.hstack([Xk, X1, particular])
-        Q, sv, _ = np.linalg.svd(stacked, full_matrices=False)
-        nxt = Q[:, sv > RANK_TOL * sv[0]]
-        if nxt.shape[1] == Xk.shape[1]:
-            return spaces, states
-        spaces.append(nxt)
-    raise _still_growing(spaces)
-
-
 # ---------------------------------------------------------------------------
 # Projections
 
@@ -646,42 +583,38 @@ def build_Ppp(
     Riesz projectors are set side by side, then those of P0 when a
     threshold basis (zero-energy part) is supplied.  W^T U is the identity.
 
-    The eigenvalue source is read off the input, as `evolution.propagate`
-    reads its algorithm.  Real samples make H real-symmetric
-    tridiagonal, and only its eigenvalues below -delta_edge are found, by
-    Sturm bisection (`_eigenvalues_below`, O(M) per step and eigenvalue).
-    Complex samples make H complex-symmetric tridiagonal, and all M of its
-    eigenvalues come from Aberth-Ehrlich sweeps (`_tridiagonal_eigenvalues`,
-    O(M^2) per sweep), since the selection rule takes complex eigenvalues
-    anywhere off the real axis.  Dense perturbation matrices, and complex
-    samples whose sweeps do not converge or fail their trace checks, take
-    one dense `eigvals` of H, O(M^3).  H is formed only for that `eigvals`
-    or for a Schur projector.
+    The eigenvalue source is read off the samples.  Real samples make H
+    real-symmetric tridiagonal, and only its eigenvalues below -delta_edge
+    are found, by Sturm bisection (`_eigenvalues_below`, O(M) per step and
+    eigenvalue).  Complex samples make H complex-symmetric tridiagonal, and
+    all M of its eigenvalues come from Aberth-Ehrlich sweeps
+    (`_tridiagonal_eigenvalues`, O(M^2) per sweep), since the selection rule
+    takes complex eigenvalues anywhere off the real axis.  Complex samples
+    whose sweeps do not converge or fail their trace checks take one dense
+    `eigvals` of H, O(M^3).  H is formed only for that `eigvals` or for a
+    Schur projector.
 
-    The path per cluster is read off the input too.  H is complex
-    symmetric, so the left eigenvector of a simple eigenvalue z is the
-    transposed right one psi, and its Riesz projector is the bilinear
-    rank-one psi psi^T / (psi^T psi), in the pairing of the self-dual
-    Jordan basis.  For a sampled potential (tridiagonal H) a single-member
-    cluster takes that formula, with psi from inverse iteration on the
-    tridiagonal H - z (`_rank_one_projector`, O(M) per step).
-    `_riesz_projector`, a sorted Schur form and a Sylvester solve, serves
-    the rest: a dense perturbation matrix, a cluster of more than one
-    eigenvalue, a near-defective eigenvalue (condition kappa =
-    ||psi||^2 / |psi^T psi| above KAPPA_MAX) and an eigenpair whose residual
-    ||H psi - z psi|| exceeds RESIDUAL_TOL ||H||_1 ||psi||.
+    The path per cluster is read off the cluster.  H is complex symmetric,
+    so the left eigenvector of a simple eigenvalue z is the transposed
+    right one psi, and its Riesz projector is the bilinear rank-one
+    psi psi^T / (psi^T psi), in the pairing of the self-dual Jordan basis.
+    A single-member cluster takes that formula, with psi from inverse
+    iteration on the tridiagonal H - z (`_rank_one_projector`, O(M) per
+    step).  `_riesz_projector`, a sorted Schur form and a Sylvester solve,
+    serves the rest: a cluster of more than one eigenvalue, a
+    near-defective eigenvalue (condition kappa = ||psi||^2 / |psi^T psi|
+    above KAPPA_MAX) and an eigenpair whose residual ||H psi - z psi||
+    exceeds RESIDUAL_TOL ||H||_1 ||psi||.
     """
     if delta_edge is None:
         delta_edge = 3.0 * free_edge_scale(grid)
     v = np.zeros(grid.size) if V is None else birman._samples(V)
-    H = bands = evals = None
-    if v is not None:
-        dl, d, du = birman.tridiagonal_bs(grid, 0.0)
-        bands = (dl, d + v, du)
-        if np.any(np.imag(v)):
-            evals = _tridiagonal_eigenvalues(bands[1], dl)
-        else:
-            evals = _eigenvalues_below(d + np.real(v), dl, -delta_edge)
+    dl, d, du = birman.tridiagonal_bs(grid, 0.0)
+    bands, H = (dl, d + v, du), None
+    if np.iscomplexobj(v):
+        evals = _tridiagonal_eigenvalues(bands[1], dl)
+    else:
+        evals = _eigenvalues_below(bands[1], dl, -delta_edge)
     if evals is None:
         H = evolution.discretize_H(V, grid)
         evals = np.linalg.eigvals(H)
@@ -691,7 +624,7 @@ def build_Ppp(
     factors = [_factors(grid, [], [])]  # rank 0 when nothing is selected
     for center, members in _cluster(selected, cluster_tol):
         proj = None
-        if bands is not None and len(members) == 1:
+        if len(members) == 1:
             proj = _rank_one_projector(*bands, center)
         if proj is None:
             if H is None:
@@ -901,40 +834,12 @@ def _riesz_projector(H, center, radius):
     of the cluster in T11; the projector is Z [[I, X], [0, 0]] Z* with
     T11 X - X T22 = T12, so U = Z[:, :s] and W = conj(Z) [I, X]^T (s = 0
     and s = M included).  O(M^3); `build_Ppp` uses it for clusters of more
-    than one eigenvalue, near-defective eigenvalues and dense perturbation
-    matrices, where the rank-one formula is not safe, and the tests use it
-    as the oracle of `_rank_one_projector`.
+    than one eigenvalue and near-defective eigenvalues, where the rank-one
+    formula is not safe, and the tests use it as the oracle of
+    `_rank_one_projector`.
     """
     T, Z, sdim = sla.schur(
         H, output="complex", sort=lambda z: abs(z - center) <= radius
     )
     X = sla.solve_sylvester(T[:sdim, :sdim], -T[sdim:, sdim:], T[:sdim, sdim:])
     return Z[:, :sdim], Z.conj() @ np.vstack([np.eye(sdim), X.T])
-
-
-# ---------------------------------------------------------------------------
-# Fixtures on the grid
-
-
-def build_chain_fixture(grid, target, seed=0):
-    """Finite-rank symmetric perturbation giving H0 + F a prescribed
-    zero-energy Jordan structure.
-
-    The lowest few eigenpairs (mu_i, u_i) of the free discretized H0 are
-    replaced: F = U (N_target - D) U^T with U real orthonormal eigenvectors
-    and N_target a symmetric nilpotent with the target chain pattern, so
-    H0 + F acts as N_target on span(U) and is untouched on its complement.
-    Returns the perturbation F as a dense matrix (usable wherever a
-    potential is expected).
-    """
-    n = sum(k * lk for k, lk in target.items())
-    if n == 0:
-        raise ValueError("empty chain target")
-    if n > grid.size:
-        raise ValueError(f"target dimension {n} exceeds grid size {grid.size}")
-    H0 = evolution.discretize_H(None, grid).real
-    mu, W = np.linalg.eigh(H0)
-    U = W[:, :n]
-    D = np.diag(mu[:n])
-    N_target = nilpotent_fixture(target, rng=seed)
-    return U @ (N_target - D) @ U.T

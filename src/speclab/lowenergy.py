@@ -23,25 +23,22 @@ eigenvalue; the sampled free-space kernels of the resolvent module differ
 from this family by a domain-truncation boundary term that would otherwise
 pollute the pole coefficients with an O(1) defect.  H0 is tridiagonal, so
 `domain_resolvent` applies this inverse by tridiagonal solves, O(M) per
-vector; no M x M resolvent is formed except `_bs_matrix`, the dense
-I + V R0(lambda^2) of the dense bordered S0 system and of the tests'
-oracles.  H0 is real symmetric, so products X R0(lambda^2) are formed as
-(R0(lambda^2) X^T)^T.
+vector; no M x M resolvent is formed.  H0 is real symmetric, so products
+X R0(lambda^2) are formed as (R0(lambda^2) X^T)^T.
 
-Cost: for a sampled potential nothing here is O(M^3).  `build_S0` forms
-S0 column by column from tridiagonal solves (`_banded_S0`), O(M^2) in all,
-and Q~0 = I - P~0 is applied through the rank-n factors of P~0, so S0 Q~0 V
-and the defect of `one_sided_residual` cost O(M^2 n).  S(lambda) itself is
-never formed: the scan and the formula apply it to their data, one column
-per probe, so the work per lambda is the O(M^2) series step (M tridiagonal
-solves, one M x M array) and its products with those columns.  The window
-search (`_auto_window`) runs on one column of the step, one tridiagonal
-solve and one O(M^2) product per trial lambda, and takes the full step,
-M solves, only at lambda = 1 and to certify the window, about three times
-in all.  Only a dense perturbation matrix takes the O(M^3) dense LU of the
-bordered system (`_bordered_S0`).  A real potential makes the basis, S0,
-the step and every other M x M array here real (float64), half the memory
-of complex ones; complex data meets them through `grids.apply_matrix`.
+Cost: nothing here is O(M^3).  `build_S0` forms S0 column by column from
+tridiagonal solves (`_banded_S0`), O(M^2) in all, and Q~0 = I - P~0 is
+applied through the rank-n factors of P~0, so S0 Q~0 V and the defect of
+`one_sided_residual` cost O(M^2 n).  S(lambda) itself is never formed: the
+scan and the formula apply it to their data, one column per probe, so the
+work per lambda is the O(M^2) series step (M tridiagonal solves, one M x M
+array) and its products with those columns.  The window search
+(`_auto_window`) runs on one column of the step, one tridiagonal solve and
+one O(M^2) product per trial lambda, and takes the full step, M solves,
+only at lambda = 1 and to certify the window, about three times in all.  A
+real potential makes the basis, S0, the step and every other M x M array
+here real (float64), half the memory of complex ones; complex data meets
+them through `grids.apply_matrix`.
 """
 
 from __future__ import annotations
@@ -72,12 +69,6 @@ def domain_resolvent(grid, lam):
     """
     dl, d, du = birman.tridiagonal_bs(grid, 0.0)
     return birman._tridiagonal_solver(dl, d - lam**2, du, f"lambda={lam}")
-
-
-def _bs_matrix(V, grid, lam):
-    """The dense I + V R0(lambda^2) with the domain resolvent family."""
-    R = domain_resolvent(grid, lam)(np.eye(grid.size, dtype=complex))
-    return np.eye(grid.size) + birman.potential_operator(V, R)
 
 
 @dataclass
@@ -119,12 +110,9 @@ def build_S0(V, grid, basis, window="auto"):
     duality normalization pair(V psi_{1,k}, R0(0) psi_{k',k'}) = -delta
     guarantees the bordered matrix is nonsingular.
 
-    The path is read off the input.  For the samples of a multiplier,
     `_banded_S0` solves the system column by column in O(M) each, O(M^2)
     in all; with no threshold basis S0 is the plain inverse of I + V R0(0),
-    M banded solves of `birman.bs_solve` with its near-singular refusal.  A
-    dense perturbation matrix takes the dense LU of the bordered matrix
-    (`_bordered_S0`, O(M^3)), which is also the oracle of the banded path.
+    M banded solves of `birman.bs_solve` with its near-singular refusal.
     """
     Y, Z = jordan.build_Ptilde0(basis, grid)
     R0Y = domain_resolvent(grid, 0.0)(Y)
@@ -136,9 +124,7 @@ def build_S0(V, grid, basis, window="auto"):
             f"duality Gram matrix has condition {np.linalg.cond(D):.3e}"
         )
     v = birman._samples(V)
-    if v is None:
-        S0 = _bordered_S0(V, grid, Y, Z, R0Y)
-    elif not basis.chains:
+    if not basis.chains:
         eye = np.eye(grid.size, dtype=v.dtype)
         S0 = birman.bs_solve(V, grid, 0.0, eye, context="S0")[1]
     else:
@@ -148,25 +134,8 @@ def build_S0(V, grid, basis, window="auto"):
     return reg
 
 
-def _bordered_S0(V, grid, Y, Z, R0Y):
-    """S0 from the dense LU of the bordered matrix of `build_S0`, O(M^3).
-
-    The path of a dense perturbation matrix and the oracle of `_banded_S0`;
-    with no chains (Y and Z of width 0) it is the dense inverse of
-    I + V R0(0).
-    """
-    M, n = Y.shape
-    T0 = _bs_matrix(V, grid, 0.0)
-    K = np.zeros((M + n, M + n), complex)
-    K[:M, :M] = T0 - Y @ (Z.T @ T0)
-    K[:M, M:] = Y
-    K[M:, :M] = (grid.weights[:, None] * R0Y).T
-    Kinv, _ = birman.direct_inverse(K, context="S0 bordered solve")
-    return Kinv[:M, :M]
-
-
 def _banded_S0(v, grid, Y, Z, R0Y):
-    """S0 for the samples v of a multiplier, in O(M) per column.
+    """S0 for the samples v of the potential, in O(M) per column.
 
     R0(0) is exactly H0^{-1}, so I + V R0(0) = H H0^{-1} with H = H0 + V
     tridiagonal, and the weights are uniform (w = h), so C H0 = h Y^T.  The
@@ -186,7 +155,7 @@ def _banded_S0(v, grid, Y, Z, R0Y):
     S0 = birman._tridiagonal_apply(dl, d0, du, y)
     del y
     # The residual [F; 0] - [[Q~0 T0, Y], [C, 0]] [S0; mu], formed in place
-    # so that no more M x M arrays are alive than in the dense path.
+    # so that no more M x M arrays are alive than S0, F and one temporary.
     T = domain_resolvent(grid, 0.0)(S0)
     T *= v[:, None]
     T += S0

@@ -1,8 +1,9 @@
 """Shared scenario fixtures.
 
-The tuned exact-eigenvalue scenarios are session-scoped and shared across
-test modules; their set-up (the coupling tuning, the threshold and
-ee_small's S0) is banded.
+The tuned exact-eigenvalue scenarios and the Jordan-chain potential are
+session-scoped and shared across test modules; their set-up (the coupling
+tuning, the threshold and the S0 of ee_small and chain_fixture20) is
+banded.
 """
 
 import numpy as np
@@ -102,10 +103,32 @@ def ee_small():
     return {"grid": grid, "V": tuned, "basis": basis, "reg": reg}
 
 
+def _isotropic_chain_potential(grid):
+    """Samples v with (H0 + v) psi = 0 for a psi with sum psi^2 = 0.
+
+    psi = p + i q with p, q real, orthogonal and of equal norm is
+    isotropic under the bilinear pairing, so H psi = psi is solvable and
+    the zero-energy space is a chain of length 2.  p = (1 + r^2)^-3 and
+    q ~ r (1 + r^2)^-4 decay fast enough that the chain meets criterion 6's
+    tolerances; at p = (1 + r^2)^-1 the one-sided residual of S0 is 2.7e-9.
+    """
+    r = grid.nodes
+    p = (1.0 + r**2) ** -3
+    q = r * (1.0 + r**2) ** -4
+    q -= (p @ q) / (p @ p) * p
+    q *= np.linalg.norm(p) / np.linalg.norm(q)
+    psi = p + 1j * q
+    dl, d, du = birman.tridiagonal_bs(grid, 0.0)
+    v = -birman._tridiagonal_apply(dl, d, du, psi) / psi
+    return birman.PotentialSpec("isotropic chain", GridFunction(grid, v))
+
+
 @pytest.fixture(scope="session")
 def chain_fixture20(grid20):
-    """K=2 finite-rank chain perturbation of the free operator."""
-    F = jordan.build_chain_fixture(grid20, {2: 1}, seed=3)
-    threshold = jordan.threshold(F, grid20)
-    return {"grid": grid20, "V": F, "threshold": threshold,
-            "basis": threshold.basis}
+    """A complex potential on grid20 whose zero-energy space is one Jordan
+    chain of length 2 (K = 2), with its S0 on the automatic window."""
+    V = _isotropic_chain_potential(grid20)
+    threshold = jordan.threshold(V, grid20)
+    reg = lowenergy.build_S0(V, grid20, threshold.basis)
+    return {"grid": grid20, "V": V, "threshold": threshold,
+            "basis": threshold.basis, "reg": reg}

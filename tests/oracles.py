@@ -1,0 +1,80 @@
+"""Dense references of the banded paths, for the tests only.
+
+Each forms an M x M matrix that the package never forms and costs
+O(M^3): the dense I + V R0(lambda^2), the dense LU of the bordered S0
+system and the dense SVD filtration of the threshold.
+"""
+
+import numpy as np
+
+from speclab import birman, jordan, lowenergy, resolvent
+from speclab.grids import GridFunction
+
+
+def bs_matrix(V, grid, lam):
+    """The dense I + V R0(lambda^2) with the domain resolvent family."""
+    R = lowenergy.domain_resolvent(grid, lam)(np.eye(grid.size, dtype=complex))
+    return np.eye(grid.size) + birman.potential_operator(V, R)
+
+
+def bordered_S0(V, grid, Y, Z, R0Y):
+    """S0 from the dense LU of the bordered matrix of `lowenergy.build_S0`.
+
+    With no chains (Y and Z of width 0) it is the dense inverse of
+    I + V R0(0).
+    """
+    M, n = Y.shape
+    T0 = bs_matrix(V, grid, 0.0)
+    K = np.zeros((M + n, M + n), complex)
+    K[:M, :M] = T0 - Y @ (Z.T @ T0)
+    K[:M, M:] = Y
+    K[M:, :M] = (grid.weights[:, None] * R0Y).T
+    Kinv, _ = birman.direct_inverse(K, context="S0 bordered solve")
+    return Kinv[:M, :M]
+
+
+def dense_filtration(V, grid):
+    """`jordan.build_filtration` from one dense SVD of T = I + V R0(0).
+
+    Its right null vectors g give the states Psi = R0(0) g.  The filtration
+    solves (I + R0(0)V) Psi = R0(0) Phi, whose matrix is T^T: R0(0) is
+    exactly symmetric on the uniform-weight grid and V is a multiplier, so
+    the factors of T^T are the transposed factors of T.
+    """
+    R0 = resolvent.build_R0(grid, 0.0)
+    Ut, s, Vht = np.linalg.svd(np.eye(grid.size) + birman.potential_operator(V, R0))
+    rank = int(np.sum(s > jordan.RANK_TOL * s[0]))
+    G = Vht[rank:].conj().T
+    states = [GridFunction(grid, R0 @ G[:, i]) for i in range(G.shape[1])]
+    if not states:
+        return [], []
+    U, Vh = Vht.T, Ut.T  # SVD factors of T^T = I + R0(0)V
+    X1 = Vh[rank:].conj().T
+    left_null = U[:, rank:]
+    # Minimal-norm solver restricted to the numerically regular part.
+    Ur, sr, Vr = U[:, :rank], s[:rank], Vh[:rank]
+
+    def solve(rhs):
+        return Vr.conj().T @ ((Ur.conj().T @ rhs) / sr[:, None])
+
+    spaces = [X1]
+    for _ in range(jordan.MAX_FILTRATION_STEPS):
+        Xk = spaces[-1]
+        rhs = R0 @ Xk
+        # Solvable combinations: R0 Phi must avoid the left null space.
+        C = left_null.conj().T @ rhs
+        alpha = jordan._null_basis(C, jordan.RANK_TOL, max(np.linalg.norm(rhs, 2), 1e-300))
+        particular = solve(rhs @ alpha)
+        stacked = np.hstack([Xk, X1, particular])
+        Q, sv, _ = np.linalg.svd(stacked, full_matrices=False)
+        nxt = Q[:, sv > jordan.RANK_TOL * sv[0]]
+        if nxt.shape[1] == Xk.shape[1]:
+            return spaces, states
+        spaces.append(nxt)
+    raise jordan._still_growing(spaces)
+
+
+def dense_threshold(V, grid):
+    """The threshold of V from `dense_filtration`, lifted to the Jordan basis
+    by the code of `jordan.threshold`."""
+    return jordan._lift(V, grid, *dense_filtration(V, grid))

@@ -9,6 +9,7 @@ of ten propagator steps (about 1.2 s on 2 cores).
 import numpy as np
 import pytest
 
+from oracles import bs_matrix
 from speclab import birman, evolution, ftdiag, grids, jordan, lowenergy, potentials
 from speclab.grids import GridFunction, Mode
 
@@ -68,11 +69,27 @@ def test_criterion_02_projected_dispersive_bound(ee80):
 # 3. Low-energy inverse formula vs dense oracle ------------------------------
 
 
-def test_criterion_03_inverse_formula_oracle(ee_small):
+def _low_energy_exponents(reg, lambdas, rng):
+    """The low-energy scan of criterion 3 on admissible data (I - P0) f and
+    a generic bump: the ratio max / last of the admissible norms, and the
+    log-log slope of the generic ones."""
+    g = reg.grid
+    f = GridFunction(g, rng.standard_normal(g.size).astype(complex))
+    f_adm = GridFunction(
+        g, grids.apply_complement(jordan.build_P0(reg.basis, g), f.values)
+    )
+    f_gen = grids.gaussian_bump(g, width=0.5)
+    rows = lowenergy.low_energy_scan(reg, lambdas, f_adm, f_gen)
+    adm = np.array([r["norm_admissible_f"] for r in rows])
+    gen = np.array([r["norm_generic_f"] for r in rows])
+    return adm.max() / adm[-1], np.polyfit(np.log(lambdas), np.log(gen), 1)[0]
+
+
+def test_criterion_03_inverse_formula_oracle(ee_small, chain_fixture20):
     g, V, reg = ee_small["grid"], ee_small["V"], ee_small["reg"]
     rng = np.random.default_rng(0)
     for lam in (0.03, 0.1, 0.2):
-        T = lowenergy._bs_matrix(V, g, lam)
+        T = bs_matrix(V, g, lam)
         for _ in range(20):
             f = GridFunction(
                 g, rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
@@ -82,20 +99,18 @@ def test_criterion_03_inverse_formula_oracle(ee_small):
             rel = grids.lp_norm(GridFunction(g, out.values - oracle), 1)
             rel /= grids.lp_norm(GridFunction(g, oracle), 1)
             assert rel <= 1e-6
-    # lambda-scan: bounded for admissible f, -2K slope for generic f
-    lambdas = np.geomspace(0.02, 0.2, 8)
-    f = GridFunction(g, rng.standard_normal(g.size).astype(complex))
-    f_adm = GridFunction(
-        g, grids.apply_complement(jordan.build_P0(reg.basis, g), f.values)
-    )
-    f_gen = grids.gaussian_bump(g, width=0.5)
-    rows = lowenergy.low_energy_scan(reg, lambdas, f_adm, f_gen)
-    adm = np.array([r["norm_admissible_f"] for r in rows])
-    gen = np.array([r["norm_generic_f"] for r in rows])
-    assert adm.max() / adm[-1] <= 3.0
-    K = ee_small["basis"].K
-    slope = np.polyfit(np.log(lambdas), np.log(gen), 1)[0]
-    assert abs(slope + 2.0 * K) < 0.2
+    # lambda-scan: bounded for admissible f, -2K slope for generic f; the
+    # chain potential scans its automatic window w, with K = 2
+    w = chain_fixture20["reg"].window
+    for sc, lambdas in ((ee_small, np.geomspace(0.02, 0.2, 8)),
+                        (chain_fixture20, np.geomspace(w / 10, w, 6))):
+        ratio, slope = _low_energy_exponents(sc["reg"], lambdas, rng)
+        assert ratio <= 3.0
+        assert abs(slope + 2.0 * sc["basis"].K) < 0.2
+    assert chain_fixture20["basis"].K == 2
+    # S(lambda) stays a one-sided inverse inside that window; no dense
+    # oracle at K = 2: I + V R0(lambda^2) has condition 1e15-5e17 there
+    assert lowenergy.one_sided_residual(chain_fixture20["reg"], w / 2) <= 1e-9
 
 
 # 4. Dual-basis certificate on random nilpotent fixtures ---------------------
@@ -163,11 +178,7 @@ def test_criterion_06_identity_suite(ee_small, chain_fixture20):
         (ee_small["V"], ee_small["grid"], ee_small["basis"], ee_small["reg"],
          (0.03, 0.1, 0.2)),
         (chain_fixture20["V"], chain_fixture20["grid"], chain_fixture20["basis"],
-         lowenergy.build_S0(
-             chain_fixture20["V"], chain_fixture20["grid"],
-             chain_fixture20["basis"], window=0.05,
-         ),
-         (0.002, 0.005, 0.02)),
+         chain_fixture20["reg"], (0.002, 0.005, 0.02)),
     ]
     for V, g, basis, reg, lambdas in scenarios:
         assert lowenergy.one_sided_residual(reg, 0.0) <= 1e-9

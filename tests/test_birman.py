@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from speclab import birman, potentials, resolvent
+from speclab import birman, evolution, jordan, lowenergy, potentials, resolvent
 from speclab.grids import GridFunction, Mode, make_grid, operator_l1_norm
 from speclab.resolvent import Branch
 
@@ -12,6 +12,19 @@ def test_potential_spec_validates_exponents(grid20):
     with pytest.raises(ValueError):
         birman.PotentialSpec("bad", GridFunction(grid20, np.zeros(grid20.size)),
                              p=1.6, q=2.0)
+
+
+@pytest.mark.parametrize("use", [
+    lambda F, g: jordan.threshold(F, g),
+    lambda F, g: lowenergy.build_S0(F, g, jordan.JordanBasis((), np.zeros((0, 0)))),
+    lambda F, g: jordan.build_Ppp(F, g),
+    lambda F, g: evolution.propagate(evolution.make_plan(F, g, [1.0]),
+                                     GridFunction(g, g.nodes.astype(complex))),
+], ids=["threshold", "build_S0", "build_Ppp", "propagate"])
+def test_a_dense_matrix_is_not_a_potential(grid20, well20, use):
+    # a potential is its samples; the dense perturbation matrix is refused
+    with pytest.raises(TypeError, match="PotentialSpec"):
+        use(np.diag(well20.values.values), grid20)
 
 
 def test_epsilon_at_default_exponents(well20):

@@ -1,7 +1,4 @@
-"""Smoke tests: the demos run to the end and print their findings.
-
-`dispersive_contrast.py` (about 10 s) is left out.
-"""
+"""Smoke tests: the demos run to the end and print their findings."""
 
 import os
 import pathlib
@@ -22,6 +19,15 @@ def _run_demo(name):
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
+
+
+def test_dispersive_contrast_demo():
+    lines = _run_demo("dispersive_contrast.py")
+    exponents = {line[:28].strip(): float(line.split()[-3])
+                 for line in lines if " exponent " in line}
+    assert abs(exponents["free"] + 1.5) < 0.1
+    assert exponents["zero mode, unprojected"] >= -0.2
+    assert abs(exponents["zero mode, projected"] + 1.5) < 0.15
 
 
 def test_threshold_classification_demo():

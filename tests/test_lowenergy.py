@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bordered_S0, bs_matrix
 from speclab import birman, evolution, grids, jordan, lowenergy, potentials
 from speclab.grids import GridFunction, operator_l1_norm
 
@@ -111,19 +112,8 @@ def test_banded_S0_matches_the_dense_bordered_solve(tune, nodes, extent, s, dept
         V = tune(potentials.exact_eigen(grid, s=s), grid)
     basis = jordan.threshold(V, grid).basis
     reg = lowenergy.build_S0(V, grid, basis, window=1.0)
-    dense = lowenergy._bordered_S0(V, grid, reg.Y, reg.Z, reg.range_constraints)
+    dense = bordered_S0(V, grid, reg.Y, reg.Z, reg.range_constraints)
     assert np.abs(reg.S0 - dense).max() <= 1e-10 * np.abs(dense).max()
-
-
-def test_dense_perturbation_keeps_the_dense_paths(chain_fixture20, count_calls):
-    # a dense perturbation matrix has no tridiagonal H: eigvals for the
-    # point spectrum and the dense bordered LU for S0
-    g, F, basis = chain_fixture20["grid"], chain_fixture20["V"], chain_fixture20["basis"]
-    eigvals = count_calls(np.linalg, "eigvals")
-    dense_lu = count_calls(birman, "direct_inverse")
-    jordan.build_Ppp(F, g, basis=basis)
-    lowenergy.build_S0(F, g, basis, window=1.0)
-    assert len(eigvals) == 1 and len(dense_lu) == 1
 
 
 def test_s0_refuses_a_degenerate_duality_pairing(ee_small):
@@ -215,7 +205,7 @@ def test_formula_matches_dense_inversion(ee_small):
     f = _rand_f(g, rng)
     lam = 0.1
     out, _ = lowenergy.inverse_via_formula(reg, lam, f)
-    oracle = np.linalg.solve(lowenergy._bs_matrix(V, g, lam), f.values)
+    oracle = np.linalg.solve(bs_matrix(V, g, lam), f.values)
     err = np.sum(g.weights * np.abs(out.values - oracle))
     err /= np.sum(g.weights * np.abs(oracle))
     assert err < 1e-6
