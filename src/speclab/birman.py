@@ -34,7 +34,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from . import resolvent
-from .grids import GridFunction, apply_matrix, lp_norm, operator_l1_norm
+from .grids import GridFunction, lp_norm, operator_l1_norm
 from .resolvent import Branch
 
 #: Condition-number cutoff defining NEAR_SINGULAR.
@@ -421,23 +421,24 @@ def local_neumann_inverse(V, grid, lambda0, r, lam):
     S0, _ = direct_inverse(build_bs(V, grid, lambda0), context=f"lambda0={lambda0}")
     B = resolvent.build_B(grid, lambda0, lam)
     step = -(potential_operator(V, S0, right=True) @ B)
-    return _neumann_series(S0, step, grid, 1e-12, 200, grid.weights)
+    factor = operator_l1_norm(step, grid)
+    return _neumann_series(S0, lambda x: step @ x, factor, grid, 1e-12, 200, grid.weights)
 
 
-def _neumann_series(first, step, grid, tol, max_terms, x_norms):
+def _neumann_series(first, step, factor, grid, tol, max_terms, x_norms):
     """sum_m step^m first, where first = S0 X for data X of column norms x_norms.
 
-    x_norms are the L^1 norms of the columns x_j of X.  The sum stops once
-    max_j ||term_j||_1 / ||x_j||_1 < tol.  For X = I (x_norms =
-    grid.weights) that is the induced L^1 norm of the term, the rule of an
-    operator series.  The one series loop, shared with
-    lowenergy.build_S_lambda; it is private so that traced self times stay
-    with the two public callers.
+    step maps a matrix of columns to its image under the step operator,
+    whose induced L^1 norm is factor.  x_norms are the L^1 norms of the
+    columns x_j of X.  The sum stops once max_j ||term_j||_1 / ||x_j||_1 <
+    tol.  For X = I (x_norms = grid.weights) that is the induced L^1 norm
+    of the term, the rule of an operator series.  The one series loop,
+    shared with lowenergy.build_S_lambda; it is private so that traced self
+    times stay with the two public callers.
 
-    Raises NoContractionError when ||step|| >= 1 and SeriesNotConvergedError
-    when max_terms terms do not reach tol.  Returns (sum, ||step||).
+    Raises NoContractionError when factor >= 1 and SeriesNotConvergedError
+    when max_terms terms do not reach tol.  Returns (sum, factor).
     """
-    factor = operator_l1_norm(step, grid)
     if factor >= 1.0:
         raise NoContractionError(factor)
     w = grid.weights
@@ -445,7 +446,7 @@ def _neumann_series(first, step, grid, tol, max_terms, x_norms):
     total = first.copy()
     term, norm = first, np.inf
     for _ in range(max_terms):
-        term = apply_matrix(step, term)
+        term = step(term)
         total += term
         norm = float(((w @ np.abs(term)) / scale).max())
         if norm < tol:

@@ -267,8 +267,8 @@ def run_invert(cfg, grid, V, rng, out_dir=None, *, threshold=None):
     section = cfg.get("invert", {})
     lambdas = section.get("lambdas")
     if "lambdas" in section:
-        if not isinstance(lambdas, list):
-            raise ConfigError("invert lambdas must be a JSON list")
+        if not isinstance(lambdas, list) or not lambdas:
+            raise ConfigError("invert lambdas must be a nonempty JSON list")
         lambdas = [_number("lambdas", l) for l in lambdas]
     window = section.get("window", "auto")
     if window != "auto":

@@ -26,19 +26,26 @@ pollute the pole coefficients with an O(1) defect.  H0 is tridiagonal, so
 vector; no M x M resolvent is formed.  H0 is real symmetric, so products
 X R0(lambda^2) are formed as (R0(lambda^2) X^T)^T.
 
-Cost: nothing here is O(M^3).  `build_S0` forms S0 column by column from
-tridiagonal solves (`_banded_S0`), O(M^2) in all, and Q~0 = I - P~0 is
-applied through the rank-n factors of P~0, so S0 Q~0 V and the defect of
-`one_sided_residual` cost O(M^2 n).  S(lambda) itself is never formed: the
-scan and the formula apply it to their data, one column per probe, so the
-work per lambda is the O(M^2) series step (M tridiagonal solves, one M x M
-array) and its products with those columns.  The window search
-(`_auto_window`) runs on one column of the step, one tridiagonal solve and
-one O(M^2) product per trial lambda, and takes the full step, M solves,
-only at lambda = 1 and to certify the window, about three times in all.  A
-real potential makes the basis, S0, the step and every other M x M array
-here real (float64), half the memory of complex ones; complex data meets
-them through `grids.apply_matrix`.
+Cost: nothing here is O(M^3), and S0 and R0(0) X^T, X = S0 Q~0 V, are the
+only M x M arrays (but for the identity and its image in the
+`birman.bs_solve` that gives S0 when there is no threshold
+basis).  Everything else that spans M columns is streamed in column blocks
+of BLOCK_BYTES (`_blocks`), so the working memory beyond those two is a
+few blocks.  `build_S0` forms S0 a block of columns at a time from
+tridiagonal solves (`_banded_S0`), O(M^2) in all.  Q~0 = I - P~0 is applied
+through the rank-n factors of P~0, and X^T is formed a block at a time
+from rows of S0 (`_xt_block`), so R0(0) X^T, the exact contraction factor
+(M tridiagonal solves per lambda) and the defect of `one_sided_residual`
+cost O(M^2 n).  S(lambda) itself is never formed: the scan and the formula
+apply it to their data, one column per probe, through the series step as a
+function (`_series_step`: two tridiagonal solves, a rank-n correction and
+a product with S0, O(M^2) per column).  The window search (`_auto_window`)
+runs on one column of the step, one tridiagonal solve and one O(M^2)
+product per trial lambda, and takes the exact norm, M solves, only at
+lambda = 1 and to certify the window, about three times in all.  A real
+potential makes the basis, S0, R0(0) X^T and every block here real
+(float64), half the memory of complex ones; complex data meets them
+through `grids.apply_matrix`.
 """
 
 from __future__ import annotations
@@ -50,22 +57,43 @@ import numpy as np
 from scipy import linalg as sla
 
 from . import birman, grids, jordan
-from .grids import GridFunction, bilinear_pair, lp_norm, operator_l1_norm
+# operator_l1_norm is unused here but stays importable as lowenergy's alias
+# of the grids function, which the benchmark's tracer tests rebind.
+from .grids import GridFunction, bilinear_pair, lp_norm, operator_l1_norm  # noqa: F401
+
+
+#: Bytes of one column block of the streamed M-column products.
+BLOCK_BYTES = 2**17
 
 
 class DualityDegenerateError(ArithmeticError):
     """Pairing of V X_1 against R0(0) X_diag is singular."""
 
 
+def _blocks(A):
+    """The column blocks of the M x M array A: slices of BLOCK_BYTES worth
+    of its columns, rounded down to a multiple of 8 columns (8 at least).
+
+    With OpenBLAS, a product on a block of 8k columns that starts at a
+    multiple of 8 gives the bits of the same columns of one product on all
+    M columns (blocks of 5 or 41 columns do not), so S0 and R0(0) X^T do
+    not depend on BLOCK_BYTES.
+    """
+    M = A.shape[0]
+    width = max(8, BLOCK_BYTES // (M * A.itemsize) // 8 * 8)
+    return [slice(a, min(a + width, M)) for a in range(0, M, width)]
+
+
 def domain_resolvent(grid, lam):
     """R0(lambda^2), the exact inverse of (H0 - lambda^2) on the domain.
 
     Factors the tridiagonal H0 - lambda^2 once (H0's bands are
-    `birman.tridiagonal_bs(grid, 0.0)`) and returns the function that maps
-    x, a vector or a matrix of columns, to (H0 - lambda^2)^{-1} x in O(M)
-    per column.  Requires lambda^2 below the first eigenvalue of the
-    discrete free Hamiltonian (`jordan.free_edge_scale` at leading order) so
-    the inverse is positive definite.
+    `birman.tridiagonal_bs(grid, 0.0)`, pivoted LAPACK gttrf) and returns
+    the function that maps x, a vector or a matrix of columns, to
+    (H0 - lambda^2)^{-1} x in O(M) per column.  Requires lambda^2 not to be
+    an eigenvalue of the box H0; an exact zero pivot raises
+    birman.NearSingularError.  lambda^2 may lie above the first box
+    eigenvalue (`_auto_window` starts at lambda = 1).
     """
     dl, d, du = birman.tridiagonal_bs(grid, 0.0)
     return birman._tridiagonal_solver(dl, d - lam**2, du, f"lambda={lam}")
@@ -79,6 +107,11 @@ class RegularizedInverse:
     `jordan.build_Ptilde0` and applied by `grids.apply_complement`: the
     columns of Y are the chain tops psi_{k,k}, those of Z the weighted
     chain bottoms w psi_{1,k}, n the number of chains.
+
+    S0 and R0Xt = R0(0) X^T, X = S0 Q~0 V, are the only M x M arrays.  X^T
+    itself is not kept: `_xt_block` forms any block of its columns from
+    rows of S0 and S0Y = S0 Y (M x n).  R0Xt is built a column block at a
+    time and stored in Fortran order, so each block is contiguous.
     """
 
     S0: np.ndarray
@@ -89,15 +122,25 @@ class RegularizedInverse:
     Z: np.ndarray
     window: float
     range_constraints: np.ndarray  # R0(0) Y, whose columns the range of S0 pairs to 0
-    # (S0 Q~0 V)^T and R0(0) (S0 Q~0 V)^T, the lambda-independent factors of
-    # `_series_step`: formed once here rather than on every call.
-    Xt: np.ndarray = field(init=False, repr=False)
+    # S0 Y and R0(0) X^T, the lambda-independent factors of the exact
+    # contraction factor: formed once here rather than on every call.
+    S0Y: np.ndarray = field(init=False, repr=False)
     R0Xt: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        S0Qt0 = self.S0 - (self.S0 @ self.Y) @ self.Z.T
-        self.Xt = birman.potential_operator(self.V, S0Qt0, right=True).T
-        self.R0Xt = domain_resolvent(self.grid, 0.0)(self.Xt)
+        self.S0Y = self.S0 @ self.Y
+        R_0 = domain_resolvent(self.grid, 0.0)
+        self.R0Xt = np.empty_like(self.S0, order="F")
+        for J in _blocks(self.S0):
+            self.R0Xt[:, J] = R_0(_xt_block(self, J))
+
+
+def _xt_block(reg, J):
+    """Columns J of X^T = (S0 Q~0 V)^T: v (S0[J] - S0Y[J] Z^T)^T, from rows J
+    of S0, with v the samples of the potential."""
+    rows = reg.S0[J] - reg.S0Y[J] @ reg.Z.T
+    rows *= birman._samples(reg.V)
+    return rows.T
 
 
 def build_S0(V, grid, basis, window="auto"):
@@ -110,9 +153,10 @@ def build_S0(V, grid, basis, window="auto"):
     duality normalization pair(V psi_{1,k}, R0(0) psi_{k',k'}) = -delta
     guarantees the bordered matrix is nonsingular.
 
-    `_banded_S0` solves the system column by column in O(M) each, O(M^2)
-    in all; with no threshold basis S0 is the plain inverse of I + V R0(0),
-    M banded solves of `birman.bs_solve` with its near-singular refusal.
+    `_banded_S0` solves the system a block of columns at a time in O(M)
+    per column, O(M^2) in all; with no threshold basis S0 is the plain
+    inverse of I + V R0(0), M banded solves of `birman.bs_solve` with its
+    near-singular refusal, on the whole identity at once.
     """
     Y, Z = jordan.build_Ptilde0(basis, grid)
     R0Y = domain_resolvent(grid, 0.0)(Y)
@@ -141,30 +185,34 @@ def _banded_S0(v, grid, Y, Z, R0Y):
     tridiagonal, and the weights are uniform (w = h), so C H0 = h Y^T.  The
     substitution u = H0 y turns the bordered system of `build_S0` into
     [[Q~0 H, Y], [h Y^T, 0]] [y; mu] = [f; 0], which `_bordered_solver`
-    solves without forming any M x M matrix but the columns themselves.
-    Forming u = H0 y loses about eps cond(H0) ~ eps M^2 in the T0 form that
-    `one_sided_residual` checks, so one step of iterative refinement on that
-    form follows, with I + V R0(0) applied by tridiagonal solves.
+    solves without forming any M x M matrix.  Forming u = H0 y loses about
+    eps cond(H0) ~ eps M^2 in the T0 form that `one_sided_residual` checks,
+    so one step of iterative refinement on that form follows, with
+    I + V R0(0) applied by tridiagonal solves.  The right-hand sides are
+    the columns of the identity, sent through both solves a block F of
+    them at a time (`_blocks`), so S0 is the only M x M array.
     """
     M, n = Y.shape
     dl, d0, du = birman.tridiagonal_bs(grid, 0.0)
     solve = _bordered_solver(dl, d0 + v, du, Y, Z, grid.weights[:, None] * Y)
+    R_0 = domain_resolvent(grid, 0.0)
     C = grid.weights[:, None] * R0Y
-    F = np.eye(M, dtype=np.result_type(v, Y))
-    y, mu = solve(F, np.zeros((n, M)))
-    S0 = birman._tridiagonal_apply(dl, d0, du, y)
-    del y
-    # The residual [F; 0] - [[Q~0 T0, Y], [C, 0]] [S0; mu], formed in place
-    # so that no more M x M arrays are alive than S0, F and one temporary.
-    T = domain_resolvent(grid, 0.0)(S0)
-    T *= v[:, None]
-    T += S0
-    T -= Y @ (Z.T @ T - mu)
-    F -= T
-    del T
-    dy, _ = solve(F, -(C.T @ S0))
-    del F
-    S0 += birman._tridiagonal_apply(dl, d0, du, dy)
+    S0 = np.empty((M, M), np.result_type(v, Y), order="F")
+    for J in _blocks(S0):
+        F = np.eye(M, J.stop - J.start, -J.start, S0.dtype)
+        y, mu = solve(F, np.zeros((n, F.shape[1])))
+        S = birman._tridiagonal_apply(dl, d0, du, y)
+        del y
+        # the residual [F; 0] - [[Q~0 T0, Y], [C, 0]] [S; mu], in place
+        T = R_0(S)
+        T *= v[:, None]
+        T += S
+        T -= Y @ (Z.T @ T - mu)
+        F -= T
+        del T
+        dy, _ = solve(F, -(C.T @ S))
+        S += birman._tridiagonal_apply(dl, d0, du, dy)
+        S0[:, J] = S
     return S0
 
 
@@ -177,6 +225,9 @@ def _bordered_solver(dl, d, du, Y, Z, B):
     is nonsingular.  Q~0 H = A + U W^T with U = [E, Y] and
     W = [-alpha E, -H^T Z], so block elimination leaves one tridiagonal
     solve per column and a 3n x 3n capacitance system for z = W^T y and mu.
+    With WB = [W, B] and PQ = A^{-1} [E, Y, Y], that system is
+    WB^T PQ + diag(I_2n, 0), and each solve takes one product with WB^T and
+    one with PQ, so few small BLAS calls per block of columns.
     Returns solve(F, G) -> (y, mu) for the right-hand side [F; G], F of M
     rows and G of n rows.
     """
@@ -185,51 +236,62 @@ def _bordered_solver(dl, d, du, Y, Z, B):
     solve_A, alpha = birman._pinned_solver(dl, d, du, rows, "S0 bordered solve")
     E = np.zeros((M, n), np.result_type(d, Y))
     E[rows, np.arange(n)] = 1.0
-    W = np.hstack([-alpha * E, -birman._tridiagonal_apply(du, d, dl, Z)])
-    P, Q = solve_A(np.hstack([E, Y])), solve_A(Y)
-    cap = np.block([[np.eye(2 * n) + W.T @ P, W.T @ Q], [B.T @ P, B.T @ Q]])
+    WB = np.hstack([-alpha * E, -birman._tridiagonal_apply(du, d, dl, Z), B])
+    PQ = solve_A(np.hstack([E, Y, Y]))
+    cap = WB.T @ PQ
+    cap[: 2 * n, : 2 * n] += np.eye(2 * n)
 
     def solve(F, G):
         y = solve_A(F)
-        zmu = np.linalg.solve(cap, np.vstack([W.T @ y, B.T @ y - G]))
-        y -= P @ zmu[: 2 * n] + Q @ zmu[2 * n :]
+        rhs = WB.T @ y
+        rhs[2 * n :] -= G
+        zmu = np.linalg.solve(cap, rhs)
+        y -= PQ @ zmu
         return y, zmu[2 * n :]
 
     return solve
 
 
 def _series_step(reg, lam):
-    """The contraction factor operator -S0 Q~0 V B0(lambda^2).
+    """The contraction factor operator -S0 Q~0 V B0(lambda^2), as a function.
 
-    With X = S0 Q~0 V (stored transposed as reg.Xt, R0(0) X^T as reg.R0Xt),
-    X B0 = D^T for D = R0(lambda^2) X^T - R0(0) X^T (`_difference`): M
-    tridiagonal solves per lambda in place of the M x M difference kernel.
-    D is negated in place and returned as its transposed view, so the step
-    holds one M x M array.  The difference keeps the step consistent with
-    the R0(lambda^2) that `one_sided_residual` applies; the equal product
-    lambda^2 R0(lambda^2) R0(0) X^T leaves that residual near 4e-11 instead
-    of 1e-13 on the full-ee grid.
+    It maps a matrix of columns u to -S0 Q~0 V (R0(lambda^2) u - R0(0) u):
+    two tridiagonal solves, a rank-n correction and a product with S0 per
+    column, with no M x M array of its own.  The difference keeps the step
+    consistent with the R0(lambda^2) that `one_sided_residual` applies; the
+    equal product lambda^2 R0(lambda^2) R0(0) leaves that residual near
+    4e-11 instead of 1e-13 on the full-ee grid.
     """
-    D = _difference(reg, lam)
-    np.negative(D, out=D)
-    return D.T
+    R, R_0 = domain_resolvent(reg.grid, lam), domain_resolvent(reg.grid, 0.0)
+    v = birman._samples(reg.V)
 
+    def step(u):
+        x = R(u)
+        x -= R_0(u)
+        x = grids.apply_complement((reg.Y, reg.Z), v[:, None] * x)
+        return -grids.apply_matrix(reg.S0, x)
 
-def _difference(reg, lam):
-    """D = R0(lambda^2) X^T - R0(0) X^T, the series step's negative transpose."""
-    D = domain_resolvent(reg.grid, lam)(reg.Xt)
-    D -= reg.R0Xt
-    return D
+    return step
 
 
 def _step_column_norms(reg, lam):
     """The weighted L^1 norms sum_i w_i |step_ij| / w_j of the step's columns.
 
-    Column j of the step is minus row j of D (`_difference`), so the norms
-    are (|D| w) / w, with no transposed copy; their max is the induced norm.
+    Column j of the step is minus row j of D = R0(lambda^2) X^T - R0(0) X^T,
+    so the norms are (|D| w) / w; their max is the induced norm.  D is
+    formed a column block at a time, D_J = R0(lambda^2) X^T_J - R0Xt[:, J]
+    (`_xt_block`), and |D_J| w_J is added into the row sums: one
+    tridiagonal solve per column, and no M x M array.  The sums are
+    einsums, not BLAS gemvs (see `_column_factor`).
     """
+    R = domain_resolvent(reg.grid, lam)
     w = reg.grid.weights
-    return (np.abs(_difference(reg, lam)) @ w) / w
+    sums = np.zeros(w.size)
+    for J in _blocks(reg.R0Xt):
+        D = R(_xt_block(reg, J))
+        D -= reg.R0Xt[:, J]
+        sums += np.einsum("ij,j->i", np.abs(D), w[J])
+    return sums / w
 
 
 def contraction_factor(reg, lam):
@@ -241,8 +303,9 @@ def _column_factor(reg, lam, j):
     """The weighted L^1 norm of column j of the series step, in O(M^2).
 
     R0 is symmetric, so that column is -(X (R0(lambda^2) e_j) - (R0(0) X^T)_j):
-    one tridiagonal solve, one product with X and a stored row of reg.R0Xt.
-    The product is an einsum, not a BLAS gemv: the search makes a dozen of
+    one tridiagonal solve, X = S0 Q~0 V applied to its result (a rank-n
+    correction and one product with S0) and a stored row of reg.R0Xt.
+    The products are einsums, not BLAS gemvs: the search makes a dozen of
     them in a row, and a threaded gemv that waits for a busy core took
     8 ms each at M = 400 on a 2-vCPU machine, where the einsum takes
     0.4 ms.  In exact arithmetic the factor is a lower bound on
@@ -251,8 +314,9 @@ def _column_factor(reg, lam, j):
     """
     e = np.zeros(reg.grid.size)
     e[j] = 1.0
-    r = domain_resolvent(reg.grid, lam)(e)
-    column = np.einsum("ij,j->i", reg.Xt.T, r) - reg.R0Xt[j]
+    x = birman._samples(reg.V) * domain_resolvent(reg.grid, lam)(e)
+    x -= np.einsum("ik,k->i", reg.Y, np.einsum("ik,i->k", reg.Z, x))
+    column = np.einsum("ij,j->i", reg.S0, x) - reg.R0Xt[j]
     w = reg.grid.weights
     return float(w @ np.abs(column) / w[j])
 
@@ -368,16 +432,24 @@ def build_S_lambda(reg, lam, X, max_terms=200):
     S0X = grids.apply_matrix(reg.S0, X)
     if lam == 0:
         return S0X, 0.0
-    return _continue_S0(reg, lam, S0X, reg.grid.weights @ np.abs(X), max_terms)
+    return _series(reg, lam, max_terms)(S0X, reg.grid.weights @ np.abs(X))
 
 
-def _continue_S0(reg, lam, S0X, x_norms, max_terms=200):
-    """The series of `build_S_lambda` from its first term S0 X, where the
-    columns of X have L^1 norms x_norms; S0X is not modified."""
+def _series(reg, lam, max_terms=200):
+    """The series of `build_S_lambda` at lambda as a function: it maps the
+    first term S0 X, where the columns of X have L^1 norms x_norms, to
+    (S(lambda) X, contraction factor), and does not modify S0 X.  The step
+    and its exact factor are formed once, for any number of calls."""
     if abs(lam) > reg.window:
         raise ValueError(f"lambda {lam} outside validity window {reg.window}")
-    step = _series_step(reg, lam)
-    return birman._neumann_series(S0X, step, reg.grid, 1e-13, max_terms, x_norms)
+    step, factor = _series_step(reg, lam), contraction_factor(reg, lam)
+
+    def series(S0X, x_norms):
+        return birman._neumann_series(
+            S0X, step, factor, reg.grid, 1e-13, max_terms, x_norms
+        )
+
+    return series
 
 
 def one_sided_residual(reg, lam=0.0):
@@ -388,20 +460,39 @@ def one_sided_residual(reg, lam=0.0):
     Q~0 and that projector are applied through their rank-n factors, and
     I + V R0(l^2) through tridiagonal solves, never through H, so the check
     stays independent of how S0 was solved.
+
+    The defect E = Q~0 (I + V R0(l^2)) S(l) - I is streamed in column
+    blocks E_J, each from the columns J of S0 (at l != 0 the series on
+    those columns of the identity), so no M x M array is formed.  The
+    projector mixes the columns, E (I - pinv(Z^T) Z^T) = E - (E pinv(Z^T))
+    Z^T, so E pinv(Z^T) is formed first, as the defect on the n columns of
+    pinv(Z^T).
     """
-    grid = reg.grid
-    if lam == 0:
-        S = reg.S0.copy()
-    else:
-        # S(l) itself: the series on X = I, whose first term is S0 (no product)
-        S, _ = _continue_S0(reg, lam, reg.S0, grid.weights)
-    # The defect Q~0 (I + V R0(l^2)) S - I, updated in place: the check
-    # holds no more M x M arrays than S and one temporary.
-    S += birman.potential_operator(reg.V, domain_resolvent(grid, lam)(S))
-    S -= reg.Y @ (reg.Z.T @ S)
-    S[np.diag_indices(grid.size)] -= 1.0
-    S -= (S @ np.linalg.pinv(reg.Z.T)) @ reg.Z.T
-    return operator_l1_norm(S, grid)
+    grid, Y, Z = reg.grid, reg.Y, reg.Z
+    w = grid.weights
+    R = domain_resolvent(grid, lam)
+    v = birman._samples(reg.V)
+    series = _series(reg, lam) if lam else None
+
+    def image(S0X, x_norms):
+        """Q~0 (I + V R0(l^2)) S(l) X from S0X = S0 X, where the columns of
+        X have L^1 norms x_norms."""
+        SX = S0X if series is None else series(S0X, x_norms)[0]
+        E = R(SX)
+        E *= v[:, None]
+        E += SX
+        E -= Y @ (Z.T @ E)
+        return E
+
+    pinvZt = np.linalg.pinv(Z.T)
+    EP = image(reg.S0 @ pinvZt, w @ np.abs(pinvZt)) - pinvZt
+    norm = 0.0
+    for J in _blocks(reg.S0):
+        E = image(reg.S0[:, J], w[J])
+        E[J, :] -= np.eye(J.stop - J.start)
+        E -= EP @ Z[J].T
+        norm = max(norm, float((np.einsum("i,ij->j", w, np.abs(E)) / w[J]).max()))
+    return norm
 
 
 def range_constraint_residual(reg):

@@ -1,8 +1,9 @@
 """Dense references of the banded paths, for the tests only.
 
-Each forms an M x M matrix that the package never forms and costs
-O(M^3): the dense I + V R0(lambda^2), the dense LU of the bordered S0
-system and the dense SVD filtration of the threshold.
+Each forms an M x M matrix that the package never forms, most at O(M^3)
+cost: the dense I + V R0(lambda^2), the dense LU of the bordered S0
+system, the dense series step of the low-energy inverse and the dense SVD
+filtration of the threshold.
 """
 
 import numpy as np
@@ -31,6 +32,14 @@ def bordered_S0(V, grid, Y, Z, R0Y):
     K[M:, :M] = (grid.weights[:, None] * R0Y).T
     Kinv, _ = birman.direct_inverse(K, context="S0 bordered solve")
     return Kinv[:M, :M]
+
+
+def series_step(reg, lam):
+    """The dense series step -(R0(l^2) X^T - R0(0) X^T)^T, X = S0 Q~0 V,
+    built out of place from reg.S0."""
+    X = birman.potential_operator(reg.V, reg.S0 - (reg.S0 @ reg.Y) @ reg.Z.T, right=True)
+    R, R_0 = (lowenergy.domain_resolvent(reg.grid, l) for l in (lam, 0.0))
+    return -(R(X.T) - R_0(X.T)).T
 
 
 def dense_filtration(V, grid):

@@ -390,6 +390,22 @@ def test_invert_lambda_outside_window_exits_3(tmp_path, capsys, lam, with_out):
 
 
 @pytest.mark.parametrize("with_out", [False, True])
+def test_invert_empty_lambdas_exit_3(tmp_path, capsys, with_out):
+    # an empty list would leave the scan without a row and the report
+    # without a check, with --out or without
+    cfg = small_threshold_cfg()
+    cfg["invert"] = {"lambdas": [], "window": 0.25}
+    argv = ["invert", "--config", write_cfg(tmp_path, cfg)]
+    out = tmp_path / "run"
+    if with_out:
+        argv += ["--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "configuration error: invert lambdas must be a nonempty JSON list\n"
+    assert not (out / "low_energy_scan.csv").exists()
+
+
+@pytest.mark.parametrize("with_out", [False, True])
 def test_invert_without_threshold_basis_ignores_window(tmp_path, capsys, with_out):
     # the depth-4 well has no threshold basis, so S(lambda) is never built and
     # the default lambdas run although they lie beyond the auto window

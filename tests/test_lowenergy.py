@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bordered_S0, bs_matrix
+from oracles import bordered_S0, bs_matrix, series_step
 from speclab import birman, evolution, grids, jordan, lowenergy, potentials
 from speclab.grids import GridFunction, operator_l1_norm
 
@@ -65,33 +65,43 @@ def test_s0_without_threshold_basis():
 
 
 def test_real_samples_keep_the_low_energy_arrays_real(ee_small):
-    # real samples give a real basis and real M x M arrays; complex samples
-    # keep complex ones
+    # real samples give a real basis, real M x M arrays, real blocks of X^T
+    # and a real step; complex samples keep complex ones
     reg, grid = ee_small["reg"], ee_small["grid"]
-    arrays = [*reg.basis.chains, reg.Y, reg.Z, reg.S0, reg.Xt, reg.R0Xt,
-              lowenergy._series_step(reg, 0.1)]
+    u = np.ones((grid.size, 2))
+    arrays = [*reg.basis.chains, reg.Y, reg.Z, reg.S0, reg.S0Y, reg.R0Xt,
+              lowenergy._xt_block(reg, slice(0, 8)),
+              lowenergy._series_step(reg, 0.1)(u)]
     assert [a.dtype for a in arrays] == [np.float64] * len(arrays)
+    assert reg.R0Xt.flags.f_contiguous
     v = ee_small["V"].values.values
     V = birman.PotentialSpec("complex", GridFunction(grid, v * (1 + 1e-3j)))
     reg = lowenergy.build_S0(V, grid, jordan.threshold(V, grid).basis, window=0.25)
-    arrays = [reg.S0, reg.Xt, reg.R0Xt, lowenergy._series_step(reg, 0.1)]
+    arrays = [reg.S0, reg.S0Y, reg.R0Xt, lowenergy._xt_block(reg, slice(0, 8)),
+              lowenergy._series_step(reg, 0.1)(u)]
     assert [a.dtype for a in arrays] == [np.complex128] * len(arrays)
 
 
-def test_S0_and_its_residual_hold_seven_real_square_arrays():
-    # the invert-ee grid: six M x M arrays at the peak, 15 MB as float64
-    # where they were 29 MB as complex128
-    grid = grids.make_grid(grids.Mode.RADIAL_SWAVE, 2.25, 550)
-    V, _, _ = potentials.tune_coupling(potentials.exact_eigen(grid, s=2.0), grid)
-    basis = jordan.threshold(V, grid).basis
-    tracemalloc.start()
-    try:
-        reg = lowenergy.build_S0(V, grid, basis, window=0.25)
-        lowenergy.one_sided_residual(reg, 0.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 7 * grid.size**2 * 8
+def test_the_low_energy_inverse_holds_three_real_square_arrays():
+    # S0 and R0(0) X^T are its only M x M arrays, and every other product
+    # that spans M columns goes in column blocks: with the window search,
+    # the residual and one lambda of the scan, the peak stays below three
+    # float64 M x M arrays.  The grids of invert-ee (given window) and of
+    # full-ee (automatic window).
+    for extent, nodes, window in ((2.25, 550, 0.25), (80.0, 400, "auto")):
+        grid = grids.make_grid(grids.Mode.RADIAL_SWAVE, extent, nodes)
+        V, _, _ = potentials.tune_coupling(potentials.exact_eigen(grid, s=2.0), grid)
+        basis = jordan.threshold(V, grid).basis
+        f = grids.gaussian_bump(grid)
+        tracemalloc.start()
+        try:
+            reg = lowenergy.build_S0(V, grid, basis, window=window)
+            lowenergy.one_sided_residual(reg, 0.0)
+            lowenergy.low_energy_scan(reg, [reg.window / 2], f, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * grid.size**2 * 8
 
 
 # Each example runs the dense bordered LU, O(M^3), as the oracle.
@@ -134,17 +144,25 @@ def test_series_continuation_one_sided(ee_small):
 
 
 def test_one_sided_residual_seeds_the_series_with_S0(ee_small):
-    # S(lambda) is summed from S0 itself rather than from the product
-    # S0 @ I; the residual keeps every bit of the one built from S0 @ I
+    # the streamed residual, whose series on each block of the identity
+    # starts from the columns of S0, against the dense defect of the
+    # operator series summed from S0 with the dense step of the oracle: both
+    # are round-off (about 5e-15 here), so they agree to a factor, where a
+    # wrong block, shift or projection would leave an O(1) defect
     reg, grid = ee_small["reg"], ee_small["grid"]
-    eye = np.eye(grid.size, dtype=reg.S0.dtype)
-    for lam in (0.03, 0.1, 0.2):
-        D, _ = lowenergy.build_S_lambda(reg, lam, eye)
+    for lam in (0.0, 0.03, 0.1, 0.2):
+        step = series_step(reg, lam)
+        D, _ = birman._neumann_series(
+            reg.S0, lambda x: step @ x, operator_l1_norm(step, grid), grid,
+            1e-13, 200, grid.weights,
+        )
         D += birman.potential_operator(reg.V, lowenergy.domain_resolvent(grid, lam)(D))
         D -= reg.Y @ (reg.Z.T @ D)
         D[np.diag_indices(grid.size)] -= 1.0
         D -= (D @ np.linalg.pinv(reg.Z.T)) @ reg.Z.T
-        assert lowenergy.one_sided_residual(reg, lam) == operator_l1_norm(D, grid)
+        expect = operator_l1_norm(D, grid)
+        got = lowenergy.one_sided_residual(reg, lam)
+        assert expect < 1e-13 and abs(got - expect) <= 0.5 * expect
 
 
 def test_contraction_factor_grows_with_lambda(ee_small):
@@ -154,21 +172,32 @@ def test_contraction_factor_grows_with_lambda(ee_small):
     assert f1 < f2 < 1.0
 
 
-def test_series_step_keeps_the_bits_of_the_out_of_place_form(ee_small):
-    # the step is negated in place and returned as a transposed view, and
-    # the factor is read off the rows of D; both keep every bit of the
-    # out-of-place -(R0(l^2) X^T - R0(0) X^T)^T and its induced norm
+def test_series_step_matches_the_out_of_place_form(ee_small):
+    # the step function, the block-streamed factor and the series against
+    # the dense out-of-place step -(R0(l^2) X^T - R0(0) X^T)^T of the
+    # oracle: the factor to M eps relative (the block sums change the
+    # summation order), the step to the round-off of R0(l^2) - R0(0),
+    # which grows like 1 / l^2, and S(lambda) X to round-off
     reg, grid = ee_small["reg"], ee_small["grid"]
-    X = np.random.default_rng(1).standard_normal((grid.size, 2)) + 0j
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((grid.size, 2)) + 0j
+    U = rng.standard_normal((grid.size, 3))
     x_norms = grid.weights @ np.abs(X)
     for lam in (0.03, 0.1, 0.2):
-        old = -(lowenergy.domain_resolvent(grid, lam)(reg.Xt) - reg.R0Xt).T
-        factor = operator_l1_norm(old, grid)
-        assert lowenergy.contraction_factor(reg, lam) == factor
+        step = series_step(reg, lam)
+        factor = operator_l1_norm(step, grid)
+        got = lowenergy.contraction_factor(reg, lam)
+        assert abs(got - factor) <= grid.size * np.finfo(float).eps * factor
+        image = step @ U
+        err = np.abs(lowenergy._series_step(reg, lam)(U) - image).max()
+        assert err <= 1e-14 / lam**2 * np.abs(image).max()
         first = grids.apply_matrix(reg.S0, X)
-        expect = birman._neumann_series(first, old, grid, 1e-13, 200, x_norms)
+        expect, _ = birman._neumann_series(
+            first, lambda x: step @ x, factor, grid, 1e-13, 200, x_norms
+        )
         SX, got_factor = lowenergy.build_S_lambda(reg, lam, X)
-        assert got_factor == factor and np.array_equal(SX, expect[0])
+        assert got_factor == got
+        assert np.abs(SX - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 def test_series_rejected_outside_window(ee_small):
@@ -283,15 +312,16 @@ def test_S_lambda_on_data_matches_the_operator_series(ee_small, lam, columns, se
     expect = S @ X
     assert np.abs(SX - expect).max() <= 1e-12 * np.abs(expect).max()
     # X = I gives the plain operator series sum_m step^m S0, stopped once
-    # the induced L^1 norm of a term is below the tolerance
-    step = lowenergy._series_step(reg, lam)
+    # the induced L^1 norm of a term is below the tolerance; here with the
+    # dense step of the oracle, so the two agree to round-off
+    step = series_step(reg, lam)
     total, term = reg.S0.copy(), reg.S0
     for _ in range(200):
         term = step @ term
         total += term
         if operator_l1_norm(term, grid) < 1e-13:
             break
-    assert np.array_equal(S, total)
+    assert np.abs(S - total).max() <= 1e-12 * np.abs(total).max()
 
 
 def _bisection_window(cf, target=0.5, iters=30):
