@@ -16,14 +16,14 @@ potential I + V R0 = (T_lambda + V) R0 and
 vector, with the same near-singular refusal as the dense LU; its
 condition estimate (`_inverse_norm_estimate`) is a Hager-Higham loop of a
 few solves with the same factors.  It serves the transform scan, the Stone
-check, `uniform_inverse_scan` and the S0 of :mod:`speclab.lowenergy` when
-there is no threshold basis.  Its
-factorization, `_tridiagonal_solver`, also applies the domain resolvent of
+check, `uniform_inverse_scan` and the S0 of `local_neumann_inverse`.  Its
+factorization, `_tridiagonal_solver`, applies R0(lambda^2) in the checks
+here and in `ftdiag.k2_bound_check`, and the domain resolvent of
 :mod:`speclab.lowenergy`; `_pinned_solver` factors a singular H made
 nonsingular at its kernel for the banded S0 solve and the threshold chain
-of :mod:`speclab.jordan`.  The dense LU
-(`build_bs`, `direct_inverse`) stays for lambda h near a nonzero multiple
-of pi and as the oracle of the banded paths.
+of :mod:`speclab.jordan`.  The dense LU (`build_bs`, `direct_inverse`)
+stays only in `bs_solve`, for lambda h near a nonzero multiple of pi, and
+as the tests' oracle of the banded paths.
 """
 
 from __future__ import annotations
@@ -111,17 +111,11 @@ class PotentialSpec:
         return min(3.0 / self.p - 2.0, 2.0 - 3.0 / self.q)
 
 
-def potential_operator(V, X=None, right=False):
-    """The potential V as an application matrix, or its product with X.
-
-    V is a PotentialSpec, whose samples multiply the reduced wave
-    pointwise.  With X (a vector or a matrix) given, returns V @ X, or
-    X @ V when `right`, by broadcasting, never through a dense diagonal.
-    """
+def potential_operator(V, X):
+    """V @ X for the PotentialSpec V and a vector or a matrix of columns X:
+    its samples broadcast over the rows of X, never a dense diagonal."""
     v = _samples(V)
-    if X is None:
-        return np.diag(v)
-    return X * v if right or X.ndim == 1 else v[:, None] * X
+    return X * v if X.ndim == 1 else v[:, None] * X
 
 
 def _samples(V):
@@ -325,18 +319,19 @@ def _inverse_norm_estimate(M, apply, adjoint):
     """Hager-Higham lower estimate of ||A||_1 for the M x M operator A = apply.
 
     LAPACK zlacn2's iteration (Higham, ACM TOMS 14, 1988) on vectors: from
-    x = 1/M, at most five steps of xi = y / |y| (entrywise, y = A x),
-    j = argmax |A^H xi| and x = e_j, while ||A x||_1 grows and j moves;
-    then the alternating-sign vector x_i = (-1)^i (1 + i / (M - 1)), for
-    which ||A x||_1 / ||x||_1 = 2 ||A x||_1 / (3 M).  The estimate is the
-    largest such ratio met, so it never exceeds ||A||_1.  `adjoint`
-    applies A^H.
+    x = 1/M, at most five steps of xi = y / |y| (entrywise, y = A x; 1
+    where |y| is 0 or subnormal), j = argmax |A^H xi| and x = e_j, while
+    ||A x||_1 grows and j moves; then the alternating-sign vector
+    x_i = (-1)^i (1 + i / (M - 1)), for which ||A x||_1 / ||x||_1 =
+    2 ||A x||_1 / (3 M).  The estimate is the largest such ratio met, so
+    it never exceeds ||A||_1.  `adjoint` applies A^H.
     """
     y = apply(np.full(M, 1.0 / M, complex))
     est, j = np.abs(y).sum(), None
     for _ in range(5):
         mag = np.abs(y)
-        z = np.abs(adjoint(np.divide(y, mag, out=np.ones(M, complex), where=mag > 0)))
+        normal = mag >= np.finfo(float).tiny
+        z = np.abs(adjoint(np.divide(y, mag, out=np.ones(M, complex), where=normal)))
         j_last, j = j, int(np.argmax(z))
         if j_last is not None and z[j_last] == z[j]:
             break
@@ -355,16 +350,18 @@ def _inverse_norm_estimate(M, apply, adjoint):
 def high_energy_norm_scan(V, grid, lambda_list):
     """Scan ||(V R0(lambda^2))^2|| over lambda; flag the Neumann-safe point.
 
+    (V R0)^2 = v R(v R(I)), R = T_lambda^{-1}: 2M tridiagonal solves per
+    lambda (ValueError where lambda h is near a nonzero multiple of pi).
     Returns a dict with the norms, in lambda_list's order, and lambda1, the
     smallest scanned lambda whose squared-factor norm falls below 1/4.
     """
     if len(lambda_list) == 0:
         raise ValueError("empty lambda list")
+    v, eye = _samples(V)[:, None], np.eye(grid.size)
     norms = []
     for lam in lambda_list:
-        R0 = resolvent.build_R0(grid, lam)
-        M = potential_operator(V, R0)
-        norms.append(operator_l1_norm(M @ M, grid))
+        R = _tridiagonal_solver(*tridiagonal_bs(grid, lam))
+        norms.append(operator_l1_norm(v * R(v * R(eye)), grid))
     norms = np.asarray(norms)
     safe = [l for l, n in zip(lambda_list, norms) if n < NEUMANN_SAFE]
     return {
@@ -411,18 +408,26 @@ def smooth_cutoff(t):
 def local_neumann_inverse(V, grid, lambda0, r, lam):
     """Local Neumann series for (I + V R0(lambda^2))^{-1} around lambda0.
 
-    Sums (-S0 V B_{l0}(lambda^2))^m S0 with S0 the dense inverse at the
-    benchmark energy, stopping when the term norm falls below 1e-12 within
-    200 terms (see `_neumann_series` for the refusals).  Returns (operator,
-    contraction_factor).
+    Sums (-S0 V B_{l0}(lambda^2))^m S0, S0 = (I + V R0(lambda0^2))^{-1} from
+    `bs_solve`, until a term's norm is below 1e-12, within 200 terms (see
+    `_neumann_series` for the refusals).  The step
+    u -> -S0 V (R0(lambda^2) u - R0(lambda0^2) u) takes tridiagonal solves,
+    O(M^2) per term and for its exact norm; ValueError where lambda h is
+    near a nonzero multiple of pi.  Returns (operator, contraction_factor).
     """
     if abs(lam - lambda0) > r:
         raise ValueError(f"|lambda - lambda0| = {abs(lam - lambda0)} exceeds window {r}")
-    S0, _ = direct_inverse(build_bs(V, grid, lambda0), context=f"lambda0={lambda0}")
-    B = resolvent.build_B(grid, lambda0, lam)
-    step = -(potential_operator(V, S0, right=True) @ B)
-    factor = operator_l1_norm(step, grid)
-    return _neumann_series(S0, lambda x: step @ x, factor, grid, 1e-12, 200, grid.weights)
+    v, eye = _samples(V)[:, None], np.eye(grid.size)
+    R, R_0 = (_tridiagonal_solver(*tridiagonal_bs(grid, l)) for l in (lam, lambda0))
+
+    def S0(x):
+        return bs_solve(V, grid, lambda0, x, context=f"lambda0={lambda0}")[1]
+
+    def step(u):
+        return -S0(v * (R(u) - R_0(u)))
+
+    factor = operator_l1_norm(step(eye), grid)
+    return _neumann_series(S0(eye), step, factor, grid, 1e-12, 200, grid.weights)
 
 
 def _neumann_series(first, step, factor, grid, tol, max_terms, x_norms):

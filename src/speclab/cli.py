@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -114,11 +115,14 @@ def _reject_extra(name, params):
 
 
 def _number(key, value, kind=float):
-    """value converted by kind (float or int); ConfigError if it is not a number."""
+    """value converted by kind (float or int); ConfigError unless it is finite."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key!r} must be a number, got {value!r}") from None
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
+    return number
 
 
 def _exponents(p, q):
@@ -339,6 +343,8 @@ def run_evolve(cfg, grid, V, rng, out_dir=None, *, threshold=None):
     k_max = section.get("k_max")
     if k_max is not None:
         k_max = _number("k_max", k_max)
+        if not k_max > 0:
+            raise ConfigError(f"evolve needs k_max > 0, got {k_max}")
     if not 0 < t0 < t1 or n_times < 2:
         raise ConfigError("evolve needs 0 < t_start < t_end and n_times >= 2")
     delta_im = _number("delta_im", section.get("delta_im", 1e-3))

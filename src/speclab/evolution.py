@@ -80,7 +80,7 @@ def discretize_H(V, grid):
     off, main, _ = birman.tridiagonal_bs(grid, 0.0)
     H = np.diag(main.astype(complex)) + np.diag(off, 1) + np.diag(off, -1)
     if V is not None:
-        H = H + birman.potential_operator(V)
+        H = H + np.diag(birman._samples(V))
     return H
 
 

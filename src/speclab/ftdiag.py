@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import birman, resolvent
+from . import birman
 from .birman import smooth_cutoff
 from .grids import lp_norm
 from .resolvent import Branch
@@ -214,10 +214,11 @@ def k2_bound_check(grid, basis, r):
     """sup_x L^1_rho norms of the K2 transforms (R0 and B0 variants).
 
     K2 is the transform of chi(2 lambda / r) R0^-(lambda^2) psi-bar_{k,k},
-    sampled at 1024 lambdas on [-max(4 r, 2), max(4 r, 2)];
-    the R0 variant should be r-uniform (O(1)) and the B0 variant O(r).
-    Returns per-chain dicts with both values plus the quadrature bound
-    ||chi-hat||_1 * sup_x sum_y w_y |psi(y)| min(x, y) for the R0 variant.
+    sampled at 1024 lambdas on [-max(4 r, 2), max(4 r, 2)]; the R0 variant
+    should be r-uniform (O(1)) and the B0 variant O(r).  Each sample is one
+    tridiagonal solve, O(M) (ValueError where lambda h is near a nonzero
+    multiple of pi).  Returns per-chain dicts with both values plus the
+    quadrature bound ||chi-hat||_1 * sup_x sum_y w_y |psi(y)| min(x, y).
     """
     if not basis.chains:
         raise ValueError("empty threshold basis")
@@ -225,18 +226,20 @@ def k2_bound_check(grid, basis, r):
     lams, delta = lambda_grid(n, lam_max)
     cut = smooth_cutoff(2.0 * lams / r)
     chi_l1 = chi_hat_l1(r=r / 2.0, n=n, lam_max=lam_max)
-    R00 = resolvent.build_R0(grid, 0.0, Branch.MINUS)
+    R00 = birman._tridiagonal_solver(*birman.tridiagonal_bs(grid, 0.0))
     out = []
     for C in basis.chains:
         psibar = np.conj(C[:, -1])
+        R00_psibar = R00(psibar)
         samples_r = np.zeros((n, grid.size), complex)
         samples_b = np.zeros((n, grid.size), complex)
         for i, lam in enumerate(lams):
             if cut[i] == 0.0:
                 continue
-            R = resolvent.build_R0(grid, lam, Branch.MINUS)
-            samples_r[i] = cut[i] * (R @ psibar)
-            samples_b[i] = cut[i] * ((R - R00) @ psibar)
+            bands = birman.tridiagonal_bs(grid, lam, Branch.MINUS)
+            R_psibar = birman._tridiagonal_solver(*bands)(psibar)
+            samples_r[i] = cut[i] * R_psibar
+            samples_b[i] = cut[i] * (R_psibar - R00_psibar)
         rho, hat_r = _transform(samples_r, lams, delta)
         _, hat_b = _transform(samples_b, lams, delta)
         drho = rho[1] - rho[0]

@@ -27,24 +27,22 @@ vector; no M x M resolvent is formed.  H0 is real symmetric, so products
 X R0(lambda^2) are formed as (R0(lambda^2) X^T)^T.
 
 Cost: nothing here is O(M^3), and S0 and R0(0) X^T, X = S0 Q~0 V, are the
-only M x M arrays (but for the identity and its image in the
-`birman.bs_solve` that gives S0 when there is no threshold
-basis).  Everything else that spans M columns is streamed in column blocks
-of BLOCK_BYTES (`_blocks`), so the working memory beyond those two is a
-few blocks.  `build_S0` forms S0 a block of columns at a time from
-tridiagonal solves (`_banded_S0`), O(M^2) in all.  Q~0 = I - P~0 is applied
-through the rank-n factors of P~0, and X^T is formed a block at a time
-from rows of S0 (`_xt_block`), so R0(0) X^T, the exact contraction factor
-(M tridiagonal solves per lambda) and the defect of `one_sided_residual`
-cost O(M^2 n).  S(lambda) itself is never formed: the scan and the formula
-apply it to their data, one column per probe, through the series step as a
-function (`_series_step`: two tridiagonal solves, a rank-n correction and
-a product with S0, O(M^2) per column).  The window search (`_auto_window`)
-runs on one column of the step, one tridiagonal solve and one O(M^2)
-product per trial lambda, and takes the exact norm, M solves, only at
-lambda = 1 and to certify the window, about three times in all.  A real
-potential makes the basis, S0, R0(0) X^T and every block here real
-(float64), half the memory of complex ones; complex data meets them
+only M x M arrays.  Everything else that spans M columns is streamed in
+column blocks of BLOCK_BYTES (`_blocks`), so the working memory beyond
+those two is a few blocks.  `build_S0` forms S0 a block of columns at a
+time from tridiagonal solves (`_banded_S0`), O(M^2) in all.  Q~0 = I - P~0
+is applied through the rank-n factors of P~0, and X^T is formed a block at
+a time from rows of S0 (`_xt_block`), so R0(0) X^T, the exact contraction
+factor (M tridiagonal solves per lambda) and the defect of
+`one_sided_residual` cost O(M^2 n).  S(lambda) itself is never formed: the
+scan and the formula apply it to their data, one column per probe, through
+the series step as a function (`_series_step`: two tridiagonal solves, a
+rank-n correction and a product with S0, O(M^2) per column).  The window
+search (`_auto_window`) runs on one column of the step, one tridiagonal
+solve and one O(M^2) product per trial lambda, and takes the exact norm, M
+solves, only at lambda = 1 and to certify the window, about three times in
+all.  A real potential makes the basis, S0, R0(0) X^T and every block here
+real (float64), half the memory of complex ones; complex data meets them
 through `grids.apply_matrix`.
 """
 
@@ -154,9 +152,8 @@ def build_S0(V, grid, basis, window="auto"):
     guarantees the bordered matrix is nonsingular.
 
     `_banded_S0` solves the system a block of columns at a time in O(M)
-    per column, O(M^2) in all; with no threshold basis S0 is the plain
-    inverse of I + V R0(0), M banded solves of `birman.bs_solve` with its
-    near-singular refusal, on the whole identity at once.
+    per column, O(M^2) in all; with no threshold basis (n = 0) the same
+    solve gives the plain inverse of I + V R0(0).
     """
     Y, Z = jordan.build_Ptilde0(basis, grid)
     R0Y = domain_resolvent(grid, 0.0)(Y)
@@ -167,12 +164,7 @@ def build_S0(V, grid, basis, window="auto"):
         raise DualityDegenerateError(
             f"duality Gram matrix has condition {np.linalg.cond(D):.3e}"
         )
-    v = birman._samples(V)
-    if not basis.chains:
-        eye = np.eye(grid.size, dtype=v.dtype)
-        S0 = birman.bs_solve(V, grid, 0.0, eye, context="S0")[1]
-    else:
-        S0 = _banded_S0(v, grid, Y, Z, R0Y)
+    S0 = _banded_S0(birman._samples(V), grid, Y, Z, R0Y)
     reg = RegularizedInverse(S0, basis, V, grid, Y, Z, np.inf, R0Y)
     reg.window = _auto_window(reg) if window == "auto" else window
     return reg
@@ -219,15 +211,15 @@ def _banded_S0(v, grid, Y, Z, R0Y):
 def _bordered_solver(dl, d, du, Y, Z, B):
     """Solver of [[Q~0 H, Y], [B^T, 0]] with H = tridiag(dl, d, du), Q~0 = I - Y Z^T.
 
-    H is singular: the psi_{1,k} of Z span its kernel.  The tridiagonal
-    A = H + alpha E E^T (`birman._pinned_solver`), with E the unit columns
-    at the rows where the psi_{1,k} are largest (column-pivoted QR of Z^T),
-    is nonsingular.  Q~0 H = A + U W^T with U = [E, Y] and
-    W = [-alpha E, -H^T Z], so block elimination leaves one tridiagonal
-    solve per column and a 3n x 3n capacitance system for z = W^T y and mu.
-    With WB = [W, B] and PQ = A^{-1} [E, Y, Y], that system is
-    WB^T PQ + diag(I_2n, 0), and each solve takes one product with WB^T and
-    one with PQ, so few small BLAS calls per block of columns.
+    With n > 0 chains H is singular: the psi_{1,k} of Z span its kernel.
+    The tridiagonal A = H + alpha E E^T (`birman._pinned_solver`), with E
+    the unit columns at the rows where the psi_{1,k} are largest
+    (column-pivoted QR of Z^T), is nonsingular.  Q~0 H = A + U W^T with
+    U = [E, Y] and W = [-alpha E, -H^T Z], so block elimination leaves one
+    tridiagonal solve per column and a 3n x 3n capacitance system for
+    z = W^T y and mu.  With WB = [W, B] and PQ = A^{-1} [E, Y, Y], that
+    system is WB^T PQ + diag(I_2n, 0), and each solve takes one product
+    with WB^T and one with PQ, so few small BLAS calls per block of columns.
     Returns solve(F, G) -> (y, mu) for the right-hand side [F; G], F of M
     rows and G of n rows.
     """

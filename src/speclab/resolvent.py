@@ -24,9 +24,10 @@ T_lambda does not exist.
 A spectral point is passed, here as throughout the package, as the plain
 arguments lam, sign=Branch.PLUS: the limit R0(lambda^2 + i0 sign).
 
-Difference kernels B_{l0}(lambda^2) = R0(lambda^2) - R0(l0^2) are evaluated
-from the subtracted closed form.  The L^{p'} growth of the 3-D difference
-kernel is measured by radial quadrature (`kernel_difference_check`).
+The dense kernel matrix (`build_R0`) serves only `birman.bs_solve` where
+lambda h is near a nonzero multiple of pi; elsewhere R0(lambda^2) and its
+differences are tridiagonal solves with T_lambda.  The L^{p'} growth of the
+3-D difference kernel is measured by radial quadrature.
 """
 
 from __future__ import annotations
@@ -76,14 +77,6 @@ def build_R0(grid, lam, sign=Branch.PLUS):
     """Assemble the free resolvent: kernel samples times quadrature weights."""
     r = grid.nodes
     K = free_kernel_radial(r[:, None], r[None, :], lam, sign)
-    return K * grid.weights[None, :]
-
-
-def build_B(grid, lambda0, lam):
-    """Difference operator B_{lambda0}(lambda^2) = R0(lambda^2) - R0(lambda0^2)
-    on the + branch."""
-    r, rp = grid.nodes[:, None], grid.nodes[None, :]
-    K = free_kernel_radial(r, rp, lam) - free_kernel_radial(r, rp, lambda0)
     return K * grid.weights[None, :]
 
 

@@ -37,7 +37,7 @@ def bordered_S0(V, grid, Y, Z, R0Y):
 def series_step(reg, lam):
     """The dense series step -(R0(l^2) X^T - R0(0) X^T)^T, X = S0 Q~0 V,
     built out of place from reg.S0."""
-    X = birman.potential_operator(reg.V, reg.S0 - (reg.S0 @ reg.Y) @ reg.Z.T, right=True)
+    X = (reg.S0 - (reg.S0 @ reg.Y) @ reg.Z.T) * birman._samples(reg.V)
     R, R_0 = (lowenergy.domain_resolvent(reg.grid, l) for l in (lam, 0.0))
     return -(R(X.T) - R_0(X.T)).T
 

@@ -58,10 +58,15 @@ def test_near_singular_raised_at_threshold(grid20):
 
 
 def test_high_energy_norms_decay(grid20, well20):
-    out = birman.high_energy_norm_scan(well20, grid20, [1.0, 4.0, 16.0])
+    lams = [1.0, 4.0, 16.0]
+    out = birman.high_energy_norm_scan(well20, grid20, lams)
     norms = out["norms"]
     assert norms[1] < norms[0] and norms[2] < norms[1]
     assert out["lambda1"] is not None
+    # the banded square against the dense one
+    for lam, norm in zip(lams, norms):
+        K = birman.potential_operator(well20, resolvent.build_R0(grid20, lam))
+        assert norm == pytest.approx(operator_l1_norm(K @ K, grid20), rel=1e-12)
 
 
 def test_uniform_inverse_scan_finite(grid20, well20):
@@ -188,6 +193,19 @@ def test_dense_path_at_lambda_h_pi(grid20, well20, monkeypatch):
     rv_d, tinv_d, _ = _dense_solve(well20, grid20, lam, f, Branch.PLUS)
     assert np.abs(tinv_f - tinv_d).max() <= 1e-12 * np.abs(tinv_d).max()
     assert np.abs(rv - rv_d).max() <= 1e-12 * np.abs(rv_d).max()
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_condition_estimate_takes_subnormal_entries(lam):
+    # on this well the estimate's iterates reach subnormal entries, where
+    # y / |y| overflows; the estimate still brackets the dense one
+    grid = make_grid(Mode.RADIAL_SWAVE, 40.0, 800)
+    V = potentials.gaussian_well(grid, depth=4.0, width=1.0)
+    f = grid.nodes.astype(complex)
+    _, tinv_f, cond = _dense_solve(V, grid, lam, f, Branch.PLUS)
+    _, tinv_b, cond_b = birman.bs_solve(V, grid, lam, f)
+    assert np.abs(tinv_b - tinv_f).max() <= 1e-10 * np.abs(tinv_f).max()
+    assert cond / 3.0 <= cond_b <= 3.0 * cond
 
 
 def test_condition_estimate_leaves_global_rng_alone(grid20, well20):

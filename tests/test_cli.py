@@ -261,6 +261,13 @@ def test_unstable_filtration_exits_4(tmp_path, capsys, monkeypatch):
     ("evolve", ("evolve", "delta_im"), -1),
     ("evolve", ("evolve", "expect_exponent"), "x"),
     ("evolve", ("evolve", "expect_exponent"), [-1.5]),
+    # non-finite numbers, as JSON's NaN / Infinity and as strings
+    ("threshold", ("grid", "extent"), float("nan")),
+    ("threshold", ("grid", "nodes"), float("inf")),
+    ("threshold", ("potential", "params", "s"), "nan"),
+    ("invert", ("invert", "lambdas"), [float("nan")]),
+    ("ftscan", ("ftscan", "lam_max"), float("inf")),
+    ("evolve", ("evolve", "k_max"), 0),
 ])
 def test_config_errors_exit_3(tmp_path, capsys, pipeline, path, value):
     cfg = small_threshold_cfg()
@@ -275,7 +282,7 @@ def test_config_errors_exit_3(tmp_path, capsys, pipeline, path, value):
     assert err.count("\n") == 1
     if value == "box3d":
         assert err == "configuration error: unknown grid mode 'box3d'\n"
-    if path[-1] in ("t_start", "t_end", "delta_im", "expect_exponent"):
+    if path[-1] in ("t_start", "t_end", "delta_im", "expect_exponent", "k_max"):
         # read before the plan, whose fit window this small grid also fails
         assert path[-1] in err
 

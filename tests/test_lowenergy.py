@@ -87,10 +87,16 @@ def test_the_low_energy_inverse_holds_three_real_square_arrays():
     # that spans M columns goes in column blocks: with the window search,
     # the residual and one lambda of the scan, the peak stays below three
     # float64 M x M arrays.  The grids of invert-ee (given window) and of
-    # full-ee (automatic window).
-    for extent, nodes, window in ((2.25, 550, 0.25), (80.0, 400, "auto")):
+    # full-ee (automatic window), and a depth-4 well with no threshold
+    # basis (automatic window).
+    for extent, nodes, window, depth in (
+        (2.25, 550, 0.25, None), (80.0, 400, "auto", None), (20.0, 550, "auto", 4.0)
+    ):
         grid = grids.make_grid(grids.Mode.RADIAL_SWAVE, extent, nodes)
-        V, _, _ = potentials.tune_coupling(potentials.exact_eigen(grid, s=2.0), grid)
+        if depth is None:
+            V, _, _ = potentials.tune_coupling(potentials.exact_eigen(grid, s=2.0), grid)
+        else:
+            V = potentials.gaussian_well(grid, depth=depth, width=1.0)
         basis = jordan.threshold(V, grid).basis
         f = grids.gaussian_bump(grid)
         tracemalloc.start()

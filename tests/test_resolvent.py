@@ -57,14 +57,6 @@ def test_negative_lambda_rides_conjugate_branch(g):
     assert np.abs(Rp - Rm).max() < 1e-14
 
 
-def test_difference_kernel_matches_resolvents(g):
-    lam0, lam = 0.3, 0.45
-    B = resolvent.build_B(g, lam0, lam)
-    R = resolvent.build_R0(g, lam)
-    R0 = resolvent.build_R0(g, lam0)
-    assert np.abs(B - (R - R0)).max() < 1e-13
-
-
 def test_kernel_difference_growth_rate(g):
     out = resolvent.kernel_difference_check(
         g, [0.02, 0.05, 0.1, 0.2, 0.4], mu=0.0, p=1.4

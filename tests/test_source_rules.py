@@ -64,15 +64,15 @@ def _tests_format(call):
     return name == "bandwidth"
 
 
-def _format_tests(tree):
-    """The innermost enclosing function of every call that tests a format."""
+def _callers(tree, match):
+    """(innermost enclosing function, call) for every call that match accepts."""
     out = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, ast.Call) and _tests_format(node):
-            out.append(func)
+        if isinstance(node, ast.Call) and match(node):
+            out.append((func, node))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
@@ -85,8 +85,28 @@ def test_only_samples_tests_the_potential_format():
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found.extend(f"{path.stem}.{func}" for func in _format_tests(tree))
+        found.extend(f"{path.stem}.{func}" for func, _ in _callers(tree, _tests_format))
     assert found == ["birman._samples"]
+
+
+#: The dense realization of I + V R0(lambda^2) and who may call it: the
+#: fallback of `bs_solve` where lambda h is near a nonzero multiple of pi.
+DENSE_CALLERS = {
+    "build_R0": {"birman.build_bs", "birman.bs_solve"},
+    "build_bs": {"birman.bs_solve"},
+    "direct_inverse": {"birman.bs_solve"},
+}
+
+
+def test_only_bs_solve_reaches_the_dense_realization():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func, call in _callers(tree, lambda call: _name(call.func) in DENSE_CALLERS):
+            name = _name(call.func)
+            if f"{path.stem}.{func}" not in DENSE_CALLERS[name]:
+                offenders.append(f"{path.stem}.{func} calls {name}")
+    assert offenders == []
 
 
 #: Where the callers of the package live.
