@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from speclab import evolution, grids, jordan, potentials
+from speclab import birman, evolution, grids, jordan, potentials
 from speclab.grids import Mode
 
 
@@ -37,7 +37,8 @@ def main(out_dir=None):
     Ppp = jordan.build_Ppp(tuned_wide, wide, basis=basis)
 
     runs = [
-        ("free", None, grid, None, 2.5, np.linspace(2.0, 6.4, 10)),
+        ("free", birman.sample_potential("free", grid, np.zeros_like), grid, None,
+         2.5, np.linspace(2.0, 6.4, 10)),
         ("zero mode, unprojected", tuned, grid, None, 2.5,
          np.linspace(2.0, 6.4, 10)),
         ("zero mode, projected", tuned_wide, wide, Ppp, 4.0,

@@ -21,9 +21,13 @@ factorization, `_tridiagonal_solver`, applies R0(lambda^2) in the checks
 here and in `ftdiag.k2_bound_check`, and the domain resolvent of
 :mod:`speclab.lowenergy`; `_pinned_solver` factors a singular H made
 nonsingular at its kernel for the banded S0 solve and the threshold chain
-of :mod:`speclab.jordan`.  The dense LU (`build_bs`, `direct_inverse`)
-stays only in `bs_solve`, for lambda h near a nonzero multiple of pi, and
-as the tests' oracle of the banded paths.
+of :mod:`speclab.jordan`.  The dense LU (`direct_inverse`) stays only in
+`bs_solve`, for lambda h near a nonzero multiple of pi, and as the tests'
+oracle of the banded paths.
+
+Every tridiagonal matrix here is symmetric and travels as its bands
+(d, e), the diagonal and the off-diagonal of tridiag(e, d, e); those of
+H = H0 + V come from `hamiltonian`, the free potential being zero samples.
 """
 
 from __future__ import annotations
@@ -142,14 +146,6 @@ def sample_potential(name, grid, fn, p=1.4, q=2.0):
     return PotentialSpec(name, GridFunction(grid, np.asarray(fn(r), complex)), p, q)
 
 
-def build_bs(V, grid, lam, sign=Branch.PLUS):
-    """I + V R0(lambda^2 +/- i0) (V = None means free)."""
-    if V is None:
-        return np.eye(grid.size, dtype=complex)
-    R0 = resolvent.build_R0(grid, lam, sign)
-    return np.eye(grid.size) + potential_operator(V, R0)
-
-
 def direct_inverse(A, context=""):
     """Dense LU inverse of the square matrix A with a condition estimate.
 
@@ -172,7 +168,7 @@ def direct_inverse(A, context=""):
 
 
 def tridiagonal_bs(grid, lam, sign=Branch.PLUS):
-    """The bands (dl, d, du) of T_lambda, the tridiagonal inverse of R0(lambda^2).
+    """The bands (d, e) of T_lambda, the tridiagonal inverse of R0(lambda^2).
 
     With h the spacing, s = sin(lambda h) and kappa = lambda / (h s), the
     off-diagonal entries are -kappa, the interior diagonal ones
@@ -190,14 +186,19 @@ def tridiagonal_bs(grid, lam, sign=Branch.PLUS):
     if lam == 0:
         main = np.full(M, 2.0)
         main[0], main[-1] = 3.0, 1.0
-        off = np.full(M - 1, -1.0 / h**2)
-        return off, main / h**2, off
+        return main / h**2, np.full(M - 1, -1.0 / h**2)
     kappa = lam / (h * np.sin(lam * h))
     d = np.full(M, 2.0 * np.cos(lam * h) * kappa, complex)
     d[0] = kappa * np.sin(1.5 * lam * h) / np.sin(0.5 * lam * h)
     d[-1] = kappa * np.exp(-1j * int(sign) * lam * h)
-    off = np.full(M - 1, -kappa, complex)
-    return off, d, off
+    return d, np.full(M - 1, -kappa, complex)
+
+
+def hamiltonian(V, grid):
+    """The bands (d, e) of H = H0 + V: the H0 stencil of `tridiagonal_bs` at
+    lambda = 0, with the samples of V added to its diagonal."""
+    d0, e = tridiagonal_bs(grid, 0.0)
+    return d0 + _samples(V), e
 
 
 def banded_energy(grid, lam):
@@ -207,13 +208,22 @@ def banded_energy(grid, lam):
     return round(x / np.pi) == 0 or abs(np.sin(x)) >= SIN_MIN
 
 
-def _tridiagonal_apply(dl, d, du, x):
-    """tridiag(dl, d, du) @ x for a vector or a matrix of columns."""
+def _tridiagonal_apply(d, e, x):
+    """tridiag(e, d, e) @ x for a vector or a matrix of columns."""
     shape = (-1,) + (1,) * (x.ndim - 1)
+    e = e.reshape(shape)
     out = d.reshape(shape) * x
-    out[:-1] += du.reshape(shape) * x[1:]
-    out[1:] += dl.reshape(shape) * x[:-1]
+    out[:-1] += e * x[1:]
+    out[1:] += e * x[:-1]
     return out
+
+
+def _one_norm(d, e):
+    """||tridiag(e, d, e)||_1, the largest column sum."""
+    col = np.abs(d)
+    col[1:] += np.abs(e)
+    col[:-1] += np.abs(e)
+    return float(col.max())
 
 
 def bs_norm(v, grid, lam, sign=Branch.PLUS):
@@ -233,9 +243,9 @@ def bs_norm(v, grid, lam, sign=Branch.PLUS):
 def bs_solve(V, grid, lam, f, sign=Branch.PLUS, context=""):
     """R_V(lambda^2) f and T(lambda)^{-1} f, T(lambda) = I + V R0(lambda^2).
 
-    f is a vector or a matrix of columns; V = None means free.  For a
-    multiplier V, I + V R0 = (T_lambda + V) R0, so one tridiagonal
-    factorization (LAPACK d/zgttrf) of T_lambda + V gives
+    f is a vector or a matrix of columns.  For a multiplier V,
+    I + V R0 = (T_lambda + V) R0, so one tridiagonal factorization
+    (`_tridiagonal_solver`) of T_lambda + V gives
     R_V f = (T_lambda + V)^{-1} f and T^{-1} f = T_lambda R_V f in O(M) per
     column.  The refusal is the dense one: NearSingularError when the
     condition estimate, ||I + V R0||_1 (exact, `bs_norm`) times the
@@ -246,14 +256,14 @@ def bs_solve(V, grid, lam, f, sign=Branch.PLUS, context=""):
     of `direct_inverse`.  Returns (R_V f, T^{-1} f, condition estimate).
     """
     M = grid.size
-    v = np.zeros(M) if V is None else _samples(V)
+    v = _samples(V)
     if not banded_energy(grid, lam):
-        tinv, cond = direct_inverse(build_bs(V, grid, lam, sign), context)
-        tinv_f = tinv @ f
         R0 = resolvent.build_R0(grid, lam, sign)
+        tinv, cond = direct_inverse(np.eye(M) + v[:, None] * R0, context)
+        tinv_f = tinv @ f
         return R0 @ tinv_f, tinv_f, cond
-    dl, d, du = tridiagonal_bs(grid, lam, sign)
-    solve = _tridiagonal_solver(dl, d + v, du, context)
+    d, e = tridiagonal_bs(grid, lam, sign)
+    solve = _tridiagonal_solver(d + v, e, context)
     # T^{-1} = T_lambda (T_lambda + V)^{-1} = I - V (T_lambda + V)^{-1}, and
     # its adjoint I - (T_lambda + V)^{-H} conj(V): one solve each, and no
     # product with the bands of T_lambda.
@@ -265,23 +275,23 @@ def bs_solve(V, grid, lam, f, sign=Branch.PLUS, context=""):
     if not np.isfinite(cond) or cond > COND_CUTOFF:
         raise NearSingularError(cond, context)
     rv_f = solve(np.asarray(f))
-    return rv_f, _tridiagonal_apply(dl, d, du, rv_f), cond
+    return rv_f, _tridiagonal_apply(d, e, rv_f), cond
 
 
-def _tridiagonal_solver(dl, d, du, context=""):
-    """Factor tridiag(dl, d, du) once (LAPACK dgttrf for real bands, zgttrf
+def _tridiagonal_solver(d, e, context=""):
+    """Factor tridiag(e, d, e) once (LAPACK dgttrf for real bands, zgttrf
     for complex ones) and return its solver.
 
     The solver maps x, a vector or a matrix of columns, to
-    tridiag(dl, d, du)^{-1} x in O(M) per column (d/zgttrs); trans="C" solves
+    tridiag(e, d, e)^{-1} x in O(M) per column (d/zgttrs); trans="C" solves
     with the conjugate transpose.  With real bands a complex x is solved as
     its real view, two real columns per complex one: the bits of zgttrs,
     with no complex copy of the factors.  An exactly singular matrix raises
     NearSingularError.
     """
     M = d.size
-    gttrf, gttrs = sla.get_lapack_funcs(("gttrf", "gttrs"), (dl, d, du))
-    *factors, info = gttrf(dl, d, du)
+    gttrf, gttrs = sla.get_lapack_funcs(("gttrf", "gttrs"), (d, e))
+    *factors, info = gttrf(e, d, e)
     if info > 0:
         raise NearSingularError(np.inf, context)
     real = gttrs.dtype == float
@@ -299,20 +309,20 @@ def _tridiagonal_solver(dl, d, du, context=""):
     return solve
 
 
-def _pinned_solver(dl, d, du, rows, context=""):
-    """Solver of A = H + alpha E E^T for a singular tridiagonal H = tridiag(dl, d, du).
+def _pinned_solver(d, e, rows, context=""):
+    """Solver of A = H + alpha E E^T for a singular tridiagonal H = tridiag(e, d, e).
 
     E holds the unit columns at `rows`, where the kernel vectors of H are
-    largest, and alpha = max |dl| is the off-diagonal scale.  A is
+    largest, and alpha = max |e| is the off-diagonal scale.  A is
     tridiagonal and nonsingular: for a one-dimensional kernel psi and
     rows = [r], det A = alpha times the minor of H without row and column
     r, which is proportional to psi_r^2.  Returns (solve_A, alpha), solve_A
     from `_tridiagonal_solver`.
     """
-    alpha = np.abs(dl).max()
+    alpha = np.abs(e).max()
     shifted = d.copy()
     shifted[rows] += alpha
-    return _tridiagonal_solver(dl, shifted, du, context), alpha
+    return _tridiagonal_solver(shifted, e, context), alpha
 
 
 def _inverse_norm_estimate(M, apply, adjoint):

@@ -70,18 +70,13 @@ class SubstepCapError(ArithmeticError):
 
 
 def discretize_H(V, grid):
-    """H = -Delta_grid + V as a dense complex symmetric matrix.
-
-    V is a PotentialSpec, or None for the free operator.  The free part is
-    the stencil of `birman.tridiagonal_bs` at lambda = 0.  The pipelines
-    keep H as its bands; the dense H serves the Schur projectors and
-    fallback `eigvals` of `jordan.build_Ppp` and the tests' oracles.
+    """H = -Delta_grid + V as a dense complex symmetric matrix, from the
+    bands of `birman.hamiltonian`.  The pipelines keep H as its bands; the
+    dense H serves the Schur projectors and fallback `eigvals` of
+    `jordan.build_Ppp` and the tests' oracles.
     """
-    off, main, _ = birman.tridiagonal_bs(grid, 0.0)
-    H = np.diag(main.astype(complex)) + np.diag(off, 1) + np.diag(off, -1)
-    if V is not None:
-        H = H + np.diag(birman._samples(V))
-    return H
+    d, e = birman.hamiltonian(V, grid)
+    return np.diag(d.astype(complex)) + np.diag(e, 1) + np.diag(e, -1)
 
 
 @dataclass(frozen=True)
@@ -133,18 +128,18 @@ def _pade_roots():
                      for k in range(p, -1, -1)])
 
 
-def _pade_stepper(dl, d, du):
-    """step(dt, x) = e^{-i dt H} x for H = tridiag(dl, d, du); see `propagate`."""
+def _pade_stepper(d, e):
+    """step(dt, x) = e^{-i dt H} x for H = tridiag(e, d, e); see `propagate`."""
     levels = {}    # (dt, n) -> [(-2 a_j, solver of H + a_j)], two at most
     accepted = {}  # dt -> n
-    norm = (np.abs(d) + np.pad(np.abs(du), (1, 0)) + np.pad(np.abs(dl), (0, 1))).max()
+    norm = birman._one_norm(d, e)
     if not np.isfinite(norm):  # no pass would ever resolve H
         raise ValueError("H has non-finite entries")
 
     def run(dt, n, x):
         if (dt, n) not in levels:
             shifts = 1j * _pade_roots() * (n / dt)
-            levels[dt, n] = [(-2.0 * a, birman._tridiagonal_solver(dl, d + a, du))
+            levels[dt, n] = [(-2.0 * a, birman._tridiagonal_solver(d + a, e))
                              for a in shifts]
         factors = levels[dt, n]
         for _ in range(n):
@@ -176,9 +171,9 @@ def propagate(plan, f):
 
     Steps the state from each time to the next, a step length within
     STEP_RTOL of an earlier one taken as that one, by the (16, 16) Pade
-    product of the module docstring on the tridiagonal H (the free one when
-    the plan's V is None).  Each factor is applied in Cayley form
-    x - 2 a_j (H + a_j)^{-1} x, one zgttrs solve on a zgttrf factorization
+    product of the module docstring on the tridiagonal H of
+    `birman.hamiltonian`.  Each factor is applied in Cayley form
+    x - 2 a_j (H + a_j)^{-1} x, one complex tridiagonal solve
     (`birman._tridiagonal_solver`), O(M) per factor and substep.  Each
     output interval of length dt is split into n substeps of length
     tau = dt / n by step doubling: passes a (n substeps) and b (2n) are
@@ -191,9 +186,7 @@ def propagate(plan, f):
     of the step length last accepted.
     """
     grid = plan.grid
-    v = np.zeros(grid.size) if plan.V is None else birman._samples(plan.V)
-    dl, d, du = birman.tridiagonal_bs(grid, 0.0)
-    step = _pade_stepper(dl, d + v, du)
+    step = _pade_stepper(*birman.hamiltonian(plan.V, grid))
     out, lengths = [], []
     state = f.values
     prev = 0.0

@@ -126,8 +126,7 @@ def t_hat_l1_scan(V, grid, f, window, params=None):
     cap = params.get("cap", DEFAULT_CAP)
     lams, delta = lambda_grid(n, lam_max)
     cut = window_cutoffs(lams, lambda1, r)[window.upper()]
-    v = np.zeros(1) if V is None else birman._samples(V)
-    mirror = not np.iscomplexobj(v) and not np.any(f.values.imag)
+    mirror = not np.iscomplexobj(birman._samples(V)) and not np.any(f.values.imag)
     samples = np.zeros((n, grid.size), complex)
     for i, lam in enumerate(lams):
         if cut[i] == 0.0 or (mirror and i >= n // 2):
@@ -218,7 +217,8 @@ def k2_bound_check(grid, basis, r):
     should be r-uniform (O(1)) and the B0 variant O(r).  Each sample is one
     tridiagonal solve, O(M) (ValueError where lambda h is near a nonzero
     multiple of pi).  Returns per-chain dicts with both values plus the
-    quadrature bound ||chi-hat||_1 * sup_x sum_y w_y |psi(y)| min(x, y).
+    quadrature bound ||chi-hat||_1 * sup_x sum_y w_y |psi(y)| min(x, y),
+    the sum being R0(0)|psi|, one more solve.
     """
     if not basis.chains:
         raise ValueError("empty threshold basis")
@@ -245,10 +245,7 @@ def k2_bound_check(grid, basis, r):
         drho = rho[1] - rho[0]
         val_r = float((np.sum(np.abs(hat_r), axis=0) * drho).max())
         val_b = float((np.sum(np.abs(hat_b), axis=0) * drho).max())
-        x = grid.nodes
-        quad = float(
-            (np.minimum(x[:, None], x[None, :]) @ (grid.weights * np.abs(psibar))).max()
-        )
+        quad = float(R00(np.abs(psibar)).max())
         out.append(
             {
                 "r0_variant": val_r,

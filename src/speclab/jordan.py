@@ -267,50 +267,6 @@ def jordan_dual_basis(N, B=None):
     return JordanBasis(tuple(chains), _gram(chains, pair))
 
 
-def nilpotent_fixture(chain_spec, rng=None):
-    """Random B-symmetric (B = dot) nilpotent with prescribed chain structure.
-
-    chain_spec maps chain length k to multiplicity L_k.  Each chain block is
-    realized on its own coordinates through a dot-isotropic dual pair basis,
-    then the whole matrix is conjugated by a random complex orthogonal
-    similarity (which preserves plain symmetry): the Cayley transform
-    Q = (I - A)^{-1} (I + A) of a random complex skew-symmetric A.
-    """
-    rng = np.random.default_rng(rng)
-    blocks = []
-    for k in sorted(chain_spec, reverse=True):
-        for _ in range(chain_spec[k]):
-            blocks.append(_symmetric_jordan_block(k))
-    base = sla.block_diag(*blocks) if blocks else np.zeros((0, 0))
-    n = base.shape[0]
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    A = 0.175 * (A - A.T) / np.sqrt(max(n, 1))
-    Q = np.linalg.solve(np.eye(n) - A, np.eye(n) + A)  # Q^T Q = I
-    return Q @ base @ Q.T
-
-
-def _symmetric_jordan_block(k):
-    """Plain-symmetric nilpotent k x k matrix with a single length-k chain.
-
-    Built from a dot-self-dual chain basis: coordinates are allocated to
-    dual pairs (e_j, e_{k+1-j}) through isotropic vectors (1, +/- i)/sqrt 2,
-    with a real middle vector when k is odd; then N = sum over j of
-    psi_{j-1} psi_{k+1-j}^T, j = 2..k, which is symmetric and shifts the
-    chain.
-    """
-    psi = np.zeros((k, k), complex)  # column j-1 holds psi_j
-    for j in range(1, k // 2 + 1):
-        a, b = 2 * (j - 1), 2 * (j - 1) + 1
-        psi[a, j - 1] = 1 / np.sqrt(2)
-        psi[b, j - 1] = 1j / np.sqrt(2)
-        psi[a, k - j] = 1 / np.sqrt(2)
-        psi[b, k - j] = -1j / np.sqrt(2)
-    if k % 2 == 1:
-        mid = (k + 1) // 2
-        psi[k - 1, mid - 1] = 1.0
-    return psi[:, : k - 1] @ np.flip(psi[:, : k - 1], axis=1).T
-
-
 # ---------------------------------------------------------------------------
 # Concrete threshold machinery
 
@@ -351,8 +307,7 @@ def _lift(V, grid, spaces, states):
     if not spaces:
         return Threshold(dims, (), JordanBasis((), np.zeros((0, 0))))
     Q = spaces[-1]
-    dl, d, du = birman.tridiagonal_bs(grid, 0.0)
-    N = Q.conj().T @ birman._tridiagonal_apply(dl, d + birman._samples(V), du, Q)
+    N = Q.conj().T @ birman._tridiagonal_apply(*birman.hamiltonian(V, grid), Q)
     Bres = Q.T @ (grid.weights[:, None] * Q)
     chains = []
     for C in jordan_dual_basis(N, Bres).chains:
@@ -455,28 +410,27 @@ def build_filtration(V, grid):
     its factorization by a few ulps (`_shifted_solver`); a second one raises
     birman.NearSingularError.
     """
-    dl, d0, du = birman.tridiagonal_bs(grid, 0.0)
-    d = d0 + birman._samples(V)
-    solve_H = _shifted_solver(dl, d, du, 0.0)
+    d, e = birman.hamiltonian(V, grid)
+    d0, _ = birman.tridiagonal_bs(grid, 0.0)
+    solve_H = _shifted_solver(d, e, 0.0)
     if solve_H is None:
         raise birman.NearSingularError(np.inf, "threshold: zero pivot of H at both shifts")
-    solve_H0 = birman._tridiagonal_solver(dl, d0, du)
+    solve_H0 = birman._tridiagonal_solver(d0, e)
 
     def H(x):
-        return birman._tridiagonal_apply(dl, d, du, x)
+        return birman._tridiagonal_apply(d, e, x)
 
     def H0(x):
-        return birman._tridiagonal_apply(dl, d0, du, x)
-
-    def H_adjoint(x):
-        return birman._tridiagonal_apply(du.conj(), d.conj(), dl.conj(), x)
+        return birman._tridiagonal_apply(d0, e, x)
 
     rng = np.random.default_rng(0)
     start = rng.standard_normal(d.size)  # real bands: a real chain
     if np.iscomplexobj(d):
         start = start + 1j * rng.standard_normal(d.size)
     t_norm = _norm_estimate(
-        lambda x: H(solve_H0(x)), lambda y: solve_H0(H_adjoint(y)), start
+        lambda x: H(solve_H0(x)),
+        lambda y: solve_H0(birman._tridiagonal_apply(d.conj(), e, y)),  # H^H, e real
+        start,
     )
     t_inv_norm = _norm_estimate(
         lambda x: H0(solve_H(x)), lambda y: solve_H(H0(y), "C"), start
@@ -490,7 +444,7 @@ def build_filtration(V, grid):
         psi /= np.linalg.norm(psi)
     g_norm = np.linalg.norm(H0(psi))
     states = [GridFunction(grid, psi / g_norm)]
-    chain = _chain_solver(dl, d, du, psi)
+    chain = _chain_solver(d, e, psi)
     Q = psi[:, None]
     spaces = [Q]
     for _ in range(MAX_FILTRATION_STEPS):
@@ -506,8 +460,8 @@ def build_filtration(V, grid):
     raise _still_growing(spaces)
 
 
-def _chain_solver(dl, d, du, psi):
-    """Solver of H phi = f for f in the range of H = tridiag(dl, d, du), ker H = psi.
+def _chain_solver(d, e, psi):
+    """Solver of H phi = f for f in the range of H = tridiag(e, d, e), ker H = psi.
 
     Keller's bordered system [[H, e_r], [e_r^T, 0]] [phi; mu] = [f; 0], with
     r the row where |psi| is largest, is nonsingular because psi_r != 0, and
@@ -518,7 +472,7 @@ def _chain_solver(dl, d, du, psi):
     side.
     """
     r = int(np.argmax(np.abs(psi)))
-    solve_A, _ = birman._pinned_solver(dl, d, du, [r], "threshold chain solve")
+    solve_A, _ = birman._pinned_solver(d, e, [r], "threshold chain solve")
     e_r = np.zeros_like(d)
     e_r[r] = 1.0
     z = solve_A(e_r)
@@ -608,13 +562,12 @@ def build_Ppp(
     """
     if delta_edge is None:
         delta_edge = 3.0 * free_edge_scale(grid)
-    v = np.zeros(grid.size) if V is None else birman._samples(V)
-    dl, d, du = birman.tridiagonal_bs(grid, 0.0)
-    bands, H = (dl, d + v, du), None
-    if np.iscomplexobj(v):
-        evals = _tridiagonal_eigenvalues(bands[1], dl)
+    d, e = birman.hamiltonian(V, grid)
+    H = None
+    if np.iscomplexobj(d):
+        evals = _tridiagonal_eigenvalues(d, e)
     else:
-        evals = _eigenvalues_below(bands[1], dl, -delta_edge)
+        evals = _eigenvalues_below(d, e, -delta_edge)
     if evals is None:
         H = evolution.discretize_H(V, grid)
         evals = np.linalg.eigvals(H)
@@ -625,7 +578,7 @@ def build_Ppp(
     for center, members in _cluster(selected, cluster_tol):
         proj = None
         if len(members) == 1:
-            proj = _rank_one_projector(*bands, center)
+            proj = _rank_one_projector(d, e, center)
         if proj is None:
             if H is None:
                 H = evolution.discretize_H(V, grid)
@@ -687,7 +640,7 @@ def _tridiagonal_eigenvalues(d, e):
     check fails.
     """
     z = sla.eigvalsh_tridiagonal(d.real, e).astype(complex)
-    norm = _one_norm(e, d, e)
+    norm = birman._one_norm(d, e)
     e2 = e * e
     rows = max(1, EHRLICH_BLOCK // d.size)
     active = np.arange(d.size)
@@ -753,18 +706,18 @@ RESIDUAL_TOL = 1e-12
 INVERSE_ITERATIONS = 3
 
 
-def _rank_one_projector(dl, d, du, z):
+def _rank_one_projector(d, e, z):
     """Columns (psi, psi / psi^T psi), the factors of the projector of the
-    simple eigenvalue z of tridiag(dl, d, du).
+    simple eigenvalue z of tridiag(e, d, e).
 
     psi comes from INVERSE_ITERATIONS steps of inverse iteration on
-    tridiag(dl, d - z, du), factored once (`birman._tridiagonal_solver`);
+    tridiag(e, d - z, e), factored once (`birman._tridiagonal_solver`);
     an exactly zero pivot at the computed z moves z by a few ulps of
     ||H||_1.  Returns None, for the Schur path, when the factorization
     still fails, the eigenvalue is near-defective (kappa > KAPPA_MAX) or the
     residual check fails.
     """
-    solve = _shifted_solver(dl, d, du, z)
+    solve = _shifted_solver(d, e, z)
     if solve is None:
         return None
     # A fixed random start vector: deterministic, and without the structure
@@ -774,30 +727,22 @@ def _rank_one_projector(dl, d, du, z):
     for _ in range(INVERSE_ITERATIONS):
         psi = solve(psi)
         psi /= np.linalg.norm(psi)
-    resid = np.linalg.norm(birman._tridiagonal_apply(dl, d, du, psi) - z * psi)
+    resid = np.linalg.norm(birman._tridiagonal_apply(d, e, psi) - z * psi)
     bilinear = psi @ psi
-    if resid > RESIDUAL_TOL * _one_norm(dl, d, du) or abs(bilinear) * KAPPA_MAX < 1.0:
+    if resid > RESIDUAL_TOL * birman._one_norm(d, e) or abs(bilinear) * KAPPA_MAX < 1.0:
         return None
     return psi[:, None], (psi / bilinear)[:, None]
 
 
-def _one_norm(dl, d, du):
-    """||tridiag(dl, d, du)||_1, the largest column sum."""
-    col = np.abs(d)
-    col[1:] += np.abs(du)
-    col[:-1] += np.abs(dl)
-    return float(col.max())
-
-
-def _shifted_solver(dl, d, du, z):
-    """The solver of tridiag(dl, d - z, du) (`birman._tridiagonal_solver`).
+def _shifted_solver(d, e, z):
+    """The solver of tridiag(e, d - z, e) (`birman._tridiagonal_solver`).
 
     An exactly zero pivot at z moves z by a few ulps of ||H||_1; returns
     None when the factorization still fails.
     """
-    for shift in (0.0, 4.0 * np.finfo(float).eps * _one_norm(dl, d, du)):
+    for shift in (0.0, 4.0 * np.finfo(float).eps * birman._one_norm(d, e)):
         try:
-            return birman._tridiagonal_solver(dl, d - (z + shift), du)
+            return birman._tridiagonal_solver(d - (z + shift), e)
         except birman.NearSingularError:
             continue
     return None

@@ -86,15 +86,15 @@ def domain_resolvent(grid, lam):
     """R0(lambda^2), the exact inverse of (H0 - lambda^2) on the domain.
 
     Factors the tridiagonal H0 - lambda^2 once (H0's bands are
-    `birman.tridiagonal_bs(grid, 0.0)`, pivoted LAPACK gttrf) and returns
-    the function that maps x, a vector or a matrix of columns, to
+    `birman.tridiagonal_bs(grid, 0.0)`; `birman._tridiagonal_solver`) and
+    returns the function that maps x, a vector or a matrix of columns, to
     (H0 - lambda^2)^{-1} x in O(M) per column.  Requires lambda^2 not to be
     an eigenvalue of the box H0; an exact zero pivot raises
     birman.NearSingularError.  lambda^2 may lie above the first box
     eigenvalue (`_auto_window` starts at lambda = 1).
     """
-    dl, d, du = birman.tridiagonal_bs(grid, 0.0)
-    return birman._tridiagonal_solver(dl, d - lam**2, du, f"lambda={lam}")
+    d, e = birman.tridiagonal_bs(grid, 0.0)
+    return birman._tridiagonal_solver(d - lam**2, e, f"lambda={lam}")
 
 
 @dataclass
@@ -185,15 +185,15 @@ def _banded_S0(v, grid, Y, Z, R0Y):
     them at a time (`_blocks`), so S0 is the only M x M array.
     """
     M, n = Y.shape
-    dl, d0, du = birman.tridiagonal_bs(grid, 0.0)
-    solve = _bordered_solver(dl, d0 + v, du, Y, Z, grid.weights[:, None] * Y)
+    d0, e = birman.tridiagonal_bs(grid, 0.0)
+    solve = _bordered_solver(d0 + v, e, Y, Z, grid.weights[:, None] * Y)
     R_0 = domain_resolvent(grid, 0.0)
     C = grid.weights[:, None] * R0Y
     S0 = np.empty((M, M), np.result_type(v, Y), order="F")
     for J in _blocks(S0):
         F = np.eye(M, J.stop - J.start, -J.start, S0.dtype)
         y, mu = solve(F, np.zeros((n, F.shape[1])))
-        S = birman._tridiagonal_apply(dl, d0, du, y)
+        S = birman._tridiagonal_apply(d0, e, y)
         del y
         # the residual [F; 0] - [[Q~0 T0, Y], [C, 0]] [S; mu], in place
         T = R_0(S)
@@ -203,21 +203,21 @@ def _banded_S0(v, grid, Y, Z, R0Y):
         F -= T
         del T
         dy, _ = solve(F, -(C.T @ S))
-        S += birman._tridiagonal_apply(dl, d0, du, dy)
+        S += birman._tridiagonal_apply(d0, e, dy)
         S0[:, J] = S
     return S0
 
 
-def _bordered_solver(dl, d, du, Y, Z, B):
-    """Solver of [[Q~0 H, Y], [B^T, 0]] with H = tridiag(dl, d, du), Q~0 = I - Y Z^T.
+def _bordered_solver(d, e, Y, Z, B):
+    """Solver of [[Q~0 H, Y], [B^T, 0]] with H = tridiag(e, d, e), Q~0 = I - Y Z^T.
 
     With n > 0 chains H is singular: the psi_{1,k} of Z span its kernel.
     The tridiagonal A = H + alpha E E^T (`birman._pinned_solver`), with E
     the unit columns at the rows where the psi_{1,k} are largest
     (column-pivoted QR of Z^T), is nonsingular.  Q~0 H = A + U W^T with
-    U = [E, Y] and W = [-alpha E, -H^T Z], so block elimination leaves one
-    tridiagonal solve per column and a 3n x 3n capacitance system for
-    z = W^T y and mu.  With WB = [W, B] and PQ = A^{-1} [E, Y, Y], that
+    U = [E, Y] and W = [-alpha E, -H Z] (H is symmetric), so block
+    elimination leaves one tridiagonal solve per column and a 3n x 3n
+    capacitance system for z = W^T y and mu.  With WB = [W, B] and PQ = A^{-1} [E, Y, Y], that
     system is WB^T PQ + diag(I_2n, 0), and each solve takes one product
     with WB^T and one with PQ, so few small BLAS calls per block of columns.
     Returns solve(F, G) -> (y, mu) for the right-hand side [F; G], F of M
@@ -225,10 +225,10 @@ def _bordered_solver(dl, d, du, Y, Z, B):
     """
     M, n = Y.shape
     rows = sla.qr(Z.T, mode="r", pivoting=True)[1][:n]
-    solve_A, alpha = birman._pinned_solver(dl, d, du, rows, "S0 bordered solve")
+    solve_A, alpha = birman._pinned_solver(d, e, rows, "S0 bordered solve")
     E = np.zeros((M, n), np.result_type(d, Y))
     E[rows, np.arange(n)] = 1.0
-    WB = np.hstack([-alpha * E, -birman._tridiagonal_apply(du, d, dl, Z), B])
+    WB = np.hstack([-alpha * E, -birman._tridiagonal_apply(d, e, Z), B])
     PQ = solve_A(np.hstack([E, Y, Y]))
     cap = WB.T @ PQ
     cap[: 2 * n, : 2 * n] += np.eye(2 * n)

@@ -105,7 +105,7 @@ def tune_coupling(V, grid, target=-1.0):
     nearest; that is refused before any step.  Otherwise an iterate nu at
     round-off of 0 (|nu| ||H0|| <= 16 eps ||V||) is refused as it appears.
     """
-    dl, d, du = birman.tridiagonal_bs(grid, 0.0)
+    d, e = birman.tridiagonal_bs(grid, 0.0)
     v = V.values.values
     roundoff = 16 * np.finfo(float).eps
     v_norm = np.max(np.abs(v))
@@ -115,15 +115,15 @@ def tune_coupling(V, grid, target=-1.0):
         and not np.any(np.real(v) * target > 0)
     ):
         raise _no_coupling(target)
-    solve = birman._tridiagonal_solver(dl, d - v / target, du, "tune_coupling")
-    h0_norm = np.max(np.abs(d)) + 2 * np.max(np.abs(dl))
+    solve = birman._tridiagonal_solver(d - v / target, e, "tune_coupling")
+    h0_norm = np.max(np.abs(d)) + 2 * np.max(np.abs(e))
     u = np.random.default_rng(0).standard_normal(grid.size).astype(complex)
-    g = birman._tridiagonal_apply(dl, d, du, u)
+    g = birman._tridiagonal_apply(d, e, u)
     nu = np.inf
     for _ in range(TUNE_MAX_STEPS):
         u = solve(g)
         u /= np.max(np.abs(u))
-        g = birman._tridiagonal_apply(dl, d, du, u)
+        g = birman._tridiagonal_apply(d, e, u)
         nu_prev, nu = nu, (u @ (v * u)) / (u @ g)
         resid = np.max(np.abs(v * u - nu * g))
         scale = v_norm + abs(nu) * h0_norm

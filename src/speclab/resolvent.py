@@ -42,30 +42,13 @@ class Branch(enum.IntEnum):
     MINUS = -1
 
 
-def free_kernel_radial(r, rp, lam, sign=Branch.PLUS):
-    """Reduced s-wave kernel sin(lambda r_<) e^{i s lambda r_>} / lambda.
-
-    Limits to r_< as lambda -> 0.  Symmetric in (r, r').  The real quotient
-    sin(lambda r_<) / lambda is formed before the phase multiplies it, as in
-    `kernel_generators`: dividing the complex product by a subnormal lambda
-    overflows to inf + nan j.
-    """
-    r = np.asarray(r, dtype=float)
-    rp = np.asarray(rp, dtype=float)
-    if np.any(r <= 0) or np.any(rp <= 0):
-        raise ValueError("radii must be positive")
-    lo = np.minimum(r, rp)
-    hi = np.maximum(r, rp)
-    if lam == 0:
-        return lo.astype(complex)
-    return np.sin(lam * lo) / lam * np.exp(1j * Branch(sign) * lam * hi)
-
-
 def kernel_generators(r, lam, sign=Branch.PLUS):
     """Generators (a, b) of the radial kernel: G(r, r') = a(r_<) b(r_>).
 
     a = sin(lambda r) / lambda and b = e^{i s lambda r}, or a = r and b = 1
-    at lambda = 0.
+    at lambda = 0.  The real quotient sin(lambda r) / lambda is formed
+    before the phase multiplies it: dividing the complex product by a
+    subnormal lambda overflows to inf + nan j.
     """
     r = np.asarray(r, dtype=float)
     if lam == 0:
@@ -74,10 +57,13 @@ def kernel_generators(r, lam, sign=Branch.PLUS):
 
 
 def build_R0(grid, lam, sign=Branch.PLUS):
-    """Assemble the free resolvent: kernel samples times quadrature weights."""
-    r = grid.nodes
-    K = free_kernel_radial(r[:, None], r[None, :], lam, sign)
-    return K * grid.weights[None, :]
+    """Assemble the free resolvent: the kernel samples a(r_<) b(r_>) of
+    `kernel_generators` (the nodes ascend, so r_< is the node of the lower
+    index) times the quadrature weights."""
+    a, b = kernel_generators(grid.nodes, lam, sign)
+    i = np.arange(grid.size)
+    K = a[np.minimum.outer(i, i)] * b[np.maximum.outer(i, i)]
+    return K.astype(complex, copy=False) * grid.weights[None, :]
 
 
 def column_lp_norm_3d(lam, mu, pprime, r_max):

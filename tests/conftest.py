@@ -118,8 +118,7 @@ def _isotropic_chain_potential(grid):
     q -= (p @ q) / (p @ p) * p
     q *= np.linalg.norm(p) / np.linalg.norm(q)
     psi = p + 1j * q
-    dl, d, du = birman.tridiagonal_bs(grid, 0.0)
-    v = -birman._tridiagonal_apply(dl, d, du, psi) / psi
+    v = -birman._tridiagonal_apply(*birman.tridiagonal_bs(grid, 0.0), psi) / psi
     return birman.PotentialSpec("isotropic chain", GridFunction(grid, v))
 
 

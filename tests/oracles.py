@@ -1,15 +1,23 @@
 """Dense references of the banded paths, for the tests only.
 
 Each forms an M x M matrix that the package never forms, most at O(M^3)
-cost: the dense I + V R0(lambda^2), the dense LU of the bordered S0
-system, the dense series step of the low-energy inverse and the dense SVD
-filtration of the threshold.
+cost: the dense I + V R0(lambda^2), with the sampled free kernel or with
+the domain resolvent, the dense LU of the bordered S0 system, the dense
+series step of the low-energy inverse and the dense SVD filtration of the
+threshold.
 """
 
 import numpy as np
 
 from speclab import birman, jordan, lowenergy, resolvent
 from speclab.grids import GridFunction
+from speclab.resolvent import Branch
+
+
+def build_bs(V, grid, lam, sign=Branch.PLUS):
+    """The dense I + V R0(lambda^2 +/- i0) with the sampled free kernel."""
+    R0 = resolvent.build_R0(grid, lam, sign)
+    return np.eye(grid.size) + birman.potential_operator(V, R0)
 
 
 def bs_matrix(V, grid, lam):

@@ -9,7 +9,8 @@ of ten propagator steps (about 1.2 s on 2 cores).
 import numpy as np
 import pytest
 
-from oracles import bs_matrix
+from nilpotent import nilpotent_fixture
+from oracles import bs_matrix, build_bs
 from speclab import birman, evolution, ftdiag, grids, jordan, lowenergy, potentials
 from speclab.grids import GridFunction, Mode
 
@@ -37,11 +38,12 @@ def test_criterion_01_free_dispersive_law():
     g = grids.make_grid(Mode.RADIAL_SWAVE, 40.0, 800)
     f = grids.gaussian_bump(g)
     times = np.linspace(2.0, 6.4, 10)
-    plan = evolution.make_plan(None, g, times, k_max=2.5, T_fit_min=2.0)
+    free = birman.sample_potential("free", g, np.zeros_like)
+    plan = evolution.make_plan(free, g, times, k_max=2.5, T_fit_min=2.0)
     report = evolution.dispersive_scan(plan, f)
     assert abs(report["exponent"] + 1.5) < 0.1
     # pointwise agreement with the analytic Gaussian kernel at t = 2
-    numeric = evolution.propagate(evolution.make_plan(None, g, [2.0]), f)[0]
+    numeric = evolution.propagate(evolution.make_plan(free, g, [2.0]), f)[0]
     analytic = evolution.free_evolution_radial(g, f, 2.0)
     mask = g.nodes <= 10.0
     pn = grids.profile_values(numeric)[mask]
@@ -132,7 +134,7 @@ def test_criterion_04_dual_basis_certificate():
         spec = {}
         for k in lengths:
             spec[k] = spec.get(k, 0) + 1
-        N = jordan.nilpotent_fixture(spec, rng=rng)
+        N = nilpotent_fixture(spec, rng=rng)
         jb = jordan.jordan_dual_basis(N)
         assert jb.multiplicities == spec
         cert = jb.pairing_certificate - jordan.expected_gram(jb.multiplicities)
@@ -203,7 +205,7 @@ def test_criterion_07_local_neumann_and_transform_bound(grid20, well20):
         except birman.NoContractionError:
             continue
         assert factor < 1.0
-        dense, _ = birman.direct_inverse(birman.build_bs(V, g, lam))
+        dense, _ = birman.direct_inverse(build_bs(V, g, lam))
         scale = np.abs(dense).max()
         assert np.abs(op - dense).max() / scale <= 1e-8
         checked += 1

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from oracles import build_bs
 from speclab import birman, evolution, jordan, lowenergy, potentials, resolvent
 from speclab.grids import GridFunction, Mode, make_grid, operator_l1_norm
 from speclab.resolvent import Branch
@@ -34,12 +35,12 @@ def test_epsilon_at_default_exponents(well20):
 
 def test_zero_potential_gives_identity(grid20):
     V = potentials.gaussian_well(grid20, depth=0.0)
-    A = birman.build_bs(V, grid20, 0.8)
+    A = build_bs(V, grid20, 0.8)
     assert np.abs(A - np.eye(grid20.size)).max() < 1e-15
 
 
 def test_direct_inverse_roundtrip(grid20, well20):
-    A = birman.build_bs(well20, grid20, 0.8)
+    A = build_bs(well20, grid20, 0.8)
     inv, cond = birman.direct_inverse(A)
     assert cond < 1e6
     eye = inv @ A
@@ -52,7 +53,7 @@ def test_near_singular_raised_at_threshold(grid20):
         potentials.exact_eigen(grid20, s=2.0), grid20
     )
     with pytest.raises(birman.NearSingularError):
-        birman.direct_inverse(birman.build_bs(tuned, grid20, 0.0))
+        birman.direct_inverse(build_bs(tuned, grid20, 0.0))
     with pytest.raises(birman.NearSingularError):
         birman.bs_solve(tuned, grid20, 0.0, grid20.nodes.astype(complex))
 
@@ -90,7 +91,7 @@ def test_smooth_cutoff_plateau_and_support():
 def test_local_neumann_matches_dense_inverse(grid20, well20):
     op, factor = birman.local_neumann_inverse(well20, grid20, 2.0, 0.015, 2.01)
     assert factor < 1.0
-    oracle, _ = birman.direct_inverse(birman.build_bs(well20, grid20, 2.01))
+    oracle, _ = birman.direct_inverse(build_bs(well20, grid20, 2.01))
     diff = op - oracle
     assert operator_l1_norm(diff, grid20) / operator_l1_norm(oracle, grid20) < 1e-10
 
@@ -103,13 +104,13 @@ def test_local_neumann_rejects_wide_window(grid20, well20):
 # Banded Birman-Schwinger solves, with the dense path as the oracle ----------
 
 
-def _tridiagonal(dl, d, du):
-    return np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
+def _tridiagonal(d, e):
+    return np.diag(d) + np.diag(e, -1) + np.diag(e, 1)
 
 
 def _dense_solve(V, grid, lam, f, sign):
     """(R_V f, T^{-1} f, zgecon's condition estimate) from dense LU."""
-    A = birman.build_bs(V, grid, lam, sign)
+    A = build_bs(V, grid, lam, sign)
     tinv, cond = birman.direct_inverse(A)
     R0 = resolvent.build_R0(grid, lam, sign)
     return R0 @ (tinv @ f), tinv @ f, cond
@@ -150,7 +151,7 @@ def test_banded_solve_matches_dense(nodes, extent, lam_h, sign, seed):
     assert np.abs(tinv_b - tinv_f).max() <= 1e-10 * np.abs(tinv_f).max()
     assert np.abs(rv_b - rv).max() <= 1e-10 * np.abs(rv).max()
     norm = birman.bs_norm(samples, grid, lam, sign)
-    dense_norm = np.linalg.norm(birman.build_bs(V, grid, lam, sign), 1)
+    dense_norm = np.linalg.norm(build_bs(V, grid, lam, sign), 1)
     assert norm == pytest.approx(dense_norm, rel=1e-12)
     assert cond / 3.0 <= cond_b <= 3.0 * cond
 
@@ -165,11 +166,11 @@ def test_real_bands_solve_complex_data_with_the_bits_of_zgttrs(nodes, columns, t
     # real bands factor in real arithmetic and solve complex columns as
     # their real view; complex copies of the same bands give the same bits
     rng = np.random.default_rng(seed)
-    dl, d, du = (rng.standard_normal(n) for n in (nodes - 1, nodes, nodes - 1))
+    d, e = rng.standard_normal(nodes), rng.standard_normal(nodes - 1)
     shape = (nodes, columns) if columns else (nodes,)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    real = birman._tridiagonal_solver(dl, d, du)(x, trans)
-    cplx = birman._tridiagonal_solver(dl + 0j, d + 0j, du + 0j)(x, trans)
+    real = birman._tridiagonal_solver(d, e)(x, trans)
+    cplx = birman._tridiagonal_solver(d + 0j, e + 0j)(x, trans)
     assert real.dtype == complex and real.shape == shape
     assert np.array_equal(real, cplx)
 
@@ -271,7 +272,7 @@ def test_uniform_inverse_scan_matches_dense(grid20, well20):
     out = birman.uniform_inverse_scan(well20, grid20, lams)
     dense = [
         operator_l1_norm(
-            birman.direct_inverse(birman.build_bs(well20, grid20, lam))[0], grid20
+            birman.direct_inverse(build_bs(well20, grid20, lam))[0], grid20
         )
         for lam in lams
     ]

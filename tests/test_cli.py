@@ -225,7 +225,7 @@ def test_substep_cap_exits_4(tmp_path, capsys, monkeypatch):
         "evolve": {"t_start": 2.0, "t_end": 6.4, "n_times": 8, "k_max": 2.5},
     }
     grid = cli.make_scenario_grid(cfg)
-    plan = evolution.make_plan(None, grid, [2.0])
+    plan = evolution.make_plan(cli.make_scenario_potential(cfg, grid), grid, [2.0])
     with pytest.raises(evolution.SubstepCapError, match="resolve all of H"):
         evolution.propagate(plan, grids.gaussian_bump(grid))
     rc = cli.main(["evolve", "--config", write_cfg(tmp_path, cfg)])

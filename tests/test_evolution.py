@@ -13,9 +13,14 @@ def g200():
     return grids.make_grid(Mode.RADIAL_SWAVE, 20.0, 200)
 
 
-def test_free_spectrum(g200):
+@pytest.fixture(scope="module")
+def free200(g200):
+    return birman.sample_potential("free", g200, np.zeros_like)
+
+
+def test_free_spectrum(g200, free200):
     # Dirichlet ghost at 0, Neumann ghost at L: eigenvalues ((n+1/2) pi / L)^2
-    H0 = evolution.discretize_H(None, g200)
+    H0 = evolution.discretize_H(free200, g200)
     ev = np.sort(np.linalg.eigvalsh(H0.real))[:5]
     exact = ((np.arange(5) + 0.5) * np.pi / 20.0) ** 2
     assert (np.abs(ev - exact) / exact).max() < 1e-2
@@ -29,9 +34,9 @@ def test_H_complex_symmetric(g200):
     assert np.abs(H - H.T).max() == 0.0
 
 
-def test_propagate_t0_is_identity(g200):
+def test_propagate_t0_is_identity(g200, free200):
     f = grids.gaussian_bump(g200)
-    plan = evolution.make_plan(None, g200, [0.0, 1.0])
+    plan = evolution.make_plan(free200, g200, [0.0, 1.0])
     out = evolution.propagate(plan, f)
     assert np.abs(out[0].values - f.values).max() < 1e-12
 
@@ -58,7 +63,7 @@ def test_group_property(g200):
 
 def _tridiagonal_cases(g):
     return {
-        "free": None,
+        "free": birman.sample_potential("free", g, np.zeros_like),
         "well": potentials.gaussian_well(g, depth=4.0),
         "complex": potentials.complex_perturbed(
             g, base=potentials.gaussian_well(g, depth=5.0), gamma=1.5
@@ -87,10 +92,9 @@ def test_tridiagonal_path_matches_eigh_tridiagonal():
     f = grids.gaussian_bump(g)
     times = np.linspace(2.5, 8.0, 10)
     states = evolution.propagate(evolution.make_plan(V, g, times), f)
-    dl, d, _ = birman.tridiagonal_bs(g, 0.0)
-    v = birman._samples(V)
-    assert not np.any(v.imag)
-    E, Q = sla.eigh_tridiagonal(d + v.real, dl)
+    d, e = birman.hamiltonian(V, g)
+    assert not np.iscomplexobj(d)
+    E, Q = sla.eigh_tridiagonal(d, e)
     coef = Q.T @ f.values
     scale = np.abs(f.values).max()
     for st, t in zip(states, times):
@@ -152,9 +156,9 @@ def test_tridiagonal_path_ignores_global_rng(g200):
     assert np.array_equal(runs[0], runs[1])
 
 
-def test_free_evolution_matches_analytic_kernel(g200):
+def test_free_evolution_matches_analytic_kernel(g200, free200):
     f = grids.gaussian_bump(g200)
-    plan = evolution.make_plan(None, g200, [2.0], k_max=2.5)
+    plan = evolution.make_plan(free200, g200, [2.0], k_max=2.5)
     numeric = evolution.propagate(plan, f)[0]
     analytic = evolution.free_evolution_radial(g200, f, 2.0)
     mask = g200.nodes <= 10.0
@@ -175,15 +179,15 @@ def test_jordan_polynomial_growth(chain_fixture20):
     assert coef[0] == pytest.approx(1.0, abs=0.1)
 
 
-def test_linspace_steps_factor_once(g200, count_calls):
+def test_linspace_steps_factor_once(g200, free200, count_calls):
     # np.linspace steps differ in their last bits; the Pade path still
     # factors each (step length, substep count) pair once
     solves = count_calls(birman, "_tridiagonal_solver")
-    plan = evolution.make_plan(None, g200, np.linspace(2.5, 8.0, 10))
+    plan = evolution.make_plan(free200, g200, np.linspace(2.5, 8.0, 10))
     evolution.propagate(plan, grids.gaussian_bump(g200))
-    d = birman.tridiagonal_bs(g200, 0.0)[1]
+    d = birman.tridiagonal_bs(g200, 0.0)[0]
     # the shift of the first Pade root names the level: i z_1 n / dt
-    shifts = np.sort([np.abs(call[1] - d).max() for call in solves[::16]])
+    shifts = np.sort([np.abs(call[0] - d).max() for call in solves[::16]])
     assert len(solves) == 16 * len(shifts)
     assert np.all(np.diff(shifts) > 1e-9 * shifts[1:])
 
@@ -207,25 +211,25 @@ def test_projected_evolution_of_range_vanishes(ee6):
         assert np.abs(st.values).max() < 1e-10
 
 
-def test_dispersive_scan_rejects_short_window(g200):
+def test_dispersive_scan_rejects_short_window(g200, free200):
     f = grids.gaussian_bump(g200)
-    plan = evolution.make_plan(None, g200, [2.0, 2.5, 3.0], k_max=2.5)
+    plan = evolution.make_plan(free200, g200, [2.0, 2.5, 3.0], k_max=2.5)
     with pytest.raises(evolution.FitWindowError):
         evolution.dispersive_scan(plan, f)
 
 
-def test_stone_formula_cross_check(g200):
+def test_stone_formula_cross_check(g200, free200):
     f = grids.gaussian_bump(g200)
-    d = evolution.stone_check(None, g200, f, 1.0, 36.0, 200)
+    d = evolution.stone_check(free200, g200, f, 1.0, 36.0, 200)
     assert d < 0.05
     # quadrature refinement does not make it worse
-    d2 = evolution.stone_check(None, g200, f, 1.0, 36.0, 400)
+    d2 = evolution.stone_check(free200, g200, f, 1.0, 36.0, 400)
     assert d2 <= d
 
 
-def test_decay_csv_columns(tmp_path, g200):
+def test_decay_csv_columns(tmp_path, g200, free200):
     f = grids.gaussian_bump(g200)
-    plan = evolution.make_plan(None, g200, np.linspace(2.0, 6.4, 6), k_max=1.0)
+    plan = evolution.make_plan(free200, g200, np.linspace(2.0, 6.4, 6), k_max=1.0)
     rep = evolution.dispersive_scan(plan, f)
     path = tmp_path / "decay.csv"
     evolution.write_decay_csv(rep, str(path))

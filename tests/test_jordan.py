@@ -7,7 +7,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg as sla
 
-from oracles import dense_threshold
+from nilpotent import nilpotent_fixture
+from oracles import build_bs, dense_threshold
 from speclab import birman, evolution, grids, jordan, potentials
 from speclab.grids import GridFunction, Mode
 
@@ -54,7 +55,7 @@ def test_non_nilpotent_rejected():
 
 def test_random_fixture_roundtrip():
     rng = np.random.default_rng(11)
-    N = jordan.nilpotent_fixture({3: 1, 1: 2}, rng=rng)
+    N = nilpotent_fixture({3: 1, 1: 2}, rng=rng)
     jb = jordan.jordan_dual_basis(N)
     assert jb.multiplicities == {3: 1, 1: 2}
     res = np.abs(jb.pairing_certificate - jordan.expected_gram(jb.multiplicities)).max()
@@ -83,7 +84,7 @@ def test_dual_basis_under_random_bilinear_forms(lengths, seed):
     for k in sorted(lengths, reverse=True):
         spec[k] = spec.get(k, 0) + 1
     rng = np.random.default_rng(seed)
-    N_sym = jordan.nilpotent_fixture(spec, rng=rng)
+    N_sym = nilpotent_fixture(spec, rng=rng)
     n = N_sym.shape[0]
     E = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     S = np.eye(n) + 0.2 * E / np.sqrt(n)
@@ -190,9 +191,9 @@ def test_rank_one_projectors_match_schur(monkeypatch, count_calls):
     ev = np.linalg.eigvals(H)
     pts = np.sort_complex(ev[ev.real < -0.05])
     assert len(pts) == 2
-    dl, d, du = birman.tridiagonal_bs(g, 0.0)
+    d, e = birman.hamiltonian(V, g)
     for z in pts:
-        P1 = _dense(jordan._rank_one_projector(dl, d + V.values.values, du, z))
+        P1 = _dense(jordan._rank_one_projector(d, e, z))
         P2 = _dense(jordan._riesz_projector(H, z, 1e-6))
         assert np.abs(P1 - P2).max() < 1e-10
     schur = count_calls(jordan, "_riesz_projector")
@@ -235,15 +236,14 @@ def test_zero_pivot_shifts_the_eigenvalue(monkeypatch, grid20, well20):
     factor = birman._tridiagonal_solver
     shifts = []
 
-    def singular_once(dl, d, du, context=""):
+    def singular_once(d, e, context=""):
         shifts.append(d)
         if len(shifts) == 1:
             raise birman.NearSingularError(np.inf, context)
-        return factor(dl, d, du, context)
+        return factor(d, e, context)
 
     monkeypatch.setattr(birman, "_tridiagonal_solver", singular_once)
-    dl, d, du = birman.tridiagonal_bs(grid20, 0.0)
-    P = _dense(jordan._rank_one_projector(dl, d + well20.values.values, du, z))
+    P = _dense(jordan._rank_one_projector(*birman.hamiltonian(well20, grid20), z))
     assert len(shifts) == 2 and 0 < np.abs(shifts[1] - shifts[0]).max() < 1e-10
     assert np.abs(P - _dense(jordan._riesz_projector(H, z, 1e-6))).max() < 1e-10
 
@@ -279,8 +279,8 @@ def test_build_Ppp_matches_schur_projectors(nodes, extent, seed, real):
 
 def _tridiagonal(grid, samples):
     """(d, e) of the complex symmetric H = tridiag(e, d, e) of the samples."""
-    dl, d, _ = birman.tridiagonal_bs(grid, 0.0)
-    return d + samples, dl
+    d, e = birman.tridiagonal_bs(grid, 0.0)
+    return d + samples, e
 
 
 @given(
@@ -308,7 +308,7 @@ def test_tridiagonal_eigenvalues_match_eigvals(
     assume(z is not None)  # the dense fallback's cases
     ev = np.linalg.eigvals(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
     dist = np.abs(z[:, None] - ev[None, :])
-    tol = 1e-11 * jordan._one_norm(e, d, e)
+    tol = 1e-11 * birman._one_norm(d, e)
     assert z.size == nodes
     assert dist.min(axis=1).max() <= tol and dist.min(axis=0).max() <= tol
 
@@ -324,7 +324,7 @@ def test_tridiagonal_eigenvalues_of_real_samples_are_the_start_values(grid20, we
     d, e = _tridiagonal(grid20, samples)
     z, start = jordan._tridiagonal_eigenvalues(d, e), sla.eigvalsh_tridiagonal(d, e)
     assert not np.any(z.imag)
-    assert np.abs(z - start).max() <= 1e-13 * jordan._one_norm(e, d, e)
+    assert np.abs(z - start).max() <= 1e-13 * birman._one_norm(d, e)
 
 
 def _evolve_scenario(nodes, extent=40.0):
@@ -425,7 +425,7 @@ def test_c0_is_reported_in_one_phase(grid20):
 
 
 def _svd_ratio(V, grid):
-    s = np.linalg.svd(birman.build_bs(V, grid, 0.0), compute_uv=False)
+    s = np.linalg.svd(build_bs(V, grid, 0.0), compute_uv=False)
     return s[-1] / s[0]
 
 
@@ -487,11 +487,11 @@ def test_zero_pivot_at_threshold_shifts_or_falls_back(monkeypatch, ee6, failures
     factor = birman._tridiagonal_solver
     seen = []
 
-    def singular(dl, d, du, context=""):
+    def singular(d, e, context=""):
         seen.append(d)
         if len(seen) <= failures:
             raise birman.NearSingularError(np.inf, context)
-        return factor(dl, d, du, context)
+        return factor(d, e, context)
 
     monkeypatch.setattr(birman, "_tridiagonal_solver", singular)
     grid = ee6["grid"]

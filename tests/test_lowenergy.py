@@ -19,7 +19,7 @@ def _rand_f(grid, rng):
 def test_domain_resolvent_inverts_H(ee6):
     g = ee6["grid"]
     lam = 0.1
-    H0 = evolution.discretize_H(None, g)
+    H0 = evolution.discretize_H(birman.sample_potential("free", g, np.zeros_like), g)
     R = lowenergy.domain_resolvent(g, lam)(np.eye(g.size, dtype=complex))
     eye = (H0 - lam**2 * np.eye(g.size)) @ R
     assert np.abs(eye - np.eye(g.size)).max() < 1e-10
@@ -39,7 +39,8 @@ def test_domain_resolvent_matches_dense_solve(
 ):
     grid = grids.make_grid(grids.Mode.RADIAL_SWAVE, extent, nodes)
     lam = np.sqrt(edge_fraction * jordan.free_edge_scale(grid))
-    A = evolution.discretize_H(None, grid) - lam**2 * np.eye(nodes)
+    free = birman.sample_potential("free", grid, np.zeros_like)
+    A = evolution.discretize_H(free, grid) - lam**2 * np.eye(nodes)
     apply = lowenergy.domain_resolvent(grid, lam)
     rng = np.random.default_rng(seed)
     for shape in ((nodes,), (nodes, columns)):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from speclab import evolution, grids, resolvent
+from speclab import birman, evolution, grids, resolvent
 from speclab.grids import Mode
 from speclab.resolvent import Branch
 
@@ -11,15 +11,22 @@ def g():
     return grids.make_grid(Mode.RADIAL_SWAVE, 10.0, 200)
 
 
+def _kernel(r, rp, lam):
+    """G(r, r') = a(r_<) b(r_>) from the generators."""
+    a, _ = resolvent.kernel_generators(min(r, rp), lam)
+    _, b = resolvent.kernel_generators(max(r, rp), lam)
+    return a * b
+
+
 def test_kernel_at_zero_is_min():
     # reduced s-wave R0(0) kernel is min(r, r')
-    assert resolvent.free_kernel_radial(2.0, 3.0, 0.0) == pytest.approx(2.0)
-    assert resolvent.free_kernel_radial(3.0, 2.0, 0.0) == pytest.approx(2.0)
+    assert _kernel(2.0, 3.0, 0.0) == pytest.approx(2.0)
+    assert _kernel(3.0, 2.0, 0.0) == pytest.approx(2.0)
 
 
 def test_kernel_small_lambda_limit():
     # sin(lam r<) e^{i lam r>} / lam -> r< as lam -> 0
-    lo = resolvent.free_kernel_radial(2.0, 3.0, 1e-8)
+    lo = _kernel(2.0, 3.0, 1e-8)
     assert abs(lo - 2.0) < 1e-6
 
 
@@ -39,7 +46,7 @@ def test_kernel_symmetric(g):
 def test_H0_inverts_R0_at_zero(g):
     # the sampled zero-energy kernel is the exact Green function of the
     # discrete Laplacian (Dirichlet ghost at 0, Neumann ghost at L)
-    H0 = evolution.discretize_H(None, g)
+    H0 = evolution.discretize_H(birman.sample_potential("free", g, np.zeros_like), g)
     R0 = resolvent.build_R0(g, 0.0)
     eye = H0 @ R0
     assert np.abs(eye - np.eye(g.size)).max() < 1e-10

@@ -17,15 +17,23 @@ def _allowed(module, func, arg):
     return module == "cli" and func.startswith("run_") and arg in PIPELINE_ARGS
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _parameters(node):
+    """The names of the parameters of a function or lambda node."""
+    a = node.args
+    params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+    return [p.arg for p in params if p is not None]
+
+
 def _ignored_arguments(tree):
     """(function, argument) for every argument its function never reads."""
     out = []
     for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        if not isinstance(node, FUNCTIONS):
             continue
-        a = node.args
-        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
-        names = {p.arg for p in params if p is not None} - {"self", "cls"}
+        names = set(_parameters(node)) - {"self", "cls"}
         body = node.body if isinstance(node.body, list) else [node.body]
         used = {
             n.id
@@ -53,25 +61,34 @@ def _name(node):
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 
 
-def _tests_format(call):
-    """Whether the call tests a potential's format: isinstance(..., PotentialSpec)
-    or a bandwidth(...) of an operator."""
-    name = _name(call.func)
-    if name == "isinstance" and len(call.args) == 2:
-        kinds = call.args[1]
+def _tests_format(node):
+    """Whether the node tests a potential's format: isinstance(...,
+    PotentialSpec), a bandwidth(...) of an operator, or a comparison of V
+    or *.V with None (the free operator is zero samples, not None)."""
+    if isinstance(node, ast.Compare):
+        operands = [node.left, *node.comparators]
+        return any(_name(x) == "V" for x in operands) and any(
+            isinstance(x, ast.Constant) and x.value is None for x in operands
+        )
+    if not isinstance(node, ast.Call):
+        return False
+    name = _name(node.func)
+    if name == "isinstance" and len(node.args) == 2:
+        kinds = node.args[1]
         kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
         return any(_name(kind) == "PotentialSpec" for kind in kinds)
     return name == "bandwidth"
 
 
-def _callers(tree, match):
-    """(innermost enclosing function, call) for every call that match accepts."""
+def _callers(tree, match, kind=ast.Call):
+    """(innermost enclosing function, node) for every node of the kind that
+    match accepts."""
     out = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, ast.Call) and match(node):
+        if isinstance(node, kind) and match(node):
             out.append((func, node))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
@@ -85,15 +102,46 @@ def test_only_samples_tests_the_potential_format():
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found.extend(f"{path.stem}.{func}" for func, _ in _callers(tree, _tests_format))
+        found.extend(
+            f"{path.stem}.{func}" for func, _ in _callers(tree, _tests_format, ast.AST)
+        )
     assert found == ["birman._samples"]
+
+
+def test_no_function_takes_unsymmetric_bands():
+    # every tridiagonal is symmetric and travels as its bands (d, e)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, FUNCTIONS):
+                found.extend(
+                    f"{path.stem}.{getattr(node, 'name', '<lambda>')}: {arg}"
+                    for arg in _parameters(node)
+                    if arg in ("dl", "du")
+                )
+    assert found == []
+
+
+def _names_lapack_band_routine(node):
+    """Whether a name, attribute or string (a docstring too) names gttrf or gttrs."""
+    text = node.value if isinstance(node, ast.Constant) else _name(node)
+    return isinstance(text, str) and ("gttrf" in text or "gttrs" in text)
+
+
+def test_only_the_tridiagonal_solver_names_gttrf():
+    # one place factors and solves tridiagonals; the rest go through it
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if any(_names_lapack_band_routine(node) for node in ast.walk(top)):
+                found.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert found == {"birman._tridiagonal_solver"}
 
 
 #: The dense realization of I + V R0(lambda^2) and who may call it: the
 #: fallback of `bs_solve` where lambda h is near a nonzero multiple of pi.
 DENSE_CALLERS = {
-    "build_R0": {"birman.build_bs", "birman.bs_solve"},
-    "build_bs": {"birman.bs_solve"},
+    "build_R0": {"birman.bs_solve"},
     "direct_inverse": {"birman.bs_solve"},
 }
 
