@@ -17,8 +17,9 @@ vector, with the same near-singular refusal as the dense LU; its
 condition estimate (`_inverse_norm_estimate`) is a Hager-Higham loop of a
 few solves with the same factors.  It serves the transform scan, the Stone
 check, `uniform_inverse_scan` and the S0 of `local_neumann_inverse`.  Its
-factorization, `_tridiagonal_solver`, applies R0(lambda^2) in the checks
-here and in `ftdiag.k2_bound_check`, and the domain resolvent of
+factorization, `_tridiagonal_solver` (LDL^T for positive definite real
+bands, pivoted LU otherwise), applies R0(lambda^2) in the checks here and
+in `ftdiag.k2_bound_check`, and the domain resolvent of
 :mod:`speclab.lowenergy`; `_pinned_solver` factors a singular H made
 nonsingular at its kernel for the banded S0 solve and the threshold chain
 of :mod:`speclab.jordan`.  The dense LU (`direct_inverse`) stays only in
@@ -279,31 +280,50 @@ def bs_solve(V, grid, lam, f, sign=Branch.PLUS, context=""):
 
 
 def _tridiagonal_solver(d, e, context=""):
-    """Factor tridiag(e, d, e) once (LAPACK dgttrf for real bands, zgttrf
-    for complex ones) and return its solver.
+    """Factor tridiag(e, d, e) once and return its solver.
+
+    Real bands first try LAPACK dpttrf, the LDL^T factorization without
+    pivoting.  Its pivots are all positive exactly when the matrix is
+    positive definite, and then the solver applies dpttrs.  Pivoting is
+    unnecessary there: with positive pivots p_k, each diagonal entry
+    d_k = p_k + l_{k-1}^2 p_{k-1} is a sum of positive terms, so
+    |L| D |L|^T = |tridiag(e, d, e)|, no entry grows, and LDL^T is backward
+    stable (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    SIAM 2002).  Indefinite real bands and complex ones are factored by
+    pivoted LU (d/zgttrf) and solved with d/zgttrs; an exactly singular
+    matrix raises NearSingularError.
 
     The solver maps x, a vector or a matrix of columns, to
-    tridiag(e, d, e)^{-1} x in O(M) per column (d/zgttrs); trans="C" solves
-    with the conjugate transpose.  With real bands a complex x is solved as
-    its real view, two real columns per complex one: the bits of zgttrs,
-    with no complex copy of the factors.  An exactly singular matrix raises
-    NearSingularError.
+    tridiag(e, d, e)^{-1} x in O(M) per column; trans="C" solves with the
+    conjugate transpose, which real bands equal.  With real bands a complex
+    x is solved as its real view, two real columns per complex one: the
+    bits of dpttrs on its real and imaginary parts, or those of zgttrs,
+    with no complex copy of the factors.
     """
     M = d.size
-    gttrf, gttrs = sla.get_lapack_funcs(("gttrf", "gttrs"), (d, e))
-    *factors, info = gttrf(e, d, e)
-    if info > 0:
-        raise NearSingularError(np.inf, context)
+    pttrf, pttrs, gttrf, gttrs = sla.get_lapack_funcs(
+        ("pttrf", "pttrs", "gttrf", "gttrs"), (d, e)
+    )
     real = gttrs.dtype == float
+    definite = False
+    if real:
+        *factors, info = pttrf(d, e)
+        definite = info == 0
+    if not definite:
+        *factors, info = gttrf(e, d, e)
+        if info > 0:
+            raise NearSingularError(np.inf, context)
 
     def solve(x, trans="N"):
-        if not x.size:  # gttrs with no right-hand side corrupts memory
+        if not x.size:  # pttrs and gttrs with no right-hand side corrupt memory
             return np.zeros(x.shape, np.result_type(x, gttrs.dtype))
-        if real and x.dtype == complex:
-            b = np.ascontiguousarray(x).reshape(M, -1).view(float)
-            y = np.ascontiguousarray(gttrs(*factors, b, trans=trans)[0])
-            return y.view(complex).reshape(x.shape)
-        y, _ = gttrs(*factors, x.reshape(M, -1), trans=trans)
+        b = x.reshape(M, -1)
+        as_real = real and x.dtype == complex
+        if as_real:
+            b = np.ascontiguousarray(b).view(float)
+        y = pttrs(*factors, b)[0] if definite else gttrs(*factors, b, trans=trans)[0]
+        if as_real:
+            y = np.ascontiguousarray(y).view(complex)
         return y.reshape(x.shape)
 
     return solve

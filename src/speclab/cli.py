@@ -115,14 +115,25 @@ def _reject_extra(name, params):
 
 
 def _number(key, value, kind=float):
-    """value converted by kind (float or int); ConfigError unless it is finite."""
+    """value converted by kind (float or int); ConfigError unless it is a
+    finite number, not a boolean, and for int a whole one."""
     try:
-        number = kind(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
-    if not math.isfinite(number):
-        raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
-    return number
+    if isinstance(value, bool) or not math.isfinite(number) or (
+        kind is int and not number.is_integer()
+    ):
+        noun = "a whole number" if kind is int else "a finite number"
+        raise ConfigError(f"{key!r} must be {noun}, got {value!r}")
+    return kind(number)
+
+
+def _flag(key, value):
+    """value, which must be a JSON boolean; else ConfigError."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key!r} must be true or false, got {value!r}")
+    return value
 
 
 def _exponents(p, q):
@@ -212,10 +223,14 @@ def make_scenario_potential(cfg, grid):
 
 
 def _tolerances(cfg):
-    tol = dict(_DEFAULT_TOLERANCES)
-    tol.update(cfg.get("tolerances", {}))
+    given = dict(cfg.get("tolerances", {}))
+    tol = {
+        key: _number(key, given.pop(key, default))
+        for key, default in _DEFAULT_TOLERANCES.items()
+    }
+    _reject_extra("tolerances", given)
     for key, val in tol.items():
-        if not (isinstance(val, (int, float)) and val > 0):
+        if not val > 0:
             raise ConfigError(f"tolerance {key!r} must be positive")
     return tol
 
@@ -340,6 +355,7 @@ def run_evolve(cfg, grid, V, rng, out_dir=None, *, threshold=None):
     t0 = _number("t_start", section.get("t_start", 2.0))
     t1 = _number("t_end", section.get("t_end", 8.0))
     n_times = _number("n_times", section.get("n_times", 10), int)
+    project = _flag("project", section.get("project", False))
     k_max = section.get("k_max")
     if k_max is not None:
         k_max = _number("k_max", k_max)
@@ -363,7 +379,7 @@ def run_evolve(cfg, grid, V, rng, out_dir=None, *, threshold=None):
         raise ConfigError(f"evolve: {exc}") from None
     f = grids.gaussian_bump(grid)
     P = None
-    if section.get("project", False):
+    if project:
         if threshold is None:
             threshold = jordan.threshold(V, grid)
         P = jordan.build_Ppp(V, grid, basis=threshold.basis, delta_im=delta_im)
@@ -408,7 +424,7 @@ def run_ftscan(cfg, grid, V, rng, out_dir=None, *, threshold=None):
     if not 0 < params["r"] < params["lambda1"] or params["lam_max"] <= 0:
         raise ConfigError("ftscan needs 0 < r < lambda1 and lam_max > 0")
     f = grids.gaussian_bump(grid)
-    if section.get("project", False):
+    if _flag("project", section.get("project", False)):
         if threshold is None:
             threshold = jordan.threshold(V, grid)
         P0 = jordan.build_P0(threshold.basis, grid)

@@ -90,8 +90,10 @@ def domain_resolvent(grid, lam):
     returns the function that maps x, a vector or a matrix of columns, to
     (H0 - lambda^2)^{-1} x in O(M) per column.  Requires lambda^2 not to be
     an eigenvalue of the box H0; an exact zero pivot raises
-    birman.NearSingularError.  lambda^2 may lie above the first box
-    eigenvalue (`_auto_window` starts at lambda = 1).
+    birman.NearSingularError.  Below the first box eigenvalue H0 - lambda^2
+    is positive definite and is factored as LDL^T; lambda^2 may also lie
+    above it (`_auto_window` starts at lambda = 1), where the factorization
+    is pivoted LU.
     """
     d, e = birman.tridiagonal_bs(grid, 0.0)
     return birman._tridiagonal_solver(d - lam**2, e, f"lambda={lam}")

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy import linalg as sla
 
 from oracles import build_bs
 from speclab import birman, evolution, jordan, lowenergy, potentials, resolvent
@@ -156,23 +159,111 @@ def test_banded_solve_matches_dense(nodes, extent, lam_h, sign, seed):
     assert cond / 3.0 <= cond_b <= 3.0 * cond
 
 
+class _Logged:
+    """A LAPACK routine that appends its name to `log` on each call."""
+
+    def __init__(self, func, name, log):
+        self.func, self.name, self.log = func, name, log
+
+    def __getattr__(self, attr):
+        return getattr(self.func, attr)
+
+    def __call__(self, *args, **kwargs):
+        self.log.append(self.name)
+        return self.func(*args, **kwargs)
+
+
+def _logged_solver(d, e, log):
+    """birman._tridiagonal_solver(d, e), with every LAPACK call it makes,
+    the factorization and later solves, logged by name (dpttrf, zgttrs, ...)."""
+    get = sla.get_lapack_funcs
+
+    def logged(names, arrays):
+        funcs = get(names, arrays)
+        return [_Logged(f, f.typecode + n, log) for f, n in zip(funcs, names)]
+
+    with mock.patch.object(birman.sla, "get_lapack_funcs", logged):
+        return birman._tridiagonal_solver(d, e)
+
+
+@given(
+    nodes=st.integers(8, 120),
+    extent=st.floats(1.0, 20.0),
+    # H0 - lambda^2 below the first box eigenvalue (0.996 to 1 of the free
+    # edge), between the first two (8.74 to 9), or with complex diagonal
+    kind=st.sampled_from(["definite", "indefinite", "complex"]),
+    fraction=st.floats(0.0, 1.0),
+    columns=st.integers(0, 3),  # 0: a vector
+    complex_x=st.booleans(),
+    trans=st.sampled_from(["N", "C"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tridiagonal_solver_matches_dense_solve(
+    nodes, extent, kind, fraction, columns, complex_x, trans, seed
+):
+    grid = make_grid(Mode.RADIAL_SWAVE, extent, nodes)
+    rng = np.random.default_rng(seed)
+    d0, e = birman.tridiagonal_bs(grid, 0.0)
+    edge = jordan.free_edge_scale(grid)
+    if kind == "definite":
+        d = d0 - 0.99 * fraction * edge
+    elif kind == "indefinite":
+        d = d0 - (1.01 + 7.6 * fraction) * edge
+    else:
+        d = d0 - fraction * edge + 1j * rng.standard_normal(nodes)
+    shape = (nodes, columns) if columns else (nodes,)
+    x = rng.standard_normal(shape)
+    if complex_x:
+        x = x + 1j * rng.standard_normal(shape)
+    log = []
+    got = _logged_solver(d, e, log)(x, trans)
+    A = _tridiagonal(d, e)
+    A = A.conj().T if trans == "C" else A
+    expect = np.linalg.solve(A, x)
+    assert got.shape == x.shape and got.dtype == expect.dtype
+    # backward stable solves agree to about M eps times the condition number
+    bound = 1e-13 * nodes * np.linalg.cond(A, 1) * np.abs(expect).max()
+    assert np.abs(got - expect).max() <= bound
+    # positive pivots take LDL^T; the rest fall back to pivoted LU
+    factor, solve = {
+        "definite": (["dpttrf"], "dpttrs"),
+        "indefinite": (["dpttrf", "dgttrf"], "dgttrs"),
+        "complex": (["zgttrf"], "zgttrs"),
+    }[kind]
+    assert log == [*factor, solve]
+
+
 @given(
     nodes=st.integers(3, 120),
     columns=st.integers(0, 3),  # 0: a vector
     trans=st.sampled_from(["N", "C"]),
+    definite=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_real_bands_solve_complex_data_with_the_bits_of_zgttrs(nodes, columns, trans, seed):
+def test_real_bands_solve_complex_data_with_the_bits_of_zgttrs(
+    nodes, columns, trans, definite, seed
+):
     # real bands factor in real arithmetic and solve complex columns as
-    # their real view; complex copies of the same bands give the same bits
+    # their real view.  Indefinite bands (a negative diagonal entry) take
+    # LU, and complex copies of the same bands give the bits of zgttrs;
+    # positive definite ones (diagonally dominant, positive diagonal) take
+    # LDL^T, and give the bits of dpttrs on the real and imaginary parts.
     rng = np.random.default_rng(seed)
     d, e = rng.standard_normal(nodes), rng.standard_normal(nodes - 1)
+    if definite:
+        d = np.abs(d) + 2.0 * np.abs(np.r_[e, 0.0]) + 2.0 * np.abs(np.r_[0.0, e])
+    else:
+        d[0] = -np.abs(d[0])
     shape = (nodes, columns) if columns else (nodes,)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    real = birman._tridiagonal_solver(d, e)(x, trans)
-    cplx = birman._tridiagonal_solver(d + 0j, e + 0j)(x, trans)
+    solve = birman._tridiagonal_solver(d, e)
+    real = solve(x, trans)
     assert real.dtype == complex and real.shape == shape
-    assert np.array_equal(real, cplx)
+    if definite:
+        assert np.array_equal(real.real, solve(x.real, trans))
+        assert np.array_equal(real.imag, solve(x.imag, trans))
+    else:
+        assert np.array_equal(real, birman._tridiagonal_solver(d + 0j, e + 0j)(x, trans))
 
 
 def test_dense_path_at_lambda_h_pi(grid20, well20, monkeypatch):

@@ -268,6 +268,15 @@ def test_unstable_filtration_exits_4(tmp_path, capsys, monkeypatch):
     ("invert", ("invert", "lambdas"), [float("nan")]),
     ("ftscan", ("ftscan", "lam_max"), float("inf")),
     ("evolve", ("evolve", "k_max"), 0),
+    # a count that is not whole, a boolean as a number, tolerances read as
+    # numbers and by name, and a flag that is not a JSON boolean
+    ("threshold", ("grid", "nodes"), 200.9),
+    ("threshold", ("potential",), {"builtin": "gaussian_well", "params": {"depth": True}}),
+    ("threshold", ("tolerances", "identity_residual"), float("inf")),
+    ("threshold", ("tolerances", "identity_residual"), True),
+    ("threshold", ("tolerances", "identity_residuals"), 1e-6),
+    ("ftscan", ("ftscan", "project"), "no"),
+    ("evolve", ("evolve", "project"), "no"),
 ])
 def test_config_errors_exit_3(tmp_path, capsys, pipeline, path, value):
     cfg = small_threshold_cfg()
@@ -282,7 +291,7 @@ def test_config_errors_exit_3(tmp_path, capsys, pipeline, path, value):
     assert err.count("\n") == 1
     if value == "box3d":
         assert err == "configuration error: unknown grid mode 'box3d'\n"
-    if path[-1] in ("t_start", "t_end", "delta_im", "expect_exponent", "k_max"):
+    if path[-1] in ("t_start", "t_end", "delta_im", "expect_exponent", "k_max", "project"):
         # read before the plan, whose fit window this small grid also fails
         assert path[-1] in err
 

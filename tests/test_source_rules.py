@@ -122,14 +122,21 @@ def test_no_function_takes_unsymmetric_bands():
     assert found == []
 
 
+#: The LAPACK routines that factor and solve tridiagonals: LU (gttrf, gttrs)
+#: and LDL^T (pttrf, pttrs).
+BAND_ROUTINES = ("gttrf", "gttrs", "pttrf", "pttrs")
+
+
 def _names_lapack_band_routine(node):
-    """Whether a name, attribute or string (a docstring too) names gttrf or gttrs."""
+    """Whether a name, attribute or string (a docstring too) names one of
+    BAND_ROUTINES."""
     text = node.value if isinstance(node, ast.Constant) else _name(node)
-    return isinstance(text, str) and ("gttrf" in text or "gttrs" in text)
+    return isinstance(text, str) and any(r in text for r in BAND_ROUTINES)
 
 
-def test_only_the_tridiagonal_solver_names_gttrf():
-    # one place factors and solves tridiagonals; the rest go through it
+def test_only_the_tridiagonal_solver_names_the_band_routines():
+    # one place chooses the kernel and factors and solves tridiagonals; the
+    # rest go through it
     found = set()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(), filename=str(path)).body:
