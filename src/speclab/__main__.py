@@ -1,0 +1,8 @@
+"""`python -m speclab`: the scenario runner of `speclab.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -116,14 +116,15 @@ def _reject_extra(name, params):
 
 def _number(key, value, kind=float):
     """value converted by kind (float or int); ConfigError unless it is a
-    finite number, not a boolean, and for int a whole one."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if isinstance(value, bool) or not math.isfinite(number) or (
-        kind is int and not number.is_integer()
-    ):
+    finite JSON number (not a boolean, not a string), and for int a whole
+    one."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if not math.isfinite(number) or (kind is int and not number.is_integer()):
         noun = "a whole number" if kind is int else "a finite number"
         raise ConfigError(f"{key!r} must be {noun}, got {value!r}")
     return kind(number)
@@ -257,6 +258,18 @@ def _header(pipeline, V, grid, tol):
 
 def run_threshold(cfg, grid, V, rng, out_dir=None, *, threshold=None):
     tol = _tolerances(cfg)
+    section = cfg.get("threshold", {})
+    expected = section.get("expect_verdicts")
+    if expected is not None and not (
+        isinstance(expected, list)
+        and all(v in (jordan.EIGENVALUE, jordan.RESONANCE) for v in expected)
+    ):
+        raise ConfigError(
+            f"'expect_verdicts' must list EIGENVALUE or RESONANCE, got {expected!r}"
+        )
+    expected_dim = section.get("expect_dim_X1")
+    if expected_dim is not None:
+        expected_dim = _number("expect_dim_X1", expected_dim, int)
     if threshold is None:
         threshold = jordan.threshold(V, grid)
     fits = [
@@ -270,10 +283,8 @@ def run_threshold(cfg, grid, V, rng, out_dir=None, *, threshold=None):
         "verdicts": verdicts,
         "c0": [[fit["c0"].real, fit["c0"].imag] for fit in fits],
     }
-    expected = cfg.get("threshold", {}).get("expect_verdicts")
     if expected is not None and verdicts != expected:
         raise CheckFailure(f"verdicts {verdicts} != expected {expected}")
-    expected_dim = cfg.get("threshold", {}).get("expect_dim_X1")
     if expected_dim is not None:
         got = threshold.dims[0] if threshold.dims else 0
         if got != expected_dim:
@@ -423,6 +434,9 @@ def run_ftscan(cfg, grid, V, rng, out_dir=None, *, threshold=None):
         raise ConfigError(f"ftscan n = {n} must be a power of two")
     if not 0 < params["r"] < params["lambda1"] or params["lam_max"] <= 0:
         raise ConfigError("ftscan needs 0 < r < lambda1 and lam_max > 0")
+    expected = section.get("expect_verdict")
+    if expected not in (None, ftdiag.OK, ftdiag.DIVERGENT):
+        raise ConfigError(f"'expect_verdict' must be OK or DIVERGENT, got {expected!r}")
     f = grids.gaussian_bump(grid)
     if _flag("project", section.get("project", False)):
         if threshold is None:
@@ -439,11 +453,8 @@ def run_ftscan(cfg, grid, V, rng, out_dir=None, *, threshold=None):
     }
     if out_dir is not None:
         scan.to_csv(os.path.join(out_dir, f"ftscan_{window.lower()}.csv"))
-    if section.get("expect_verdict") is not None:
-        if scan.verdict != section["expect_verdict"]:
-            raise CheckFailure(
-                f"transform verdict {scan.verdict} != {section['expect_verdict']}"
-            )
+    if expected is not None and scan.verdict != expected:
+        raise CheckFailure(f"transform verdict {scan.verdict} != {expected}")
     return out
 
 

@@ -26,8 +26,9 @@ solves, O(M) each.
 From the basis come the spectral projections P0 (full), the limited P~0
 (whose factors the low-energy inverse uses for Q~0 = I - P~0) and P_pp
 (all point spectrum: eigenvalues by Sturm bisection of a real tridiagonal
-H, by Aberth-Ehrlich sweeps of a complex tridiagonal H, O(M^2) per sweep,
-and by a dense `eigvals` when the sweeps fail; bilinear rank-one
+H, by Aberth-Ehrlich sweeps of a complex tridiagonal H, O(M K) per sweep
+plus the O(M^2) Ehrlich sums, K the nodes before the bands level off, and
+by a dense `eigvals` when the sweeps fail; bilinear rank-one
 projectors of simple eigenvalues by tridiagonal inverse iteration,
 Schur-based Riesz projectors elsewhere).  Each is returned as
 the M x n factors (U, W) of P = U W^T, n its rank, never as an M x M array.
@@ -542,7 +543,8 @@ def build_Ppp(
     are found, by Sturm bisection (`_eigenvalues_below`, O(M) per step and
     eigenvalue).  Complex samples make H complex-symmetric tridiagonal, and
     all M of its eigenvalues come from Aberth-Ehrlich sweeps
-    (`_tridiagonal_eigenvalues`, O(M^2) per sweep), since the selection rule
+    (`_tridiagonal_eigenvalues`, O(M K) per sweep plus the O(M^2) Ehrlich
+    sums, K the nodes before the free tail), since the selection rule
     takes complex eigenvalues anywhere off the real axis.  Complex samples
     whose sweeps do not converge or fail their trace checks take one dense
     `eigvals` of H, O(M^3).  H is formed only for that `eigvals` or for a
@@ -629,9 +631,14 @@ def _tridiagonal_eigenvalues(d, e):
     tridiag(e, Re d, e) (`eigvalsh_tridiagonal`): exact when Im d = 0, and
     close on the quasi-continuum.  A sweep sets each active approximation
     z_i <- z_i - 1 / (p'/p(z_i) - sum_{j != i} 1 / (z_i - z_j)), with p'/p from
-    the pivot recurrence (`_log_derivative`, O(M) per point) and the
-    Ehrlich sum taken in row blocks of EHRLICH_BLOCK entries, so no M x M
-    array is formed: O(M^2) per sweep.  An approximation whose step is at
+    the pivot recurrence over the first K nodes and one transfer-matrix
+    power over the free tail, where the bands are constant
+    (`_log_derivative`, O(K + log M) per point), and the Ehrlich sum taken
+    in row blocks of EHRLICH_BLOCK entries, so no M x M array is formed:
+    O(M K) plus O(M^2) per sweep.  A potential that levels off within the
+    box (eps ||H||_1 of its last interior sample) has K much below M; one
+    that never does, such as a 1/r^2 tail, has K = M - 2 and sweeps as
+    long as the full recurrence.  An approximation whose step is at
     most ABERTH_TOL ||H||_1 is frozen where it stands, within about that
     step of its eigenvalue; hence the trace checks sum z = tr H and
     sum z^2 = tr H^2 = sum d^2 + 2 sum e^2, to M ABERTH_TOL ||H||_1 and
@@ -672,23 +679,105 @@ def _tridiagonal_eigenvalues(d, e):
 def _log_derivative(d, e2, z, pivmin):
     """p'/p at the points z, for p(z) = det(tridiag(e, d, e) - z) and e2 = e^2.
 
-    The pivots of tridiag(e, d - z, e) obey q_k = (d_k - z) - e2_{k-1} /
-    q_{k-1}, and p = prod q_k, so p'/p = sum q_k'/q_k with
-    q_k' = -1 + (e2_{k-1} / q_{k-1}) q_{k-1}'/q_{k-1}; a pivot that is
-    exactly zero is replaced by pivmin, as LAPACK's dstebz does.  One pass
-    over the bands, vectorized over z: O(M) per point.
+    The leading principal minors obey P_k = (d_k - z) P_{k-1} - e2_{k-1} P_{k-2},
+    and p = P_{M-1}.  Up to the start K of the free tail (`_free_tail`) they
+    are taken as pivots q_k = P_k / P_{k-1} = (d_k - z) - e2_{k-1} / q_{k-1},
+    p'/p accumulating q_k'/q_k with q_k' = -1 + (e2_{k-1} / q_{k-1})
+    q_{k-1}'/q_{k-1}; a pivot that is exactly zero is replaced by pivmin, as
+    LAPACK's dstebz does.  Over the tail, where d_k = c and e2_{k-1} = s^2,
+    the scaled minors x_k = P_k / s^k obey x_k = t x_{k-1} - x_{k-2},
+    t = (c - z) / s.  Near the band edges t = +-2 the transfer matrix
+    [[t, -1], [1, 0]] is close to a Jordan block and its powers cancel, so
+    the state is (x_k, x_k - sigma x_{k-1}), sigma = sign Re t, which moves
+    by sigma B with B = [[1 - delta, 1], [-delta, 1]], delta = 2 - sigma t:
+    B is close to [[1, 1], [0, 1]] there, and delta = sigma (z - (c - 2 sigma
+    s)) / s carries z without cancellation.  The n = M - 1 - K tail steps are one
+    power B^n with its z-derivative (`_transfer_power`), the sign sigma^n
+    cancels in p'/p, and the last node is one explicit step.  Vectorized over
+    z: O(K + log M) per point.
     """
+    K = _free_tail(d, e2, pivmin)
     piv = d[0] - z
     piv[piv == 0] = pivmin
     ratio = -1.0 / piv
-    total = ratio.copy()
-    for k in range(1, d.size):
+    total = np.zeros_like(ratio)  # sum of q_k'/q_k over k <= K - 2
+    for k in range(1, K):
+        total += ratio
         c = e2[k - 1] / piv
         piv = (d[k] - z) - c
         piv[piv == 0] = pivmin
         ratio = (c * ratio - 1.0) / piv
-        total += ratio
-    return total
+    # The state at node K - 1 over P_{K-2} / s^{K-2}, and its z-derivative,
+    # as 2 x 1 columns: x_{K-1} = q_{K-1} / s, x_{K-2} = 1.
+    s = np.sqrt(e2[-2])
+    sigma = np.where((d[-2] - z).real < 0, -1.0, 1.0)
+    x = piv / s
+    u = np.stack([x, x - sigma])[:, None]
+    du = np.stack([ratio * x, ratio * x])[:, None]
+    delta = sigma * (z - (d[-2] - 2.0 * sigma * s)) / s
+    B, dB = _transfer_power(delta, sigma / s, d.size - 1 - K)
+    u, du = _product(B, u), _product(dB, u) + _product(B, du)
+    x, dx = u[0, 0], du[0, 0]
+    x_prev, dx_prev = sigma * (x - u[1, 0]), sigma * (dx - du[1, 0])
+    last, coupling = d[-1] - z, e2[-1] / s
+    w = last * x - coupling * x_prev  # P_{M-1}, to a common factor
+    dw = last * dx - coupling * dx_prev - x
+    w[w == 0] = pivmin  # as a zero pivot
+    return total + dw / w
+
+
+def _free_tail(d, e2, tol):
+    """The first node K of the free tail of tridiag(e, d, e), e2 = e^2, on
+    M >= 3 nodes: the longest run of nodes K, ..., M - 2 whose diagonal
+    entries lie within tol of the last interior one and whose couplings
+    e2_{k-1} to the node before equal e2_{M-3}, so 1 <= K <= M - 2: node 0
+    and the last node are never part of it, and node M - 2 always is
+    (K = M - 2 is the empty tail of a potential that never levels off,
+    folded as a single step).  With tol = eps ||H||_1 the run is folded at
+    a diagonal backward error the size of the one the pivot recurrence
+    commits.
+    """
+    off = (np.abs(d[1:-1] - d[-2]) > tol) | (e2[:-1] != e2[-2])
+    last_off = np.flatnonzero(off)
+    return int(last_off[-1]) + 2 if last_off.size else 1
+
+
+def _transfer_power(delta, ddelta, n):
+    """B^n and its z-derivative for B = [[1 - delta, 1], [-delta, 1]] and
+    delta' = ddelta, as 2 x 2 x m arrays: the matrices of the m points z stacked along the
+    last axis, each divided by one positive factor.
+
+    Repeated squaring of the pair (B, B'), with (X, X')(Y, Y') =
+    (XY, X'Y + XY'), normalized by the largest entry of the product after
+    each step so that nothing overflows: O(log n) per point.
+    """
+    power = np.ones((2, 2) + delta.shape, complex)
+    power[0, 0], power[1, 0] = 1.0 - delta, -delta
+    dpower = np.zeros_like(power)
+    dpower[0, 0] = dpower[1, 0] = -ddelta
+    result = None
+    while True:
+        if n & 1:
+            result = (power, dpower) if result is None else _dual_product(
+                *result, power, dpower
+            )
+        n >>= 1
+        if not n:
+            return result
+        power, dpower = _dual_product(power, dpower, power, dpower)
+
+
+def _dual_product(X, dX, Y, dY):
+    """(XY, X'Y + XY') for stacked 2 x 2 pairs, divided by the largest entry
+    of XY per point."""
+    XY = _product(X, Y)
+    scale = np.abs(XY).max(axis=(0, 1))
+    return XY / scale, (_product(dX, Y) + _product(X, dY)) / scale
+
+
+def _product(X, Y):
+    """XY for matrices stacked along the last axis, one per point z."""
+    return (X[:, :, None] * Y[None]).sum(axis=1)
 
 
 #: Largest eigenvalue condition kappa = ||psi||^2 / |psi^T psi| at which

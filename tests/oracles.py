@@ -1,10 +1,12 @@
-"""Dense references of the banded paths, for the tests only.
+"""Dense and full-length references of the fast paths, for the tests only.
 
-Each forms an M x M matrix that the package never forms, most at O(M^3)
+Most form an M x M matrix that the package never forms, at up to O(M^3)
 cost: the dense I + V R0(lambda^2), with the sampled free kernel or with
 the domain resolvent, the dense LU of the bordered S0 system, the dense
 series step of the low-energy inverse and the dense SVD filtration of the
-threshold.
+threshold.  The last is banded: the pivot recurrence of p'/p over all M
+nodes, which `jordan._log_derivative` shortens by folding the free tail
+into one transfer-matrix power.
 """
 
 import numpy as np
@@ -95,3 +97,22 @@ def dense_threshold(V, grid):
     """The threshold of V from `dense_filtration`, lifted to the Jordan basis
     by the code of `jordan.threshold`."""
     return jordan._lift(V, grid, *dense_filtration(V, grid))
+
+
+def log_derivative(d, e2, z, pivmin):
+    """p'/p at the points z, for p(z) = det(tridiag(e, d, e) - z) and e2 = e^2,
+    by the pivot recurrence over all M nodes: q_k = (d_k - z) - e2_{k-1} /
+    q_{k-1}, p'/p = sum q_k'/q_k with q_k' = -1 + (e2_{k-1} / q_{k-1})
+    q_{k-1}'/q_{k-1}, and a pivot that is exactly zero replaced by pivmin.
+    """
+    piv = d[0] - z
+    piv[piv == 0] = pivmin
+    ratio = -1.0 / piv
+    total = ratio.copy()
+    for k in range(1, d.size):
+        c = e2[k - 1] / piv
+        piv = (d[k] - z) - c
+        piv[piv == 0] = pivmin
+        ratio = (c * ratio - 1.0) / piv
+        total += ratio
+    return total

@@ -39,6 +39,25 @@ def test_fixtures_emit_and_parse(tmp_path):
         assert "grid" in cfg and "potential" in cfg
 
 
+def _env_with_package():
+    """The environment with the package's source folder on PYTHONPATH, for a
+    fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(speclab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_runs_as_the_command_line(tmp_path):
+    out = tmp_path / "fx"
+    proc = subprocess.run(
+        [sys.executable, "-m", "speclab", "fixtures", "--out", str(out)],
+        capture_output=True, text=True, env=_env_with_package(),
+    )
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert sorted(os.listdir(out)) == sorted(f"{n}.json" for n in cli._FIXTURE_SCENARIOS)
+
+
 def test_threshold_ok_and_report(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, small_threshold_cfg())
     out = str(tmp_path / "run")
@@ -277,6 +296,15 @@ def test_unstable_filtration_exits_4(tmp_path, capsys, monkeypatch):
     ("threshold", ("tolerances", "identity_residuals"), 1e-6),
     ("ftscan", ("ftscan", "project"), "no"),
     ("evolve", ("evolve", "project"), "no"),
+    # numbers given as JSON strings, and expectations of the wrong type
+    ("threshold", ("grid", "extent"), "6.0"),
+    ("threshold", ("grid", "nodes"), "120"),
+    ("threshold", ("potential", "params", "s"), "2"),
+    ("threshold", ("threshold", "expect_dim_X1"), "1"),
+    ("threshold", ("threshold", "expect_dim_X1"), 1.5),
+    ("threshold", ("threshold", "expect_verdicts"), "EIGENVALUE"),
+    ("threshold", ("threshold", "expect_verdicts"), ["BOUND_STATE"]),
+    ("ftscan", ("ftscan", "expect_verdict"), "PASS"),
 ])
 def test_config_errors_exit_3(tmp_path, capsys, pipeline, path, value):
     cfg = small_threshold_cfg()
@@ -293,6 +321,9 @@ def test_config_errors_exit_3(tmp_path, capsys, pipeline, path, value):
         assert err == "configuration error: unknown grid mode 'box3d'\n"
     if path[-1] in ("t_start", "t_end", "delta_im", "expect_exponent", "k_max", "project"):
         # read before the plan, whose fit window this small grid also fails
+        assert path[-1] in err
+    if path[-1].startswith("expect_"):
+        # read before the threshold or the scan is computed
         assert path[-1] in err
 
 
@@ -466,12 +497,9 @@ print(code, *sorted(m for m in sys.modules if m.startswith(heavy)))
 
 
 def _heavy_scipy_modules(argv):
-    src = os.path.dirname(os.path.dirname(speclab.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED_MODULES, *argv],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=_env_with_package(), check=True,
     )
     code, *modules = proc.stdout.splitlines()[-1].split()
     return int(code), modules

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import linalg as sla
 
 from nilpotent import nilpotent_fixture
-from oracles import build_bs, dense_threshold
+from oracles import build_bs, dense_threshold, log_derivative
 from speclab import birman, evolution, grids, jordan, potentials
 from speclab.grids import GridFunction, Mode
 
@@ -327,6 +327,94 @@ def test_tridiagonal_eigenvalues_of_real_samples_are_the_start_values(grid20, we
     assert np.abs(z - start).max() <= 1e-13 * birman._one_norm(d, e)
 
 
+def _bands_with_tail(grid, run, scale, vary_e, rng):
+    """Bands (d, e) of a complex H whose free tail starts at node K = M - 2 - run.
+
+    Nodes 0, ..., K - 1 carry complex samples of modulus between scale and
+    2 scale, so node K - 1 is off the tail, the last node a random one, and
+    the tail none; with vary_e the couplings among nodes 0, ..., K - 1 and
+    the last one are scaled by up to 50 %, the tail's stay those of H0.
+    """
+    M = grid.size
+    K = M - 2 - run
+    d, e = birman.tridiagonal_bs(grid, 0.0)
+    d = d.astype(complex)
+    d[:K] += scale * rng.uniform(1.0, 2.0, K) * np.exp(2j * np.pi * rng.uniform(size=K))
+    d[-1] += scale * rng.uniform(-1.0, 1.0) * (1.0 + 1.0j)
+    if vary_e:
+        e[: K - 1] *= rng.uniform(0.5, 1.5, K - 1)
+        e[-1] *= rng.uniform(0.5, 1.5)
+    return d, e
+
+
+def _pivmin(d, e):
+    return np.finfo(float).eps * birman._one_norm(d, e)
+
+
+def _far_points(lam, rng):
+    """20 random points of the box around the eigenvalues lam, widened by 1."""
+    return (rng.uniform(lam.real.min() - 1.0, lam.real.max() + 1.0, 20)
+            + 1j * rng.uniform(lam.imag.min() - 1.0, lam.imag.max() + 1.0, 20))
+
+
+def _assert_log_derivative_matches(d, e, z):
+    """p'/p of tridiag(e, d, e) at z as the full pivot recurrence has it.
+
+    Both are backward stable: eigenvalues moved by eps ||H||_1 kappa_j move
+    p'/p = sum 1 / (z - lambda_j) by eps ||H||_1 sum kappa_j / |z - lambda_j|^2,
+    with kappa_j = ||psi_j||^2 / |psi_j^T psi_j| (H is complex symmetric).
+    """
+    pivmin, e2 = _pivmin(d, e), e * e
+    lam, vecs = np.linalg.eig(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    kappa = np.sum(np.abs(vecs) ** 2, axis=0) / np.abs(np.sum(vecs * vecs, axis=0))
+    bound = pivmin * np.sum(kappa / np.abs(z[:, None] - lam) ** 2, axis=1)
+    got = jordan._log_derivative(d, e2, z.copy(), pivmin)
+    want = log_derivative(d, e2, z.copy(), pivmin)
+    assert np.all(np.abs(got - want) <= 100.0 * bound)
+
+
+@given(
+    nodes=st.integers(8, 160),
+    extent=st.floats(1.0, 20.0),
+    # nodes of the tail besides node M - 2: none, one, two, or most
+    tail=st.sampled_from(["0", "1", "2", "most"]),
+    scale=st.floats(1.0, 100.0),
+    vary_e=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_log_derivative_matches_the_full_pivot_recurrence(
+    nodes, extent, tail, scale, vary_e, seed
+):
+    grid = grids.make_grid(Mode.RADIAL_SWAVE, extent, nodes)
+    rng = np.random.default_rng(seed)
+    run = nodes - 3 - int(rng.integers(0, 3)) if tail == "most" else int(tail)
+    d, e = _bands_with_tail(grid, run, scale, vary_e, rng)
+    assert jordan._free_tail(d, e * e, _pivmin(d, e)) == nodes - 2 - run
+    lam = np.linalg.eigvals(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    near = lam + 1e-7 * birman._one_norm(d, e) * np.exp(2j * np.pi * rng.uniform(size=nodes))
+    _assert_log_derivative_matches(d, e, near)
+    _assert_log_derivative_matches(d, e, _far_points(lam, rng))
+
+
+@pytest.mark.parametrize("change", ["diagonal", "coupling"])
+@given(nodes=st.integers(8, 160), extent=st.floats(1.0, 20.0), data=st.data())
+def test_free_tail_is_not_folded_past_an_entry_off_it(nodes, extent, change, data):
+    grid = grids.make_grid(Mode.RADIAL_SWAVE, extent, nodes)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    d, e = _bands_with_tail(grid, nodes - 4, 10.0, False, rng)  # K = 2
+    j = data.draw(st.integers(2, nodes - 3))
+    tol = _pivmin(d, e)
+    if change == "diagonal":
+        d[j] += tol / 2.0  # within the tolerance: still folded
+        assert jordan._free_tail(d, e * e, tol) == 2
+        d[j] += 1.5 * tol
+    else:  # the coupling of node j to node j - 1
+        e[j - 1] = np.nextafter(e[j - 1], 0.0)
+    assert jordan._free_tail(d, e * e, tol) == j + 1
+    lam = np.linalg.eigvals(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    _assert_log_derivative_matches(d, e, _far_points(lam, rng))
+
+
 def _evolve_scenario(nodes, extent=40.0):
     """The complex non-normal potential of the evolve benchmark scenario."""
     grid = grids.make_grid(Mode.RADIAL_SWAVE, extent, nodes)
@@ -372,6 +460,20 @@ def test_tridiagonal_eigenvalue_failure_falls_back_to_eigvals(
     dense = _dense(jordan.build_Ppp(V, grid, delta_im=0.3))
     assert len(eigvals) == 1
     assert np.abs(dense - P).max() <= 1e-10 * np.abs(P).max()
+
+
+@pytest.mark.parametrize("nodes", [700, 1500])
+def test_tridiagonal_eigenvalues_match_the_full_recurrence_sweeps(nodes):
+    # the evolve scenario's bands level off from r ~ 5.5: the tail holds
+    # most of H
+    grid, V = _evolve_scenario(nodes, extent=40.0 * nodes / 700)
+    d, e = _tridiagonal(grid, V.values.values)
+    assert jordan._free_tail(d, e * e, _pivmin(d, e)) < nodes // 5
+    z = jordan._tridiagonal_eigenvalues(d, e)
+    with mock.patch.object(jordan, "_log_derivative", log_derivative):
+        oracle = jordan._tridiagonal_eigenvalues(d, e)
+    assert z is not None and oracle is not None
+    assert np.abs(z - oracle).max() <= 1e-13 * birman._one_norm(d, e)
 
 
 def test_tridiagonal_eigenvalues_hold_no_square_array():
