@@ -20,11 +20,12 @@ check, `uniform_inverse_scan` and the S0 of `local_neumann_inverse`.  Its
 factorization, `_tridiagonal_solver` (LDL^T for positive definite real
 bands, pivoted LU otherwise), applies R0(lambda^2) in the checks here and
 in `ftdiag.k2_bound_check`, and the domain resolvent of
-:mod:`speclab.lowenergy`; `_pinned_solver` factors a singular H made
-nonsingular at its kernel for the banded S0 solve and the threshold chain
-of :mod:`speclab.jordan`.  The dense LU (`direct_inverse`) stays only in
-`bs_solve`, for lambda h near a nonzero multiple of pi, and as the tests'
-oracle of the banded paths.
+:mod:`speclab.lowenergy`; `_bordered_solver` solves the bordered systems
+of a singular H, made nonsingular at its kernel, for the banded S0 of
+:mod:`speclab.lowenergy` and the threshold chain of :mod:`speclab.jordan`.
+The dense LU (`direct_inverse`) stays only in `bs_solve`, for lambda h
+near a nonzero multiple of pi, and as the tests' oracle of the banded
+paths.
 
 Every tridiagonal matrix here is symmetric and travels as its bands
 (d, e), the diagonal and the off-diagonal of tridiag(e, d, e); those of
@@ -329,20 +330,53 @@ def _tridiagonal_solver(d, e, context=""):
     return solve
 
 
-def _pinned_solver(d, e, rows, context=""):
-    """Solver of A = H + alpha E E^T for a singular tridiagonal H = tridiag(e, d, e).
+def _bordered_solver(d, e, Y, Z, B, context):
+    """Solver of [[Q~0 H, Y], [B^T, 0]] with H = tridiag(e, d, e), Q~0 = I - Y Z^T.
 
-    E holds the unit columns at `rows`, where the kernel vectors of H are
-    largest, and alpha = max |e| is the off-diagonal scale.  A is
-    tridiagonal and nonsingular: for a one-dimensional kernel psi and
-    rows = [r], det A = alpha times the minor of H without row and column
-    r, which is proportional to psi_r^2.  Returns (solve_A, alpha), solve_A
-    from `_tridiagonal_solver`.
+    The n columns of Z span the kernel of the singular H.  The tridiagonal
+    A = H + alpha E E^T, with E the unit columns at the rows where the
+    columns of Z are largest (column-pivoted QR of Z^T) and alpha = max |e|
+    the off-diagonal scale, is nonsingular: for a one-dimensional kernel
+    psi and E = e_r, det A = alpha times the minor of H without row and
+    column r, which is proportional to psi_r^2.  Q~0 H = A + U W^T with
+    U = [E, Y] and W = [-alpha E, -H Z] (H is symmetric), so block
+    elimination leaves one tridiagonal solve per column and a 3n x 3n
+    capacitance system for z = W^T y and mu.  With WB = [W, B] and
+    PQ = A^{-1} [E, Y, Y], that system is WB^T PQ + diag(I_2n, 0), and each
+    solve takes one product with WB^T and one with PQ, so few small BLAS
+    calls per block of columns.  Returns solve(F, G) -> (y, mu) for the
+    right-hand side [F; G], F of M rows and G of n rows; a singular A
+    raises NearSingularError naming `context`.
+
+    It serves the S0 of :mod:`speclab.lowenergy` (Y the chain tops, Z the
+    weighted chain bottoms, B = w Y) and the threshold chain of
+    :mod:`speclab.jordan`, Keller's bordered system
+    [[H, e_r], [e_r^T, 0]] for H phi = f with phi_r = 0: Y = B = e_r and
+    Z = psi, the kernel of H.  There psi^T H = 0, so Q~0 H = H, and the
+    pivoted QR picks r where |psi| is largest.
     """
+    M, n = Y.shape
+    rows = sla.qr(Z.T, mode="r", pivoting=True)[1][:n]
     alpha = np.abs(e).max()
     shifted = d.copy()
     shifted[rows] += alpha
-    return _tridiagonal_solver(shifted, e, context), alpha
+    solve_A = _tridiagonal_solver(shifted, e, context)
+    E = np.zeros((M, n), np.result_type(d, Y))
+    E[rows, np.arange(n)] = 1.0
+    WB = np.hstack([-alpha * E, -_tridiagonal_apply(d, e, Z), B])
+    PQ = solve_A(np.hstack([E, Y, Y]))
+    cap = WB.T @ PQ
+    cap[: 2 * n, : 2 * n] += np.eye(2 * n)
+
+    def solve(F, G):
+        y = solve_A(F)
+        rhs = WB.T @ y
+        rhs[2 * n :] -= G
+        zmu = np.linalg.solve(cap, rhs)
+        y -= PQ @ zmu
+        return y, zmu[2 * n :]
+
+    return solve
 
 
 def _inverse_norm_estimate(M, apply, adjoint):

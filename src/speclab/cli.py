@@ -3,19 +3,16 @@ persist JSON reports and CSV scans.
 
 Subcommands: threshold, invert, evolve, ftscan, full, fixtures.
 Exit codes: 0 success, 2 assertion failure (a configured check did not
-hold), 3 configuration error (the scenario file is missing, malformed or
-inconsistent, its samples file is unreadable or holds non-finite values,
-or a configured invert lambda is 0 or, with a nonempty threshold basis,
-beyond the validity window of S(lambda); without configured lambdas a
-nonempty basis gets window / 4, window / 2 and the window itself;
-stderr gets one "configuration error: ..." line), 4 numerical refusal
-(the scenario is well-formed but a numerical routine declined it: a
-near-singular solve, a Neumann series that does not contract or converge,
-a non-nilpotent or degenerate threshold space, ambiguous eigenvalue
-clusters or a degenerate duality pairing; stderr gets one
-"numerical refusal: ..." line).  Reports embed the full tolerance set and
-the grid metadata, carry no wall-clock data, and use fixed key order, so
-identical scenario files produce byte-identical JSON.
+hold), 3 configuration error (the scenario file is missing or malformed,
+breaks its schema, `_SCHEMA` and `_BUILTINS`, or a cross-field rule of
+the pipeline that reads it; stderr gets one "configuration error: ..."
+line), 4 numerical refusal (the scenario is well-formed but a numerical
+routine declined it: a near-singular solve, a Neumann series that does
+not contract or converge, a non-nilpotent or degenerate threshold space,
+ambiguous eigenvalue clusters or a degenerate duality pairing; stderr
+gets one "numerical refusal: ..." line).  Reports embed the full
+tolerance set and the grid metadata, carry no wall-clock data, and use
+fixed key order, so identical scenario files produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -62,56 +59,60 @@ class CheckFailure(AssertionError):
 
 
 # ---------------------------------------------------------------------------
-# Potential library
+# Configuration
 
-def builtin_potential(name, params, grid):
-    """Sampled builtin potential as a PotentialSpec.
+#: Every section of a scenario file, its keys and their defaults, read by
+#: `_read`; None marks a key with no default.
+_SCHEMA = {
+    "grid": {"mode": Mode.RADIAL_SWAVE.value, "extent": 20.0, "nodes": 200},
+    "potential": {"builtin": None, "params": {}, "samples_file": None,
+                  "p": 1.4, "q": 2.0},
+    "tolerances": {"identity_residual": 1e-6, "one_sided_residual": 1e-9,
+                   "verdict_tol_res": 1e-2},
+    "threshold": {"expect_dim_X1": None, "expect_verdicts": None},
+    "invert": {"lambdas": None, "window": "auto"},
+    "evolve": {"t_start": 2.0, "t_end": 8.0, "n_times": 10, "project": False,
+               "k_max": None, "delta_im": 1e-3, "expect_exponent": None},
+    "ftscan": {"window": "HIGH", "n": 256, "lam_max": 8.0, "lambda1": 1.0,
+               "r": 0.25, "cap": None, "project": False, "expect_verdict": None},
+}
 
-    Families: exact_eigen(s >= 2, tuned coupling, recorded as [re, im] in
-    spec.metadata["coupling"]), gaussian_well(depth, width),
-    complex_perturbed(base builtin, gamma, width).
-    """
-    if not isinstance(params or {}, dict):
-        raise ConfigError(f"params of {name} must be a JSON object")
-    params = dict(params or {})
-    p, q = _exponents(params.pop("p", 1.4), params.pop("q", 2.0))
-    if name == "exact_eigen":
-        s = _number("s", params.pop("s", 2.0))
-        if s < 2.0:
-            raise ConfigError(f"exact_eigen requires s >= 2, got {s}")
-        _reject_extra(name, params)
-        raw = potentials.exact_eigen(grid, s=s, p=p, q=q)
-        tuned, c, _ = potentials.tune_coupling(raw, grid)
-        tuned.metadata["coupling"] = [c.real, c.imag]
-        return tuned
-    if name == "gaussian_well":
-        depth = _number("depth", params.pop("depth", 4.0))
-        width = _number("width", params.pop("width", 1.0))
-        _reject_extra(name, params)
-        return potentials.gaussian_well(grid, depth=depth, width=width, p=p, q=q)
-    if name == "complex_perturbed":
-        gamma = _number("gamma", params.pop("gamma", 0.3))
-        width = _number("width", params.pop("width", 1.0))
-        base_cfg = params.pop("base", None)
-        _reject_extra(name, params)
-        base = None
-        if base_cfg is not None:
-            if not isinstance(base_cfg, dict):
-                raise ConfigError("base of complex_perturbed must be a JSON object")
-            base = builtin_potential(
-                base_cfg.get("name", "gaussian_well"),
-                base_cfg.get("params", {}),
-                grid,
-            )
-        return potentials.complex_perturbed(
-            grid, base=base, gamma=gamma, width=width, p=p, q=q
-        )
-    raise ConfigError(f"unknown builtin potential {name!r}")
+#: The builtin potential families: the keyword arguments of
+#: potentials.<family> that a potential's `params` may set, with defaults.
+_BUILTINS = {
+    "exact_eigen": {"s": 2.0, "p": 1.4, "q": 2.0},
+    "gaussian_well": {"depth": 4.0, "width": 1.0, "p": 1.4, "q": 2.0},
+    "complex_perturbed": {"base": None, "gamma": 0.3, "width": 1.0,
+                          "p": 1.4, "q": 2.0},
+}
+
+#: The base potential of complex_perturbed: a builtin name and its params.
+_BASE = {"name": "gaussian_well", "params": {}}
 
 
-def _reject_extra(name, params):
-    if params:
-        raise ConfigError(f"unknown parameters for {name}: {sorted(params)}")
+def _read(where, given, schema):
+    """The JSON object `given` (a section, params or base, `where` in errors)
+    with the defaults of `schema` filled in.  A value for a key whose
+    default is a bool must be a JSON boolean, and one for a key whose
+    default is an int or a float is converted by `_number`; other values
+    are read as given.  ConfigError when `given` is not a JSON object or
+    names a key that `schema` lacks."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    out = dict(schema)
+    for key, value in given.items():
+        if key not in schema:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+        kind = type(schema[key])
+        if kind is bool and not isinstance(value, bool):
+            raise ConfigError(f"{key!r} must be true or false, got {value!r}")
+        out[key] = _number(key, value, kind) if kind in (int, float) else value
+    return out
+
+
+def _section(cfg, name):
+    """Section `name` of the scenario cfg, read against its schema."""
+    return _read(name, cfg.get(name, {}), _SCHEMA[name])
 
 
 def _number(key, value, kind=float):
@@ -130,33 +131,10 @@ def _number(key, value, kind=float):
     return kind(number)
 
 
-def _flag(key, value):
-    """value, which must be a JSON boolean; else ConfigError."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key!r} must be true or false, got {value!r}")
-    return value
-
-
-def _exponents(p, q):
-    """The potential's Lebesgue exponents, which must satisfy p < 3/2 < q."""
-    p, q = _number("p", p), _number("q", q)
+def _check_exponents(p, q):
+    """ConfigError unless the Lebesgue exponents satisfy p < 3/2 < q."""
     if not p < 1.5 < q:
         raise ConfigError(f"potential exponents need p < 3/2 < q, got p={p}, q={q}")
-    return p, q
-
-
-# ---------------------------------------------------------------------------
-# Configuration
-
-#: Sections that, when present, must be JSON objects.
-_SECTIONS = ("grid", "potential", "tolerances", "threshold", "invert", "evolve",
-             "ftscan")
-
-_DEFAULT_TOLERANCES = {
-    "identity_residual": 1e-6,
-    "one_sided_residual": 1e-9,
-    "verdict_tol_res": 1e-2,
-}
 
 
 def load_config(path):
@@ -177,59 +155,80 @@ def load_config(path):
     for key in ("grid", "potential"):
         if key not in cfg:
             raise ConfigError(f"config is missing the {key!r} section")
-    for key in _SECTIONS:
-        if not isinstance(cfg.get(key, {}), dict):
+    for key, section in cfg.items():
+        if key == "schema_version":
+            continue
+        if key not in _SCHEMA:
+            raise ConfigError(f"unknown section {key!r}")
+        if not isinstance(section, dict):
             raise ConfigError(f"the {key!r} section must be a JSON object")
     return cfg
 
 
 def make_scenario_grid(cfg, grid_scale=1):
-    gspec = cfg["grid"]
-    mode = gspec.get("mode", Mode.RADIAL_SWAVE.value)
+    spec = _section(cfg, "grid")
     try:
-        mode = Mode(mode)
+        mode = Mode(spec["mode"])
     except ValueError:
-        raise ConfigError(f"unknown grid mode {mode!r}") from None
-    extent = _number("extent", gspec.get("extent", 20.0))
-    nodes = _number("nodes", gspec.get("nodes", 200), int)
+        raise ConfigError(f"unknown grid mode {spec['mode']!r}") from None
     try:
-        return grids.make_grid(mode, extent, nodes * int(grid_scale))
+        return grids.make_grid(mode, spec["extent"], spec["nodes"] * int(grid_scale))
     except grids.GridError as exc:
         raise ConfigError(str(exc)) from None
 
 
+def builtin_potential(name, params, grid):
+    """The builtin family `name` (`_BUILTINS`) with its params, sampled on
+    the grid; exact_eigen (s >= 2) has its coupling tuned and recorded as
+    [re, im] in spec.metadata["coupling"], and the base of complex_perturbed
+    is a builtin (`_BASE`)."""
+    if not isinstance(name, str) or name not in _BUILTINS:
+        raise ConfigError(f"unknown builtin potential {name!r}")
+    params = _read(f"params of {name}", params, _BUILTINS[name])
+    _check_exponents(params["p"], params["q"])
+    if name == "exact_eigen" and params["s"] < 2.0:
+        raise ConfigError(f"exact_eigen requires s >= 2, got {params['s']}")
+    if params.get("base") is not None:
+        base = _read("base of complex_perturbed", params["base"], _BASE)
+        params["base"] = builtin_potential(base["name"], base["params"], grid)
+    V = getattr(potentials, name)(grid, **params)
+    if name == "exact_eigen":
+        V, c, _ = potentials.tune_coupling(V, grid)
+        V.metadata["coupling"] = [c.real, c.imag]
+    return V
+
+
 def make_scenario_potential(cfg, grid):
-    pspec = cfg["potential"]
-    if "builtin" in pspec:
-        return builtin_potential(pspec["builtin"], pspec.get("params", {}), grid)
-    if "samples_file" in pspec:
-        path = pspec["samples_file"]
-        if not os.path.exists(path):
-            raise ConfigError(f"samples file not found: {path}")
-        try:
-            vals = np.loadtxt(path, dtype=complex)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"unreadable samples file {path}: {exc}") from None
-        if vals.shape != (grid.size,):
-            raise ConfigError(
-                f"samples file holds {vals.shape} values, grid has {grid.size}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ConfigError(f"samples file {path} holds non-finite values")
-        p, q = _exponents(pspec.get("p", 1.4), pspec.get("q", 2.0))
-        return birman.PotentialSpec(
-            os.path.basename(path), GridFunction(grid, vals), p, q
+    spec = _section(cfg, "potential")
+    if spec["builtin"] is not None:
+        for key in ("samples_file", "p", "q"):
+            if key in cfg["potential"]:
+                raise ConfigError(f"potential takes no {key!r} beside 'builtin' "
+                                  "(its p and q go in 'params')")
+        return builtin_potential(spec["builtin"], spec["params"], grid)
+    path = spec["samples_file"]
+    if path is None:
+        raise ConfigError("potential needs either 'builtin' or 'samples_file'")
+    if not os.path.exists(path):
+        raise ConfigError(f"samples file not found: {path}")
+    try:
+        vals = np.loadtxt(path, dtype=complex)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"unreadable samples file {path}: {exc}") from None
+    if vals.shape != (grid.size,):
+        raise ConfigError(
+            f"samples file holds {vals.shape} values, grid has {grid.size}"
         )
-    raise ConfigError("potential needs either 'builtin' or 'samples_file'")
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(f"samples file {path} holds non-finite values")
+    _check_exponents(spec["p"], spec["q"])
+    return birman.PotentialSpec(
+        os.path.basename(path), GridFunction(grid, vals), spec["p"], spec["q"]
+    )
 
 
 def _tolerances(cfg):
-    given = dict(cfg.get("tolerances", {}))
-    tol = {
-        key: _number(key, given.pop(key, default))
-        for key, default in _DEFAULT_TOLERANCES.items()
-    }
-    _reject_extra("tolerances", given)
+    tol = _section(cfg, "tolerances")
     for key, val in tol.items():
         if not val > 0:
             raise ConfigError(f"tolerance {key!r} must be positive")
@@ -258,8 +257,8 @@ def _header(pipeline, V, grid, tol):
 
 def run_threshold(cfg, grid, V, rng, out_dir=None, *, threshold=None):
     tol = _tolerances(cfg)
-    section = cfg.get("threshold", {})
-    expected = section.get("expect_verdicts")
+    section = _section(cfg, "threshold")
+    expected = section["expect_verdicts"]
     if expected is not None and not (
         isinstance(expected, list)
         and all(v in (jordan.EIGENVALUE, jordan.RESONANCE) for v in expected)
@@ -267,13 +266,13 @@ def run_threshold(cfg, grid, V, rng, out_dir=None, *, threshold=None):
         raise ConfigError(
             f"'expect_verdicts' must list EIGENVALUE or RESONANCE, got {expected!r}"
         )
-    expected_dim = section.get("expect_dim_X1")
+    expected_dim = section["expect_dim_X1"]
     if expected_dim is not None:
         expected_dim = _number("expect_dim_X1", expected_dim, int)
     if threshold is None:
         threshold = jordan.threshold(V, grid)
     fits = [
-        jordan.classify_state(psi, grid, tol_res=tol["verdict_tol_res"])
+        jordan.classify_state(psi, tol_res=tol["verdict_tol_res"])
         for psi in threshold.states
     ]
     verdicts = [fit["verdict"] for fit in fits]
@@ -294,13 +293,12 @@ def run_threshold(cfg, grid, V, rng, out_dir=None, *, threshold=None):
 
 def run_invert(cfg, grid, V, rng, out_dir=None, *, threshold=None):
     tol = _tolerances(cfg)
-    section = cfg.get("invert", {})
-    lambdas = section.get("lambdas")
-    if "lambdas" in section:
+    section = _section(cfg, "invert")
+    lambdas, window = section["lambdas"], section["window"]
+    if lambdas is not None:
         if not isinstance(lambdas, list) or not lambdas:
             raise ConfigError("invert lambdas must be a nonempty JSON list")
         lambdas = [_number("lambdas", l) for l in lambdas]
-    window = section.get("window", "auto")
     if window != "auto":
         window = _number("window", window)
     if threshold is None:
@@ -362,27 +360,25 @@ def run_invert(cfg, grid, V, rng, out_dir=None, *, threshold=None):
 
 def run_evolve(cfg, grid, V, rng, out_dir=None, *, threshold=None):
     tol = _tolerances(cfg)
-    section = cfg.get("evolve", {})
-    t0 = _number("t_start", section.get("t_start", 2.0))
-    t1 = _number("t_end", section.get("t_end", 8.0))
-    n_times = _number("n_times", section.get("n_times", 10), int)
-    project = _flag("project", section.get("project", False))
-    k_max = section.get("k_max")
+    section = _section(cfg, "evolve")
+    t0, t1, k_max = section["t_start"], section["t_end"], section["k_max"]
     if k_max is not None:
         k_max = _number("k_max", k_max)
         if not k_max > 0:
             raise ConfigError(f"evolve needs k_max > 0, got {k_max}")
-    if not 0 < t0 < t1 or n_times < 2:
+    if not 0 < t0 < t1 or section["n_times"] < 2:
         raise ConfigError("evolve needs 0 < t_start < t_end and n_times >= 2")
-    delta_im = _number("delta_im", section.get("delta_im", 1e-3))
+    delta_im = section["delta_im"]
     if not delta_im > 0:
         raise ConfigError(f"evolve needs delta_im > 0, got {delta_im}")
-    gate = section.get("expect_exponent")
+    gate = section["expect_exponent"]
     if gate is not None:
         if not isinstance(gate, list) or len(gate) != 2:
             raise ConfigError(f"expect_exponent must be [center, width], got {gate!r}")
         gate = [_number("expect_exponent", x) for x in gate]
-    times = np.linspace(t0, t1, n_times)
+        if not gate[1] > 0:
+            raise ConfigError(f"'expect_exponent' needs a width > 0, got {gate[1]}")
+    times = np.linspace(t0, t1, section["n_times"])
     plan = evolution.make_plan(V, grid, times, k_max=k_max, T_fit_min=t0)
     try:
         evolution.fit_selection(plan)
@@ -390,7 +386,7 @@ def run_evolve(cfg, grid, V, rng, out_dir=None, *, threshold=None):
         raise ConfigError(f"evolve: {exc}") from None
     f = grids.gaussian_bump(grid)
     P = None
-    if project:
+    if section["project"]:
         if threshold is None:
             threshold = jordan.threshold(V, grid)
         P = jordan.build_Ppp(V, grid, basis=threshold.basis, delta_im=delta_im)
@@ -417,28 +413,25 @@ def run_evolve(cfg, grid, V, rng, out_dir=None, *, threshold=None):
 
 def run_ftscan(cfg, grid, V, rng, out_dir=None, *, threshold=None):
     tol = _tolerances(cfg)
-    section = cfg.get("ftscan", {})
-    window = str(section.get("window", "HIGH")).upper()
+    section = _section(cfg, "ftscan")
+    window = str(section["window"]).upper()
     if window not in ("HIGH", "MID", "LOW"):
         raise ConfigError(f"unknown transform window {window!r}")
-    params = {
-        "n": _number("n", section.get("n", 256), int),
-        "lam_max": _number("lam_max", section.get("lam_max", 8.0)),
-        "lambda1": _number("lambda1", section.get("lambda1", 1.0)),
-        "r": _number("r", section.get("r", 0.25)),
-    }
-    if "cap" in section:
+    params = {key: section[key] for key in ("n", "lam_max", "lambda1", "r")}
+    if section["cap"] is not None:
         params["cap"] = _number("cap", section["cap"])
+        if not params["cap"] > 0:
+            raise ConfigError(f"ftscan needs 'cap' > 0, got {params['cap']}")
     n = params["n"]
     if n < 2 or n & (n - 1):
         raise ConfigError(f"ftscan n = {n} must be a power of two")
     if not 0 < params["r"] < params["lambda1"] or params["lam_max"] <= 0:
         raise ConfigError("ftscan needs 0 < r < lambda1 and lam_max > 0")
-    expected = section.get("expect_verdict")
+    expected = section["expect_verdict"]
     if expected not in (None, ftdiag.OK, ftdiag.DIVERGENT):
         raise ConfigError(f"'expect_verdict' must be OK or DIVERGENT, got {expected!r}")
     f = grids.gaussian_bump(grid)
-    if _flag("project", section.get("project", False)):
+    if section["project"]:
         if threshold is None:
             threshold = jordan.threshold(V, grid)
         P0 = jordan.build_P0(threshold.basis, grid)

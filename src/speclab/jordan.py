@@ -323,7 +323,7 @@ def _lift(V, grid, spaces, states):
     return Threshold(dims, tuple(states), basis)
 
 
-def classify_state(psi, grid=None, tol_res=1e-2):
+def classify_state(psi, tol_res=1e-2):
     """EIGENVALUE / RESONANCE verdict by fitting the 1/r tail.
 
     Fits the 3-D profile psi(r) = c0/r + c1/r^2 over the outer third of the
@@ -334,11 +334,10 @@ def classify_state(psi, grid=None, tol_res=1e-2):
     verdict reads |c0| in any phase.  Returns a dict with verdict, c0, c1
     and the discrete L1/L2 profile norms.
     """
-    grid = psi.grid if grid is None else grid
     sup = float(np.abs(psi.values).max())
     if sup == 0.0:
         raise ZeroVectorError("cannot classify the zero vector")
-    r = grid.nodes
+    r = psi.grid.nodes
     prof = grids.profile_values(psi)
     order = np.argsort(r)
     outer = order[2 * len(r) // 3 :]
@@ -406,10 +405,10 @@ def build_filtration(V, grid):
     and its state R0(0) g = psi / ||H0 psi||, with no solve.  The left null
     vector of I + R0(0) V is H0 psi-bar / ||H0 psi||, so the solvability of
     X_{k+1} is the bilinear psi^T X_k / ||H0 psi||, and X is a single Jordan
-    chain: each member phi_{k+1}, H phi_{k+1} = phi_k, is one bordered
-    tridiagonal solve (`_chain_solver`).  An exactly zero pivot of H moves
-    its factorization by a few ulps (`_shifted_solver`); a second one raises
-    birman.NearSingularError.
+    chain: each member phi_{k+1}, H phi_{k+1} = phi_k, is one solve of
+    Keller's bordered system (`birman._bordered_solver`).  An exactly zero
+    pivot of H moves its factorization by a few ulps (`_shifted_solver`); a
+    second one raises birman.NearSingularError.
     """
     d, e = birman.hamiltonian(V, grid)
     d0, _ = birman.tridiagonal_bs(grid, 0.0)
@@ -445,7 +444,11 @@ def build_filtration(V, grid):
         psi /= np.linalg.norm(psi)
     g_norm = np.linalg.norm(H0(psi))
     states = [GridFunction(grid, psi / g_norm)]
-    chain = _chain_solver(d, e, psi)
+    e_r = np.zeros((d.size, 1))
+    e_r[np.argmax(np.abs(psi))] = 1.0
+    chain = birman._bordered_solver(
+        d, e, e_r, psi[:, None], e_r, "threshold chain solve"
+    )
     Q = psi[:, None]
     spaces = [Q]
     for _ in range(MAX_FILTRATION_STEPS):
@@ -453,36 +456,12 @@ def build_filtration(V, grid):
         scale = np.sqrt(np.linalg.eigvalsh(R0Q.conj().T @ R0Q)[-1])
         if np.linalg.norm(psi @ Q) / g_norm > RANK_TOL * scale:
             return spaces, states
-        phi = chain(Q[:, -1])
+        phi, _ = chain(Q[:, -1], np.zeros(1))
         for _ in range(2):  # Gram-Schmidt, repeated once for orthogonality
             phi -= Q @ (Q.conj().T @ phi)
         Q = np.column_stack([Q, phi / np.linalg.norm(phi)])
         spaces.append(Q)
     raise _still_growing(spaces)
-
-
-def _chain_solver(d, e, psi):
-    """Solver of H phi = f for f in the range of H = tridiag(e, d, e), ker H = psi.
-
-    Keller's bordered system [[H, e_r], [e_r^T, 0]] [phi; mu] = [f; 0], with
-    r the row where |psi| is largest, is nonsingular because psi_r != 0, and
-    mu = psi^T f / psi_r vanishes on the range of H.  With the tridiagonal
-    A = H + alpha e_r e_r^T, nonsingular for the same reason
-    (`birman._pinned_solver`), its solution is phi = A^{-1} f - mu A^{-1} e_r
-    with mu chosen so that phi_r = 0: one tridiagonal solve per right-hand
-    side.
-    """
-    r = int(np.argmax(np.abs(psi)))
-    solve_A, _ = birman._pinned_solver(d, e, [r], "threshold chain solve")
-    e_r = np.zeros_like(d)
-    e_r[r] = 1.0
-    z = solve_A(e_r)
-
-    def solve(f):
-        y = solve_A(f)
-        return y - (y[r] / z[r]) * z
-
-    return solve
 
 
 def _still_growing(spaces):

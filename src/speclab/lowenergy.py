@@ -52,7 +52,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
 
 from . import birman, grids, jordan
 # operator_l1_norm is unused here but stays importable as lowenergy's alias
@@ -178,17 +177,20 @@ def _banded_S0(v, grid, Y, Z, R0Y):
     R0(0) is exactly H0^{-1}, so I + V R0(0) = H H0^{-1} with H = H0 + V
     tridiagonal, and the weights are uniform (w = h), so C H0 = h Y^T.  The
     substitution u = H0 y turns the bordered system of `build_S0` into
-    [[Q~0 H, Y], [h Y^T, 0]] [y; mu] = [f; 0], which `_bordered_solver`
-    solves without forming any M x M matrix.  Forming u = H0 y loses about
-    eps cond(H0) ~ eps M^2 in the T0 form that `one_sided_residual` checks,
-    so one step of iterative refinement on that form follows, with
-    I + V R0(0) applied by tridiagonal solves.  The right-hand sides are
-    the columns of the identity, sent through both solves a block F of
-    them at a time (`_blocks`), so S0 is the only M x M array.
+    [[Q~0 H, Y], [h Y^T, 0]] [y; mu] = [f; 0], which
+    `birman._bordered_solver` solves without forming any M x M matrix.
+    Forming u = H0 y loses about eps cond(H0) ~ eps M^2 in the T0 form that
+    `one_sided_residual` checks, so one step of iterative refinement on
+    that form follows, with I + V R0(0) applied by tridiagonal solves.  The
+    right-hand sides are the columns of the identity, sent through both
+    solves a block F of them at a time (`_blocks`), so S0 is the only M x M
+    array.
     """
     M, n = Y.shape
     d0, e = birman.tridiagonal_bs(grid, 0.0)
-    solve = _bordered_solver(d0 + v, e, Y, Z, grid.weights[:, None] * Y)
+    solve = birman._bordered_solver(
+        d0 + v, e, Y, Z, grid.weights[:, None] * Y, "S0 bordered solve"
+    )
     R_0 = domain_resolvent(grid, 0.0)
     C = grid.weights[:, None] * R0Y
     S0 = np.empty((M, M), np.result_type(v, Y), order="F")
@@ -208,42 +210,6 @@ def _banded_S0(v, grid, Y, Z, R0Y):
         S += birman._tridiagonal_apply(d0, e, dy)
         S0[:, J] = S
     return S0
-
-
-def _bordered_solver(d, e, Y, Z, B):
-    """Solver of [[Q~0 H, Y], [B^T, 0]] with H = tridiag(e, d, e), Q~0 = I - Y Z^T.
-
-    With n > 0 chains H is singular: the psi_{1,k} of Z span its kernel.
-    The tridiagonal A = H + alpha E E^T (`birman._pinned_solver`), with E
-    the unit columns at the rows where the psi_{1,k} are largest
-    (column-pivoted QR of Z^T), is nonsingular.  Q~0 H = A + U W^T with
-    U = [E, Y] and W = [-alpha E, -H Z] (H is symmetric), so block
-    elimination leaves one tridiagonal solve per column and a 3n x 3n
-    capacitance system for z = W^T y and mu.  With WB = [W, B] and PQ = A^{-1} [E, Y, Y], that
-    system is WB^T PQ + diag(I_2n, 0), and each solve takes one product
-    with WB^T and one with PQ, so few small BLAS calls per block of columns.
-    Returns solve(F, G) -> (y, mu) for the right-hand side [F; G], F of M
-    rows and G of n rows.
-    """
-    M, n = Y.shape
-    rows = sla.qr(Z.T, mode="r", pivoting=True)[1][:n]
-    solve_A, alpha = birman._pinned_solver(d, e, rows, "S0 bordered solve")
-    E = np.zeros((M, n), np.result_type(d, Y))
-    E[rows, np.arange(n)] = 1.0
-    WB = np.hstack([-alpha * E, -birman._tridiagonal_apply(d, e, Z), B])
-    PQ = solve_A(np.hstack([E, Y, Y]))
-    cap = WB.T @ PQ
-    cap[: 2 * n, : 2 * n] += np.eye(2 * n)
-
-    def solve(F, G):
-        y = solve_A(F)
-        rhs = WB.T @ y
-        rhs[2 * n :] -= G
-        zmu = np.linalg.solve(cap, rhs)
-        y -= PQ @ zmu
-        return y, zmu[2 * n :]
-
-    return solve
 
 
 def _series_step(reg, lam):
@@ -490,15 +456,16 @@ def one_sided_residual(reg, lam=0.0):
 
 
 def range_constraint_residual(reg):
-    """sup over 8 fixed-seed random f of |pair(S0 f, R0(0) psi_kk)| / ||f||_1,
-    with S0 applied to the 8 in one product."""
-    rng = np.random.default_rng(0)
+    """sup over f of |pair(S0 f, R0(0) psi_kk)| / ||f||_1, exactly.
+
+    The functional f -> pair(S0 f, c) = (S0^T W c)^T f has induced norm
+    max_j |(S0^T W c)_j| / w_j on weighted L^1, so the sup is that max over
+    j and the constraints c = R0(0) psi_kk.  The product is an einsum, not
+    a BLAS call (see `_column_factor`).
+    """
     w = reg.grid.weights
-    F = np.empty((w.size, 8), complex)
-    for f in F.T:
-        f.real, f.imag = rng.standard_normal(w.size), rng.standard_normal(w.size)
-    pairs = reg.range_constraints.T @ (w[:, None] * grids.apply_matrix(reg.S0, F))
-    return float((np.abs(pairs) / (w @ np.abs(F))).max(initial=0.0))
+    pairs = np.einsum("ij,ik->jk", reg.S0, w[:, None] * reg.range_constraints)
+    return float((np.abs(pairs) / w[:, None]).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

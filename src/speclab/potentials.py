@@ -64,7 +64,7 @@ def gaussian_well(grid, depth=4.0, width=1.0, p=1.4, q=2.0):
     )
 
 
-def complex_perturbed(grid, base=None, gamma=0.5, width=1.0, p=1.4, q=2.0):
+def complex_perturbed(grid, gamma, base=None, width=1.0, p=1.4, q=2.0):
     """Base potential plus a localized imaginary bump i gamma exp(-(r/width)^2).
 
     The bump keeps V short range while moving spectrum off the real axis;

@@ -572,3 +572,118 @@ def test_ftscan_projected_is_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes()
+
+
+#: A pipeline that reads each section of the schema before it computes.
+_READER = {"grid": "threshold", "potential": "threshold", "tolerances": "threshold",
+           "threshold": "threshold", "invert": "invert", "evolve": "evolve",
+           "ftscan": "ftscan"}
+
+
+def _exits_3_naming(tmp_path, capsys, pipeline, cfg, name):
+    assert cli.main([pipeline, "--config", write_cfg(tmp_path, cfg)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
+    assert repr(name) in err
+
+
+def _typed_keys(schema):
+    """The keys of a schema whose default is a bool, an int or a float."""
+    return [key for key, default in schema.items()
+            if isinstance(default, (bool, int, float))]
+
+
+def test_every_section_is_read_by_some_pipeline():
+    assert sorted(_READER) == sorted(cli._SCHEMA)
+
+
+@pytest.mark.parametrize("section", sorted(cli._SCHEMA))
+def test_unknown_key_in_a_section_exits_3(tmp_path, capsys, section):
+    cfg = small_threshold_cfg()
+    cfg.setdefault(section, {})["bogus_key"] = 1
+    _exits_3_naming(tmp_path, capsys, _READER[section], cfg, "bogus_key")
+
+
+@pytest.mark.parametrize("section, key", [
+    (section, key) for section in sorted(cli._SCHEMA)
+    for key in _typed_keys(cli._SCHEMA[section])
+] + [("threshold", "expect_dim_X1"), ("evolve", "k_max"), ("ftscan", "cap")])
+def test_value_of_the_wrong_kind_exits_3(tmp_path, capsys, section, key):
+    cfg = small_threshold_cfg()
+    cfg.setdefault(section, {})[key] = "1"
+    _exits_3_naming(tmp_path, capsys, _READER[section], cfg, key)
+
+
+@pytest.mark.parametrize("family", sorted(cli._BUILTINS))
+def test_unknown_builtin_param_exits_3(tmp_path, capsys, family):
+    cfg = small_threshold_cfg()
+    cfg["potential"] = {"builtin": family, "params": {"bogus_key": 1}}
+    _exits_3_naming(tmp_path, capsys, "threshold", cfg, "bogus_key")
+
+
+@pytest.mark.parametrize("family, key", [
+    (family, key) for family in sorted(cli._BUILTINS)
+    for key in _typed_keys(cli._BUILTINS[family])
+])
+def test_builtin_param_of_the_wrong_kind_exits_3(tmp_path, capsys, family, key):
+    cfg = small_threshold_cfg()
+    cfg["potential"] = {"builtin": family, "params": {key: "1"}}
+    _exits_3_naming(tmp_path, capsys, "threshold", cfg, key)
+
+
+@pytest.mark.parametrize("base, name", [
+    ({"nmae": "gaussian_well"}, "nmae"),
+    ({"params": {"depht": 5.0}}, "depht"),
+])
+def test_unknown_key_in_the_base_exits_3(tmp_path, capsys, base, name):
+    cfg = small_threshold_cfg()
+    cfg["potential"] = {"builtin": "complex_perturbed", "params": {"base": base}}
+    _exits_3_naming(tmp_path, capsys, "threshold", cfg, name)
+
+
+#: Misspellings and misplaced keys, each of which turned a gate off or was
+#: ignored without a word, and the key or section the error names.
+_MISSPELLINGS = {
+    "expect_dim_x1": (("threshold", "expect_dim_x1"), 3),
+    "nodse": (("grid", "nodse"), 120),
+    "p": (("potential", "p"), 1.7),
+    "samples_file": (("potential", "samples_file"), "V.txt"),
+    "evolv": (("evolv",), {"t_start": 2.0}),
+}
+
+
+def _misspelled(names):
+    cfg = small_threshold_cfg()
+    for name in names:
+        path, value = _MISSPELLINGS[name]
+        section = cfg
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("name", sorted(_MISSPELLINGS))
+def test_misspelled_key_exits_3(tmp_path, capsys, name):
+    _exits_3_naming(tmp_path, capsys, "threshold", _misspelled([name]), name)
+
+
+def test_all_misspellings_at_once_exit_3(tmp_path, capsys):
+    # the unknown section is refused as the file is loaded, before any read
+    _exits_3_naming(tmp_path, capsys, "threshold", _misspelled(_MISSPELLINGS), "evolv")
+
+
+@pytest.mark.parametrize("width", [0.0, -0.1])
+def test_expect_exponent_width_must_be_positive(tmp_path, capsys, width):
+    # refused before the evolve runs, not after it as a failed gate
+    cfg = dict(cli._FIXTURE_SCENARIOS["evolve_free"])
+    cfg["evolve"] = {**cfg["evolve"], "expect_exponent": [-1.5, width]}
+    _exits_3_naming(tmp_path, capsys, "evolve", cfg, "expect_exponent")
+
+
+@pytest.mark.parametrize("cap", [0.0, -1.0])
+def test_ftscan_cap_must_be_positive(tmp_path, capsys, cap):
+    cfg = small_threshold_cfg()
+    cfg["ftscan"] = {"window": "HIGH", "n": 32, "cap": cap}
+    _exits_3_naming(tmp_path, capsys, "ftscan", cfg, "cap")

@@ -1,9 +1,11 @@
 """Static rules on the package source."""
 
 import ast
+import inspect
 import pathlib
 
 import speclab
+from speclab import cli, potentials
 
 SRC = pathlib.Path(speclab.__file__).parent
 
@@ -219,6 +221,8 @@ def test_every_option_has_a_caller():
         for func, param, position in _options(tree):
             if path.stem == "cli" and func.startswith("run_") and param == "out_dir":
                 continue  # dispatched through cli._PIPELINES
+            if path.stem == "potentials" and param in cli._BUILTINS.get(func, ()):
+                continue  # a scenario's params, passed through cli._BUILTINS
             if not any(_passes(c, param, position) for c in calls.get(func, [])):
                 unset.append(f"{path.stem}.{func}: {param}")
     assert unset == []
@@ -248,3 +252,23 @@ def test_no_module_imports_scipy_sparse():
             if name == "scipy.sparse" or name.startswith("scipy.sparse.")
         )
     assert found == []
+
+
+def test_every_scenario_key_is_read():
+    # a key of the scenario schema that no code reads would be accepted and
+    # then ignored: each is named by some function of cli.py, and a builtin
+    # family's params are the keyword arguments of potentials.<family>
+    tree = ast.parse((SRC / "cli.py").read_text())
+    named = {
+        node.value
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    keys = {key for section in cli._SCHEMA.values() for key in section}
+    assert sorted(keys - named) == []
+    assert sorted(set(cli._BASE) - named) == []
+    for family, params in cli._BUILTINS.items():
+        accepted = inspect.signature(getattr(potentials, family)).parameters
+        assert sorted(set(params) - set(accepted)) == [], family
