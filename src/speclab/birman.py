@@ -299,7 +299,10 @@ def _tridiagonal_solver(d, e, context=""):
     conjugate transpose, which real bands equal.  With real bands a complex
     x is solved as its real view, two real columns per complex one: the
     bits of dpttrs on its real and imaginary parts, or those of zgttrs,
-    with no complex copy of the factors.
+    with no complex copy of the factors.  A vector of the bands' dtype goes
+    to pttrs or gttrs as it is, with no reshape: the bits of the same
+    vector as a one-column matrix, at the cost of the LAPACK call alone
+    (`evolution.propagate` makes thousands of such solves per scan).
     """
     M = d.size
     pttrf, pttrs, gttrf, gttrs = sla.get_lapack_funcs(
@@ -318,6 +321,10 @@ def _tridiagonal_solver(d, e, context=""):
     def solve(x, trans="N"):
         if not x.size:  # pttrs and gttrs with no right-hand side corrupt memory
             return np.zeros(x.shape, np.result_type(x, gttrs.dtype))
+        if x.ndim == 1 and x.dtype == gttrs.dtype:  # one column, passed as is
+            if definite:
+                return pttrs(*factors, x)[0]
+            return gttrs(*factors, x, trans=trans)[0]
         b = x.reshape(M, -1)
         as_real = real and x.dtype == complex
         if as_real:

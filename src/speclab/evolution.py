@@ -20,10 +20,12 @@ unitary on the imaginary axis (Ehle, SIAM J. Math. Anal. 4, 1973), so a
 mode it does not resolve keeps its size and only its phase is wrong; the
 substeps needed follow the data's spectral content, not ||H|| (van den
 Eshof & Hochbruck, SIAM J. Sci. Comput. 27, 2006).  Each factor is applied
-in Cayley form, x - 2 a_j (H + a_j)^{-1} x: one shifted tridiagonal solve,
-O(M) per substep and factor.  The partial-fraction form of the same
-approximant has a round-off floor near 1e-6 and is not used.  The scans
-take a projection P as its factors (U, W), so no M x M array is formed.
+in Cayley form, x - 2 a_j (H + a_j)^{-1} x: one shifted tridiagonal solve
+and one BLAS axpy, O(M) per substep and factor.  A scan covers [0, t_0]
+in steps of its own spacing, and each step checks n substeps against
+ceil(3n / 2).  The partial-fraction form of the same approximant has a
+round-off floor near 1e-6 and is not used.  The scans take a projection P
+as its factors (U, W), so no M x M array is formed.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from . import birman, grids
 from .grids import Grid, GridFunction
@@ -129,7 +132,18 @@ def _pade_roots():
 
 
 def _pade_stepper(d, e):
-    """step(dt, x) = e^{-i dt H} x for H = tridiag(e, d, e); see `propagate`."""
+    """step(dt, x) = e^{-i dt H} x for H = tridiag(e, d, e); see `propagate`.
+
+    A step compares the pass of n substeps with the pass of
+    m = max(n + 1, ceil(3n / 2)) and keeps the m-pass.  The order-32
+    approximant errs by O(tau^33) per substep of length tau = dt / n, so
+    by about C n^-32 over the step.  The m-pass then errs by
+    (n / m)^32 <= (2/3)^32 ~ 2e-6 of the n-pass, the gap of the two passes
+    is the n-pass's error to within that ratio, and an accepted step is off
+    by about 2e-6 SUBSTEP_TOL = 2e-16 of its sup norm: round-off.  A check
+    against 2n substeps costs a third more per step and only brings the
+    ratio to 2^-32.
+    """
     levels = {}    # (dt, n) -> [(-2 a_j, solver of H + a_j)], two at most
     accepted = {}  # dt -> n
     norm = birman._one_norm(d, e)
@@ -142,26 +156,26 @@ def _pade_stepper(d, e):
             levels[dt, n] = [(-2.0 * a, birman._tridiagonal_solver(d + a, e))
                              for a in shifts]
         factors = levels[dt, n]
+        y = x.copy()  # the pass's own state, updated in place
         for _ in range(n):
             for c, solve in factors:
-                x = x + c * solve(x)
-        return x
+                y = blas.zaxpy(solve(y), y, a=c)
+        return y
 
     def step(dt, x):
         n = accepted.get(dt, math.ceil(2 * dt))
-        for level in set(levels) - {(dt, n), (dt, 2 * n)}:
-            del levels[level]
-        coarse = run(dt, n, x)
         while True:
-            fine = run(dt, 2 * n, x)
+            m = max(n + 1, (3 * n + 1) // 2)
+            for level in set(levels) - {(dt, n), (dt, m)}:
+                del levels[level]
+            coarse, fine = run(dt, n, x), run(dt, m, x)
             diff, scale = np.abs(coarse - fine).max(), np.abs(fine).max()
             if diff <= SUBSTEP_TOL * scale:
                 accepted[dt] = n
                 return fine
             if dt / n * norm <= RESOLVED_PHASE:
                 raise SubstepCapError(dt, n, diff / scale)
-            del levels[dt, n]
-            coarse, n = fine, 2 * n
+            n *= 2
 
     return step
 
@@ -169,36 +183,48 @@ def _pade_stepper(d, e):
 def propagate(plan, f):
     """States e^{-i t_k H} f for every t_k in the plan's time grid.
 
-    Steps the state from each time to the next, a step length within
-    STEP_RTOL of an earlier one taken as that one, by the (16, 16) Pade
+    Steps the state from each time to the next by the (16, 16) Pade
     product of the module docstring on the tridiagonal H of
-    `birman.hamiltonian`.  Each factor is applied in Cayley form
-    x - 2 a_j (H + a_j)^{-1} x, one complex tridiagonal solve
-    (`birman._tridiagonal_solver`), O(M) per factor and substep.  Each
-    output interval of length dt is split into n substeps of length
-    tau = dt / n by step doubling: passes a (n substeps) and b (2n) are
-    compared, b is taken once max|a - b| <= SUBSTEP_TOL max|b|, else n
-    doubles.  n starts at the count accepted last for the same dt, else at
-    ceil(2 dt).  The doublings are capped where pass a already resolves all
-    of H, tau ||H||_1 <= RESOLVED_PHASE: passes that still disagree raise
+    `birman.hamiltonian`.  The first interval [0, t_0] of a scan is
+    covered in its spacing s = t_1 - t_0: one leading step of the
+    remainder r = t_0 mod s, dropped when r <= STEP_RTOL s, then
+    floor(t_0 / s) steps of s, so a linspace scan takes two step lengths,
+    r and s; a plan of one time takes one step of t_0.  A
+    step length within STEP_RTOL of an earlier one is taken as that one.
+
+    Each factor is applied in Cayley form x - 2 a_j (H + a_j)^{-1} x: one
+    complex tridiagonal solve (`birman._tridiagonal_solver`) and one BLAS
+    axpy into the pass's own copy of the state, O(M) per factor and
+    substep; f.values is left as it is.  Each step of length dt is split
+    into substeps by the check of `_pade_stepper`: passes a (n substeps)
+    and b (m = max(n + 1, ceil(3n / 2))) are compared, b is taken once
+    max|a - b| <= SUBSTEP_TOL max|b|, else n doubles.  n starts at the
+    count accepted last for the same dt, else at ceil(2 dt).  The
+    doublings are capped where pass a already resolves all of H,
+    (dt / n) ||H||_1 <= RESOLVED_PHASE: passes that still disagree raise
     SubstepCapError, never a silent result.  Factorizations are kept for
     two substep lengths at most: the pair under comparison, then the pair
     of the step length last accepted.
     """
     grid = plan.grid
     step = _pade_stepper(*birman.hamiltonian(plan.V, grid))
+    t = plan.times
+    intervals = [[t[0]], *([dt] for dt in np.diff(t))]  # the steps to each t_k
+    if t.size > 1 and t[0] > 0:
+        spacing = t[1] - t[0]
+        count, rest = divmod(t[0], spacing)
+        intervals[0] = [rest] if rest > STEP_RTOL * spacing else []
+        intervals[0] += [spacing] * int(count)
     out, lengths = [], []
     state = f.values
-    prev = 0.0
-    for t in plan.times:
-        dt = t - prev
-        if dt > 0:
-            dt = next((s for s in lengths if abs(dt - s) <= STEP_RTOL * s), dt)
-            if dt not in lengths:
-                lengths.append(dt)
-            state = step(dt, state)
+    for steps in intervals:
+        for dt in steps:
+            if dt > 0:
+                dt = next((s for s in lengths if abs(dt - s) <= STEP_RTOL * s), dt)
+                if dt not in lengths:
+                    lengths.append(dt)
+                state = step(dt, state)
         out.append(GridFunction(grid, state))
-        prev = t
     return out
 
 

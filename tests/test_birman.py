@@ -368,3 +368,26 @@ def test_uniform_inverse_scan_matches_dense(grid20, well20):
         for lam in lams
     ]
     assert np.allclose(out["norms"], dense, rtol=1e-10, atol=0.0)
+
+
+@given(
+    nodes=st.integers(3, 120),
+    definite=st.booleans(),
+    trans=st.sampled_from(["N", "C"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_vector_solve_gives_the_bits_of_one_column(nodes, definite, trans, seed):
+    # a vector of the bands' dtype goes to the LAPACK solve as it is (the
+    # propagator's thousands of solves): positive definite real bands
+    # (LDL^T) and complex ones (LU) give the bits of the one-column matrix
+    rng = np.random.default_rng(seed)
+    d, e = rng.standard_normal(nodes), rng.standard_normal(nodes - 1)
+    d = np.abs(d) + 2.0 * np.abs(np.r_[e, 0.0]) + 2.0 * np.abs(np.r_[0.0, e])
+    x = rng.standard_normal(nodes)
+    if not definite:
+        d = d + 1j * rng.standard_normal(nodes)
+        x = x + 1j * rng.standard_normal(nodes)
+    solve = birman._tridiagonal_solver(d, e)
+    vector = solve(x, trans)
+    assert vector.shape == x.shape and vector.dtype == d.dtype
+    assert np.array_equal(vector, solve(x[:, None], trans)[:, 0])

@@ -235,13 +235,15 @@ def test_numerical_refusal_exits_4(tmp_path, capsys):
 
 def test_substep_cap_exits_4(tmp_path, capsys, monkeypatch):
     # every propagator pass counts as resolved, so the first pair of passes
-    # that disagree is refused: by propagate, and by the CLI with exit 4
+    # that disagree is refused: by propagate, and by the CLI with exit 4.
+    # Two times: the spacing 4.4 exceeds t_start, so the scan's first step
+    # is the one of length 2 that the plan [2.0] takes.
     monkeypatch.setattr(evolution, "RESOLVED_PHASE", np.inf)
     cfg = {
         "schema_version": cli.SCHEMA_VERSION,
         "grid": {"mode": "radial_swave", "extent": 40.0, "nodes": 200},
         "potential": {"builtin": "gaussian_well", "params": {"depth": 0.0}},
-        "evolve": {"t_start": 2.0, "t_end": 6.4, "n_times": 8, "k_max": 2.5},
+        "evolve": {"t_start": 2.0, "t_end": 6.4, "n_times": 2, "k_max": 2.5},
     }
     grid = cli.make_scenario_grid(cfg)
     plan = evolution.make_plan(cli.make_scenario_potential(cfg, grid), grid, [2.0])

@@ -179,12 +179,39 @@ def test_jordan_polynomial_growth(chain_fixture20):
     assert coef[0] == pytest.approx(1.0, abs=0.1)
 
 
-def test_linspace_steps_factor_once(g200, free200, count_calls):
+def test_propagate_leaves_the_data_alone(g200):
+    # each pass updates its own copy of the state in place
+    V = _tridiagonal_cases(g200)["complex"]
+    f = grids.gaussian_bump(g200)
+    before = f.values.copy()
+    states = evolution.propagate(evolution.make_plan(V, g200, [0.5, 1.5, 4.0]), f)
+    assert np.array_equal(f.values, before)
+    assert not np.array_equal(states[-1].values, before)
+
+
+def test_linspace_steps_factor_once(g200, free200, count_calls, monkeypatch):
     # np.linspace steps differ in their last bits; the Pade path still
-    # factors each (step length, substep count) pair once
+    # factors each (step length, substep count) pair once, and [0, t_0] is
+    # a remainder and steps of the spacing: two step lengths in all
     solves = count_calls(birman, "_tridiagonal_solver")
-    plan = evolution.make_plan(free200, g200, np.linspace(2.5, 8.0, 10))
+    lengths = set()
+    stepper = evolution._pade_stepper
+
+    def recording_stepper(d, e):
+        step = stepper(d, e)
+
+        def recorded(dt, x):
+            lengths.add(dt)
+            return step(dt, x)
+
+        return recorded
+
+    monkeypatch.setattr(evolution, "_pade_stepper", recording_stepper)
+    times = np.linspace(2.5, 8.0, 10)
+    plan = evolution.make_plan(free200, g200, times)
     evolution.propagate(plan, grids.gaussian_bump(g200))
+    spacing = times[1] - times[0]
+    assert sorted(lengths) == [times[0] % spacing, spacing]
     d = birman.tridiagonal_bs(g200, 0.0)[0]
     # the shift of the first Pade root names the level: i z_1 n / dt
     shifts = np.sort([np.abs(call[0] - d).max() for call in solves[::16]])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bordered_S0, bs_matrix, series_step
+from oracles import bordered_S0, bs_matrix, series_step, thomas_longdouble
 from speclab import birman, evolution, grids, jordan, lowenergy, potentials
 from speclab.grids import GridFunction, operator_l1_norm
 
@@ -374,6 +374,31 @@ def test_auto_window_brackets_the_crossing(request, count_calls, scenario):
 
     assert w == 1.0 or cf(w) <= 0.5 < cf(w + 2.0**-30)
     assert w == _bisection_window(cf)
+
+
+@pytest.mark.parametrize("extent, nodes, lam", [
+    (80.0, 400, 2e-4),  # the full-ee grid, a lambda of its scan
+    (2.25, 550, 0.02),  # the invert-ee grid, a lambda of its scan
+])
+def test_step_column_norms_match_a_long_double_difference(extent, nodes, lam):
+    # the difference R0(lambda^2) X^T - R0(0) X^T cancels to about
+    # lambda^2 L^2 of its terms; against the same difference of the same
+    # blocks in long double, the double norms hold to about 3e-9 and 1e-9.
+    # The product form lambda^2 R0(lambda^2) R0(0) X^T misses by 8e-8 and
+    # 1e-8 there.
+    grid = grids.make_grid(grids.Mode.RADIAL_SWAVE, extent, nodes)
+    V, _, _ = potentials.tune_coupling(potentials.exact_eigen(grid), grid)
+    reg = lowenergy.build_S0(V, grid, jordan.threshold(V, grid).basis, window=1.0)
+    d, e = birman.tridiagonal_bs(grid, 0.0)
+    w = grid.weights.astype(np.longdouble)
+    sums = np.zeros(nodes, np.longdouble)
+    for J in lowenergy._blocks(reg.R0Xt):
+        Xt = lowenergy._xt_block(reg, J)
+        D = thomas_longdouble(d - lam**2, e, Xt) - thomas_longdouble(d, e, Xt)
+        sums += np.abs(D) @ w[J]
+    exact = sums / w
+    got = lowenergy._step_column_norms(reg, lam)
+    assert np.all(np.abs(got - exact) <= 1e-8 * exact)
 
 
 def _patch_factors(monkeypatch, columns, rounding=0.0):
