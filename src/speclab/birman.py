@@ -22,7 +22,8 @@ bands, pivoted LU otherwise), applies R0(lambda^2) in the checks here and
 in `ftdiag.k2_bound_check`, and the domain resolvent of
 :mod:`speclab.lowenergy`; `_bordered_solver` solves the bordered systems
 of a singular H, made nonsingular at its kernel, for the banded S0 of
-:mod:`speclab.lowenergy` and the threshold chain of :mod:`speclab.jordan`.
+:mod:`speclab.lowenergy` and the threshold chain of :mod:`speclab.jordan`,
+and those of H - lambda^2 for the S(lambda) of :mod:`speclab.lowenergy`.
 The dense LU (`direct_inverse`) stays only in `bs_solve`, for lambda h
 near a nonzero multiple of pi, and as the tests' oracle of the banded
 paths.
@@ -340,25 +341,29 @@ def _tridiagonal_solver(d, e, context=""):
 def _bordered_solver(d, e, Y, Z, B, context):
     """Solver of [[Q~0 H, Y], [B^T, 0]] with H = tridiag(e, d, e), Q~0 = I - Y Z^T.
 
-    The n columns of Z span the kernel of the singular H.  The tridiagonal
-    A = H + alpha E E^T, with E the unit columns at the rows where the
-    columns of Z are largest (column-pivoted QR of Z^T) and alpha = max |e|
-    the off-diagonal scale, is nonsingular: for a one-dimensional kernel
-    psi and E = e_r, det A = alpha times the minor of H without row and
-    column r, which is proportional to psi_r^2.  Q~0 H = A + U W^T with
-    U = [E, Y] and W = [-alpha E, -H Z] (H is symmetric), so block
-    elimination leaves one tridiagonal solve per column and a 3n x 3n
-    capacitance system for z = W^T y and mu.  With WB = [W, B] and
-    PQ = A^{-1} [E, Y, Y], that system is WB^T PQ + diag(I_2n, 0), and each
-    solve takes one product with WB^T and one with PQ, so few small BLAS
-    calls per block of columns.  Returns solve(F, G) -> (y, mu) for the
-    right-hand side [F; G], F of M rows and G of n rows; a singular A
-    raises NearSingularError naming `context`.
+    The n columns of Z span the kernel of H where H is singular.  The
+    tridiagonal A = H + alpha E E^T, with E the unit columns at the rows
+    where the columns of Z are largest (column-pivoted QR of Z^T) and
+    alpha = max |e| the off-diagonal scale, is then nonsingular: for a
+    one-dimensional kernel psi and E = e_r, det A = alpha times the minor of
+    H without row and column r, which is proportional to psi_r^2.  For the
+    S(lambda) of :mod:`speclab.lowenergy`, H is H0 + V - lambda^2, not
+    singular, and Z spans the kernel of H0 + V; A, shifted by -lambda^2, is
+    singular only at its own eigenvalues, for one chain the least positive
+    one between 0 and that of H0 + V (interlacing), far past the window.
+    Q~0 H = A + U W^T with U = [E, Y] and W = [-alpha E, -H Z] (H is
+    symmetric), so block elimination leaves one tridiagonal solve per
+    column and a 3n x 3n capacitance system for z = W^T y and mu.  With
+    WB = [W, B] and PQ = A^{-1} [E, Y, Y], that system is
+    WB^T PQ + diag(I_2n, 0), and each solve takes one product with WB^T and
+    one with PQ, so few small BLAS calls per block of columns.  Returns
+    solve(F, G) -> (y, mu) for the right-hand side [F; G], F of M rows and
+    G of n rows; a singular A raises NearSingularError naming `context`.
 
-    It serves the S0 of :mod:`speclab.lowenergy` (Y the chain tops, Z the
-    weighted chain bottoms, B = w Y) and the threshold chain of
-    :mod:`speclab.jordan`, Keller's bordered system
-    [[H, e_r], [e_r^T, 0]] for H phi = f with phi_r = 0: Y = B = e_r and
+    It serves the S0 and S(lambda) of :mod:`speclab.lowenergy` (Y the
+    chain tops, Z the weighted chain bottoms, B = w (Y - lambda^2 R0(0) Y))
+    and the threshold chain of :mod:`speclab.jordan`, Keller's bordered
+    system [[H, e_r], [e_r^T, 0]] for H phi = f with phi_r = 0: Y = B = e_r and
     Z = psi, the kernel of H.  There psi^T H = 0, so Q~0 H = H, and the
     pivoted QR picks r where |psi| is largest.
     """
@@ -508,9 +513,8 @@ def _neumann_series(first, step, factor, grid, tol, max_terms, x_norms):
     whose induced L^1 norm is factor.  x_norms are the L^1 norms of the
     columns x_j of X.  The sum stops once max_j ||term_j||_1 / ||x_j||_1 <
     tol.  For X = I (x_norms = grid.weights) that is the induced L^1 norm
-    of the term, the rule of an operator series.  The one series loop,
-    shared with lowenergy.build_S_lambda; it is private so that traced self
-    times stay with the two public callers.
+    of the term, the rule of an operator series.  The series loop of
+    `local_neumann_inverse`, private so that traced self times stay there.
 
     Raises NoContractionError when factor >= 1 and SeriesNotConvergedError
     when max_terms terms do not reach tol.  Returns (sum, factor).

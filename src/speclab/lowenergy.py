@@ -2,9 +2,9 @@
 
 With a zero-energy Jordan basis in hand, the inverse is rebuilt from three
 ingredients: the constrained one-sided inverse S0 of I + V R0(0) on the
-complement of X-bar_1 (a bordered solve), its Neumann continuation S(lambda),
-and a pole-isolating inversion formula whose coefficients
-come from pairings with the chain basis.  The identities this relies on,
+complement of X-bar_1 (a bordered solve), its Neumann continuation S(lambda)
+(that solve at lambda), and a pole-isolating inversion formula whose
+coefficients come from pairings with the chain basis.  The identities this relies on,
 the chain identity, its telescoped form and the inverse-action formula,
 are checked in one place, `identity_residuals`, which reports the largest
 residual of each per lambda; with `one_sided_residual` for S(lambda) on its
@@ -30,14 +30,14 @@ Cost: nothing here is O(M^3), and S0 and R0(0) X^T, X = S0 Q~0 V, are the
 only M x M arrays.  Everything else that spans M columns is streamed in
 column blocks of BLOCK_BYTES (`_blocks`), so the working memory beyond
 those two is a few blocks.  `build_S0` forms S0 a block of columns at a
-time from tridiagonal solves (`_banded_S0`), O(M^2) in all.  Q~0 = I - P~0
+time from tridiagonal solves (`_bordered_S`), O(M^2) in all.  Q~0 = I - P~0
 is applied through the rank-n factors of P~0, and X^T is formed a block at
 a time from rows of S0 (`_xt_block`), so R0(0) X^T, the exact contraction
 factor (M tridiagonal solves per lambda) and the defect of
-`one_sided_residual` cost O(M^2 n).  S(lambda) itself is never formed: the
-scan and the formula apply it to their data, one column per probe, through
-the series step as a function (`_series_step`: two tridiagonal solves, a
-rank-n correction and a product with S0, O(M^2) per column).  The window
+`one_sided_residual` cost O(M^2 n); the scan takes the factors of all its
+lambdas in one pass.  S(lambda) itself is never formed: the scan and the
+formula apply it to their data, one column per probe, by the solve that
+gives S0 at lambda, O(M) per column, with no product with S0.  The window
 search (`_auto_window`) runs on one column of the step, one tridiagonal
 solve and one O(M^2) product per trial lambda, and takes the exact norm, M
 solves, only at lambda = 1 and to certify the window, about three times in
@@ -152,9 +152,9 @@ def build_S0(V, grid, basis, window="auto"):
     duality normalization pair(V psi_{1,k}, R0(0) psi_{k',k'}) = -delta
     guarantees the bordered matrix is nonsingular.
 
-    `_banded_S0` solves the system a block of columns at a time in O(M)
-    per column, O(M^2) in all; with no threshold basis (n = 0) the same
-    solve gives the plain inverse of I + V R0(0).
+    `_bordered_S` at lambda = 0 solves it on the identity a block of
+    columns at a time, O(M^2) in all, so S0 is the only M x M array; with
+    no threshold basis (n = 0) it gives the plain inverse of I + V R0(0).
     """
     Y, Z = jordan.build_Ptilde0(basis, grid)
     R0Y = domain_resolvent(grid, 0.0)(Y)
@@ -165,92 +165,92 @@ def build_S0(V, grid, basis, window="auto"):
         raise DualityDegenerateError(
             f"duality Gram matrix has condition {np.linalg.cond(D):.3e}"
         )
-    S0 = _banded_S0(birman._samples(V), grid, Y, Z, R0Y)
+    v, M = birman._samples(V), grid.size
+    S = _bordered_S(v, grid, Y, Z, R0Y, 0.0)
+    S0 = np.empty((M, M), np.result_type(v, Y), order="F")
+    for J in _blocks(S0):
+        S0[:, J] = S(np.eye(M, J.stop - J.start, -J.start, S0.dtype))
     reg = RegularizedInverse(S0, basis, V, grid, Y, Z, np.inf, R0Y)
     reg.window = _auto_window(reg) if window == "auto" else window
     return reg
 
 
-def _banded_S0(v, grid, Y, Z, R0Y):
-    """S0 for the samples v of the potential, in O(M) per column.
+#: Largest relative L^1 residual of the first solve of `_bordered_S`.  One
+#: refinement step about squares it, so 1e-6 leaves at most about 1e-12.
+RESIDUAL_BOUND = 1e-6
 
-    R0(0) is exactly H0^{-1}, so I + V R0(0) = H H0^{-1} with H = H0 + V
-    tridiagonal, and the weights are uniform (w = h), so C H0 = h Y^T.  The
-    substitution u = H0 y turns the bordered system of `build_S0` into
-    [[Q~0 H, Y], [h Y^T, 0]] [y; mu] = [f; 0], which
-    `birman._bordered_solver` solves without forming any M x M matrix.
-    Forming u = H0 y loses about eps cond(H0) ~ eps M^2 in the T0 form that
-    `one_sided_residual` checks, so one step of iterative refinement on
-    that form follows, with I + V R0(0) applied by tridiagonal solves.  The
-    right-hand sides are the columns of the identity, sent through both
-    solves a block F of them at a time (`_blocks`), so S0 is the only M x M
-    array.
+
+def _bordered_S(v, grid, Y, Z, R0Y, lam):
+    """The map F -> S(lambda) F, F a matrix of columns, in O(M) per column.
+
+    u = S(lambda) f lies in the range of S0, where every term of the series
+    starts, so C u = 0, C = w R0(0) Y, and pushing S0 through the series
+    gives Q~0 (I + V R0(lambda^2)) u + Y mu = f.  R0(lambda^2) is exactly
+    (H0 - lambda^2)^{-1} and w = h, so u = (H0 - lambda^2) y turns this into
+    [[Q~0 (H - lambda^2), Y], [B^T, 0]] [y; mu] = [f; 0], H = H0 + V and
+    B = w (Y - lambda^2 R0(0) Y), for `birman._bordered_solver`; lambda = 0
+    gives S0.  Forming u loses about eps cond(H0) ~ eps M^2, so one step of
+    iterative refinement follows on the form `one_sided_residual` checks.
+    A first residual above RESIDUAL_BOUND (relative L^1, in any column)
+    raises birman.NearSingularError naming lambda, with cond residual / eps.
     """
-    M, n = Y.shape
+    n, w = Y.shape[1], grid.weights
     d0, e = birman.tridiagonal_bs(grid, 0.0)
-    solve = birman._bordered_solver(
-        d0 + v, e, Y, Z, grid.weights[:, None] * Y, "S0 bordered solve"
-    )
-    R_0 = domain_resolvent(grid, 0.0)
-    C = grid.weights[:, None] * R0Y
-    S0 = np.empty((M, M), np.result_type(v, Y), order="F")
-    for J in _blocks(S0):
-        F = np.eye(M, J.stop - J.start, -J.start, S0.dtype)
+    d = d0 - lam**2
+    B = Y - lam**2 * R0Y if lam else Y
+    context = f"S(lambda) bordered solve at lambda={lam}"
+    solve = birman._bordered_solver(d + v, e, Y, Z, w[:, None] * B, context)
+    R = domain_resolvent(grid, lam)
+    C = w[:, None] * R0Y
+
+    def apply(F):
+        F = np.array(F, np.result_type(F, v, Y))
+        scale = np.maximum(np.einsum("i,ij->j", w, np.abs(F)), 1e-300)
         y, mu = solve(F, np.zeros((n, F.shape[1])))
-        S = birman._tridiagonal_apply(d0, e, y)
+        S = birman._tridiagonal_apply(d, e, y)
         del y
-        # the residual [F; 0] - [[Q~0 T0, Y], [C, 0]] [S; mu], in place
-        T = R_0(S)
+        # the residual [F; 0] - [[Q~0 T, Y], [C, 0]] [S; mu], T = I + V R0(l^2)
+        T = R(S)
         T *= v[:, None]
         T += S
         T -= Y @ (Z.T @ T - mu)
         F -= T
         del T
+        residual = float((np.einsum("i,ij->j", w, np.abs(F)) / scale).max(initial=0.0))
+        if residual > RESIDUAL_BOUND:
+            msg = f"{context}: first residual {residual:.1e}"
+            raise birman.NearSingularError(residual / np.finfo(float).eps, msg)
         dy, _ = solve(F, -(C.T @ S))
-        S += birman._tridiagonal_apply(d0, e, dy)
-        S0[:, J] = S
-    return S0
+        S += birman._tridiagonal_apply(d, e, dy)
+        return S
 
-
-def _series_step(reg, lam):
-    """The contraction factor operator -S0 Q~0 V B0(lambda^2), as a function.
-
-    It maps a matrix of columns u to -S0 Q~0 V (R0(lambda^2) u - R0(0) u):
-    two tridiagonal solves, a rank-n correction and a product with S0 per
-    column, with no M x M array of its own.  The difference keeps the step
-    consistent with the R0(lambda^2) that `one_sided_residual` applies; the
-    equal product lambda^2 R0(lambda^2) R0(0) leaves that residual near
-    4e-11 instead of 1e-13 on the full-ee grid.
-    """
-    R, R_0 = domain_resolvent(reg.grid, lam), domain_resolvent(reg.grid, 0.0)
-    v = birman._samples(reg.V)
-
-    def step(u):
-        x = R(u)
-        x -= R_0(u)
-        x = grids.apply_complement((reg.Y, reg.Z), v[:, None] * x)
-        return -grids.apply_matrix(reg.S0, x)
-
-    return step
+    return apply
 
 
 def _step_column_norms(reg, lam):
-    """The weighted L^1 norms sum_i w_i |step_ij| / w_j of the step's columns.
+    """The weighted L^1 norms sum_i w_i |step_ij| / w_j of the columns of
+    the step -S0 Q~0 V B0(lambda^2) (`_scan_column_norms`)."""
+    return _scan_column_norms(reg, [lam])[0]
+
+
+def _scan_column_norms(reg, lams):
+    """The step's column norms at each lambda of lams, one row per lambda.
 
     Column j of the step is minus row j of D = R0(lambda^2) X^T - R0(0) X^T,
-    so the norms are (|D| w) / w; their max is the induced norm.  D is
-    formed a column block at a time, D_J = R0(lambda^2) X^T_J - R0Xt[:, J]
-    (`_xt_block`), and |D_J| w_J is added into the row sums: one
-    tridiagonal solve per column, and no M x M array.  The sums are
-    einsums, not BLAS gemvs (see `_column_factor`).
+    so the norms are (|D| w) / w; their max is the induced norm.  Each block
+    X^T_J (`_xt_block`) is formed once, D_J = R0(lambda^2) X^T_J - R0Xt[:, J]
+    for each lambda, and |D_J| w_J is added into that lambda's row sums: one
+    tridiagonal solve per column and lambda, no M x M array, and the bits of
+    one lambda alone.  The sums are einsums, not BLAS gemvs (`_column_factor`).
     """
-    R = domain_resolvent(reg.grid, lam)
-    w = reg.grid.weights
-    sums = np.zeros(w.size)
+    solvers = [domain_resolvent(reg.grid, lam) for lam in lams]
+    w, sums = reg.grid.weights, np.zeros((len(lams), reg.grid.size))
     for J in _blocks(reg.R0Xt):
-        D = R(_xt_block(reg, J))
-        D -= reg.R0Xt[:, J]
-        sums += np.einsum("ij,j->i", np.abs(D), w[J])
+        Xt = _xt_block(reg, J)
+        for R, row in zip(solvers, sums):
+            D = R(Xt)
+            D -= reg.R0Xt[:, J]
+            row += np.einsum("ij,j->i", np.abs(D), w[J])
     return sums / w
 
 
@@ -376,40 +376,31 @@ def _regula_falsi(g, lo, hi, glo, ghi):
     return lo, hi, g_hi
 
 
-def build_S_lambda(reg, lam, X, max_terms=200):
-    """S(lambda) X for the Neumann continuation S(lambda) = sum_m step^m S0.
+def build_S_lambda(reg, lam, X):
+    """S(lambda) X for S(lambda) = sum_m (-S0 Q~0 V B0(lambda^2))^m S0.
 
-    step = -S0 Q~0 V B0(lambda^2) (`_series_step`).  S(lambda) is not
-    formed: the series sum_m step^m (S0 X) is summed on the columns of X, a
-    matrix (the identity gives S(lambda) itself), in O(M^2) per column and
-    term.  It stops once every column's term is below 1e-13 relative to the
-    L^1 norm of its column of X; for X = I that is the induced-norm rule.
-    Returns S(lambda) X and the contraction factor ||step||_1 (0 at
-    lambda = 0).  Raises ValueError outside the validity window and
-    NoContractionError or SeriesNotConvergedError (see birman) rather than
-    return a partial sum.
+    At lambda != 0, one bordered solve on the columns of X, a matrix
+    (`_bordered_S`, O(M) per column); S0 X at lambda = 0.  Returns it and
+    the factor ||S0 Q~0 V B0(lambda^2)||_1 (0 at lambda = 0).  Raises
+    ValueError outside the validity window, birman.NoContractionError where
+    the exact factor is >= 1 and birman.NearSingularError (`_bordered_S`).
     """
-    S0X = grids.apply_matrix(reg.S0, X)
     if lam == 0:
-        return S0X, 0.0
-    return _series(reg, lam, max_terms)(S0X, reg.grid.weights @ np.abs(X))
+        return grids.apply_matrix(reg.S0, X), 0.0
+    apply, factor = _S_lambda(reg, lam)
+    return apply(X), factor
 
 
-def _series(reg, lam, max_terms=200):
-    """The series of `build_S_lambda` at lambda as a function: it maps the
-    first term S0 X, where the columns of X have L^1 norms x_norms, to
-    (S(lambda) X, contraction factor), and does not modify S0 X.  The step
-    and its exact factor are formed once, for any number of calls."""
+def _S_lambda(reg, lam, factor=None):
+    """`_bordered_S` at lambda != 0 and the exact factor (computed unless
+    given), after the refusals of `build_S_lambda`."""
     if abs(lam) > reg.window:
         raise ValueError(f"lambda {lam} outside validity window {reg.window}")
-    step, factor = _series_step(reg, lam), contraction_factor(reg, lam)
-
-    def series(S0X, x_norms):
-        return birman._neumann_series(
-            S0X, step, factor, reg.grid, 1e-13, max_terms, x_norms
-        )
-
-    return series
+    factor = contraction_factor(reg, lam) if factor is None else factor
+    if factor >= 1.0:
+        raise birman.NoContractionError(factor)
+    v = birman._samples(reg.V)
+    return _bordered_S(v, reg.grid, reg.Y, reg.Z, reg.range_constraints, lam), factor
 
 
 def one_sided_residual(reg, lam=0.0):
@@ -419,25 +410,23 @@ def one_sided_residual(reg, lam=0.0):
     X-bar_1-perp = {f : pair(f, psi_{1,k}) = 0}, I - pinv(Z^T) Z^T.  Both
     Q~0 and that projector are applied through their rank-n factors, and
     I + V R0(l^2) through tridiagonal solves, never through H, so the check
-    stays independent of how S0 was solved.
+    stays independent of how S0 and S(l) were solved.
 
     The defect E = Q~0 (I + V R0(l^2)) S(l) - I is streamed in column
-    blocks E_J, each from the columns J of S0 (at l != 0 the series on
-    those columns of the identity), so no M x M array is formed.  The
-    projector mixes the columns, E (I - pinv(Z^T) Z^T) = E - (E pinv(Z^T))
-    Z^T, so E pinv(Z^T) is formed first, as the defect on the n columns of
-    pinv(Z^T).
+    blocks E_J, each from the columns J of S0 (at l != 0 `_S_lambda`, with
+    its refusals, on those columns of the identity), so no M x M array is
+    formed.  The projector mixes the columns, E (I - pinv(Z^T) Z^T) = E -
+    (E pinv(Z^T)) Z^T, so E pinv(Z^T) is formed first, as the defect on the
+    n columns of pinv(Z^T).
     """
     grid, Y, Z = reg.grid, reg.Y, reg.Z
-    w = grid.weights
+    M, w = grid.size, grid.weights
+    S = _S_lambda(reg, lam)[0] if lam else None
     R = domain_resolvent(grid, lam)
     v = birman._samples(reg.V)
-    series = _series(reg, lam) if lam else None
 
-    def image(S0X, x_norms):
-        """Q~0 (I + V R0(l^2)) S(l) X from S0X = S0 X, where the columns of
-        X have L^1 norms x_norms."""
-        SX = S0X if series is None else series(S0X, x_norms)[0]
+    def image(SX):
+        """Q~0 (I + V R0(l^2)) SX."""
         E = R(SX)
         E *= v[:, None]
         E += SX
@@ -445,11 +434,12 @@ def one_sided_residual(reg, lam=0.0):
         return E
 
     pinvZt = np.linalg.pinv(Z.T)
-    EP = image(reg.S0 @ pinvZt, w @ np.abs(pinvZt)) - pinvZt
+    EP = image(reg.S0 @ pinvZt if S is None else S(pinvZt)) - pinvZt
     norm = 0.0
     for J in _blocks(reg.S0):
-        E = image(reg.S0[:, J], w[J])
-        E[J, :] -= np.eye(J.stop - J.start)
+        eye = np.eye(M, J.stop - J.start, -J.start)
+        E = image(reg.S0[:, J] if S is None else S(eye))
+        E -= eye
         E -= EP @ Z[J].T
         norm = max(norm, float((np.einsum("i,ij->j", w, np.abs(E)) / w[J]).max()))
     return norm
@@ -593,18 +583,22 @@ def low_energy_scan(reg, lambdas, f_admissible, f_generic, path=None):
     """lambda scan of formula outputs and identity residuals, optionally to CSV.
 
     Columns: lambda, norm_admissible_f, norm_generic_f, contraction,
-    resid_chain, resid_telescope, resid_exactinv.  S(lambda) and its
-    contraction factor come from one Neumann series per lambda, summed on
-    the two columns Q~0 f_admissible and Q~0 f_generic.
+    resid_chain, resid_telescope, resid_exactinv.  The exact factors of
+    the lambdas come from one pass (`_scan_column_norms`); S(lambda) from
+    one bordered solve per lambda on the two columns Q~0 f_admissible and
+    Q~0 f_generic, with the refusals of `build_S_lambda`.
     """
     V, grid, basis = reg.V, reg.grid, reg.basis
     X = grids.apply_complement(
         (reg.Y, reg.Z), np.column_stack([f_admissible.values, f_generic.values])
     )
+    inside = [lam for lam in lambdas if lam and abs(lam) <= reg.window]
+    factors = dict(zip(inside, map(float, _scan_column_norms(reg, inside).max(1))))
     rows = []
     for lam in lambdas:
         resid = identity_residuals(V, grid, basis, lam)
-        SX, contraction = build_S_lambda(reg, lam, X)
+        S, contraction = _S_lambda(reg, lam, factors.get(lam))
+        SX = S(X)
         ga = _formula(reg, lam, SX[:, 0], f_admissible)
         gg = _formula(reg, lam, SX[:, 1], f_generic)
         rows.append(

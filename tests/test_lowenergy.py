@@ -69,19 +69,19 @@ def test_s0_without_threshold_basis():
 
 def test_real_samples_keep_the_low_energy_arrays_real(ee_small):
     # real samples give a real basis, real M x M arrays, real blocks of X^T
-    # and a real step; complex samples keep complex ones
+    # and a real S(lambda) on real data; complex samples keep complex ones
     reg, grid = ee_small["reg"], ee_small["grid"]
     u = np.ones((grid.size, 2))
     arrays = [*reg.basis.chains, reg.Y, reg.Z, reg.S0, reg.S0Y, reg.R0Xt,
               lowenergy._xt_block(reg, slice(0, 8)),
-              lowenergy._series_step(reg, 0.1)(u)]
+              lowenergy.build_S_lambda(reg, 0.01, u)[0]]
     assert [a.dtype for a in arrays] == [np.float64] * len(arrays)
     assert reg.R0Xt.flags.f_contiguous
     v = ee_small["V"].values.values
     V = birman.PotentialSpec("complex", GridFunction(grid, v * (1 + 1e-3j)))
     reg = lowenergy.build_S0(V, grid, jordan.threshold(V, grid).basis, window=0.25)
     arrays = [reg.S0, reg.S0Y, reg.R0Xt, lowenergy._xt_block(reg, slice(0, 8)),
-              lowenergy._series_step(reg, 0.1)(u)]
+              lowenergy.build_S_lambda(reg, 0.01, u)[0]]
     assert [a.dtype for a in arrays] == [np.complex128] * len(arrays)
 
 
@@ -182,24 +182,19 @@ def test_contraction_factor_grows_with_lambda(ee_small):
 
 
 def test_series_step_matches_the_out_of_place_form(ee_small):
-    # the step function, the block-streamed factor and the series against
-    # the dense out-of-place step -(R0(l^2) X^T - R0(0) X^T)^T of the
-    # oracle: the factor to M eps relative (the block sums change the
-    # summation order), the step to the round-off of R0(l^2) - R0(0),
-    # which grows like 1 / l^2, and S(lambda) X to round-off
+    # the block-streamed factor and S(lambda) X against the dense
+    # out-of-place step -(R0(l^2) X^T - R0(0) X^T)^T of the oracle: the
+    # factor to M eps relative (the block sums change the summation order)
+    # and S(lambda) X, one bordered solve, to the round-off of the series
     reg, grid = ee_small["reg"], ee_small["grid"]
     rng = np.random.default_rng(1)
     X = rng.standard_normal((grid.size, 2)) + 0j
-    U = rng.standard_normal((grid.size, 3))
     x_norms = grid.weights @ np.abs(X)
     for lam in (0.03, 0.1, 0.2):
         step = series_step(reg, lam)
         factor = operator_l1_norm(step, grid)
         got = lowenergy.contraction_factor(reg, lam)
         assert abs(got - factor) <= grid.size * np.finfo(float).eps * factor
-        image = step @ U
-        err = np.abs(lowenergy._series_step(reg, lam)(U) - image).max()
-        assert err <= 1e-14 / lam**2 * np.abs(image).max()
         first = grids.apply_matrix(reg.S0, X)
         expect, _ = birman._neumann_series(
             first, lambda x: step @ x, factor, grid, 1e-13, 200, x_norms
@@ -216,9 +211,64 @@ def test_series_rejected_outside_window(ee_small):
 
 
 def test_series_refuses_to_run_out_of_terms(ee_small):
-    eye = np.eye(ee_small["grid"].size, dtype=complex)
+    # the series loop of local_neumann_inverse, here on the dense step of
+    # the low-energy series, which one term does not bring below 1e-13
+    reg, grid = ee_small["reg"], ee_small["grid"]
+    step = series_step(reg, 0.1)
     with pytest.raises(birman.SeriesNotConvergedError):
-        lowenergy.build_S_lambda(ee_small["reg"], 0.1, eye, max_terms=1)
+        birman._neumann_series(
+            reg.S0, lambda x: step @ x, operator_l1_norm(step, grid), grid,
+            1e-13, 1, grid.weights,
+        )
+
+
+def test_S_lambda_refuses_where_the_step_does_not_contract(ee_small):
+    # with the window widened past the crossing, the exact factor reaches
+    # 1 inside it (near 0.26 on this grid), and S(lambda) is refused there
+    reg = ee_small["reg"]
+    wide = lowenergy.RegularizedInverse(
+        reg.S0, reg.basis, reg.V, reg.grid, reg.Y, reg.Z, 0.5, reg.range_constraints
+    )
+    lam = next(l for l in np.arange(0.2, 0.5, 0.01)
+               if lowenergy.contraction_factor(wide, l) >= 1.0)
+    X = np.ones((reg.grid.size, 1))
+    with pytest.raises(birman.NoContractionError):
+        lowenergy.build_S_lambda(wide, lam, X)
+    with pytest.raises(birman.NoContractionError):
+        lowenergy.one_sided_residual(wide, lam)
+    f = grids.gaussian_bump(reg.grid)
+    with pytest.raises(birman.NoContractionError):
+        lowenergy.low_energy_scan(wide, [0.1, lam], f, f)
+
+
+def test_S_lambda_refuses_a_large_first_residual(ee_small, monkeypatch):
+    # no grid here reaches the bound (the first residual is 1e-12 to 1e-11
+    # relative up to the window, and the shifted tridiagonal of the
+    # bordered solver turns singular only far past it), so the bound is
+    # lowered below that residual to show the refusal and its message
+    reg = ee_small["reg"]
+    X = np.ones((reg.grid.size, 1))
+    lowenergy.build_S_lambda(reg, 0.1, X)
+    monkeypatch.setattr(lowenergy, "RESIDUAL_BOUND", 1e-16)
+    with pytest.raises(birman.NearSingularError, match="lambda=0.1"):
+        lowenergy.build_S_lambda(reg, 0.1, X)
+
+
+def test_S_lambda_is_one_bordered_solve(ee_small, count_calls):
+    # at lambda != 0 S(lambda) X takes no product with the stored S0, and
+    # the scan forms each block of X^T once for all its lambdas, with the
+    # bits of contraction_factor at each
+    reg, grid = ee_small["reg"], ee_small["grid"]
+    products = count_calls(grids, "apply_matrix")
+    lowenergy.build_S_lambda(reg, 0.1, np.ones((grid.size, 2)))
+    assert not any(args[0] is reg.S0 for args in products)
+    lambdas = [0.03, 0.1, 0.15, 0.2]
+    expect = [lowenergy.contraction_factor(reg, lam) for lam in lambdas]
+    blocks = count_calls(lowenergy, "_xt_block")
+    f = grids.gaussian_bump(grid)
+    rows = lowenergy.low_energy_scan(reg, lambdas, f, f)
+    assert len(blocks) == len(lowenergy._blocks(reg.R0Xt))
+    assert [row["contraction"] for row in rows] == expect
 
 
 def test_chain_identities_machine_exact(ee_small):
