@@ -8,9 +8,10 @@ breaks its schema, `_SCHEMA` and `_BUILTINS`, or a cross-field rule of
 the pipeline that reads it; stderr gets one "configuration error: ..."
 line), 4 numerical refusal (the scenario is well-formed but a numerical
 routine declined it: a near-singular solve, a Neumann series that does
-not contract or converge, a non-nilpotent or degenerate threshold space,
-ambiguous eigenvalue clusters or a degenerate duality pairing; stderr
-gets one "numerical refusal: ..." line).  Reports embed the full
+not contract, a non-nilpotent or degenerate threshold space, ambiguous
+eigenvalue clusters, a degenerate duality pairing or a propagator step
+whose substep doubling cannot meet its tolerance; stderr gets one
+"numerical refusal: ..." line).  Reports embed the full
 tolerance set and the grid metadata, carry no wall-clock data, and use
 fixed key order, so identical scenario files produce byte-identical JSON.
 """
@@ -39,7 +40,6 @@ EXIT_NUMERIC = 4
 _NUMERICAL_REFUSALS = (
     birman.NearSingularError,
     birman.NoContractionError,
-    birman.SeriesNotConvergedError,
     evolution.SubstepCapError,
     jordan.NotNilpotentError,
     jordan.DegeneratePairingError,

@@ -26,24 +26,26 @@ pollute the pole coefficients with an O(1) defect.  H0 is tridiagonal, so
 vector; no M x M resolvent is formed.  H0 is real symmetric, so products
 X R0(lambda^2) are formed as (R0(lambda^2) X^T)^T.
 
-Cost: nothing here is O(M^3), and S0 and R0(0) X^T, X = S0 Q~0 V, are the
-only M x M arrays.  Everything else that spans M columns is streamed in
-column blocks of BLOCK_BYTES (`_blocks`), so the working memory beyond
-those two is a few blocks.  `build_S0` forms S0 a block of columns at a
-time from tridiagonal solves (`_bordered_S`), O(M^2) in all.  Q~0 = I - P~0
-is applied through the rank-n factors of P~0, and X^T is formed a block at
-a time from rows of S0 (`_xt_block`), so R0(0) X^T, the exact contraction
-factor (M tridiagonal solves per lambda) and the defect of
-`one_sided_residual` cost O(M^2 n); the scan takes the factors of all its
-lambdas in one pass.  S(lambda) itself is never formed: the scan and the
-formula apply it to their data, one column per probe, by the solve that
-gives S0 at lambda, O(M) per column, with no product with S0.  The window
-search (`_auto_window`) runs on one column of the step, one tridiagonal
-solve and one O(M^2) product per trial lambda, and takes the exact norm, M
-solves, only at lambda = 1 and to certify the window, about three times in
-all.  A real potential makes the basis, S0, R0(0) X^T and every block here
-real (float64), half the memory of complex ones; complex data meets them
-through `grids.apply_matrix`.
+Cost: nothing here is O(M^3), and S0 is the only M x M array.
+Everything else that spans M columns is streamed in column blocks of
+BLOCK_BYTES (`_blocks`), so the working memory beyond S0 is a few
+blocks.  `build_S0` forms S0 a block of columns at a time from
+tridiagonal solves (`_bordered_S`), O(M^2) in all.  Q~0 = I - P~0 is
+applied through the rank-n factors of P~0, and X^T, X = S0 Q~0 V, is
+formed a block at a time from rows of S0 (`_xt_block`), so the exact
+contraction factor and the defect of `one_sided_residual` cost O(M^2 n).
+Each exact-norm pass forms R0(0) X^T a block at a time from the block of
+X^T it has just formed, M tridiagonal solves, and then takes M more per
+lambda; the scan takes the factors of all its lambdas in one pass.
+S(lambda) itself is never formed: the scan and the formula apply it to
+their data, one column per probe, by the solve that gives S0 at lambda,
+O(M) per column, with no product with S0.  The window search
+(`_auto_window`) runs on one column j of the step, one tridiagonal solve
+and one O(M^2) product per trial lambda, after one of each at lambda = 0
+for row j of R0(0) X^T, and takes the exact norm only at lambda = 1 and
+to certify the window, about three times in all.  A real potential makes
+the basis, S0 and every block here real (float64), half the memory of
+complex ones; complex data meets them through `grids.apply_matrix`.
 """
 
 from __future__ import annotations
@@ -107,10 +109,10 @@ class RegularizedInverse:
     columns of Y are the chain tops psi_{k,k}, those of Z the weighted
     chain bottoms w psi_{1,k}, n the number of chains.
 
-    S0 and R0Xt = R0(0) X^T, X = S0 Q~0 V, are the only M x M arrays.  X^T
-    itself is not kept: `_xt_block` forms any block of its columns from
-    rows of S0 and S0Y = S0 Y (M x n).  R0Xt is built a column block at a
-    time and stored in Fortran order, so each block is contiguous.
+    S0 is the only M x M array.  Neither X^T, X = S0 Q~0 V, nor R0(0) X^T
+    is kept: `_xt_block` forms any block of the columns of X^T from rows of
+    S0 and S0Y = S0 Y (M x n), and each exact-norm pass
+    (`_scan_column_norms`) applies R0(0) to the block it has just formed.
     """
 
     S0: np.ndarray
@@ -121,17 +123,12 @@ class RegularizedInverse:
     Z: np.ndarray
     window: float
     range_constraints: np.ndarray  # R0(0) Y, whose columns the range of S0 pairs to 0
-    # S0 Y and R0(0) X^T, the lambda-independent factors of the exact
-    # contraction factor: formed once here rather than on every call.
+    # S0 Y, the lambda-independent factor of every block of X^T: formed
+    # once here rather than on every call.
     S0Y: np.ndarray = field(init=False, repr=False)
-    R0Xt: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.S0Y = self.S0 @ self.Y
-        R_0 = domain_resolvent(self.grid, 0.0)
-        self.R0Xt = np.empty_like(self.S0, order="F")
-        for J in _blocks(self.S0):
-            self.R0Xt[:, J] = R_0(_xt_block(self, J))
 
 
 def _xt_block(reg, J):
@@ -238,18 +235,22 @@ def _scan_column_norms(reg, lams):
 
     Column j of the step is minus row j of D = R0(lambda^2) X^T - R0(0) X^T,
     so the norms are (|D| w) / w; their max is the induced norm.  Each block
-    X^T_J (`_xt_block`) is formed once, D_J = R0(lambda^2) X^T_J - R0Xt[:, J]
-    for each lambda, and |D_J| w_J is added into that lambda's row sums: one
-    tridiagonal solve per column and lambda, no M x M array, and the bits of
-    one lambda alone.  The sums are einsums, not BLAS gemvs (`_column_factor`).
+    X^T_J (`_xt_block`) is formed once, with R0(0) X^T_J, and then
+    D_J = R0(lambda^2) X^T_J - R0(0) X^T_J for each lambda, and |D_J| w_J is
+    added into that lambda's row sums: one tridiagonal solve per column and
+    lambda, plus one per column for R0(0), no M x M array, and the bits of
+    one lambda alone.  The sums are einsums, not BLAS gemvs
+    (`_x_resolvent_column`).
     """
+    R_0 = domain_resolvent(reg.grid, 0.0)
     solvers = [domain_resolvent(reg.grid, lam) for lam in lams]
     w, sums = reg.grid.weights, np.zeros((len(lams), reg.grid.size))
-    for J in _blocks(reg.R0Xt):
+    for J in _blocks(reg.S0):
         Xt = _xt_block(reg, J)
+        R0Xt = R_0(Xt)
         for R, row in zip(solvers, sums):
             D = R(Xt)
-            D -= reg.R0Xt[:, J]
+            D -= R0Xt
             row += np.einsum("ij,j->i", np.abs(D), w[J])
     return sums / w
 
@@ -259,38 +260,50 @@ def contraction_factor(reg, lam):
     return float(_step_column_norms(reg, lam).max())
 
 
-def _column_factor(reg, lam, j):
-    """The weighted L^1 norm of column j of the series step, in O(M^2).
+def _x_resolvent_column(reg, lam, j):
+    """X R0(lambda^2) e_j, X = S0 Q~0 V, in O(M^2); R0 is symmetric, so
+    this is row j of R0(lambda^2) X^T.
 
-    R0 is symmetric, so that column is -(X (R0(lambda^2) e_j) - (R0(0) X^T)_j):
-    one tridiagonal solve, X = S0 Q~0 V applied to its result (a rank-n
-    correction and one product with S0) and a stored row of reg.R0Xt.
-    The products are einsums, not BLAS gemvs: the search makes a dozen of
-    them in a row, and a threaded gemv that waits for a busy core took
-    8 ms each at M = 400 on a 2-vCPU machine, where the einsum takes
-    0.4 ms.  In exact arithmetic the factor is a lower bound on
-    `contraction_factor`; on the full-ee grid near the window it agrees
-    with the column norm of `_step_column_norms` to about 1e-13 relative.
+    One tridiagonal solve, the rank-n correction of Q~0 and one product
+    with S0.  The products are einsums, not BLAS gemvs: the search makes a
+    dozen of them in a row, and a threaded gemv that waits for a busy core
+    took 8 ms each at M = 400 on a 2-vCPU machine, where the einsum takes
+    0.4 ms.
     """
     e = np.zeros(reg.grid.size)
     e[j] = 1.0
     x = birman._samples(reg.V) * domain_resolvent(reg.grid, lam)(e)
     x -= np.einsum("ik,k->i", reg.Y, np.einsum("ik,i->k", reg.Z, x))
-    column = np.einsum("ij,j->i", reg.S0, x) - reg.R0Xt[j]
+    return np.einsum("ij,j->i", reg.S0, x)
+
+
+def _column_factor(reg, lam, j, r0_row):
+    """The weighted L^1 norm of column j of the series step, in O(M^2).
+
+    That column is -(X R0(lambda^2) e_j - X R0(0) e_j); r0_row is its
+    lambda-independent term, `_x_resolvent_column` at lambda = 0, which
+    the window search forms once per column j, and the other term is
+    `_x_resolvent_column` at lambda.  In exact arithmetic the factor is a
+    lower bound on `contraction_factor`; on the full-ee grid near the
+    window it agrees with the column norm of `_step_column_norms` to about
+    1e-13 relative.
+    """
+    column = _x_resolvent_column(reg, lam, j) - r0_row
     w = reg.grid.weights
     return float(w @ np.abs(column) / w[j])
 
 
-def _column_rounding(reg, j):
+def _column_rounding(reg, j, r0_row):
     """A bound on the rounding error of `_column_factor` at column j.
 
-    The column is the difference of two vectors of about the size of row j
-    of reg.R0Xt, each from length-M sums, so its weighted L^1 norm is good
-    to M eps times that row's: an error that does not shrink with lambda,
-    so relative to the factor it grows like 1 / lambda^2.
+    The column is the difference of two vectors of about the size of
+    r0_row, row j of R0(0) X^T, each from length-M sums, so its weighted
+    L^1 norm is good to M eps times that row's: an error that does not
+    shrink with lambda, so relative to the factor it grows like
+    1 / lambda^2.
     """
     w = reg.grid.weights
-    return w.size * np.finfo(float).eps * float(w @ np.abs(reg.R0Xt[j]) / w[j])
+    return w.size * np.finfo(float).eps * float(w @ np.abs(r0_row) / w[j])
 
 
 def _auto_window(reg):
@@ -307,11 +320,12 @@ def _auto_window(reg):
     box H0 cf need not increase, and lo is then some crossing.
 
     The search runs on a single column j of the step (`_column_factor`, one
-    vector solve per lambda), the argmax column of the exact norms at the
-    upper end of the bracket: `_regula_falsi` closes [L, U] over the
-    integers k of the trial points k xtol.  The exact norm then certifies
-    the returned lo; where it fails, another column has crossed first, and
-    the search repeats below lo on the argmax column there.  A column value
+    vector solve per lambda, after one at lambda = 0 for the column), the
+    argmax column of the exact norms at the upper end of the bracket:
+    `_regula_falsi` closes [L, U] over the integers k of the trial points
+    k xtol.  The exact norm then certifies the returned lo; where it fails,
+    another column has crossed first, and the search repeats below lo on
+    the argmax column there.  A column value
     within that margin of target at lo + xtol is checked by the exact
     norm; should that norm still be at most target, the search goes on
     above.  On full-ee that is 3 exact norms and 13 column evaluations.
@@ -324,18 +338,20 @@ def _auto_window(reg):
     # norms lower and upper there; the step vanishes at lambda = 0
     L, U, lower = 0, n, np.zeros_like(upper)
     j = int(np.argmax(upper))
+    r0_row = _x_resolvent_column(reg, 0.0, j)
     while True:
         lo, hi, ghi = _regula_falsi(
-            lambda k: _column_factor(reg, k / n, j) - target,
+            lambda k: _column_factor(reg, k / n, j, r0_row) - target,
             L, U, lower[j] - target, upper[j] - target,
         )
         if lo > L:
             norms = _step_column_norms(reg, lo / n)
             if norms.max() > target:
                 U, upper, j = lo, norms, int(np.argmax(norms))
+                r0_row = _x_resolvent_column(reg, 0.0, j)
                 continue
             L, lower = lo, norms
-        if hi == U or ghi > 1e-12 * target + _column_rounding(reg, j):
+        if hi == U or ghi > 1e-12 * target + _column_rounding(reg, j, r0_row):
             return L / n
         norms = _step_column_norms(reg, hi / n)
         if norms.max() > target:
@@ -451,7 +467,7 @@ def range_constraint_residual(reg):
     The functional f -> pair(S0 f, c) = (S0^T W c)^T f has induced norm
     max_j |(S0^T W c)_j| / w_j on weighted L^1, so the sup is that max over
     j and the constraints c = R0(0) psi_kk.  The product is an einsum, not
-    a BLAS call (see `_column_factor`).
+    a BLAS call (see `_x_resolvent_column`).
     """
     w = reg.grid.weights
     pairs = np.einsum("ij,ik->jk", reg.S0, w[:, None] * reg.range_constraints)

@@ -68,32 +68,35 @@ def test_s0_without_threshold_basis():
 
 
 def test_real_samples_keep_the_low_energy_arrays_real(ee_small):
-    # real samples give a real basis, real M x M arrays, real blocks of X^T
-    # and a real S(lambda) on real data; complex samples keep complex ones
+    # real samples give a real basis, a real S0, real blocks of X^T and of
+    # R0(0) X^T and a real S(lambda) on real data; complex samples keep
+    # complex ones
     reg, grid = ee_small["reg"], ee_small["grid"]
     u = np.ones((grid.size, 2))
-    arrays = [*reg.basis.chains, reg.Y, reg.Z, reg.S0, reg.S0Y, reg.R0Xt,
-              lowenergy._xt_block(reg, slice(0, 8)),
+    R_0 = lowenergy.domain_resolvent(grid, 0)
+    Xt = lowenergy._xt_block(reg, slice(0, 8))
+    arrays = [*reg.basis.chains, reg.Y, reg.Z, reg.S0, reg.S0Y, Xt, R_0(Xt),
               lowenergy.build_S_lambda(reg, 0.01, u)[0]]
     assert [a.dtype for a in arrays] == [np.float64] * len(arrays)
-    assert reg.R0Xt.flags.f_contiguous
     v = ee_small["V"].values.values
     V = birman.PotentialSpec("complex", GridFunction(grid, v * (1 + 1e-3j)))
     reg = lowenergy.build_S0(V, grid, jordan.threshold(V, grid).basis, window=0.25)
-    arrays = [reg.S0, reg.S0Y, reg.R0Xt, lowenergy._xt_block(reg, slice(0, 8)),
-              lowenergy.build_S_lambda(reg, 0.01, u)[0]]
+    Xt = lowenergy._xt_block(reg, slice(0, 8))
+    arrays = [reg.S0, reg.S0Y, Xt, R_0(Xt), lowenergy.build_S_lambda(reg, 0.01, u)[0]]
     assert [a.dtype for a in arrays] == [np.complex128] * len(arrays)
 
 
-def test_the_low_energy_inverse_holds_three_real_square_arrays():
-    # S0 and R0(0) X^T are its only M x M arrays, and every other product
-    # that spans M columns goes in column blocks: with the window search,
-    # the residual and one lambda of the scan, the peak stays below three
-    # float64 M x M arrays.  The grids of invert-ee (given window) and of
-    # full-ee (automatic window), and a depth-4 well with no threshold
-    # basis (automatic window).
+def test_the_low_energy_inverse_holds_one_real_square_array():
+    # S0 is its only M x M array, and every other product that spans M
+    # columns goes in column blocks: with the window search, the residual
+    # and one lambda of the scan, the peak stays below two float64 M x M
+    # arrays.  The grids of invert-ee (given window) and of full-ee
+    # (automatic window), a depth-4 well with no threshold basis
+    # (automatic window), and the full-ee domain at M = 1600, where the
+    # blocks are a smaller share of the peak (automatic window).
     for extent, nodes, window, depth in (
-        (2.25, 550, 0.25, None), (80.0, 400, "auto", None), (20.0, 550, "auto", 4.0)
+        (2.25, 550, 0.25, None), (80.0, 400, "auto", None), (20.0, 550, "auto", 4.0),
+        (80.0, 1600, "auto", None),
     ):
         grid = grids.make_grid(grids.Mode.RADIAL_SWAVE, extent, nodes)
         if depth is None:
@@ -110,7 +113,7 @@ def test_the_low_energy_inverse_holds_three_real_square_arrays():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * grid.size**2 * 8
+        assert peak < 2 * grid.size**2 * 8
 
 
 # Each example runs the dense bordered LU, O(M^3), as the oracle.
@@ -254,10 +257,10 @@ def test_S_lambda_refuses_a_large_first_residual(ee_small, monkeypatch):
         lowenergy.build_S_lambda(reg, 0.1, X)
 
 
-def test_S_lambda_is_one_bordered_solve(ee_small, count_calls):
+def test_S_lambda_is_one_bordered_solve(ee_small, count_calls, monkeypatch):
     # at lambda != 0 S(lambda) X takes no product with the stored S0, and
-    # the scan forms each block of X^T once for all its lambdas, with the
-    # bits of contraction_factor at each
+    # the scan forms each block of X^T, and R0(0) on it, once for all its
+    # lambdas, with the bits of contraction_factor at each
     reg, grid = ee_small["reg"], ee_small["grid"]
     products = count_calls(grids, "apply_matrix")
     lowenergy.build_S_lambda(reg, 0.1, np.ones((grid.size, 2)))
@@ -265,9 +268,21 @@ def test_S_lambda_is_one_bordered_solve(ee_small, count_calls):
     lambdas = [0.03, 0.1, 0.15, 0.2]
     expect = [lowenergy.contraction_factor(reg, lam) for lam in lambdas]
     blocks = count_calls(lowenergy, "_xt_block")
+    solves, resolvent = [], lowenergy.domain_resolvent
+
+    def counted_resolvent(grid, lam):
+        R = resolvent(grid, lam)
+
+        def apply(x):
+            solves.append(lam)
+            return R(x)
+
+        return apply
+
+    monkeypatch.setattr(lowenergy, "domain_resolvent", counted_resolvent)
     f = grids.gaussian_bump(grid)
     rows = lowenergy.low_energy_scan(reg, lambdas, f, f)
-    assert len(blocks) == len(lowenergy._blocks(reg.R0Xt))
+    assert len(blocks) == solves.count(0) == len(lowenergy._blocks(reg.S0))
     assert [row["contraction"] for row in rows] == expect
 
 
@@ -398,32 +413,62 @@ def _bisection_window(cf, target=0.5, iters=30):
     return lo
 
 
+@pytest.fixture(scope="module")
+def full_ee_reg():
+    """S0 on the full-ee benchmark grid, window 1."""
+    grid = grids.make_grid(grids.Mode.RADIAL_SWAVE, 80.0, 400)
+    V, _, _ = potentials.tune_coupling(potentials.exact_eigen(grid), grid)
+    return lowenergy.build_S0(V, grid, jordan.threshold(V, grid).basis, window=1.0)
+
+
+def _window_reg(request, scenario):
+    """The RegularizedInverse of a window-search scenario."""
+    if scenario == "ee_small":
+        return request.getfixturevalue("ee_small")["reg"]
+    if scenario == "full_ee":
+        return request.getfixturevalue("full_ee_reg")
+    if scenario == "ee6":
+        ee6 = request.getfixturevalue("ee6")
+        grid, V = ee6["grid"], ee6["V"]
+    else:  # no threshold basis: S0 is the plain inverse
+        grid = grids.make_grid(grids.Mode.RADIAL_SWAVE, 20.0, 200)
+        V = potentials.gaussian_well(grid, depth=4.0, width=1.0)
+    return lowenergy.build_S0(V, grid, jordan.threshold(V, grid).basis, window=1.0)
+
+
+#: k of each scenario's window k 2^-30, pinned bit for bit
+_WINDOW_K = {"ee_small": 203744668, "ee6": 56658225, "full_ee": 3661144,
+             "well": 24196409}
+
+
 @pytest.mark.parametrize("scenario", ["ee_small", "ee6", "full_ee", "well"])
 def test_auto_window_brackets_the_crossing(request, count_calls, scenario):
-    if scenario == "ee_small":
-        reg = request.getfixturevalue("ee_small")["reg"]
-    else:
-        if scenario == "ee6":
-            ee6 = request.getfixturevalue("ee6")
-            grid, V = ee6["grid"], ee6["V"]
-        elif scenario == "full_ee":  # the full-ee benchmark grid
-            grid = grids.make_grid(grids.Mode.RADIAL_SWAVE, 80.0, 400)
-            V, _, _ = potentials.tune_coupling(potentials.exact_eigen(grid), grid)
-        else:  # no threshold basis: S0 is the plain inverse
-            grid = grids.make_grid(grids.Mode.RADIAL_SWAVE, 20.0, 200)
-            V = potentials.gaussian_well(grid, depth=4.0, width=1.0)
-        basis = jordan.threshold(V, grid).basis
-        reg = lowenergy.build_S0(V, grid, basis, window=1.0)
+    reg = _window_reg(request, scenario)
     exact = count_calls(lowenergy, "_step_column_norms")
     w = lowenergy._auto_window(reg)
     assert len(exact) <= 4
-    assert (w * 2**30).is_integer()
+    assert w == _WINDOW_K[scenario] / 2**30
 
     def cf(lam):
         return lowenergy.contraction_factor(reg, lam)
 
     assert w == 1.0 or cf(w) <= 0.5 < cf(w + 2.0**-30)
     assert w == _bisection_window(cf)
+
+
+@pytest.mark.parametrize("scenario", ["ee_small", "full_ee"])
+def test_column_factor_is_the_exact_column_norm_to_its_rounding(request, scenario):
+    # the search's one-column factor, with the row of R0(0) X^T formed once
+    # for its column, is the exact norm's column to within
+    # `_column_rounding`, at the argmax column below, at and above the window
+    reg = _window_reg(request, scenario)
+    w = lowenergy._auto_window(reg)
+    for lam in (w / 2, w, 2 * w):
+        norms = lowenergy._step_column_norms(reg, lam)
+        j = int(np.argmax(norms))
+        r0_row = lowenergy._x_resolvent_column(reg, 0.0, j)
+        factor = lowenergy._column_factor(reg, lam, j, r0_row)
+        assert abs(factor - norms[j]) <= lowenergy._column_rounding(reg, j, r0_row)
 
 
 @pytest.mark.parametrize("extent, nodes, lam", [
@@ -442,7 +487,7 @@ def test_step_column_norms_match_a_long_double_difference(extent, nodes, lam):
     d, e = birman.tridiagonal_bs(grid, 0.0)
     w = grid.weights.astype(np.longdouble)
     sums = np.zeros(nodes, np.longdouble)
-    for J in lowenergy._blocks(reg.R0Xt):
+    for J in lowenergy._blocks(reg.S0):
         Xt = lowenergy._xt_block(reg, J)
         D = thomas_longdouble(d - lam**2, e, Xt) - thomas_longdouble(d, e, Xt)
         sums += np.abs(D) @ w[J]
@@ -464,13 +509,14 @@ def _patch_factors(monkeypatch, columns, rounding=0.0):
         exact.append(lam)
         return np.array([c[0](lam) for c in columns])
 
-    def factor(reg, lam, j):
+    def factor(reg, lam, j, r0_row):
         column.append(lam)
         return columns[j][1](lam)
 
     monkeypatch.setattr(lowenergy, "_step_column_norms", norms)
+    monkeypatch.setattr(lowenergy, "_x_resolvent_column", lambda reg, lam, j: None)
     monkeypatch.setattr(lowenergy, "_column_factor", factor)
-    monkeypatch.setattr(lowenergy, "_column_rounding", lambda reg, j: rounding)
+    monkeypatch.setattr(lowenergy, "_column_rounding", lambda reg, j, r0_row: rounding)
     return (lambda lam: max(c[0](lam) for c in columns)), exact, column
 
 
