@@ -12,7 +12,10 @@ step so lambda = 0 is never hit) and report refinement-friendly totals.
 Transform convention: K-hat(rho) = delta_lambda * sum_j e^{-i rho lambda_j}
 K(lambda_j), the plain Riemann discretization of int e^{-i rho lambda} K
 d(lambda) (no 2 pi prefactor), matching the closed forms used by the
-kernel-bound checks below.
+kernel-bound checks below.  `_transform` is the one routine that takes it:
+it overwrites the samples with their transform, in FFT order, so a scan
+holds one n x M array, and each caller puts in increasing rho only what it
+reads, after reducing over the nodes where it can.
 """
 
 from __future__ import annotations
@@ -83,23 +86,33 @@ def window_cutoffs(lams, lambda1, r):
 
 
 def _transform(samples, lams, delta):
-    """Row-wise discrete transform: samples (n, M) over the lambda axis."""
+    """Transform samples over the lambda axis (axis 0) in place.
+
+    samples, a complex (n,) or (n, M) array, becomes its transform in FFT
+    order: the FFT is written into its own buffer and the grid-origin phase
+    multiplied in place, so no second copy of the samples is made.  Returns
+    rho in increasing order and the permutation `order` of axis 0 that puts
+    the rows in that order; each caller reorders only what it reads.
+    """
     n = lams.shape[0]
-    spectrum = np.fft.fft(samples, axis=0)
+    np.fft.fft(samples, axis=0, out=samples)
     rho = 2.0 * np.pi * np.fft.fftfreq(n, d=delta)
     # compensate the grid origin offset lambda_0 = lams[0]
-    phase = np.exp(-1j * rho * lams[0])
-    out = delta * phase[:, None] * spectrum if samples.ndim == 2 else delta * phase * spectrum
+    phase = delta * np.exp(-1j * rho * lams[0])
+    # phase first: numpy's complex product is not bitwise symmetric in its
+    # operands, and phase * spectrum keeps the bits of the copying product
+    np.multiply(phase[:, None] if samples.ndim == 2 else phase, samples, out=samples)
     order = np.argsort(rho)
-    return rho[order], out[order]
+    return rho[order], order
 
 
 def chi_hat_l1(r=1.0, n=4096, lam_max=64.0):
     """L^1 norm of the transform of chi(lambda / r) (same discrete convention)."""
     lams, delta = lambda_grid(n, lam_max)
-    rho, ch = _transform(smooth_cutoff(lams / r).astype(complex), lams, delta)
+    ch = smooth_cutoff(lams / r).astype(complex)
+    rho, order = _transform(ch, lams, delta)
     drho = rho[1] - rho[0]
-    return float(np.sum(np.abs(ch)) * drho)
+    return float(np.sum(np.abs(ch[order])) * drho)
 
 
 def t_hat_l1_scan(V, grid, f, window, params=None):
@@ -113,7 +126,10 @@ def t_hat_l1_scan(V, grid, f, window, params=None):
     with its NearSingularError refusal; samples outside the window's
     support are skipped.  Real samples and a real f give
     T(-lambda) f = conj T(lambda) f bit for bit, so only the first member
-    of each pair +-lambda is solved.  A LOW window total beyond
+    of each pair +-lambda is solved.  The samples are one n x M complex
+    array, transformed in place; the per-rho profile is reduced over the
+    nodes in FFT order and then sorted in rho, and the total sums the
+    sorted profile.  A LOW window total beyond
     cap * ||f||_1 is reported as DIVERGENT -- for generic f against a
     nontrivial threshold space that is the expected verdict, not a
     failure.
@@ -137,9 +153,9 @@ def t_hat_l1_scan(V, grid, f, window, params=None):
         samples[i] = cut[i] * tinv_f
         if mirror:
             samples[n - 1 - i] = np.conj(samples[i])
-    rho, hat = _transform(samples, lams, delta)
+    rho, order = _transform(samples, lams, delta)
     drho = rho[1] - rho[0]
-    profile = np.abs(hat) @ grid.weights
+    profile = (np.abs(samples) @ grid.weights)[order]
     total = float(np.sum(profile) * drho)
     verdict = DIVERGENT if total > cap * lp_norm(f, 1) else OK
     return TransformScan(window.upper(), lams, rho, profile, total, n, delta, verdict)
@@ -154,8 +170,9 @@ def _chi_hat():
     """The transform of the plateau cutoff, tabulated once on 8192 lambda
     samples over [-64, 64] and linearly interpolated in rho."""
     lams, delta = lambda_grid(8192, 64.0)
-    table, ch = _transform(smooth_cutoff(lams).astype(complex), lams, delta)
-    re, im = ch.real, ch.imag
+    ch = smooth_cutoff(lams).astype(complex)
+    table, order = _transform(ch, lams, delta)
+    re, im = ch.real[order], ch.imag[order]
 
     def chi_hat(rho):
         return np.interp(rho, table, re) + 1j * np.interp(rho, table, im)
@@ -240,11 +257,11 @@ def k2_bound_check(grid, basis, r):
             R_psibar = birman._tridiagonal_solver(*bands)(psibar)
             samples_r[i] = cut[i] * R_psibar
             samples_b[i] = cut[i] * (R_psibar - R00_psibar)
-        rho, hat_r = _transform(samples_r, lams, delta)
-        _, hat_b = _transform(samples_b, lams, delta)
+        rho, order = _transform(samples_r, lams, delta)
+        _transform(samples_b, lams, delta)
         drho = rho[1] - rho[0]
-        val_r = float((np.sum(np.abs(hat_r), axis=0) * drho).max())
-        val_b = float((np.sum(np.abs(hat_b), axis=0) * drho).max())
+        val_r = float((np.sum(np.abs(samples_r)[order], axis=0) * drho).max())
+        val_b = float((np.sum(np.abs(samples_b)[order], axis=0) * drho).max())
         quad = float(R00(np.abs(psibar)).max())
         out.append(
             {
@@ -276,7 +293,8 @@ def dlambda_kernel_check(t):
     worst = 0.0
     for d, rho_want in ((0.5, 0.0), (2.0, 1.0), (5.0, -3.0), (10.0, 8.0)):
         kernel = 1j * np.exp(1j * lams * d) * np.exp(-1j * t * lams**2) / (4.0 * np.pi)
-        rho, hat = _transform(kernel, lams, delta)
+        rho, order = _transform(kernel, lams, delta)
+        hat = kernel[order]
         idx = int(np.argmin(np.abs(rho - rho_want)))
         worst = max(worst, abs(abs(hat[idx]) - target) / target)
     return float(worst)

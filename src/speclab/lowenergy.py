@@ -75,8 +75,9 @@ def _blocks(A):
 
     With OpenBLAS, a product on a block of 8k columns that starts at a
     multiple of 8 gives the bits of the same columns of one product on all
-    M columns (blocks of 5 or 41 columns do not), so S0 and R0(0) X^T do
-    not depend on BLOCK_BYTES.
+    M columns (blocks of 5 or 41 columns do not), so S0 does not depend on
+    BLOCK_BYTES.  A sum over all M columns taken block by block does: the
+    exact norms of `_scan_column_norms` move by a few ulp with it.
     """
     M = A.shape[0]
     width = max(8, BLOCK_BYTES // (M * A.itemsize) // 8 * 8)
@@ -240,7 +241,9 @@ def _scan_column_norms(reg, lams):
     added into that lambda's row sums: one tridiagonal solve per column and
     lambda, plus one per column for R0(0), no M x M array, and the bits of
     one lambda alone.  The sums are einsums, not BLAS gemvs
-    (`_x_resolvent_column`).
+    (`_x_resolvent_column`).  They are added block by block, in block
+    order, so the norms depend on the partition of `_blocks`: another
+    BLOCK_BYTES gives the same S0 but moves a norm by a few ulp.
     """
     R_0 = domain_resolvent(reg.grid, 0.0)
     solvers = [domain_resolvent(reg.grid, lam) for lam in lams]

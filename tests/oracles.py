@@ -6,7 +6,9 @@ the domain resolvent, the dense LU of the bordered S0 system, the dense
 series step of the low-energy inverse and the dense SVD filtration of the
 threshold.  Two are banded: the pivot recurrence of p'/p over all M
 nodes, which `jordan._log_derivative` shortens by folding the free tail
-into one transfer-matrix power, and a long-double tridiagonal solve.
+into one transfer-matrix power, and a long-double tridiagonal solve.  One
+is a copy: the out-of-place lambda -> rho transform, which
+`ftdiag._transform` does in place.
 """
 
 import numpy as np
@@ -138,3 +140,17 @@ def thomas_longdouble(d, e, B):
     for k in range(d.size - 2, -1, -1):
         X[k] -= ratio[k] * X[k + 1]
     return X
+
+
+def out_of_place_transform(samples, lams, delta):
+    """rho and the transform of samples (n,) or (n, M) over the lambda axis,
+    both in increasing rho, formed out of place: the samples are left as
+    they are, and the FFT, the phased product and the rho-sorted rows are
+    three new arrays."""
+    n = lams.shape[0]
+    spectrum = np.fft.fft(samples, axis=0)
+    rho = 2.0 * np.pi * np.fft.fftfreq(n, d=delta)
+    phase = np.exp(-1j * rho * lams[0])
+    out = delta * phase[:, None] * spectrum if samples.ndim == 2 else delta * phase * spectrum
+    order = np.argsort(rho)
+    return rho[order], out[order]

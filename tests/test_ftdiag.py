@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from oracles import out_of_place_transform
 from speclab import birman, ftdiag, grids, potentials
 from speclab.grids import Mode
 
@@ -36,8 +39,8 @@ def test_transform_concentrates_pure_phase():
     from speclab.birman import smooth_cutoff
 
     samples = (np.exp(1j * a * lams) * smooth_cutoff(lams))[:, None]
-    rho, hat = ftdiag._transform(samples, lams, delta)
-    mass = np.abs(hat[:, 0])
+    rho, order = ftdiag._transform(samples, lams, delta)
+    mass = np.abs(samples[order, 0])
     res = 2.0 * np.pi / (n * delta)
     near = np.abs(rho - a) <= 4.0 * res
     assert mass[near].sum() / mass.sum() > 0.9
@@ -70,6 +73,37 @@ def test_real_scan_mirrors_the_negative_lambdas(g, monkeypatch, count_calls):
     assert 2 * half == len(solves) - half == 112
     assert full.total == mirrored.total
     assert np.array_equal(full.profile, mirrored.profile)
+
+
+def test_scan_transforms_one_array_in_place(monkeypatch):
+    # on the full-ee grid the scan's arrays peak at about 1.5 copies of its
+    # n x M samples (the samples, transformed in place, and their moduli),
+    # and its profile and total are those of the out-of-place transform
+    grid = grids.make_grid(Mode.RADIAL_SWAVE, 80.0, 400)
+    V, _, _ = potentials.tune_coupling(potentials.exact_eigen(grid, s=2.0), grid)
+    f = grids.gaussian_bump(grid)
+    params = {"n": 128, "lam_max": 8.0}
+    tracemalloc.start()
+    try:
+        scan = ftdiag.t_hat_l1_scan(V, grid, f, "HIGH", params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * params["n"] * grid.size * 16
+    seen = []
+    transform = ftdiag._transform
+
+    def keep(samples, lams, delta):
+        seen.append(samples.copy())
+        return transform(samples, lams, delta)
+
+    monkeypatch.setattr(ftdiag, "_transform", keep)
+    assert ftdiag.t_hat_l1_scan(V, grid, f, "HIGH", params).total == scan.total
+    rho, hat = out_of_place_transform(seen[0], scan.lambdas, scan.delta_lambda)
+    profile = np.abs(hat) @ grid.weights
+    assert np.array_equal(scan.rho, rho)
+    assert np.array_equal(scan.profile, profile)
+    assert scan.total == float(np.sum(profile) * (rho[1] - rho[0]))
 
 
 def test_dlambda_kernel_modulus():

@@ -471,6 +471,26 @@ def test_column_factor_is_the_exact_column_norm_to_its_rounding(request, scenari
         assert abs(factor - norms[j]) <= lowenergy._column_rounding(reg, j, r0_row)
 
 
+def test_block_size_keeps_S0_and_moves_the_norms_by_rounding(monkeypatch):
+    # on the invert-ee grid, blocks of 8, 24 (the default) and 112 columns
+    # give S0 bit for bit; the exact norms, summed block by block, agree to
+    # the rounding of a regrouped sum of positive terms (6 ulp measured)
+    grid = grids.make_grid(grids.Mode.RADIAL_SWAVE, 2.25, 550)
+    V, _, _ = potentials.tune_coupling(potentials.exact_eigen(grid), grid)
+    basis = jordan.threshold(V, grid).basis
+    lams = [0.02, 0.05, 0.1, 0.15, 0.2]
+    runs = []
+    for block_bytes, count in ((2**17, 23), (2**14, 69), (2**19, 5)):
+        monkeypatch.setattr(lowenergy, "BLOCK_BYTES", block_bytes)
+        reg = lowenergy.build_S0(V, grid, basis, window=0.25)
+        assert len(lowenergy._blocks(reg.S0)) == count
+        runs.append((reg.S0, lowenergy._scan_column_norms(reg, lams)))
+    S0, norms = runs[0]
+    for other, other_norms in runs[1:]:
+        assert np.array_equal(other, S0)
+        assert np.all(np.abs(other_norms - norms) <= 1e-14 * norms)
+
+
 @pytest.mark.parametrize("extent, nodes, lam", [
     (80.0, 400, 2e-4),  # the full-ee grid, a lambda of its scan
     (2.25, 550, 0.02),  # the invert-ee grid, a lambda of its scan
