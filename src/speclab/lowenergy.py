@@ -42,8 +42,9 @@ their data, one column per probe, by the solve that gives S0 at lambda,
 O(M) per column, with no product with S0.  The window search
 (`_auto_window`) runs on one column j of the step, one tridiagonal solve
 and one O(M^2) product per trial lambda, after one of each at lambda = 0
-for row j of R0(0) X^T, and takes the exact norm only at lambda = 1 and
-to certify the window, about three times in all.  A real potential makes
+for row j of R0(0) X^T.  It starts on the last column, whose factor
+certifies the crossing below lambda = 1, and takes the exact norm to
+certify the window: once on full-ee.  A real potential makes
 the basis, S0 and every block here real (float64), half the memory of
 complex ones; complex data meets them through `grids.apply_matrix`.
 """
@@ -323,34 +324,42 @@ def _auto_window(reg):
     box H0 cf need not increase, and lo is then some crossing.
 
     The search runs on a single column j of the step (`_column_factor`, one
-    vector solve per lambda, after one at lambda = 0 for the column), the
-    argmax column of the exact norms at the upper end of the bracket:
+    vector solve per lambda, after one at lambda = 0 for the column):
     `_regula_falsi` closes [L, U] over the integers k of the trial points
-    k xtol.  The exact norm then certifies the returned lo; where it fails,
+    k xtol.  It starts on the last column, j = M - 1: R0(0) = h min(r, r')
+    is positive, so the step's small-lambda columns, about
+    lambda^2 R0(0)^2 X^T, grow with r.  That column's factor, above target
+    by the margin above, certifies cf(1) > target; only where it does not
+    is the exact norm at lambda = 1 taken, and the search run on its argmax
+    column.  The exact norm then certifies the returned lo; where it fails,
     another column has crossed first, and the search repeats below lo on
     the argmax column there.  A column value
     within that margin of target at lo + xtol is checked by the exact
     norm; should that norm still be at most target, the search goes on
-    above.  On full-ee that is 3 exact norms and 13 column evaluations.
+    above.  On full-ee that is 1 exact norm and 8 column evaluations.
     """
     target, n = 0.5, 2**30
-    upper = _step_column_norms(reg, 1.0)
-    if upper.max() <= target:
-        return 1.0
-    # certified: cf(L / n) <= target < cf(U / n), with the exact column
-    # norms lower and upper there; the step vanishes at lambda = 0
-    L, U, lower = 0, n, np.zeros_like(upper)
-    j = int(np.argmax(upper))
+    j = reg.grid.size - 1
     r0_row = _x_resolvent_column(reg, 0.0, j)
+    g_upper = _column_factor(reg, 1.0, j, r0_row) - target
+    if g_upper <= 1e-12 * target + _column_rounding(reg, j, r0_row):
+        upper = _step_column_norms(reg, 1.0)
+        if upper.max() <= target:
+            return 1.0
+        j, g_upper = int(np.argmax(upper)), upper.max() - target
+        r0_row = _x_resolvent_column(reg, 0.0, j)
+    # certified: cf(L / n) <= target < cf(U / n), by the exact column norms
+    # lower at L (the step vanishes at 0) and column j's g_upper + target at U
+    L, U, lower = 0, n, np.zeros(reg.grid.size)
     while True:
         lo, hi, ghi = _regula_falsi(
             lambda k: _column_factor(reg, k / n, j, r0_row) - target,
-            L, U, lower[j] - target, upper[j] - target,
+            L, U, lower[j] - target, g_upper,
         )
         if lo > L:
             norms = _step_column_norms(reg, lo / n)
             if norms.max() > target:
-                U, upper, j = lo, norms, int(np.argmax(norms))
+                U, j, g_upper = lo, int(np.argmax(norms)), norms.max() - target
                 r0_row = _x_resolvent_column(reg, 0.0, j)
                 continue
             L, lower = lo, norms

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -446,7 +447,7 @@ def test_auto_window_brackets_the_crossing(request, count_calls, scenario):
     reg = _window_reg(request, scenario)
     exact = count_calls(lowenergy, "_step_column_norms")
     w = lowenergy._auto_window(reg)
-    assert len(exact) <= 4
+    assert len(exact) == 1
     assert w == _WINDOW_K[scenario] / 2**30
 
     def cf(lam):
@@ -520,8 +521,10 @@ def _patch_factors(monkeypatch, columns, rounding=0.0):
     """Make the step's column norms the given functions of lambda, for
     `_step_column_norms` and `_column_factor` alike, except that a pair
     (exact, column) gives the two separately, and `_column_rounding` the
-    given bound.  Returns the exact factor max_j exact_j and the lists of
-    the exact and the column evaluations."""
+    given bound.  Returns a stand-in for the RegularizedInverse, whose grid
+    has one node per column, so that columns[-1] is the last column, the
+    exact factor max_j exact_j and the lists of the exact and the column
+    evaluations."""
     columns = [c if isinstance(c, tuple) else (c, c) for c in columns]
     exact, column = [], []
 
@@ -537,7 +540,8 @@ def _patch_factors(monkeypatch, columns, rounding=0.0):
     monkeypatch.setattr(lowenergy, "_x_resolvent_column", lambda reg, lam, j: None)
     monkeypatch.setattr(lowenergy, "_column_factor", factor)
     monkeypatch.setattr(lowenergy, "_column_rounding", lambda reg, j, r0_row: rounding)
-    return (lambda lam: max(c[0](lam) for c in columns)), exact, column
+    reg = SimpleNamespace(grid=SimpleNamespace(size=len(columns)))
+    return reg, (lambda lam: max(c[0](lam) for c in columns)), exact, column
 
 
 def _k_star_exact(lam, k_star=3 * 2**28 + 12345):
@@ -551,28 +555,39 @@ def _k_star_small(lam):
 
 
 @pytest.mark.parametrize("columns, rounding, exact_calls, least, most", [
-    ([lambda lam: 0.25 * lam], 0.0, 1, 0, 0),  # cf(1) <= 1/2: lo = 1 at once
+    # the last column's factor at lambda = 1 is at most 1/2, so the exact
+    # norm there is taken, and it is at most 1/2 too: lo = 1
+    ([lambda lam: 0.25 * lam], 0.0, 1, 1, 1),
     # concave: hi moves twice in a row and cf(lo) is halved; plain regula
     # falsi takes 58 evaluations here
-    ([lambda lam: lam**0.25], 0.0, 2, 1, 15),
-    ([lambda lam: float(lam > 0.9)], 0.0, 2, 31, 60),  # a jump: bisection past 30 steps
-    # the argmax column at lambda = 1 crosses at 0.24, the other one first,
-    # at 0.12: the certificate at the first lo fails and the search moves
-    ([lambda lam: 2.1 * lam, lambda lam: min(1.5, 4.1 * lam)], 0.0, 3, 2, 30),
+    ([lambda lam: lam**0.25], 0.0, 1, 2, 16),
+    ([lambda lam: float(lam > 0.9)], 0.0, 1, 32, 61),  # a jump: bisection past 30 steps
+    # the last column, the argmax at lambda = 1, crosses first, at 0.12
+    ([lambda lam: 2.1 * lam, lambda lam: min(1.5, 4.1 * lam)], 0.0, 1, 3, 31),
+    # the last column crosses at 0.24, the other one first, at 0.12: the
+    # certificate at the first lo fails and the search moves
+    ([lambda lam: min(1.5, 4.1 * lam), lambda lam: 2.1 * lam], 0.0, 2, 3, 31),
+    # the last column's factor at lambda = 1 is below 1/2 and the other's
+    # above: the exact norm at lambda = 1 moves the search to its argmax
+    ([lambda lam: 2.1 * lam, lambda lam: 0.25 * lam], 0.0, 2, 3, 31),
     # the column is within rounding of 1/2 at the crossing, where the exact
     # norm is 1/2 itself: that hi is checked by the exact norm, and the
     # search goes on above it
-    ([(_k_star_exact, lambda lam: _k_star_exact(lam) + 1e-13)], 0.0, 3, 2, 30),
+    ([(_k_star_exact, lambda lam: _k_star_exact(lam) + 1e-13)], 0.0, 2, 3, 31),
     # the same below 1e-3, where the column's rounding, which does not
     # shrink with lambda, is far above 1e-12 relative
-    ([(_k_star_small, lambda lam: _k_star_small(lam) + 2e-11)], 4e-11, 3, 2, 30),
-], ids=["below-at-1", "concave", "jump", "argmax-switch", "column-rounding",
-        "column-rounding-below-1e-3"])
+    ([(_k_star_small, lambda lam: _k_star_small(lam) + 2e-11)], 4e-11, 2, 3, 31),
+    # the last column is within rounding above 1/2 at lambda = 1, where the
+    # exact norm is 1/2 itself: the exact norm decides, and lo = 1
+    ([(lambda lam: 0.5 * lam, lambda lam: 0.5 * lam + 1e-13)], 0.0, 1, 1, 1),
+], ids=["below-at-1", "concave", "jump", "last-crosses-first", "argmax-switch",
+        "last-below-at-1", "column-rounding", "column-rounding-below-1e-3",
+        "column-rounding-at-1"])
 def test_auto_window_on_synthetic_factors(
     monkeypatch, columns, rounding, exact_calls, least, most
 ):
-    cf, exact, column = _patch_factors(monkeypatch, columns, rounding)
-    lo = lowenergy._auto_window(None)
+    reg, cf, exact, column = _patch_factors(monkeypatch, columns, rounding)
+    lo = lowenergy._auto_window(reg)
     assert len(exact) == exact_calls
     assert least <= len(column) <= most
     assert lo == _bisection_window(cf)
