@@ -21,9 +21,11 @@ factorization, `_tridiagonal_solver` (LDL^T for positive definite real
 bands, pivoted LU otherwise), applies R0(lambda^2) in the checks here and
 in `ftdiag.k2_bound_check`, and the domain resolvent of
 :mod:`speclab.lowenergy`; `_bordered_solver` solves the bordered systems
-of a singular H, made nonsingular at its kernel, for the banded S0 of
-:mod:`speclab.lowenergy` and the threshold chain of :mod:`speclab.jordan`,
-and those of H - lambda^2 for the S(lambda) of :mod:`speclab.lowenergy`.
+of a singular H, made nonsingular at its kernel, for the S0 of
+:mod:`speclab.lowenergy` (its columns, and by the transposed solve on the
+same factorization those of S0^T, each in O(M); S0 is never stored) and
+the threshold chain of :mod:`speclab.jordan`, and those of H - lambda^2
+for the S(lambda) of :mod:`speclab.lowenergy`.
 The dense LU (`direct_inverse`) stays only in `bs_solve`, for lambda h
 near a nonzero multiple of pi, and as the tests' oracle of the banded
 paths.
@@ -358,10 +360,17 @@ def _bordered_solver(d, e, Y, Z, B, context):
     WB^T PQ + diag(I_2n, 0), and each solve takes one product with WB^T and
     one with PQ, so few small BLAS calls per block of columns.  Returns
     solve(F, G) -> (y, mu) for the right-hand side [F; G], F of M rows and
-    G of n rows; a singular A raises NearSingularError naming `context`.
+    G of n rows, and transposed(c), the map from a slice J to the columns J
+    of (T y(I))^T, T = H - diag(c) and y(F) the y of solve(F, 0): with
+    u = c + alpha E 1, T = A - diag(u), so T y(I) = I - u A^{-1} - Gm Hm^T
+    for Gm = ([E, Y, Y] - u PQ) cap^{-1} and Hm = A^{-1} WB (A is
+    symmetric), and its columns J are E_J - A^{-1} (u E_J) - Hm Gm[J]^T,
+    one tridiagonal solve per column.  A singular A raises
+    NearSingularError naming `context`.
 
     It serves the S0 and S(lambda) of :mod:`speclab.lowenergy` (Y the
-    chain tops, Z the weighted chain bottoms, B = w (Y - lambda^2 R0(0) Y))
+    chain tops, Z the weighted chain bottoms, B = w (Y - lambda^2 R0(0) Y),
+    and T = H0 - lambda^2, c = v, for the columns of S0^T at lambda = 0)
     and the threshold chain of :mod:`speclab.jordan`, Keller's bordered
     system [[H, e_r], [e_r^T, 0]] for H phi = f with phi_r = 0: Y = B = e_r and
     Z = psi, the kernel of H.  There psi^T H = 0, so Q~0 H = H, and the
@@ -388,7 +397,25 @@ def _bordered_solver(d, e, Y, Z, B, context):
         y -= PQ @ zmu
         return y, zmu[2 * n :]
 
-    return solve
+    def transposed(c):
+        u = np.array(c, np.result_type(c, shifted))
+        u[rows] += alpha
+        Gm = np.linalg.solve(cap.T, (np.hstack([E, Y, Y]) - u[:, None] * PQ).T).T
+        Hm = solve_A(WB)
+
+        def columns(J):
+            diagonal = (np.arange(J.start, J.stop), np.arange(J.stop - J.start))
+            uE = np.zeros((M, J.stop - J.start), Gm.dtype, order="F")
+            uE[diagonal] = u[J]
+            out = (Gm[J] @ Hm.T).T  # Fortran order, as the solves take it
+            out += solve_A(uE)
+            np.negative(out, out=out)
+            out[diagonal] += 1.0
+            return out
+
+        return columns
+
+    return solve, transposed
 
 
 def _inverse_norm_estimate(M, apply, adjoint):

@@ -318,10 +318,7 @@ def run_invert(cfg, grid, V, rng, out_dir=None, *, threshold=None):
                 f"invert lambda {lam} outside the validity window "
                 f"0 < |lambda| <= {reg.window}"
             )
-    residuals = {
-        "one_sided_S0": lowenergy.one_sided_residual(reg, 0.0),
-        "range_constraint": lowenergy.range_constraint_residual(reg),
-    }
+    residuals = lowenergy.s0_residuals(reg)
     if out_dir is not None and basis.dim > 0:
         # the scan's rows carry the identity residuals of each lambda
         probe = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)

@@ -446,7 +446,7 @@ def build_filtration(V, grid):
     states = [GridFunction(grid, psi / g_norm)]
     e_r = np.zeros((d.size, 1))
     e_r[np.argmax(np.abs(psi))] = 1.0
-    chain = birman._bordered_solver(
+    chain, _ = birman._bordered_solver(
         d, e, e_r, psi[:, None], e_r, "threshold chain solve"
     )
     Q = psi[:, None]

@@ -26,27 +26,26 @@ pollute the pole coefficients with an O(1) defect.  H0 is tridiagonal, so
 vector; no M x M resolvent is formed.  H0 is real symmetric, so products
 X R0(lambda^2) are formed as (R0(lambda^2) X^T)^T.
 
-Cost: nothing here is O(M^3), and S0 is the only M x M array.
-Everything else that spans M columns is streamed in column blocks of
-BLOCK_BYTES (`_blocks`), so the working memory beyond S0 is a few
-blocks.  `build_S0` forms S0 a block of columns at a time from
-tridiagonal solves (`_bordered_S`), O(M^2) in all.  Q~0 = I - P~0 is
+Cost: nothing here is O(M^3), and there is no M x M array.  S0 and S0^T
+are applied by the bordered solve (`_bordered_S` at lambda = 0) and its
+transpose, O(M) per column, and everything that spans M columns is
+streamed in column blocks of BLOCK_BYTES (`_blocks`).  Q~0 = I - P~0 is
 applied through the rank-n factors of P~0, and X^T, X = S0 Q~0 V, is
-formed a block at a time from rows of S0 (`_xt_block`), so the exact
-contraction factor and the defect of `one_sided_residual` cost O(M^2 n).
-Each exact-norm pass forms R0(0) X^T a block at a time from the block of
-X^T it has just formed, M tridiagonal solves, and then takes M more per
-lambda; the scan takes the factors of all its lambdas in one pass.
+formed a block at a time from columns of S0^T (`_xt_block`), so the
+exact contraction factor costs O(M^2 n).  Each exact-norm pass forms
+R0(0) X^T a block at a time from the block of X^T it has just formed, M
+tridiagonal solves, and then takes M more per lambda; the scan takes the
+factors of all its lambdas in one pass.  The checks of S0
+(`s0_residuals`) form its columns a block at a time, O(M^2) in all.
 S(lambda) itself is never formed: the scan and the formula apply it to
-their data, one column per probe, by the solve that gives S0 at lambda,
-O(M) per column, with no product with S0.  The window search
-(`_auto_window`) runs on one column j of the step, one tridiagonal solve
-and one O(M^2) product per trial lambda, after one of each at lambda = 0
-for row j of R0(0) X^T.  It starts on the last column, whose factor
-certifies the crossing below lambda = 1, and takes the exact norm to
-certify the window: once on full-ee.  A real potential makes
-the basis, S0 and every block here real (float64), half the memory of
-complex ones; complex data meets them through `grids.apply_matrix`.
+their data, one column per probe, by the solve that gives S0 at lambda.
+The window search (`_auto_window`) runs on one column j of the step, one
+tridiagonal and one bordered solve per trial lambda, after one of each
+at lambda = 0 for row j of R0(0) X^T.  It starts on the last column,
+whose factor certifies the crossing below lambda = 1, and takes the
+exact norm to certify the window: once on full-ee.  A real potential
+makes the basis, the factors of S0 and every block here real (float64),
+half the memory of complex ones.
 """
 
 from __future__ import annotations
@@ -70,18 +69,18 @@ class DualityDegenerateError(ArithmeticError):
     """Pairing of V X_1 against R0(0) X_diag is singular."""
 
 
-def _blocks(A):
-    """The column blocks of the M x M array A: slices of BLOCK_BYTES worth
-    of its columns, rounded down to a multiple of 8 columns (8 at least).
+def _blocks(M, itemsize):
+    """The column blocks of an M x M array of itemsize bytes per entry:
+    BLOCK_BYTES worth of columns, a multiple of 8 columns (8 at least).
 
     With OpenBLAS, a product on a block of 8k columns that starts at a
     multiple of 8 gives the bits of the same columns of one product on all
-    M columns (blocks of 5 or 41 columns do not), so S0 does not depend on
-    BLOCK_BYTES.  A sum over all M columns taken block by block does: the
-    exact norms of `_scan_column_norms` move by a few ulp with it.
+    M columns (blocks of 5 or 41 columns do not), so the columns of S0 do
+    not depend on BLOCK_BYTES.  A sum over all M columns taken block by
+    block does: the exact norms of `_scan_column_norms` move by a few ulp
+    with it.
     """
-    M = A.shape[0]
-    width = max(8, BLOCK_BYTES // (M * A.itemsize) // 8 * 8)
+    width = max(8, BLOCK_BYTES // (M * itemsize) // 8 * 8)
     return [slice(a, min(a + width, M)) for a in range(0, M, width)]
 
 
@@ -111,13 +110,16 @@ class RegularizedInverse:
     columns of Y are the chain tops psi_{k,k}, those of Z the weighted
     chain bottoms w psi_{1,k}, n the number of chains.
 
-    S0 is the only M x M array.  Neither X^T, X = S0 Q~0 V, nor R0(0) X^T
-    is kept: `_xt_block` forms any block of the columns of X^T from rows of
-    S0 and S0Y = S0 Y (M x n), and each exact-norm pass
+    No M x M array is kept.  S0 is F -> S0 F, `_bordered_S` at lambda = 0,
+    and S0T maps a slice J to the columns J of S0^T, by the transposed
+    solve on the same factorization without refinement: O(M) per column.
+    `_xt_block` forms any block of the columns of X^T, X = S0 Q~0 V, from
+    S0T and S0Y = S0 Y (M x n), and each exact-norm pass
     (`_scan_column_norms`) applies R0(0) to the block it has just formed.
     """
 
-    S0: np.ndarray
+    S0: object
+    S0T: object
     basis: "jordan.JordanBasis"
     V: object
     grid: object
@@ -130,15 +132,18 @@ class RegularizedInverse:
     S0Y: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.S0Y = self.S0 @ self.Y
+        self.S0Y = self.S0(self.Y)
 
 
 def _xt_block(reg, J):
-    """Columns J of X^T = (S0 Q~0 V)^T: v (S0[J] - S0Y[J] Z^T)^T, from rows J
-    of S0, with v the samples of the potential."""
-    rows = reg.S0[J] - reg.S0Y[J] @ reg.Z.T
-    rows *= birman._samples(reg.V)
-    return rows.T
+    """Columns J of X^T = (S0 Q~0 V)^T: v (S0^T[:, J] - Z S0Y[J]^T), with v
+    the samples of the potential.  Rank-n products here are einsums, not
+    BLAS calls: at n = 1 each entry is one multiply either way, in half
+    the time."""
+    columns = reg.S0T(J)
+    columns -= np.einsum("ik,jk->ij", reg.Z, reg.S0Y[J])
+    columns *= birman._samples(reg.V)[:, None]
+    return columns
 
 
 def build_S0(V, grid, basis, window="auto"):
@@ -151,9 +156,10 @@ def build_S0(V, grid, basis, window="auto"):
     duality normalization pair(V psi_{1,k}, R0(0) psi_{k',k'}) = -delta
     guarantees the bordered matrix is nonsingular.
 
-    `_bordered_S` at lambda = 0 solves it on the identity a block of
-    columns at a time, O(M^2) in all, so S0 is the only M x M array; with
-    no threshold basis (n = 0) it gives the plain inverse of I + V R0(0).
+    S0 is never formed: the RegularizedInverse keeps `_bordered_S` at
+    lambda = 0, which applies it in O(M) per column, and the transposed
+    solve on its factorization for the columns of S0^T.  With no threshold
+    basis (n = 0) S0 is the plain inverse of I + V R0(0).
     """
     Y, Z = jordan.build_Ptilde0(basis, grid)
     R0Y = domain_resolvent(grid, 0.0)(Y)
@@ -164,12 +170,9 @@ def build_S0(V, grid, basis, window="auto"):
         raise DualityDegenerateError(
             f"duality Gram matrix has condition {np.linalg.cond(D):.3e}"
         )
-    v, M = birman._samples(V), grid.size
-    S = _bordered_S(v, grid, Y, Z, R0Y, 0.0)
-    S0 = np.empty((M, M), np.result_type(v, Y), order="F")
-    for J in _blocks(S0):
-        S0[:, J] = S(np.eye(M, J.stop - J.start, -J.start, S0.dtype))
-    reg = RegularizedInverse(S0, basis, V, grid, Y, Z, np.inf, R0Y)
+    v = birman._samples(V)
+    S0, transposed = _bordered_S(v, grid, Y, Z, R0Y, 0.0)
+    reg = RegularizedInverse(S0, transposed(v), basis, V, grid, Y, Z, np.inf, R0Y)
     reg.window = _auto_window(reg) if window == "auto" else window
     return reg
 
@@ -192,13 +195,15 @@ def _bordered_S(v, grid, Y, Z, R0Y, lam):
     iterative refinement follows on the form `one_sided_residual` checks.
     A first residual above RESIDUAL_BOUND (relative L^1, in any column)
     raises birman.NearSingularError naming lambda, with cond residual / eps.
+    Returns the map and the solver's `transposed`, whose transposed(v)
+    gives the columns of S(lambda)^T before refinement.
     """
     n, w = Y.shape[1], grid.weights
     d0, e = birman.tridiagonal_bs(grid, 0.0)
     d = d0 - lam**2
     B = Y - lam**2 * R0Y if lam else Y
     context = f"S(lambda) bordered solve at lambda={lam}"
-    solve = birman._bordered_solver(d + v, e, Y, Z, w[:, None] * B, context)
+    solve, transposed = birman._bordered_solver(d + v, e, Y, Z, w[:, None] * B, context)
     R = domain_resolvent(grid, lam)
     C = w[:, None] * R0Y
 
@@ -212,7 +217,7 @@ def _bordered_S(v, grid, Y, Z, R0Y, lam):
         T = R(S)
         T *= v[:, None]
         T += S
-        T -= Y @ (Z.T @ T - mu)
+        T -= np.einsum("ik,kj->ij", Y, Z.T @ T - mu)
         F -= T
         del T
         residual = float((np.einsum("i,ij->j", w, np.abs(F)) / scale).max(initial=0.0))
@@ -223,7 +228,7 @@ def _bordered_S(v, grid, Y, Z, R0Y, lam):
         S += birman._tridiagonal_apply(d, e, dy)
         return S
 
-    return apply
+    return apply, transposed
 
 
 def _step_column_norms(reg, lam):
@@ -241,15 +246,15 @@ def _scan_column_norms(reg, lams):
     D_J = R0(lambda^2) X^T_J - R0(0) X^T_J for each lambda, and |D_J| w_J is
     added into that lambda's row sums: one tridiagonal solve per column and
     lambda, plus one per column for R0(0), no M x M array, and the bits of
-    one lambda alone.  The sums are einsums, not BLAS gemvs
-    (`_x_resolvent_column`).  They are added block by block, in block
-    order, so the norms depend on the partition of `_blocks`: another
-    BLOCK_BYTES gives the same S0 but moves a norm by a few ulp.
+    one lambda alone.  The sums are einsums, added block by block, in
+    block order, so the norms depend on the partition of `_blocks`:
+    another BLOCK_BYTES gives the same columns of S0 but moves a norm by a
+    few ulp.
     """
     R_0 = domain_resolvent(reg.grid, 0.0)
     solvers = [domain_resolvent(reg.grid, lam) for lam in lams]
     w, sums = reg.grid.weights, np.zeros((len(lams), reg.grid.size))
-    for J in _blocks(reg.S0):
+    for J in _blocks(reg.grid.size, reg.S0Y.itemsize):
         Xt = _xt_block(reg, J)
         R0Xt = R_0(Xt)
         for R, row in zip(solvers, sums):
@@ -265,24 +270,18 @@ def contraction_factor(reg, lam):
 
 
 def _x_resolvent_column(reg, lam, j):
-    """X R0(lambda^2) e_j, X = S0 Q~0 V, in O(M^2); R0 is symmetric, so
-    this is row j of R0(lambda^2) X^T.
-
-    One tridiagonal solve, the rank-n correction of Q~0 and one product
-    with S0.  The products are einsums, not BLAS gemvs: the search makes a
-    dozen of them in a row, and a threaded gemv that waits for a busy core
-    took 8 ms each at M = 400 on a 2-vCPU machine, where the einsum takes
-    0.4 ms.
-    """
+    """X R0(lambda^2) e_j, X = S0 Q~0 V, in O(M); R0 is symmetric, so this
+    is row j of R0(lambda^2) X^T: one tridiagonal solve, Q~0 by its rank-n
+    factors and S0 by its bordered solve on the one column."""
     e = np.zeros(reg.grid.size)
     e[j] = 1.0
     x = birman._samples(reg.V) * domain_resolvent(reg.grid, lam)(e)
     x -= np.einsum("ik,k->i", reg.Y, np.einsum("ik,i->k", reg.Z, x))
-    return np.einsum("ij,j->i", reg.S0, x)
+    return reg.S0(x[:, None])[:, 0]
 
 
 def _column_factor(reg, lam, j, r0_row):
-    """The weighted L^1 norm of column j of the series step, in O(M^2).
+    """The weighted L^1 norm of column j of the series step, in O(M).
 
     That column is -(X R0(lambda^2) e_j - X R0(0) e_j); r0_row is its
     lambda-independent term, `_x_resolvent_column` at lambda = 0, which
@@ -301,9 +300,9 @@ def _column_rounding(reg, j, r0_row):
     """A bound on the rounding error of `_column_factor` at column j.
 
     The column is the difference of two vectors of about the size of
-    r0_row, row j of R0(0) X^T, each from length-M sums, so its weighted
-    L^1 norm is good to M eps times that row's: an error that does not
-    shrink with lambda, so relative to the factor it grows like
+    r0_row, row j of R0(0) X^T, each from length-M solves and sums, so its
+    weighted L^1 norm is good to M eps times that row's: an error that does
+    not shrink with lambda, so relative to the factor it grows like
     1 / lambda^2.
     """
     w = reg.grid.weights
@@ -323,8 +322,9 @@ def _auto_window(reg):
     point that 30-step bisection returns; above the first eigenvalue of the
     box H0 cf need not increase, and lo is then some crossing.
 
-    The search runs on a single column j of the step (`_column_factor`, one
-    vector solve per lambda, after one at lambda = 0 for the column):
+    The search runs on a single column j of the step (`_column_factor`, a
+    vector solve and a bordered solve per lambda, after one of each at
+    lambda = 0 for the column):
     `_regula_falsi` closes [L, U] over the integers k of the trial points
     k xtol.  It starts on the last column, j = M - 1: R0(0) = h min(r, r')
     is positive, so the step's small-lambda columns, about
@@ -407,14 +407,14 @@ def _regula_falsi(g, lo, hi, glo, ghi):
 def build_S_lambda(reg, lam, X):
     """S(lambda) X for S(lambda) = sum_m (-S0 Q~0 V B0(lambda^2))^m S0.
 
-    At lambda != 0, one bordered solve on the columns of X, a matrix
-    (`_bordered_S`, O(M) per column); S0 X at lambda = 0.  Returns it and
+    One bordered solve on the columns of X, a matrix (`_bordered_S`, O(M)
+    per column; `reg.S0` at lambda = 0).  Returns it and
     the factor ||S0 Q~0 V B0(lambda^2)||_1 (0 at lambda = 0).  Raises
     ValueError outside the validity window, birman.NoContractionError where
     the exact factor is >= 1 and birman.NearSingularError (`_bordered_S`).
     """
     if lam == 0:
-        return grids.apply_matrix(reg.S0, X), 0.0
+        return reg.S0(X), 0.0
     apply, factor = _S_lambda(reg, lam)
     return apply(X), factor
 
@@ -428,7 +428,7 @@ def _S_lambda(reg, lam, factor=None):
     if factor >= 1.0:
         raise birman.NoContractionError(factor)
     v = birman._samples(reg.V)
-    return _bordered_S(v, reg.grid, reg.Y, reg.Z, reg.range_constraints, lam), factor
+    return _bordered_S(v, reg.grid, reg.Y, reg.Z, reg.range_constraints, lam)[0], factor
 
 
 def one_sided_residual(reg, lam=0.0):
@@ -438,52 +438,59 @@ def one_sided_residual(reg, lam=0.0):
     X-bar_1-perp = {f : pair(f, psi_{1,k}) = 0}, I - pinv(Z^T) Z^T.  Both
     Q~0 and that projector are applied through their rank-n factors, and
     I + V R0(l^2) through tridiagonal solves, never through H, so the check
-    stays independent of how S0 and S(l) were solved.
+    stays independent of how S0 and S(l) were solved (`_one_sided`).
+    """
+    return _one_sided(reg, lam)[0]
+
+
+def s0_residuals(reg):
+    """one_sided_S0, `one_sided_residual` at lambda = 0, and
+    range_constraint, sup over f of |pair(S0 f, R0(0) psi_kk)| / ||f||_1,
+    from one pass over the column blocks of S0 (`_one_sided`)."""
+    return dict(zip(("one_sided_S0", "range_constraint"), _one_sided(reg, 0.0)))
+
+
+def _one_sided(reg, lam):
+    """`one_sided_residual` at lambda, and the range constraint of S(l).
 
     The defect E = Q~0 (I + V R0(l^2)) S(l) - I is streamed in column
-    blocks E_J, each from the columns J of S0 (at l != 0 `_S_lambda`, with
-    its refusals, on those columns of the identity), so no M x M array is
-    formed.  The projector mixes the columns, E (I - pinv(Z^T) Z^T) = E -
-    (E pinv(Z^T)) Z^T, so E pinv(Z^T) is formed first, as the defect on the
-    n columns of pinv(Z^T).
+    blocks E_J, each from S(l) on the columns J of the identity (at l = 0
+    `reg.S0`, so the refined columns of S0 are formed here; at l != 0
+    `_S_lambda`, with its refusals).  The projector mixes the columns,
+    E (I - pinv(Z^T) Z^T) = E - (E pinv(Z^T)) Z^T, so E pinv(Z^T) is formed
+    first, as the defect on the n columns of pinv(Z^T).  The functional
+    f -> pair(S(l) f, c) = (S(l)^T W c)^T f has induced norm
+    max_j |(S(l)^T W c)_j| / w_j on weighted L^1: the range constraint is
+    that max over j and c = R0(0) psi_kk, exactly, from the same blocks.
     """
     grid, Y, Z = reg.grid, reg.Y, reg.Z
     M, w = grid.size, grid.weights
-    S = _S_lambda(reg, lam)[0] if lam else None
+    S = _S_lambda(reg, lam)[0] if lam else reg.S0
     R = domain_resolvent(grid, lam)
     v = birman._samples(reg.V)
+    C = w[:, None] * reg.range_constraints
 
     def image(SX):
         """Q~0 (I + V R0(l^2)) SX."""
         E = R(SX)
         E *= v[:, None]
         E += SX
-        E -= Y @ (Z.T @ E)
+        E -= np.einsum("ik,kj->ij", Y, Z.T @ E)
         return E
 
     pinvZt = np.linalg.pinv(Z.T)
-    EP = image(reg.S0 @ pinvZt if S is None else S(pinvZt)) - pinvZt
-    norm = 0.0
-    for J in _blocks(reg.S0):
-        eye = np.eye(M, J.stop - J.start, -J.start)
-        E = image(reg.S0[:, J] if S is None else S(eye))
+    EP = image(S(pinvZt)) - pinvZt
+    norm = constraint = 0.0
+    for J in _blocks(M, reg.S0Y.itemsize):
+        eye = np.eye(M, J.stop - J.start, -J.start, reg.S0Y.dtype)
+        SJ = S(eye)
+        pairs = np.abs(np.einsum("ij,ik->jk", SJ, C)) / w[J, None]
+        constraint = max(constraint, float(pairs.max(initial=0.0)))
+        E = image(SJ)
         E -= eye
-        E -= EP @ Z[J].T
+        E -= np.einsum("ik,jk->ij", EP, Z[J])
         norm = max(norm, float((np.einsum("i,ij->j", w, np.abs(E)) / w[J]).max()))
-    return norm
-
-
-def range_constraint_residual(reg):
-    """sup over f of |pair(S0 f, R0(0) psi_kk)| / ||f||_1, exactly.
-
-    The functional f -> pair(S0 f, c) = (S0^T W c)^T f has induced norm
-    max_j |(S0^T W c)_j| / w_j on weighted L^1, so the sup is that max over
-    j and the constraints c = R0(0) psi_kk.  The product is an einsum, not
-    a BLAS call (see `_x_resolvent_column`).
-    """
-    w = reg.grid.weights
-    pairs = np.einsum("ij,ik->jk", reg.S0, w[:, None] * reg.range_constraints)
-    return float((np.abs(pairs) / w[:, None]).max(initial=0.0))
+    return norm, constraint
 
 
 # ---------------------------------------------------------------------------

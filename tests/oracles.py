@@ -2,11 +2,12 @@
 
 Most form an M x M matrix that the package never forms, at up to O(M^3)
 cost: the dense I + V R0(lambda^2), with the sampled free kernel or with
-the domain resolvent, the dense LU of the bordered S0 system, the dense
-series step of the low-energy inverse and the dense SVD filtration of the
-threshold.  Two are banded: the pivot recurrence of p'/p over all M
-nodes, which `jordan._log_derivative` shortens by folding the free tail
-into one transfer-matrix power, and a long-double tridiagonal solve.  One
+the domain resolvent, the dense LU of the bordered S0 system, S0 itself
+from the package's bordered solve, the dense series step of the
+low-energy inverse and the dense SVD filtration of the threshold.  Two
+are banded: the pivot recurrence of p'/p over all M nodes, which
+`jordan._log_derivative` shortens by folding the free tail into one
+transfer-matrix power, and a long-double tridiagonal solve.  One
 is a copy: the out-of-place lambda -> rho transform, which
 `ftdiag._transform` does in place.
 """
@@ -46,10 +47,16 @@ def bordered_S0(V, grid, Y, Z, R0Y):
     return Kinv[:M, :M]
 
 
+def dense_S0(reg):
+    """S0 as an M x M array: the bordered solve `reg.S0` on the identity."""
+    return reg.S0(np.eye(reg.grid.size))
+
+
 def series_step(reg, lam):
     """The dense series step -(R0(l^2) X^T - R0(0) X^T)^T, X = S0 Q~0 V,
-    built out of place from reg.S0."""
-    X = (reg.S0 - (reg.S0 @ reg.Y) @ reg.Z.T) * birman._samples(reg.V)
+    built out of place from `dense_S0`."""
+    S0 = dense_S0(reg)
+    X = (S0 - (S0 @ reg.Y) @ reg.Z.T) * birman._samples(reg.V)
     R, R_0 = (lowenergy.domain_resolvent(reg.grid, l) for l in (lam, 0.0))
     return -(R(X.T) - R_0(X.T)).T
 

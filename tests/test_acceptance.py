@@ -183,8 +183,9 @@ def test_criterion_06_identity_suite(ee_small, chain_fixture20):
          chain_fixture20["reg"], (0.002, 0.005, 0.02)),
     ]
     for V, g, basis, reg, lambdas in scenarios:
-        assert lowenergy.one_sided_residual(reg, 0.0) <= 1e-9
-        assert lowenergy.range_constraint_residual(reg) <= 1e-9
+        residuals = lowenergy.s0_residuals(reg)
+        assert residuals["one_sided_S0"] <= 1e-9
+        assert residuals["range_constraint"] <= 1e-9
         for lam in lambdas:
             resid = lowenergy.identity_residuals(V, g, basis, lam)
             assert resid["resid_chain"] <= 1e-6

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from types import SimpleNamespace
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bordered_S0, bs_matrix, series_step, thomas_longdouble
+from oracles import bordered_S0, bs_matrix, dense_S0, series_step, thomas_longdouble
 from speclab import birman, evolution, grids, jordan, lowenergy, potentials
 from speclab.grids import GridFunction, operator_l1_norm
 
@@ -69,35 +70,38 @@ def test_s0_without_threshold_basis():
 
 
 def test_real_samples_keep_the_low_energy_arrays_real(ee_small):
-    # real samples give a real basis, a real S0, real blocks of X^T and of
-    # R0(0) X^T and a real S(lambda) on real data; complex samples keep
-    # complex ones
+    # real samples give a real basis, real columns of S0 and of S0^T, real
+    # blocks of X^T and of R0(0) X^T and a real S(lambda) on real data;
+    # complex samples keep complex ones
     reg, grid = ee_small["reg"], ee_small["grid"]
     u = np.ones((grid.size, 2))
+    eye = np.eye(grid.size, 8)
     R_0 = lowenergy.domain_resolvent(grid, 0)
     Xt = lowenergy._xt_block(reg, slice(0, 8))
-    arrays = [*reg.basis.chains, reg.Y, reg.Z, reg.S0, reg.S0Y, Xt, R_0(Xt),
-              lowenergy.build_S_lambda(reg, 0.01, u)[0]]
+    arrays = [*reg.basis.chains, reg.Y, reg.Z, reg.S0(eye), reg.S0T(slice(0, 8)),
+              reg.S0Y, Xt, R_0(Xt), lowenergy.build_S_lambda(reg, 0.01, u)[0]]
     assert [a.dtype for a in arrays] == [np.float64] * len(arrays)
     v = ee_small["V"].values.values
     V = birman.PotentialSpec("complex", GridFunction(grid, v * (1 + 1e-3j)))
     reg = lowenergy.build_S0(V, grid, jordan.threshold(V, grid).basis, window=0.25)
     Xt = lowenergy._xt_block(reg, slice(0, 8))
-    arrays = [reg.S0, reg.S0Y, Xt, R_0(Xt), lowenergy.build_S_lambda(reg, 0.01, u)[0]]
+    arrays = [reg.S0(eye), reg.S0T(slice(0, 8)), reg.S0Y, Xt, R_0(Xt),
+              lowenergy.build_S_lambda(reg, 0.01, u)[0]]
     assert [a.dtype for a in arrays] == [np.complex128] * len(arrays)
 
 
-def test_the_low_energy_inverse_holds_one_real_square_array():
-    # S0 is its only M x M array, and every other product that spans M
-    # columns goes in column blocks: with the window search, the residual
-    # and one lambda of the scan, the peak stays below two float64 M x M
-    # arrays.  The grids of invert-ee (given window) and of full-ee
-    # (automatic window), a depth-4 well with no threshold basis
-    # (automatic window), and the full-ee domain at M = 1600, where the
-    # blocks are a smaller share of the peak (automatic window).
+def test_the_low_energy_inverse_holds_no_square_array():
+    # no M x M array: S0 is applied by its bordered solve, and every
+    # product that spans M columns goes in column blocks.  With the window
+    # search, the residuals of S0 and one lambda of the scan, the peak stays
+    # below two float64 M x M arrays on the grids of invert-ee (given
+    # window) and of full-ee (automatic window) and a depth-4 well with no
+    # threshold basis (automatic window), where the blocks of BLOCK_BYTES
+    # are most of the peak; and below one eighth of one such array on the
+    # full-ee domain at M = 1600 and 3200 (automatic window).
     for extent, nodes, window, depth in (
         (2.25, 550, 0.25, None), (80.0, 400, "auto", None), (20.0, 550, "auto", 4.0),
-        (80.0, 1600, "auto", None),
+        (80.0, 1600, "auto", None), (80.0, 3200, "auto", None),
     ):
         grid = grids.make_grid(grids.Mode.RADIAL_SWAVE, extent, nodes)
         if depth is None:
@@ -109,12 +113,12 @@ def test_the_low_energy_inverse_holds_one_real_square_array():
         tracemalloc.start()
         try:
             reg = lowenergy.build_S0(V, grid, basis, window=window)
-            lowenergy.one_sided_residual(reg, 0.0)
+            lowenergy.s0_residuals(reg)
             lowenergy.low_energy_scan(reg, [reg.window / 2], f, f)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * grid.size**2 * 8
+        assert peak < (grid.size**2 if nodes >= 1600 else 2 * grid.size**2 * 8)
 
 
 # Each example runs the dense bordered LU, O(M^3), as the oracle.
@@ -136,7 +140,33 @@ def test_banded_S0_matches_the_dense_bordered_solve(tune, nodes, extent, s, dept
     basis = jordan.threshold(V, grid).basis
     reg = lowenergy.build_S0(V, grid, basis, window=1.0)
     dense = bordered_S0(V, grid, reg.Y, reg.Z, reg.range_constraints)
-    assert np.abs(reg.S0 - dense).max() <= 1e-10 * np.abs(dense).max()
+    assert np.abs(dense_S0(reg) - dense).max() <= 1e-10 * np.abs(dense).max()
+
+
+# Each example runs the dense bordered LU, O(M^3), as the oracle.
+@settings(max_examples=30)
+@given(
+    nodes=st.integers(8, 200),
+    extent=st.floats(1.0, 20.0),
+    s=st.one_of(st.none(), st.floats(2.0, 4.0)),
+    depth=st.floats(0.5, 8.0),
+)
+def test_transposed_S0_blocks_match_the_dense_bordered_rows(
+    tune, nodes, extent, s, depth
+):
+    # the columns of S0^T that the exact norms read, from the transposed
+    # bordered solve without refinement, are the rows of the dense oracle
+    grid = grids.make_grid(grids.Mode.RADIAL_SWAVE, extent, nodes)
+    if s is None:
+        V = potentials.gaussian_well(grid, depth=depth, width=1.0)
+    else:
+        V = tune(potentials.exact_eigen(grid, s=s), grid)
+    basis = jordan.threshold(V, grid).basis
+    reg = lowenergy.build_S0(V, grid, basis, window=1.0)
+    dense = bordered_S0(V, grid, reg.Y, reg.Z, reg.range_constraints)
+    scale = np.abs(dense).max()
+    for J in lowenergy._blocks(nodes, reg.S0Y.itemsize):
+        assert np.abs(reg.S0T(J) - dense[J].T).max() <= 1e-10 * scale
 
 
 def test_s0_refuses_a_degenerate_duality_pairing(ee_small):
@@ -148,7 +178,10 @@ def test_s0_refuses_a_degenerate_duality_pairing(ee_small):
 
 
 def test_s0_range_constraint(ee_small):
-    assert lowenergy.range_constraint_residual(ee_small["reg"]) < 1e-9
+    reg = ee_small["reg"]
+    residuals = lowenergy.s0_residuals(reg)
+    assert residuals["range_constraint"] < 1e-9
+    assert residuals["one_sided_S0"] == lowenergy.one_sided_residual(reg, 0.0)
 
 
 def test_series_continuation_one_sided(ee_small):
@@ -163,10 +196,11 @@ def test_one_sided_residual_seeds_the_series_with_S0(ee_small):
     # are round-off (about 5e-15 here), so they agree to a factor, where a
     # wrong block, shift or projection would leave an O(1) defect
     reg, grid = ee_small["reg"], ee_small["grid"]
+    S0 = dense_S0(reg)
     for lam in (0.0, 0.03, 0.1, 0.2):
         step = series_step(reg, lam)
         D, _ = birman._neumann_series(
-            reg.S0, lambda x: step @ x, operator_l1_norm(step, grid), grid,
+            S0, lambda x: step @ x, operator_l1_norm(step, grid), grid,
             1e-13, 200, grid.weights,
         )
         D += birman.potential_operator(reg.V, lowenergy.domain_resolvent(grid, lam)(D))
@@ -194,12 +228,13 @@ def test_series_step_matches_the_out_of_place_form(ee_small):
     rng = np.random.default_rng(1)
     X = rng.standard_normal((grid.size, 2)) + 0j
     x_norms = grid.weights @ np.abs(X)
+    S0 = dense_S0(reg)
     for lam in (0.03, 0.1, 0.2):
         step = series_step(reg, lam)
         factor = operator_l1_norm(step, grid)
         got = lowenergy.contraction_factor(reg, lam)
         assert abs(got - factor) <= grid.size * np.finfo(float).eps * factor
-        first = grids.apply_matrix(reg.S0, X)
+        first = grids.apply_matrix(S0, X)
         expect, _ = birman._neumann_series(
             first, lambda x: step @ x, factor, grid, 1e-13, 200, x_norms
         )
@@ -221,7 +256,7 @@ def test_series_refuses_to_run_out_of_terms(ee_small):
     step = series_step(reg, 0.1)
     with pytest.raises(birman.SeriesNotConvergedError):
         birman._neumann_series(
-            reg.S0, lambda x: step @ x, operator_l1_norm(step, grid), grid,
+            dense_S0(reg), lambda x: step @ x, operator_l1_norm(step, grid), grid,
             1e-13, 1, grid.weights,
         )
 
@@ -230,9 +265,7 @@ def test_S_lambda_refuses_where_the_step_does_not_contract(ee_small):
     # with the window widened past the crossing, the exact factor reaches
     # 1 inside it (near 0.26 on this grid), and S(lambda) is refused there
     reg = ee_small["reg"]
-    wide = lowenergy.RegularizedInverse(
-        reg.S0, reg.basis, reg.V, reg.grid, reg.Y, reg.Z, 0.5, reg.range_constraints
-    )
+    wide = dataclasses.replace(reg, window=0.5)
     lam = next(l for l in np.arange(0.2, 0.5, 0.01)
                if lowenergy.contraction_factor(wide, l) >= 1.0)
     X = np.ones((reg.grid.size, 1))
@@ -259,13 +292,13 @@ def test_S_lambda_refuses_a_large_first_residual(ee_small, monkeypatch):
 
 
 def test_S_lambda_is_one_bordered_solve(ee_small, count_calls, monkeypatch):
-    # at lambda != 0 S(lambda) X takes no product with the stored S0, and
-    # the scan forms each block of X^T, and R0(0) on it, once for all its
-    # lambdas, with the bits of contraction_factor at each
+    # at lambda != 0 S(lambda) X does not apply S0, and the scan forms
+    # each block of X^T, and R0(0) on it, once for all its lambdas, with
+    # the bits of contraction_factor at each
     reg, grid = ee_small["reg"], ee_small["grid"]
-    products = count_calls(grids, "apply_matrix")
+    applies = count_calls(reg, "S0")
     lowenergy.build_S_lambda(reg, 0.1, np.ones((grid.size, 2)))
-    assert not any(args[0] is reg.S0 for args in products)
+    assert not applies
     lambdas = [0.03, 0.1, 0.15, 0.2]
     expect = [lowenergy.contraction_factor(reg, lam) for lam in lambdas]
     blocks = count_calls(lowenergy, "_xt_block")
@@ -283,7 +316,7 @@ def test_S_lambda_is_one_bordered_solve(ee_small, count_calls, monkeypatch):
     monkeypatch.setattr(lowenergy, "domain_resolvent", counted_resolvent)
     f = grids.gaussian_bump(grid)
     rows = lowenergy.low_energy_scan(reg, lambdas, f, f)
-    assert len(blocks) == solves.count(0) == len(lowenergy._blocks(reg.S0))
+    assert len(blocks) == solves.count(0) == len(lowenergy._blocks(grid.size, 8))
     assert [row["contraction"] for row in rows] == expect
 
 
@@ -381,7 +414,7 @@ def test_S_lambda_on_data_matches_the_operator_series(ee_small, lam, columns, se
     rng = np.random.default_rng(seed)
     shape = (grid.size, columns)
     X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    S, factor = lowenergy.build_S_lambda(reg, lam, np.eye(grid.size, dtype=reg.S0.dtype))
+    S, factor = lowenergy.build_S_lambda(reg, lam, np.eye(grid.size))
     SX, factor_X = lowenergy.build_S_lambda(reg, lam, X)
     assert factor_X == factor
     expect = S @ X
@@ -390,7 +423,8 @@ def test_S_lambda_on_data_matches_the_operator_series(ee_small, lam, columns, se
     # the induced L^1 norm of a term is below the tolerance; here with the
     # dense step of the oracle, so the two agree to round-off
     step = series_step(reg, lam)
-    total, term = reg.S0.copy(), reg.S0
+    S0 = dense_S0(reg)
+    total, term = S0.copy(), S0
     for _ in range(200):
         term = step @ term
         total += term
@@ -474,8 +508,9 @@ def test_column_factor_is_the_exact_column_norm_to_its_rounding(request, scenari
 
 def test_block_size_keeps_S0_and_moves_the_norms_by_rounding(monkeypatch):
     # on the invert-ee grid, blocks of 8, 24 (the default) and 112 columns
-    # give S0 bit for bit; the exact norms, summed block by block, agree to
-    # the rounding of a regrouped sum of positive terms (6 ulp measured)
+    # give the columns of S0 bit for bit; the exact norms, summed block by
+    # block, agree to the rounding of a regrouped sum of positive terms
+    # (6 ulp measured)
     grid = grids.make_grid(grids.Mode.RADIAL_SWAVE, 2.25, 550)
     V, _, _ = potentials.tune_coupling(potentials.exact_eigen(grid), grid)
     basis = jordan.threshold(V, grid).basis
@@ -484,8 +519,11 @@ def test_block_size_keeps_S0_and_moves_the_norms_by_rounding(monkeypatch):
     for block_bytes, count in ((2**17, 23), (2**14, 69), (2**19, 5)):
         monkeypatch.setattr(lowenergy, "BLOCK_BYTES", block_bytes)
         reg = lowenergy.build_S0(V, grid, basis, window=0.25)
-        assert len(lowenergy._blocks(reg.S0)) == count
-        runs.append((reg.S0, lowenergy._scan_column_norms(reg, lams)))
+        blocks = lowenergy._blocks(grid.size, 8)
+        assert len(blocks) == count
+        S0 = np.hstack([reg.S0(np.eye(grid.size, J.stop - J.start, -J.start))
+                        for J in blocks])
+        runs.append((S0, lowenergy._scan_column_norms(reg, lams)))
     S0, norms = runs[0]
     for other, other_norms in runs[1:]:
         assert np.array_equal(other, S0)
@@ -508,7 +546,7 @@ def test_step_column_norms_match_a_long_double_difference(extent, nodes, lam):
     d, e = birman.tridiagonal_bs(grid, 0.0)
     w = grid.weights.astype(np.longdouble)
     sums = np.zeros(nodes, np.longdouble)
-    for J in lowenergy._blocks(reg.S0):
+    for J in lowenergy._blocks(nodes, 8):
         Xt = lowenergy._xt_block(reg, J)
         D = thomas_longdouble(d - lam**2, e, Xt) - thomas_longdouble(d, e, Xt)
         sums += np.abs(D) @ w[J]
