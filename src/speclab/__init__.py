@@ -9,7 +9,7 @@ birman      Birman-Schwinger operators I + V R0 and their inverses
 potentials  builtin potential families (exact zero-energy eigenvalue, wells)
 jordan      zero-energy filtration, self-dual Jordan bases, spectral projectors
 lowenergy   regularized low-energy inverse S(lambda) and identity residuals
-evolution   discretized propagator, dispersive-decay and L2-stability scans
+evolution   discretized propagator and dispersive-decay scans
 ftdiag      lambda -> rho Fourier-transform L1 diagnostics
 cli         scenario runner (speclab threshold|invert|evolve|ftscan|full|fixtures)
 """

@@ -9,9 +9,10 @@ the pipeline that reads it; stderr gets one "configuration error: ..."
 line), 4 numerical refusal (the scenario is well-formed but a numerical
 routine declined it: a near-singular solve, a Neumann series that does
 not contract, a non-nilpotent or degenerate threshold space, ambiguous
-eigenvalue clusters, a degenerate duality pairing or a propagator step
-whose substep doubling cannot meet its tolerance; stderr gets one
-"numerical refusal: ..." line).  Reports embed the full
+eigenvalue clusters, a degenerate duality pairing, no finite coupling
+that tunes an exact_eigen potential, or a propagator step whose substep
+doubling cannot meet its tolerance: the classes of `_NUMERICAL_REFUSALS`;
+stderr gets one "numerical refusal: ..." line).  Reports embed the full
 tolerance set and the grid metadata, carry no wall-clock data, and use
 fixed key order, so identical scenario files produce byte-identical JSON.
 """

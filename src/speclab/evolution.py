@@ -228,22 +228,6 @@ def propagate(plan, f):
     return out
 
 
-def free_evolution_radial(grid, f, t):
-    """Analytic free evolution on the half line via the image method.
-
-    u(r, t) = integral of [K(r - r') - K(r + r')] u0(r') dr' with the
-    complex Gaussian K(x) = (4 pi i t)^{-1/2} e^{i x^2 / 4t}; this is the
-    infinite-domain radial s-wave evolution (exact until boundary effects).
-    """
-    if t == 0:
-        return f
-    r = grid.nodes
-    amp = np.exp(-1j * np.pi / 4 * np.sign(t)) / np.sqrt(4.0 * np.pi * abs(t))
-    K = lambda x: amp * np.exp(1j * x**2 / (4.0 * t))
-    kernel = K(r[:, None] - r[None, :]) - K(r[:, None] + r[None, :])
-    return GridFunction(grid, kernel @ (grid.weights * f.values))
-
-
 def _inner_mask(grid):
     return grid.nodes <= 0.5 * grid.extent
 
@@ -305,18 +289,6 @@ def dispersive_scan(plan, f, P=None):
         "stderr": stderr,
         "fit_window": [float(plan.times[sel].min()), float(plan.times[sel].max())],
         "T_max": float(plan.T_max),
-    }
-
-
-def l2_stability_scan(plan, f, P=None):
-    """Table of 3-D L^2 norms of e^{-itH}(I - P) f and the sup ratio."""
-    base = grids.profile_lp_norm(f, 2)
-    states = propagate(plan, _complement(P, f))
-    norms = [grids.profile_lp_norm(st, 2) for st in states]
-    return {
-        "t": plan.times.tolist(),
-        "l2_norm": norms,
-        "ratio_sup": float(max(norms) / base) if base > 0 else np.inf,
     }
 
 

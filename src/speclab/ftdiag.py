@@ -2,12 +2,11 @@
 
 The dispersive argument rests on lambda -> rho transforms: the windowed
 transforms of T^+(lambda) = (I + V R0^+(lambda^2))^{-1} should have finite
-double-L^1 norm (high/mid/low windows with a smooth partition of unity), the
-difference-kernel transform obeys the closed-form bound built from the
-cutoff's transform, and the d/dlambda free-kernel family transforms to a
-constant-modulus (16 pi |t|)^{-1/2} profile.  The routines here sample those
-transforms on symmetric lambda grids (power-of-two length, offset half a
-step so lambda = 0 is never hit) and report refinement-friendly totals.
+double-L^1 norm (high/mid/low windows with a smooth partition of unity), and
+the difference-kernel transform obeys the closed-form bound built from the
+cutoff's transform.  The routines here sample those transforms on
+symmetric lambda grids (power-of-two length, offset half a step so
+lambda = 0 is never hit) and report refinement-friendly totals.
 
 Transform convention: K-hat(rho) = delta_lambda * sum_j e^{-i rho lambda_j}
 K(lambda_j), the plain Riemann discretization of int e^{-i rho lambda} K
@@ -271,30 +270,3 @@ def k2_bound_check(grid, basis, r):
             }
         )
     return out
-
-
-# ---------------------------------------------------------------------------
-# d/dlambda free-kernel transform
-
-
-def dlambda_kernel_check(t):
-    """Max relative deviation of |transform of e^{-i t lambda^2} d/dlambda
-    free kernel| from (16 pi |t|)^{-1/2} at four (d, rho) points, on 2^14
-    lambda samples over [-48, 48].
-
-    d/dlambda [e^{i lambda d} / (4 pi d)] = i e^{i lambda d} / (4 pi): a pure
-    phase family whose t-weighted transform is a complex Gaussian integral
-    with constant modulus (16 pi |t|)^{-1/2} independent of (rho, d).
-    """
-    if t == 0:
-        raise ValueError("t must be nonzero")
-    lams, delta = lambda_grid(2**14, 48.0)
-    target = (16.0 * np.pi * abs(t)) ** -0.5
-    worst = 0.0
-    for d, rho_want in ((0.5, 0.0), (2.0, 1.0), (5.0, -3.0), (10.0, 8.0)):
-        kernel = 1j * np.exp(1j * lams * d) * np.exp(-1j * t * lams**2) / (4.0 * np.pi)
-        rho, order = _transform(kernel, lams, delta)
-        hat = kernel[order]
-        idx = int(np.argmin(np.abs(rho - rho_want)))
-        worst = max(worst, abs(abs(hat[idx]) - target) / target)
-    return float(worst)

@@ -8,8 +8,7 @@ volume weights 4 pi r^2 h instead; both weight sets live on the Grid and
 callers pick per context.
 
 Operators are plain ndarrays A acting by f -> A @ f.values: real (float64)
-for a real potential, complex otherwise; `apply_matrix` applies a real A
-to complex data without a complex copy.  An integral kernel sampled as
+for a real potential, complex otherwise.  An integral kernel sampled as
 K(r_i, r_j) becomes the application matrix K * weights[None, :] once, at
 assembly; the working weights are uniform, so the bilinear transpose of an
 operator is its plain transpose.  A rank-n projection is the pair (U, W)
@@ -163,18 +162,6 @@ def apply_complement(P, x):
     """(I - P) x for P = U W^T given as (U, W); x a vector or matrix of columns."""
     U, W = P
     return x - U @ (W.T @ x)
-
-
-def apply_matrix(A, X):
-    """A @ X, with a real A applied to the real view of complex columns X.
-
-    numpy would cast the real matrix to a complex copy twice its size; the
-    view holds the real and imaginary parts of each column as two columns.
-    """
-    if np.iscomplexobj(A) or not np.iscomplexobj(X):
-        return A @ X
-    x = np.ascontiguousarray(X).reshape(X.shape[0], -1).view(float)
-    return (A @ x).view(complex).reshape(A.shape[:1] + X.shape[1:])
 
 
 def operator_l1_norm(A, grid):

@@ -104,10 +104,6 @@ class JordanBasis:
         return dict(Counter(C.shape[1] for C in self.chains))
 
     @property
-    def K(self):
-        return max((C.shape[1] for C in self.chains), default=0)
-
-    @property
     def dim(self):
         return sum(C.shape[1] for C in self.chains)
 

@@ -162,7 +162,8 @@ def build_S0(V, grid, basis, window="auto"):
     basis (n = 0) S0 is the plain inverse of I + V R0(0).
     """
     Y, Z = jordan.build_Ptilde0(basis, grid)
-    R0Y = domain_resolvent(grid, 0.0)(Y)
+    R0 = domain_resolvent(grid, 0.0)
+    R0Y = R0(Y)
     # Duality check: pairing V psi_{1,k} against R0(0) psi_{k',k'}, with
     # Z = w psi_{1,k} and uniform weights w.
     D = birman.potential_operator(V, Z).T @ R0Y
@@ -171,7 +172,7 @@ def build_S0(V, grid, basis, window="auto"):
             f"duality Gram matrix has condition {np.linalg.cond(D):.3e}"
         )
     v = birman._samples(V)
-    S0, transposed = _bordered_S(v, grid, Y, Z, R0Y, 0.0)
+    S0, transposed = _bordered_S(v, grid, Y, Z, R0Y, 0.0, R0)
     reg = RegularizedInverse(S0, transposed(v), basis, V, grid, Y, Z, np.inf, R0Y)
     reg.window = _auto_window(reg) if window == "auto" else window
     return reg
@@ -182,8 +183,9 @@ def build_S0(V, grid, basis, window="auto"):
 RESIDUAL_BOUND = 1e-6
 
 
-def _bordered_S(v, grid, Y, Z, R0Y, lam):
-    """The map F -> S(lambda) F, F a matrix of columns, in O(M) per column.
+def _bordered_S(v, grid, Y, Z, R0Y, lam, R):
+    """The map F -> S(lambda) F, F a matrix of columns, in O(M) per column;
+    R is `domain_resolvent` at lambda.
 
     u = S(lambda) f lies in the range of S0, where every term of the series
     starts, so C u = 0, C = w R0(0) Y, and pushing S0 through the series
@@ -204,7 +206,6 @@ def _bordered_S(v, grid, Y, Z, R0Y, lam):
     B = Y - lam**2 * R0Y if lam else Y
     context = f"S(lambda) bordered solve at lambda={lam}"
     solve, transposed = birman._bordered_solver(d + v, e, Y, Z, w[:, None] * B, context)
-    R = domain_resolvent(grid, lam)
     C = w[:, None] * R0Y
 
     def apply(F):
@@ -234,11 +235,12 @@ def _bordered_S(v, grid, Y, Z, R0Y, lam):
 def _step_column_norms(reg, lam):
     """The weighted L^1 norms sum_i w_i |step_ij| / w_j of the columns of
     the step -S0 Q~0 V B0(lambda^2) (`_scan_column_norms`)."""
-    return _scan_column_norms(reg, [lam])[0]
+    return _scan_column_norms(reg, [domain_resolvent(reg.grid, lam)])[0]
 
 
-def _scan_column_norms(reg, lams):
-    """The step's column norms at each lambda of lams, one row per lambda.
+def _scan_column_norms(reg, solvers):
+    """The step's column norms at each lambda, one row per lambda, from
+    solvers, the `domain_resolvent`s of those lambdas.
 
     Column j of the step is minus row j of D = R0(lambda^2) X^T - R0(0) X^T,
     so the norms are (|D| w) / w; their max is the induced norm.  Each block
@@ -252,8 +254,7 @@ def _scan_column_norms(reg, lams):
     few ulp.
     """
     R_0 = domain_resolvent(reg.grid, 0.0)
-    solvers = [domain_resolvent(reg.grid, lam) for lam in lams]
-    w, sums = reg.grid.weights, np.zeros((len(lams), reg.grid.size))
+    w, sums = reg.grid.weights, np.zeros((len(solvers), reg.grid.size))
     for J in _blocks(reg.grid.size, reg.S0Y.itemsize):
         Xt = _xt_block(reg, J)
         R0Xt = R_0(Xt)
@@ -415,20 +416,21 @@ def build_S_lambda(reg, lam, X):
     """
     if lam == 0:
         return reg.S0(X), 0.0
-    apply, factor = _S_lambda(reg, lam)
+    apply, factor = _S_lambda(reg, lam, domain_resolvent(reg.grid, lam))
     return apply(X), factor
 
 
-def _S_lambda(reg, lam, factor=None):
-    """`_bordered_S` at lambda != 0 and the exact factor (computed unless
-    given), after the refusals of `build_S_lambda`."""
+def _S_lambda(reg, lam, R, factor=None):
+    """`_bordered_S` at lambda != 0, on R, the `domain_resolvent` at
+    lambda, and the exact factor (computed unless given), after the
+    refusals of `build_S_lambda`."""
     if abs(lam) > reg.window:
         raise ValueError(f"lambda {lam} outside validity window {reg.window}")
     factor = contraction_factor(reg, lam) if factor is None else factor
     if factor >= 1.0:
         raise birman.NoContractionError(factor)
     v = birman._samples(reg.V)
-    return _bordered_S(v, reg.grid, reg.Y, reg.Z, reg.range_constraints, lam)[0], factor
+    return _bordered_S(v, reg.grid, reg.Y, reg.Z, reg.range_constraints, lam, R)[0], factor
 
 
 def one_sided_residual(reg, lam=0.0):
@@ -465,8 +467,8 @@ def _one_sided(reg, lam):
     """
     grid, Y, Z = reg.grid, reg.Y, reg.Z
     M, w = grid.size, grid.weights
-    S = _S_lambda(reg, lam)[0] if lam else reg.S0
     R = domain_resolvent(grid, lam)
+    S = _S_lambda(reg, lam, R)[0] if lam else reg.S0
     v = birman._samples(reg.V)
     C = w[:, None] * reg.range_constraints
 
@@ -509,9 +511,11 @@ def inverse_via_formula(reg, lam, f, variant="R0"):
     """
     V, grid = reg.V, reg.grid
     Qf = grids.apply_complement((reg.Y, reg.Z), f.values)
-    u = build_S_lambda(reg, lam, Qf[:, None])[0][:, 0]
-    result = _formula(reg, lam, u, f, variant)
-    Ru = domain_resolvent(grid, lam)(u)
+    U = build_S_lambda(reg, lam, Qf[:, None])[0]
+    R = domain_resolvent(grid, lam)
+    (result,) = _formula(reg, lam, R, U, [f], variant)
+    u = U[:, 0]
+    Ru = R(u)
     Tu = GridFunction(grid, u + birman.potential_operator(V, Ru))
     out1 = u.copy()
     for C in reg.basis.chains:
@@ -533,13 +537,13 @@ def _brackets(V, C, lam):
     )
 
 
-def _formula(reg, lam, u, f, variant="R0"):
-    """The formula of `inverse_via_formula` with u = S(lambda) Q~0 f given."""
+def _formula(reg, lam, R, U, fs, variant="R0"):
+    """The formula of `inverse_via_formula` for each f of fs, given the
+    matching column u = S(lambda) Q~0 f of U and R, the `domain_resolvent`
+    at lambda.  The chain terms do not depend on f: they are formed once."""
     if lam == 0:
         raise ValueError("formula applies for lambda != 0")
     V, grid = reg.V, reg.grid
-    ugf = GridFunction(grid, u)
-    R = domain_resolvent(grid, lam)
     if variant == "R0":
         pair_op = R
     elif variant == "B0":
@@ -549,16 +553,18 @@ def _formula(reg, lam, u, f, variant="R0"):
             return R(x) - R_0(x)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    result = u.copy()
+    results = [U[:, j].copy() for j in range(len(fs))]
     for C in reg.basis.chains:
         bracket2, bracket3 = _brackets(V, C, lam)
-        coef2 = bilinear_pair(ugf, GridFunction(grid, pair_op(C[:, -1])))
-        coef3 = sum(
-            lam ** (2 * i) * bilinear_pair(f, GridFunction(grid, C[:, i]))
-            for i in range(C.shape[1])
-        )
-        result = result + coef2 * bracket2 + coef3 * bracket3
-    return GridFunction(grid, result)
+        top = GridFunction(grid, pair_op(C[:, -1]))
+        for j, f in enumerate(fs):
+            coef2 = bilinear_pair(GridFunction(grid, U[:, j]), top)
+            coef3 = sum(
+                lam ** (2 * i) * bilinear_pair(f, GridFunction(grid, C[:, i]))
+                for i in range(C.shape[1])
+            )
+            results[j] = results[j] + coef2 * bracket2 + coef3 * bracket3
+    return [GridFunction(grid, result) for result in results]
 
 
 def identity_residuals(V, grid, basis, lam):
@@ -621,21 +627,28 @@ def low_energy_scan(reg, lambdas, f_admissible, f_generic, path=None):
     resid_chain, resid_telescope, resid_exactinv.  The exact factors of
     the lambdas come from one pass (`_scan_column_norms`); S(lambda) from
     one bordered solve per lambda on the two columns Q~0 f_admissible and
-    Q~0 f_generic, with the refusals of `build_S_lambda`.
+    Q~0 f_generic, with the refusals of `build_S_lambda`, and the formula
+    from one `_formula` on both.  H0 - lambda^2 is factored twice per
+    lambda: once by `identity_residuals`, and once for the norm pass, the
+    bordered solve and the formula, which share its `domain_resolvent`.
     """
     V, grid, basis = reg.V, reg.grid, reg.basis
     X = grids.apply_complement(
         (reg.Y, reg.Z), np.column_stack([f_admissible.values, f_generic.values])
     )
-    inside = [lam for lam in lambdas if lam and abs(lam) <= reg.window]
-    factors = dict(zip(inside, map(float, _scan_column_norms(reg, inside).max(1))))
+    solvers = {
+        lam: domain_resolvent(grid, lam)
+        for lam in lambdas if lam and abs(lam) <= reg.window
+    }
+    norms = _scan_column_norms(reg, list(solvers.values())).max(1)
+    factors = dict(zip(solvers, map(float, norms)))
     rows = []
     for lam in lambdas:
         resid = identity_residuals(V, grid, basis, lam)
-        S, contraction = _S_lambda(reg, lam, factors.get(lam))
-        SX = S(X)
-        ga = _formula(reg, lam, SX[:, 0], f_admissible)
-        gg = _formula(reg, lam, SX[:, 1], f_generic)
+        # outside the window both are None, and _S_lambda refuses lam
+        R = solvers.get(lam)
+        S, contraction = _S_lambda(reg, lam, R, factors.get(lam))
+        ga, gg = _formula(reg, lam, R, S(X), (f_admissible, f_generic))
         rows.append(
             {
                 "lambda": lam,

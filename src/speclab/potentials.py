@@ -35,11 +35,6 @@ class NoCouplingError(ArithmeticError):
     """The eigenvalue of V R0(0) nearest the target is 0: c would be infinite."""
 
 
-def exact_eigen_profile(s):
-    """The closed-form threshold profile psi_s(r) = (1 + r^2)^{-s}."""
-    return lambda r: (1.0 + np.asarray(r) ** 2) ** (-s)
-
-
 def exact_eigen_potential(s):
     """Potential with psi_s in its zero-energy kernel (before discretization)."""
 

@@ -1,4 +1,4 @@
-"""Free-resolvent kernels R0(lambda^2 +/- i0) and their differences.
+"""Free-resolvent kernels R0(lambda^2 +/- i0).
 
 The 3-D kernel is e^{+/- i lambda |x-y|} / (4 pi |x-y|).  On the radial
 s-wave grid the operators act on reduced waves u = r psi with the half-line
@@ -26,8 +26,7 @@ arguments lam, sign=Branch.PLUS: the limit R0(lambda^2 + i0 sign).
 
 The dense kernel matrix (`build_R0`) serves only `birman.bs_solve` where
 lambda h is near a nonzero multiple of pi; elsewhere R0(lambda^2) and its
-differences are tridiagonal solves with T_lambda.  The L^{p'} growth of the
-3-D difference kernel is measured by radial quadrature.
+differences are tridiagonal solves with T_lambda.
 """
 
 from __future__ import annotations
@@ -64,41 +63,3 @@ def build_R0(grid, lam, sign=Branch.PLUS):
     i = np.arange(grid.size)
     K = a[np.minimum.outer(i, i)] * b[np.maximum.outer(i, i)]
     return K.astype(complex, copy=False) * grid.weights[None, :]
-
-
-def column_lp_norm_3d(lam, mu, pprime, r_max):
-    """L^{p'}(R^3) norm of the 3-D difference-kernel column for shift centers.
-
-    The difference kernel is translation invariant, so every column has the
-    same norm; it is computed by midpoint radial quadrature on 20000 nodes
-    out to r_max.
-    """
-    n = 20000
-    h = r_max / n
-    r = (np.arange(n) + 0.5) * h
-    vals = np.abs(np.exp(1j * lam * r) - np.exp(1j * mu * r)) / (4.0 * np.pi * r)
-    return float(np.sum(4.0 * np.pi * r**2 * vals**pprime * h) ** (1.0 / pprime))
-
-
-def kernel_difference_check(grid, lambda_list, mu=0.0, p=1.4):
-    """Measure L^{p'} norms of R0(lambda^2) - R0(mu^2) and fit the growth rate.
-
-    Returns a dict with the fitted exponent in |lambda - mu|, the predicted
-    exponent 1 - 3/p', and a pass flag that is false when the fit falls more
-    than 0.15 below the prediction.
-    """
-    lams = [l for l in lambda_list if l != mu]
-    if len(lams) < 4:
-        raise ValueError("need at least 4 distinct lambda values to fit")
-    pprime = p / (p - 1.0)
-    r_max = 40.0 * grid.extent
-    norms = np.array([column_lp_norm_3d(l, mu, pprime, r_max) for l in lams])
-    gaps = np.abs(np.asarray(lams) - mu)
-    slope, intercept = np.polyfit(np.log(gaps), np.log(norms), 1)
-    predicted = 1.0 - 3.0 / pprime
-    return {
-        "fitted_exponent": float(slope),
-        "predicted_exponent": float(predicted),
-        "ok": bool(slope >= predicted - 0.15),
-    }
-

@@ -1,4 +1,5 @@
-"""Dense and full-length references of the fast paths, for the tests only.
+"""Dense and full-length references of the fast paths, and closed forms
+of the continuum, for the tests only.
 
 Most form an M x M matrix that the package never forms, at up to O(M^3)
 cost: the dense I + V R0(lambda^2), with the sampled free kernel or with
@@ -9,12 +10,16 @@ are banded: the pivot recurrence of p'/p over all M nodes, which
 `jordan._log_derivative` shortens by folding the free tail into one
 transfer-matrix power, and a long-double tridiagonal solve.  One
 is a copy: the out-of-place lambda -> rho transform, which
-`ftdiag._transform` does in place.
+`ftdiag._transform` does in place.  The rest are the continuum objects
+the discretization is compared against: the exact free evolution on the
+half line, the closed-form threshold profile psi_s, the L^{p'} growth of
+the 3-D difference kernel, and the transform of the d/dlambda free-kernel
+family.
 """
 
 import numpy as np
 
-from speclab import birman, jordan, lowenergy, resolvent
+from speclab import birman, ftdiag, jordan, lowenergy, resolvent
 from speclab.grids import GridFunction
 from speclab.resolvent import Branch
 
@@ -161,3 +166,85 @@ def out_of_place_transform(samples, lams, delta):
     out = delta * phase[:, None] * spectrum if samples.ndim == 2 else delta * phase * spectrum
     order = np.argsort(rho)
     return rho[order], out[order]
+
+
+def free_evolution_radial(grid, f, t):
+    """Analytic free evolution on the half line via the image method.
+
+    u(r, t) = integral of [K(r - r') - K(r + r')] u0(r') dr' with the
+    complex Gaussian K(x) = (4 pi i t)^{-1/2} e^{i x^2 / 4t}; this is the
+    infinite-domain radial s-wave evolution (exact until boundary effects).
+    """
+    if t == 0:
+        return f
+    r = grid.nodes
+    amp = np.exp(-1j * np.pi / 4 * np.sign(t)) / np.sqrt(4.0 * np.pi * abs(t))
+    K = lambda x: amp * np.exp(1j * x**2 / (4.0 * t))
+    kernel = K(r[:, None] - r[None, :]) - K(r[:, None] + r[None, :])
+    return GridFunction(grid, kernel @ (grid.weights * f.values))
+
+
+def exact_eigen_profile(s):
+    """The closed-form threshold profile psi_s(r) = (1 + r^2)^{-s} of
+    `potentials.exact_eigen`."""
+    return lambda r: (1.0 + np.asarray(r) ** 2) ** (-s)
+
+
+def column_lp_norm_3d(lam, mu, pprime, r_max):
+    """L^{p'}(R^3) norm of the 3-D difference-kernel column for shift centers.
+
+    The difference kernel is translation invariant, so every column has the
+    same norm; it is computed by midpoint radial quadrature on 20000 nodes
+    out to r_max.
+    """
+    n = 20000
+    h = r_max / n
+    r = (np.arange(n) + 0.5) * h
+    vals = np.abs(np.exp(1j * lam * r) - np.exp(1j * mu * r)) / (4.0 * np.pi * r)
+    return float(np.sum(4.0 * np.pi * r**2 * vals**pprime * h) ** (1.0 / pprime))
+
+
+def kernel_difference_check(grid, lambda_list, mu=0.0, p=1.4):
+    """Measure L^{p'} norms of R0(lambda^2) - R0(mu^2) and fit the growth rate.
+
+    Returns a dict with the fitted exponent in |lambda - mu|, the predicted
+    exponent 1 - 3/p', and a pass flag that is false when the fit falls more
+    than 0.15 below the prediction.
+    """
+    lams = [l for l in lambda_list if l != mu]
+    if len(lams) < 4:
+        raise ValueError("need at least 4 distinct lambda values to fit")
+    pprime = p / (p - 1.0)
+    r_max = 40.0 * grid.extent
+    norms = np.array([column_lp_norm_3d(l, mu, pprime, r_max) for l in lams])
+    gaps = np.abs(np.asarray(lams) - mu)
+    slope, intercept = np.polyfit(np.log(gaps), np.log(norms), 1)
+    predicted = 1.0 - 3.0 / pprime
+    return {
+        "fitted_exponent": float(slope),
+        "predicted_exponent": float(predicted),
+        "ok": bool(slope >= predicted - 0.15),
+    }
+
+
+def dlambda_kernel_check(t):
+    """Max relative deviation of |transform of e^{-i t lambda^2} d/dlambda
+    free kernel| from (16 pi |t|)^{-1/2} at four (d, rho) points, on 2^14
+    lambda samples over [-48, 48], in the convention of `ftdiag._transform`.
+
+    d/dlambda [e^{i lambda d} / (4 pi d)] = i e^{i lambda d} / (4 pi): a pure
+    phase family whose t-weighted transform is a complex Gaussian integral
+    with constant modulus (16 pi |t|)^{-1/2} independent of (rho, d).
+    """
+    if t == 0:
+        raise ValueError("t must be nonzero")
+    lams, delta = ftdiag.lambda_grid(2**14, 48.0)
+    target = (16.0 * np.pi * abs(t)) ** -0.5
+    worst = 0.0
+    for d, rho_want in ((0.5, 0.0), (2.0, 1.0), (5.0, -3.0), (10.0, 8.0)):
+        kernel = 1j * np.exp(1j * lams * d) * np.exp(-1j * t * lams**2) / (4.0 * np.pi)
+        rho, order = ftdiag._transform(kernel, lams, delta)
+        hat = kernel[order]
+        idx = int(np.argmin(np.abs(rho - rho_want)))
+        worst = max(worst, abs(abs(hat[idx]) - target) / target)
+    return float(worst)

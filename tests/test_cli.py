@@ -264,6 +264,28 @@ def test_unstable_filtration_exits_4(tmp_path, capsys, monkeypatch):
     assert err.startswith("numerical refusal: NoStabilizationError: filtration")
 
 
+#: The arguments of the refusals whose constructors take more than a message.
+_REFUSAL_ARGS = {
+    birman.NearSingularError: (1e17, "in load_config"),
+    birman.NoContractionError: (1.5,),
+    evolution.SubstepCapError: (2.0, 64, 1e-6),
+}
+
+
+@pytest.mark.parametrize("refusal", cli._NUMERICAL_REFUSALS, ids=lambda cls: cls.__name__)
+def test_every_numerical_refusal_exits_4(capsys, monkeypatch, refusal):
+    def refuse(path):
+        raise refusal(*_REFUSAL_ARGS.get(refusal, ("refused in load_config",)))
+
+    monkeypatch.setattr(cli, "load_config", refuse)
+    assert cli.main(["threshold", "--config", "scenario.json"]) == cli.EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"numerical refusal: {refusal.__name__}: ")
+
+
 @pytest.mark.parametrize("pipeline, path, value", [
     ("threshold", ("grid", "mode"), "box3d"),
     ("threshold", ("grid", "nodes"), 7),

@@ -4,6 +4,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import free_evolution_radial
 from speclab import birman, evolution, grids, jordan, potentials
 from speclab.grids import GridFunction, Mode
 
@@ -160,7 +161,7 @@ def test_free_evolution_matches_analytic_kernel(g200, free200):
     f = grids.gaussian_bump(g200)
     plan = evolution.make_plan(free200, g200, [2.0], k_max=2.5)
     numeric = evolution.propagate(plan, f)[0]
-    analytic = evolution.free_evolution_radial(g200, f, 2.0)
+    analytic = free_evolution_radial(g200, f, 2.0)
     mask = g200.nodes <= 10.0
     pn = grids.profile_values(numeric)[mask]
     pa = grids.profile_values(analytic)[mask]

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import out_of_place_transform
+from oracles import dlambda_kernel_check, out_of_place_transform
 from speclab import birman, ftdiag, grids, potentials
 from speclab.grids import Mode
 
@@ -110,7 +110,7 @@ def test_dlambda_kernel_modulus():
     # the closed form (16 pi i t)^{-1/2} e^{i (rho - d)^2 / 4t}: transform
     # modulus is (16 pi |t|)^{-1/2} uniformly in (rho, d)
     for t in (1.0, 4.0):
-        assert ftdiag.dlambda_kernel_check(t) < 0.02
+        assert dlambda_kernel_check(t) < 0.02
 
 
 def test_vb_hat_scales_in_r_and_V(g):
@@ -133,3 +133,52 @@ def test_scan_csv_and_json(tmp_path, g):
     assert path.read_text().splitlines()[0] == "rho,l1_profile"
     assert scan.window == "HIGH"
     assert scan.verdict in ("OK", "DIVERGENT")
+
+
+def _box_bands(grid, lam):
+    """The bands of H0 - lambda^2, whose inverse is the box family
+    `lowenergy.domain_resolvent`."""
+    d, e = birman.tridiagonal_bs(grid, 0.0)
+    return d - lam**2, e
+
+
+def _inverse_slope(V, grid, lams, bands):
+    """The log-log slope in lambda of the weighted L^1 norm of
+    T(lambda)^{-1} f = A (A + V)^{-1} f, A = tridiag(bands(grid, lambda))
+    the inverse of the family's R0(lambda^2), for one seeded complex f."""
+    rng = np.random.default_rng(17)
+    f = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    v = birman._samples(V)
+    norms = []
+    for lam in lams:
+        d, e = bands(grid, lam)
+        x = birman._tridiagonal_apply(d, e, birman._tridiagonal_solver(d + v, e)(f))
+        norms.append(grid.weights @ np.abs(x))
+    return np.polyfit(np.log(lams), np.log(norms), 1)[0]
+
+
+def test_the_nystrom_family_does_not_see_a_jordan_chain(chain_fixture20):
+    # T(lambda)^{-1} is singular like lambda^{-2K} at a chain of length K.
+    # The box family shows K = 1 on the tuned eigenvalue and K = 2 on the
+    # chain potential.  The Nystrom family T_lambda of tridiagonal_bs, which
+    # the transform scan uses, is H0 - lambda^2 M + O(lambda^4) with the
+    # consistent mass matrix M = tridiag(1/6, 2/3, 1/6) in place of the
+    # identity, and shows K = 1 on both: the chain's eigenvector psi_1 is
+    # isotropic under the identity but not under M
+    g6 = grids.make_grid(Mode.RADIAL_SWAVE, 6.0, 300)
+    V6, _, _ = potentials.tune_coupling(potentials.exact_eigen(g6, s=4.0), g6)
+    cases = (
+        (V6, g6, np.geomspace(1e-4, 0.03, 8), -2.0, -2.0),
+        (chain_fixture20["V"], chain_fixture20["grid"], np.geomspace(3e-3, 0.1, 8),
+         -4.0, -2.0),
+    )
+    for V, grid, lams, box, nystrom in cases:
+        assert abs(_inverse_slope(V, grid, lams, _box_bands) - box) <= 0.05
+        assert abs(_inverse_slope(V, grid, lams, birman.tridiagonal_bs) - nystrom) <= 0.05
+    psi = chain_fixture20["basis"].chains[0][:, 0]
+    norm2 = np.vdot(psi, psi).real
+    mass_psi = birman._tridiagonal_apply(
+        np.full(psi.size, 2.0 / 3.0), np.full(psi.size - 1, 1.0 / 6.0), psi
+    )
+    assert abs(psi @ psi) <= 1e-13 * norm2  # 3e-15 measured
+    assert abs(abs(psi @ mass_psi) / norm2 - 0.0353) <= 5e-4

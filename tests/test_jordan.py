@@ -19,7 +19,6 @@ def test_hand_2x2_block_exact():
     N = np.array([[0.0, 1.0], [0.0, 0.0]])
     B = np.array([[0.0, 1.0], [1.0, 0.0]])
     jb = jordan.jordan_dual_basis(N, B)
-    assert jb.K == 2
     assert jb.multiplicities == {2: 1}
     cert = jb.pairing_certificate - jordan.expected_gram(jb.multiplicities)
     assert np.abs(cert).max() == 0.0
@@ -129,7 +128,7 @@ def test_threshold_states_are_zero_modes(request, scenario):
 
 def test_threshold_basis_certificate(ee6):
     jb = ee6["basis"]
-    assert jb.K == 1 and jb.dim == 1
+    assert jb.multiplicities == {1: 1} and jb.dim == 1
     res = np.abs(jb.pairing_certificate - jordan.expected_gram(jb.multiplicities)).max()
     assert res < 1e-9
 
@@ -137,7 +136,6 @@ def test_threshold_basis_certificate(ee6):
 def test_chain_fixture_dimensions(chain_fixture20):
     assert chain_fixture20["threshold"].dims == (1, 2)
     jb = chain_fixture20["basis"]
-    assert jb.K == 2
     assert jb.multiplicities == {2: 1}
     res = np.abs(jb.pairing_certificate - jordan.expected_gram(jb.multiplicities)).max()
     assert res < 1e-9

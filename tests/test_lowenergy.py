@@ -234,7 +234,7 @@ def test_series_step_matches_the_out_of_place_form(ee_small):
         factor = operator_l1_norm(step, grid)
         got = lowenergy.contraction_factor(reg, lam)
         assert abs(got - factor) <= grid.size * np.finfo(float).eps * factor
-        first = grids.apply_matrix(S0, X)
+        first = S0 @ X
         expect, _ = birman._neumann_series(
             first, lambda x: step @ x, factor, grid, 1e-13, 200, x_norms
         )
@@ -392,13 +392,29 @@ def test_low_energy_scan_columns(tmp_path, ee_small):
 
 def test_scan_does_not_form_the_alternative_form(ee_small, count_calls):
     # one lambda applies V three times in identity_residuals (one chain of
-    # length 1) and once per formula; the alternative form of
-    # inverse_via_formula, with its T u, is left to that function
+    # length 1) and once for the formula's brackets, which both probes
+    # share; the alternative form of inverse_via_formula, with its T u, is
+    # left to that function
     g, reg = ee_small["grid"], ee_small["reg"]
     applies = count_calls(birman, "potential_operator")
     f = grids.gaussian_bump(g)
     lowenergy.low_energy_scan(reg, [0.1], f, f)
-    assert len(applies) == 5
+    assert len(applies) == 4
+
+
+def test_scan_factors_each_lambda_twice(ee_small, count_calls):
+    # H0 - lambda^2 is factored by identity_residuals and once more for the
+    # norm pass, the bordered solve and the formula; the other
+    # factorizations are R0(0) of the norm pass and the shifted tridiagonal
+    # of each bordered solve
+    g, reg = ee_small["grid"], ee_small["reg"]
+    resolvents = count_calls(lowenergy, "domain_resolvent")
+    factorizations = count_calls(birman, "_tridiagonal_solver")
+    f = grids.gaussian_bump(g)
+    lambdas = [0.03, 0.1, 0.2]
+    lowenergy.low_energy_scan(reg, lambdas, f, f)
+    assert sorted(args[1] for args in resolvents) == sorted([0.0, *lambdas, *lambdas])
+    assert len(factorizations) == len(resolvents) + len(lambdas)
 
 
 # Each example sums the operator series twice on the full identity, so
@@ -514,7 +530,7 @@ def test_block_size_keeps_S0_and_moves_the_norms_by_rounding(monkeypatch):
     grid = grids.make_grid(grids.Mode.RADIAL_SWAVE, 2.25, 550)
     V, _, _ = potentials.tune_coupling(potentials.exact_eigen(grid), grid)
     basis = jordan.threshold(V, grid).basis
-    lams = [0.02, 0.05, 0.1, 0.15, 0.2]
+    solvers = [lowenergy.domain_resolvent(grid, lam) for lam in (0.02, 0.05, 0.1, 0.15, 0.2)]
     runs = []
     for block_bytes, count in ((2**17, 23), (2**14, 69), (2**19, 5)):
         monkeypatch.setattr(lowenergy, "BLOCK_BYTES", block_bytes)
@@ -523,7 +539,7 @@ def test_block_size_keeps_S0_and_moves_the_norms_by_rounding(monkeypatch):
         assert len(blocks) == count
         S0 = np.hstack([reg.S0(np.eye(grid.size, J.stop - J.start, -J.start))
                         for J in blocks])
-        runs.append((S0, lowenergy._scan_column_norms(reg, lams)))
+        runs.append((S0, lowenergy._scan_column_norms(reg, solvers)))
     S0, norms = runs[0]
     for other, other_norms in runs[1:]:
         assert np.array_equal(other, S0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import build_bs
+from oracles import build_bs, exact_eigen_profile
 from speclab import birman, cli, evolution, grids, jordan, potentials, resolvent
 from speclab.grids import Mode
 
@@ -14,7 +14,7 @@ def test_exact_eigen_closed_form_null_vector():
         g = grids.make_grid(Mode.RADIAL_SWAVE, 20.0, M)
         V = potentials.exact_eigen(g, s=2.0)
         H = evolution.discretize_H(V, g)
-        u = g.nodes * potentials.exact_eigen_profile(2.0)(g.nodes)
+        u = g.nodes * exact_eigen_profile(2.0)(g.nodes)
         res.append(np.abs(H @ u).max())
     assert res[0] < 0.1
     # halving h divides the residual by about 4

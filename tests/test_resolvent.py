@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import kernel_difference_check
 from speclab import birman, evolution, grids, resolvent
 from speclab.grids import Mode
 from speclab.resolvent import Branch
@@ -65,7 +66,7 @@ def test_negative_lambda_rides_conjugate_branch(g):
 
 
 def test_kernel_difference_growth_rate(g):
-    out = resolvent.kernel_difference_check(
+    out = kernel_difference_check(
         g, [0.02, 0.05, 0.1, 0.2, 0.4], mu=0.0, p=1.4
     )
     assert out["ok"]

@@ -272,3 +272,149 @@ def test_every_scenario_key_is_read():
     for family, params in cli._BUILTINS.items():
         accepted = inspect.signature(getattr(potentials, family)).parameters
         assert sorted(set(params) - set(accepted)) == [], family
+
+
+#: Functions that no pipeline reaches yet but that stay in the package, each
+#: with the ROADMAP item that will run it from a pipeline (or the demo that
+#: reads it).  What they call counts as reached; an entry leaves the list
+#: once a pipeline reaches it.
+ALLOWLIST = {
+    "birman.high_energy_norm_scan": "item 11: the Born step",
+    "birman.uniform_inverse_scan": "item 11: uniform invertibility",
+    "birman.local_neumann_inverse": "item 11: the local Neumann series",
+    "ftdiag.k2_bound_check": "item 11: the K2 bounds",
+    "ftdiag.vb_hat_bound_check": "item 11: the V B-hat bound",
+    "evolution.stone_check": "item 9(b): the Stone formula",
+    "lowenergy.inverse_via_formula": "criterion 3: the S(lambda) formula",
+    "lowenergy.one_sided_residual": "criterion 3: S(lambda) on its window",
+    "potentials.threshold_moment": "item 7(a): the threshold report",
+    "birman.PotentialSpec.composite_norm": "item 7(a): the threshold report",
+    "jordan.expected_gram": "demos/threshold_classification.py",
+}
+
+FUNCS = FUNCTIONS[:2]  # the named ones
+
+
+def _uses(node):
+    """The parts of a definition whose names count as its uses: all of a
+    function, and of a class all but its methods."""
+    if isinstance(node, ast.ClassDef):
+        return [*node.decorator_list, *node.bases, *node.keywords,
+                *(stmt for stmt in node.body if not isinstance(stmt, FUNCS))]
+    return [node]
+
+
+def _unreached(sources, roots):
+    """The qualified names (module.function, module.Class, module.Class.method)
+    of the definitions in `sources`, {module: source text}, that no chain of
+    names leads to from `roots` and the module top levels.
+
+    A name counts where it is loaded: a bare name through its module's
+    definitions and relative imports, module.name through the module, and
+    any other .name reaches the methods of that name of every reached
+    class (a dunder method is reached with its class).  An import is no
+    use, nor is a string constant; a nested function belongs to the
+    function around it.
+    """
+    defs, namespace, todo = {}, {}, []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        ns = namespace[module] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    target = f"{node.module}.{alias.name}" if node.module else alias.name
+                    ns[alias.asname or alias.name] = target
+        for stmt in tree.body:
+            if not isinstance(stmt, (*FUNCS, ast.ClassDef)):
+                todo.append((module, stmt))
+                continue
+            name = ns[stmt.name] = f"{module}.{stmt.name}"
+            defs[name] = (module, stmt, None)
+            for method in stmt.body if isinstance(stmt, ast.ClassDef) else ():
+                if isinstance(method, FUNCS):
+                    defs[f"{name}.{method.name}"] = (module, method, name)
+    reached, named, attributes = set(roots), set(), set()
+    todo += [defs[name][:2] for name in roots]
+    while todo:
+        for module, node in todo:
+            ns = namespace[module]
+            for part in _uses(node):
+                for n in ast.walk(part):
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                        named.add(ns.get(n.id))
+                    elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                        base = ns.get(n.value.id) if isinstance(n.value, ast.Name) else None
+                        if base in sources:
+                            named.add(f"{base}.{n.attr}")
+                        else:
+                            attributes.add(n.attr)
+        new = {
+            name for name, (_, node, cls) in defs.items()
+            if name not in reached and (
+                name in named if cls is None else cls in reached
+                and (node.name.startswith("__") or node.name in attributes)
+            )
+        }
+        reached |= new
+        todo = [defs[name][:2] for name in new]
+    return sorted(set(defs) - reached)
+
+
+def _pipeline_roots():
+    """The entry point, the pipelines of cli._PIPELINES and the builtin
+    families of cli._BUILTINS, which cli.builtin_potential looks up by name."""
+    pipelines = {f"cli.{run.__name__}" for run in cli._PIPELINES.values()}
+    return {"cli.main", *pipelines, *(f"potentials.{name}" for name in cli._BUILTINS)}
+
+
+def test_every_function_is_reached():
+    # every function, class and method of the package runs from a pipeline
+    # or is the root of a check on ALLOWLIST; the rest belongs in tests/
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _unreached(sources, _pipeline_roots() | set(ALLOWLIST)) == []
+    assert set(ALLOWLIST) <= set(_unreached(sources, _pipeline_roots()))
+
+
+#: A package with one dead function and one dead method: a string that
+#: names a function and an import of one are no use of it.
+DEAD_CODE = {
+    "core": """
+from . import util
+from .util import used
+
+
+class Spec:
+    def __init__(self):
+        self.value = used()
+
+    def read(self):
+        return util.helper(self.value)
+
+    def unread(self):
+        return self.value
+
+
+def main():
+    return Spec().read()
+
+
+def dead():
+    return used()
+""",
+    "util": """
+from .core import dead
+
+
+def used():
+    return 1
+
+
+def helper(x):
+    return "dead" if x else None
+""",
+}
+
+
+def test_the_reachability_walk_reports_planted_dead_code():
+    assert _unreached(DEAD_CODE, {"core.main"}) == ["core.Spec.unread", "core.dead"]
