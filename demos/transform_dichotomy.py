@@ -30,7 +30,7 @@ def main():
     print("low-window totals under spectral-grid doubling")
     print(f"{'n':>6s} {'orthogonal data':>18s} {'generic data':>18s}")
     for n in (128, 256, 512):
-        params = {"n": n, "lam_max": 8.0, "r": 0.25}
+        params = {"n": n, "lam_max": 8.0, "lambda1": 1.0, "r": 0.25}
         sp = ftdiag.t_hat_l1_scan(tuned, grid, f_perp, "LOW", params)
         sg = ftdiag.t_hat_l1_scan(tuned, grid, f, "LOW", params)
         print(f"{n:6d} {sp.total:14.3f} ({sp.verdict:>2s}) "

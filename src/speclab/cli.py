@@ -5,10 +5,12 @@ Subcommands: threshold, invert, evolve, ftscan, full, fixtures.
 Exit codes: 0 success, 2 assertion failure (a configured check did not
 hold), 3 configuration error (the scenario file is missing or malformed,
 breaks its schema, `_SCHEMA` and `_BUILTINS`, or a cross-field rule of
-the pipeline that reads it; stderr gets one "configuration error: ..."
-line), 4 numerical refusal (the scenario is well-formed but a numerical
-routine declined it: a near-singular solve, a Neumann series that does
-not contract, a non-nilpotent or degenerate threshold space, ambiguous
+the pipeline that reads it, such as an invert lambda outside the validity
+window or whose lambda^-2K overflows, or a grid too coarse to classify a
+threshold state; stderr gets one "configuration error: ..." line), 4
+numerical refusal (the scenario is well-formed but a numerical routine
+declined it: a near-singular solve, a Neumann series that does not
+contract, a non-nilpotent or degenerate threshold space, ambiguous
 eigenvalue clusters, a degenerate duality pairing, no finite coupling
 that tunes an exact_eigen potential, or a propagator step whose substep
 doubling cannot meet its tolerance: the classes of `_NUMERICAL_REFUSALS`;
@@ -272,10 +274,16 @@ def run_threshold(cfg, grid, V, rng, out_dir=None, *, threshold=None):
         expected_dim = _number("expect_dim_X1", expected_dim, int)
     if threshold is None:
         threshold = jordan.threshold(V, grid)
-    fits = [
-        jordan.classify_state(psi, tol_res=tol["verdict_tol_res"])
-        for psi in threshold.states
-    ]
+    try:
+        fits = [
+            jordan.classify_state(psi, tol_res=tol["verdict_tol_res"])
+            for psi in threshold.states
+        ]
+    except ValueError as exc:
+        raise ConfigError(
+            f"cannot classify a threshold state on the grid of {grid.size} "
+            f"nodes over [0, {grid.extent}]: {exc}"
+        ) from None
     verdicts = [fit["verdict"] for fit in fits]
     out = {
         **_header("threshold", V, grid, tol),
@@ -312,14 +320,25 @@ def run_invert(cfg, grid, V, rng, out_dir=None, *, threshold=None):
         w = reg.window
         lambdas = [w / 4, w / 2, w] if basis.dim > 0 else [0.03, 0.1, 0.2]
     # lambda = 0 is the pole of every identity; the window bounds S(lambda),
-    # which is built only when there is a threshold basis to invert on
+    # which is built only when there is a threshold basis to invert on; the
+    # identities and the formula scale chains of length K by lambda^-2K
+    K = max(basis.multiplicities, default=0)
     for lam in lambdas:
         if lam == 0 or (basis.dim > 0 and abs(lam) > reg.window):
             raise ConfigError(
                 f"invert lambda {lam} outside the validity window "
                 f"0 < |lambda| <= {reg.window}"
             )
-    residuals = lowenergy.s0_residuals(reg)
+        try:
+            abs(lam) ** (-2 * K)
+        except OverflowError:
+            raise ConfigError(
+                f"invert lambda {lam}: lambda^-{2 * K} overflows "
+                f"(K = {K}, the longest Jordan chain)"
+            ) from None
+    residuals = dict(
+        zip(("one_sided_S0", "range_constraint"), lowenergy.one_sided(reg, 0.0))
+    )
     if out_dir is not None and basis.dim > 0:
         # the scan's rows carry the identity residuals of each lambda
         probe = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
@@ -330,7 +349,12 @@ def run_invert(cfg, grid, V, rng, out_dir=None, *, threshold=None):
             path=os.path.join(out_dir, "low_energy_scan.csv"),
         )
     else:
-        rows = [lowenergy.identity_residuals(V, grid, basis, lam) for lam in lambdas]
+        rows = [
+            lowenergy.identity_residuals(
+                V, grid, basis, lam, lowenergy.domain_resolvent(grid, lam)
+            )
+            for lam in lambdas
+        ]
     per_lambda = [
         {"lambda": lam, "chain": row["resid_chain"],
          "telescope": row["resid_telescope"],

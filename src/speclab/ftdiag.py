@@ -114,7 +114,7 @@ def chi_hat_l1(r=1.0, n=4096, lam_max=64.0):
     return float(np.sum(np.abs(ch[order])) * drho)
 
 
-def t_hat_l1_scan(V, grid, f, window, params=None):
+def t_hat_l1_scan(V, grid, f, window, params):
     """Double-L^1 norm of the windowed transform of T^+(lambda) f.
 
     Samples T^+(lambda) f = (I + V R0^+(lambda^2))^{-1} f on the symmetric
@@ -131,13 +131,10 @@ def t_hat_l1_scan(V, grid, f, window, params=None):
     sorted profile.  A LOW window total beyond
     cap * ||f||_1 is reported as DIVERGENT -- for generic f against a
     nontrivial threshold space that is the expected verdict, not a
-    failure.
+    failure.  params holds n, lam_max, lambda1 and r, the keys of a
+    scenario's ftscan section, and may hold cap (DEFAULT_CAP if absent).
     """
-    params = dict(params or {})
-    n = params.get("n", 256)
-    lam_max = params.get("lam_max", 8.0)
-    lambda1 = params.get("lambda1", 1.0)
-    r = params.get("r", 0.25)
+    n, lam_max, lambda1, r = (params[key] for key in ("n", "lam_max", "lambda1", "r"))
     cap = params.get("cap", DEFAULT_CAP)
     lams, delta = lambda_grid(n, lam_max)
     cut = window_cutoffs(lams, lambda1, r)[window.upper()]

@@ -7,9 +7,8 @@ complement of X-bar_1 (a bordered solve), its Neumann continuation S(lambda)
 coefficients come from pairings with the chain basis.  The identities this relies on,
 the chain identity, its telescoped form and the inverse-action formula,
 are checked in one place, `identity_residuals`, which reports the largest
-residual of each per lambda; with `one_sided_residual` for S(lambda) on its
-window, the whole construction can be audited numerically against dense
-inversion.
+residual of each per lambda; with `one_sided` for S(lambda) on its window,
+the whole construction can be audited numerically against dense inversion.
 
 Pairing convention: the abstract <f, conj(g)> pairings are realized through
 the unconjugated bilinear pair against the stored basis members; in
@@ -35,13 +34,16 @@ formed a block at a time from columns of S0^T (`_xt_block`), so the
 exact contraction factor costs O(M^2 n).  Each exact-norm pass forms
 R0(0) X^T a block at a time from the block of X^T it has just formed, M
 tridiagonal solves, and then takes M more per lambda; the scan takes the
-factors of all its lambdas in one pass.  The checks of S0
-(`s0_residuals`) form its columns a block at a time, O(M^2) in all.
-S(lambda) itself is never formed: the scan and the formula apply it to
-their data, one column per probe, by the solve that gives S0 at lambda.
+factors of all its lambdas in one pass.  The check `one_sided` forms the
+columns of S(lambda) a block at a time, O(M^2) in all.  S(lambda) itself
+is never formed: the scan and the formula apply it to their data, one
+column per probe, by the solve that gives S0 at lambda.  R0(0) is factored
+once, by `build_S0`, and kept; H0 - lambda^2 once per call, by the code
+that starts work at lambda, which hands it to S(lambda), its exact factor
+and the identity residuals.
 The window search (`_auto_window`) runs on one column j of the step, one
-tridiagonal and one bordered solve per trial lambda, after one of each
-at lambda = 0 for row j of R0(0) X^T.  It starts on the last column,
+tridiagonal and one bordered solve per trial lambda, after one of each on
+R0(0) for row j of R0(0) X^T.  It starts on the last column,
 whose factor certifies the crossing below lambda = 1, and takes the
 exact norm to certify the window: once on full-ee.  A real potential
 makes the basis, the factors of S0 and every block here real (float64),
@@ -120,6 +122,7 @@ class RegularizedInverse:
 
     S0: object
     S0T: object
+    R0: object  # R0(0), the `domain_resolvent` that build_S0 factored
     basis: "jordan.JordanBasis"
     V: object
     grid: object
@@ -167,13 +170,12 @@ def build_S0(V, grid, basis, window="auto"):
     # Duality check: pairing V psi_{1,k} against R0(0) psi_{k',k'}, with
     # Z = w psi_{1,k} and uniform weights w.
     D = birman.potential_operator(V, Z).T @ R0Y
-    if basis.chains and np.linalg.cond(D) > 1e8:
-        raise DualityDegenerateError(
-            f"duality Gram matrix has condition {np.linalg.cond(D):.3e}"
-        )
+    cond = np.linalg.cond(D) if basis.chains else 0.0
+    if cond > 1e8:
+        raise DualityDegenerateError(f"duality Gram matrix has condition {cond:.3e}")
     v = birman._samples(V)
     S0, transposed = _bordered_S(v, grid, Y, Z, R0Y, 0.0, R0)
-    reg = RegularizedInverse(S0, transposed(v), basis, V, grid, Y, Z, np.inf, R0Y)
+    reg = RegularizedInverse(S0, transposed(v), R0, basis, V, grid, Y, Z, np.inf, R0Y)
     reg.window = _auto_window(reg) if window == "auto" else window
     return reg
 
@@ -194,7 +196,7 @@ def _bordered_S(v, grid, Y, Z, R0Y, lam, R):
     [[Q~0 (H - lambda^2), Y], [B^T, 0]] [y; mu] = [f; 0], H = H0 + V and
     B = w (Y - lambda^2 R0(0) Y), for `birman._bordered_solver`; lambda = 0
     gives S0.  Forming u loses about eps cond(H0) ~ eps M^2, so one step of
-    iterative refinement follows on the form `one_sided_residual` checks.
+    iterative refinement follows on the form `one_sided` checks.
     A first residual above RESIDUAL_BOUND (relative L^1, in any column)
     raises birman.NearSingularError naming lambda, with cond residual / eps.
     Returns the map and the solver's `transposed`, whose transposed(v)
@@ -253,11 +255,10 @@ def _scan_column_norms(reg, solvers):
     another BLOCK_BYTES gives the same columns of S0 but moves a norm by a
     few ulp.
     """
-    R_0 = domain_resolvent(reg.grid, 0.0)
     w, sums = reg.grid.weights, np.zeros((len(solvers), reg.grid.size))
     for J in _blocks(reg.grid.size, reg.S0Y.itemsize):
         Xt = _xt_block(reg, J)
-        R0Xt = R_0(Xt)
+        R0Xt = reg.R0(Xt)
         for R, row in zip(solvers, sums):
             D = R(Xt)
             D -= R0Xt
@@ -265,18 +266,13 @@ def _scan_column_norms(reg, solvers):
     return sums / w
 
 
-def contraction_factor(reg, lam):
-    """||S0 Q~0 V B0(lambda^2)||_1, the induced L^1 norm of the series step."""
-    return float(_step_column_norms(reg, lam).max())
-
-
-def _x_resolvent_column(reg, lam, j):
-    """X R0(lambda^2) e_j, X = S0 Q~0 V, in O(M); R0 is symmetric, so this
-    is row j of R0(lambda^2) X^T: one tridiagonal solve, Q~0 by its rank-n
+def _x_resolvent_column(reg, R, j):
+    """X R e_j, X = S0 Q~0 V and R = R0(lambda^2), in O(M); R is symmetric,
+    so this is row j of R X^T: one tridiagonal solve, Q~0 by its rank-n
     factors and S0 by its bordered solve on the one column."""
     e = np.zeros(reg.grid.size)
     e[j] = 1.0
-    x = birman._samples(reg.V) * domain_resolvent(reg.grid, lam)(e)
+    x = birman._samples(reg.V) * R(e)
     x -= np.einsum("ik,k->i", reg.Y, np.einsum("ik,i->k", reg.Z, x))
     return reg.S0(x[:, None])[:, 0]
 
@@ -285,14 +281,13 @@ def _column_factor(reg, lam, j, r0_row):
     """The weighted L^1 norm of column j of the series step, in O(M).
 
     That column is -(X R0(lambda^2) e_j - X R0(0) e_j); r0_row is its
-    lambda-independent term, `_x_resolvent_column` at lambda = 0, which
+    lambda-independent term, `_x_resolvent_column` on `reg.R0`, which
     the window search forms once per column j, and the other term is
     `_x_resolvent_column` at lambda.  In exact arithmetic the factor is a
-    lower bound on `contraction_factor`; on the full-ee grid near the
-    window it agrees with the column norm of `_step_column_norms` to about
-    1e-13 relative.
+    lower bound on the max of `_step_column_norms`; on the full-ee grid
+    near the window it agrees with column j there to about 1e-13 relative.
     """
-    column = _x_resolvent_column(reg, lam, j) - r0_row
+    column = _x_resolvent_column(reg, domain_resolvent(reg.grid, lam), j) - r0_row
     w = reg.grid.weights
     return float(w @ np.abs(column) / w[j])
 
@@ -324,8 +319,8 @@ def _auto_window(reg):
     box H0 cf need not increase, and lo is then some crossing.
 
     The search runs on a single column j of the step (`_column_factor`, a
-    vector solve and a bordered solve per lambda, after one of each at
-    lambda = 0 for the column):
+    vector solve and a bordered solve per lambda, after one of each on
+    `reg.R0` for the column):
     `_regula_falsi` closes [L, U] over the integers k of the trial points
     k xtol.  It starts on the last column, j = M - 1: R0(0) = h min(r, r')
     is positive, so the step's small-lambda columns, about
@@ -341,14 +336,14 @@ def _auto_window(reg):
     """
     target, n = 0.5, 2**30
     j = reg.grid.size - 1
-    r0_row = _x_resolvent_column(reg, 0.0, j)
+    r0_row = _x_resolvent_column(reg, reg.R0, j)
     g_upper = _column_factor(reg, 1.0, j, r0_row) - target
     if g_upper <= 1e-12 * target + _column_rounding(reg, j, r0_row):
         upper = _step_column_norms(reg, 1.0)
         if upper.max() <= target:
             return 1.0
         j, g_upper = int(np.argmax(upper)), upper.max() - target
-        r0_row = _x_resolvent_column(reg, 0.0, j)
+        r0_row = _x_resolvent_column(reg, reg.R0, j)
     # certified: cf(L / n) <= target < cf(U / n), by the exact column norms
     # lower at L (the step vanishes at 0) and column j's g_upper + target at U
     L, U, lower = 0, n, np.zeros(reg.grid.size)
@@ -361,7 +356,7 @@ def _auto_window(reg):
             norms = _step_column_norms(reg, lo / n)
             if norms.max() > target:
                 U, j, g_upper = lo, int(np.argmax(norms)), norms.max() - target
-                r0_row = _x_resolvent_column(reg, 0.0, j)
+                r0_row = _x_resolvent_column(reg, reg.R0, j)
                 continue
             L, lower = lo, norms
         if hi == U or ghi > 1e-12 * target + _column_rounding(reg, j, r0_row):
@@ -405,60 +400,42 @@ def _regula_falsi(g, lo, hi, glo, ghi):
     return lo, hi, g_hi
 
 
-def build_S_lambda(reg, lam, X):
-    """S(lambda) X for S(lambda) = sum_m (-S0 Q~0 V B0(lambda^2))^m S0.
+def build_S_lambda(reg, lam, R, factor=None):
+    """F -> S(lambda) F for S(lambda) = sum_m (-S0 Q~0 V B0(lambda^2))^m S0,
+    and the factor ||S0 Q~0 V B0(lambda^2)||_1; R is the `domain_resolvent`
+    at lambda.
 
-    One bordered solve on the columns of X, a matrix (`_bordered_S`, O(M)
-    per column; `reg.S0` at lambda = 0).  Returns it and
-    the factor ||S0 Q~0 V B0(lambda^2)||_1 (0 at lambda = 0).  Raises
-    ValueError outside the validity window, birman.NoContractionError where
-    the exact factor is >= 1 and birman.NearSingularError (`_bordered_S`).
+    At lambda = 0 that is `reg.S0` and 0.  Elsewhere the map is one
+    bordered solve on the columns of F (`_bordered_S`, O(M) per column),
+    and the factor, unless given, the exact induced norm on R
+    (`_scan_column_norms`).  Raises ValueError outside the validity window,
+    birman.NoContractionError where the factor is >= 1 and
+    birman.NearSingularError (`_bordered_S`).
     """
     if lam == 0:
-        return reg.S0(X), 0.0
-    apply, factor = _S_lambda(reg, lam, domain_resolvent(reg.grid, lam))
-    return apply(X), factor
-
-
-def _S_lambda(reg, lam, R, factor=None):
-    """`_bordered_S` at lambda != 0, on R, the `domain_resolvent` at
-    lambda, and the exact factor (computed unless given), after the
-    refusals of `build_S_lambda`."""
+        return reg.S0, 0.0
     if abs(lam) > reg.window:
         raise ValueError(f"lambda {lam} outside validity window {reg.window}")
-    factor = contraction_factor(reg, lam) if factor is None else factor
+    factor = float(_scan_column_norms(reg, [R]).max()) if factor is None else factor
     if factor >= 1.0:
         raise birman.NoContractionError(factor)
     v = birman._samples(reg.V)
     return _bordered_S(v, reg.grid, reg.Y, reg.Z, reg.range_constraints, lam, R)[0], factor
 
 
-def one_sided_residual(reg, lam=0.0):
-    """Residual of Q~0 (I + V R0(l^2)) S(l) = identity on X-bar_1-perp.
+def one_sided(reg, lam):
+    """The residual of Q~0 (I + V R0(l^2)) S(l) = identity on X-bar_1-perp,
+    and the range constraint of S(l), from one pass over its columns.
 
-    Measured in induced L^1 after composing with the projector onto
-    X-bar_1-perp = {f : pair(f, psi_{1,k}) = 0}, I - pinv(Z^T) Z^T.  Both
-    Q~0 and that projector are applied through their rank-n factors, and
-    I + V R0(l^2) through tridiagonal solves, never through H, so the check
-    stays independent of how S0 and S(l) were solved (`_one_sided`).
-    """
-    return _one_sided(reg, lam)[0]
-
-
-def s0_residuals(reg):
-    """one_sided_S0, `one_sided_residual` at lambda = 0, and
-    range_constraint, sup over f of |pair(S0 f, R0(0) psi_kk)| / ||f||_1,
-    from one pass over the column blocks of S0 (`_one_sided`)."""
-    return dict(zip(("one_sided_S0", "range_constraint"), _one_sided(reg, 0.0)))
-
-
-def _one_sided(reg, lam):
-    """`one_sided_residual` at lambda, and the range constraint of S(l).
-
-    The defect E = Q~0 (I + V R0(l^2)) S(l) - I is streamed in column
-    blocks E_J, each from S(l) on the columns J of the identity (at l = 0
-    `reg.S0`, so the refined columns of S0 are formed here; at l != 0
-    `_S_lambda`, with its refusals).  The projector mixes the columns,
+    The residual is measured in induced L^1 after composing with the
+    projector onto X-bar_1-perp = {f : pair(f, psi_{1,k}) = 0},
+    I - pinv(Z^T) Z^T.  Both Q~0 and that projector are applied through
+    their rank-n factors, and I + V R0(l^2) through tridiagonal solves,
+    never through H, so the check stays independent of how S0 and S(l) were
+    solved.  The defect E = Q~0 (I + V R0(l^2)) S(l) - I is streamed in
+    column blocks E_J, each from S(l) on the columns J of the identity
+    (`build_S_lambda`, with its refusals; at l = 0 the refined columns of
+    S0).  The projector mixes the columns,
     E (I - pinv(Z^T) Z^T) = E - (E pinv(Z^T)) Z^T, so E pinv(Z^T) is formed
     first, as the defect on the n columns of pinv(Z^T).  The functional
     f -> pair(S(l) f, c) = (S(l)^T W c)^T f has induced norm
@@ -467,8 +444,8 @@ def _one_sided(reg, lam):
     """
     grid, Y, Z = reg.grid, reg.Y, reg.Z
     M, w = grid.size, grid.weights
-    R = domain_resolvent(grid, lam)
-    S = _S_lambda(reg, lam, R)[0] if lam else reg.S0
+    R = domain_resolvent(grid, lam) if lam else reg.R0
+    S = build_S_lambda(reg, lam, R)[0]
     v = birman._samples(reg.V)
     C = w[:, None] * reg.range_constraints
 
@@ -511,8 +488,8 @@ def inverse_via_formula(reg, lam, f, variant="R0"):
     """
     V, grid = reg.V, reg.grid
     Qf = grids.apply_complement((reg.Y, reg.Z), f.values)
-    U = build_S_lambda(reg, lam, Qf[:, None])[0]
     R = domain_resolvent(grid, lam)
+    U = build_S_lambda(reg, lam, R)[0](Qf[:, None])
     (result,) = _formula(reg, lam, R, U, [f], variant)
     u = U[:, 0]
     Ru = R(u)
@@ -547,10 +524,8 @@ def _formula(reg, lam, R, U, fs, variant="R0"):
     if variant == "R0":
         pair_op = R
     elif variant == "B0":
-        R_0 = domain_resolvent(grid, 0.0)
-
         def pair_op(x):
-            return R(x) - R_0(x)
+            return R(x) - reg.R0(x)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     results = [U[:, j].copy() for j in range(len(fs))]
@@ -567,8 +542,9 @@ def _formula(reg, lam, R, U, fs, variant="R0"):
     return [GridFunction(grid, result) for result in results]
 
 
-def identity_residuals(V, grid, basis, lam):
-    """The largest chain, telescope and exact-inverse residuals at lambda != 0.
+def identity_residuals(V, grid, basis, lam, R):
+    """The largest chain, telescope and exact-inverse residuals at lambda != 0,
+    R the `domain_resolvent` at lambda.
 
     Over the chains, with l = lambda and psi_{0,k} = 0: the L^1
     residuals of the chain identity (I + R0(l^2)V) psi_{j,k} =
@@ -583,7 +559,6 @@ def identity_residuals(V, grid, basis, lam):
     """
     if lam == 0:
         raise ValueError("inverse-action formula is singular at lambda = 0")
-    R0 = domain_resolvent(grid, lam)
     w = grid.weights
     chain, telescope, exactinv = [], [], []
     for C in basis.chains:
@@ -591,16 +566,16 @@ def identity_residuals(V, grid, basis, lam):
         psis = [C[:, j] for j in range(k)]
         Vpsis = [birman.potential_operator(V, psi) for psi in psis]
         for j, psi in enumerate(psis, start=1):
-            lhs = psi + R0(Vpsis[j - 1])
-            rhs = R0((psis[j - 2] if j > 1 else 0.0) - lam**2 * psi)
+            lhs = psi + R(Vpsis[j - 1])
+            rhs = R((psis[j - 2] if j > 1 else 0.0) - lam**2 * psi)
             absres = float(np.sum(w * np.abs(lhs - rhs)))
             scale = (1.0 + lam**2) * max(np.sum(w * np.abs(psi)), 1e-300)
             chain.append(absres / scale)
         acc = np.zeros(grid.size, complex)
         for j in range(1, k + 1):
             acc += lam ** (2 * (j - 1)) * psis[j - 1]
-        lhs = acc + R0(birman.potential_operator(V, acc))
-        rhs = -(lam ** (2 * k)) * R0(psis[k - 1])
+        lhs = acc + R(birman.potential_operator(V, acc))
+        rhs = -(lam ** (2 * k)) * R(psis[k - 1])
         absres = float(np.sum(w * np.abs(lhs - rhs)))
         scale = (1.0 + lam**2) * max(np.sum(w * np.abs(acc)), 1e-300)
         telescope.append(absres / scale)
@@ -608,7 +583,7 @@ def identity_residuals(V, grid, basis, lam):
         Psi = psikk.astype(complex).copy()
         for j in range(1, k + 1):
             Psi += lam ** (-2 * (k + 1 - j)) * Vpsis[j - 1]
-        lhs = Psi + birman.potential_operator(V, R0(Psi))
+        lhs = Psi + birman.potential_operator(V, R(Psi))
         absres = float(np.sum(w * np.abs(lhs - psikk)))
         blowup = max(lam ** (-2 * k), 1.0)
         scale = blowup * max(np.sum(w * np.abs(psikk)), 1e-300)
@@ -628,9 +603,9 @@ def low_energy_scan(reg, lambdas, f_admissible, f_generic, path=None):
     the lambdas come from one pass (`_scan_column_norms`); S(lambda) from
     one bordered solve per lambda on the two columns Q~0 f_admissible and
     Q~0 f_generic, with the refusals of `build_S_lambda`, and the formula
-    from one `_formula` on both.  H0 - lambda^2 is factored twice per
-    lambda: once by `identity_residuals`, and once for the norm pass, the
-    bordered solve and the formula, which share its `domain_resolvent`.
+    from one `_formula` on both.  H0 - lambda^2 is factored once per
+    lambda: the norm pass, the bordered solve, the formula and
+    `identity_residuals` share its `domain_resolvent`.
     """
     V, grid, basis = reg.V, reg.grid, reg.basis
     X = grids.apply_complement(
@@ -644,10 +619,10 @@ def low_energy_scan(reg, lambdas, f_admissible, f_generic, path=None):
     factors = dict(zip(solvers, map(float, norms)))
     rows = []
     for lam in lambdas:
-        resid = identity_residuals(V, grid, basis, lam)
-        # outside the window both are None, and _S_lambda refuses lam
+        # outside the window both are None, and build_S_lambda refuses lam
         R = solvers.get(lam)
-        S, contraction = _S_lambda(reg, lam, R, factors.get(lam))
+        S, contraction = build_S_lambda(reg, lam, R, factors.get(lam))
+        resid = identity_residuals(V, grid, basis, lam, R)
         ga, gg = _formula(reg, lam, R, S(X), (f_admissible, f_generic))
         rows.append(
             {

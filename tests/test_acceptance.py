@@ -112,7 +112,7 @@ def test_criterion_03_inverse_formula_oracle(ee_small, chain_fixture20):
     assert max(chain_fixture20["basis"].multiplicities) == 2
     # S(lambda) stays a one-sided inverse inside that window; no dense
     # oracle at K = 2: I + V R0(lambda^2) has condition 1e15-5e17 there
-    assert lowenergy.one_sided_residual(chain_fixture20["reg"], w / 2) <= 1e-9
+    assert lowenergy.one_sided(chain_fixture20["reg"], w / 2)[0] <= 1e-9
 
 
 # 4. Dual-basis certificate on random nilpotent fixtures ---------------------
@@ -183,11 +183,13 @@ def test_criterion_06_identity_suite(ee_small, chain_fixture20):
          chain_fixture20["reg"], (0.002, 0.005, 0.02)),
     ]
     for V, g, basis, reg, lambdas in scenarios:
-        residuals = lowenergy.s0_residuals(reg)
-        assert residuals["one_sided_S0"] <= 1e-9
-        assert residuals["range_constraint"] <= 1e-9
+        one_sided_S0, range_constraint = lowenergy.one_sided(reg, 0.0)
+        assert one_sided_S0 <= 1e-9
+        assert range_constraint <= 1e-9
         for lam in lambdas:
-            resid = lowenergy.identity_residuals(V, g, basis, lam)
+            resid = lowenergy.identity_residuals(
+                V, g, basis, lam, lowenergy.domain_resolvent(g, lam)
+            )
             assert resid["resid_chain"] <= 1e-6
             assert resid["resid_telescope"] <= 1e-6
             assert resid["resid_exactinv"] <= 1e-6
@@ -243,7 +245,7 @@ def test_criterion_09_transform_dichotomy(ee6):
     fperp = GridFunction(g, grids.apply_complement(P0, f.values))
     perp_totals, gen_totals = [], []
     for n in (128, 256, 512):
-        params = {"n": n, "lam_max": 8.0, "r": 0.25}
+        params = {"n": n, "lam_max": 8.0, "lambda1": 1.0, "r": 0.25}
         perp_totals.append(ftdiag.t_hat_l1_scan(tuned, g, fperp, "LOW", params).total)
         gen_totals.append(ftdiag.t_hat_l1_scan(tuned, g, f, "LOW", params).total)
     for a, b in zip(perp_totals, perp_totals[1:]):

@@ -148,7 +148,7 @@ def test_invert_computes_identity_residuals_once_per_lambda(
     calls = count_calls(lowenergy, "identity_residuals")
     assert cli.main(["invert", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
     with_out = capsys.readouterr().out
-    assert [args[-1] for args in calls] == fixture["invert"]["lambdas"]
+    assert [args[3] for args in calls] == fixture["invert"]["lambdas"]
     # without --out the report's residuals are computed directly; with it
     # they come from the scan's rows, and the bytes are the same
     assert cli.main(["invert", "--config", cfg]) == cli.EXIT_OK
@@ -164,6 +164,22 @@ def test_invert_computes_identity_residuals_once_per_lambda(
         assert float(row["lambda"]) == entry["lambda"]
         for key, column in columns.items():
             assert float(row[column]) == entry[key]
+
+
+def test_invert_factors_each_lambda_once(tmp_path, capsys, count_calls):
+    # the invert-ee benchmark scenario with its low-energy scan: R0(0) is
+    # factored by build_S0 and kept, and each lambda of the scan once
+    fixture = cli._FIXTURE_SCENARIOS["invert_exact_eigen"]
+    cfg = {**fixture, "grid": {**fixture["grid"], "nodes": 550},
+           "invert": {"lambdas": [0.02, 0.05, 0.1, 0.15, 0.2], "window": 0.25}}
+    resolvents = count_calls(lowenergy, "domain_resolvent")
+    argv = ["invert", "--config", write_cfg(tmp_path, cfg)]
+    assert cli.main([*argv, "--out", str(tmp_path / "run")]) == cli.EXIT_OK
+    assert sorted(args[1] for args in resolvents) == [0.0, *cfg["invert"]["lambdas"]]
+    # without the scan the residual path factors each lambda once too
+    resolvents.clear()
+    assert cli.main(argv) == cli.EXIT_OK
+    assert sorted(args[1] for args in resolvents) == [0.0, *cfg["invert"]["lambdas"]]
 
 
 def test_invert_takes_no_svd_or_dense_resolvent(tmp_path, count_calls):
@@ -361,11 +377,17 @@ def test_full_pipeline_gates(tmp_path, capsys, count_calls):
     svd = count_calls(np.linalg, "svd")
     dense_R0 = count_calls(resolvent, "build_R0")
     dense_H = count_calls(evolution, "discretize_H")
+    resolvents = count_calls(lowenergy, "domain_resolvent")
     cfg = dict(cli._FIXTURE_SCENARIOS["full_exact_eigen"])
     cfg["grid"] = {**cfg["grid"], "nodes": 400}  # the full-ee benchmark scenario
     rc = cli.main(["full", "--config", write_cfg(tmp_path, cfg)])
     assert rc == cli.EXIT_OK
     assert len(calls) == 1  # one threshold computation for all four stages
+    # each lambda is factored once, R0(0) by build_S0 for all its uses; the
+    # one lambda factored twice is where the window search's exact norm
+    # certifies the lambda its column search evaluated last
+    lams = [args[1] for args in resolvents]
+    assert lams.count(0.0) == 1 and len(lams) <= 12 and len(set(lams)) == len(lams) - 1
     assert not eigvals and not dense_lu and not dense_R0 and not dense_H
     report = json.loads(capsys.readouterr().out)
     stages = report["stages"]
@@ -458,6 +480,69 @@ def test_invert_lambda_outside_window_exits_3(tmp_path, capsys, lam, with_out):
     assert err.startswith(f"configuration error: invert lambda {lam} outside")
     assert err.count("\n") == 1
     assert not (out / "low_energy_scan.csv").exists()
+
+
+@pytest.mark.parametrize("with_out", [False, True])
+def test_invert_lambda_whose_pole_power_overflows_exits_3(tmp_path, capsys, with_out):
+    # one chain of length 1: lambda^-2 overflows at 1e-160, which lies
+    # inside the validity window
+    cfg = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "grid": {"mode": "radial_swave", "extent": 2.25, "nodes": 225},
+        "potential": {"builtin": "exact_eigen", "params": {"s": 2.0}},
+        "invert": {"lambdas": [0.05, 1e-160], "window": 0.25},
+    }
+    argv = ["invert", "--config", write_cfg(tmp_path, cfg)]
+    out = tmp_path / "run"
+    if with_out:
+        argv += ["--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == ("configuration error: invert lambda 1e-160: lambda^-2 overflows "
+                   "(K = 1, the longest Jordan chain)\n")
+    assert not (out / "low_energy_scan.csv").exists()
+
+
+@pytest.mark.parametrize("pipeline", ["threshold", "full"])
+def test_grid_too_coarse_to_classify_exits_3(tmp_path, capsys, pipeline):
+    # 16 nodes leave 6 in the outer third, where the tail fit needs 8; a
+    # scenario with no threshold state classifies nothing and runs
+    cfg = {"schema_version": cli.SCHEMA_VERSION,
+           "grid": {"extent": 4.0, "nodes": 16},
+           "potential": {"builtin": "exact_eigen", "params": {"s": 2.0}}}
+    assert cli.main([pipeline, "--config", write_cfg(tmp_path, cfg)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == ("configuration error: cannot classify a threshold state on the "
+                   "grid of 16 nodes over [0, 4.0]: tail-fit window shorter than "
+                   "8 nodes\n")
+    cfg["potential"] = {"builtin": "gaussian_well", "params": {"depth": 0.0}}
+    assert cli.main(["threshold", "--config", write_cfg(tmp_path, cfg)]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["verdicts"] == []
+
+
+_EXIT_CODES = {cli.EXIT_OK, cli.EXIT_ASSERT, cli.EXIT_CONFIG, cli.EXIT_NUMERIC}
+
+#: Edge scenarios, each a pipeline, a section and the keys set there, on
+#: the 200-node exact_eigen(s = 2) grid unless the grid is given.
+_EDGE_SCENARIOS = {
+    "coarse-grid": ("full", "grid", {"extent": 4.0, "nodes": 16}),
+    "tiny-lambda": ("invert", "invert", {"lambdas": [1e-160]}),
+    "wide-window": ("invert", "invert", {"window": 5.0}),
+    "two-low-samples": ("ftscan", "ftscan", {"window": "LOW", "n": 2}),
+    "huge-lam-max": ("ftscan", "ftscan", {"lam_max": 1e6}),
+    "tiny-k-max": ("evolve", "evolve", {"k_max": 1e-300}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_SCENARIOS))
+def test_no_input_ends_in_a_traceback(tmp_path, capsys, name):
+    pipeline, section, keys = _EDGE_SCENARIOS[name]
+    cfg = {"schema_version": cli.SCHEMA_VERSION,
+           "grid": {"extent": 20.0, "nodes": 200},
+           "potential": {"builtin": "exact_eigen", "params": {"s": 2.0}}}
+    cfg[section] = {**cfg.get(section, {}), **keys}
+    assert cli.main([pipeline, "--config", write_cfg(tmp_path, cfg)]) in _EXIT_CODES
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("with_out", [False, True])

@@ -51,7 +51,7 @@ def test_free_total_is_cutoff_transform(g):
     # T = I for V = 0, so the scan total is ||chi_hat||_1 ||f||_1
     f = grids.gaussian_bump(g)
     V = potentials.gaussian_well(g, depth=0.0)
-    params = {"n": 256, "lam_max": 8.0, "lambda1": 1.0}
+    params = {"n": 256, "lam_max": 8.0, "lambda1": 1.0, "r": 0.25}
     scan = ftdiag.t_hat_l1_scan(V, g, f, "LOW", params)
     # LOW cutoff is chi(lambda / r) with r = 0.25 by default
     got = scan.total / grids.lp_norm(f, 1)
@@ -64,7 +64,7 @@ def test_real_scan_mirrors_the_negative_lambdas(g, monkeypatch, count_calls):
     # complex samples still do
     f = grids.gaussian_bump(g)
     V = potentials.gaussian_well(g, depth=2.0, width=1.0)
-    params = {"n": 128, "lam_max": 8.0}
+    params = {"n": 128, "lam_max": 8.0, "lambda1": 1.0, "r": 0.25}
     solves = count_calls(birman, "bs_solve")
     mirrored = ftdiag.t_hat_l1_scan(V, g, f, "HIGH", params)
     half = len(solves)
@@ -82,7 +82,7 @@ def test_scan_transforms_one_array_in_place(monkeypatch):
     grid = grids.make_grid(Mode.RADIAL_SWAVE, 80.0, 400)
     V, _, _ = potentials.tune_coupling(potentials.exact_eigen(grid, s=2.0), grid)
     f = grids.gaussian_bump(grid)
-    params = {"n": 128, "lam_max": 8.0}
+    params = {"n": 128, "lam_max": 8.0, "lambda1": 1.0, "r": 0.25}
     tracemalloc.start()
     try:
         scan = ftdiag.t_hat_l1_scan(V, grid, f, "HIGH", params)
@@ -127,7 +127,8 @@ def test_vb_hat_scales_in_r_and_V(g):
 def test_scan_csv_and_json(tmp_path, g):
     f = grids.gaussian_bump(g)
     V = potentials.gaussian_well(g, depth=2.0)
-    scan = ftdiag.t_hat_l1_scan(V, g, f, "HIGH", {"n": 128, "lam_max": 8.0})
+    params = {"n": 128, "lam_max": 8.0, "lambda1": 1.0, "r": 0.25}
+    scan = ftdiag.t_hat_l1_scan(V, g, f, "HIGH", params)
     path = tmp_path / "scan.csv"
     scan.to_csv(str(path))
     assert path.read_text().splitlines()[0] == "rho,l1_profile"

@@ -56,7 +56,7 @@ def test_domain_resolvent_matches_dense_solve(
 
 
 def test_s0_one_sided_inverse(ee_small):
-    assert lowenergy.one_sided_residual(ee_small["reg"], 0.0) < 1e-9
+    assert lowenergy.one_sided(ee_small["reg"], 0.0)[0] < 1e-9
 
 
 def test_s0_without_threshold_basis():
@@ -66,7 +66,7 @@ def test_s0_without_threshold_basis():
     basis = jordan.threshold(V, grid).basis
     assert basis.dim == 0
     reg = lowenergy.build_S0(V, grid, basis)
-    assert lowenergy.one_sided_residual(reg, 0.0) < 1e-9
+    assert lowenergy.one_sided(reg, 0.0)[0] < 1e-9
 
 
 def test_real_samples_keep_the_low_energy_arrays_real(ee_small):
@@ -77,16 +77,17 @@ def test_real_samples_keep_the_low_energy_arrays_real(ee_small):
     u = np.ones((grid.size, 2))
     eye = np.eye(grid.size, 8)
     R_0 = lowenergy.domain_resolvent(grid, 0)
+    R = lowenergy.domain_resolvent(grid, 0.01)
     Xt = lowenergy._xt_block(reg, slice(0, 8))
     arrays = [*reg.basis.chains, reg.Y, reg.Z, reg.S0(eye), reg.S0T(slice(0, 8)),
-              reg.S0Y, Xt, R_0(Xt), lowenergy.build_S_lambda(reg, 0.01, u)[0]]
+              reg.S0Y, Xt, R_0(Xt), lowenergy.build_S_lambda(reg, 0.01, R)[0](u)]
     assert [a.dtype for a in arrays] == [np.float64] * len(arrays)
     v = ee_small["V"].values.values
     V = birman.PotentialSpec("complex", GridFunction(grid, v * (1 + 1e-3j)))
     reg = lowenergy.build_S0(V, grid, jordan.threshold(V, grid).basis, window=0.25)
     Xt = lowenergy._xt_block(reg, slice(0, 8))
     arrays = [reg.S0(eye), reg.S0T(slice(0, 8)), reg.S0Y, Xt, R_0(Xt),
-              lowenergy.build_S_lambda(reg, 0.01, u)[0]]
+              lowenergy.build_S_lambda(reg, 0.01, R)[0](u)]
     assert [a.dtype for a in arrays] == [np.complex128] * len(arrays)
 
 
@@ -113,7 +114,7 @@ def test_the_low_energy_inverse_holds_no_square_array():
         tracemalloc.start()
         try:
             reg = lowenergy.build_S0(V, grid, basis, window=window)
-            lowenergy.s0_residuals(reg)
+            lowenergy.one_sided(reg, 0.0)
             lowenergy.low_energy_scan(reg, [reg.window / 2], f, f)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -178,15 +179,12 @@ def test_s0_refuses_a_degenerate_duality_pairing(ee_small):
 
 
 def test_s0_range_constraint(ee_small):
-    reg = ee_small["reg"]
-    residuals = lowenergy.s0_residuals(reg)
-    assert residuals["range_constraint"] < 1e-9
-    assert residuals["one_sided_S0"] == lowenergy.one_sided_residual(reg, 0.0)
+    assert lowenergy.one_sided(ee_small["reg"], 0.0)[1] < 1e-9
 
 
 def test_series_continuation_one_sided(ee_small):
     for lam in (0.03, 0.1, 0.2):
-        assert lowenergy.one_sided_residual(ee_small["reg"], lam) < 1e-9
+        assert lowenergy.one_sided(ee_small["reg"], lam)[0] < 1e-9
 
 
 def test_one_sided_residual_seeds_the_series_with_S0(ee_small):
@@ -208,14 +206,20 @@ def test_one_sided_residual_seeds_the_series_with_S0(ee_small):
         D[np.diag_indices(grid.size)] -= 1.0
         D -= (D @ np.linalg.pinv(reg.Z.T)) @ reg.Z.T
         expect = operator_l1_norm(D, grid)
-        got = lowenergy.one_sided_residual(reg, lam)
+        got = lowenergy.one_sided(reg, lam)[0]
         assert expect < 1e-13 and abs(got - expect) <= 0.5 * expect
+
+
+def _factor(reg, lam):
+    """The exact contraction factor at lambda: the max of the step's
+    column norms."""
+    return lowenergy._step_column_norms(reg, lam).max()
 
 
 def test_contraction_factor_grows_with_lambda(ee_small):
     reg = ee_small["reg"]
-    f1 = lowenergy.contraction_factor(reg, 0.03)
-    f2 = lowenergy.contraction_factor(reg, 0.2)
+    f1 = _factor(reg, 0.03)
+    f2 = _factor(reg, 0.2)
     assert f1 < f2 < 1.0
 
 
@@ -232,21 +236,24 @@ def test_series_step_matches_the_out_of_place_form(ee_small):
     for lam in (0.03, 0.1, 0.2):
         step = series_step(reg, lam)
         factor = operator_l1_norm(step, grid)
-        got = lowenergy.contraction_factor(reg, lam)
+        got = _factor(reg, lam)
         assert abs(got - factor) <= grid.size * np.finfo(float).eps * factor
         first = S0 @ X
         expect, _ = birman._neumann_series(
             first, lambda x: step @ x, factor, grid, 1e-13, 200, x_norms
         )
-        SX, got_factor = lowenergy.build_S_lambda(reg, lam, X)
+        S, got_factor = lowenergy.build_S_lambda(
+            reg, lam, lowenergy.domain_resolvent(grid, lam)
+        )
+        SX = S(X)
         assert got_factor == got
         assert np.abs(SX - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 def test_series_rejected_outside_window(ee_small):
-    eye = np.eye(ee_small["grid"].size, dtype=complex)
+    R = lowenergy.domain_resolvent(ee_small["grid"], 0.5)
     with pytest.raises(ValueError):
-        lowenergy.build_S_lambda(ee_small["reg"], 0.5, eye)
+        lowenergy.build_S_lambda(ee_small["reg"], 0.5, R)
 
 
 def test_series_refuses_to_run_out_of_terms(ee_small):
@@ -266,13 +273,11 @@ def test_S_lambda_refuses_where_the_step_does_not_contract(ee_small):
     # 1 inside it (near 0.26 on this grid), and S(lambda) is refused there
     reg = ee_small["reg"]
     wide = dataclasses.replace(reg, window=0.5)
-    lam = next(l for l in np.arange(0.2, 0.5, 0.01)
-               if lowenergy.contraction_factor(wide, l) >= 1.0)
-    X = np.ones((reg.grid.size, 1))
+    lam = next(l for l in np.arange(0.2, 0.5, 0.01) if _factor(wide, l) >= 1.0)
     with pytest.raises(birman.NoContractionError):
-        lowenergy.build_S_lambda(wide, lam, X)
+        lowenergy.build_S_lambda(wide, lam, lowenergy.domain_resolvent(reg.grid, lam))
     with pytest.raises(birman.NoContractionError):
-        lowenergy.one_sided_residual(wide, lam)
+        lowenergy.one_sided(wide, lam)
     f = grids.gaussian_bump(reg.grid)
     with pytest.raises(birman.NoContractionError):
         lowenergy.low_energy_scan(wide, [0.1, lam], f, f)
@@ -285,45 +290,39 @@ def test_S_lambda_refuses_a_large_first_residual(ee_small, monkeypatch):
     # lowered below that residual to show the refusal and its message
     reg = ee_small["reg"]
     X = np.ones((reg.grid.size, 1))
-    lowenergy.build_S_lambda(reg, 0.1, X)
+    R = lowenergy.domain_resolvent(reg.grid, 0.1)
+    S = lowenergy.build_S_lambda(reg, 0.1, R)[0]
+    S(X)
     monkeypatch.setattr(lowenergy, "RESIDUAL_BOUND", 1e-16)
     with pytest.raises(birman.NearSingularError, match="lambda=0.1"):
-        lowenergy.build_S_lambda(reg, 0.1, X)
+        S(X)
 
 
-def test_S_lambda_is_one_bordered_solve(ee_small, count_calls, monkeypatch):
+def test_S_lambda_is_one_bordered_solve(ee_small, count_calls):
     # at lambda != 0 S(lambda) X does not apply S0, and the scan forms
     # each block of X^T, and R0(0) on it, once for all its lambdas, with
-    # the bits of contraction_factor at each
+    # the bits of the exact factor at each
     reg, grid = ee_small["reg"], ee_small["grid"]
     applies = count_calls(reg, "S0")
-    lowenergy.build_S_lambda(reg, 0.1, np.ones((grid.size, 2)))
+    R = lowenergy.domain_resolvent(grid, 0.1)
+    lowenergy.build_S_lambda(reg, 0.1, R)[0](np.ones((grid.size, 2)))
     assert not applies
     lambdas = [0.03, 0.1, 0.15, 0.2]
-    expect = [lowenergy.contraction_factor(reg, lam) for lam in lambdas]
+    expect = [_factor(reg, lam) for lam in lambdas]
     blocks = count_calls(lowenergy, "_xt_block")
-    solves, resolvent = [], lowenergy.domain_resolvent
-
-    def counted_resolvent(grid, lam):
-        R = resolvent(grid, lam)
-
-        def apply(x):
-            solves.append(lam)
-            return R(x)
-
-        return apply
-
-    monkeypatch.setattr(lowenergy, "domain_resolvent", counted_resolvent)
+    solves = count_calls(reg, "R0")
     f = grids.gaussian_bump(grid)
     rows = lowenergy.low_energy_scan(reg, lambdas, f, f)
-    assert len(blocks) == solves.count(0) == len(lowenergy._blocks(grid.size, 8))
+    assert len(blocks) == len(solves) == len(lowenergy._blocks(grid.size, 8))
     assert [row["contraction"] for row in rows] == expect
 
 
 def test_chain_identities_machine_exact(ee_small):
     g, V, jb = ee_small["grid"], ee_small["V"], ee_small["basis"]
     for lam in (0.03, 0.2):
-        resid = lowenergy.identity_residuals(V, g, jb, lam)
+        resid = lowenergy.identity_residuals(
+            V, g, jb, lam, lowenergy.domain_resolvent(g, lam)
+        )
         assert resid["resid_chain"] < 1e-9
         assert resid["resid_telescope"] < 1e-9
         assert resid["resid_exactinv"] < 1e-9
@@ -332,7 +331,8 @@ def test_chain_identities_machine_exact(ee_small):
 def test_exact_inverse_rejects_lambda_zero(ee_small):
     with pytest.raises(ValueError):
         lowenergy.identity_residuals(
-            ee_small["V"], ee_small["grid"], ee_small["basis"], 0.0
+            ee_small["V"], ee_small["grid"], ee_small["basis"], 0.0,
+            ee_small["reg"].R0,
         )
 
 
@@ -402,18 +402,18 @@ def test_scan_does_not_form_the_alternative_form(ee_small, count_calls):
     assert len(applies) == 4
 
 
-def test_scan_factors_each_lambda_twice(ee_small, count_calls):
-    # H0 - lambda^2 is factored by identity_residuals and once more for the
-    # norm pass, the bordered solve and the formula; the other
-    # factorizations are R0(0) of the norm pass and the shifted tridiagonal
-    # of each bordered solve
+def test_scan_factors_each_lambda_once(ee_small, count_calls):
+    # H0 - lambda^2 is factored once, for the norm pass, the bordered
+    # solve, the formula and identity_residuals; R0(0) is the one that
+    # build_S0 keeps, and the other factorization is the shifted
+    # tridiagonal of each bordered solve
     g, reg = ee_small["grid"], ee_small["reg"]
     resolvents = count_calls(lowenergy, "domain_resolvent")
     factorizations = count_calls(birman, "_tridiagonal_solver")
     f = grids.gaussian_bump(g)
     lambdas = [0.03, 0.1, 0.2]
     lowenergy.low_energy_scan(reg, lambdas, f, f)
-    assert sorted(args[1] for args in resolvents) == sorted([0.0, *lambdas, *lambdas])
+    assert sorted(args[1] for args in resolvents) == lambdas
     assert len(factorizations) == len(resolvents) + len(lambdas)
 
 
@@ -430,9 +430,8 @@ def test_S_lambda_on_data_matches_the_operator_series(ee_small, lam, columns, se
     rng = np.random.default_rng(seed)
     shape = (grid.size, columns)
     X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    S, factor = lowenergy.build_S_lambda(reg, lam, np.eye(grid.size))
-    SX, factor_X = lowenergy.build_S_lambda(reg, lam, X)
-    assert factor_X == factor
+    apply, _ = lowenergy.build_S_lambda(reg, lam, lowenergy.domain_resolvent(grid, lam))
+    S, SX = apply(np.eye(grid.size)), apply(X)
     expect = S @ X
     assert np.abs(SX - expect).max() <= 1e-12 * np.abs(expect).max()
     # X = I gives the plain operator series sum_m step^m S0, stopped once
@@ -501,7 +500,7 @@ def test_auto_window_brackets_the_crossing(request, count_calls, scenario):
     assert w == _WINDOW_K[scenario] / 2**30
 
     def cf(lam):
-        return lowenergy.contraction_factor(reg, lam)
+        return _factor(reg, lam)
 
     assert w == 1.0 or cf(w) <= 0.5 < cf(w + 2.0**-30)
     assert w == _bisection_window(cf)
@@ -517,7 +516,7 @@ def test_column_factor_is_the_exact_column_norm_to_its_rounding(request, scenari
     for lam in (w / 2, w, 2 * w):
         norms = lowenergy._step_column_norms(reg, lam)
         j = int(np.argmax(norms))
-        r0_row = lowenergy._x_resolvent_column(reg, 0.0, j)
+        r0_row = lowenergy._x_resolvent_column(reg, reg.R0, j)
         factor = lowenergy._column_factor(reg, lam, j, r0_row)
         assert abs(factor - norms[j]) <= lowenergy._column_rounding(reg, j, r0_row)
 
@@ -591,10 +590,10 @@ def _patch_factors(monkeypatch, columns, rounding=0.0):
         return columns[j][1](lam)
 
     monkeypatch.setattr(lowenergy, "_step_column_norms", norms)
-    monkeypatch.setattr(lowenergy, "_x_resolvent_column", lambda reg, lam, j: None)
+    monkeypatch.setattr(lowenergy, "_x_resolvent_column", lambda reg, R, j: None)
     monkeypatch.setattr(lowenergy, "_column_factor", factor)
     monkeypatch.setattr(lowenergy, "_column_rounding", lambda reg, j, r0_row: rounding)
-    reg = SimpleNamespace(grid=SimpleNamespace(size=len(columns)))
+    reg = SimpleNamespace(grid=SimpleNamespace(size=len(columns)), R0=None)
     return reg, (lambda lam: max(c[0](lam) for c in columns)), exact, column
 
 

@@ -286,7 +286,6 @@ ALLOWLIST = {
     "ftdiag.vb_hat_bound_check": "item 11: the V B-hat bound",
     "evolution.stone_check": "item 9(b): the Stone formula",
     "lowenergy.inverse_via_formula": "criterion 3: the S(lambda) formula",
-    "lowenergy.one_sided_residual": "criterion 3: S(lambda) on its window",
     "potentials.threshold_moment": "item 7(a): the threshold report",
     "birman.PotentialSpec.composite_norm": "item 7(a): the threshold report",
     "jordan.expected_gram": "demos/threshold_classification.py",
