@@ -9,9 +9,28 @@ the 3-point stencil differentiates exactly.  All the threshold machinery
 inherits machine-precision identities from this pairing.  (The price: free
 eigenvalues are ((n + 1/2) pi / L)^2 rather than the Dirichlet-at-L values.)
 
-The potential's samples leave H tridiagonal, and propagate applies
-e^{-i tau H} as the (16, 16) diagonal Pade approximant of e^z in product
-form,
+The potential's samples leave H = tridiag(e, d, e) tridiagonal, and
+propagate steps e^{-i tau H} by one of two propagators, chosen per step
+length from H's bands alone.
+
+Real bands are real symmetric, so H is normal with real spectrum inside its
+Gershgorin interval [c - r, c + r], and the Chebyshev series
+
+    e^{-i tau H} = e^{-i tau c} sum_k (2 - delta_k0) (-i)^k J_k(tau r) T_k((H - c) / r)
+
+converges like the Bessel coefficients J_k(tau r) (Tal-Ezer & Kosloff,
+J. Chem. Phys. 81, 3967, 1984).  Since ||T_k((H - c) / r)||_2 <= 1, cutting
+it after the least N with 2 sum_{k > N} |J_k(tau r)| <= eps leaves each
+step within eps ||x||_2 of the exact one, an a-priori bound with no second
+pass to compare.  Each term of the three-term recurrence is one banded BLAS
+product (zgbmv) and one axpy.  The coefficients come from Miller's backward
+recurrence (`_bessel_j`).
+
+Complex bands make H complex symmetric and in general not normal, with
+complex spectrum: ||T_k|| then grows with k and the tail bound fails, so
+those steps, and real ones whose series would take more banded products
+than the Pade check pair takes solves (fine grids, where r ~ 2 / h^2),
+apply the (16, 16) diagonal Pade approximant of e^z in product form,
 
     e^{-i tau H} ~ prod_j (H + a_j)^{-1} (H - a_j),   a_j = i z_j / tau,
 
@@ -21,11 +40,12 @@ mode it does not resolve keeps its size and only its phase is wrong; the
 substeps needed follow the data's spectral content, not ||H|| (van den
 Eshof & Hochbruck, SIAM J. Sci. Comput. 27, 2006).  Each factor is applied
 in Cayley form, x - 2 a_j (H + a_j)^{-1} x: one shifted tridiagonal solve
-and one BLAS axpy, O(M) per substep and factor.  A scan covers [0, t_0]
-in steps of its own spacing, and each step checks n substeps against
-ceil(3n / 2).  The partial-fraction form of the same approximant has a
-round-off floor near 1e-6 and is not used.  The scans take a projection P
-as its factors (U, W), so no M x M array is formed.
+and one BLAS axpy, O(M) per substep and factor.  Each Pade step checks n
+substeps against ceil(3n / 2).  The partial-fraction form of the same
+approximant has a round-off floor near 1e-6 and is not used.
+
+A scan covers [0, t_0] in steps of its own spacing.  The scans take a
+projection P as its factors (U, W), so no M x M array is formed.
 """
 
 from __future__ import annotations
@@ -54,6 +74,9 @@ RESOLVED_PHASE = 8.0
 #: earlier one as that one, so np.linspace steps that differ in their last
 #: bits share their factorizations; a wider merge would move the times.
 STEP_RTOL = 1e-14
+
+#: The degree p of the (p, p) Pade approximant: one solve per factor.
+_PADE_ORDER = 16
 
 
 class FitWindowError(ValueError):
@@ -126,9 +149,19 @@ def _pade_roots():
     the first sampled `propagate`, not at import: np.roots would cost every
     pipeline about 1.25 MB of peak RSS.
     """
-    p, f = 16, math.factorial
+    p, f = _PADE_ORDER, math.factorial
     return np.roots([f(2 * p - k) * f(p) / (f(2 * p) * f(k) * f(p - k))
                      for k in range(p, -1, -1)])
+
+
+def _start_substeps(dt):
+    """The substep count a Pade step of length dt tries first."""
+    return math.ceil(2 * dt)
+
+
+def _finer(n):
+    """The substep count m = max(n + 1, ceil(3n / 2)) that checks n."""
+    return max(n + 1, (3 * n + 1) // 2)
 
 
 def _pade_stepper(d, e):
@@ -147,8 +180,6 @@ def _pade_stepper(d, e):
     levels = {}    # (dt, n) -> [(-2 a_j, solver of H + a_j)], two at most
     accepted = {}  # dt -> n
     norm = birman._one_norm(d, e)
-    if not np.isfinite(norm):  # no pass would ever resolve H
-        raise ValueError("H has non-finite entries")
 
     def run(dt, n, x):
         if (dt, n) not in levels:
@@ -163,9 +194,9 @@ def _pade_stepper(d, e):
         return y
 
     def step(dt, x):
-        n = accepted.get(dt, math.ceil(2 * dt))
+        n = accepted.get(dt, _start_substeps(dt))
         while True:
-            m = max(n + 1, (3 * n + 1) // 2)
+            m = _finer(n)
             for level in set(levels) - {(dt, n), (dt, m)}:
                 del levels[level]
             coarse, fine = run(dt, n, x), run(dt, m, x)
@@ -180,34 +211,148 @@ def _pade_stepper(d, e):
     return step
 
 
+def _bessel_j(x):
+    """J_0(x), ..., J_K(x) for x > 0, by Miller's backward recurrence.
+
+    J_{k-1} = (2k / x) J_k - J_{k+1} runs down from J_{K+1} = 0, J_K = 1,
+    rescaled by 1e-250 whenever a value passes 1e250, and the result is
+    normalized by J_0 + 2 sum_k J_2k = 1.  J_k is the recurrence's minimal
+    solution, so the start's error decays on the way down.  The start
+    K = x + 15 x^(1/3) + 40 lies past the transition region k ~ x, where
+    J_K(x) is below 1e-32 for x up to 3000, far beyond the eps tail.
+    Against 40-digit mpmath values (every seventh k at x = 33.7, 1000 and
+    1100) the results agree to 5e-16 absolute.  A step with x <= eps keeps
+    J_0 = 1 alone.
+    """
+    if x <= np.finfo(float).eps:  # J_0 = 1 and a tail of about x
+        return np.ones(1)
+    K = int(x + 15.0 * x ** (1.0 / 3.0) + 40.0)
+    j = np.zeros(K + 2)
+    j[K] = 1.0
+    for k in range(K, 0, -1):
+        j[k - 1] = (2.0 * k / x) * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 1e250:
+            j[k - 1:] *= 1e-250
+    j = j[:-1]
+    return j / (j[0] + 2.0 * j[2::2].sum())
+
+
+def _chebyshev_terms(j):
+    """The least N with 2 sum_{k > N} |J_k| <= eps, for j = `_bessel_j(x)`."""
+    tail = 2.0 * np.cumsum(np.abs(j[:0:-1]))[::-1]  # tail[N] = 2 sum_{k > N}
+    return int(np.argmax(np.append(tail, 0.0) <= np.finfo(float).eps))
+
+
+def _chebyshev_stepper(d, e, fallback):
+    """step(dt, x) = e^{-i dt H} x for real bands d, e; see `propagate`.
+
+    A step whose series needs more than the 16 (n_0 + m_0) banded products
+    of the first pair of Pade passes, n_0 = ceil(2 dt) and
+    m_0 = max(n_0 + 1, ceil(3 n_0 / 2)), goes to `fallback`, the Pade
+    stepper: the Pade path never takes fewer solves for a step, and a
+    solve costs more than a banded product.  N >= dt r (J_k(dt r) is far
+    above eps for k <= dt r), so the coefficients are not computed for a
+    step with dt r beyond that budget.
+    """
+    reach = np.zeros_like(d)
+    reach[1:] += np.abs(e)
+    reach[:-1] += np.abs(e)
+    lo, hi = (d - reach).min(), (d + reach).max()
+    c, r = (hi + lo) / 2, (hi - lo) / 2
+    M = d.size
+    band = np.zeros((3, M), complex, order="F")  # zgbmv's storage of H - c
+    band[0, 1:], band[1], band[2, :-1] = e, d - c, e
+    series = {}  # dt -> the N + 1 coefficients of T_k x, or None for Pade
+
+    def coefficients(dt):
+        if dt not in series:
+            n = _start_substeps(dt)
+            budget = _PADE_ORDER * (n + _finer(n))
+            series[dt] = None
+            if dt * r <= budget:
+                j = _bessel_j(dt * r)
+                N = _chebyshev_terms(j)
+                if N <= budget:
+                    # (-i)^k exactly; numpy's complex power errs by 2e-13
+                    # at k ~ 1000
+                    phase = np.array([1, -1j, -1, 1j])[np.arange(N + 1) % 4]
+                    a = 2.0 * phase * j[:N + 1]
+                    a[0] /= 2.0
+                    series[dt] = np.exp(-1j * dt * c) * a
+        return series[dt]
+
+    def step(dt, x):
+        a = coefficients(dt)
+        if a is None:
+            return fallback(dt, x)
+        x = np.asarray(x, complex)
+        out = a[0] * x
+        if a.size > 1:
+            prev = x.copy()  # T_{k-1} x, overwritten by T_{k+1} x
+            cur = blas.zgbmv(M, M, 1, 1, 1.0 / r, band, x)
+            out = blas.zaxpy(cur, out, a=a[1])
+            for ak in a[2:]:
+                prev = blas.zgbmv(M, M, 1, 1, 2.0 / r, band, cur, beta=-1.0,
+                                  y=prev, overwrite_y=True)
+                prev, cur = cur, prev
+                out = blas.zaxpy(cur, out, a=ak)
+        return out
+
+    return step
+
+
+def _stepper(d, e):
+    """step(dt, x) = e^{-i dt H} x for H = tridiag(e, d, e): the Chebyshev
+    series for real bands where it is the cheaper path, else the Pade
+    product."""
+    if not np.isfinite(birman._one_norm(d, e)):  # neither path would end
+        raise ValueError("H has non-finite entries")
+    pade = _pade_stepper(d, e)
+    return pade if np.iscomplexobj(d) else _chebyshev_stepper(d, e, pade)
+
+
 def propagate(plan, f):
     """States e^{-i t_k H} f for every t_k in the plan's time grid.
 
-    Steps the state from each time to the next by the (16, 16) Pade
-    product of the module docstring on the tridiagonal H of
-    `birman.hamiltonian`.  The first interval [0, t_0] of a scan is
-    covered in its spacing s = t_1 - t_0: one leading step of the
+    Steps the state from each time to the next on the tridiagonal
+    H = tridiag(e, d, e) of `birman.hamiltonian`, by one of the two
+    propagators of the module docstring.  The first interval [0, t_0] of a
+    scan is covered in its spacing s = t_1 - t_0: one leading step of the
     remainder r = t_0 mod s, dropped when r <= STEP_RTOL s, then
     floor(t_0 / s) steps of s, so a linspace scan takes two step lengths,
     r and s; a plan of one time takes one step of t_0.  A
     step length within STEP_RTOL of an earlier one is taken as that one.
+    H with a non-finite entry raises ValueError before any step.
 
-    Each factor is applied in Cayley form x - 2 a_j (H + a_j)^{-1} x: one
-    complex tridiagonal solve (`birman._tridiagonal_solver`) and one BLAS
-    axpy into the pass's own copy of the state, O(M) per factor and
-    substep; f.values is left as it is.  Each step of length dt is split
-    into substeps by the check of `_pade_stepper`: passes a (n substeps)
-    and b (m = max(n + 1, ceil(3n / 2))) are compared, b is taken once
-    max|a - b| <= SUBSTEP_TOL max|b|, else n doubles.  n starts at the
-    count accepted last for the same dt, else at ceil(2 dt).  The
-    doublings are capped where pass a already resolves all of H,
-    (dt / n) ||H||_1 <= RESOLVED_PHASE: passes that still disagree raise
-    SubstepCapError, never a silent result.  Factorizations are kept for
-    two substep lengths at most: the pair under comparison, then the pair
-    of the step length last accepted.
+    Which propagator takes a step of length dt follows from the bands and
+    dt alone.  Real bands take the Chebyshev series of `_chebyshev_stepper`
+    when its order N, the least with 2 sum_{k > N} |J_k(dt r)| <= eps for
+    the half-width r of H's Gershgorin interval, is at most the
+    16 (n_0 + m_0) solves of the first Pade check pair (n_0 = ceil(2 dt),
+    m_0 = max(n_0 + 1, ceil(3 n_0 / 2))).  The step is then within
+    eps ||x||_2 of the exact one: N banded products (BLAS zgbmv) and N
+    axpys, into buffers of its own.  Complex bands, whose H is not normal
+    and may have complex spectrum so that the tail bound does not hold,
+    and real bands where the series is longer (fine grids: r ~ 2 / h^2)
+    take the Pade product.
+
+    Each Pade factor is applied in Cayley form x - 2 a_j (H + a_j)^{-1} x:
+    one complex tridiagonal solve (`birman._tridiagonal_solver`) and one
+    BLAS axpy into the pass's own copy of the state, O(M) per factor and
+    substep; f.values is left as it is on both paths.  Each Pade step of
+    length dt is split into substeps by the check of `_pade_stepper`:
+    passes a (n substeps) and b (m = max(n + 1, ceil(3n / 2))) are
+    compared, b is taken once max|a - b| <= SUBSTEP_TOL max|b|, else n
+    doubles.  n starts at the count accepted last for the same dt, else at
+    ceil(2 dt).  The doublings are capped where pass a already resolves
+    all of H, (dt / n) ||H||_1 <= RESOLVED_PHASE: passes that still
+    disagree raise SubstepCapError, never a silent result.  Factorizations
+    are kept for two substep lengths at most: the pair under comparison,
+    then the pair of the step length last accepted.  The Chebyshev
+    coefficients are kept per step length.
     """
     grid = plan.grid
-    step = _pade_stepper(*birman.hamiltonian(plan.V, grid))
+    step = _stepper(*birman.hamiltonian(plan.V, grid))
     t = plan.times
     intervals = [[t[0]], *([dt] for dt in np.diff(t))]  # the steps to each t_k
     if t.size > 1 and t[0] > 0:

@@ -253,11 +253,12 @@ def test_substep_cap_exits_4(tmp_path, capsys, monkeypatch):
     # every propagator pass counts as resolved, so the first pair of passes
     # that disagree is refused: by propagate, and by the CLI with exit 4.
     # Two times: the spacing 4.4 exceeds t_start, so the scan's first step
-    # is the one of length 2 that the plan [2.0] takes.
+    # is the one of length 2 that the plan [2.0] takes.  At h = 0.1 that
+    # step takes the Pade path, the only one that refuses.
     monkeypatch.setattr(evolution, "RESOLVED_PHASE", np.inf)
     cfg = {
         "schema_version": cli.SCHEMA_VERSION,
-        "grid": {"mode": "radial_swave", "extent": 40.0, "nodes": 200},
+        "grid": {"mode": "radial_swave", "extent": 40.0, "nodes": 400},
         "potential": {"builtin": "gaussian_well", "params": {"depth": 0.0}},
         "evolve": {"t_start": 2.0, "t_end": 6.4, "n_times": 2, "k_max": 2.5},
     }
@@ -527,6 +528,7 @@ _EXIT_CODES = {cli.EXIT_OK, cli.EXIT_ASSERT, cli.EXIT_CONFIG, cli.EXIT_NUMERIC}
 _EDGE_SCENARIOS = {
     "coarse-grid": ("full", "grid", {"extent": 4.0, "nodes": 16}),
     "tiny-lambda": ("invert", "invert", {"lambdas": [1e-160]}),
+    "overflowing-residual": ("invert", "invert", {"lambdas": [1e-154]}),
     "wide-window": ("invert", "invert", {"window": 5.0}),
     "two-low-samples": ("ftscan", "ftscan", {"window": "LOW", "n": 2}),
     "huge-lam-max": ("ftscan", "ftscan", {"lam_max": 1e6}),
@@ -541,8 +543,13 @@ def test_no_input_ends_in_a_traceback(tmp_path, capsys, name):
            "grid": {"extent": 20.0, "nodes": 200},
            "potential": {"builtin": "exact_eigen", "params": {"s": 2.0}}}
     cfg[section] = {**cfg.get(section, {}), **keys}
-    assert cli.main([pipeline, "--config", write_cfg(tmp_path, cfg)]) in _EXIT_CODES
-    assert "Traceback" not in capsys.readouterr().err
+    rc = cli.main([pipeline, "--config", write_cfg(tmp_path, cfg)])
+    assert rc in _EXIT_CODES
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    # a run that passes prints valid JSON, with no NaN or Infinity
+    if rc == cli.EXIT_OK:
+        assert "NaN" not in out and "Infinity" not in out
 
 
 @pytest.mark.parametrize("with_out", [False, True])

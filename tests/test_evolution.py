@@ -1,11 +1,16 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import blas
+from scipy.special import jv
 
 from oracles import free_evolution_radial
-from speclab import birman, evolution, grids, jordan, potentials
+from speclab import birman, cli, evolution, grids, jordan, potentials
 from speclab.grids import GridFunction, Mode
 
 
@@ -105,33 +110,170 @@ def test_tridiagonal_path_matches_eigh_tridiagonal():
 
 # Rough (i.i.d.) samples make the state rough: step doubling then resolves
 # all of H, about dt ||H||_1 / 8 substeps, so the draws keep ||H||_1 small.
-@settings(max_examples=30)
-@given(
-    nodes=st.integers(8, 300),
-    extent=st.floats(10.0, 40.0),
-    kind=st.sampled_from(["iid", "well"]),
-    complex_samples=st.booleans(),
-    steps=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_pade_path_matches_dense_expm(nodes, extent, kind, complex_samples, steps, seed):
-    # the draws of `steps` are the (unequal) output intervals
-    g = grids.make_grid(Mode.RADIAL_SWAVE, extent, nodes)
-    rng = np.random.default_rng(seed)
-    if kind == "iid":
-        v = rng.uniform(-10.0, 10.0, nodes) + 1j * rng.uniform(-2.0, 2.0, nodes)
-    else:
-        depth, width = rng.uniform(-10.0, 10.0), rng.uniform(0.3, 3.0)
-        v = depth * np.exp(-((g.nodes / width) ** 2)) * (1 + 1j * rng.uniform(-0.5, 0.5))
-    if not complex_samples:
-        v = v.real
-    V = birman.PotentialSpec("random", GridFunction(g, v))
-    f = grids.gaussian_bump(g, width=rng.uniform(0.5, 2.0))
-    times = np.cumsum(steps)
+def test_propagate_matches_dense_expm(count_calls):
+    # the draws of `steps` are the (unequal) output intervals; complex
+    # samples take the Pade path, real ones on coarse grids the Chebyshev
+    # series, and the draws must reach both
+    solves = count_calls(birman, "_tridiagonal_solver")
+    products = count_calls(blas, "zgbmv")
+    paths = set()
+
+    @settings(max_examples=30)
+    @given(
+        nodes=st.integers(8, 300),
+        extent=st.floats(10.0, 40.0),
+        kind=st.sampled_from(["iid", "well"]),
+        complex_samples=st.booleans(),
+        steps=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(nodes=50, extent=20.0, kind="well", complex_samples=False,
+             steps=[0.3, 1.0], seed=0)
+    @example(nodes=50, extent=20.0, kind="well", complex_samples=True,
+             steps=[0.3, 1.0], seed=0)
+    def check(nodes, extent, kind, complex_samples, steps, seed):
+        g = grids.make_grid(Mode.RADIAL_SWAVE, extent, nodes)
+        rng = np.random.default_rng(seed)
+        if kind == "iid":
+            v = rng.uniform(-10.0, 10.0, nodes) + 1j * rng.uniform(-2.0, 2.0, nodes)
+        else:
+            depth, width = rng.uniform(-10.0, 10.0), rng.uniform(0.3, 3.0)
+            v = depth * np.exp(-((g.nodes / width) ** 2)) * (1 + 1j * rng.uniform(-0.5, 0.5))
+        if not complex_samples:
+            v = v.real
+        V = birman.PotentialSpec("random", GridFunction(g, v))
+        f = grids.gaussian_bump(g, width=rng.uniform(0.5, 2.0))
+        times = np.cumsum(steps)
+        H = evolution.discretize_H(V, g)
+        counts = len(solves), len(products)
+        states = evolution.propagate(evolution.make_plan(V, g, times), f)
+        if len(solves) > counts[0]:
+            paths.add("pade")
+        if len(products) > counts[1]:
+            paths.add("chebyshev")
+        for state, t in zip(states, times):
+            dense = sla.expm(-1j * t * H) @ f.values
+            assert np.abs(state.values - dense).max() <= 1e-10 * np.abs(dense).max()
+
+    check()
+    assert paths == {"pade", "chebyshev"}
+
+
+def test_chebyshev_path_matches_dense_expm(count_calls):
+    # real samples at h = 0.4: every step takes the Chebyshev series
+    g = grids.make_grid(Mode.RADIAL_SWAVE, 40.0, 100)
+    V = potentials.gaussian_well(g, depth=4.0)
+    f = grids.gaussian_bump(g)
+    times = [0.5, 1.5, 4.0]
+    solves = count_calls(birman, "_tridiagonal_solver")
+    states = evolution.propagate(evolution.make_plan(V, g, times), f)
+    assert solves == []
     H = evolution.discretize_H(V, g)
-    for state, t in zip(evolution.propagate(evolution.make_plan(V, g, times), f), times):
+    scale = np.abs(f.values).max()
+    for st, t in zip(states, times):
         dense = sla.expm(-1j * t * H) @ f.values
-        assert np.abs(state.values - dense).max() <= 1e-10 * np.abs(dense).max()
+        assert np.abs(st.values - dense).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("dt", [0.3, 25.0])
+def test_chebyshev_step_matches_eigh_tridiagonal(count_calls, dt):
+    # real samples on the full_ee grid (L = 80, M = 400, h = 0.2), one step
+    # against Q e^{-i dt E} Q^T; at dt = 25 the series argument dt r is
+    # above 1000 and the series still beats the Pade pair
+    g = grids.make_grid(Mode.RADIAL_SWAVE, 80.0, 400)
+    V = potentials.gaussian_well(g, depth=4.0)
+    f = grids.gaussian_bump(g)
+    d, e = birman.hamiltonian(V, g)
+    products = count_calls(blas, "zgbmv")
+    solves = count_calls(birman, "_tridiagonal_solver")
+    state = evolution.propagate(evolution.make_plan(V, g, [dt]), f)[0]
+    assert solves == [] and len(products) > 0
+    if dt > 1:
+        assert len(products) > 1000
+    E, Q = sla.eigh_tridiagonal(d, e)
+    exact = Q @ (np.exp(-1j * dt * E) * (Q.T @ f.values))
+    assert np.abs(state.values - exact).max() <= 1e-12 * np.abs(f.values).max()
+
+
+@pytest.mark.parametrize("x", [1e-3, 0.5, 3.07, 33.7, 200.0])
+def test_bessel_coefficients_match_jv(x):
+    j = evolution._bessel_j(x)
+    assert np.abs(j - jv(np.arange(j.size), x)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("x", [1e-3, 0.5, 3.07, 33.7, 200.0, 1100.0])
+def test_chebyshev_terms_meet_the_eps_tail(x):
+    # N is the least order whose tail 2 sum_{k > N} |J_k| is within eps,
+    # and the Miller start lies beyond it
+    j = evolution._bessel_j(x)
+    N = evolution._chebyshev_terms(j)
+    assert N < j.size - 1
+    tail = 2 * np.abs(jv(np.arange(N, j.size + 200), x)).sum()  # k >= N
+    below = tail - 2 * abs(jv(N, x))                             # k > N
+    eps = np.finfo(float).eps
+    assert below <= eps < tail
+
+
+def test_tiny_step_keeps_j0_alone():
+    assert np.array_equal(evolution._bessel_j(1e-300), [1.0])
+
+
+_SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "scenarios"
+
+
+def _scan_paths(cfg, count_calls, monkeypatch, complex_part=0.0):
+    """Step lengths of cfg's evolve scan that reach the Pade stepper (a
+    recording stub here) and the zgbmv calls of the Chebyshev ones."""
+    grid = cli.make_scenario_grid(cfg)
+    V = cli.make_scenario_potential(cfg, grid)
+    if complex_part:
+        v = birman._samples(V) * (1.0 + 1j * complex_part)
+        V = birman.PotentialSpec("complex", GridFunction(grid, v))
+    section = {**cli._SCHEMA["evolve"], **cfg["evolve"]}
+    times = np.linspace(section["t_start"], section["t_end"], section["n_times"])
+    pade = []
+
+    def recording_stepper(d, e):
+        def step(dt, x):
+            pade.append(dt)
+            return x
+
+        return step
+
+    monkeypatch.setattr(evolution, "_pade_stepper", recording_stepper)
+    products = count_calls(blas, "zgbmv")
+    evolution.propagate(evolution.make_plan(V, grid, times),
+                        grids.gaussian_bump(grid))
+    spacing = times[1] - times[0]
+    return sorted(set(pade)), len(products), [times[0] % spacing, spacing]
+
+
+def test_full_ee_scan_takes_the_chebyshev_series(count_calls, monkeypatch):
+    cfg = json.loads((_SCENARIOS / "full_ee.json").read_text())
+    pade, products, lengths = _scan_paths(cfg, count_calls, monkeypatch)
+    assert pade == []
+    # one remainder step and 13 steps of the spacing, N products each, with
+    # r = 55.2 the half-width of H's Gershgorin interval
+    N = [evolution._chebyshev_terms(evolution._bessel_j(dt * 55.2)) for dt in lengths]
+    assert N == [21, 70]
+    assert products == N[0] + 13 * N[1]
+
+
+@pytest.mark.parametrize("name", ["evolve_free", "full_exact_eigen"])
+def test_fine_real_scans_take_the_pade_product(count_calls, monkeypatch, name):
+    pade, products, lengths = _scan_paths(cli._FIXTURE_SCENARIOS[name],
+                                          count_calls, monkeypatch)
+    assert products == 0
+    assert len(pade) == 2 and np.allclose(pade, sorted(lengths), rtol=1e-14)
+
+
+def test_complex_samples_take_the_pade_product(count_calls, monkeypatch):
+    # the full_ee grid, whose real scan takes the Chebyshev series
+    cfg = json.loads((_SCENARIOS / "full_ee.json").read_text())
+    pade, products, lengths = _scan_paths(cfg, count_calls, monkeypatch,
+                                          complex_part=0.1)
+    assert products == 0
+    assert len(pade) == 2 and np.allclose(pade, sorted(lengths), rtol=1e-14)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -190,10 +332,13 @@ def test_propagate_leaves_the_data_alone(g200):
     assert not np.array_equal(states[-1].values, before)
 
 
-def test_linspace_steps_factor_once(g200, free200, count_calls, monkeypatch):
+def test_linspace_steps_factor_once(count_calls, monkeypatch):
     # np.linspace steps differ in their last bits; the Pade path still
     # factors each (step length, substep count) pair once, and [0, t_0] is
-    # a remainder and steps of the spacing: two step lengths in all
+    # a remainder and steps of the spacing: two step lengths in all.  At
+    # h = 0.05 both step lengths of the scan take the Pade path.
+    g = grids.make_grid(Mode.RADIAL_SWAVE, 20.0, 400)
+    free = birman.sample_potential("free", g, np.zeros_like)
     solves = count_calls(birman, "_tridiagonal_solver")
     lengths = set()
     stepper = evolution._pade_stepper
@@ -209,11 +354,11 @@ def test_linspace_steps_factor_once(g200, free200, count_calls, monkeypatch):
 
     monkeypatch.setattr(evolution, "_pade_stepper", recording_stepper)
     times = np.linspace(2.5, 8.0, 10)
-    plan = evolution.make_plan(free200, g200, times)
-    evolution.propagate(plan, grids.gaussian_bump(g200))
+    plan = evolution.make_plan(free, g, times)
+    evolution.propagate(plan, grids.gaussian_bump(g))
     spacing = times[1] - times[0]
     assert sorted(lengths) == [times[0] % spacing, spacing]
-    d = birman.tridiagonal_bs(g200, 0.0)[0]
+    d = birman.tridiagonal_bs(g, 0.0)[0]
     # the shift of the first Pade root names the level: i z_1 n / dt
     shifts = np.sort([np.abs(call[0] - d).max() for call in solves[::16]])
     assert len(solves) == 16 * len(shifts)
