@@ -13,10 +13,10 @@ potential I + V R0 = (T_lambda + V) R0 and
     (I + V R0)^{-1} f = T_lambda (T_lambda + V)^{-1} f.
 
 `bs_solve` takes both from one tridiagonal factorization in O(M) per
-vector, with the same near-singular refusal as the dense LU; its
-condition estimate (`_inverse_norm_estimate`) is a Hager-Higham loop of a
-few solves with the same factors.  It serves the transform scan, the Stone
-check, `uniform_inverse_scan` and the S0 of `local_neumann_inverse`.  Its
+vector, with a near-singular refusal by condition estimate
+(`_inverse_norm_estimate`, a Hager-Higham loop of a few solves with the
+same factors).  It serves the transform scan, the Stone check,
+`uniform_inverse_scan` and the S0 of `local_neumann_inverse`.  Its
 factorization, `_tridiagonal_solver` (LDL^T for positive definite real
 bands, pivoted LU otherwise), applies R0(lambda^2) in the checks here and
 in `ftdiag.k2_bound_check`, and the domain resolvent of
@@ -26,9 +26,8 @@ of a singular H, made nonsingular at its kernel, for the S0 of
 same factorization those of S0^T, each in O(M); S0 is never stored) and
 the threshold chain of :mod:`speclab.jordan`, and those of H - lambda^2
 for the S(lambda) of :mod:`speclab.lowenergy`.
-The dense LU (`direct_inverse`) stays only in `bs_solve`, for lambda h
-near a nonzero multiple of pi, and as the tests' oracle of the banded
-paths.
+Where lambda h is near a nonzero multiple of pi, T_lambda does not exist
+(`banded_energy`) and every path here raises ValueError; none forms R0.
 
 Every tridiagonal matrix here is symmetric and travels as its bands
 (d, e), the diagonal and the off-diagonal of tridiag(e, d, e); those of
@@ -52,9 +51,9 @@ COND_CUTOFF = 1e12
 #: Neumann-safe threshold for ||(V R0)^2||.
 NEUMANN_SAFE = 0.25
 
-#: Smallest |sin(lambda h)| at which `bs_solve` uses the tridiagonal
-#: T_lambda; the banded path loses about M eps / |sin(lambda h)| in relative
-#: accuracy (4e-14 / |sin(lambda h)| measured at M = 400).
+#: Smallest |sin(lambda h)| at which `tridiagonal_bs` forms T_lambda away
+#: from lambda = 0; the banded path loses about M eps / |sin(lambda h)| in
+#: relative accuracy (4e-14 / |sin(lambda h)| measured at M = 400).
 SIN_MIN = 1e-3
 
 
@@ -151,27 +150,6 @@ def sample_potential(name, grid, fn, p=1.4, q=2.0):
     return PotentialSpec(name, GridFunction(grid, np.asarray(fn(r), complex)), p, q)
 
 
-def direct_inverse(A, context=""):
-    """Dense LU inverse of the square matrix A with a condition estimate.
-
-    Raises NearSingularError when the 1-norm condition estimate exceeds
-    COND_CUTOFF; this is the numerical detector for threshold eigenvalues
-    and resonances.  zgecon reports a zero inverse norm or a NaN/Inf
-    estimate with info > 0, which counts as singular.
-    """
-    lu, piv = sla.lu_factor(A)
-    anorm = np.linalg.norm(A, 1)
-    rcond, info = sla.lapack.zgecon(lu, anorm)
-    if info < 0:
-        raise ValueError(f"zgecon rejected argument {-info} (1-norm {anorm})")
-    with np.errstate(divide="ignore", over="ignore"):
-        cond = np.inf if info > 0 or rcond == 0 else 1.0 / rcond
-    if not np.isfinite(cond) or cond > COND_CUTOFF:
-        raise NearSingularError(cond, context)
-    inv = sla.lu_solve((lu, piv), np.eye(A.shape[0], dtype=complex))
-    return inv, float(cond)
-
-
 def tridiagonal_bs(grid, lam, sign=Branch.PLUS):
     """The bands (d, e) of T_lambda, the tridiagonal inverse of R0(lambda^2).
 
@@ -183,7 +161,7 @@ def tridiagonal_bs(grid, lam, sign=Branch.PLUS):
     of the discrete free Laplacian (Dirichlet ghost u_{-1} = -u_0 at the
     origin, Neumann ghost u_M = u_{M-1} at L; see :mod:`speclab.evolution`).
     Raises ValueError where lambda h is near a nonzero multiple of pi (see
-    `banded_energy`).
+    `banded_energy`), the refusal of every path that applies R0(lambda^2).
     """
     M, h = grid.size, grid.spacing
     if not banded_energy(grid, lam):
@@ -231,6 +209,14 @@ def _one_norm(d, e):
     return float(col.max())
 
 
+def _gershgorin(d, e):
+    """The Gershgorin interval (lo, hi) of the real symmetric tridiag(e, d, e)."""
+    reach = np.zeros(d.size)
+    reach[1:] += np.abs(e)
+    reach[:-1] += np.abs(e)
+    return (d - reach).min(), (d + reach).max()
+
+
 def bs_norm(v, grid, lam, sign=Branch.PLUS):
     """||I + V R0(lambda^2)||_1 for the samples v of a multiplier, in O(M).
 
@@ -252,28 +238,22 @@ def bs_solve(V, grid, lam, f, sign=Branch.PLUS, context=""):
     I + V R0 = (T_lambda + V) R0, so one tridiagonal factorization
     (`_tridiagonal_solver`) of T_lambda + V gives
     R_V f = (T_lambda + V)^{-1} f and T^{-1} f = T_lambda R_V f in O(M) per
-    column.  The refusal is the dense one: NearSingularError when the
-    condition estimate, ||I + V R0||_1 (exact, `bs_norm`) times the
-    Hager-Higham lower estimate of ||T^{-1}||_1 =
-    ||I - V (T_lambda + V)^{-1}||_1 (`_inverse_norm_estimate`, at most a
-    dozen solves with the same factors), exceeds COND_CUTOFF.  Where lambda h
-    is near a nonzero multiple of pi (`banded_energy`) it takes the dense LU
-    of `direct_inverse`.  Returns (R_V f, T^{-1} f, condition estimate).
+    column.  The refusal: NearSingularError when the condition estimate,
+    ||I + V R0||_1 (exact, `bs_norm`) times the Hager-Higham lower estimate
+    of ||T^{-1}||_1 = ||I - V (T_lambda + V)^{-1}||_1
+    (`_inverse_norm_estimate`, at most a dozen solves with the same
+    factors), exceeds COND_CUTOFF; ValueError from `tridiagonal_bs` where
+    lambda h is near a nonzero multiple of pi.  Returns
+    (R_V f, T^{-1} f, condition estimate).
     """
-    M = grid.size
     v = _samples(V)
-    if not banded_energy(grid, lam):
-        R0 = resolvent.build_R0(grid, lam, sign)
-        tinv, cond = direct_inverse(np.eye(M) + v[:, None] * R0, context)
-        tinv_f = tinv @ f
-        return R0 @ tinv_f, tinv_f, cond
     d, e = tridiagonal_bs(grid, lam, sign)
     solve = _tridiagonal_solver(d + v, e, context)
     # T^{-1} = T_lambda (T_lambda + V)^{-1} = I - V (T_lambda + V)^{-1}, and
     # its adjoint I - (T_lambda + V)^{-H} conj(V): one solve each, and no
     # product with the bands of T_lambda.
     cond = bs_norm(v, grid, lam, sign) * _inverse_norm_estimate(
-        M,
+        grid.size,
         lambda x: x - v * solve(x),
         lambda x: x - solve(v.conj() * x, "C"),
     )
@@ -478,9 +458,10 @@ def uniform_inverse_scan(V, grid, lambda_grid):
 
     Each inverse is `bs_solve` applied to the identity: M tridiagonal
     solves, O(M^2), for a sampled potential.  Propagates NearSingularError
-    (annotated with the offending lambda); a hit signals an embedded
-    eigenvalue or resonance in the scenario.  Returns a dict with the norms,
-    in lambda_grid's order, and their sup.
+    (annotated with the offending lambda), where a hit signals an embedded
+    eigenvalue or resonance in the scenario, and the ValueError of a lambda
+    whose lambda h is near a nonzero multiple of pi.  Returns a dict with
+    the norms, in lambda_grid's order, and their sup.
     """
     eye = np.eye(grid.size, dtype=complex)
     norms = []

@@ -6,8 +6,10 @@ Exit codes: 0 success, 2 assertion failure (a configured check did not
 hold), 3 configuration error (the scenario file is missing or malformed,
 breaks its schema, `_SCHEMA` and `_BUILTINS`, or a cross-field rule of
 the pipeline that reads it, such as an invert lambda outside the validity
-window or whose lambda^-2K overflows, or a grid too coarse to classify a
-threshold state; stderr gets one "configuration error: ..." line), 4
+window or whose lambda^-2K overflows, an ftscan lam_max that puts a
+solved sample's lambda h near a nonzero multiple of pi, or a grid too
+coarse to classify a threshold state; stderr gets one
+"configuration error: ..." line), 4
 numerical refusal (the scenario is well-formed but a numerical routine
 declined it: a near-singular solve, a Neumann series that does not
 contract, a non-nilpotent or degenerate threshold space, ambiguous
@@ -16,6 +18,9 @@ that tunes an exact_eigen potential, or a Pade propagator step whose
 substep doubling cannot meet its tolerance (the Chebyshev steps of a real
 H have an a-priori error bound and never refuse): the classes of
 `_NUMERICAL_REFUSALS`; stderr gets one "numerical refusal: ..." line).
+With --out, a pipeline writes its CSV scans before its gates run, so a
+run that fails a gate (exit 2) leaves its scans to diagnose the failure
+by; <pipeline>_report.json is written only on exit 0.
 Reports embed the full tolerance set and the grid metadata, carry no
 wall-clock data, and use fixed key order, so identical scenario files
 produce byte-identical JSON.
@@ -464,7 +469,10 @@ def run_ftscan(cfg, grid, V, rng, out_dir=None, *, threshold=None):
             threshold = jordan.threshold(V, grid)
         P0 = jordan.build_P0(threshold.basis, grid)
         f = GridFunction(grid, grids.apply_complement(P0, f.values))
-    scan = ftdiag.t_hat_l1_scan(V, grid, f, window, params)
+    try:
+        scan = ftdiag.t_hat_l1_scan(V, grid, f, window, params)
+    except ValueError as exc:  # a sampled lambda h near a nonzero multiple of pi
+        raise ConfigError(f"ftscan 'lam_max' {params['lam_max']}: {exc}") from None
     out = {
         **_header("ftscan", V, grid, tol),
         "window": window,

@@ -254,10 +254,7 @@ def _chebyshev_stepper(d, e, fallback):
     above eps for k <= dt r), so the coefficients are not computed for a
     step with dt r beyond that budget.
     """
-    reach = np.zeros_like(d)
-    reach[1:] += np.abs(e)
-    reach[:-1] += np.abs(e)
-    lo, hi = (d - reach).min(), (d + reach).max()
+    lo, hi = birman._gershgorin(d, e)
     c, r = (hi + lo) / 2, (hi - lo) / 2
     M = d.size
     band = np.zeros((3, M), complex, order="F")  # zgbmv's storage of H - c
@@ -444,8 +441,9 @@ def stone_check(V, grid, f, t, lambda_cap, n_quad):
     (1 / 2 pi i) int_0^Lambda e^{-i t E} [R_V^+(E) - R_V^-(E)] f dE
     with midpoint quadrature (offset from 0 by half a step, which also
     avoids a nontrivial threshold space); R_V^{+/-}(E) f is one
-    `birman.bs_solve` per energy and branch.  Returns the relative sup-norm
-    discrepancy of the profiles.
+    `birman.bs_solve` per energy and branch, which raises ValueError where
+    sqrt(E) h is near a nonzero multiple of pi.  Returns the relative
+    sup-norm discrepancy of the profiles.
     """
     from .resolvent import Branch
 

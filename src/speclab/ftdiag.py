@@ -125,7 +125,10 @@ def t_hat_l1_scan(V, grid, f, window, params):
     with its NearSingularError refusal; samples outside the window's
     support are skipped.  Real samples and a real f give
     T(-lambda) f = conj T(lambda) f bit for bit, so only the first member
-    of each pair +-lambda is solved.  The samples are one n x M complex
+    of each pair +-lambda is solved.  Before the first solve, every lambda
+    to be solved is checked with `birman.banded_energy`: ValueError names
+    the first whose lambda h is near a nonzero multiple of pi, where
+    T_lambda does not exist.  The samples are one n x M complex
     array, transformed in place; the per-rho profile is reduced over the
     nodes in FFT order and then sorted in rho, and the total sums the
     sorted profile.  A LOW window total beyond
@@ -139,10 +142,16 @@ def t_hat_l1_scan(V, grid, f, window, params):
     lams, delta = lambda_grid(n, lam_max)
     cut = window_cutoffs(lams, lambda1, r)[window.upper()]
     mirror = not np.iscomplexobj(birman._samples(V)) and not np.any(f.values.imag)
+    solved = [i for i in range(n) if cut[i] != 0.0 and not (mirror and i >= n // 2)]
+    for i in solved:
+        if not birman.banded_energy(grid, lams[i]):
+            raise ValueError(
+                f"lambda = {lams[i]:.6g} on spacing h = {grid.spacing:.6g} puts "
+                "lambda h near a nonzero multiple of pi"
+            )
     samples = np.zeros((n, grid.size), complex)
-    for i, lam in enumerate(lams):
-        if cut[i] == 0.0 or (mirror and i >= n // 2):
-            continue
+    for i in solved:
+        lam = lams[i]
         _, tinv_f, _ = birman.bs_solve(
             V, grid, lam, f.values, context=f"t_hat scan at lambda={lam:.6g}"
         )

@@ -574,10 +574,7 @@ def _eigenvalues_below(d, e, upper):
     select="v") on an interval whose lower end lies below Gershgorin's
     bound, so that no eigenvalue up to `upper` is missed.
     """
-    radius = np.zeros(d.size)
-    radius[1:] += np.abs(e)
-    radius[:-1] += np.abs(e)
-    lower = float((d - radius).min())
+    lower = float(birman._gershgorin(d, e)[0])
     if lower > upper:
         return np.zeros(0)
     lower -= 1.0 + abs(lower)

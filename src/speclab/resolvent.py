@@ -24,9 +24,9 @@ T_lambda does not exist.
 A spectral point is passed, here as throughout the package, as the plain
 arguments lam, sign=Branch.PLUS: the limit R0(lambda^2 + i0 sign).
 
-The dense kernel matrix (`build_R0`) serves only `birman.bs_solve` where
-lambda h is near a nonzero multiple of pi; elsewhere R0(lambda^2) and its
-differences are tridiagonal solves with T_lambda.
+The package never forms the kernel matrix: R0(lambda^2) is applied by
+tridiagonal solves with T_lambda, which raise ValueError where it does not
+exist, and its 1-norm is read off the generators (`birman.bs_norm`).
 """
 
 from __future__ import annotations
@@ -53,13 +53,3 @@ def kernel_generators(r, lam, sign=Branch.PLUS):
     if lam == 0:
         return r, np.ones_like(r)
     return np.sin(lam * r) / lam, np.exp(1j * Branch(sign) * lam * r)
-
-
-def build_R0(grid, lam, sign=Branch.PLUS):
-    """Assemble the free resolvent: the kernel samples a(r_<) b(r_>) of
-    `kernel_generators` (the nodes ascend, so r_< is the node of the lower
-    index) times the quadrature weights."""
-    a, b = kernel_generators(grid.nodes, lam, sign)
-    i = np.arange(grid.size)
-    K = a[np.minimum.outer(i, i)] * b[np.maximum.outer(i, i)]
-    return K.astype(complex, copy=False) * grid.weights[None, :]

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from speclab import birman, grids, jordan, lowenergy, potentials, resolvent
+from oracles import build_R0
+from speclab import birman, grids, jordan, lowenergy, potentials
 from speclab.grids import GridFunction, Mode
 
 # One profile for every property test.  No deadline: example times vary
@@ -49,7 +50,7 @@ def tune():
         try:
             return potentials.tune_coupling(W, grid)[0]
         except (jordan.ClusterAmbiguousError, potentials.NoCouplingError) as exc:
-            K = birman.potential_operator(W, resolvent.build_R0(grid, 0.0))
+            K = birman.potential_operator(W, build_R0(grid, 0.0))
             ev = np.linalg.eigvals(K)
             ev = ev[np.argsort(np.abs(ev + 1.0))]
             zero = np.abs(ev) <= 1e-12 * np.abs(ev).max()

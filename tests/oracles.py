@@ -2,8 +2,10 @@
 of the continuum, for the tests only.
 
 Most form an M x M matrix that the package never forms, at up to O(M^3)
-cost: the dense I + V R0(lambda^2), with the sampled free kernel or with
-the domain resolvent, the dense LU of the bordered S0 system, S0 itself
+cost: the sampled free kernel R0(lambda^2), the dense LU inverse with its
+condition estimate, the dense I + V R0(lambda^2), with the sampled free
+kernel or with the domain resolvent, the dense LU of the bordered S0
+system, S0 itself
 from the package's bordered solve, the dense series step of the
 low-energy inverse and the dense SVD filtration of the threshold.  Two
 are banded: the pivot recurrence of p'/p over all M nodes, which
@@ -18,15 +20,47 @@ family.
 """
 
 import numpy as np
+from scipy import linalg as sla
 
 from speclab import birman, ftdiag, jordan, lowenergy, resolvent
 from speclab.grids import GridFunction
 from speclab.resolvent import Branch
 
 
+def build_R0(grid, lam, sign=Branch.PLUS):
+    """The sampled free resolvent: the kernel samples a(r_<) b(r_>) of
+    `resolvent.kernel_generators` (the nodes ascend, so r_< is the node of
+    the lower index) times the quadrature weights."""
+    a, b = resolvent.kernel_generators(grid.nodes, lam, sign)
+    i = np.arange(grid.size)
+    K = a[np.minimum.outer(i, i)] * b[np.maximum.outer(i, i)]
+    return K.astype(complex, copy=False) * grid.weights[None, :]
+
+
+def direct_inverse(A, context=""):
+    """Dense LU inverse of the square matrix A with a condition estimate.
+
+    Raises birman.NearSingularError when the 1-norm condition estimate
+    exceeds birman.COND_CUTOFF, the cutoff of `birman.bs_solve`.  zgecon
+    reports a zero inverse norm or a NaN/Inf estimate with info > 0, which
+    counts as singular.
+    """
+    lu, piv = sla.lu_factor(A)
+    anorm = np.linalg.norm(A, 1)
+    rcond, info = sla.lapack.zgecon(lu, anorm)
+    if info < 0:
+        raise ValueError(f"zgecon rejected argument {-info} (1-norm {anorm})")
+    with np.errstate(divide="ignore", over="ignore"):
+        cond = np.inf if info > 0 or rcond == 0 else 1.0 / rcond
+    if not np.isfinite(cond) or cond > birman.COND_CUTOFF:
+        raise birman.NearSingularError(cond, context)
+    inv = sla.lu_solve((lu, piv), np.eye(A.shape[0], dtype=complex))
+    return inv, float(cond)
+
+
 def build_bs(V, grid, lam, sign=Branch.PLUS):
     """The dense I + V R0(lambda^2 +/- i0) with the sampled free kernel."""
-    R0 = resolvent.build_R0(grid, lam, sign)
+    R0 = build_R0(grid, lam, sign)
     return np.eye(grid.size) + birman.potential_operator(V, R0)
 
 
@@ -48,7 +82,7 @@ def bordered_S0(V, grid, Y, Z, R0Y):
     K[:M, :M] = T0 - Y @ (Z.T @ T0)
     K[:M, M:] = Y
     K[M:, :M] = (grid.weights[:, None] * R0Y).T
-    Kinv, _ = birman.direct_inverse(K, context="S0 bordered solve")
+    Kinv, _ = direct_inverse(K, context="S0 bordered solve")
     return Kinv[:M, :M]
 
 
@@ -74,7 +108,7 @@ def dense_filtration(V, grid):
     exactly symmetric on the uniform-weight grid and V is a multiplier, so
     the factors of T^T are the transposed factors of T.
     """
-    R0 = resolvent.build_R0(grid, 0.0)
+    R0 = build_R0(grid, 0.0)
     Ut, s, Vht = np.linalg.svd(np.eye(grid.size) + birman.potential_operator(V, R0))
     rank = int(np.sum(s > jordan.RANK_TOL * s[0]))
     G = Vht[rank:].conj().T

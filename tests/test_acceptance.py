@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from nilpotent import nilpotent_fixture
-from oracles import bs_matrix, build_bs, free_evolution_radial
+from oracles import bs_matrix, build_bs, direct_inverse, free_evolution_radial
 from speclab import birman, evolution, ftdiag, grids, jordan, lowenergy, potentials
 from speclab.grids import GridFunction, Mode
 
@@ -208,7 +208,7 @@ def test_criterion_07_local_neumann_and_transform_bound(grid20, well20):
         except birman.NoContractionError:
             continue
         assert factor < 1.0
-        dense, _ = birman.direct_inverse(build_bs(V, g, lam))
+        dense, _ = direct_inverse(build_bs(V, g, lam))
         scale = np.abs(dense).max()
         assert np.abs(op - dense).max() / scale <= 1e-8
         checked += 1

@@ -6,8 +6,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy import linalg as sla
 
-from oracles import build_bs
-from speclab import birman, evolution, jordan, lowenergy, potentials, resolvent
+from oracles import build_bs, build_R0, direct_inverse
+from speclab import birman, evolution, jordan, lowenergy, potentials
 from speclab.grids import GridFunction, Mode, make_grid, operator_l1_norm
 from speclab.resolvent import Branch
 
@@ -44,7 +44,7 @@ def test_zero_potential_gives_identity(grid20):
 
 def test_direct_inverse_roundtrip(grid20, well20):
     A = build_bs(well20, grid20, 0.8)
-    inv, cond = birman.direct_inverse(A)
+    inv, cond = direct_inverse(A)
     assert cond < 1e6
     eye = inv @ A
     assert np.abs(eye - np.eye(grid20.size)).max() < 1e-10
@@ -56,7 +56,7 @@ def test_near_singular_raised_at_threshold(grid20):
         potentials.exact_eigen(grid20, s=2.0), grid20
     )
     with pytest.raises(birman.NearSingularError):
-        birman.direct_inverse(build_bs(tuned, grid20, 0.0))
+        direct_inverse(build_bs(tuned, grid20, 0.0))
     with pytest.raises(birman.NearSingularError):
         birman.bs_solve(tuned, grid20, 0.0, grid20.nodes.astype(complex))
 
@@ -69,7 +69,7 @@ def test_high_energy_norms_decay(grid20, well20):
     assert out["lambda1"] is not None
     # the banded square against the dense one
     for lam, norm in zip(lams, norms):
-        K = birman.potential_operator(well20, resolvent.build_R0(grid20, lam))
+        K = birman.potential_operator(well20, build_R0(grid20, lam))
         assert norm == pytest.approx(operator_l1_norm(K @ K, grid20), rel=1e-12)
 
 
@@ -94,7 +94,7 @@ def test_smooth_cutoff_plateau_and_support():
 def test_local_neumann_matches_dense_inverse(grid20, well20):
     op, factor = birman.local_neumann_inverse(well20, grid20, 2.0, 0.015, 2.01)
     assert factor < 1.0
-    oracle, _ = birman.direct_inverse(build_bs(well20, grid20, 2.01))
+    oracle, _ = direct_inverse(build_bs(well20, grid20, 2.01))
     diff = op - oracle
     assert operator_l1_norm(diff, grid20) / operator_l1_norm(oracle, grid20) < 1e-10
 
@@ -114,8 +114,8 @@ def _tridiagonal(d, e):
 def _dense_solve(V, grid, lam, f, sign):
     """(R_V f, T^{-1} f, zgecon's condition estimate) from dense LU."""
     A = build_bs(V, grid, lam, sign)
-    tinv, cond = birman.direct_inverse(A)
-    R0 = resolvent.build_R0(grid, lam, sign)
+    tinv, cond = direct_inverse(A)
+    R0 = build_R0(grid, lam, sign)
     return R0 @ (tinv @ f), tinv @ f, cond
 
 
@@ -123,7 +123,7 @@ def _dense_solve(V, grid, lam, f, sign):
 @pytest.mark.parametrize("lam", [0.0, 0.3, -1.7, 5.0])
 def test_tridiagonal_bs_inverts_R0(lam, sign):
     grid = make_grid(Mode.RADIAL_SWAVE, 80.0, 400)
-    R0 = resolvent.build_R0(grid, lam, sign)
+    R0 = build_R0(grid, lam, sign)
     T = _tridiagonal(*birman.tridiagonal_bs(grid, lam, sign))
     assert np.abs(T @ R0 - np.eye(grid.size)).max() < 1e-12
     inv = np.linalg.inv(R0)
@@ -142,6 +142,7 @@ def test_tridiagonal_bs_inverts_R0(lam, sign):
 def test_banded_solve_matches_dense(nodes, extent, lam_h, sign, seed):
     grid = make_grid(Mode.RADIAL_SWAVE, extent, nodes)
     lam = lam_h / grid.spacing
+    assume(birman.banded_energy(grid, lam))
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal(nodes) + 1j * rng.standard_normal(nodes)
     V = birman.PotentialSpec("random", GridFunction(grid, samples))
@@ -266,25 +267,16 @@ def test_real_bands_solve_complex_data_with_the_bits_of_zgttrs(
         assert np.array_equal(real, birman._tridiagonal_solver(d + 0j, e + 0j)(x, trans))
 
 
-def test_dense_path_at_lambda_h_pi(grid20, well20, monkeypatch):
+def test_bs_solve_refuses_lambda_h_pi(grid20, well20, count_calls):
+    # T_lambda does not exist at lambda h = pi: bs_solve raises before it
+    # factors anything, banded or dense
     lam = np.pi / grid20.spacing
     assert not birman.banded_energy(grid20, lam)
-    with pytest.raises(ValueError):
-        birman.tridiagonal_bs(grid20, lam)
-    calls = []
-    dense = birman.direct_inverse
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return dense(*args, **kwargs)
-
-    monkeypatch.setattr(birman, "direct_inverse", counted)
-    f = grid20.nodes.astype(complex)
-    rv, tinv_f, _ = birman.bs_solve(well20, grid20, lam, f)
-    assert len(calls) == 1
-    rv_d, tinv_d, _ = _dense_solve(well20, grid20, lam, f, Branch.PLUS)
-    assert np.abs(tinv_f - tinv_d).max() <= 1e-12 * np.abs(tinv_d).max()
-    assert np.abs(rv - rv_d).max() <= 1e-12 * np.abs(rv_d).max()
+    banded = count_calls(birman, "_tridiagonal_solver")
+    dense = count_calls(sla, "lu_factor")
+    with pytest.raises(ValueError, match="multiple of pi"):
+        birman.bs_solve(well20, grid20, lam, grid20.nodes.astype(complex))
+    assert not banded and not dense
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
@@ -325,7 +317,7 @@ def _inverse_estimate_and_exact(V, grid, lam, sign):
 @given(
     nodes=st.integers(8, 60),
     extent=st.floats(1.0, 20.0),
-    # the range of test_banded_solve_matches_dense, without the dense path
+    # the range of test_banded_solve_matches_dense
     lam_h=st.one_of(st.just(0.0), st.floats(1e-6, 6.2), st.floats(-6.2, -1e-6)),
     sign=st.sampled_from([Branch.PLUS, Branch.MINUS]),
     seed=st.integers(0, 2**32 - 1),
@@ -363,7 +355,7 @@ def test_uniform_inverse_scan_matches_dense(grid20, well20):
     out = birman.uniform_inverse_scan(well20, grid20, lams)
     dense = [
         operator_l1_norm(
-            birman.direct_inverse(build_bs(well20, grid20, lam))[0], grid20
+            direct_inverse(build_bs(well20, grid20, lam))[0], grid20
         )
         for lam in lams
     ]

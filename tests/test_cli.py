@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import speclab
-from speclab import birman, cli, evolution, grids, jordan, lowenergy, resolvent
+from speclab import birman, cli, evolution, grids, jordan, lowenergy
 
 
 def write_cfg(tmp_path, cfg, name="scenario.json"):
@@ -183,14 +183,13 @@ def test_invert_factors_each_lambda_once(tmp_path, capsys, count_calls):
 
 
 def test_invert_takes_no_svd_or_dense_resolvent(tmp_path, count_calls):
-    # the banded threshold and S0: neither a dense R0(0) nor an SVD of an
-    # M-row matrix, also with the low-energy scan of --out
+    # the banded threshold and S0: no SVD of an M-row matrix, also with the
+    # low-energy scan of --out (the package has no dense R0 to call; see
+    # test_source_rules)
     svd = count_calls(np.linalg, "svd")
-    dense_R0 = count_calls(resolvent, "build_R0")
     cfg = write_cfg(tmp_path, cli._FIXTURE_SCENARIOS["invert_exact_eigen"])
     out = str(tmp_path / "run")
     assert cli.main(["invert", "--config", cfg, "--out", out]) == cli.EXIT_OK
-    assert not dense_R0
     assert all(max(args[0].shape) == 1 for args in svd)
 
 
@@ -371,12 +370,11 @@ def test_config_errors_exit_3(tmp_path, capsys, pipeline, path, value):
 def test_full_pipeline_gates(tmp_path, capsys, count_calls):
     calls = count_calls(jordan, "build_filtration")
     # the sampled potential takes the banded threshold, the Sturm point
-    # spectrum and the banded S0: no dense eigensolve, no dense LU, no
-    # dense R0(0) and no SVD of an M-row matrix anywhere in the pipeline
+    # spectrum and the banded S0: no dense eigensolve, no dense H and no
+    # SVD of an M-row matrix anywhere in the pipeline (the package has no
+    # dense LU or dense R0 to call; see test_source_rules)
     eigvals = count_calls(np.linalg, "eigvals")
-    dense_lu = count_calls(birman, "direct_inverse")
     svd = count_calls(np.linalg, "svd")
-    dense_R0 = count_calls(resolvent, "build_R0")
     dense_H = count_calls(evolution, "discretize_H")
     resolvents = count_calls(lowenergy, "domain_resolvent")
     cfg = dict(cli._FIXTURE_SCENARIOS["full_exact_eigen"])
@@ -389,7 +387,7 @@ def test_full_pipeline_gates(tmp_path, capsys, count_calls):
     # certifies the lambda its column search evaluated last
     lams = [args[1] for args in resolvents]
     assert lams.count(0.0) == 1 and len(lams) <= 12 and len(set(lams)) == len(lams) - 1
-    assert not eigvals and not dense_lu and not dense_R0 and not dense_H
+    assert not eigvals and not dense_H
     report = json.loads(capsys.readouterr().out)
     stages = report["stages"]
     assert sorted(stages) == ["evolve", "ftscan", "invert", "threshold"]
@@ -532,17 +530,26 @@ _EDGE_SCENARIOS = {
     "wide-window": ("invert", "invert", {"window": 5.0}),
     "two-low-samples": ("ftscan", "ftscan", {"window": "LOW", "n": 2}),
     "huge-lam-max": ("ftscan", "ftscan", {"lam_max": 1e6}),
+    # lam_max = 4 pi / (3 h): the top sample sits at lambda h = pi
+    "lambda-h-pi": ("ftscan", "ftscan",
+                    {"window": "HIGH", "n": 4, "lam_max": 41.8879020478639}),
     "tiny-k-max": ("evolve", "evolve", {"k_max": 1e-300}),
 }
 
 
-@pytest.mark.parametrize("name", sorted(_EDGE_SCENARIOS))
-def test_no_input_ends_in_a_traceback(tmp_path, capsys, name):
+def _edge_cfg(name):
+    """(pipeline, scenario) of the edge scenario `name`."""
     pipeline, section, keys = _EDGE_SCENARIOS[name]
     cfg = {"schema_version": cli.SCHEMA_VERSION,
            "grid": {"extent": 20.0, "nodes": 200},
            "potential": {"builtin": "exact_eigen", "params": {"s": 2.0}}}
     cfg[section] = {**cfg.get(section, {}), **keys}
+    return pipeline, cfg
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_SCENARIOS))
+def test_no_input_ends_in_a_traceback(tmp_path, capsys, name):
+    pipeline, cfg = _edge_cfg(name)
     rc = cli.main([pipeline, "--config", write_cfg(tmp_path, cfg)])
     assert rc in _EXIT_CODES
     out, err = capsys.readouterr()
@@ -550,6 +557,40 @@ def test_no_input_ends_in_a_traceback(tmp_path, capsys, name):
     # a run that passes prints valid JSON, with no NaN or Infinity
     if rc == cli.EXIT_OK:
         assert "NaN" not in out and "Infinity" not in out
+
+
+def test_ftscan_sample_at_lambda_h_pi_exits_3(tmp_path, capsys):
+    # T_lambda does not exist at lambda h = pi: the scan is refused before
+    # its first solve, so nothing is written
+    pipeline, cfg = _edge_cfg("lambda-h-pi")
+    out = tmp_path / "run"
+    argv = [pipeline, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "'lam_max'" in err
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("pipeline, cfg, scan", [
+    ("invert", _edge_cfg("overflowing-residual")[1], "low_energy_scan.csv"),
+    ("evolve", {**cli._FIXTURE_SCENARIOS["evolve_free"],
+                "evolve": {**cli._FIXTURE_SCENARIOS["evolve_free"]["evolve"],
+                           "expect_exponent": [0.0, 0.1]}}, "decay_scan.csv"),
+    ("ftscan", {**cli._FIXTURE_SCENARIOS["ftscan_well_high"],
+                "ftscan": {**cli._FIXTURE_SCENARIOS["ftscan_well_high"]["ftscan"],
+                           "expect_verdict": "DIVERGENT"}}, "ftscan_high.csv"),
+], ids=["invert", "evolve", "ftscan"])
+def test_a_failed_gate_leaves_its_scan_and_no_report(
+    tmp_path, capsys, pipeline, cfg, scan
+):
+    # scans are written before the gates run, to diagnose a failure by;
+    # the report only on exit 0
+    out = tmp_path / "run"
+    argv = [pipeline, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_ASSERT
+    assert capsys.readouterr().err.startswith("assertion failure: ")
+    assert os.listdir(out) == [scan]
 
 
 @pytest.mark.parametrize("with_out", [False, True])

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import build_bs, exact_eigen_profile
-from speclab import birman, cli, evolution, grids, jordan, potentials, resolvent
+from oracles import build_bs, build_R0, exact_eigen_profile
+from speclab import birman, cli, evolution, grids, jordan, potentials
 from speclab.grids import Mode
 
 
@@ -82,7 +82,7 @@ def test_complex_perturbed_moves_spectrum(grid20):
 
 def _bs_eigenvalues(V, grid):
     """Eigenvalues of V R0(0), densely, sorted by distance from -1."""
-    K = birman.potential_operator(V, resolvent.build_R0(grid, 0.0))
+    K = birman.potential_operator(V, build_R0(grid, 0.0))
     ev = np.linalg.eig(K)[0]
     return K, ev[np.argsort(np.abs(ev + 1.0))]
 

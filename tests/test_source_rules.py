@@ -147,23 +147,33 @@ def test_only_the_tridiagonal_solver_names_the_band_routines():
     assert found == {"birman._tridiagonal_solver"}
 
 
-#: The dense realization of I + V R0(lambda^2) and who may call it: the
-#: fallback of `bs_solve` where lambda h is near a nonzero multiple of pi.
-DENSE_CALLERS = {
-    "build_R0": {"birman.bs_solve"},
-    "direct_inverse": {"birman.bs_solve"},
-}
+#: The dense realization of I + V R0(lambda^2): the sampled kernel matrix
+#: and the dense LU inverse, both test oracles now (tests/oracles.py), and
+#: the LAPACK dense LU routines they stand on.
+DENSE_ORACLES = ("build_R0", "direct_inverse")
+DENSE_LU = ("lu_factor", "lu_solve", "gecon")
 
 
-def test_only_bs_solve_reaches_the_dense_realization():
-    offenders = []
+def _realizes_R0_densely(node):
+    """Whether the node defines or calls one of DENSE_ORACLES, or names
+    (in a name, an attribute or a string) one of DENSE_LU."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return node.name in DENSE_ORACLES
+    if isinstance(node, ast.Call):
+        return _name(node.func) in DENSE_ORACLES
+    text = node.value if isinstance(node, ast.Constant) else _name(node)
+    return isinstance(text, str) and any(r in text for r in DENSE_LU)
+
+
+def test_no_function_realizes_R0_densely():
+    # the package realizes the sampled R0 only as its tridiagonal inverse
+    # T_lambda; where that does not exist, it refuses
+    found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for func, call in _callers(tree, lambda call: _name(call.func) in DENSE_CALLERS):
-            name = _name(call.func)
-            if f"{path.stem}.{func}" not in DENSE_CALLERS[name]:
-                offenders.append(f"{path.stem}.{func} calls {name}")
-    assert offenders == []
+        dense = _callers(tree, _realizes_R0_densely, ast.AST)
+        found.extend(f"{path.stem}.{func}" for func, _ in dense)
+    assert found == []
 
 
 #: Where the callers of the package live.
